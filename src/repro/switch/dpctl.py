@@ -25,7 +25,7 @@ eyeball a tuple space explosion the way the paper's authors did:
 All three accept a sharded multi-PMD datapath too: ``show`` reports the
 execution strategy and scan kernel (``pmd executor: serial, kernel=numpy``
 or ``process[4 workers]/shm, kernel=cffi`` — worker-owned shards render
-through the same proxies the management plane drives, and the transport
+through the same remote handles the management plane drives, and the transport
 suffix distinguishes the shared-memory data plane from the pickled-pipe
 one) and appends one ``pmd`` line per shard (mask
 count, megaflow count, hit statistics — the operator-triage view that
@@ -182,7 +182,7 @@ def _kernel_names(datapath: AnyDatapath) -> str:
 
     Backends that scan without a pluggable kernel report ``none``; the
     worker-owned shards of the process executor answer through the same
-    backend proxy as the rest of the management plane.
+    remote handle as the rest of the management plane.
     """
     names = sorted(
         {getattr(shard.megaflows, "scan_kernel_name", "none") for shard in datapath.shards}
@@ -201,9 +201,9 @@ def show(datapath: AnyDatapath) -> str:
     sharded = datapath.n_shards > 1
     if sharded:
         stats = datapath.stats
-        lookup_hits = sum(s.megaflows.stats_hits for s in datapath.shards)
-        lookup_misses = sum(s.megaflows.stats_misses for s in datapath.shards)
-        memory = sum(s.megaflows.memory_bytes() for s in datapath.shards)
+        lookup_hits = datapath.executor.call_all("megaflows.stats_hits")
+        lookup_misses = datapath.executor.call_all("megaflows.stats_misses")
+        memory = datapath.executor.call_all("megaflows.memory_bytes")
         lines = [
             "datapath@repro:",
             f"  lookups: hit:{lookup_hits} missed:{lookup_misses} "

@@ -18,8 +18,8 @@ execution layer that actually fans the per-shard work out:
   pool.  **The shards live in the workers**: each worker process owns a
   subset of the shard datapaths (round-robin by shard id) plus a private
   replica of the flow table, and the parent holds only lightweight
-  :class:`ShardProxy` handles that speak a small message protocol over
-  pipes.  ``process_batch`` scatters RSS-partitioned sub-batches to the
+  :class:`ShardHandle` remote handles that speak a small message protocol
+  over pipes.  ``process_batch`` scatters RSS-partitioned sub-batches to the
   owning workers and gathers their :class:`BatchVerdicts` — true
   multi-core wall-clock scaling, no GIL.  Under the default ``shm``
   transport the batch *data* bypasses the pipes entirely: keys travel as
@@ -64,27 +64,39 @@ Executor invariants (tested in ``tests/test_executor.py``):
   arrival index, shard by shard in shard-id order — the result never
   depends on which worker finished first.
 * **Management operations are value-addressed across the process
-  boundary.**  Entries returned by a worker are copies; operations taking
-  an entry (``kill_entry``, ``find_entry``, ``reinject``) resolve it in
-  the owning worker by ``(mask, masked key)`` — the same value identity
-  the §8 dead-entry quirk already uses.
+  boundary.**  Entries returned by a worker are copies.  Every operation
+  that can reach a shard is one row of :data:`SHARD_OPS`; a row whose
+  ``by_value`` column is set (``kill_entry``, ``reinject``,
+  ``megaflows.find_entry``, ``megaflows.remove``) has its leading entry
+  argument resolved in the owning worker by ``(mask, masked key)`` — the
+  same value identity the §8 dead-entry quirk already uses — before the
+  real method runs.  Entry *lists* (``rebalance_install``) are never
+  resolved: they are state in flight to be adopted, not addresses.
+* **One table, one message, one fan-out.**  The worker dispatch, the
+  parent-side handles and :meth:`ShardExecutor.call_all` are all derived
+  from :data:`SHARD_OPS`; a name that is not in it is refused in the
+  parent before anything touches a pipe (and again in the worker).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import multiprocessing
 import os
 import threading
 import traceback
+import types
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.classifier.backend import MegaflowEntry, ProbeCostSnapshot
+from repro.classifier.backend import MegaflowEntry
 from repro.classifier.flowtable import FlowTable
 from repro.exceptions import ExecutorError, SwitchError
-from repro.packet.fields import FlowKey, FlowMask
+from repro.packet.fields import FlowKey
+from repro.switch.datapath import BatchVerdicts, Datapath, DatapathConfig
 from repro.switch.shm_ring import (
     ShmRing,
     decode_batch,
@@ -92,29 +104,183 @@ from repro.switch.shm_ring import (
     encode_batch,
     encode_verdicts,
 )
-from repro.switch.datapath import (
-    BatchVerdicts,
-    CoreReport,
-    Datapath,
-    DatapathConfig,
-    DatapathStats,
-    PacketVerdict,
-)
 
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.connection import Connection
 
 __all__ = [
+    "ShardOp",
+    "SHARD_OPS",
     "ShardExecutor",
     "SerialShardExecutor",
     "ThreadShardExecutor",
     "ProcessShardExecutor",
-    "ShardProxy",
-    "BackendProxy",
-    "register_shard_executor",
+    "ShardHandle",
     "shard_executor_names",
     "make_shard_executor",
 ]
+
+
+# -- the shard-op table ------------------------------------------------------------
+#
+# Every management capability that must reach a shard wherever its executor put
+# it is one row here.  Adding a capability is a ``Datapath`` (or backend) member
+# plus one row; nothing else in this module names an operation.
+
+
+@dataclasses.dataclass(frozen=True)
+class ShardOp:
+    """One row of the shard-op table.
+
+    Attributes:
+        name: the member of the target object.
+        target: ``"shard"`` (the :class:`Datapath`) or ``"backend"`` (its
+            ``megaflows`` cache).
+        kind: ``"get"`` reads the member, ``"call"`` invokes it.
+        by_value: the leading argument is a :class:`MegaflowEntry` *copy*
+            that the owning worker resolves to its own object by
+            ``(mask, masked key)`` before the call.
+        fold: how :meth:`ShardExecutor.call_all` combines the per-shard
+            answers — ``"list"`` (by shard id), ``"none"``, ``"sum"``
+            (dataclasses field-wise), ``"max"`` or ``"concat"``.
+    """
+
+    name: str
+    target: str = "shard"
+    kind: str = "call"
+    by_value: bool = False
+    fold: str = "list"
+
+    @property
+    def key(self) -> str:
+        """The name the op travels under; backend rows are ``megaflows.<name>``."""
+        return self.name if self.target == "shard" else f"megaflows.{self.name}"
+
+
+SHARD_OPS: dict[str, ShardOp] = {
+    op.key: op
+    for op in (
+        ShardOp("n_masks", kind="get", fold="sum"),
+        ShardOp("n_megaflows", kind="get", fold="sum"),
+        ShardOp("scan_cost", kind="get", fold="max"),
+        ShardOp("now", kind="get", fold="max"),
+        ShardOp("stats", kind="get", fold="sum"),
+        ShardOp("microflows", kind="get"),
+        ShardOp("core_report", fold="concat"),
+        ShardOp("process"),
+        ShardOp("process_batch"),
+        ShardOp("kill_entry", by_value=True),
+        ShardOp("reinject", by_value=True, fold="none"),
+        ShardOp("flush_caches", fold="none"),
+        ShardOp("evict_idle", fold="concat"),
+        ShardOp("reset_stats", fold="none"),
+        # Live backend migration: the rebuild and swap run *inside* the
+        # owning worker; only the plain-dict status record crosses back.
+        ShardOp("migration_status"),
+        ShardOp("migrate_backend"),
+        ShardOp("migrate_backend_start"),
+        ShardOp("migrate_backend_step"),
+        ShardOp("migrate_backend_swap"),
+        ShardOp("migrate_backend_abort"),
+        # RSS re-map: extraction/installation run inside the owning worker;
+        # what crosses the pipe is the moved-entry delta, never a snapshot.
+        ShardOp("rebalance_extract"),
+        ShardOp("rebalance_install"),
+        ShardOp("stats_hits", "backend", "get", fold="sum"),
+        ShardOp("stats_misses", "backend", "get", fold="sum"),
+        ShardOp("stats_scans", "backend", "get"),
+        ShardOp("stats_scan_probes", "backend", "get"),
+        ShardOp("n_masks", "backend", "get"),
+        ShardOp("n_entries", "backend", "get"),
+        ShardOp("check_invariants", "backend", "get"),
+        ShardOp("scan_kernel_name", "backend", "get"),
+        ShardOp("memory_bytes", "backend", fold="sum"),
+        ShardOp("expected_scan_cost", "backend"),
+        ShardOp("structural_scan_cost", "backend"),
+        ShardOp("probe_unit_cost", "backend"),
+        ShardOp("probe_cost_snapshot", "backend"),
+        ShardOp("entries", "backend", fold="concat"),
+        ShardOp("masks", "backend", fold="concat"),
+        ShardOp("entries_for_mask", "backend"),
+        ShardOp("find", "backend"),
+        ShardOp("find_entry", "backend", by_value=True),
+        ShardOp("get_entry", "backend"),
+        ShardOp("probe_mask", "backend"),
+        ShardOp("remove", "backend", by_value=True),
+        ShardOp("evict_idle", "backend"),
+        ShardOp("insert_batch", "backend"),
+        ShardOp("clear_memo", "backend"),
+        ShardOp("shuffle_masks", "backend"),
+        ShardOp("verify_disjoint", "backend"),
+    )
+}
+
+# Why a well-known member is deliberately *not* a row (appended to the refusal).
+_NOT_EXPORTED = {
+    "megaflows.remove_where": (
+        ": predicates do not cross the process boundary — run the predicate "
+        "over entries() copies and remove() the matches"
+    ),
+}
+
+
+class _UnknownShardOp(SwitchError, AttributeError):
+    """A name outside the table; also an ``AttributeError`` so ``hasattr`` /
+    ``getattr(handle, name, default)`` on a remote handle behave."""
+
+
+def shard_op(name: str) -> ShardOp:
+    """The table row ``name`` travels under, or a :class:`SwitchError` naming it."""
+    op = SHARD_OPS.get(name)
+    if op is None:
+        raise _UnknownShardOp(f"{name!r} is not a shard operation (no SHARD_OPS row){_NOT_EXPORTED.get(name, '')}")
+    return op
+
+
+def _resolve_entry(shard: Datapath, entry: MegaflowEntry) -> MegaflowEntry:
+    """The worker's own entry object for a by-value copy (or the copy).
+
+    Falling back to the copy keeps value-keyed semantics working for
+    entries that are no longer installed (``reinject`` of a killed entry,
+    ``kill_entry`` marking an absent entry dead).
+    """
+    local = shard.megaflows.get_entry(entry.mask, entry.key)
+    return entry if local is None else local
+
+
+def _apply_op(shard: Datapath, op: ShardOp, args: tuple, kwargs: dict, remote: bool = False):
+    """Run one table row on one shard — the only place an op executes.
+
+    ``remote`` is set by the process worker: its arguments were pickled, so
+    a ``by_value`` row's entry copy is resolved to the shard's own object
+    first (in-process callers already hold the real objects).
+    """
+    target = shard if op.target == "shard" else shard.megaflows
+    if op.kind == "get":
+        return getattr(target, op.name)
+    if remote and op.by_value and args:
+        args = (_resolve_entry(shard, args[0]), *args[1:])
+    result = getattr(target, op.name)(*args, **kwargs)
+    # A generator neither pickles nor survives the shard lock: make it concrete.
+    return list(result) if isinstance(result, types.GeneratorType) else result
+
+
+def _sum(answers: list):
+    first = answers[0]
+    if dataclasses.is_dataclass(first):  # counters records (DatapathStats): a fresh sum
+        return type(first)(
+            **{f.name: sum(getattr(a, f.name) for a in answers) for f in dataclasses.fields(first)}
+        )
+    return sum(answers)
+
+
+_FOLDS: dict[str, Callable[[list], object]] = {
+    "list": list,
+    "none": lambda answers: None,
+    "sum": _sum,
+    "max": max,
+    "concat": lambda answers: list(itertools.chain.from_iterable(answers)),
+}
 
 
 class ShardExecutor:
@@ -124,10 +290,11 @@ class ShardExecutor:
     :meth:`build` exactly once (which creates the shard handles), drives
     batches through :meth:`run_batch`, and calls :meth:`close` when done.
     ``serial``/``thread`` build real in-process :class:`Datapath` shards;
-    ``process`` builds :class:`ShardProxy` handles onto worker-owned
-    shards.  Either way the handles expose the same processing and
-    management surface, so every switch layer (hypervisor, revalidator,
-    MFCGuard, dpctl) drives them identically.
+    ``process`` builds :class:`ShardHandle` remote handles onto
+    worker-owned shards.  Either way the handles expose the same
+    processing and management surface, so every switch layer (hypervisor,
+    revalidator, MFCGuard, dpctl) drives them identically, and
+    :meth:`call_all` reaches every shard with one table op.
     """
 
     name = "abstract"
@@ -176,10 +343,19 @@ class ShardExecutor:
         """
         yield
 
-    # -- aggregate snapshots -----------------------------------------------------
-    def core_report(self) -> list[CoreReport]:
-        """Per-shard (n_masks, n_megaflows, scan_cost) in one round trip."""
-        return [shard.core_report()[0] for shard in self._shards]
+    # -- the fan-out ---------------------------------------------------------------
+    def call_all(self, name: str, *args, **kwargs):
+        """Run table op ``name`` on every shard; fold the answers per its row.
+
+        In-process strategies loop over the shards under each shard's
+        lock; the ``process`` strategy sends one message per *worker*.
+        """
+        op = shard_op(name)  # an unknown name touches no shard
+        answers = []
+        for shard_id, shard in enumerate(self._shards):
+            with self.lock(shard_id):
+                answers.append(_apply_op(shard, op, args, kwargs))
+        return _FOLDS[op.fold](answers)
 
     def describe(self) -> str:
         """Human-readable strategy label for dpctl/benchmark output."""
@@ -287,94 +463,19 @@ class ThreadShardExecutor(ShardExecutor):
 #       (doorbell: the batch itself is record ``seq`` in the submit ring;
 #        verdicts come back in the complete ring, or inline over the pipe
 #        when the complete ring is full)
+#   ("op", shard_id, name, args, kwargs)           -> SHARD_OPS[name] applied to that shard
+#   ("op", None, name, args, kwargs)               -> [(shard_id, answer), ...] for every
+#       shard the worker owns, in one round trip (what ``call_all`` broadcasts)
 #   ("worker_info",)                               -> {pid, shards, transport, affinity}
-#   ("shard_get", shard_id, attr)                  -> getattr(shard, attr)
-#   ("shard_call", shard_id, method, args, kwargs) -> shard.method(*args, **kwargs)
-#   ("backend_get", shard_id, attr)                -> getattr(shard.megaflows, attr)
-#   ("backend_call", shard_id, method, args, kwargs) -> shard.megaflows.method(...)
-#   ("core_report",)                               -> [(shard_id, CoreReport), ...]
 #   ("flowtable", removed_rule_ids, [(rule_id, FlowRule), ...]) -> None
-#   ("ping",)                                      -> "pong"
 #   ("close",)                                     -> None (worker exits)
 #
-# Entries cross the boundary by value: requests carrying a MegaflowEntry are
-# resolved to the worker's own object by (mask, masked key) before the real
-# method runs, so identity-based bookkeeping (microflow invalidation, the
-# per-mask dicts) stays correct inside the worker.
-
-_SHARD_GET = frozenset({"n_masks", "n_megaflows", "scan_cost", "now", "stats", "microflows"})
-_SHARD_CALL = frozenset(
-    {
-        "process",
-        "process_batch",
-        "kill_entry",
-        "reinject",
-        "flush_caches",
-        "evict_idle",
-        "reset_stats",
-        "core_report",
-        # Live backend migration: the rebuild and swap run *inside* the
-        # owning worker; only the plain-dict status record crosses back.
-        "migration_status",
-        "migrate_backend",
-        "migrate_backend_start",
-        "migrate_backend_step",
-        "migrate_backend_swap",
-        "migrate_backend_abort",
-        # RSS re-map migration: extraction/installation run inside the
-        # owning worker; what crosses the pipe is the moved-entry delta —
-        # never a snapshot of a shard's full state.
-        "rebalance_extract",
-        "rebalance_install",
-    }
-)
-_SHARD_ENTRY_CALLS = frozenset({"kill_entry", "reinject"})
-_BACKEND_GET = frozenset(
-    {
-        "stats_hits",
-        "stats_misses",
-        "stats_scans",
-        "stats_scan_probes",
-        "n_masks",
-        "n_entries",
-        "check_invariants",
-        "scan_kernel_name",
-    }
-)
-_BACKEND_CALL = frozenset(
-    {
-        "expected_scan_cost",
-        "structural_scan_cost",
-        "probe_unit_cost",
-        "probe_cost_snapshot",
-        "memory_bytes",
-        "entries",
-        "masks",
-        "entries_for_mask",
-        "find",
-        "find_entry",
-        "get_entry",
-        "clear_memo",
-        "shuffle_masks",
-        "probe_mask",
-        "evict_idle",
-        "remove",
-        "insert_batch",
-        "verify_disjoint",
-    }
-)
-_BACKEND_ENTRY_CALLS = frozenset({"find_entry", "remove"})
-
-
-def _resolve_entry(shard: Datapath, entry: MegaflowEntry) -> MegaflowEntry:
-    """The worker's own entry object for a by-value copy (or the copy).
-
-    Falling back to the copy keeps value-keyed semantics working for
-    entries that are no longer installed (``reinject`` of a killed entry,
-    ``kill_entry`` marking an absent entry dead).
-    """
-    local = shard.megaflows.get_entry(entry.mask, entry.key)
-    return entry if local is None else local
+# ``op`` is the only management message: what it may name, whether it reads
+# or calls, and whether its leading MegaflowEntry argument is resolved to the
+# worker's own object by (mask, masked key) — so identity-based bookkeeping
+# (microflow invalidation, the per-mask dicts) stays correct inside the
+# worker — are all columns of SHARD_OPS.  The parent refuses unknown names
+# before sending; the worker looks the name up again before it runs anything.
 
 
 def _worker_handle(op: tuple, table: FlowTable, rules_by_id: dict, shards: dict[int, Datapath]):
@@ -382,36 +483,12 @@ def _worker_handle(op: tuple, table: FlowTable, rules_by_id: dict, shards: dict[
     if kind == "batch":
         _, jobs, now = op
         return [(sid, shards[sid].process_batch(keys, now=now)) for sid, keys in jobs]
-    if kind == "shard_get":
-        _, sid, attr = op
-        if attr not in _SHARD_GET:
-            raise SwitchError(f"shard attribute {attr!r} not exported")
-        return getattr(shards[sid], attr)
-    if kind == "shard_call":
-        _, sid, method, args, kwargs = op
-        if method not in _SHARD_CALL:
-            raise SwitchError(f"shard method {method!r} not exported")
-        if method in _SHARD_ENTRY_CALLS and args:
-            args = (_resolve_entry(shards[sid], args[0]),) + tuple(args[1:])
-        return getattr(shards[sid], method)(*args, **kwargs)
-    if kind == "backend_get":
-        _, sid, attr = op
-        if attr not in _BACKEND_GET:
-            raise SwitchError(f"backend attribute {attr!r} not exported")
-        return getattr(shards[sid].megaflows, attr)
-    if kind == "backend_call":
-        _, sid, method, args, kwargs = op
-        if method not in _BACKEND_CALL:
-            raise SwitchError(f"backend method {method!r} not exported")
-        backend = shards[sid].megaflows
-        if method in _BACKEND_ENTRY_CALLS and args:
-            args = (_resolve_entry(shards[sid], args[0]),) + tuple(args[1:])
-        result = getattr(backend, method)(*args, **kwargs)
-        if method == "entries":  # generator -> concrete, picklable list
-            result = list(result)
-        return result
-    if kind == "core_report":
-        return [(sid, shard.core_report()[0]) for sid, shard in shards.items()]
+    if kind == "op":
+        _, sid, name, args, kwargs = op
+        row = shard_op(name)
+        if sid is None:
+            return [(owned, _apply_op(shard, row, args, kwargs, remote=True)) for owned, shard in shards.items()]
+        return _apply_op(shards[sid], row, args, kwargs, remote=True)
     if kind == "flowtable":
         _, removed_ids, added = op
         removed = [rules_by_id.pop(rid) for rid in removed_ids if rid in rules_by_id]
@@ -419,8 +496,6 @@ def _worker_handle(op: tuple, table: FlowTable, rules_by_id: dict, shards: dict[
             rules_by_id[rid] = rule
         table.apply_delta(add=[rule for _, rule in added], remove=removed)
         return None
-    if kind == "ping":
-        return "pong"
     raise SwitchError(f"unknown worker op {kind!r}")
 
 
@@ -504,229 +579,44 @@ def _worker_main(
             complete.close()
 
 
-class BackendProxy:
-    """Parent-side handle onto one worker shard's megaflow backend.
+class ShardHandle:
+    """Parent-side remote handle onto one worker-owned shard (or its backend).
 
-    Exposes the slice of the :class:`MegaflowBackend` protocol the
-    management layers (dpctl, MFCGuard, detector, benchmarks) drive.
-    Entries returned are copies; entry-taking calls are value-resolved in
-    the worker.  ``remove_where`` is unsupported — predicates do not cross
-    process boundaries; use ``evict_idle``/``remove`` or run the predicate
-    over ``entries()`` copies and ``remove`` the survivors.
+    Duck-typed to the slice of the :class:`Datapath` surface — and, through
+    ``.megaflows``, of the :class:`MegaflowBackend` surface — that
+    :data:`SHARD_OPS` exports: attribute access resolves the name against
+    the table, ``get`` rows answer with the value, ``call`` rows with a
+    callable that forwards its arguments, and any other name is refused
+    here, before anything touches the pipe.  Entries returned are copies;
+    ``by_value`` rows resolve entry arguments in the worker.  Packet
+    batches normally flow through the executor's scatter/gather path
+    rather than per-handle calls.
     """
 
-    def __init__(self, executor: "ProcessShardExecutor", shard_id: int):
+    def __init__(
+        self,
+        executor: "ProcessShardExecutor",
+        shard_id: int,
+        config: DatapathConfig | None = None,
+        prefix: str = "",
+    ):
         self._executor = executor
-        self._shard_id = shard_id
+        self._prefix = prefix
+        self.shard_id = shard_id
+        if not prefix:
+            self.config = config
+            self.megaflows = ShardHandle(executor, shard_id, prefix="megaflows.")
 
-    def _get(self, attr: str):
-        return self._executor._shard_request(self._shard_id, ("backend_get", self._shard_id, attr))
-
-    def _call(self, method: str, *args, **kwargs):
-        return self._executor._shard_request(
-            self._shard_id, ("backend_call", self._shard_id, method, args, kwargs)
-        )
-
-    # statistics surface
-    @property
-    def stats_hits(self) -> int:
-        return self._get("stats_hits")
-
-    @property
-    def stats_misses(self) -> int:
-        return self._get("stats_misses")
-
-    @property
-    def stats_scans(self) -> int:
-        return self._get("stats_scans")
-
-    @property
-    def stats_scan_probes(self) -> int:
-        return self._get("stats_scan_probes")
-
-    @property
-    def check_invariants(self) -> bool:
-        return self._get("check_invariants")
-
-    @property
-    def scan_kernel_name(self) -> str:
-        return self._get("scan_kernel_name")
-
-    # size
-    @property
-    def n_masks(self) -> int:
-        return self._get("n_masks")
-
-    @property
-    def n_entries(self) -> int:
-        return self._get("n_entries")
-
-    def __len__(self) -> int:
-        return self.n_entries
-
-    def memory_bytes(self) -> int:
-        return self._call("memory_bytes")
-
-    # probe-cost surface
-    def probe_unit_cost(self) -> float:
-        return self._call("probe_unit_cost")
-
-    def expected_scan_cost(self) -> float:
-        return self._call("expected_scan_cost")
-
-    def structural_scan_cost(self) -> float:
-        return self._call("structural_scan_cost")
-
-    def probe_cost_snapshot(self) -> ProbeCostSnapshot:
-        return self._call("probe_cost_snapshot")
-
-    # iteration / introspection (copies)
-    def entries(self) -> Iterator[MegaflowEntry]:
-        return iter(self._call("entries"))
-
-    def masks(self) -> list[FlowMask]:
-        return self._call("masks")
-
-    def entries_for_mask(self, mask: FlowMask) -> list[MegaflowEntry]:
-        return self._call("entries_for_mask", mask)
-
-    def find(self, key: FlowKey) -> MegaflowEntry | None:
-        return self._call("find", key)
-
-    def find_entry(self, entry: MegaflowEntry) -> bool:
-        return self._call("find_entry", entry)
-
-    def get_entry(self, mask: FlowMask, key: tuple[int, ...]) -> MegaflowEntry | None:
-        return self._call("get_entry", mask, key)
-
-    def probe_mask(self, mask: FlowMask, key: FlowKey, now: float = 0.0) -> MegaflowEntry | None:
-        return self._call("probe_mask", mask, key, now=now)
-
-    def verify_disjoint(self) -> None:
-        return self._call("verify_disjoint")
-
-    # mutation (management granularity; packets go through process_batch)
-    def remove(self, entry: MegaflowEntry) -> bool:
-        return self._call("remove", entry)
-
-    def evict_idle(self, now: float, idle_timeout: float) -> list[MegaflowEntry]:
-        return self._call("evict_idle", now, idle_timeout)
-
-    def clear_memo(self) -> None:
-        return self._call("clear_memo")
-
-    def shuffle_masks(self, seed: int = 0) -> None:
-        return self._call("shuffle_masks", seed=seed)
+    def __getattr__(self, attr: str):
+        if attr.startswith("_"):  # copy/pickle protocol probes, not shard ops
+            raise AttributeError(attr)
+        name = self._prefix + attr
+        if shard_op(name).kind == "get":
+            return self._executor.call_shard(self.shard_id, name)
+        return functools.partial(self._executor.call_shard, self.shard_id, name)
 
     def __repr__(self) -> str:
-        return f"BackendProxy(shard {self._shard_id} @ {self._executor.describe()})"
-
-
-class ShardProxy:
-    """Parent-side handle onto one worker-owned :class:`Datapath` shard.
-
-    Duck-typed to the slice of the datapath surface the switch-management
-    layers use (hypervisor, revalidator, MFCGuard, dpctl, benchmarks);
-    packet batches normally flow through the executor's scatter/gather
-    path rather than per-proxy calls.
-    """
-
-    def __init__(self, executor: "ProcessShardExecutor", shard_id: int, config: DatapathConfig):
-        self._executor = executor
-        self._shard_id = shard_id
-        self.config = config
-        self.megaflows = BackendProxy(executor, shard_id)
-
-    def _get(self, attr: str):
-        return self._executor._shard_request(self._shard_id, ("shard_get", self._shard_id, attr))
-
-    def _call(self, method: str, *args, **kwargs):
-        return self._executor._shard_request(
-            self._shard_id, ("shard_call", self._shard_id, method, args, kwargs)
-        )
-
-    @property
-    def shard_id(self) -> int:
-        return self._shard_id
-
-    @property
-    def n_masks(self) -> int:
-        return self._get("n_masks")
-
-    @property
-    def n_megaflows(self) -> int:
-        return self._get("n_megaflows")
-
-    @property
-    def scan_cost(self) -> float:
-        return self._get("scan_cost")
-
-    @property
-    def now(self) -> float:
-        return self._get("now")
-
-    @property
-    def stats(self) -> DatapathStats:
-        return self._get("stats")
-
-    @property
-    def microflows(self):
-        """A snapshot copy of the worker shard's microflow cache (or None)."""
-        return self._get("microflows")
-
-    def core_report(self) -> list[CoreReport]:
-        return self._call("core_report")
-
-    # -- packet processing (management/diagnostic granularity) ------------------
-    def process(self, key: FlowKey, now: float | None = None) -> PacketVerdict:
-        return self._call("process", key, now=now)
-
-    def process_batch(self, keys: Sequence[FlowKey], now: float | None = None) -> BatchVerdicts:
-        return self._call("process_batch", list(keys), now=now)
-
-    # -- management --------------------------------------------------------------
-    def kill_entry(self, entry: MegaflowEntry, permanent: bool = True) -> bool:
-        return self._call("kill_entry", entry, permanent=permanent)
-
-    def reinject(self, entry: MegaflowEntry) -> None:
-        return self._call("reinject", entry)
-
-    def flush_caches(self) -> None:
-        return self._call("flush_caches")
-
-    def evict_idle(self, now: float | None = None) -> list[MegaflowEntry]:
-        return self._call("evict_idle", now)
-
-    def reset_stats(self) -> None:
-        return self._call("reset_stats")
-
-    # -- live backend migration (runs in the owning worker) ----------------------
-    def migration_status(self) -> dict:
-        return self._call("migration_status")
-
-    def migrate_backend(self, target_kind: str, slice_size: int = 512) -> dict:
-        return self._call("migrate_backend", target_kind, slice_size=slice_size)
-
-    def migrate_backend_start(self, target_kind: str, slice_size: int = 512) -> dict:
-        return self._call("migrate_backend_start", target_kind, slice_size=slice_size)
-
-    def rebalance_extract(self, new_rss, shard_id: int) -> dict:
-        return self._call("rebalance_extract", new_rss, shard_id)
-
-    def rebalance_install(self, entries, dead) -> int:
-        return self._call("rebalance_install", entries, dead)
-
-    def migrate_backend_step(self, max_entries: int | None = None) -> dict:
-        return self._call("migrate_backend_step", max_entries)
-
-    def migrate_backend_swap(self) -> dict:
-        return self._call("migrate_backend_swap")
-
-    def migrate_backend_abort(self) -> dict:
-        return self._call("migrate_backend_abort")
-
-    def __repr__(self) -> str:
-        return f"ShardProxy(shard {self._shard_id} @ {self._executor.describe()})"
+        return f"ShardHandle({self._prefix}shard {self.shard_id} @ {self._executor.describe()})"
 
 
 class ProcessShardExecutor(ShardExecutor):
@@ -799,10 +689,9 @@ class ProcessShardExecutor(ShardExecutor):
     def build(self, flow_table: FlowTable, config: DatapathConfig, n_shards: int) -> None:
         self._flow_table = flow_table
         n_workers = max(1, min(self._requested_workers or n_shards, n_shards))
-        assignment: dict[int, list[int]] = {wid: [] for wid in range(n_workers)}
-        for shard_id in range(n_shards):
-            assignment[shard_id % n_workers].append(shard_id)
-            self._worker_of[shard_id] = shard_id % n_workers
+        # Round-robin by shard id: one mapping, read both ways.
+        self._worker_of = {shard_id: shard_id % n_workers for shard_id in range(n_shards)}
+        self._shards_of = {wid: tuple(range(wid, n_shards, n_workers)) for wid in range(n_workers)}
         init_rules = [(self._rule_id(rule), rule) for rule in flow_table.rules_by_priority()]
         if self._transport == "shm":
             try:
@@ -824,8 +713,7 @@ class ProcessShardExecutor(ShardExecutor):
             pin_cpu = self._pinning[wid % len(self._pinning)] if self._pinning else None
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, tuple(assignment[wid]), init_rules, config,
-                      ring_names, pin_cpu),
+                args=(child_conn, self._shards_of[wid], init_rules, config, ring_names, pin_cpu),
                 name=f"pmd-worker-{wid}",
                 daemon=True,
             )
@@ -833,8 +721,7 @@ class ProcessShardExecutor(ShardExecutor):
             child_conn.close()
             self._conns.append(parent_conn)
             self._procs.append(proc)
-            self._shards_of[wid] = tuple(assignment[wid])
-        self._shards = tuple(ShardProxy(self, sid, config) for sid in range(n_shards))
+        self._shards = tuple(ShardHandle(self, sid, config) for sid in range(n_shards))
         # The control plane stays in the parent; every table change ships
         # to the workers as a delta before the next message is processed.
         flow_table.subscribe(self._ship_flow_table_delta)
@@ -901,26 +788,22 @@ class ProcessShardExecutor(ShardExecutor):
             f"{type(exc).__name__}: {exc}"
         )
 
+    @staticmethod
+    def _label(op: tuple) -> str:
+        """What error messages call a message: its kind, or the table op it carries."""
+        return op[2] if op[0] == "op" else op[0]
+
     def _send(self, wid: int, op: tuple) -> None:
+        """The one place a message leaves the parent."""
         try:
             self._conns[wid].send(op)
         except (BrokenPipeError, OSError) as exc:
-            raise self._worker_died(wid, op[0], exc) from exc
+            raise self._worker_died(wid, self._label(op), exc) from exc
 
     def _request(self, wid: int, op: tuple):
         self._check_open()
         self._send(wid, op)
-        try:
-            status, value = self._conns[wid].recv()
-        except (EOFError, OSError) as exc:
-            raise self._worker_died(wid, op[0], exc) from exc
-        if status == "err":
-            raise SwitchError(f"pmd worker {wid} failed op {op[0]!r}:\n{value}")
-        self._last_ops[wid] = op[0]
-        return value
-
-    def _shard_request(self, shard_id: int, op: tuple):
-        return self._request(self._worker_of[shard_id], op)
+        return self._gather([wid], self._label(op))[wid]
 
     def _gather(self, wids: list[int], op_name: str) -> dict[int, object]:
         """Receive one reply per listed worker, draining every connection
@@ -949,7 +832,7 @@ class ProcessShardExecutor(ShardExecutor):
         self._check_open()
         for wid in range(len(self._conns)):
             self._send(wid, op)
-        replies = self._gather(list(range(len(self._conns))), op[0])
+        replies = self._gather(list(range(len(self._conns))), self._label(op))
         return [replies[wid] for wid in range(len(self._conns))]
 
     # -- execution --------------------------------------------------------------------
@@ -997,12 +880,15 @@ class ProcessShardExecutor(ShardExecutor):
         """Per-worker {pid, shards, transport, affinity}, by worker id."""
         return self._broadcast(("worker_info",))
 
-    def core_report(self) -> list[CoreReport]:
-        by_shard: dict[int, CoreReport] = {}
-        for worker_result in self._broadcast(("core_report",)):
-            for shard_id, report in worker_result:
-                by_shard[shard_id] = report
-        return [by_shard[sid] for sid in range(len(self._shards))]
+    def call_shard(self, shard_id: int, name: str, *args, **kwargs):
+        """Run table op ``name`` on one worker-owned shard (what handles call)."""
+        shard_op(name)  # refuse unknown names before anything touches the pipe
+        return self._request(self._worker_of[shard_id], ("op", shard_id, name, args, kwargs))
+
+    def call_all(self, name: str, *args, **kwargs):
+        fold = _FOLDS[shard_op(name).fold]
+        by_shard = dict(itertools.chain.from_iterable(self._broadcast(("op", None, name, args, kwargs))))
+        return fold([by_shard[sid] for sid in range(len(self._shards))])
 
     def close(self) -> None:
         if self._closed:
@@ -1039,16 +925,12 @@ class ProcessShardExecutor(ShardExecutor):
 
 # -- registry --------------------------------------------------------------------
 
+# name -> factory(workers, transport, pinning); each strategy takes what it uses.
 _SHARD_EXECUTORS: dict[str, Callable[..., ShardExecutor]] = {
-    SerialShardExecutor.name: SerialShardExecutor,
-    ThreadShardExecutor.name: ThreadShardExecutor,
+    SerialShardExecutor.name: lambda workers, transport, pinning: SerialShardExecutor(),
+    ThreadShardExecutor.name: lambda workers, transport, pinning: ThreadShardExecutor(workers),
     ProcessShardExecutor.name: ProcessShardExecutor,
 }
-
-
-def register_shard_executor(name: str, factory: Callable[..., ShardExecutor]) -> None:
-    """Register an executor factory under ``name`` (last registration wins)."""
-    _SHARD_EXECUTORS[name] = factory
 
 
 def shard_executor_names() -> tuple[str, ...]:
@@ -1076,14 +958,7 @@ def make_shard_executor(
     """
     factory = _SHARD_EXECUTORS.get(name)
     if factory is None:
-        known = ", ".join(sorted(_SHARD_EXECUTORS))
-        raise SwitchError(f"unknown shard executor {name!r}; known: {known}")
-    if factory is SerialShardExecutor:
-        return factory()
-    if factory is ProcessShardExecutor:
-        return factory(
-            workers=workers or None,
-            transport=transport or "shm",
-            pinning=tuple(pinning),
+        raise SwitchError(
+            f"unknown shard executor {name!r}; known: {', '.join(shard_executor_names())}"
         )
-    return factory(workers=workers or None)
+    return factory(workers or None, transport or "shm", tuple(pinning))

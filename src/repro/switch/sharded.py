@@ -22,7 +22,12 @@ the ``executor=`` argument): ``serial`` runs them in the caller's thread
 (the reference), ``thread`` overlaps the GIL-releasing numpy scan kernels
 on a pool, and ``process`` keeps each shard in a persistent worker
 process for true multi-core wall clock — with identical verdicts,
-statistics and probe accounting in every mode.
+statistics and probe accounting in every mode.  Every aggregate and
+every-shard management operation below is one
+:meth:`~repro.switch.executor.ShardExecutor.call_all` over a row of
+:data:`~repro.switch.executor.SHARD_OPS`: the row's fold column says how
+the per-shard answers combine, and the executor makes it one message per
+worker rather than one per shard per field.
 
 Sharding invariants (see ROADMAP.md):
 
@@ -93,7 +98,7 @@ class ShardedDatapath:
             unbuilt :class:`ShardExecutor`; defaults to
             ``config.executor``.  ``serial``/``thread`` run in-process
             shards; ``process`` keeps the shards in persistent worker
-            processes reached through proxies (call :meth:`close`, or use
+            processes reached through remote handles (call :meth:`close`, or use
             the datapath as a context manager, to stop the workers).
     """
 
@@ -151,7 +156,7 @@ class ShardedDatapath:
 
     @property
     def shards(self) -> tuple[Datapath, ...]:
-        """The per-PMD shard datapaths (or worker proxies), by queue id."""
+        """The per-PMD shard datapaths (or worker-shard handles), by queue id."""
         return self._shards
 
     @property
@@ -170,11 +175,10 @@ class ShardedDatapath:
     def core_report(self) -> list[CoreReport]:
         """Per-core (n_masks, n_megaflows, scan_cost) snapshots, by shard id.
 
-        One executor round trip — under the ``process`` strategy this is a
-        single broadcast instead of 3 × n_shards proxy reads, which is what
-        keeps the hypervisor's per-tick settlement cheap.
+        One message per worker under the ``process`` strategy, which is
+        what keeps the hypervisor's per-tick settlement cheap.
         """
-        return self.executor.core_report()
+        return self.executor.call_all("core_report")
 
     # -- aggregate cache sizes ----------------------------------------------------
     @property
@@ -188,20 +192,17 @@ class ShardedDatapath:
         """
         if len(self._shards) == 1:
             return self._shards[0].n_masks
-        distinct = set()
-        for shard in self._shards:
-            distinct.update(shard.megaflows.masks())
-        return len(distinct)
+        return len(set(self.executor.call_all("megaflows.masks")))
 
     @property
     def n_mask_tables(self) -> int:
         """Total per-shard mask tables (what revalidation/memory see)."""
-        return sum(shard.n_masks for shard in self._shards)
+        return self.executor.call_all("n_masks")
 
     @property
     def n_megaflows(self) -> int:
         """Total megaflow entries across all shards."""
-        return sum(shard.n_megaflows for shard in self._shards)
+        return self.executor.call_all("n_megaflows")
 
     @property
     def scan_cost(self) -> float:
@@ -212,21 +213,17 @@ class ShardedDatapath:
         the one a queue-concentrated detonation inflates.  Per-core values
         are ``shards[i].scan_cost``.
         """
-        return max(shard.scan_cost for shard in self._shards)
+        return self.executor.call_all("scan_cost")
 
     @property
     def now(self) -> float:
         """The most advanced shard clock."""
-        return max(shard.now for shard in self._shards)
+        return self.executor.call_all("now")
 
     @property
     def stats(self) -> DatapathStats:
         """Aggregate counters summed across shards (a fresh snapshot)."""
-        total = DatapathStats()
-        for shard in self._shards:
-            for field in total.__dataclass_fields__:
-                setattr(total, field, getattr(total, field) + getattr(shard.stats, field))
-        return total
+        return self.executor.call_all("stats")
 
     # -- packet processing --------------------------------------------------------
     def process(self, key: FlowKey, now: float | None = None) -> PacketVerdict:
@@ -295,8 +292,7 @@ class ShardedDatapath:
     # -- management operations ----------------------------------------------------
     def entries(self) -> Iterator[MegaflowEntry]:
         """All megaflow entries across shards (shard-major order)."""
-        for shard in self._shards:
-            yield from shard.megaflows.entries()
+        return iter(self.executor.call_all("megaflows.entries"))
 
     def kill_entry(self, entry: MegaflowEntry, permanent: bool = True) -> bool:
         """Remove a megaflow from every shard holding it (MFCGuard delete).
@@ -305,46 +301,32 @@ class ShardedDatapath:
         that crossed a worker-process boundary address the same megaflow.
         """
         removed = False
-        for shard_id, shard in enumerate(self._shards):
-            with self.executor.lock(shard_id):
-                if shard.megaflows.find_entry(entry):
-                    removed = shard.kill_entry(entry, permanent=permanent) or removed
+        with self.maintenance():  # no batch may land between the find and the kill
+            for shard_id, held in enumerate(self.executor.call_all("megaflows.find_entry", entry)):
+                if held:
+                    removed = self._shards[shard_id].kill_entry(entry, permanent=permanent) or removed
         return removed
 
     def reinject(self, entry: MegaflowEntry) -> None:
         """Re-allow an entry previously killed permanently, on every shard."""
-        for shard_id, shard in enumerate(self._shards):
-            with self.executor.lock(shard_id):
-                shard.reinject(entry)
+        self.executor.call_all("reinject", entry)
 
     def flush_caches(self) -> None:
         """Drop every shard's cached state (flow-table revalidation)."""
-        for shard_id, shard in enumerate(self._shards):
-            with self.executor.lock(shard_id):
-                shard.flush_caches()
+        self.executor.call_all("flush_caches")
 
     def evict_idle(self, now: float | None = None) -> list[MegaflowEntry]:
         """Evict idle megaflows on every shard; returns all evicted entries."""
-        evicted: list[MegaflowEntry] = []
-        for shard_id, shard in enumerate(self._shards):
-            with self.executor.lock(shard_id):
-                evicted.extend(shard.evict_idle(now))
-        return evicted
+        return self.executor.call_all("evict_idle", now)
 
     def reset_stats(self) -> None:
         """Zero every shard's aggregate counters."""
-        for shard_id, shard in enumerate(self._shards):
-            with self.executor.lock(shard_id):
-                shard.reset_stats()
+        self.executor.call_all("reset_stats")
 
     # -- live backend migration ---------------------------------------------------
     def migration_status(self) -> list[dict]:
         """Per-shard backend + migration state records, by shard id."""
-        status: list[dict] = []
-        for shard_id, shard in enumerate(self._shards):
-            with self.executor.lock(shard_id):
-                status.append(shard.migration_status())
-        return status
+        return self.executor.call_all("migration_status")
 
     def migrate_backend(
         self, target_kind: str, shard_id: int | None = None, slice_size: int = 512
@@ -354,18 +336,19 @@ class ShardedDatapath:
         Runs under :meth:`maintenance`, so the swap serialises against
         in-flight batches under every executor strategy; under the
         ``process`` executor each shard's rebuild runs inside its owning
-        worker (the proxy ships only the status dict back).  ``shard_id``
+        worker (only the status dict is shipped back).  ``shard_id``
         limits the migration to one shard (a targeted rescue of the
-        detonated core); default is every shard.
+        detonated core) and must name an existing shard; default is every
+        shard.
         """
+        if shard_id is not None and not 0 <= shard_id < self.n_shards:
+            raise SwitchError(f"no shard {shard_id} to migrate: datapath has {self.n_shards} shards")
         with self.maintenance():
-            results: list[dict] = []
-            for sid, shard in enumerate(self._shards):
-                if shard_id is not None and sid != shard_id:
-                    results.append(shard.migration_status())
-                    continue
-                results.append(shard.migrate_backend(target_kind, slice_size=slice_size))
-            return results
+            if shard_id is None:
+                return self.executor.call_all("migrate_backend", target_kind, slice_size=slice_size)
+            statuses = self.migration_status()
+            statuses[shard_id] = self._shards[shard_id].migrate_backend(target_kind, slice_size=slice_size)
+            return statuses
 
     # -- live RSS rebalancing -----------------------------------------------------
     def rebalance(self, dispatcher: RssDispatcher) -> dict:

@@ -258,6 +258,16 @@ class TestSwapUnderExecutors:
         assert statuses[1]["status"] == "idle"
         assert statuses[1]["backend"] == "tss"
 
+    @pytest.mark.parametrize("shard_id", (7, 2, -1))
+    def test_out_of_range_shard_id_is_refused(self, shard_id):
+        """A shard id that names no shard used to migrate nothing, silently."""
+        table, keys = staircase_replay(extra=0)
+        datapath = build("serial", table, n_shards=2)
+        datapath.process_batch(keys, now=0.0)
+        with pytest.raises(SwitchError, match=f"no shard {shard_id}"):
+            datapath.migrate_backend("tuplechain", shard_id=shard_id)
+        assert [s["backend"] for s in datapath.migration_status()] == ["tss", "tss"]
+
 
 class TestMigrationController:
     def detonated(self) -> Datapath:

@@ -243,7 +243,19 @@ class MegaflowBackend(Protocol):
 
     def lookup_batch(self, keys, now: float = 0.0) -> BatchLookupResult: ...
 
-    def batch_scanner(self, keys: list[FlowKey], now: float = 0.0): ...
+    def batch_scanner(
+        self, keys: list[FlowKey], now: float = 0.0, rows=None, spawn=None
+    ):
+        """A consume-in-order scanner: ``result(i)`` and ``plan_misses(i)``.
+
+        ``rows`` (the keys' precomputed uint64 column matrix) and
+        ``spawn`` (a callable mapping ``i`` to the megaflow the slow path
+        generates for ``keys[i]`` — the handle for an O(1) mid-burst
+        coherence probe) serve backends that precompute a scan plan;
+        backends without one (:class:`LiveBatchScanner`, tuplechain)
+        ignore both.
+        """
+        ...
 
     def probe_mask(
         self, mask: FlowMask, key: FlowKey, now: float = 0.0
@@ -459,16 +471,19 @@ class MegaflowStore:
         """
         return BatchLookupResult(results=tuple(self.lookup(k, now) for k in keys))
 
-    def batch_scanner(self, keys: list[FlowKey], now: float = 0.0, rows=None):
+    def batch_scanner(
+        self, keys: list[FlowKey], now: float = 0.0, rows=None, spawn=None
+    ):
         """A consume-in-order batch scanner (the datapath's level-3 engine).
 
         The caller drives it one key at a time and may mutate the cache
         between keys (slow-path installs).  The default scanner performs a
         live lookup per key, so mid-batch mutations are always visible and
-        no coherence protocol is needed.  ``rows`` optionally carries the
-        batch's precomputed uint64 column matrix; kernel-accelerated
-        backends use it to skip re-deriving the layout, everyone else
-        ignores it.
+        no coherence protocol is needed.  ``rows`` (the batch's
+        precomputed uint64 column matrix) and ``spawn`` (the caller's
+        ``i -> generated megaflow`` handle) only serve backends that plan
+        ahead (see :meth:`MegaflowBackend.batch_scanner`); they are
+        ignored here.
         """
         return LiveBatchScanner(self, list(keys), now)
 
@@ -771,18 +786,15 @@ class LiveBatchScanner:
     """The default consume-in-order batch scanner: one live lookup per key.
 
     Because every :meth:`result` call reads the live dicts, mid-batch
-    inserts are immediately visible and :meth:`note_inserted` needs no
-    bookkeeping — coherence is free where there is no precomputed plan.
-    Backends that *do* plan ahead (TSS) ship their own scanner.
+    inserts are immediately visible — coherence is free where there is no
+    precomputed plan.  Backends that *do* plan ahead (TSS) ship their own
+    scanner.
     """
 
     def __init__(self, backend: MegaflowStore, keys: list[FlowKey], now: float):
         self.backend = backend
         self.keys = keys
         self.now = now
-
-    def note_inserted(self, entry: MegaflowEntry) -> None:
-        """Mid-batch install notification (no-op: lookups are live)."""
 
     def result(self, i: int, now: float | None = None) -> TssLookupResult:
         """The lookup result for key ``i``."""

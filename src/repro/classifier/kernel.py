@@ -33,11 +33,19 @@ the same filter snapshot, hence they agree on the *first* filter hit per
 key.  A confirmed first hit is the result for both.  On a failed confirm the
 numpy path walks its dense candidate row; the cffi path recomputes that row
 lazily.  The lazy row can only differ by filter bits set *after* the plan
-was built (mid-batch installs, which the datapath announces via
-``note_inserted``) — and under Inv(2) at most one installed entry covers any
-key, so either walk confirms exactly that entry at exactly its mask index,
-or neither confirms and the announced-insert loop returns the same entry at
-the same index.  ``masks_inspected`` is index+1 either way.
+was built (mid-batch installs) — and under Inv(2) at most one installed
+entry covers any key, so either walk confirms exactly that entry at exactly
+its mask index, or neither confirms and the scanner's mid-burst coherence
+check returns the same entry at the same index.  That check is
+kernel-independent — it never reads the filter or a plan row: it probes the
+truth dicts for the one megaflow the slow path generates for the key,
+``(mask, key & mask)``, which is complete on three premises (a plan miss
+rules out every pre-snapshot entry, because the filter has no false
+negatives and candidates are dict-confirmed; ``Datapath.process_batch`` is
+the only mid-burst installer; generated entries that overlap are identical),
+and a caller that cannot name that megaflow makes the scanner replan from
+the current key instead (see ``tss._BatchScanner``).  ``masks_inspected`` is
+index+1 either way.
 """
 
 from __future__ import annotations

@@ -62,8 +62,10 @@ Accelerator invariants:
   one hash pass, at most one pending merge) before the next accelerator
   read or at burst exit — one accelerator append/resort per burst instead
   of per upcall.  Deferral is invisible to lookups because every
-  accelerator read path drains first and the batch scanner's
-  announced-insert check covers not-yet-indexed entries.
+  accelerator read path drains first, and the batch scanner's mid-burst
+  coherence check never reads the accelerator: it probes the truth dicts
+  for the key's own megaflow, and a deferred mask's scan position is
+  recorded in ``_mask_index`` the moment its append is deferred.
 """
 
 from __future__ import annotations
@@ -192,6 +194,10 @@ class TupleSpaceSearch(MegaflowStore):
         if self._acc_dirty:
             return
         if self._burst_depth:
+            if new_mask:
+                # The position is known now (the truth-side ``_mask_order``
+                # append already happened); only the column/salt work waits.
+                self._mask_index[entry.mask] = len(self._mask_order) - 1
             self._burst_buf.append((entry, new_mask))
             return
         if new_mask:
@@ -251,10 +257,10 @@ class TupleSpaceSearch(MegaflowStore):
 
         Equivalent to having run :meth:`_acc_append_mask` /
         :meth:`_acc_append_entry` per entry at insert time — same mask
-        positions (truth-side ``_mask_order`` appends happened in the same
-        order), same compounds — but the per-entry column derive and hash
-        collapse into one matrix build, and the pending-merge threshold is
-        checked once per burst.
+        positions (recorded in ``_mask_index`` at defer time), same
+        compounds — but the per-entry column derive and hash collapse into
+        one matrix build, and the pending-merge threshold is checked once
+        per burst.
         """
         buf = self._burst_buf
         if not buf:
@@ -262,15 +268,19 @@ class TupleSpaceSearch(MegaflowStore):
         self._burst_buf = []
         if self._acc_dirty:
             return  # the lazy rebuild covers these entries
-        for entry, new_mask in buf:
-            if new_mask:
-                # The k-th unindexed mask sits at order position
-                # len(_mask_index) + k: bursts defer every append, so
-                # indexed masks are exactly the order prefix.
-                index = len(self._mask_index)
-                self._acc_grow(index + 1)
-                self._acc_mask_buffer[index] = _to_columns(entry.mask.values)
-                self._mask_index[entry.mask] = index
+        new_masks = [entry.mask for entry, new_mask in buf if new_mask]
+        # Bursts defer every append, so the masks with columns are exactly
+        # the order prefix and the k-th deferred one sits right behind it.
+        first = len(self._mask_index) - len(new_masks)
+        self._acc_grow(len(self._mask_index))
+        for k, mask in enumerate(new_masks):
+            index = self._mask_index[mask]
+            if self.check_invariants and index != first + k:
+                raise CacheInvariantError(
+                    f"deferred mask recorded at scan position {index}, "
+                    f"drain assigns {first + k}"
+                )
+            self._acc_mask_buffer[index] = _to_columns(mask.values)
         rows = _to_column_matrix([entry.key for entry, _ in buf])
         indices = np.fromiter(
             (self._mask_index[entry.mask] for entry, _ in buf),
@@ -427,18 +437,22 @@ class TupleSpaceSearch(MegaflowStore):
         )
 
     def batch_scanner(
-        self, keys: list[FlowKey], now: float = 0.0, rows=None
+        self, keys: list[FlowKey], now: float = 0.0, rows=None, spawn=None
     ) -> "_BatchScanner":
         """A consume-in-order batch scanner (the datapath's level-3 engine).
 
         Unlike :meth:`lookup_batch` the caller drives it one key at a time
         and may mutate the cache between keys (slow-path installs); the
-        scanner keeps its vectorised plan coherent — replanning on
-        reorders, checking caller-announced inserts on plan misses.
-        ``rows`` optionally supplies ``keys``' precomputed column matrix
-        (the shm transport's wire format) so planning skips the derive.
+        scanner keeps its vectorised plan coherent — see
+        :class:`_BatchScanner`'s coherence rules.  ``rows`` optionally
+        supplies ``keys``' precomputed column matrix (the shm transport's
+        wire format) so planning skips the derive.  ``spawn(i)`` names the
+        megaflow the slow path generates for ``keys[i]`` (anything with
+        ``.mask`` and ``.key``): a caller that installs nothing but such
+        megaflows mid-batch passes it and gets an O(1) coherence probe;
+        without it the scanner replans whenever an insert could matter.
         """
-        return _BatchScanner(self, keys, now, rows=rows)
+        return _BatchScanner(self, keys, now, rows=rows, spawn=spawn)
 
     def _acc_confirm(
         self, compound: int, index: int, key_values: tuple[int, ...]
@@ -486,10 +500,21 @@ class _BatchScanner:
 
     * a scan-order change (resort, removal, shuffle, flush) bumps the
       cache's ``_order_seq``; the scanner replans from the current key;
-    * inserts *announced* via :meth:`note_inserted` are checked on every
-      plan miss — under Inv(2) a snapshot hit can never be preempted by a
-      newer entry, so plan hits stay valid and only misses need the extra
-      check (the datapath announces its slow-path installs);
+    * inserts since the plan snapshot (``n_entries`` moved; removals fall
+      under the first rule) matter only on a plan *miss* — under Inv(2) a
+      snapshot hit can never be preempted by a newer entry.  A plan-missed
+      key ``k`` is then settled by an **identity probe of the truth
+      dicts**: one ``get_entry(mask, k & mask)`` for the megaflow
+      ``spawn`` says the slow path generates for ``k``.  Three premises
+      make that probe complete: (1) the filter has no false negatives and
+      candidates are dict-confirmed, so a plan miss means no pre-snapshot
+      entry covers ``k``; (2) every entry installed since was generated
+      by the caller's slow path (``Datapath.process_batch`` is the only
+      mid-burst installer); (3) generated entries that overlap are
+      identical (``slowpath.py``'s tested correctness property), so the
+      only such entry that can cover ``k`` is ``(mask, k & mask)``
+      itself.  A caller that cannot name the megaflow passes no ``spawn``
+      and the scanner replans from the current key instead;
     * filter candidates are confirmed against the authoritative dicts, so
       filter false positives degrade to a few dict probes.
     """
@@ -505,37 +530,18 @@ class _BatchScanner:
         keys: list[FlowKey],
         now: float,
         rows=None,
+        spawn=None,
     ):
         self.tss = tss
         self.keys = keys
         self.now = now
         self._rows = rows  # precomputed column matrix for ALL keys, or None
+        self._spawn = spawn  # i -> the megaflow generated for keys[i], or None
         self._start = 0
         self._end = 0
         self._order_seq = -1
+        self._n_entries = 0  # entry count at the plan snapshot
         self._plan = None  # the kernel-built ScanPlan for keys[start:end]
-        self._inserted: list[MegaflowEntry] = []
-        # Column rows of the announced entries' masks/keys, so the
-        # miss-path coverage check is one vectorised pass instead of a
-        # per-entry ``covers`` walk (O(batch^2) under upcall-dominated
-        # bursts otherwise).
-        self._ins_cap = 0
-        self._ins_masks = np.empty((0, _N_COLUMNS), dtype=np.uint64)
-        self._ins_keys = np.empty((0, _N_COLUMNS), dtype=np.uint64)
-
-    def note_inserted(self, entry: MegaflowEntry) -> None:
-        """Tell the scanner the caller installed ``entry`` mid-batch."""
-        self._inserted.append(entry)
-        n = len(self._inserted)
-        if n > self._ins_cap:
-            capacity = max(64, self._ins_cap * 2)
-            masks = np.empty((capacity, _N_COLUMNS), dtype=np.uint64)
-            keys_ = np.empty((capacity, _N_COLUMNS), dtype=np.uint64)
-            masks[: self._ins_cap] = self._ins_masks[: self._ins_cap]
-            keys_[: self._ins_cap] = self._ins_keys[: self._ins_cap]
-            self._ins_masks, self._ins_keys, self._ins_cap = masks, keys_, capacity
-        self._ins_masks[n - 1] = _to_columns(entry.mask.values)
-        self._ins_keys[n - 1] = _to_columns(entry.key)
 
     def result(self, i: int, now: float | None = None) -> TssLookupResult:
         """The lookup result for key ``i`` (call with non-decreasing ``i``)."""
@@ -564,44 +570,44 @@ class _BatchScanner:
             tss._rebuild_accelerator()
         if tss._order_seq != self._order_seq or not (self._start <= i < self._end):
             self._build_plan(i)
+        found = self._plan_hit(i, key_values)
+        if found is None and tss._n_entries != self._n_entries:
+            # Plan says miss, but entries were installed after the snapshot.
+            if self._spawn is None:
+                self._build_plan(i)
+                found = self._plan_hit(i, key_values)
+            else:
+                spawned = self._spawn(i)
+                hit = tss.get_entry(spawned.mask, spawned.key)
+                if hit is not None:
+                    found = hit, tss._mask_index[hit.mask]
+        if found is None:
+            tss._register_miss()
+            return TssLookupResult(entry=None, masks_inspected=n_now)
+        hit, index = found
+        tss._register_hit(hit, self.now)
+        return TssLookupResult(entry=hit, masks_inspected=index + 1)
+
+    def _plan_hit(
+        self, i: int, key_values: tuple[int, ...]
+    ) -> tuple[MegaflowEntry, int] | None:
+        """The dict-confirmed (entry, mask index) the plan holds for key ``i``."""
         j = i - self._start
         plan = self._plan
-        if plan.has[j]:
-            index = plan.first[j]
-            hit = tss._acc_confirm(plan.first_compound[j], index, key_values)
-            while hit is None:
-                # Filter false positive: resume the scan past the failed
-                # index and confirm the next candidate.
-                nxt = plan.next_hit(j, index)
-                if nxt is None:
-                    break
-                index, compound = nxt
-                hit = tss._acc_confirm(int(compound), index, key_values)
-            if hit is not None:
-                tss._register_hit(hit, self.now)
-                return TssLookupResult(entry=hit, masks_inspected=index + 1)
-        # Plan says miss: only entries installed after the plan snapshot
-        # can change that (Inv(2): at most one installed entry covers any
-        # key, so a snapshot hit cannot be preempted).
-        n_inserted = len(self._inserted)
-        if n_inserted:
-            if self._rows is not None:
-                row = self._rows[i]
-            else:
-                row = _to_columns(key_values)
-            covered = (
-                (self._ins_masks[:n_inserted] & row) == self._ins_keys[:n_inserted]
-            ).all(axis=1)
-            hits = np.flatnonzero(covered)
-            if len(hits):
-                entry = self._inserted[int(hits[0])]
-                position = tss._mask_index.get(entry.mask)
-                if position is None:
-                    position = tss._mask_order.index(entry.mask)
-                tss._register_hit(entry, self.now)
-                return TssLookupResult(entry=entry, masks_inspected=position + 1)
-        tss._register_miss()
-        return TssLookupResult(entry=None, masks_inspected=n_now)
+        if not plan.has[j]:
+            return None
+        tss = self.tss
+        index = plan.first[j]
+        hit = tss._acc_confirm(plan.first_compound[j], index, key_values)
+        while hit is None:
+            # Filter false positive: resume the scan past the failed
+            # index and confirm the next candidate.
+            nxt = plan.next_hit(j, index)
+            if nxt is None:
+                return None
+            index, compound = nxt
+            hit = tss._acc_confirm(int(compound), index, key_values)
+        return hit, index
 
     def _build_plan(self, start: int) -> None:
         """Kernel-computed compound/candidate plan for keys[start:end]."""
@@ -615,8 +621,8 @@ class _BatchScanner:
             rows = _to_column_matrix([k.values for k in self.keys[start:end]])
         if tss._burst_buf:
             # Deferred burst appends must reach the accelerator before the
-            # plan snapshots it (this clears ``_inserted`` below, so the
-            # announced-insert fallback no longer covers them).
+            # plan snapshots it: the entry count recorded below tells the
+            # miss path that nothing is newer than this plan.
             tss._burst_drain()
         if tss._acc_pending:
             # The kernels refine filter candidates against the sorted
@@ -634,7 +640,7 @@ class _BatchScanner:
         self._start = start
         self._end = end
         self._order_seq = tss._order_seq
-        self._inserted.clear()
+        self._n_entries = tss._n_entries
 
     def plan_misses(self, start: int) -> list[int]:
         """Key indices ``>= start`` guaranteed to miss the plan snapshot.

@@ -444,17 +444,29 @@ class Datapath:
         (a batch of duplicates must hit the microflow its first packet
         installed).
 
-        With ``config.batch_upcalls`` (the default) megaflow *generation*
-        is additionally batched: on the first slow-path miss the scanner's
-        guaranteed-miss set for the rest of the burst is generated in one
-        :meth:`MegaflowGenerator.generate_batch` call, packets spawning
-        the same megaflow share one generation (OVS handler dedup), and
-        the backend's accelerator appends amortise to one pass per burst
-        (:meth:`MegaflowStore.index_burst`).  Generation is pure — it
-        reads only the flow table — so pre-generating for a key that ends
-        up hitting a mid-batch install observably changes nothing, and the
-        batched path stays verdict-for-verdict identical to the scalar
-        one.
+        Each key's megaflow is generated at most once per burst and
+        shared by the two places that need it: the upcall that settles a
+        miss, and the scanner's mid-burst coherence probe — a key the
+        scan plan missed, looked up after this burst installed something,
+        is settled by one truth-dict probe for *its own* megaflow
+        (``spawn`` below; the argument and its premises are in
+        :class:`~repro.classifier.tss._BatchScanner`).  This method is the
+        only mid-burst installer and installs nothing but generated
+        megaflows, which is what makes that probe complete.
+
+        With ``config.batch_upcalls`` (the default) generation is
+        additionally batched: the first key that needs a megaflow pulls
+        the scanner's guaranteed-miss set for the rest of the burst
+        through one :meth:`MegaflowGenerator.generate_batch` call,
+        packets spawning the same megaflow share one generation (OVS
+        handler dedup), and the backend's accelerator appends amortise to
+        one pass per burst (:meth:`MegaflowStore.index_burst`).
+        Generation is pure — it reads only the flow table — so generating
+        for a key that ends up hitting a mid-batch install observably
+        changes nothing, and the batched path stays verdict-for-verdict
+        identical to the scalar one (``batch_upcalls=False``: the same
+        loop, the same probe, one :meth:`MegaflowGenerator.generate` per
+        distinct key).
 
         ``rows`` optionally supplies ``keys``' uint64 column matrix when
         the caller already has it (the shared-memory transport's wire
@@ -470,7 +482,28 @@ class Datapath:
         upcalls = 0
         batched = self.config.batch_upcalls
         gen_memo: dict[tuple[int, ...], "SlowPathResult"] = {}
-        scanner = self.megaflows.batch_scanner(keys, now=self.now, rows=rows)
+
+        def generate(i: int) -> "SlowPathResult":
+            key = keys[i]
+            slow = gen_memo.get(key.values)
+            if slow is None:
+                cohort = {key.values: key}
+                if batched:
+                    # Coalesce: generate for every key the scanner already
+                    # knows will miss, so later upcalls in the burst (and
+                    # duplicate decision paths) are memo hits.
+                    for j in scanner.plan_misses(i):
+                        cohort.setdefault(keys[j].values, keys[j])
+                    results = self.generator.generate_batch(list(cohort.values()))
+                else:
+                    results = [self.generator.generate(key)]
+                gen_memo.update(zip(cohort, results))
+                slow = results[0]  # the cohort leads with ``key``
+            return slow
+
+        scanner = self.megaflows.batch_scanner(
+            keys, now=self.now, rows=rows, spawn=lambda i: generate(i).entry
+        )
         burst = self.megaflows.index_burst() if batched else nullcontext()
         with burst:
             for i, key in enumerate(keys):
@@ -480,35 +513,19 @@ class Datapath:
                 verdict = self._fast_levels(key)
                 if verdict is None:
                     result = scanner.result(i)
-                    if batched and result.entry is None:
+                    if result.entry is None:
                         self.stats.masks_inspected_total += result.masks_inspected
-                        slow = gen_memo.get(key.values)
-                        if slow is None:
-                            # Coalesce: generate for every key the scanner
-                            # already knows will miss, so later upcalls in
-                            # the burst (and duplicate decision paths) are
-                            # memo hits.
-                            cohort = [key]
-                            seen = {key.values}
-                            for j in scanner.plan_misses(i):
-                                values = keys[j].values
-                                if values not in seen:
-                                    seen.add(values)
-                                    cohort.append(keys[j])
-                            for miss_key, miss_result in zip(
-                                cohort, self.generator.generate_batch(cohort)
-                            ):
-                                gen_memo[miss_key.values] = miss_result
-                            slow = gen_memo[key.values]
-                        verdict = self._install_upcall(key, slow, result.masks_inspected)
+                        verdict = self._install_upcall(
+                            key, generate(i), result.masks_inspected
+                        )
                         upcalls += 1
                     else:
                         verdict = self._scan_levels(key, result)
-                        if verdict.is_upcall:
-                            upcalls += 1
-                    if verdict.installed is not None:
-                        scanner.note_inserted(verdict.installed)
                 verdicts.append(verdict)
+        # ``generate`` closes over the scanner and the scanner holds ``spawn``:
+        # unbind the cell so the (up to 32 MB) scan plan is freed by refcount
+        # here, not whenever the cyclic GC next runs.
+        scanner = None
         return BatchVerdicts(
             verdicts=tuple(verdicts),
             mask_counts=tuple(mask_counts),

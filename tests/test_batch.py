@@ -10,16 +10,25 @@ random inputs (hypothesis plus seeded fuzz) and compare transcripts.
 
 from __future__ import annotations
 
-import numpy as np
+import random
+
 import hypothesis.strategies as st
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 
+import repro.classifier.tss as tss_module
 from repro.classifier.actions import ALLOW, DENY
+from repro.classifier.backend import MegaflowStore
 from repro.classifier.flowtable import FlowTable
+from repro.classifier.kernel import cffi_kernel_available, to_column_matrix
 from repro.classifier.rule import FlowRule, Match
 from repro.classifier.slowpath import MegaflowGenerator
 from repro.classifier.tss import TupleSpaceSearch
-from repro.packet.fields import FIELDS, FlowKey
+from repro.core.tracegen import ColocatedTraceGenerator
+from repro.core.usecases import SIPDP, SIPSPDP
+from repro.packet.fields import FIELDS, FlowKey, _FieldVector
+from repro.packet.headers import PROTO_TCP
 from repro.switch.datapath import Datapath, DatapathConfig
 
 FIELD_POOL = ("ip_src", "ip_dst", "tp_src", "tp_dst", "ip_proto")
@@ -71,6 +80,9 @@ def assert_results_equal(sequential, batched):
         assert (a.entry is None) == (b.entry is None), f"key {i}: hit mismatch"
         if a.entry is not None:
             assert a.entry.mask == b.entry.mask and a.entry.key == b.entry.key, f"key {i}"
+
+
+BACKEND_STATS = ("stats_hits", "stats_misses", "stats_scans", "stats_scan_probes")
 
 
 def assert_caches_equal(a: TupleSpaceSearch, b: TupleSpaceSearch):
@@ -159,6 +171,74 @@ def test_lookup_batch_empty_and_trivial():
     assert result.hits == 0 and result.masks_inspected_total == 0
 
 
+# -- batch_scanner without ``spawn`` ≡ lookup, under mid-batch inserts -----------
+
+@st.composite
+def scanner_scripts(draw):
+    """A key sequence plus, before each key, entries to install first.
+
+    The installed entries come from the same generator as everything else
+    (so Inv(2) holds): for a key of the batch itself (covers a later or an
+    earlier key), for a batch key with one bit flipped (usually the same
+    mask under a different masked key, or a neighbouring mask), and for
+    unrelated keys (cover nothing in the batch).
+    """
+    keys = draw(st.lists(flow_keys(), min_size=2, max_size=40))
+
+    @st.composite
+    def near_key(draw):
+        values = dict(draw(st.sampled_from(keys)).items())
+        name = draw(st.sampled_from(FIELD_POOL))
+        values[name] ^= 1 << draw(st.integers(min_value=0, max_value=FIELDS[name].width - 1))
+        return FlowKey(**values)
+
+    inserts = draw(
+        st.lists(
+            st.lists(st.one_of(st.sampled_from(keys), near_key(), flow_keys()), max_size=2),
+            min_size=len(keys),
+            max_size=len(keys),
+        )
+    )
+    return keys, inserts
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    rules=rule_sets(),
+    script=scanner_scripts(),
+    policy=st.sampled_from(["insertion", "hit_sorted"]),
+    with_rows=st.booleans(),
+)
+def test_batch_scanner_without_spawn_replans_on_inserts(rules, script, policy, with_rows):
+    """A scanner nobody names megaflows to stays ≡ lookup by replanning."""
+    keys, inserts = script
+    generator = MegaflowGenerator(FlowTable(rules=rules))
+
+    def mk():
+        cache = TupleSpaceSearch(check_invariants=True, scan_policy=policy)
+        cache.RESORT_INTERVAL = 8
+        return cache
+
+    a, b = mk(), mk()
+    rows = to_column_matrix([key.values for key in keys]) if with_rows else None
+    scanner = b.batch_scanner(keys, now=1.0, rows=rows)
+    scanner.CHUNK_ELEMS = 1  # 32-key planning chunks: the longer scripts cross one
+    for i, key in enumerate(keys):
+        for cache in (a, b):
+            for spawning_key in inserts[i]:
+                cache.insert(generator.generate(spawning_key).entry, now=1.0)
+        expected = a.lookup(key, now=1.0)
+        got = scanner.result(i)
+        assert_results_equal([expected], [got])
+        if got.entry is not None:
+            assert got.entry is b.get_entry(got.entry.mask, got.entry.key)
+            assert got.entry.hits == expected.entry.hits
+        assert a._memo.keys() == b._memo.keys(), i
+        for field in BACKEND_STATS:
+            assert getattr(a, field) == getattr(b, field), (i, field)
+    assert_caches_equal(a, b)
+
+
 # -- process_batch ≡ process ----------------------------------------------------
 
 def _mixed_traffic(rules, seed, count):
@@ -207,10 +287,24 @@ STATS_FIELDS = (
 def assert_datapaths_equal(a: Datapath, b: Datapath):
     for field in STATS_FIELDS:
         assert getattr(a.stats, field) == getattr(b.stats, field), field
+    for field in BACKEND_STATS:
+        assert getattr(a.megaflows, field) == getattr(b.megaflows, field), field
     assert a.megaflows.masks() == b.megaflows.masks()
     assert sorted((e.mask.values, e.key) for e in a.megaflows.entries()) == sorted(
         (e.mask.values, e.key) for e in b.megaflows.entries()
     )
+
+
+def assert_verdicts_equal(sequential, batched):
+    assert len(sequential) == len(batched)
+    for i, (x, y) in enumerate(zip(sequential, batched)):
+        assert x.action == y.action, i
+        assert x.path == y.path, i
+        assert x.masks_inspected == y.masks_inspected, i
+        assert x.rules_examined == y.rules_examined, i
+        assert (x.installed is None) == (y.installed is None), i
+        if x.installed is not None:
+            assert (x.installed.mask, x.installed.key) == (y.installed.mask, y.installed.key), i
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -241,14 +335,138 @@ def test_process_batch_equivalent(rules, seed, microflow, mask_cache, batch_size
     for start in range(0, len(keys), batch_size):
         batch = b.process_batch(keys[start : start + batch_size], now=1.0)
         batched.extend(batch.verdicts)
-    assert len(sequential) == len(batched)
-    for i, (x, y) in enumerate(zip(sequential, batched)):
-        assert x.action == y.action, i
-        assert x.path == y.path, i
-        assert x.masks_inspected == y.masks_inspected, i
-        assert x.rules_examined == y.rules_examined, i
-        assert (x.installed is None) == (y.installed is None), i
+    assert_verdicts_equal(sequential, batched)
     assert_datapaths_equal(a, b)
+
+
+# One burst of the detonation trace x3 — the cycling attacker, and the shape
+# of every sweep's set-up.  Almost every key is a plan miss looked up after
+# the burst itself installed something, i.e. settled by the scanner's
+# mid-burst identity probe, so these are the cases that probe could get
+# wrong: recurring keys (probe must hit), and the three ways a generated
+# megaflow is *not* installed (probe must keep missing).
+KERNELS = ("numpy", "cffi") if cffi_kernel_available() else ("numpy",)
+
+
+def _detonation_trace(use_case):
+    table = use_case.build_table()
+    return list(ColocatedTraceGenerator(table, base={"ip_proto": PROTO_TCP}).generate().keys)
+
+
+def _replay_burst(trace, copies=3, seed=7):
+    keys = list(trace) * copies
+    random.Random(seed).shuffle(keys)
+    return keys
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("policy", ["insertion", "hit_sorted"])
+@pytest.mark.parametrize("batch_upcalls", [True, False])
+@pytest.mark.parametrize("case", ["replay", "flow_limit", "killed", "rejected_duplicates"])
+def test_process_batch_one_burst_replay_equivalent(case, batch_upcalls, policy, kernel):
+    """trace x3 as ONE process_batch ≡ per-key process, not-installed paths included."""
+    trace = _detonation_trace(SIPDP)
+    keys = _replay_burst(trace)
+    max_megaflows = 200_000
+    if case == "flow_limit":
+        max_megaflows = len(trace) // 3  # reached mid-burst; the rest recur rejected
+    elif case == "rejected_duplicates":
+        # Adjacent duplicates past the limit: the first copy is rejected, the
+        # second must miss again (and shares the first one's generation).
+        max_megaflows = 40
+        keys = [key for key in trace for _ in range(2)]
+
+    def mk():
+        cache = TupleSpaceSearch(check_invariants=True, scan_policy=policy, scan_kernel=kernel)
+        cache.RESORT_INTERVAL = 64
+        datapath = Datapath(
+            SIPDP.build_table(),
+            DatapathConfig(
+                microflow_capacity=0,
+                max_megaflows=max_megaflows,
+                check_invariants=True,
+                batch_upcalls=batch_upcalls,
+            ),
+            megaflows=cache,
+        )
+        if case == "killed":
+            # Install a slice of the staircase, then kill part of it for
+            # good (§8 quirk): those packets recur in the burst and must
+            # stay on the slow path, uninstalled, every time.
+            installed = [datapath.process(key).installed for key in trace[:60]]
+            for entry in installed[::3]:
+                assert datapath.kill_entry(entry, permanent=True)
+        return datapath
+
+    a, b = mk(), mk()
+    sequential, mask_counts = [], []
+    for key in keys:
+        mask_counts.append(a.n_masks)
+        sequential.append(a.process(key, now=1.0))
+    batch = b.process_batch(keys, now=1.0)
+    assert_verdicts_equal(sequential, batch.verdicts)
+    assert list(batch.mask_counts) == mask_counts
+    assert batch.upcalls == sum(1 for v in sequential if v.is_upcall)
+    for verdict in batch.verdicts:
+        if verdict.installed is not None:
+            stored = b.megaflows.get_entry(verdict.installed.mask, verdict.installed.key)
+            assert stored is verdict.installed
+    assert_datapaths_equal(a, b)
+    if case in ("flow_limit", "rejected_duplicates"):
+        assert b.stats.install_rejected > 0 and b.n_megaflows == max_megaflows
+    elif case == "killed":
+        assert b.stats.dead_entry_suppressed >= 20 * 3
+    else:
+        assert b.stats.upcalls == len(trace) and b.stats.megaflow_hits == 2 * len(trace)
+
+
+def _counted(monkeypatch, owner, name, counts, label):
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        counts[label] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_one_burst_replay_bookkeeping_is_linear(monkeypatch):
+    """Mid-burst coherence costs O(1) per packet — by exact counts, not clocks.
+
+    The full 8k-mask SipSpDp trace x3 as one burst: comparisons, column
+    derives, truth-dict probes and generation calls are each bounded by a
+    small multiple of the burst, and a half-size burst halves them.  (The
+    announced-insert sweep this replaced made ~7e7 ``__eq__`` calls here
+    through ``list.index`` and derived two column rows per install.)
+    """
+    trace = _detonation_trace(SIPSPDP)
+    labels = ("eq", "to_columns", "get_entry", "generate_batch")
+
+    def run(part):
+        keys = _replay_burst(part)
+        datapath = Datapath(SIPSPDP.build_table(), DatapathConfig(microflow_capacity=0))
+        counts = dict.fromkeys(labels, 0)
+        with monkeypatch.context() as patch:
+            _counted(patch, _FieldVector, "__eq__", counts, "eq")
+            _counted(patch, tss_module, "_to_columns", counts, "to_columns")
+            _counted(patch, MegaflowStore, "get_entry", counts, "get_entry")
+            _counted(patch, MegaflowGenerator, "generate_batch", counts, "generate_batch")
+            batch = datapath.process_batch(keys)
+        assert batch.upcalls == len(part) and datapath.stats.megaflow_hits == 2 * len(part)
+        return len(keys), datapath.n_masks, counts
+
+    packets, masks, full = run(trace)
+    assert full["eq"] <= 2 * packets
+    assert full["to_columns"] <= masks + 64
+    assert full["get_entry"] <= packets
+    assert full["generate_batch"] == 1
+    half_packets, half_masks, half = run(trace[: len(trace) // 2])
+    assert half["eq"] <= 2 * half_packets
+    assert half["to_columns"] <= half_masks + 64
+    assert half["get_entry"] <= half_packets
+    assert half["generate_batch"] == 1
+    for label in ("eq", "to_columns", "get_entry"):
+        assert 0.35 * full[label] <= half[label] <= 0.65 * full[label], (label, full, half)
 
 
 def test_process_batch_mask_counts_track_installs():

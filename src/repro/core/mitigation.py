@@ -123,8 +123,7 @@ class MFCGuard:
     def tick(self, now: float) -> GuardReport:
         """Run Algorithm 2 if the 10-second cadence has elapsed."""
         if now < self._next_run:
-            masks = self.datapath.n_masks  # one aggregate snapshot, not two
-            return GuardReport(ran=False, masks_before=masks, masks_after=masks)
+            return GuardReport(ran=False)
         self._next_run = now + self.config.period
         return self.run(now)
 

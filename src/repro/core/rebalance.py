@@ -29,9 +29,8 @@ after a re-key means the attacker took its next turn and re-ground the
 trace — exactly the signal to re-key again; a defender that waited for the
 skew to collapse before re-arming would be permanently disarmed by any
 attacker who retargets faster than the load disperses.  So the trigger
-re-arms on *either* a genuine skew collapse (hysteresis — the re-map took)
-*or* cooldown expiry (time — the defender gets a move every round of the
-game no matter what the attacker does).
+re-arms on cooldown expiry alone: the defender gets a move every round of
+the game no matter what the attacker does.
 """
 
 from __future__ import annotations
@@ -61,12 +60,9 @@ class RebalancePolicy:
         cost_floor: minimum worst-shard scan cost (normalised probe
             units) before skew is acted on — an idle datapath can be
             arbitrarily skewed by a handful of entries and must not churn.
-        hysteresis: early re-arm fraction — skew dropping below
-            ``skew_threshold * hysteresis`` re-arms the trigger before the
-            cooldown expires (the re-map demonstrably dispersed the load).
-            Cooldown expiry re-arms it unconditionally; see the module
-            docstring for why renewed concentration must re-trigger.
-        cooldown: minimum seconds between re-maps (a hard rate bound).
+        cooldown: minimum seconds between re-maps (a hard rate bound);
+            its expiry re-arms the trigger unconditionally — see the
+            module docstring for why renewed concentration must re-trigger.
         period: seconds between controller runs (``tick`` cadence).
         mode: ``"rekey"`` derives a fresh salt per re-map (scatters every
             flow); ``"reta"`` rotates the indirection table by one queue
@@ -76,7 +72,6 @@ class RebalancePolicy:
 
     skew_threshold: float = 3.0
     cost_floor: float = 64.0
-    hysteresis: float = 0.5
     cooldown: float = 5.0
     period: float = 0.5
     mode: str = "rekey"
@@ -86,8 +81,6 @@ class RebalancePolicy:
             raise ExperimentError("skew_threshold must be >= 1")
         if self.cost_floor < 0:
             raise ExperimentError("cost_floor must be >= 0")
-        if not 0 < self.hysteresis <= 1:
-            raise ExperimentError("hysteresis must be in (0, 1]")
         if self.cooldown < 0:
             raise ExperimentError("cooldown must be >= 0")
         if self.period <= 0:
@@ -128,7 +121,6 @@ class RebalanceController:
         self.policy = policy or RebalancePolicy()
         self._next_run = self.policy.period
         self._cooldown_until = float("-inf")
-        self._armed = True
         self.remaps_completed = 0
         self.runs = 0
 
@@ -155,7 +147,6 @@ class RebalanceController:
         successor = self._successor()
         status = self.datapath.rebalance(successor)
         self._cooldown_until = now + self.policy.cooldown
-        self._armed = False
         self.remaps_completed += 1
         report.remapped = True
         report.entries_moved = status["entries_moved"]
@@ -166,10 +157,6 @@ class RebalanceController:
         policy = self.policy
         if self.datapath.n_shards < 2:
             return False
-        # Early re-arm: the skew genuinely collapsed, so the last re-map
-        # dispersed the load (or the attack stopped).
-        if report.skew < policy.skew_threshold * policy.hysteresis:
-            self._armed = True
         # The cooldown is a hard rate bound: nothing re-maps inside it.
         if now < self._cooldown_until:
             return False
@@ -178,7 +165,6 @@ class RebalanceController:
         # move — re-keying again is the defender's turn in the game, not
         # flapping.  (MigrationController's re-arm rule is the opposite,
         # on purpose: see the module docstring.)
-        self._armed = True
         if report.worst_cost < policy.cost_floor:
             return False
         return report.skew >= policy.skew_threshold

@@ -37,10 +37,10 @@ from repro.classifier.backend import megaflow_backend_names
 from repro.core.tracegen import ColocatedTraceGenerator
 from repro.core.usecases import use_case
 from repro.experiments.common import ExperimentResult, benign_keys
-from repro.experiments.testbeds import TRUSTED_IP, build_testbed
+from repro.experiments.scenario import detonation_testbed, run_attack_window, samples
+from repro.experiments.testbeds import TRUSTED_IP
 from repro.netsim.cloud import SYNTHETIC_ENV
 from repro.netsim.cms import PolicyRule
-from repro.netsim.flows import ActiveWindow, AttackSource
 from repro.packet.headers import PROTO_TCP
 from repro.switch.datapath import Datapath, DatapathConfig
 
@@ -92,45 +92,21 @@ def run_netsim_cell(
     environment = replace(
         SYNTHETIC_ENV, name=f"Synthetic/{backend}", megaflow_backend=backend
     )
-    testbed = build_testbed(environment, dt=dt)
-    victim = testbed.add_victim_flow("victim", offered_gbps=offered_gbps)
-    trace = testbed.attack_trace(attacker_rules(use_case_name), label=use_case_name)
-    attacker = AttackSource(
-        host=testbed.server.host,
-        keys=trace.keys,
-        pps=attack_pps,
-        windows=[ActiveWindow(attack_start, attack_stop)],
-        name="attacker",
+    testbed, trace = detonation_testbed(
+        environment, attacker_rules(use_case_name), use_case_name, offered_gbps, dt
     )
-    simulation = testbed.simulation
-    simulation.add(attacker)
-    simulation.add(testbed.server.host)
-
-    series: list[tuple[float, float, int, float]] = []
-
-    def observer(now: float) -> None:
-        victim.settle(now, dt)
-        datapath = testbed.server.datapath
-        series.append((now, victim.rate_gbps, datapath.n_masks, datapath.scan_cost))
-
-    simulation.observe(observer)
-    simulation.run(duration)
-
-    settle_from = attack_start + 5.0
-    baseline = max((r for t, r, _m, _c in series if t < attack_start), default=0.0)
-    floor = min(
-        (r for t, r, _m, _c in series if settle_from <= t < attack_stop),
-        default=float("inf"),
+    run_attack_window(
+        testbed, trace.keys, attack_pps, [(attack_start, attack_stop)], duration
     )
-    peak_masks = max(m for _t, _r, m, _c in series)
-    peak_cost = max(c for _t, _r, _m, c in series)
+    metrics = testbed.metrics
+    rate = metrics.series("victim")
     return {
         "backend": backend,
-        "series": series,
-        "baseline_gbps": baseline,
-        "floor_gbps": floor,
-        "peak_masks": peak_masks,
-        "peak_scan_cost": peak_cost,
+        "series": list(samples(metrics, "victim", "masks", "scan_cost")),
+        "baseline_gbps": rate.maximum(stop=attack_start),
+        "floor_gbps": rate.minimum(attack_start + 5.0, attack_stop),
+        "peak_masks": metrics.series("masks").maximum(),
+        "peak_scan_cost": metrics.series("scan_cost").maximum(),
         "trace_packets": len(trace.keys),
     }
 

@@ -10,10 +10,10 @@ idle-timeout revalidator keeps the adversarial megaflows alive that long.
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult
+from repro.experiments.scenario import run_attack_window, samples
 from repro.experiments.testbeds import TRUSTED_IP, build_testbed
 from repro.netsim.cloud import SYNTHETIC_ENV
 from repro.netsim.cms import PolicyRule
-from repro.netsim.flows import ActiveWindow, AttackSource
 
 __all__ = ["run"]
 
@@ -40,57 +40,39 @@ def run(
         ],
         label="SipDp",
     )
+    names = [f"victim{i + 1}" for i in range(n_victims)]
     victims = [
-        testbed.add_victim_flow(f"victim{i + 1}", flow_index=i, offered_gbps=3.3)
-        for i in range(n_victims)
+        testbed.add_victim_flow(name, flow_index=i, offered_gbps=3.3)
+        for i, name in enumerate(names)
     ]
-    attacker = AttackSource(
-        host=testbed.server.host,
-        keys=trace.keys,
-        pps=attack_pps,
-        windows=[ActiveWindow(attack_start, attack_stop)],
-        name="attacker",
+    run_attack_window(
+        testbed,
+        trace.keys,
+        attack_pps,
+        [(attack_start, attack_stop)],
+        duration,
+        sample_every=sample_every,
+        probes={"victim_sum": lambda: sum(victim.rate_gbps for victim in victims)},
     )
-    simulation = testbed.simulation
-    simulation.add(attacker)
-    simulation.add(testbed.server.host)
 
     result = ExperimentResult(
         experiment_id="fig8a",
         title=f"{n_victims} concurrent TCP victims, co-located SipDp attack at {attack_pps:.0f} pps",
         paper_reference="Fig. 8a (synthetic testbed, §5.4)",
         columns=["t_s"]
-        + [f"victim{i + 1}_gbps" for i in range(n_victims)]
+        + [f"{name}_gbps" for name in names]
         + ["victim_sum_gbps", "attacker_pps", "mfc_masks"],
     )
+    for t, *rates, pps, masks in samples(
+        testbed.metrics, *names, "victim_sum", "attacker_pps", "masks"
+    ):
+        result.add_row(round(t, 3), *[round(rate, 4) for rate in rates], pps, masks)
 
-    sample_ticks = max(1, round(sample_every / dt))
-    tick_counter = {"n": 0}
-
-    def observer(now: float) -> None:
-        for victim in victims:
-            victim.settle(now, dt)
-        tick_counter["n"] += 1
-        if tick_counter["n"] % sample_ticks:
-            return
-        rates = [victim.rate_gbps for victim in victims]
-        result.add_row(
-            round(now, 3),
-            *[round(rate, 4) for rate in rates],
-            round(sum(rates), 4),
-            attacker.current_pps,
-            testbed.server.datapath.n_masks,
-        )
-
-    simulation.observe(observer)
-    simulation.run(duration)
-
-    sums = result.column("victim_sum_gbps")
-    times = result.column("t_s")
-    baseline = max(v for t, v in zip(times, sums) if t < attack_start)
-    floor = min(v for t, v in zip(times, sums) if attack_start + 5 <= t < attack_stop)
+    total = testbed.metrics.series("victim_sum")
+    baseline = total.maximum(stop=attack_start)
+    floor = total.minimum(attack_start + 5, attack_stop)
     recovered_at = next(
-        (t for t, v in zip(times, sums) if t > attack_stop and v >= 0.9 * baseline),
+        (round(t, 3) for t, v in total if t > attack_stop and v >= 0.9 * baseline),
         None,
     )
     result.notes.append(

@@ -17,6 +17,7 @@ right-hand axis.
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult
+from repro.experiments.scenario import run_attack_window, samples
 from repro.experiments.testbeds import TRUSTED_IP, build_testbed
 from repro.netsim.cloud import KUBERNETES_ENV
 from repro.netsim.cms import PolicyRule
@@ -52,33 +53,15 @@ def run(
     scratch = build_testbed(KUBERNETES_ENV)
     scratch_trace = scratch.attack_trace(attacker_rules, label="SipSpDp")
 
-    victim = testbed.add_victim_flow(
+    testbed.add_victim_flow(
         "victim",
         offered_gbps=1.0,
         kind="tcp",
         windows=[ActiveWindow(victim_start, duration)],
     )
-    attacker = AttackSource(
-        host=server.host,
-        keys=scratch_trace.keys,
-        pps=base_pps,
-        windows=[ActiveWindow(t1_attack_start, duration)],
-        name="attacker",
-    )
-    simulation = testbed.simulation
-    simulation.add(attacker)
-    simulation.add(server.host)
+    state = {"acl_installed": False, "escalated": False}
 
-    result = ExperimentResult(
-        experiment_id="fig8c",
-        title="Kubernetes SipSpDp: ACL injected mid-run, then rate escalation",
-        paper_reference="Fig. 8c (§5.6)",
-        columns=["t_s", "victim_gbps", "attack_pps", "mfc_masks", "megaflows"],
-    )
-    sample_ticks = max(1, round(sample_every / dt))
-    state = {"ticks": 0, "acl_installed": False, "escalated": False}
-
-    def stage_events(now: float) -> None:
+    def stage_events(now: float, attacker: AttackSource) -> None:
         if not state["acl_installed"] and now >= t2_acl_injection:
             server.install_policy(testbed.attacker_vm, attacker_rules, label="acl-a")
             server.ensure_default_deny()
@@ -87,38 +70,41 @@ def run(
             attacker.set_rate(escalated_pps)
             state["escalated"] = True
 
-    def observer(now: float) -> None:
-        stage_events(now)
-        victim.settle(now, dt)
-        state["ticks"] += 1
-        if state["ticks"] % sample_ticks:
-            return
-        result.add_row(
-            round(now, 3),
-            round(victim.rate_gbps, 4),
-            attacker.current_pps,
-            server.datapath.n_masks,
-            server.datapath.n_megaflows,
-        )
+    run_attack_window(
+        testbed,
+        scratch_trace.keys,
+        base_pps,
+        [(t1_attack_start, duration)],
+        duration,
+        sample_every=sample_every,
+        probes={"megaflows": lambda: server.datapath.n_megaflows},
+        events=stage_events,
+    )
 
-    simulation.observe(observer)
-    simulation.run(duration)
+    result = ExperimentResult(
+        experiment_id="fig8c",
+        title="Kubernetes SipSpDp: ACL injected mid-run, then rate escalation",
+        paper_reference="Fig. 8c (§5.6)",
+        columns=["t_s", "victim_gbps", "attack_pps", "mfc_masks", "megaflows"],
+    )
+    for t, rate, pps, masks, megaflows in samples(
+        testbed.metrics, "victim", "attacker_pps", "masks", "megaflows"
+    ):
+        result.add_row(round(t, 3), round(rate, 4), pps, masks, megaflows)
 
-    times = result.column("t_s")
-    rates = result.column("victim_gbps")
-    pre_acl = [v for t, v in zip(times, rates) if t1_attack_start + 2 <= t < t2_acl_injection]
-    post_acl = [v for t, v in zip(times, rates) if t2_acl_injection + 15 <= t < t4_escalation]
-    post_escalation = [v for t, v in zip(times, rates) if t4_escalation + 10 <= t < duration]
+    rate = testbed.metrics.series("victim")
+    pre_acl = t1_attack_start + 2, t2_acl_injection
+    post_acl = t2_acl_injection + 15, t4_escalation
     result.notes.append(
-        f"pre-ACL attack (t1..t2): victim {min(pre_acl):.2f}-{max(pre_acl):.2f} Gbps "
+        f"pre-ACL attack (t1..t2): victim {rate.minimum(*pre_acl):.2f}-{rate.maximum(*pre_acl):.2f} Gbps "
         "(paper: minor glitch only)"
     )
     result.notes.append(
-        f"after ACL injection: victim ~{sum(post_acl) / len(post_acl):.2f} Gbps "
-        f"({100 * (1 - min(post_acl) / 1.0):.0f}% below the 1 Gbps line; paper: ~80% drop)"
+        f"after ACL injection: victim ~{rate.mean(*post_acl):.2f} Gbps "
+        f"({100 * (1 - rate.minimum(*post_acl) / 1.0):.0f}% below the 1 Gbps line; paper: ~80% drop)"
     )
     result.notes.append(
-        f"after 2 kpps escalation: victim ~{sum(post_escalation) / len(post_escalation):.3f} Gbps "
+        f"after 2 kpps escalation: victim ~{rate.mean(t4_escalation + 10, duration):.3f} Gbps "
         "(paper: full DoS, rate close to 0)"
     )
     return result

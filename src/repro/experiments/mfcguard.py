@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from repro.core.mitigation import MFCGuardConfig
 from repro.experiments.common import ExperimentResult
+from repro.experiments.scenario import run_attack_window, samples
 from repro.experiments.testbeds import TRUSTED_IP, build_testbed
 from repro.netsim.cloud import SYNTHETIC_ENV
 from repro.netsim.cms import PolicyRule
-from repro.netsim.flows import ActiveWindow, AttackSource
 
 __all__ = ["run"]
 
@@ -28,11 +28,11 @@ def _one_run(
     dt: float,
     sample_every: float,
 ) -> list[tuple[float, float, int, float]]:
+    """``(t, victim Gbps, masks, upcall pps)`` samples of one run."""
     testbed = build_testbed(SYNTHETIC_ENV, dt=dt, victim_protocol="udp", with_guard=with_guard)
+    host = testbed.server.host
     if with_guard:
-        testbed.server.host.guard.config = MFCGuardConfig(
-            mask_threshold=100, cpu_threshold_pct=200.0
-        )
+        host.guard.config = MFCGuardConfig(mask_threshold=100, cpu_threshold_pct=200.0)
     trace = testbed.attack_trace(
         [
             PolicyRule(dst_port=80),
@@ -44,38 +44,17 @@ def _one_run(
         # only evict drop entries (requirement (i) of §8).
         include_allow_paths=False,
     )
-    victim = testbed.add_victim_flow("victim", offered_gbps=9.5, kind="udp")
-    attacker = AttackSource(
-        host=testbed.server.host,
-        keys=trace.keys,
-        pps=attack_pps,
-        windows=[ActiveWindow(attack_start, duration)],
+    testbed.add_victim_flow("victim", offered_gbps=9.5, kind="udp")
+    run_attack_window(
+        testbed,
+        trace.keys,
+        attack_pps,
+        [(attack_start, duration)],
+        duration,
+        sample_every=sample_every,
+        probes={"upcall_pps": lambda: host.upcall_pps},
     )
-    simulation = testbed.simulation
-    simulation.add(attacker)
-    simulation.add(testbed.server.host)
-
-    samples: list[tuple[float, float, int, float]] = []
-    sample_ticks = max(1, round(sample_every / dt))
-    counter = {"n": 0}
-
-    def observer(now: float) -> None:
-        victim.settle(now, dt)
-        counter["n"] += 1
-        if counter["n"] % sample_ticks:
-            return
-        samples.append(
-            (
-                round(now, 3),
-                round(victim.rate_gbps, 4),
-                testbed.server.datapath.n_masks,
-                round(testbed.server.host.upcall_pps, 1),
-            )
-        )
-
-    simulation.observe(observer)
-    simulation.run(duration)
-    return samples
+    return list(samples(testbed.metrics, "victim", "masks", "upcall_pps"))
 
 
 def run(
@@ -99,7 +78,7 @@ def run(
         ],
     )
     for (t, v0, m0, _u0), (_t, v1, m1, u1) in zip(without, with_guard):
-        result.add_row(t, v0, m0, v1, m1, u1)
+        result.add_row(round(t, 3), round(v0, 4), m0, round(v1, 4), m1, round(u1, 1))
 
     late = [row for row in result.rows if row[0] >= attack_start + 25]
     result.notes.append(

@@ -35,9 +35,8 @@ from dataclasses import replace
 from repro.core.migration import MigrationPolicy
 from repro.experiments.backendsweep import attacker_rules
 from repro.experiments.common import ExperimentResult
-from repro.experiments.testbeds import build_testbed
+from repro.experiments.scenario import detonation_testbed, run_attack_window, samples
 from repro.netsim.cloud import SYNTHETIC_ENV
-from repro.netsim.flows import ActiveWindow, AttackSource
 
 __all__ = ["run", "run_policy_cell", "POLICIES"]
 
@@ -92,92 +91,56 @@ def run_policy_cell(
         megaflow_backend="tss",
         migration_policy=mpolicy if with_migration else None,
     )
-    testbed = build_testbed(environment, dt=dt, with_guard=with_guard)
-    victim = testbed.add_victim_flow("victim", offered_gbps=offered_gbps)
-    trace = testbed.attack_trace(attacker_rules(use_case_name), label=use_case_name)
-    attacker = AttackSource(
-        host=testbed.server.host,
-        keys=trace.keys,
-        pps=attack_pps,
-        windows=[ActiveWindow(attack_start, attack_stop)],
-        name="attacker",
+    testbed, trace = detonation_testbed(
+        environment, attacker_rules(use_case_name), use_case_name, offered_gbps, dt,
+        with_guard=with_guard,
     )
-    simulation = testbed.simulation
-    simulation.add(attacker)
-    simulation.add(testbed.server.host)
-
     host = testbed.server.host
-    datapath = testbed.server.datapath
-    series: list[tuple[float, float, int, float]] = []
-    peak_upcall_pps = 0.0
-    peak_rebuild_memory = 0
-
-    def observer(now: float) -> None:
-        nonlocal peak_upcall_pps, peak_rebuild_memory
-        victim.settle(now, dt)
-        series.append((now, victim.rate_gbps, datapath.n_masks, datapath.scan_cost))
-        peak_upcall_pps = max(peak_upcall_pps, host.upcall_pps)
-        if with_migration:
-            status = datapath.migration_status()
-            records = status if isinstance(status, list) else [status]
-            for record in records:
-                peak_rebuild_memory = max(
-                    peak_rebuild_memory, record["rebuild_memory_bytes"]
-                )
-
-    simulation.observe(observer)
-    simulation.run(duration)
-
-    settle_from = attack_start + 5.0
-    baseline = max((r for t, r, _m, _c in series if t < attack_start), default=0.0)
-    floor = min(
-        (r for t, r, _m, _c in series if settle_from <= t < attack_stop),
-        default=float("inf"),
+    shards = testbed.server.datapath.shards
+    records = run_attack_window(
+        testbed,
+        trace.keys,
+        attack_pps,
+        [(attack_start, attack_stop)],
+        duration,
+        probes={
+            "upcall_pps": lambda: host.upcall_pps,
+            "rebuild_memory": lambda: max(
+                shard.migration_status()["rebuild_memory_bytes"] for shard in shards
+            ),
+        },
+        readout=lambda: [shard.migration_status() for shard in shards],
     )
-    recovered_floor = min(
-        (r for t, r, _m, _c in series if attack_stop - 5.0 <= t < attack_stop),
-        default=float("inf"),
-    )
+
+    metrics = testbed.metrics
+    rate = metrics.series("victim")
     collapse_at = next(
-        (t for t, r, _m, _c in series if t >= attack_start and r < recovery_gbps),
-        None,
+        (t for t, r in rate if t >= attack_start and r < recovery_gbps), None
     )
     recover_at = (
         next(
-            (
-                t
-                for t, r, _m, _c in series
-                if collapse_at < t < attack_stop and r >= recovery_gbps
-            ),
+            (t for t, r in rate if collapse_at < t < attack_stop and r >= recovery_gbps),
             None,
         )
         if collapse_at is not None
         else None
     )
-    time_to_recover = (
-        recover_at - collapse_at
-        if collapse_at is not None and recover_at is not None
-        else None
-    )
-
-    status = datapath.migration_status()
-    records = status if isinstance(status, list) else [status]
     guard = host.guard
     return {
         "policy": policy,
-        "series": series,
-        "baseline_gbps": baseline,
-        "floor_gbps": floor,
-        "recovered_floor_gbps": recovered_floor,
+        "series": list(samples(metrics, "victim", "masks", "scan_cost")),
+        "baseline_gbps": rate.maximum(stop=attack_start),
+        "floor_gbps": rate.minimum(attack_start + 5.0, attack_stop),
+        "recovered_floor_gbps": rate.minimum(attack_stop - 5.0, attack_stop),
         "collapse_at": collapse_at,
-        "time_to_recover_s": time_to_recover,
+        "time_to_recover_s": recover_at - collapse_at if recover_at is not None else None,
         "entries_deleted": guard.total_deleted if guard is not None else 0,
-        "peak_upcall_pps": peak_upcall_pps,
-        "peak_rebuild_memory_bytes": peak_rebuild_memory,
+        "peak_upcall_pps": metrics.series("upcall_pps").maximum(),
+        "peak_rebuild_memory_bytes": metrics.series("rebuild_memory").maximum(),
         "swaps": sum(record["swaps"] for record in records),
         "final_backend": records[0]["backend"],
         "final_scan_cost": max(record["scan_cost"] for record in records),
-        "peak_masks": max(m for _t, _r, m, _c in series),
+        "peak_masks": metrics.series("masks").maximum(),
         "trace_packets": len(trace.keys),
     }
 

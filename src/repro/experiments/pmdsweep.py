@@ -32,10 +32,11 @@ from dataclasses import replace
 from typing import Sequence
 
 from repro.experiments.common import ExperimentResult
+from repro.experiments.scenario import run_attack_window
 from repro.experiments.testbeds import TRUSTED_IP, build_testbed
 from repro.netsim.cloud import SYNTHETIC_ENV
 from repro.netsim.cms import PolicyRule
-from repro.netsim.flows import ActiveWindow, AttackSource, queue_aware_trace
+from repro.netsim.flows import queue_aware_trace
 
 __all__ = ["run", "run_config"]
 
@@ -70,99 +71,49 @@ def run_config(
         executor=executor,
     )
     testbed = build_testbed(environment, dt=dt)
+    host, datapath = testbed.server.host, testbed.server.datapath
     try:
-        return _run_cell(
-            testbed,
-            n_pmd,
-            plan,
-            executor,
-            duration,
-            attack_start,
-            attack_stop,
-            attack_pps,
-            n_victims,
-            dt,
-        )
-    finally:
-        testbed.server.close()  # stop any executor worker pool
-
-
-def _run_cell(
-    testbed,
-    n_pmd: int,
-    plan: str | int,
-    executor: str,
-    duration: float,
-    attack_start: float,
-    attack_stop: float,
-    attack_pps: float,
-    n_victims: int,
-    dt: float,
-) -> dict:
-    victims = [
-        testbed.add_victim_flow(
-            f"victim{i + 1}",
-            flow_index=i,
-            offered_gbps=10.0 / n_victims,
-            queue=i % n_pmd,
-        )
-        for i in range(n_victims)
-    ]
-    trace = testbed.attack_trace(
-        [
-            PolicyRule(dst_port=80),
-            PolicyRule(remote_ip=(TRUSTED_IP, 0xFFFFFFFF)),
-        ],
-        label="SipDp",
-    )
-    keys, report = queue_aware_trace(testbed.server.host, list(trace.keys), plan)
-    attacker = AttackSource(
-        host=testbed.server.host,
-        keys=keys,
-        pps=attack_pps,
-        windows=[ActiveWindow(attack_start, attack_stop)],
-        name="attacker",
-    )
-    simulation = testbed.simulation
-    simulation.add(attacker)
-    simulation.add(testbed.server.host)
-
-    baselines = [0.0] * n_victims
-    floors = [float("inf")] * n_victims
-    peak_core_load = 0.0
-
-    def observer(now: float) -> None:
-        nonlocal peak_core_load
-        for index, victim in enumerate(victims):
-            victim.settle(now, dt)
-            if now < attack_start:
-                baselines[index] = max(baselines[index], victim.rate_gbps)
-            elif attack_start + 5.0 <= now < attack_stop:
-                floors[index] = min(floors[index], victim.rate_gbps)
-        if attack_start <= now < attack_stop:
-            peak_core_load = max(
-                peak_core_load, max(testbed.server.host.per_core_load)
+        victims = [
+            testbed.add_victim_flow(
+                f"victim{i + 1}",
+                flow_index=i,
+                offered_gbps=10.0 / n_victims,
+                queue=i % n_pmd,
             )
-
-    simulation.observe(observer)
-    simulation.run(duration)
-
-    datapath = testbed.server.datapath
-    masks_per_shard = [shard.n_masks for shard in datapath.shards]
+            for i in range(n_victims)
+        ]
+        trace = testbed.attack_trace(
+            [
+                PolicyRule(dst_port=80),
+                PolicyRule(remote_ip=(TRUSTED_IP, 0xFFFFFFFF)),
+            ],
+            label="SipDp",
+        )
+        keys, report = queue_aware_trace(host, list(trace.keys), plan)
+    except BaseException:
+        testbed.close()  # a bad plan must not strand the worker pool
+        raise
+    masks_total, masks_per_shard = run_attack_window(
+        testbed,
+        keys,
+        attack_pps,
+        [(attack_start, attack_stop)],
+        duration,
+        probes={"core_load": lambda: max(host.per_core_load)},
+        readout=lambda: (datapath.n_masks, [shard.n_masks for shard in datapath.shards]),
+    )
+    rates = [testbed.metrics.series(victim.name) for victim in victims]
     return {
         "n_pmd": n_pmd,
         "plan": plan,
         "executor": executor,
-        "baselines": baselines,
-        "floors": floors,
-        "peak_core_load": peak_core_load,
-        "masks_total": datapath.n_masks,
+        "baselines": [rate.maximum(stop=attack_start) for rate in rates],
+        "floors": [rate.minimum(attack_start + 5.0, attack_stop) for rate in rates],
+        "peak_core_load": testbed.metrics.series("core_load").maximum(attack_start, attack_stop),
+        "masks_total": masks_total,
         "masks_per_shard": masks_per_shard,
         "retarget": report,
-        "victim_queues": [
-            state.home_shards[0]
-            for state in testbed.server.host.victims.values()
-        ],
+        "victim_queues": [state.home_shards[0] for state in host.victims.values()],
     }
 
 

@@ -43,9 +43,9 @@ from dataclasses import replace
 from repro.core.rebalance import RebalancePolicy
 from repro.experiments.backendsweep import attacker_rules
 from repro.experiments.common import ExperimentResult
-from repro.experiments.testbeds import build_testbed
+from repro.experiments.scenario import detonation_testbed, run_attack_window, samples
 from repro.netsim.cloud import MULTIQUEUE_ENV
-from repro.netsim.flows import ActiveWindow, AttackSource
+from repro.netsim.flows import AttackSource
 from repro.switch.rss import retarget_trace
 
 __all__ = ["run", "run_policy_cell", "POLICIES"]
@@ -64,7 +64,6 @@ POLICIES = ("static", "rebalance")
 SWEEP_POLICY = RebalancePolicy(
     skew_threshold=1.5,
     cost_floor=64.0,
-    hysteresis=0.5,
     cooldown=2.0,
     period=0.5,
     mode="rekey",
@@ -107,14 +106,13 @@ def run_policy_cell(
         megaflow_backend="tss",
         rebalance_policy=rpolicy if policy == "rebalance" else None,
     )
-    testbed = build_testbed(environment, dt=dt)
+    testbed, trace = detonation_testbed(
+        environment, attacker_rules(use_case_name), use_case_name, offered_gbps, dt,
+        queue=victim_queue, kind=victim_kind,
+    )
     host = testbed.server.host
     datapath = testbed.server.datapath
     flow_table = testbed.server.flow_table
-    victim = testbed.add_victim_flow(
-        "victim", offered_gbps=offered_gbps, queue=victim_queue, kind=victim_kind
-    )
-    trace = testbed.attack_trace(attacker_rules(use_case_name), label=use_case_name)
     base_keys = list(trace.keys)
 
     retargets: list[dict] = []
@@ -136,66 +134,49 @@ def run_policy_cell(
         )
         return keys
 
-    attacker = AttackSource(
-        host=host,
-        keys=regrind(attack_start),
-        pps=attack_pps,
-        windows=[ActiveWindow(attack_start, attack_stop)],
-        name="rss-aware-attacker",
-    )
-    simulation = testbed.simulation
-    simulation.add(attacker)
-    simulation.add(host)
-
-    series: list[tuple[float, float, int, float]] = []
     next_round = attack_start + round_period
 
-    def observer(now: float) -> None:
+    def next_move(now: float, attacker: AttackSource) -> None:
         nonlocal next_round
-        victim.settle(now, dt)
-        series.append((now, victim.rate_gbps, datapath.n_masks, datapath.scan_cost))
         if next_round <= now < attack_stop:
             attacker.set_trace(regrind(now))
             next_round += round_period
 
-    simulation.observe(observer)
-    simulation.run(duration)
+    status = run_attack_window(
+        testbed,
+        regrind(attack_start),
+        attack_pps,
+        [(attack_start, attack_stop)],
+        duration,
+        events=next_move,
+        readout=datapath.rebalance_status,
+    )
 
     # Round-tail floors: the second half of every retargeting round — the
     # defended steady state, after the re-map response, before the
     # attacker's next move.
+    metrics = testbed.metrics
+    rate = metrics.series("victim")
     tail_floors: list[float] = []
     start = attack_start
     while start < attack_stop:
         stop = min(start + round_period, attack_stop)
-        tail = [r for t, r, _m, _c in series if start + (stop - start) / 2 <= t < stop]
-        if tail:
-            tail_floors.append(min(tail))
+        tail_floors.append(rate.minimum(start + (stop - start) / 2, stop))
         start = stop
-    baseline = max((r for t, r, _m, _c in series if t < attack_start), default=0.0)
-    attack_floor = min(
-        (r for t, r, _m, _c in series if attack_start + 2.0 <= t < attack_stop),
-        default=float("inf"),
-    )
-    status = (
-        datapath.rebalance_status()
-        if hasattr(datapath, "rebalance_status")
-        else {"remaps": 0, "entries_moved": 0, "salt": 0}
-    )
     return {
         "policy": policy,
-        "series": series,
+        "series": list(samples(metrics, "victim", "masks", "scan_cost")),
         "retargets": retargets,
-        "baseline_gbps": baseline,
-        "attack_floor_gbps": attack_floor,
-        "tail_floor_gbps": min(tail_floors) if tail_floors else float("inf"),
+        "baseline_gbps": rate.maximum(stop=attack_start),
+        "attack_floor_gbps": rate.minimum(attack_start + 2.0, attack_stop),
+        "tail_floor_gbps": min(tail_floors),
         "tail_floors_gbps": tail_floors,
         "rounds": len(retargets),
         "remaps": status["remaps"],
         "entries_moved": status["entries_moved"],
         "final_salt": status["salt"],
-        "peak_masks": max(m for _t, _r, m, _c in series),
-        "peak_scan_cost": max(c for _t, _r, _m, c in series),
+        "peak_masks": metrics.series("masks").maximum(),
+        "peak_scan_cost": metrics.series("scan_cost").maximum(),
         "trace_packets": len(base_keys),
     }
 

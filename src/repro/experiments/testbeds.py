@@ -7,7 +7,7 @@ installed through the environment's CMS backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from repro.core.tracegen import AdversarialTrace, ColocatedTraceGenerator
 from repro.netsim.cloud import Datacenter, EnvironmentProfile, Server, VirtualMachine
@@ -34,8 +34,14 @@ class Fig7Testbed:
     victim_vm: VirtualMachine
     attacker_vm: VirtualMachine
     backend_vm: VirtualMachine
-    metrics: MetricsCollector
+    metrics: MetricsCollector  # the sink :func:`~repro.experiments.scenario.run_attack_window` samples into
     simulation: Simulation
+    victims: list[VictimFlow] = dc_field(default_factory=list)  # every flow added, in order
+
+    def close(self) -> None:
+        """Release both servers' execution resources (worker pools, shm rings)."""
+        for server in self.datacenter.servers:
+            server.close()
 
     def victim_keys(
         self, flow_index: int = 0, proto: int = PROTO_TCP, queue: int | None = None
@@ -105,6 +111,7 @@ class Fig7Testbed:
             windows=windows,
         )
         self.simulation.add(flow)
+        self.victims.append(flow)
         return flow
 
 

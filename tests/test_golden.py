@@ -1,0 +1,61 @@
+"""Golden outputs of the eight Fig. 7 netsim experiments (ROADMAP item 4).
+
+``tests/golden/<id>.txt`` is ``ExperimentResult.save`` output, generated at
+the commit *before* the experiments moved onto
+:mod:`repro.experiments.scenario`; any refactor of that layer must keep
+``format_table()`` byte-identical.  The six cheap experiments run at their
+CLI defaults; ``migrationsweep`` / ``rsssweep`` (~18 s each at defaults)
+run a SipDp-sized detonation that still walks every branch — guard
+deletions, a backend swap, four re-maps.
+
+Regenerate (only when an experiment's output is *meant* to change)::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from repro.experiments import migrationsweep, run_experiment
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+CASES: dict[str, dict] = {
+    "fig8a": {},
+    "fig8b": {},
+    "fig8c": {},
+    "mfcguard": {},
+    "pmdsweep": {},
+    "backendsweep": {},
+    "migrationsweep": dict(
+        use_case_name="SipDp",
+        duration=20.0,
+        attack_start=2.0,
+        attack_stop=17.0,
+        # SipDp detonates ~513 probe units: the sweep's 512 would sit on the edge.
+        migration_policy=replace(migrationsweep.SWEEP_POLICY, cost_threshold=128.0),
+    ),
+    "rsssweep": dict(
+        use_case_name="SipDp",
+        duration=24.0,
+        attack_start=2.0,
+        attack_stop=22.0,
+        round_period=5.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment_id", sorted(CASES))
+def test_output_matches_golden(experiment_id):
+    result = run_experiment(experiment_id, **CASES[experiment_id])
+    golden = (GOLDEN_DIR / f"{experiment_id}.txt").read_text()
+    assert result.format_table() + "\n" == golden
+
+
+if __name__ == "__main__":  # pragma: no cover
+    for experiment_id, params in CASES.items():
+        print(run_experiment(experiment_id, **params).save(GOLDEN_DIR))

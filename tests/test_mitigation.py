@@ -95,6 +95,24 @@ class TestScheduling:
         assert not guard.tick(now=15.0).ran
         assert guard.tick(now=20.0).ran
 
+    def test_off_cadence_tick_reads_nothing(self):
+        """``n_masks`` is a every-shard fan-out on a sharded datapath; the
+        hypervisor ticks the guard every 0.1 s and discards the report."""
+
+        class CountingDatapath:
+            reads = 0
+
+            @property
+            def n_masks(self):
+                self.reads += 1
+                return 0
+
+        datapath = CountingDatapath()
+        guard = MFCGuard(datapath, MFCGuardConfig(period=10.0))
+        for tick in range(1, 100):
+            assert guard.tick(now=tick * 0.1) == GuardReport(ran=False)
+        assert datapath.reads == 0
+
     def test_runs_counted(self):
         _table, _datapath, _trace, guard = attacked_setup()
         guard.run(now=10.0)

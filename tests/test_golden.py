@@ -1,12 +1,14 @@
-"""Golden outputs of the eight Fig. 7 netsim experiments (ROADMAP item 4).
+"""Golden outputs of the eight Fig. 7 netsim experiments and ``cloudsweep``.
 
 ``tests/golden/<id>.txt`` is ``ExperimentResult.save`` output, generated at
 the commit *before* the experiments moved onto
-:mod:`repro.experiments.scenario`; any refactor of that layer must keep
+:mod:`repro.experiments.scenario` (``cloudsweep.txt``: before settlement
+collapsed onto one pass); any refactor of those layers must keep
 ``format_table()`` byte-identical.  The six cheap experiments run at their
 CLI defaults; ``migrationsweep`` / ``rsssweep`` (~18 s each at defaults)
 run a SipDp-sized detonation that still walks every branch — guard
-deletions, a backend swap, four re-maps.
+deletions, a backend swap, four re-maps; ``cloudsweep`` runs both plans
+over a 2 x 3 x 100 fleet, the only experiment on the fleet settlement path.
 
 Regenerate (only when an experiment's output is *meant* to change)::
 
@@ -38,6 +40,14 @@ CASES: dict[str, dict] = {
         attack_stop=17.0,
         # SipDp detonates ~513 probe units: the sweep's 512 would sit on the edge.
         migration_policy=replace(migrationsweep.SWEEP_POLICY, cost_threshold=128.0),
+    ),
+    "cloudsweep": dict(
+        n_racks=2,
+        hosts_per_rack=3,
+        tenants_per_host=100,
+        duration=12.0,
+        attack_start=2.0,
+        attack_stop=10.0,
     ),
     "rsssweep": dict(
         use_case_name="SipDp",

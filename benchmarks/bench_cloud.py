@@ -1,29 +1,23 @@
-"""Fleet-settlement benchmarks: vectorised pricing speedup + fleet identity.
+"""Fleet-settlement benchmarks: fleet floors + tenant streaming.
 
-Three guards, persisted to ``results/BENCH_cloud.json``:
+Two guards, persisted to ``results/BENCH_cloud.json``:
 
-* **Vectorised settlement speedup** — pricing all 10,000 tenants of one
-  detonated host through :func:`repro.netsim.settlement.settle_rates`
-  must be at least :data:`SPEEDUP_FLOOR` times faster than the retained
-  scalar reference loop (which evaluates the calibrated cost curve per
-  victim-core pair, exactly as ``HypervisorHost.tick`` historically did)
-  — and produce the float-identical assigned rates.  The tenant count
-  stays at 10k even in smoke runs: the guard is the whole point of the
-  bench, and one settlement pass is milliseconds either way.
-* **Fleet floor identity** — a multi-rack fleet cell (event-driven
-  scheduler, rack-wide concatenated settlement) run under
-  ``settlement_mode="vector"`` and ``"scalar"`` must record *identical*
-  per-tenant rate and floor arrays, and the floor quantiles land in the
-  trajectory as deterministic simulation output.
+* **Fleet floors** — a multi-rack fleet cell (event-driven scheduler,
+  rack-wide concatenated settlement) under a concentrated detonation:
+  the attacked host's tenants must sink, and the floor quantiles land in
+  the trajectory as deterministic simulation output.
 * **Streaming tenant generation** — :class:`repro.netsim.fleet.
   TenantStream` must mint tenant columns fast enough that fleet
   construction never dominates (guarded in tenants/second), holding at
   most one host's block resident — the O(hosts) memory contract of
   million-tenant runs.
 
+Settlement *speed* is the perf harness's ``netsim.settlement.
+settle_ns_per_tenant`` (``benchmarks/perf/``); vector ≡ scalar identity
+is tier-1 (``tests/settlement_oracle.py``), where the scalar loops live.
+
 ``REPRO_BENCH_SMOKE=1`` shrinks the fleet cell and the streamed host
-count (never the 10k settlement population) and publishes to the
-gitignored ``BENCH_cloud.smoke.json``.
+count and publishes to the gitignored ``BENCH_cloud.smoke.json``.
 
 Run with::
 
@@ -34,17 +28,9 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from common import SMOKE, publish
-from repro.experiments.backendsweep import attacker_rules
 from repro.experiments.cloudsweep import run_plan
-from repro.netsim.cloud import SYNTHETIC_ENV
-from repro.netsim.fleet import Fleet, FleetHost, TenantStream
-
-SPEEDUP_FLOOR = 10.0
-N_TENANTS = 10_000  # never smoke-shrunk: the >=10x guard is the bench
-TIMING_ROUNDS = 3 if SMOKE else 5
+from repro.netsim.fleet import TenantStream
 
 FLEET_CELL = dict(
     n_racks=2,
@@ -63,88 +49,9 @@ STREAM_TENANTS_PER_HOST = 1000  # full size: one million tenants streamed
 _metrics: dict[str, object] = {}
 
 
-def _detonated_host(settlement_mode: str = "vector") -> FleetHost:
-    """One host with 10k tenants and a live SipDp detonation in its cache."""
-    block = TenantStream(0, 0, 0, N_TENANTS).build()
-    host = FleetHost(
-        "bench",
-        SYNTHETIC_ENV,
-        block,
-        attacker_ip=0x0A3F0001,
-        settlement_mode=settlement_mode,
-    )
-    trace = host.detonation_trace(attacker_rules("SipDp"), label="SipDp")
-    host.inject_attack_batch(list(trace.keys), now=0.0)
-    return host
-
-
-def _best_settle_seconds(host: FleetHost, reports, available) -> float:
-    best = float("inf")
-    for _ in range(TIMING_ROUNDS):
-        start = time.perf_counter()
-        host.settle_tenants(1.0, reports, available)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def test_settlement_vector_speedup_and_identity():
-    """One array pass over 10k tenants: >=10x the scalar loop, same floats."""
-    host = _detonated_host()
-    reports, available = host._pre_settle(0.1, 0.1)
-    assert host.datapath.n_masks > 100  # the detonation is live
-
-    host.settlement_mode = "vector"
-    vector_seconds = _best_settle_seconds(host, reports, available)
-    vector_assigned = host.tenants.assigned_gbps.copy()
-
-    host.settlement_mode = "scalar"
-    scalar_seconds = _best_settle_seconds(host, reports, available)
-    scalar_assigned = host.tenants.assigned_gbps.copy()
-    host.close()
-
-    # Float-identical, not approximately equal: the kernel is the same
-    # arithmetic in the same order, so the arrays must match bit for bit.
-    assert np.array_equal(vector_assigned, scalar_assigned)
-
-    speedup = scalar_seconds / vector_seconds
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"vectorised settlement only {speedup:.1f}x the scalar loop "
-        f"({vector_seconds * 1e3:.2f} ms vs {scalar_seconds * 1e3:.2f} ms)"
-    )
-
-    _metrics.update(
-        {
-            "settle_n_tenants": N_TENANTS,
-            "settle_vector_seconds": round(vector_seconds, 6),
-            "settle_scalar_seconds": round(scalar_seconds, 6),
-            "settlement_speedup": round(speedup, 1),
-            "settle_tenants_per_sec": round(N_TENANTS / vector_seconds),
-        }
-    )
-
-
-def test_fleet_floor_identity():
-    """Vector and scalar fleets record identical per-tenant floors."""
-    cells = {}
-    raw = {}
-    for mode in ("vector", "scalar"):
-        cells[mode] = run_plan(
-            "concentrated", settlement_mode=mode, **FLEET_CELL
-        )
-        fleet = Fleet(
-            SYNTHETIC_ENV,
-            n_racks=FLEET_CELL["n_racks"],
-            hosts_per_rack=FLEET_CELL["hosts_per_rack"],
-            tenants_per_host=FLEET_CELL["tenants_per_host"],
-            seed=FLEET_CELL["seed"],
-            settlement_mode=mode,
-        )
-        raw[mode] = fleet.rates()  # construction determinism spot check
-        fleet.close()
-    assert cells["vector"] == cells["scalar"]
-    assert np.array_equal(raw["vector"], raw["scalar"])
-
-    cell = cells["vector"]
+def test_fleet_floors():
+    """A concentrated detonation sinks the attacked host's tenants."""
+    cell = run_plan("concentrated", **FLEET_CELL)
     _metrics.update(
         {
             "fleet_hosts": cell["n_hosts"],

@@ -18,12 +18,10 @@ Two guards, persisted to ``results/BENCH_upcall.json``:
   pure index appends; settlement stays per-packet, so this must hold
   exactly.  The pass doubles as warm-up: timing below measures a cold
   cache under a warm (steady-state) decision trie.
-* **Upcall speedup** — the batched engine (``batch_upcalls`` on,
+* **Upcall speedup** — the batched engine (``process_batch``,
   batch-chunked replay) sustains >= 3x the scalar reference's
   packets/sec, where the scalar reference processes the same trace
-  packet by packet through the scalar slow path.  The engine-internal
-  win (``batch_upcalls`` on vs off inside ``process_batch``) is also
-  published, unfloored, to keep the coalescing contribution visible.
+  packet by packet through per-key ``process``.
 
 Each timing round flushes the megaflow cache and the lookup memo —
 upcalls, not replay memoisation, are under test.  Workload builders live
@@ -57,11 +55,8 @@ def detonation_keys():
     return keys[:REPLAY_BUDGET] if REPLAY_BUDGET else keys
 
 
-def upcall_datapath(batched: bool) -> Datapath:
-    return Datapath(
-        SIPSPDP.build_table(),
-        DatapathConfig(microflow_capacity=0, batch_upcalls=batched),
-    )
+def upcall_datapath() -> Datapath:
+    return Datapath(SIPSPDP.build_table(), DatapathConfig(microflow_capacity=0))
 
 
 def go_cold(datapath: Datapath) -> None:
@@ -97,8 +92,8 @@ def cold_batch_pps(datapath: Datapath, keys, rounds: int = ROUNDS) -> float:
 def test_upcall_replay_speedup():
     """Batched upcall engine >= 3x the scalar path, verdict-identical."""
     keys = detonation_keys()
-    scalar_dp = upcall_datapath(batched=False)
-    batched_dp = upcall_datapath(batched=True)
+    scalar_dp = upcall_datapath()
+    batched_dp = upcall_datapath()
 
     # Equivalence before timing anything: the full cold-cache transcript
     # (this is also the warm-up — the decision trie is steady afterwards).
@@ -123,7 +118,6 @@ def test_upcall_replay_speedup():
     assert n_masks >= (1500 if SMOKE else 8000), f"workload too small: {n_masks} masks"
 
     scalar_pps = cold_sequential_pps(scalar_dp, keys)
-    batch_scalar_pps = cold_batch_pps(scalar_dp, keys)
     batched_pps = cold_batch_pps(batched_dp, keys)
     speedup = batched_pps / scalar_pps
 
@@ -138,10 +132,8 @@ def test_upcall_replay_speedup():
             "megaflow_entries": batched_dp.n_megaflows,
             "upcalls_per_round": upcalls,
             "scalar_pps": round(scalar_pps, 1),
-            "batch_scalar_upcall_pps": round(batch_scalar_pps, 1),
             "batched_pps": round(batched_pps, 1),
             "upcall_speedup": round(speedup, 2),
-            "engine_speedup_vs_batch_scalar": round(batched_pps / batch_scalar_pps, 2),
         },
     )
 
@@ -154,7 +146,7 @@ def test_upcall_replay_speedup():
 def test_upcall_benchmark(benchmark):
     """pytest-benchmark hook for the upcall replay (trajectory tracking)."""
     keys = detonation_keys()
-    datapath = upcall_datapath(batched=True)
+    datapath = upcall_datapath()
     datapath.process_batch(keys)  # steady-state decision trie
 
     def replay():

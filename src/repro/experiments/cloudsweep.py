@@ -58,7 +58,6 @@ def run_plan(
     dt: float = 0.1,
     rack_period: float = 1.0,
     mode: str = "event",
-    settlement_mode: str = "vector",
 ) -> dict:
     """One detonation plan over a fresh fleet; returns its floor stats.
 
@@ -75,7 +74,6 @@ def run_plan(
         tenants_per_host=tenants_per_host,
         seed=seed,
         rack_period=rack_period,
-        settlement_mode=settlement_mode,
     )
     try:
         simulation = Simulation(dt=dt, mode=mode)

@@ -213,7 +213,6 @@ class FleetHost(HypervisorHost):
         tenants: TenantBlock,
         attacker_ip: int,
         period: float = 1.0,
-        settlement_mode: str = "vector",
     ):
         self.name = name
         self.environment = environment
@@ -225,12 +224,7 @@ class FleetHost(HypervisorHost):
             )
         else:
             datapath = Datapath(self.flow_table, config)
-        super().__init__(
-            datapath,
-            environment.cost_model,
-            quirks=environment.quirks,
-            settlement_mode=settlement_mode,
-        )
+        super().__init__(datapath, environment.cost_model, quirks=environment.quirks)
         self.tenants = tenants
         self.attacker_ip = attacker_ip
         self.period = period
@@ -278,57 +272,39 @@ class FleetHost(HypervisorHost):
         """Standalone operation: maintenance + one-host tenant settlement."""
         reports, available = self._pre_settle(now, dt)
         self._settle_victims(now, reports, available)
-        self.settle_tenants(now, reports, available)
+        _settle_tenants(now, [(self, reports, available)])
         self._post_settle(dt)
 
-    def settle_tenants(self, now, reports, available) -> None:
-        """Price this host's whole tenant population (one array pass)."""
-        block = self.tenants
-        n = len(block)
-        masks = self._tenant_masks(reports)
-        link_cap = self.cost_model.link_gbps / n
-        if self.settlement_mode == "vector":
-            settlement.update_protection(
-                now, masks, block.calm_since, block.protected, self.quirks
-            )
-            core = settlement.core_costs(
-                reports, available, self.cost_model, self.quirks
-            )
-            assigned = settlement.settle_rates(
-                core,
-                np.arange(n, dtype=np.intp),
-                block.home_shard,
-                block.protected,
-                n,
-                link_cap,
-                self.cost_model.unit_bits,
-            )
-        else:
-            calm = block.calm_since.tolist()
-            prot = block.protected.tolist()
-            settlement.update_protection_scalar(
-                now, masks.tolist(), calm, prot, self.quirks
-            )
-            block.calm_since[:] = calm
-            block.protected[:] = prot
-            assigned = settlement.settle_rates_scalar(
-                [report.scan_cost for report in reports],
-                available,
-                list(range(n)),
-                block.home_shard.tolist(),
-                prot,
-                n,
-                link_cap,
-                self.cost_model,
-                self.quirks,
-            )
-        block.assigned_gbps[:] = assigned
-        np.minimum(block.offered_gbps, block.assigned_gbps, out=block.rate_gbps)
 
-    def _tenant_masks(self, reports) -> np.ndarray:
-        """Each tenant's home-core mask count (floored at 1)."""
+def _settle_tenants(now: float, staged) -> None:
+    """Price every tenant of every staged ``(host, reports, available)``.
+
+    One :func:`repro.netsim.settlement.settle` pass over one population
+    per host — a rack's hosts, or a standalone host alone; all hosts of a
+    pass run the same environment.
+    """
+    populations = []
+    for host, reports, available in staged:
+        block = host.tenants
         n_masks = np.asarray([report.n_masks for report in reports], dtype=np.int64)
-        return np.maximum(n_masks[self.tenants.home_shard], 1)
+        populations.append(
+            settlement.Population(
+                reports=reports,
+                available=available,
+                pair_victim=np.arange(len(block), dtype=np.intp),
+                pair_core=block.home_shard,
+                masks=np.maximum(n_masks[block.home_shard], 1),
+                calm_since=block.calm_since,
+                protected=block.protected,
+                link_gbps=host.cost_model.link_gbps,
+            )
+        )
+    host0 = staged[0][0]
+    assigned = settlement.settle(now, populations, host0.cost_model, host0.quirks)
+    for (host, _, _), rates in zip(staged, assigned):
+        block = host.tenants
+        block.assigned_gbps[:] = rates
+        np.minimum(block.offered_gbps, block.assigned_gbps, out=block.rate_gbps)
 
 
 class Rack:
@@ -336,11 +312,11 @@ class Rack:
 
     ``tick`` runs each member host's maintenance (``_pre_settle``), then
     prices **every tenant of every member host in a single
-    :func:`repro.netsim.settlement.settle_rates` call**: the per-host core
-    arrays are concatenated and each host's tenant pair columns are
-    shifted by its core offset.  Cores are never shared between hosts, so
-    the concatenated pass computes exactly what the per-host passes would
-    — it just amortises the numpy dispatch over the whole rack.
+    :func:`repro.netsim.settlement.settle` pass** — one population per
+    host; a standalone :meth:`FleetHost.tick` is the same pass over one.
+    Cores are never shared between hosts, so the concatenated pass
+    computes exactly what the per-host passes would — it just amortises
+    the numpy dispatch over the whole rack.
     """
 
     def __init__(self, name: str, hosts: Sequence[FleetHost], period: float = 1.0):
@@ -357,70 +333,12 @@ class Rack:
             reports, available = host._pre_settle(now, dt)
             host._settle_victims(now, reports, available)
             staged.append((host, reports, available))
-
-        if any(host.settlement_mode != "vector" for host, _, _ in staged):
-            # Scalar reference mode: per-host loops, no concatenation.
-            for host, reports, available in staged:
-                host.settle_tenants(now, reports, available)
-        else:
-            self._settle_rack(now, staged)
-
+        _settle_tenants(now, staged)
         for host, _, _ in staged:
             if self.recording:
                 block = host.tenants
                 np.minimum(block.floor_gbps, block.rate_gbps, out=block.floor_gbps)
             host._post_settle(dt)
-
-    def _settle_rack(self, now: float, staged) -> None:
-        """The rack-wide concatenated settlement pass."""
-        all_reports: list = []
-        all_available: list[float] = []
-        pair_victim_parts = []
-        pair_core_parts = []
-        protected_parts = []
-        link_parts = []
-        core_offset = 0
-        tenant_offset = 0
-        for host, reports, available in staged:
-            block = host.tenants
-            n = len(block)
-            masks = host._tenant_masks(reports)
-            settlement.update_protection(
-                now, masks, block.calm_since, block.protected, host.quirks
-            )
-            all_reports.extend(reports)
-            all_available.extend(available)
-            pair_victim_parts.append(
-                np.arange(tenant_offset, tenant_offset + n, dtype=np.intp)
-            )
-            pair_core_parts.append(block.home_shard + core_offset)
-            protected_parts.append(block.protected)
-            link_parts.append(
-                np.full(n, host.cost_model.link_gbps / n, dtype=np.float64)
-            )
-            core_offset += len(reports)
-            tenant_offset += n
-
-        host0 = staged[0][0]
-        core = settlement.core_costs(
-            all_reports, all_available, host0.cost_model, host0.quirks
-        )
-        assigned = settlement.settle_rates(
-            core,
-            np.concatenate(pair_victim_parts),
-            np.concatenate(pair_core_parts),
-            np.concatenate(protected_parts),
-            tenant_offset,
-            np.concatenate(link_parts),
-            host0.cost_model.unit_bits,
-        )
-        start = 0
-        for host, _, _ in staged:
-            block = host.tenants
-            n = len(block)
-            block.assigned_gbps[:] = assigned[start : start + n]
-            np.minimum(block.offered_gbps, block.assigned_gbps, out=block.rate_gbps)
-            start += n
 
 
 class Fleet:
@@ -433,8 +351,6 @@ class Fleet:
             :class:`TenantStream`).
         rack_period: settlement cadence (seconds) racks declare for the
             event-driven scheduler.
-        settlement_mode: ``"vector"`` (rack-wide one-pass) or ``"scalar"``
-            (the per-tenant reference loops).
         offered_range: per-tenant offered load interval (Gbps).
     """
 
@@ -448,7 +364,6 @@ class Fleet:
         tenants_per_host: int = 256,
         seed: int = 0,
         rack_period: float = 1.0,
-        settlement_mode: str = "vector",
         offered_range: tuple[float, float] = (0.02, 0.2),
     ):
         if n_racks < 1 or hosts_per_rack < 1:
@@ -476,7 +391,6 @@ class Fleet:
                         block,
                         attacker_ip=attacker_ip,
                         period=rack_period,
-                        settlement_mode=settlement_mode,
                     )
                 )
             self.racks.append(Rack(f"rack{r}", hosts, period=rack_period))

@@ -34,10 +34,11 @@ entries genuine while their rate is computed analytically — the hybrid the
 DESIGN.md substitution table documents.
 
 The settlement arithmetic itself lives in :mod:`repro.netsim.settlement`:
-the numpy ``settle_rates`` kernel is the pricing reference shared with the
-fleet layer (:mod:`repro.netsim.fleet`), pricing every victim of a host —
-or every tenant of a rack — in one array pass, with the original scalar
-loop retained there as the differential-test reference.
+``settle`` is the one pass shared with the fleet layer
+(:mod:`repro.netsim.fleet`), pricing every victim of a host — or every
+tenant of a rack — in one array pass; this module only marshals its
+victims' state into columns and scatters the result back.  The original
+scalar loop is the differential oracle in ``tests/settlement_oracle.py``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.classifier.tss import MegaflowEntry
 from repro.core.migration import MigrationController
 from repro.core.mitigation import MFCGuard
 from repro.core.rebalance import RebalanceController
@@ -125,11 +125,6 @@ class HypervisorHost:
             victim's flows genuinely moved cores, and settlement must
             charge the cores now carrying them).
         revalidator_period: seconds between idle-eviction sweeps.
-        settlement_mode: ``"vector"`` (default — the numpy one-pass
-            kernel) or ``"scalar"`` (the original per-victim loop, the
-            differential-test reference).  The two are float-identical by
-            invariant (``tests/test_settlement.py``), so this knob only
-            decides wall-clock cost, never results.
     """
 
     def __init__(
@@ -141,7 +136,6 @@ class HypervisorHost:
         migrator: "MigrationController | None" = None,
         rebalancer: "RebalanceController | None" = None,
         revalidator_period: float = 1.0,
-        settlement_mode: str = "vector",
     ):
         self.datapath = datapath
         self.cost_model = cost_model
@@ -149,7 +143,6 @@ class HypervisorHost:
         self.guard = guard
         self.migrator = migrator
         self.rebalancer = rebalancer
-        self.settlement_mode = settlement.check_settlement_mode(settlement_mode)
         self.revalidator = Revalidator(datapath, period=revalidator_period)
         self.victims: dict[str, VictimState] = {}
         self.n_cores = datapath.n_shards
@@ -247,16 +240,6 @@ class HypervisorHost:
             raise SimulationError(f"unknown victim {name!r}") from None
 
     # -- the per-tick settlement -----------------------------------------------------
-    def _victim_unit_cost(self, state: VictimState, scan_cost: float) -> float:
-        """Per-unit cost of one victim at full-scan cost ``scan_cost``
-        (normalised probe units, protection mix applied)."""
-        scan_units = self.cost_model.victim_cost_units_probes(scan_cost)
-        if state.protected:
-            cheap = 1.0
-            chi = self.quirks.collision_rate
-            return (1.0 - chi) * cheap + chi * scan_units
-        return scan_units
-
     def tick(self, now: float, dt: float) -> None:
         """Run maintenance, settle per-core CPU accounting, assign victim capacity."""
         reports, available = self._pre_settle(now, dt)
@@ -327,56 +310,34 @@ class HypervisorHost:
         active = [state for state in self.victims.values() if state.active]
         if not active:
             return
-        masks = np.empty(len(active), dtype=np.int64)
-        calm_since = np.empty(len(active), dtype=np.float64)
-        protected = np.empty(len(active), dtype=bool)
+        pair_victim, pair_core = np.asarray(
+            [(idx, s) for idx, state in enumerate(active) for s in state.home_shards],
+            dtype=np.intp,
+        ).T
+        population = settlement.Population(
+            reports=reports,
+            available=available,
+            pair_victim=pair_victim,
+            pair_core=pair_core,
+            masks=np.asarray(
+                [
+                    max(max(reports[s].n_masks for s in state.home_shards), 1)
+                    for state in active
+                ],
+                dtype=np.int64,
+            ),
+            calm_since=np.asarray(
+                [np.nan if state.calm_since is None else state.calm_since for state in active],
+                dtype=np.float64,
+            ),
+            protected=np.asarray([state.protected for state in active], dtype=bool),
+            link_gbps=self.cost_model.link_gbps,
+        )
+        (assigned,) = settlement.settle(now, [population], self.cost_model, self.quirks)
         for idx, state in enumerate(active):
-            masks[idx] = max(max(reports[s].n_masks for s in state.home_shards), 1)
-            calm_since[idx] = np.nan if state.calm_since is None else state.calm_since
-            protected[idx] = state.protected
-        pair_victim: list[int] = []
-        pair_core: list[int] = []
-        for idx, state in enumerate(active):
-            for s in state.home_shards:
-                pair_victim.append(idx)
-                pair_core.append(s)
-        link_cap = self.cost_model.link_gbps / len(active)
-
-        if self.settlement_mode == "vector":
-            settlement.update_protection(now, masks, calm_since, protected, self.quirks)
-            core = settlement.core_costs(reports, available, self.cost_model, self.quirks)
-            assigned = settlement.settle_rates(
-                core,
-                np.asarray(pair_victim, dtype=np.intp),
-                np.asarray(pair_core, dtype=np.intp),
-                protected,
-                len(active),
-                link_cap,
-                self.cost_model.unit_bits,
-            )
-        else:
-            calm_list = calm_since.tolist()
-            prot_list = protected.tolist()
-            settlement.update_protection_scalar(
-                now, masks.tolist(), calm_list, prot_list, self.quirks
-            )
-            calm_since = np.asarray(calm_list, dtype=np.float64)
-            protected = np.asarray(prot_list, dtype=bool)
-            assigned = settlement.settle_rates_scalar(
-                [report.scan_cost for report in reports],
-                available,
-                pair_victim,
-                pair_core,
-                prot_list,
-                len(active),
-                link_cap,
-                self.cost_model,
-                self.quirks,
-            )
-
-        for idx, state in enumerate(active):
-            state.protected = bool(protected[idx])
-            state.calm_since = None if np.isnan(calm_since[idx]) else float(calm_since[idx])
+            calm_since = population.calm_since[idx]
+            state.protected = bool(population.protected[idx])
+            state.calm_since = None if np.isnan(calm_since) else float(calm_since)
             state.assigned_gbps = float(assigned[idx])
 
     def _post_settle(self, dt: float) -> None:
@@ -390,7 +351,3 @@ class HypervisorHost:
     def victim_rate(self, name: str) -> float:
         """The capacity (Gbps) assigned to a victim at the last settlement."""
         return self._state(name).assigned_gbps
-
-    def evict_entry(self, entry: MegaflowEntry) -> None:
-        """Convenience passthrough for tests."""
-        self.datapath.kill_entry(entry, permanent=False)

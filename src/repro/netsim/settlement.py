@@ -6,24 +6,30 @@ per-victim accounting that used to live inline in
 core's remaining budget across the active victims RSS pinned there, each
 share priced at the owning core's expected scan cost in normalised probe
 units, mask-memo protection mix applied, clamped by the victim's link
-share — and states it twice:
+share — and states it once:
 
-* :func:`settle_rates` is the numpy implementation: *all* tenants of a
-  host (and, via concatenated core/tenant columns with per-host offsets,
-  all hosts of a rack) are priced in one array pass.  This is what every
-  settlement runs through by default.
-* :func:`settle_rates_scalar` is the original per-victim Python loop,
-  retained verbatim as the differential-test reference.  It evaluates the
-  calibrated cost curve per victim-core pair exactly as the historical
-  ``HypervisorHost.tick`` did; ``tests/test_settlement.py`` asserts the
-  two are float-for-float identical across environments, shard counts and
-  victim placements, which is what keeps every Table 1 / Fig 8-9 preset
-  byte-identical under the vectorised path.
+* :func:`settle` is the pass every settlement runs through: protection
+  update, per-core pricing, rate assignment, over a list of staged
+  :class:`Population` objects.  A host's registered victims, a standalone
+  fleet host's tenants and a whole rack's tenants are the same call with
+  one or many populations; the callers only marshal columns in and
+  scatter the results out.
+* :func:`settle_rates` is the numpy kernel underneath it: *all* victims
+  of a pass are priced in one array pass (per-population core and victim
+  columns concatenated with offsets — cores are never shared between
+  populations, so the concatenated pass is exactly the per-population
+  passes run back to back).
 
-The same split applies to the mask-memo protection state machine
-(:func:`update_protection` / :func:`update_protection_scalar`): calm /
-attacked is judged on *mask counts* (the kernel memo is per mask), never
-on probe units.
+The original per-victim Python loops are the differential oracle and
+live with the tests, in ``tests/settlement_oracle.py``: its fixture wraps
+:func:`settle` and asserts the two are float-for-float identical on every
+settlement call of a run, across environments, shard counts and victim
+placements, which is what keeps every Table 1 / Fig 8-9 preset
+byte-identical under the vectorised path.
+
+The mask-memo protection state machine (:func:`update_protection`) judges
+calm / attacked on *mask counts* (the kernel memo is per mask), never on
+probe units.
 
 Victim-core membership is expressed as flat pair columns
 (``pair_victim[i]`` is priced on core ``pair_core[i]``); a victim spanning
@@ -40,8 +46,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.exceptions import SimulationError
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.hypervisor import QuirkConfig
     from repro.switch.costmodel import CostModel
@@ -49,16 +53,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "CoreCosts",
+    "Population",
     "core_costs",
+    "settle",
     "settle_rates",
-    "settle_rates_scalar",
     "update_protection",
-    "update_protection_scalar",
-    "check_settlement_mode",
-    "SETTLEMENT_MODES",
 ]
-
-SETTLEMENT_MODES = ("vector", "scalar")
 
 
 @dataclass(frozen=True)
@@ -153,49 +153,6 @@ def settle_rates(
     return np.minimum(link_cap, gbps)
 
 
-def settle_rates_scalar(
-    scan_cost: Sequence[float],
-    available: Sequence[float],
-    pair_victim: Sequence[int],
-    pair_core: Sequence[int],
-    protected: Sequence[bool],
-    n_victims: int,
-    link_cap: float | Sequence[float],
-    cost_model: "CostModel",
-    quirks: "QuirkConfig",
-) -> list[float]:
-    """The original per-victim settlement loop (differential reference).
-
-    Mirrors the historical ``HypervisorHost.tick`` accounting operation
-    for operation — per-pair curve evaluation included — so the vectorised
-    pass can be differential-tested (and benchmarked) against it.
-    """
-    victims_on_core = [0] * len(available)
-    for s in pair_core:
-        victims_on_core[s] += 1
-    caps = (
-        [link_cap] * n_victims
-        if isinstance(link_cap, (int, float))
-        else list(link_cap)
-    )
-    chi = quirks.collision_rate
-    units_per_sec = [0.0] * n_victims
-    for v, s in zip(pair_victim, pair_core):
-        share = available[s] / victims_on_core[s]
-        scan_units = cost_model.victim_cost_units_probes(scan_cost[s])
-        if protected[v]:
-            cheap = 1.0
-            cost = (1.0 - chi) * cheap + chi * scan_units
-        else:
-            cost = scan_units
-        units_per_sec[v] += share / cost
-    unit_bits = cost_model.unit_bits
-    return [
-        min(caps[v], units_per_sec[v] * unit_bits / 1e9)
-        for v in range(n_victims)
-    ]
-
-
 def update_protection(
     now: float,
     masks: np.ndarray,
@@ -222,37 +179,68 @@ def update_protection(
     calm_since[~calm] = np.nan
 
 
-def update_protection_scalar(
-    now: float,
-    masks: Sequence[int],
-    calm_since: list[float],
-    protected: list[bool],
-    quirks: "QuirkConfig",
-) -> None:
-    """The original per-victim protection state machine (reference).
+@dataclass
+class Population:
+    """One host's victims (or tenants), staged for a :func:`settle` pass.
 
-    Operates on the same column convention as :func:`update_protection`
-    (``nan`` for "not calm") so the two can be differential-tested on
-    identical inputs.
+    Attributes:
+        reports / available: the host's per-core snapshot and each core's
+            remaining budget (units/second) for this tick.
+        pair_victim / pair_core: flat victim-core membership columns,
+            indexed locally (victim 0 .. n-1, core 0 .. len(reports)-1).
+        masks: each victim's home-core mask count (max over its home
+            cores, floored at 1).
+        calm_since / protected: per-victim protection state, ``nan`` for
+            "not calm" — updated in place by the pass.
+        link_gbps: the host's wire, split equally across the population.
     """
-    if not quirks.established_flow_protection:
-        for v in range(len(protected)):
-            protected[v] = False
-        return
-    for v, m in enumerate(masks):
-        if m <= quirks.establish_mask_ceiling:
-            if np.isnan(calm_since[v]):
-                calm_since[v] = now
-            if now - calm_since[v] >= quirks.establish_seconds:
-                protected[v] = True
-        else:
-            calm_since[v] = float("nan")
+
+    reports: "Sequence[CoreReport]"
+    available: Sequence[float]
+    pair_victim: np.ndarray
+    pair_core: np.ndarray
+    masks: np.ndarray
+    calm_since: np.ndarray
+    protected: np.ndarray
+    link_gbps: float
 
 
-def check_settlement_mode(mode: str) -> str:
-    """Validate a settlement-mode knob (``"vector"`` or ``"scalar"``)."""
-    if mode not in SETTLEMENT_MODES:
-        raise SimulationError(
-            f"unknown settlement mode {mode!r}; expected one of {SETTLEMENT_MODES}"
+def settle(
+    now: float,
+    populations: Sequence[Population],
+    cost_model: "CostModel",
+    quirks: "QuirkConfig",
+) -> list[np.ndarray]:
+    """The settlement pass: protection update, core pricing, rate assignment.
+
+    Every population's ``calm_since`` / ``protected`` columns are updated
+    in place; the return value is each population's assigned Gbps, in
+    order.  All populations are priced by one :func:`settle_rates` call.
+    """
+    reports: list = []
+    available: list[float] = []
+    pair_victim, pair_core, protected, link_cap, bounds = [], [], [], [], []
+    n_victims = 0
+    for population in populations:
+        n = len(population.protected)
+        update_protection(
+            now, population.masks, population.calm_since, population.protected, quirks
         )
-    return mode
+        pair_victim.append(population.pair_victim + n_victims)
+        pair_core.append(population.pair_core + len(reports))
+        protected.append(population.protected)
+        link_cap.append(np.full(n, population.link_gbps / n, dtype=np.float64))
+        reports.extend(population.reports)
+        available.extend(population.available)
+        n_victims += n
+        bounds.append(n_victims)
+    assigned = settle_rates(
+        core_costs(reports, available, cost_model, quirks),
+        np.concatenate(pair_victim),
+        np.concatenate(pair_core),
+        np.concatenate(protected),
+        n_victims,
+        np.concatenate(link_cap),
+        cost_model.unit_bits,
+    )
+    return np.split(assigned, bounds[:-1])

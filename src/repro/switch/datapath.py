@@ -196,23 +196,10 @@ class DatapathConfig:
             pipe doorbell; falls back to pipes per oversized batch) or
             ``"pipe"`` (the PR 5 pickled-batch protocol).  Control ops
             and flow-table deltas always travel the pipe.
-        executor_pinning: optional per-worker CPU ids for
-            ``os.sched_setaffinity`` pinning of ``process`` workers
-            (worker *i* pins to ``executor_pinning[i % len]``); empty →
-            no pinning.
         scan_kernel: which :mod:`repro.classifier.kernel` implementation
             computes batch scan plans for backends that have one —
             ``"auto"`` (compiled cffi kernel when available, numpy
             otherwise), ``"numpy"``, or ``"cffi"``.
-        batch_upcalls: run :meth:`Datapath.process_batch` slow-path misses
-            through the batched upcall engine — coalesced megaflow
-            generation (:meth:`MegaflowGenerator.generate_batch` over the
-            burst's guaranteed misses, one generation per distinct
-            decision path) and burst-amortised backend index appends
-            (:meth:`MegaflowStore.index_burst`).  Verdict-for-verdict and
-            install-for-install identical to the scalar slow path
-            (``False``, the per-packet reference the differential tests
-            and ``bench_upcall`` compare against).
     """
 
     microflow_capacity: int = 256
@@ -226,9 +213,7 @@ class DatapathConfig:
     executor: str = "serial"
     executor_workers: int = 0
     executor_transport: str = "shm"
-    executor_pinning: tuple[int, ...] = ()
     scan_kernel: str = "auto"
-    batch_upcalls: bool = True
 
 
 @dataclass
@@ -454,8 +439,7 @@ class Datapath:
         only mid-burst installer and installs nothing but generated
         megaflows, which is what makes that probe complete.
 
-        With ``config.batch_upcalls`` (the default) generation is
-        additionally batched: the first key that needs a megaflow pulls
+        Generation is batched: the first key that needs a megaflow pulls
         the scanner's guaranteed-miss set for the rest of the burst
         through one :meth:`MegaflowGenerator.generate_batch` call,
         packets spawning the same megaflow share one generation (OVS
@@ -463,10 +447,9 @@ class Datapath:
         one pass per burst (:meth:`MegaflowStore.index_burst`).
         Generation is pure — it reads only the flow table — so generating
         for a key that ends up hitting a mid-batch install observably
-        changes nothing, and the batched path stays verdict-for-verdict
-        identical to the scalar one (``batch_upcalls=False``: the same
-        loop, the same probe, one :meth:`MegaflowGenerator.generate` per
-        distinct key).
+        changes nothing, and the burst stays verdict-for-verdict and
+        install-for-install identical to the scalar engine: per-key
+        :meth:`process`, one :meth:`MegaflowGenerator.generate` per upcall.
 
         ``rows`` optionally supplies ``keys``' uint64 column matrix when
         the caller already has it (the shared-memory transport's wire
@@ -480,23 +463,19 @@ class Datapath:
         mask_counts: list[int] = []
         probe_costs: list[float] = []
         upcalls = 0
-        batched = self.config.batch_upcalls
         gen_memo: dict[tuple[int, ...], "SlowPathResult"] = {}
 
         def generate(i: int) -> "SlowPathResult":
             key = keys[i]
             slow = gen_memo.get(key.values)
             if slow is None:
+                # Coalesce: generate for every key the scanner already
+                # knows will miss, so later upcalls in the burst (and
+                # duplicate decision paths) are memo hits.
                 cohort = {key.values: key}
-                if batched:
-                    # Coalesce: generate for every key the scanner already
-                    # knows will miss, so later upcalls in the burst (and
-                    # duplicate decision paths) are memo hits.
-                    for j in scanner.plan_misses(i):
-                        cohort.setdefault(keys[j].values, keys[j])
-                    results = self.generator.generate_batch(list(cohort.values()))
-                else:
-                    results = [self.generator.generate(key)]
+                for j in scanner.plan_misses(i):
+                    cohort.setdefault(keys[j].values, keys[j])
+                results = self.generator.generate_batch(list(cohort.values()))
                 gen_memo.update(zip(cohort, results))
                 slow = results[0]  # the cohort leads with ``key``
             return slow
@@ -504,8 +483,7 @@ class Datapath:
         scanner = self.megaflows.batch_scanner(
             keys, now=self.now, rows=rows, spawn=lambda i: generate(i).entry
         )
-        burst = self.megaflows.index_burst() if batched else nullcontext()
-        with burst:
+        with self.megaflows.index_burst():
             for i, key in enumerate(keys):
                 self.stats.packets += 1
                 mask_counts.append(self.megaflows.n_masks)

@@ -27,10 +27,9 @@ execution layer that actually fans the per-shard work out:
   per-worker shared-memory rings (:mod:`repro.switch.shm_ring`), with the
   pipe reduced to a sequence-number doorbell.  ``transport="pipe"``
   restores the PR 5 pickled path (also the automatic fallback for a batch
-  that does not fit its ring), and ``pinning`` optionally pins each
-  worker to a CPU via ``os.sched_setaffinity``.  Control operations and
-  flow-table deltas always stay on the pipe — only the packet-rate data
-  plane earns shared memory.
+  that does not fit its ring).  Control operations and flow-table deltas
+  always stay on the pipe — only the packet-rate data plane earns shared
+  memory.
 
 Why flow-table mutation ships as *deltas* under the ``process`` executor:
 the flow table is the control plane and stays authoritative in the parent,
@@ -90,7 +89,7 @@ import traceback
 import types
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 from repro.classifier.backend import MegaflowEntry
 from repro.classifier.flowtable import FlowTable
@@ -466,7 +465,7 @@ class ThreadShardExecutor(ShardExecutor):
 #   ("op", shard_id, name, args, kwargs)           -> SHARD_OPS[name] applied to that shard
 #   ("op", None, name, args, kwargs)               -> [(shard_id, answer), ...] for every
 #       shard the worker owns, in one round trip (what ``call_all`` broadcasts)
-#   ("worker_info",)                               -> {pid, shards, transport, affinity}
+#   ("worker_info",)                               -> {pid, shards, transport}
 #   ("flowtable", removed_rule_ids, [(rule_id, FlowRule), ...]) -> None
 #   ("close",)                                     -> None (worker exits)
 #
@@ -532,14 +531,8 @@ def _worker_main(
     init_rules: list,
     config: DatapathConfig,
     ring_names: tuple[str, str] | None = None,
-    pin_cpu: int | None = None,
 ) -> None:
     """One worker process: replica flow table + its owned shards, forever."""
-    if pin_cpu is not None:
-        try:
-            os.sched_setaffinity(0, {pin_cpu})
-        except (AttributeError, OSError, ValueError):
-            pin_cpu = None  # affinity is best-effort; report what held
     submit = complete = None
     if ring_names is not None:
         submit = ShmRing.attach(ring_names[0])
@@ -565,7 +558,6 @@ def _worker_main(
                         "pid": os.getpid(),
                         "shards": shard_ids,
                         "transport": "shm" if submit is not None else "pipe",
-                        "affinity": pin_cpu,
                     }
                 else:
                     value = _worker_handle(op, table, rules_by_id, shards)
@@ -645,7 +637,6 @@ class ProcessShardExecutor(ShardExecutor):
         self,
         workers: int | None = None,
         transport: str = "shm",
-        pinning: Sequence[int] = (),
         ring_bytes: int = DEFAULT_RING_BYTES,
     ) -> None:
         super().__init__()
@@ -655,7 +646,6 @@ class ProcessShardExecutor(ShardExecutor):
             )
         self._requested_workers = workers
         self._transport = transport
-        self._pinning = tuple(pinning)
         self._ring_bytes = ring_bytes
         self._submit_rings: list = []  # parent writes batches
         self._complete_rings: list = []  # parent reads verdicts
@@ -710,10 +700,9 @@ class ProcessShardExecutor(ShardExecutor):
             ring_names = None
             if self._transport == "shm":
                 ring_names = (self._submit_rings[wid].name, self._complete_rings[wid].name)
-            pin_cpu = self._pinning[wid % len(self._pinning)] if self._pinning else None
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, self._shards_of[wid], init_rules, config, ring_names, pin_cpu),
+                args=(child_conn, self._shards_of[wid], init_rules, config, ring_names),
                 name=f"pmd-worker-{wid}",
                 daemon=True,
             )
@@ -877,7 +866,7 @@ class ProcessShardExecutor(ShardExecutor):
         return merged
 
     def worker_info(self) -> list[dict]:
-        """Per-worker {pid, shards, transport, affinity}, by worker id."""
+        """Per-worker {pid, shards, transport}, by worker id."""
         return self._broadcast(("worker_info",))
 
     def call_shard(self, shard_id: int, name: str, *args, **kwargs):
@@ -925,10 +914,10 @@ class ProcessShardExecutor(ShardExecutor):
 
 # -- registry --------------------------------------------------------------------
 
-# name -> factory(workers, transport, pinning); each strategy takes what it uses.
+# name -> factory(workers, transport); each strategy takes what it uses.
 _SHARD_EXECUTORS: dict[str, Callable[..., ShardExecutor]] = {
-    SerialShardExecutor.name: lambda workers, transport, pinning: SerialShardExecutor(),
-    ThreadShardExecutor.name: lambda workers, transport, pinning: ThreadShardExecutor(workers),
+    SerialShardExecutor.name: lambda workers, transport: SerialShardExecutor(),
+    ThreadShardExecutor.name: lambda workers, transport: ThreadShardExecutor(workers),
     ProcessShardExecutor.name: ProcessShardExecutor,
 }
 
@@ -942,7 +931,6 @@ def make_shard_executor(
     name: str,
     workers: int | None = None,
     transport: str | None = None,
-    pinning: Sequence[int] = (),
 ) -> ShardExecutor:
     """Build a shard executor by registry name.
 
@@ -953,12 +941,10 @@ def make_shard_executor(
         transport: data-plane transport for ``process`` (``"shm"`` default,
             ``"pipe"`` for the PR 5 pickled path); ignored by in-process
             strategies.
-        pinning: CPU ids to pin ``process`` workers to, round-robin;
-            ignored by in-process strategies.
     """
     factory = _SHARD_EXECUTORS.get(name)
     if factory is None:
         raise SwitchError(
             f"unknown shard executor {name!r}; known: {', '.join(shard_executor_names())}"
         )
-    return factory(workers or None, transport or "shm", tuple(pinning))
+    return factory(workers or None, transport or "shm")

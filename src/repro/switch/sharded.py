@@ -125,7 +125,6 @@ class ShardedDatapath:
                 executor,
                 workers=self.config.executor_workers or None,
                 transport=self.config.executor_transport,
-                pinning=self.config.executor_pinning,
             )
         self.executor: ShardExecutor = executor
         # The executor owns shard placement: in-process shards subscribe

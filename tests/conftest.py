@@ -10,6 +10,7 @@ from hypothesis import settings
 from repro.classifier.actions import ALLOW
 from repro.classifier.flowtable import FlowTable
 from repro.classifier.rule import Match
+from tests.settlement_oracle import ride_along
 
 # The nightly CI leg runs the property-based tests with a 10x example
 # budget (HYPOTHESIS_PROFILE=nightly); interactive and per-PR runs keep
@@ -52,3 +53,10 @@ def fig4_table() -> FlowTable:
     table.add_rule(Match(ip_ttl=(hyp2(0b1111), HYP2_MASK)), ALLOW, priority=10, name="allow-hyp2")
     table.add_default_deny()
     return table
+
+
+@pytest.fixture
+def settlement_oracle():
+    """Check every settlement call of the test against the scalar loops."""
+    with ride_along() as oracle:
+        yield oracle

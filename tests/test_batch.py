@@ -361,10 +361,16 @@ def _replay_burst(trace, copies=3, seed=7):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("policy", ["insertion", "hit_sorted"])
-@pytest.mark.parametrize("batch_upcalls", [True, False])
+@pytest.mark.parametrize("check_invariants", [True, False])
 @pytest.mark.parametrize("case", ["replay", "flow_limit", "killed", "rejected_duplicates"])
-def test_process_batch_one_burst_replay_equivalent(case, batch_upcalls, policy, kernel):
-    """trace x3 as ONE process_batch ≡ per-key process, not-installed paths included."""
+def test_process_batch_one_burst_replay_equivalent(case, check_invariants, policy, kernel):
+    """trace x3 as ONE process_batch ≡ per-key process, not-installed paths included.
+
+    Per-key ``process`` is the scalar engine (one ``generate`` per upcall).
+    Both sides run with the caches' self-checks on, and again with them off
+    — the configuration every experiment runs, where a deferred mask's scan
+    position is trusted, not re-derived.
+    """
     trace = _detonation_trace(SIPDP)
     keys = _replay_burst(trace)
     max_megaflows = 200_000
@@ -377,15 +383,16 @@ def test_process_batch_one_burst_replay_equivalent(case, batch_upcalls, policy, 
         keys = [key for key in trace for _ in range(2)]
 
     def mk():
-        cache = TupleSpaceSearch(check_invariants=True, scan_policy=policy, scan_kernel=kernel)
+        cache = TupleSpaceSearch(
+            check_invariants=check_invariants, scan_policy=policy, scan_kernel=kernel
+        )
         cache.RESORT_INTERVAL = 64
         datapath = Datapath(
             SIPDP.build_table(),
             DatapathConfig(
                 microflow_capacity=0,
                 max_megaflows=max_megaflows,
-                check_invariants=True,
-                batch_upcalls=batch_upcalls,
+                check_invariants=check_invariants,
             ),
             megaflows=cache,
         )

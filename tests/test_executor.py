@@ -501,9 +501,9 @@ class TestShmTransport:
         finally:
             other.close()
 
-    def test_worker_info_reports_transport_and_pinning(self):
+    def test_worker_info_reports_transport_shards_and_pid(self):
         table = small_table()
-        executor = ProcessShardExecutor(workers=2, transport="shm", pinning=(0, 0))
+        executor = ProcessShardExecutor(workers=2, transport="shm")
         datapath = ShardedDatapath(
             table,
             DatapathConfig(microflow_capacity=0, executor="process"),
@@ -514,9 +514,6 @@ class TestShmTransport:
             info = executor.worker_info()
             assert [w["shards"] for w in info] == [(0,), (1,)]
             assert all(w["transport"] == "shm" for w in info)
-            # CPU 0 exists everywhere; pinning is best-effort but on Linux
-            # sched_setaffinity(0, {0}) succeeds.
-            assert all(w["affinity"] in (0, None) for w in info)
             assert len({w["pid"] for w in info}) == 2
         finally:
             datapath.close()

@@ -123,26 +123,27 @@ class TestRackSettlement:
             racked.close()
             standalone.close()
 
-    def test_vector_equals_scalar_over_a_run(self):
-        results = {}
-        for mode in ("vector", "scalar"):
-            fleet = Fleet(SYNTHETIC_ENV, n_racks=2, hosts_per_rack=2,
-                          tenants_per_host=30, seed=5, settlement_mode=mode)
-            try:
-                sim = Simulation(dt=0.1, mode="event")
-                fleet.register(sim)
-                host = fleet.host(0, 0)
-                trace = host.detonation_trace(attacker_rules("SipDp"))
-                sim.add(AttackSource(host=host, keys=trace.keys, pps=300.0,
-                                     windows=[ActiveWindow(1.0, 5.0)], period=0.1))
-                sim.run(1.0)
-                fleet.start_recording()
-                sim.run(6.0)
-                results[mode] = (fleet.rates().copy(), fleet.floors().copy())
-            finally:
-                fleet.close()
-        assert np.array_equal(results["vector"][0], results["scalar"][0])
-        assert np.array_equal(results["vector"][1], results["scalar"][1])
+    def test_vector_equals_scalar_over_a_run(self, settlement_oracle):
+        """Every rack pass of a multi-rack event-mode run ≡ the scalar oracle's."""
+        fleet = Fleet(SYNTHETIC_ENV, n_racks=2, hosts_per_rack=2,
+                      tenants_per_host=30, seed=5)
+        try:
+            sim = Simulation(dt=0.1, mode="event")
+            fleet.register(sim)
+            host = fleet.host(0, 0)
+            trace = host.detonation_trace(attacker_rules("SipDp"))
+            sim.add(AttackSource(host=host, keys=trace.keys, pps=300.0,
+                                 windows=[ActiveWindow(1.0, 5.0)], period=0.1))
+            sim.run(1.0)
+            fleet.start_recording()
+            sim.run(6.0)
+            floors = fleet.floors()
+        finally:
+            fleet.close()
+        assert settlement_oracle.calls == 2 * 7  # two racks, 1 s cadence
+        assert settlement_oracle.widest_pass == 2  # both hosts of a rack in one pass
+        assert settlement_oracle.victims == 7 * 4 * 30
+        assert floors.min() < 0.2 * floors.max()  # the attacked host's tenants sank
 
     def test_attack_degrades_only_attacked_host(self):
         fleet = self._attacked_fleet()

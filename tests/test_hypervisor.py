@@ -14,17 +14,10 @@ from repro.switch.datapath import Datapath, DatapathConfig
 VICTIM_KEY = FlowKey(ip_proto=PROTO_TCP, ip_src=5, tp_src=52000, tp_dst=80)
 
 
-def make_host(
-    quirks: QuirkConfig | None = None, settlement_mode: str = "vector"
-) -> HypervisorHost:
+def make_host(quirks: QuirkConfig | None = None) -> HypervisorHost:
     table = SIPDP.build_table()
     datapath = Datapath(table, DatapathConfig(microflow_capacity=0))
-    return HypervisorHost(
-        datapath,
-        SYNTHETIC_ENV.cost_model,
-        quirks=quirks,
-        settlement_mode=settlement_mode,
-    )
+    return HypervisorHost(datapath, SYNTHETIC_ENV.cost_model, quirks=quirks)
 
 
 def run_attack(host: HypervisorHost, now: float) -> int:
@@ -147,28 +140,15 @@ class TestProtectionQuirk:
 
 
 class TestSettlementModes:
-    @pytest.mark.parametrize("mode", ["vector", "scalar"])
-    def test_attack_bites_in_both_modes(self, mode):
-        host = make_host(settlement_mode=mode)
+    def test_modes_agree_exactly(self, settlement_oracle):
+        """Every settlement of a detonated host ≡ the scalar oracle's."""
+        host = make_host()
         host.register_victim("v", (VICTIM_KEY,))
         host.victim_started("v", 0.0)
-        host.tick(0.0, 0.1)
-        baseline = host.victim_rate("v")
-        run_attack(host, now=1.0)
-        host.tick(1.0, 0.1)
-        assert host.victim_rate("v") < 0.1 * baseline
-
-    def test_modes_agree_exactly(self):
-        rates = {}
-        for mode in ("vector", "scalar"):
-            host = make_host(settlement_mode=mode)
-            host.register_victim("v", (VICTIM_KEY,))
-            host.victim_started("v", 0.0)
-            run_attack(host, now=0.0)
-            for tick in range(20):
-                host.tick(tick * 0.1, 0.1)
-            rates[mode] = host.victim_rate("v")
-        assert rates["vector"] == rates["scalar"]
+        run_attack(host, now=0.0)
+        for tick in range(20):
+            host.tick(tick * 0.1, 0.1)
+        assert settlement_oracle.calls == 20
 
 
 class TestRevalidatorIntegration:

@@ -2,13 +2,13 @@
 
 The invariant every Table 1 / Fig 8-9 preset rides on: the numpy
 settlement kernel (`settle_rates`, `update_protection`) must produce
-*float-identical* results to the original per-victim Python loops
-retained in :mod:`repro.netsim.settlement` — same arithmetic, same
-accumulation order, bit for bit, across environments, shard counts and
-victim placements.
+*float-identical* results to the original per-victim Python loops kept
+in :mod:`tests.settlement_oracle` — same arithmetic, same accumulation
+order, bit for bit, across environments, shard counts and victim
+placements.  The kernels are property-tested directly; whole runs are
+checked by the ``settlement_oracle`` fixture, which compares every
+``settlement.settle`` call a simulation makes against the scalar loops.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -16,13 +16,21 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.tracegen import ColocatedTraceGenerator
 from repro.core.usecases import SIPDP
-from repro.exceptions import SimulationError
+from repro.experiments.backendsweep import attacker_rules
 from repro.netsim import settlement
-from repro.netsim.cloud import KUBERNETES_ENV, OPENSTACK_ENV, SYNTHETIC_ENV
+from repro.netsim.cloud import KUBERNETES_ENV, MULTIQUEUE_ENV, OPENSTACK_ENV, SYNTHETIC_ENV
+from repro.netsim.fleet import FleetHost, TenantStream
 from repro.netsim.hypervisor import HypervisorHost, QuirkConfig
 from repro.packet.fields import FlowKey
 from repro.packet.headers import PROTO_TCP
 from repro.switch.datapath import CoreReport, Datapath, DatapathConfig
+from repro.switch.sharded import ShardedDatapath
+from tests.settlement_oracle import (
+    ride_along,
+    same_floats,
+    settle_rates_scalar,
+    update_protection_scalar,
+)
 
 ENVS = {
     "synthetic": SYNTHETIC_ENV,
@@ -108,7 +116,7 @@ def test_settle_rates_matches_scalar(env_name, quirk_index, case):
         link_cap,
         cost_model.unit_bits,
     )
-    scalar = settlement.settle_rates_scalar(
+    scalar = settle_rates_scalar(
         scan_cost,
         available,
         pair_victim,
@@ -154,71 +162,113 @@ def test_update_protection_matches_scalar(n, now, data):
 
     calm_sca = [float("nan") if c is None else c for c in calm_raw]
     prot_sca = list(protected_raw)
-    settlement.update_protection_scalar(
+    update_protection_scalar(
         now, masks.tolist(), calm_sca, prot_sca, quirks
     )
 
     assert prot_vec.tolist() == prot_sca
-    for vec, sca in zip(calm_vec.tolist(), calm_sca):
-        assert (math.isnan(vec) and math.isnan(sca)) or vec == sca
+    assert same_floats(calm_vec.tolist(), calm_sca)
 
 
-def test_settlement_mode_validation():
-    with pytest.raises(SimulationError, match="settlement mode"):
-        settlement.check_settlement_mode("simd")
-    assert settlement.check_settlement_mode("scalar") == "scalar"
+def test_oracle_that_intercepts_nothing_fails():
+    """A ride-along that wrapped no settlement call must not pass silently."""
+    with pytest.raises(AssertionError, match="intercepted no"):
+        with ride_along():
+            pass
+    assert not hasattr(settlement.settle, "calls")  # production entry point restored
+
+
+VICTIM_KEY = FlowKey(ip_proto=PROTO_TCP, ip_src=5, tp_src=52000, tp_dst=80)
+
+
+def _attack_trace(datapath):
+    return ColocatedTraceGenerator(
+        datapath.flow_table, base={"ip_proto": PROTO_TCP}
+    ).generate()
 
 
 class TestHostModeIdentity:
-    """Whole-host differential: both modes drive identical simulations."""
+    """Whole-host differential: every settlement of a run ≡ the scalar loops."""
 
-    VICTIM_KEY = FlowKey(ip_proto=PROTO_TCP, ip_src=5, tp_src=52000, tp_dst=80)
-
-    def _run(self, environment, mode: str) -> list[tuple]:
-        datapath = Datapath(
-            SIPDP.build_table(), DatapathConfig(microflow_capacity=0)
-        )
+    @pytest.mark.parametrize("env_name", ["synthetic", "openstack"])
+    def test_modes_identical_over_attack(self, env_name, settlement_oracle):
+        """Calm, attack, recovery — protection quirk on under ``openstack``."""
+        environment = ENVS[env_name]
+        datapath = Datapath(SIPDP.build_table(), DatapathConfig(microflow_capacity=0))
         host = HypervisorHost(
-            datapath,
-            environment.cost_model,
-            quirks=environment.quirks,
-            settlement_mode=mode,
+            datapath, environment.cost_model, quirks=environment.quirks
         )
         for index in range(3):
             name = f"v{index}"
-            host.register_victim(
-                name, (self.VICTIM_KEY.replace(tp_src=52000 + index),)
-            )
+            host.register_victim(name, (VICTIM_KEY.replace(tp_src=52000 + index),))
             host.victim_started(name, 0.0)
-        trace = ColocatedTraceGenerator(
-            datapath.flow_table, base={"ip_proto": PROTO_TCP}
-        ).generate()
-        samples = []
-        for tick in range(120):
+        trace = _attack_trace(datapath)
+        rates = []
+        for tick in range(150):
             now = tick * 0.1
-            if 30 <= tick < 80:
+            if 60 <= tick < 110:
                 host.inject_attack_batch(trace.keys, now)
             host.tick(now, 0.1)
-            samples.append(
-                (
-                    host.cpu_load_fraction,
-                    tuple(host.per_core_load),
-                    host.upcall_pps,
-                    tuple(s.assigned_gbps for s in host.victims.values()),
-                    tuple(s.protected for s in host.victims.values()),
-                    tuple(s.calm_since for s in host.victims.values()),
-                )
-            )
-        return samples
+            rates.append(host.victim_rate("v0"))
+        assert settlement_oracle.calls == 150
+        assert settlement_oracle.victims == 3 * 150
+        # The run crossed an attack — and, under the quirk, the victims had
+        # earned their memo before it (5 s of calm) and kept most of their rate.
+        floor = min(rates[60:110])
+        if environment.quirks.established_flow_protection:
+            assert all(state.protected for state in host.victims.values())
+            assert 0.5 * rates[0] < floor < rates[0]
+        else:
+            assert floor < 0.1 * rates[0]
 
-    @pytest.mark.parametrize("env_name", ["synthetic", "openstack"])
-    def test_modes_identical_over_attack(self, env_name):
-        environment = ENVS[env_name]
-        assert self._run(environment, "vector") == self._run(environment, "scalar")
-
-    def test_mode_knob_validated(self):
-        datapath = Datapath(SIPDP.build_table(), DatapathConfig())
-        with pytest.raises(SimulationError, match="settlement mode"):
-            HypervisorHost(
-                datapath, SYNTHETIC_ENV.cost_model, settlement_mode="gpu"
+    def test_victim_spanning_two_cores(self, settlement_oracle):
+        """Forward and reverse keys hashed apart: one victim, two pairs."""
+        datapath = ShardedDatapath(
+            SIPDP.build_table(), DatapathConfig(microflow_capacity=0), n_shards=2
+        )
+        try:
+            forward = VICTIM_KEY
+            reverse = next(
+                key
+                for key in (VICTIM_KEY.replace(tp_src=port) for port in range(52001, 52100))
+                if datapath.shard_of(key) != datapath.shard_of(forward)
             )
+            host = HypervisorHost(
+                datapath, MULTIQUEUE_ENV.cost_model, quirks=MULTIQUEUE_ENV.quirks
+            )
+            spanning = host.register_victim("both", (forward, reverse))
+            assert spanning.home_shards == (0, 1)
+            host.register_victim("one", (forward,))
+            host.victim_started("both", 0.0)
+            host.victim_started("one", 0.0)
+            trace = _attack_trace(datapath)
+            for tick in range(30):
+                now = tick * 0.1
+                if 10 <= tick < 20:
+                    host.inject_attack_batch(trace.keys, now)
+                host.tick(now, 0.1)
+        finally:
+            datapath.close()
+        assert settlement_oracle.calls == 30
+        assert settlement_oracle.spanning_pairs == 30
+
+    def test_standalone_fleet_host_tick(self, settlement_oracle):
+        """``FleetHost.tick`` alone is the rack pass over one population."""
+        host = FleetHost(
+            "solo",
+            OPENSTACK_ENV,
+            TenantStream(3, 0, 0, 40).build(),
+            attacker_ip=0x0A3F0001,
+        )
+        try:
+            trace = host.detonation_trace(attacker_rules("SipDp"), label="SipDp")
+            for tick in range(12):
+                if tick == 7:
+                    host.inject_attack_batch(list(trace.keys), now=float(tick))
+                host.tick(float(tick), 1.0)
+            assert host.tenants.protected.any()
+        finally:
+            host.close()
+        assert settlement_oracle.calls == 12
+        assert settlement_oracle.victims == 12 * 40
+        assert settlement_oracle.widest_pass == 1

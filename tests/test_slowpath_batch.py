@@ -8,12 +8,15 @@ the chunk-decision trie and exact-key memo behind it must be discarded on
 every table mutation (dicts-as-truth: the ordered flow table is the only
 source of classification truth).
 
-The datapath half: under a small ``max_megaflows`` flow limit the batched
-upcall engine must reject, suppress, and install exactly like the scalar
-engine — across serial, thread, and process executors.
+The datapath half: under a small ``max_megaflows`` flow limit
+``process_batch``'s batched upcall engine must reject, suppress, and
+install exactly like the scalar engine (per-key ``process``) — across
+serial, thread, and process executors.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
@@ -178,13 +181,8 @@ def limit_keys(n: int = 160) -> list[FlowKey]:
     return keys + keys[: n // 4]
 
 
-def build_limited(executor: str, batched: bool, limit: int) -> ShardedDatapath:
-    config = DatapathConfig(
-        microflow_capacity=0,
-        executor=executor,
-        max_megaflows=limit,
-        batch_upcalls=batched,
-    )
+def build_limited(executor: str, limit: int) -> ShardedDatapath:
+    config = DatapathConfig(microflow_capacity=0, executor=executor, max_megaflows=limit)
     return ShardedDatapath(limit_table(), config, n_shards=2)
 
 
@@ -193,23 +191,31 @@ def build_limited(executor: str, batched: bool, limit: int) -> ShardedDatapath:
 def test_flow_limit_batched_equals_scalar(executor, limit):
     """max_megaflows rejections are identical: scalar ≡ batched, any executor.
 
-    The reference is the scalar serial engine; every (executor, batched)
-    combination must reproduce its verdict transcript, per-shard stats
-    (``installs``/``install_rejected``), and final entry set exactly.
+    The reference is the scalar engine — a per-key ``process`` loop (one
+    ``generate`` per upcall) on the serial datapath; ``process_batch``
+    under every executor must reproduce its verdict transcript, per-shard
+    stats (``installs``/``install_rejected``), and final entry set exactly.
     """
     keys = limit_keys()
-    reference = build_limited("serial", batched=False, limit=limit)
-    expected = reference.process_batch(keys, now=1.0)
+    reference = build_limited("serial", limit=limit)
+    shard_ids, mask_counts, probe_costs, expected = [], [], [], []
+    for key in keys:
+        shard_id = reference.shard_of(key)
+        shard = reference.shards[shard_id]
+        shard_ids.append(shard_id)
+        mask_counts.append(shard.n_masks)
+        probe_costs.append(shard.scan_cost)
+        expected.append(reference.process(key, now=1.0))
 
-    other = build_limited(executor, batched=True, limit=limit)
+    other = build_limited(executor, limit=limit)
     try:
         got = other.process_batch(keys, now=1.0)
         label = f"{executor}/limit={limit}"
-        assert got.shard_ids == expected.shard_ids, label
-        assert got.mask_counts == expected.mask_counts, label
-        assert got.probe_costs == expected.probe_costs, label
-        assert got.upcalls == expected.upcalls, label
-        for i, (a, b) in enumerate(zip(expected.verdicts, got.verdicts)):
+        assert list(got.shard_ids) == shard_ids, label
+        assert list(got.mask_counts) == mask_counts, label
+        assert list(got.probe_costs) == probe_costs, label
+        assert got.upcalls == sum(1 for verdict in expected if verdict.is_upcall), label
+        for i, (a, b) in enumerate(zip(expected, got.verdicts)):
             assert a.action == b.action, (label, i)
             assert a.path == b.path, (label, i)
             assert a.masks_inspected == b.masks_inspected, (label, i)
@@ -219,7 +225,9 @@ def test_flow_limit_batched_equals_scalar(executor, limit):
             (e.mask.values, e.key) for e in reference.entries()
         }, label
         for shard_id, (ref_shard, got_shard) in enumerate(zip(reference.shards, other.shards)):
-            assert got_shard.stats == ref_shard.stats, (label, shard_id)
+            # A ``process`` loop runs no batches; one burst is one per shard.
+            assert got_shard.stats.batches == 1 and ref_shard.stats.batches == 0
+            assert replace(got_shard.stats, batches=0) == ref_shard.stats, (label, shard_id)
             assert got_shard.stats.install_rejected == ref_shard.stats.install_rejected
         assert other.n_megaflows == reference.n_megaflows <= limit * 2, label
     finally:

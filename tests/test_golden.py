@@ -27,6 +27,18 @@ from repro.experiments import migrationsweep, run_experiment
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 CASES: dict[str, dict] = {
+    "didactic": {},
+    "table1": {},
+    "theorem41": {},
+    "theorem42": {},
+    "section54": {},
+    "section62": {},
+    "section7": {},
+    "fig9a": {},
+    "fig9b": {},
+    "fig9c": {},
+    "ipv6": {},
+    "comparison": {},
     "fig8a": {},
     "fig8b": {},
     "fig8c": {},

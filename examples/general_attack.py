@@ -37,8 +37,7 @@ def main() -> None:
           f"{'victim Gbps':>12}")
     sent = 0
     for checkpoint in (100, 1000, 5000, 20000, 50000):
-        for key in generator.keys(checkpoint - sent):
-            datapath.process(key)
+        datapath.process_batch(list(generator.keys(checkpoint - sent)))
         sent = checkpoint
         expectation = expected_masks(widths, checkpoint)
         print(f"{checkpoint:8d} {datapath.n_masks:17d} {expectation:14.1f} "

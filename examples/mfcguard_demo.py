@@ -29,8 +29,7 @@ def main() -> None:
 
     # The attack.
     trace = ColocatedTraceGenerator(table, base={"ip_proto": PROTO_TCP}).generate()
-    for key in trace.keys:
-        datapath.process(key, now=1.0)
+    datapath.process_batch(trace.keys, now=1.0)
     print(f"after attack: {datapath.n_masks} masks, {datapath.n_megaflows} entries")
 
     # What the detector sees.

@@ -22,8 +22,7 @@ def main() -> None:
     table = SIPDP.build_table()
     datapath = Datapath(table, DatapathConfig(microflow_capacity=0))
     trace = ColocatedTraceGenerator(table, base={"ip_proto": PROTO_TCP}).generate()
-    for key in trace.keys:
-        datapath.process(key, now=1.0)
+    datapath.process_batch(trace.keys, now=1.0)
 
     # --- step 1: the summary an operator pulls first --------------------------
     print("$ ovs-dpctl show")

@@ -29,8 +29,7 @@ def main() -> None:
           f"(~{len(trace) * 84 * 8 / 1e6:.2f} Mbit once, at any rate you like)")
 
     # 4. Replay.  Every packet is legitimate; none of them is ever accepted.
-    for key in trace.keys:
-        datapath.process(key)
+    datapath.process_batch(trace.keys)
     print(f"after replay: {datapath!r}")
 
     # 5. The damage, through the calibrated cost model.

@@ -99,8 +99,7 @@ def quickstart() -> str:
     table = SIPSPDP.build_table()
     trace = ColocatedTraceGenerator(table, base={"ip_proto": 6}).generate("SipSpDp")
     datapath = Datapath(table)
-    for key in trace.keys:
-        datapath.process(key)
+    datapath.process_batch(trace.keys)
     model = CostModel()
     gbps = model.victim_gbps(datapath.n_masks)
     return (

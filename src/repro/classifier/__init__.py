@@ -25,7 +25,6 @@ from repro.classifier.backend import (
     ENTRY_BYTES,
     MASK_BYTES,
     BatchLookupResult,
-    LookupResult,
     MegaflowBackend,
     MegaflowEntry,
     MegaflowStore,
@@ -67,7 +66,6 @@ __all__ = [
     "TupleChainSearch",
     "MegaflowEntry",
     "TssLookupResult",
-    "LookupResult",
     "BatchLookupResult",
     "ENTRY_BYTES",
     "MASK_BYTES",

@@ -5,7 +5,7 @@ while a cached datapath's per-lookup cost (megaflow probe units, plus the
 slow-path rule scan on misses) depends on what the traffic history did to
 its cache.  For the TSS backend that cost explodes as attack traffic
 detonates the tuple space; for the TupleChain-style grouped backend it
-stays bounded — the comparison benchmark plots exactly that contrast, by
+stays bounded — the ``comparison`` experiment shows exactly that contrast, by
 running one adapter instance per registered megaflow backend.
 """
 

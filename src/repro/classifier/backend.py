@@ -14,7 +14,7 @@ seam that makes the megaflow cache swappable:
   ``insert`` / ``remove`` / ``evict_idle`` / ``remove_where`` (the slow
   path and the revalidator), ``entries()`` / ``masks()`` / ``find_entry``
   / ``probe_mask`` / ``memory_bytes()`` / hit statistics (dpctl, MFCGuard,
-  the kernel mask cache, the benchmarks).
+  the kernel mask cache, the perf harness).
 * :class:`MegaflowStore` — the shared truth-store machinery: per-mask hash
   dicts, the mask list, the lookup memo, and the hit/miss statistics
   funnel.  Concrete backends subclass it and supply ``_scan`` (how a key
@@ -64,7 +64,6 @@ __all__ = [
     "MASK_BYTES",
     "MegaflowEntry",
     "TssLookupResult",
-    "LookupResult",
     "BatchLookupResult",
     "ProbeCostSnapshot",
     "MegaflowBackend",
@@ -141,11 +140,6 @@ class TssLookupResult:
     @property
     def hit(self) -> bool:
         return self.entry is not None
-
-
-#: Backend-neutral alias — new code should say ``LookupResult``; the
-#: ``TssLookupResult`` name is kept for the existing import surface.
-LookupResult = TssLookupResult
 
 
 @dataclass(frozen=True)
@@ -318,7 +312,7 @@ class MegaflowStore:
     single source of truth for every verdict), the mask list, the lookup
     memo, timestamps/hit counters, and the statistics funnel.  Subclasses
     supply the *index* — whatever accelerating structure they scan — via
-    four hooks:
+    three hooks:
 
     * :meth:`_scan` — resolve one key against the store (the lookup
       algorithm; must route hits through :meth:`_register_hit` and misses
@@ -326,9 +320,7 @@ class MegaflowStore:
     * :meth:`_index_insert` — fold one freshly installed entry into the
       index incrementally (the hot path while an attack detonates);
     * :meth:`_index_invalidate` — mark the index stale after a removal,
-      reorder, or flush (lazily rebuilt by the subclass);
-    * :meth:`_note_hit` / :meth:`_note_miss` — optional scan-order
-      accounting (TSS ``hit_sorted`` resorts).
+      reorder, or flush (lazily rebuilt by the subclass).
 
     The default ``lookup_batch`` / ``batch_scanner`` run the sequential
     path key by key — trivially batch ≡ sequential, because every lookup
@@ -345,7 +337,6 @@ class MegaflowStore:
 
     def __init__(self, check_invariants: bool = False):
         self.check_invariants = check_invariants
-        self.scan_policy = "insertion"
         # Source of truth: per-mask dicts keyed by *reduced* masked keys
         # (only the fields the mask constrains), plus the scan-ordered mask
         # list of Algorithm 1.
@@ -418,12 +409,6 @@ class MegaflowStore:
     def _index_invalidate(self) -> None:
         """Mark the backend index stale (rebuild lazily on next scan)."""
 
-    def _note_hit(self, mask: FlowMask) -> None:
-        """Scan-order accounting hook (TSS ``hit_sorted``)."""
-
-    def _note_miss(self) -> None:
-        """Scan-order accounting hook (TSS ``hit_sorted``)."""
-
     # -- memo ----------------------------------------------------------------------
     def _memo_consult(
         self, key_values: tuple[int, ...], now: float
@@ -444,7 +429,7 @@ class MegaflowStore:
         return memoised
 
     def _memo_store(self, key_values: tuple[int, ...], result: TssLookupResult) -> None:
-        if len(self._memo) < self.MEMO_LIMIT and self.scan_policy == "insertion":
+        if len(self._memo) < self.MEMO_LIMIT:
             self._memo[key_values] = result
 
     def clear_memo(self) -> None:
@@ -549,16 +534,13 @@ class MegaflowStore:
     # -- accounting ------------------------------------------------------------
     def _register_hit(self, entry: MegaflowEntry, now: float) -> None:
         """Single funnel for every served hit — scan, memo, batch, and
-        single-mask probes all feed the same statistics and any scan-order
-        accounting."""
+        single-mask probes all feed the same statistics."""
         entry.hits += 1
         entry.last_used = now
         self.stats_hits += 1
-        self._note_hit(entry.mask)
 
     def _register_miss(self) -> None:
         self.stats_misses += 1
-        self._note_miss()
 
     # -- mutation ---------------------------------------------------------------
     def insert(self, entry: MegaflowEntry, now: float = 0.0) -> MegaflowEntry:
@@ -587,7 +569,6 @@ class MegaflowStore:
             self._tables[entry.mask] = table
             self._mask_fields[entry.mask] = fields
             self._mask_order.append(entry.mask)
-            self._mask_added(entry.mask)
         entry.created_at = now
         entry.last_used = now
         table[reduced] = entry
@@ -626,12 +607,6 @@ class MegaflowStore:
         """
         return nullcontext()
 
-    def _mask_added(self, mask: FlowMask) -> None:
-        """Bookkeeping hook: a new mask entered the mask list."""
-
-    def _mask_removed(self, mask: FlowMask) -> None:
-        """Bookkeeping hook: a mask's last entry was removed."""
-
     def _assert_disjoint(self, entry: MegaflowEntry) -> None:
         for other in self.entries():
             if entry.overlaps(other):
@@ -653,7 +628,6 @@ class MegaflowStore:
             del self._tables[entry.mask]
             del self._mask_fields[entry.mask]
             self._mask_order.remove(entry.mask)
-            self._mask_removed(entry.mask)
         self._invalidate()
         for rebuild in self._rebuild_journals:
             rebuild.note_remove(entry)
@@ -701,13 +675,9 @@ class MegaflowStore:
         self._mask_fields.clear()
         self._mask_order.clear()
         self._n_entries = 0
-        self._flushed()
         self._invalidate()
         for rebuild in self._rebuild_journals:
             rebuild.note_flush()
-
-    def _flushed(self) -> None:
-        """Bookkeeping hook: the whole store was flushed."""
 
     # -- iteration / introspection ----------------------------------------------
     def entries(self) -> Iterator[MegaflowEntry]:
@@ -746,9 +716,9 @@ class MegaflowStore:
     def probe_mask(self, mask: FlowMask, key: FlowKey, now: float = 0.0) -> MegaflowEntry | None:
         """Probe a single mask's hash table (kernel mask-cache fast path).
 
-        Routed through the shared hit accounting, so backends with hit-
-        driven scan orders keep seeing the hottest flows even when the
-        kernel mask memo short-circuits their scans.
+        Routed through the shared hit accounting, so entry hit counters
+        and idle timestamps stay current even when the kernel mask memo
+        short-circuits the scan.
         """
         table = self._tables.get(mask)
         if table is None:

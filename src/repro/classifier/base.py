@@ -5,7 +5,7 @@ Every classifier in this library — the TSS-cached datapath and the
 linear search) — implements :class:`PacketClassifier`: classify a flow key
 and report how much work the lookup did, in classifier-specific *cost
 units* (mask tables probed, trie nodes visited, tree depth plus bucket
-scans, hash probes).  The robustness comparison benchmarks plot those costs
+scans, hash probes).  The ``comparison`` experiment tabulates those costs
 under TSE attack traffic.
 """
 

@@ -25,7 +25,7 @@ wildcarded.  If every constrained bit agrees the rule matches: emit
 * ``k = 1`` (one chunk of all bits) is the **exact-match strategy** of
   Fig. 2: a single mask, exponentially many keys.
 * intermediate ``k`` realises the O(k) time / O(k·2^(w/k)) space trade-off
-  of Theorem 4.1, which the ablation benchmarks sweep.
+  of Theorem 4.1, which the ``theorem41`` experiment sweeps.
 
 Correctness argument (tested property, not just prose): the bits a packet
 un-wildcards pin down its entire decision path — agreeing chunks are pinned

@@ -8,7 +8,7 @@ deepest/highest-priority match wins.
 Why it resists TSE: the structure depends only on the *rule set* — lookup
 cost is bounded by ``O(w^d)`` trie nodes regardless of what traffic arrived
 before, so adversarial packets cannot inflate later lookups.  The §7
-comparison benchmarks show exactly that: flat cost under attack while the
+``comparison`` experiment shows exactly that: flat cost under attack while the
 TSS cache's scan length explodes.
 
 Rules must constrain fields with MSB-anchored prefix masks (exact matches

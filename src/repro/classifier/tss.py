@@ -38,8 +38,8 @@ them systematically).  Filter hits are confirmed against the
 authoritative dicts exactly like sequential candidates, so false
 positives cost a dict probe, never a wrong verdict.  Batch results are
 verdict-for-verdict identical to sequential ``lookup`` — same entries,
-same ``masks_inspected``, same statistics and ``hit_sorted`` resort
-cadence (property-tested in ``tests/test_batch.py``).
+same ``masks_inspected``, same statistics (property-tested in
+``tests/test_batch.py``).
 
 Accelerator invariants:
 
@@ -88,7 +88,6 @@ from repro.classifier.backend import (
 # double as the shared-memory transport's wire format); the underscore names
 # are kept as aliases for existing call sites.
 from repro.classifier.kernel import (
-    COLUMN_SPLITS as _COLUMN_SPLITS,  # noqa: F401  (back-compat alias)
     N_COLUMNS as _N_COLUMNS,
     U64 as _U64,
     WEIGHTS as _WEIGHTS,
@@ -124,10 +123,6 @@ class TupleSpaceSearch(MegaflowStore):
         check_invariants: when True, every insert verifies Inv(2)
             (disjointness) against the whole cache — O(|C|) per insert, used
             by the test suite to prove the slow path correct.
-        scan_policy: ``"insertion"`` scans masks in insertion order (the
-            model of the paper's analysis); ``"hit_sorted"`` periodically
-            re-sorts masks by hit count, an optional OVS-like optimisation
-            exercised by the ablation benchmarks.
         scan_kernel: which :mod:`repro.classifier.kernel` implementation
             computes the batch scan plan — ``"auto"`` (compiled cffi kernel
             when the toolchain allows, numpy otherwise), ``"numpy"`` or
@@ -136,8 +131,6 @@ class TupleSpaceSearch(MegaflowStore):
             verdict (``tests/test_kernel.py``).
     """
 
-    RESORT_INTERVAL = 1024  # lookups between re-sorts under "hit_sorted"
-
     # Probe-cost surface: TSS is the identity case of the probe-native
     # cost plane — one native probe unit is one mask-table probe
     # (``probe_unit_cost() == 1.0``) and a full scan probes every mask
@@ -145,20 +138,10 @@ class TupleSpaceSearch(MegaflowStore):
     # :class:`MegaflowStore`.  Every mask-count-anchored consumer
     # therefore prices TSS exactly as before the probe refactor.
 
-    def __init__(
-        self,
-        check_invariants: bool = False,
-        scan_policy: str = "insertion",
-        scan_kernel: str = "auto",
-    ):
-        if scan_policy not in ("insertion", "hit_sorted"):
-            raise CacheInvariantError(f"unknown scan policy {scan_policy!r}")
+    def __init__(self, check_invariants: bool = False, scan_kernel: str = "auto"):
         super().__init__(check_invariants=check_invariants)
-        self.scan_policy = scan_policy
         self._scan_kernel = make_scan_kernel(scan_kernel)
         self.scan_kernel_name = self._scan_kernel.name
-        self._mask_hits: dict[FlowMask, int] = {}
-        self._lookups_since_sort = 0
         # Vectorised accelerator state.  Inserts update it incrementally
         # (the hot path while an attack detonates); removals and reorders
         # mark it dirty for a lazy rebuild.
@@ -214,15 +197,6 @@ class TupleSpaceSearch(MegaflowStore):
             self._burst_depth -= 1
             if self._burst_depth == 0:
                 self._burst_drain()
-
-    def _mask_added(self, mask: FlowMask) -> None:
-        self._mask_hits[mask] = 0
-
-    def _mask_removed(self, mask: FlowMask) -> None:
-        self._mask_hits.pop(mask, None)
-
-    def _flushed(self) -> None:
-        self._mask_hits.clear()
 
     # -- accelerator maintenance ----------------------------------------------
     def _acc_grow(self, needed: int) -> None:
@@ -427,8 +401,8 @@ class TupleSpaceSearch(MegaflowStore):
 
         Equivalent to ``[self.lookup(k, now) for k in keys]`` — entry for
         entry, ``masks_inspected`` for ``masks_inspected``, including memo
-        consultation and ``hit_sorted`` resort cadence — but the (N x M)
-        mask/hash work runs as a handful of numpy operations.
+        consultation — but the (N x M) mask/hash work runs as a handful of
+        numpy operations.
         """
         keys = list(keys)
         scanner = _BatchScanner(self, keys, now)
@@ -468,23 +442,6 @@ class TupleSpaceSearch(MegaflowStore):
                     return entry
         return None
 
-    # -- hit_sorted accounting ---------------------------------------------------
-    def _note_hit(self, mask: FlowMask) -> None:
-        if self.scan_policy == "hit_sorted":
-            self._mask_hits[mask] = self._mask_hits.get(mask, 0) + 1
-            self._maybe_resort()
-
-    def _note_miss(self) -> None:
-        if self.scan_policy == "hit_sorted":
-            self._maybe_resort()
-
-    def _maybe_resort(self) -> None:
-        self._lookups_since_sort += 1
-        if self._lookups_since_sort >= self.RESORT_INTERVAL:
-            self._lookups_since_sort = 0
-            self._mask_order.sort(key=lambda m: -self._mask_hits.get(m, 0))
-            self._invalidate()
-
     def __repr__(self) -> str:
         return f"TupleSpaceSearch({self.n_masks} masks, {self.n_entries} entries)"
 
@@ -498,7 +455,7 @@ class _BatchScanner:
     coherence rules keep it honest while the caller mutates the cache
     between keys:
 
-    * a scan-order change (resort, removal, shuffle, flush) bumps the
+    * a scan-order change (removal, shuffle, flush) bumps the
       cache's ``_order_seq``; the scanner replans from the current key;
     * inserts since the plan snapshot (``n_entries`` moved; removals fall
       under the first rule) matter only on a plan *miss* — under Inv(2) a

@@ -64,7 +64,6 @@ from repro.classifier.backend import (
     TssLookupResult,
     register_megaflow_backend,
 )
-from repro.exceptions import CacheInvariantError
 from repro.packet.fields import FIELD_ORDER, FlowKey, FlowMask
 
 __all__ = ["TupleChainSearch"]
@@ -84,15 +83,9 @@ class TupleChainSearch(MegaflowStore):
 
     Args:
         check_invariants: verify Inv(2) on every insert (tests).
-        scan_policy: only ``"insertion"`` — the chain walk has no scan
-            order to re-sort, so ``hit_sorted`` is meaningless here.
     """
 
-    def __init__(self, check_invariants: bool = False, scan_policy: str = "insertion"):
-        if scan_policy != "insertion":
-            raise CacheInvariantError(
-                f"TupleChainSearch has no scan order; unsupported scan policy {scan_policy!r}"
-            )
+    def __init__(self, check_invariants: bool = False):
         super().__init__(check_invariants=check_invariants)
         self._root: _Node = {}
         self._trie_dirty = False

@@ -10,9 +10,9 @@ field: time ``O(prod k_i)`` and space ``O(prod k_i * (2^(w_i/k_i) - 1))``.
 This module evaluates the bounds, computes the *constructive* cost of the
 chunked strategy of :mod:`repro.classifier.slowpath` (its masks and entry
 counts in closed form), and verifies that construction meets the bound —
-the benchmarks sweep ``k`` to draw the trade-off curves the theorems
-describe, and the tests check the constructive numbers against a real
-cache populated by exhaustive traffic.
+the ``theorem41`` / ``theorem42`` experiments sweep ``k`` to draw the
+trade-off curves the theorems describe, and the tests check the
+constructive numbers against a real cache populated by exhaustive traffic.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 PR 4's probe-cost plane made the tuple-space-explosion attack *visible* as
 a number: a detonated TSS shard's ``expected_scan_cost`` explodes with the
 mask count while a grouped backend's stays near its pre-attack level — a
-~600× victim-floor gap under the same 8k-mask detonation
-(``results/BENCH_probe.json``).  This module turns that gap into an
-*online* defense: when a shard's expected scan cost crosses a threshold,
+~600× victim-floor gap under the same 8k-mask detonation.  This module
+turns that gap into an *online* defense: when a shard's expected scan cost
+crosses a threshold,
 :class:`MigrationController` rebuilds that shard's megaflow cache as the
 cheap-to-scan target backend in the background (bounded slices through
 :class:`~repro.classifier.backend.BackendRebuild`, the truth-store dicts

@@ -23,9 +23,8 @@ regimes, both covered here:
 The headline contrast: after the attack both backends hold the same
 exploded mask list, but TSS's expected scan cost *is* that mask count
 while the grouped backend's chain walk stays near its pre-attack level —
-so only the TSS victim starves.  ``benchmarks/bench_probe.py`` guards the
-netsim contrast on the full 8k-mask SipSpDp detonation and
-``bench_backend.py`` pins the wall-clock replay numbers.
+so only the TSS victim starves (asserted on the golden run in
+``tests/test_experiments.py``).
 """
 
 from __future__ import annotations
@@ -127,8 +126,7 @@ def run(
     """Run the three-phase probe table and the netsim time series per backend.
 
     ``netsim_use_case`` defaults to ``use_case_name``; pass ``"SipSpDp"``
-    for the full 8k-mask detonation of the acceptance guard (what
-    ``bench_probe.py`` runs).  ``netsim=False`` skips the time-series
+    for the full 8k-mask detonation.  ``netsim=False`` skips the time-series
     phase (bare-classifier probe table only).
     """
     case = use_case(use_case_name)

@@ -2,8 +2,8 @@
 
 Every experiment module exposes ``run(**params) -> ExperimentResult``; the
 result carries the table/series the paper's figure reports plus notes on
-paper-vs-measured agreement.  Benchmarks wrap the same ``run`` functions,
-and ``python -m repro.experiments <id>`` prints them.
+paper-vs-measured agreement.  ``python -m repro.experiments <id>`` prints
+them, and ``tests/golden/<id>.txt`` pins every one byte for byte.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class ExperimentResult:
         return [row[index] for row in self.rows]
 
     def format_table(self) -> str:
-        """Aligned text rendering (what the CLI and benches print)."""
+        """Aligned text rendering (what the CLI prints and the goldens pin)."""
         cells = [[format_cell(v) for v in row] for row in self.rows]
         headers = [str(c) for c in self.columns]
         widths = [

@@ -42,9 +42,7 @@ def _simulate_demotion(attack_pps: float, sim_seconds: float = 30.0) -> float:
     guard = MFCGuard(datapath, MFCGuardConfig(mask_threshold=100, cpu_threshold_pct=1000.0))
 
     # Warm up: one full trace pass installs the tuple space.
-    now = 0.0
-    for key in trace.keys:
-        datapath.process(key, now=now)
+    datapath.process_batch(trace.keys, now=0.0)
     guard.run(now=10.0)
 
     # Steady state: replay for sim_seconds at attack_pps (time-compressed —

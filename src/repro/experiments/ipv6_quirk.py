@@ -51,8 +51,7 @@ def _attack(strategy: StrategyConfig, n_packets: int, seed: int) -> Datapath:
         base={"eth_type": ETHERTYPE_IPV6, "ip_proto": PROTO_TCP},
         seed=seed,
     )
-    for key in source.keys(n_packets):
-        datapath.process(key)
+    datapath.process_batch(list(source.keys(n_packets)))
     return datapath
 
 

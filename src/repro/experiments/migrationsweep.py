@@ -2,9 +2,10 @@
 
 ``backendsweep`` measured the *deployment* gap: under the same 8k-mask
 SipSpDp detonation a TSS victim floors at ~0.004 Gbps while a tuplechain
-victim keeps ~2.4 (``results/BENCH_probe.json``).  This experiment measures
-the *online* version of that gap (ROADMAP item 3): every run starts on TSS,
-gets detonated, and differs only in which recovery policy is armed —
+victim keeps ~2.4 (``backendsweep.run(netsim_use_case="SipSpDp")``).  This
+experiment measures the *online* version of that gap (ROADMAP item 3):
+every run starts on TSS, gets detonated, and differs only in which
+recovery policy is armed —
 
 * ``none`` — no defense; the victim stays floored until the attack stops.
 * ``guard`` — MFCGuard only (§8): deletes adversarial entries each period;
@@ -23,9 +24,10 @@ holds an absolute service bar again, in-attack — see
 :func:`run_policy_cell`) and the collateral the recovery cost — entries
 deleted (permanent upcalls), peak upcall rate, peak rebuild memory (the
 target backend being built next to the live one).
-``benchmarks/bench_migration.py`` guards the headline ratio — the hybrid
-policy's recovered victim floor vs the undefended TSS floor — and the
-swap's verdict-for-verdict identity.
+``tests/test_experiments.py`` asserts the headline ratio — the hybrid
+policy's recovered victim floor vs the undefended TSS floor — on the
+SipDp-sized golden run; ``tests/test_migration.py`` holds the swap's
+verdict-for-verdict identity.
 """
 
 from __future__ import annotations

@@ -31,9 +31,9 @@ plays:
 Scored on **round tails**: the victim's minimum settled rate over the
 second half of every retargeting round — after the defender has had its
 chance to respond, before the attacker moves again.  The headline ratio
-(rebalancing tail floor vs. static tail floor, acceptance >= 10x) is
-guarded by ``benchmarks/bench_rebalance.py`` alongside the re-map's
-zero-drop invariant.
+(rebalancing tail floor vs. static tail floor, >= 10x at CLI defaults) is
+asserted on the SipDp-sized golden run in ``tests/test_experiments.py``;
+the re-map's zero-drop invariant is ``tests/test_rebalance.py``.
 """
 
 from __future__ import annotations

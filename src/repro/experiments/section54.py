@@ -55,8 +55,7 @@ def run(use_cases: Sequence[UseCase] = (DP, SPDP, SIPDP, SIPSPDP)) -> Experiment
         table = use_case.build_table()
         trace = ColocatedTraceGenerator(table, base={"ip_proto": PROTO_TCP}).generate()
         datapath = Datapath(table, DatapathConfig(microflow_capacity=0))
-        for key in trace.keys:
-            datapath.process(key)
+        datapath.process_batch(trace.keys)
         masks = datapath.n_masks
         paper = PAPER_PERCENTAGES[use_case.name]
         result.add_row(

@@ -11,7 +11,7 @@ could not explain on OpenStack (§5.5): when the attacker resumes, flows
 that were already active keep their mask memo and suffer only a minor dip,
 while newly established flows see the full tuple-space-explosion damage.
 The cache is disabled by default and switched on by the OpenStack
-environment profile; an ablation benchmark flips it.
+environment profile.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import settings
 from repro.classifier.actions import ALLOW
 from repro.classifier.flowtable import FlowTable
 from repro.classifier.rule import Match
+from repro.experiments import run_experiment
 from tests.settlement_oracle import ride_along
 
 # The nightly CI leg runs the property-based tests with a 10x example
@@ -60,3 +62,13 @@ def settlement_oracle():
     """Check every settlement call of the test against the scalar loops."""
     with ride_along() as oracle:
         yield oracle
+
+
+@pytest.fixture(scope="session")
+def golden_run():
+    """``golden_run(id)``: experiment ``id`` at the parameters
+    ``tests/test_golden.py`` pins, simulated once per session — the golden
+    comparison and every paper-shape assertion read the same result."""
+    from tests.test_golden import CASES
+
+    return functools.cache(lambda experiment_id: run_experiment(experiment_id, **CASES[experiment_id]))

@@ -141,10 +141,6 @@ class TestRegistry:
         datapath = Datapath(FlowTable(), megaflows=cache)
         assert datapath.megaflows is cache
 
-    def test_tuplechain_rejects_hit_sorted(self):
-        with pytest.raises(CacheInvariantError):
-            TupleChainSearch(scan_policy="hit_sorted")
-
     def test_non_empty_injected_backend_rejected(self):
         from repro.exceptions import SwitchError
 

@@ -1,7 +1,7 @@
 """Differential tests: the batch pipeline ≡ the sequential pipeline.
 
 The batched datapath is an optimisation, never a semantic change: for any
-rule set, traffic mix, scan policy, and mid-stream cache churn, running a
+rule set, traffic mix, scan order, and mid-stream cache churn, running a
 key sequence through ``lookup_batch``/``process_batch`` must produce the
 same entries, ``masks_inspected``, verdicts, statistics, and installed
 megaflows as the per-key path.  These tests drive both pipelines over
@@ -100,23 +100,20 @@ def assert_caches_equal(a: TupleSpaceSearch, b: TupleSpaceSearch):
 @given(
     rules=rule_sets(),
     keys=st.lists(flow_keys(), min_size=1, max_size=30),
-    policy=st.sampled_from(["insertion", "hit_sorted"]),
-    resort_interval=st.integers(min_value=2, max_value=16),
 )
-def test_lookup_batch_equivalent(rules, keys, policy, resort_interval):
-    """lookup_batch ≡ sequential lookup, both scan policies."""
+def test_lookup_batch_equivalent(rules, keys):
+    """lookup_batch ≡ sequential lookup."""
     table = FlowTable(rules=rules)
     generator = MegaflowGenerator(table)
 
     def build():
-        cache = TupleSpaceSearch(scan_policy=policy)
-        cache.RESORT_INTERVAL = resort_interval
+        cache = TupleSpaceSearch()
         for key in keys:
             cache.insert(generator.generate(key).entry)
         return cache
 
-    # Replay the keys (now all hits) plus the keys again (memo / resort
-    # interplay) through both paths.
+    # Replay the keys (now all hits) plus the keys again (memo interplay)
+    # through both paths.
     replay = list(keys) + list(keys)
     a, b = build(), build()
     sequential = [a.lookup(k, now=1.0) for k in replay]
@@ -129,17 +126,15 @@ def test_lookup_batch_equivalent(rules, keys, policy, resort_interval):
 @given(
     rules=rule_sets(),
     keys=st.lists(flow_keys(), min_size=4, max_size=24),
-    policy=st.sampled_from(["insertion", "hit_sorted"]),
     drop_every=st.integers(min_value=2, max_value=5),
 )
-def test_lookup_batch_equivalent_with_churn(rules, keys, policy, drop_every):
+def test_lookup_batch_equivalent_with_churn(rules, keys, drop_every):
     """Equivalence holds across mid-stream inserts and removals of masks."""
     table = FlowTable(rules=rules)
     generator = MegaflowGenerator(table)
 
     def run(batched: bool):
-        cache = TupleSpaceSearch(scan_policy=policy)
-        cache.RESORT_INTERVAL = 8
+        cache = TupleSpaceSearch()
         transcript = []
         installed = []
         for round_no in range(3):
@@ -206,20 +201,18 @@ def scanner_scripts(draw):
 @given(
     rules=rule_sets(),
     script=scanner_scripts(),
-    policy=st.sampled_from(["insertion", "hit_sorted"]),
+    shuffle_every=st.sampled_from([0, 3, 8]),
     with_rows=st.booleans(),
 )
-def test_batch_scanner_without_spawn_replans_on_inserts(rules, script, policy, with_rows):
-    """A scanner nobody names megaflows to stays ≡ lookup by replanning."""
+def test_batch_scanner_without_spawn_replans_on_inserts(rules, script, shuffle_every, with_rows):
+    """A scanner nobody names megaflows to stays ≡ lookup by replanning.
+
+    ``shuffle_every`` reorders the mask list between ``result(i)`` calls
+    (0: never): a scan-order change must make the scanner replan too.
+    """
     keys, inserts = script
     generator = MegaflowGenerator(FlowTable(rules=rules))
-
-    def mk():
-        cache = TupleSpaceSearch(check_invariants=True, scan_policy=policy)
-        cache.RESORT_INTERVAL = 8
-        return cache
-
-    a, b = mk(), mk()
+    a, b = TupleSpaceSearch(check_invariants=True), TupleSpaceSearch(check_invariants=True)
     rows = to_column_matrix([key.values for key in keys]) if with_rows else None
     scanner = b.batch_scanner(keys, now=1.0, rows=rows)
     scanner.CHUNK_ELEMS = 1  # 32-key planning chunks: the longer scripts cross one
@@ -227,6 +220,8 @@ def test_batch_scanner_without_spawn_replans_on_inserts(rules, script, policy, w
         for cache in (a, b):
             for spawning_key in inserts[i]:
                 cache.insert(generator.generate(spawning_key).entry, now=1.0)
+            if shuffle_every and i % shuffle_every == shuffle_every - 1:
+                cache.shuffle_masks(seed=i)
         expected = a.lookup(key, now=1.0)
         got = scanner.result(i)
         assert_results_equal([expected], [got])
@@ -360,16 +355,19 @@ def _replay_burst(trace, copies=3, seed=7):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("policy", ["insertion", "hit_sorted"])
+@pytest.mark.parametrize("order", ["insertion", "reshuffled"])
 @pytest.mark.parametrize("check_invariants", [True, False])
 @pytest.mark.parametrize("case", ["replay", "flow_limit", "killed", "rejected_duplicates"])
-def test_process_batch_one_burst_replay_equivalent(case, check_invariants, policy, kernel):
+def test_process_batch_one_burst_replay_equivalent(case, check_invariants, order, kernel):
     """trace x3 as ONE process_batch ≡ per-key process, not-installed paths included.
 
     Per-key ``process`` is the scalar engine (one ``generate`` per upcall).
     Both sides run with the caches' self-checks on, and again with them off
     — the configuration every experiment runs, where a deferred mask's scan
-    position is trusted, not re-derived.
+    position is trusted, not re-derived.  ``reshuffled`` cuts the burst in two
+    around a ``shuffle_masks`` — burst, churn, burst, as every sweep's set-up
+    detonates — so the second burst plans over a rebuilt index whose scan
+    order is no longer insertion order.
     """
     trace = _detonation_trace(SIPDP)
     keys = _replay_burst(trace)
@@ -383,18 +381,14 @@ def test_process_batch_one_burst_replay_equivalent(case, check_invariants, polic
         keys = [key for key in trace for _ in range(2)]
 
     def mk():
-        cache = TupleSpaceSearch(
-            check_invariants=check_invariants, scan_policy=policy, scan_kernel=kernel
-        )
-        cache.RESORT_INTERVAL = 64
         datapath = Datapath(
             SIPDP.build_table(),
             DatapathConfig(
                 microflow_capacity=0,
                 max_megaflows=max_megaflows,
                 check_invariants=check_invariants,
+                scan_kernel=kernel,
             ),
-            megaflows=cache,
         )
         if case == "killed":
             # Install a slice of the staircase, then kill part of it for
@@ -406,19 +400,24 @@ def test_process_batch_one_burst_replay_equivalent(case, check_invariants, polic
         return datapath
 
     a, b = mk(), mk()
-    sequential, mask_counts = [], []
-    for key in keys:
-        mask_counts.append(a.n_masks)
-        sequential.append(a.process(key, now=1.0))
-    batch = b.process_batch(keys, now=1.0)
-    assert_verdicts_equal(sequential, batch.verdicts)
-    assert list(batch.mask_counts) == mask_counts
-    assert batch.upcalls == sum(1 for v in sequential if v.is_upcall)
-    for verdict in batch.verdicts:
-        if verdict.installed is not None:
-            stored = b.megaflows.get_entry(verdict.installed.mask, verdict.installed.key)
-            assert stored is verdict.installed
-    assert_datapaths_equal(a, b)
+    cut = len(keys) // 2
+    for n, burst in enumerate([keys] if order == "insertion" else [keys[:cut], keys[cut:]]):
+        if n:
+            a.megaflows.shuffle_masks(seed=5)
+            b.megaflows.shuffle_masks(seed=5)
+        sequential, mask_counts = [], []
+        for key in burst:
+            mask_counts.append(a.n_masks)
+            sequential.append(a.process(key, now=1.0))
+        batch = b.process_batch(burst, now=1.0)
+        assert_verdicts_equal(sequential, batch.verdicts)
+        assert list(batch.mask_counts) == mask_counts
+        assert batch.upcalls == sum(1 for v in sequential if v.is_upcall)
+        for verdict in batch.verdicts:
+            if verdict.installed is not None:
+                stored = b.megaflows.get_entry(verdict.installed.mask, verdict.installed.key)
+                assert stored is verdict.installed
+        assert_datapaths_equal(a, b)
     if case in ("flow_limit", "rejected_duplicates"):
         assert b.stats.install_rejected > 0 and b.n_megaflows == max_megaflows
     elif case == "killed":

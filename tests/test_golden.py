@@ -1,14 +1,20 @@
-"""Golden outputs of the eight Fig. 7 netsim experiments and ``cloudsweep``.
+"""Golden outputs: every experiment id, byte for byte.
 
-``tests/golden/<id>.txt`` is ``ExperimentResult.save`` output, generated at
-the commit *before* the experiments moved onto
-:mod:`repro.experiments.scenario` (``cloudsweep.txt``: before settlement
-collapsed onto one pass); any refactor of those layers must keep
-``format_table()`` byte-identical.  The six cheap experiments run at their
-CLI defaults; ``migrationsweep`` / ``rsssweep`` (~18 s each at defaults)
-run a SipDp-sized detonation that still walks every branch — guard
-deletions, a backend swap, four re-maps; ``cloudsweep`` runs both plans
-over a 2 x 3 x 100 fleet, the only experiment on the fleet settlement path.
+``tests/golden/<id>.txt`` is ``ExperimentResult.save`` output.  Each file
+was generated at the commit *before* the refactor that could have moved it
+(the Fig. 7 netsim experiments: before :mod:`repro.experiments.scenario`;
+``cloudsweep``: before settlement collapsed onto one pass; the twelve paper
+tables and figures added last: before their detonations moved onto
+``process_batch``), so ``format_table()`` must stay byte-identical.
+Everything runs at its CLI defaults except ``migrationsweep`` /
+``rsssweep`` (~18 s each at defaults), which run a SipDp-sized detonation
+that still walks every branch — guard deletions, a backend swap, four
+re-maps — and ``cloudsweep``, which runs both plans over a 2 x 3 x 100
+fleet, the only experiment on the fleet settlement path.
+
+The ``golden_run`` fixture (``tests/conftest.py``) simulates each id once
+per session; ``tests/test_experiments.py`` asserts the paper's shapes on
+the same results.
 
 Regenerate (only when an experiment's output is *meant* to change)::
 
@@ -22,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import migrationsweep, run_experiment
+from repro.experiments import EXPERIMENTS, migrationsweep, run_experiment
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -71,11 +77,14 @@ CASES: dict[str, dict] = {
 }
 
 
+def test_every_experiment_is_pinned():
+    assert set(CASES) == set(EXPERIMENTS)
+
+
 @pytest.mark.parametrize("experiment_id", sorted(CASES))
-def test_output_matches_golden(experiment_id):
-    result = run_experiment(experiment_id, **CASES[experiment_id])
+def test_output_matches_golden(experiment_id, golden_run):
     golden = (GOLDEN_DIR / f"{experiment_id}.txt").read_text()
-    assert result.format_table() + "\n" == golden
+    assert golden_run(experiment_id).format_table() + "\n" == golden
 
 
 if __name__ == "__main__":  # pragma: no cover

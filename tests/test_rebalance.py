@@ -194,11 +194,13 @@ class TestRemapMigration:
         datapath, keys = detonated(4, executor=executor)
         try:
             before = entry_union(datapath)
+            before_masks = datapath.n_masks
             rekeyed = RetaDispatcher(4, five_tuple_hash, salt=SALTS[1])
             status = datapath.rebalance(rekeyed)
             assert status["remaps"] == 1
             assert status["entries_moved"] > 0
             assert entry_union(datapath) == before
+            assert datapath.n_masks == before_masks
             # Every entry sits at its masked key's home now.
             for shard_id, shard in enumerate(datapath.shards):
                 for entry in shard.megaflows.entries():
@@ -206,6 +208,18 @@ class TestRemapMigration:
             # Re-mapping onto the same dispatcher moves nothing more.
             again = datapath.rebalance(rekeyed.with_salt(SALTS[1]))
             assert again["entries_moved"] == status["entries_moved"]
+            # Entries re-home by masked key, packets dispatch by full
+            # 5-tuple: a first replay may re-warm copies on the packets'
+            # new queues, a second must take no upcall — placement
+            # transients, never losses.
+            datapath.process_batch(keys)
+            warmed = datapath.stats.upcalls
+            datapath.process_batch(keys)
+            assert datapath.stats.upcalls == warmed
+            # The way back (salt 0) preserves the union too: re-warmed
+            # duplicates share (mask, masked key) and converge on one home.
+            datapath.rebalance(rekeyed.with_salt(0))
+            assert entry_union(datapath) == before
         finally:
             datapath.close()
 

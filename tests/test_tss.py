@@ -93,10 +93,6 @@ class TestInvariants:
         with pytest.raises(CacheInvariantError):
             cache.verify_disjoint()
 
-    def test_bad_scan_policy(self):
-        with pytest.raises(CacheInvariantError):
-            TupleSpaceSearch(scan_policy="bogus")
-
 
 class TestRemoveEvict:
     def test_remove(self):
@@ -264,24 +260,3 @@ class TestAcceleratorGrowth:
         cache._memo.clear()
         for key in entries:
             assert cache.lookup(key).hit
-
-
-class TestHitSortedPolicy:
-    def test_hot_mask_moves_forward(self):
-        cache = TupleSpaceSearch(scan_policy="hit_sorted")
-        cache.RESORT_INTERVAL = 8
-        cold = cache.insert(entry(0x8000, tp_dst_mask=0x8000))
-        hot = cache.insert(entry(0x4000, tp_dst_mask=0xC000))
-        assert cache.masks()[0] == cold.mask
-        for _ in range(64):
-            cache.lookup(FlowKey(tp_dst=0x4000))
-        assert cache.masks()[0] == hot.mask
-
-    def test_lookup_results_unchanged_by_resort(self):
-        cache = TupleSpaceSearch(scan_policy="hit_sorted")
-        cache.RESORT_INTERVAL = 4
-        cache.insert(entry(0x8000, tp_dst_mask=0x8000, action=DENY))
-        cache.insert(entry(0x4000, tp_dst_mask=0xC000, action=ALLOW))
-        for _ in range(32):
-            assert cache.lookup(FlowKey(tp_dst=0x4001)).entry.action == ALLOW
-            assert cache.lookup(FlowKey(tp_dst=0x8001)).entry.action == DENY

@@ -635,7 +635,15 @@ class MegaflowStore:
 
     def remove_where(self, predicate: Callable[[MegaflowEntry], bool]) -> list[MegaflowEntry]:
         """Remove and return every entry satisfying ``predicate``."""
-        victims = [entry for entry in self.entries() if predicate(entry)]
+        # The victim list is complete before the first removal, so the
+        # truth dicts are read directly — no defensive copies as in entries().
+        tables = self._tables
+        victims = [
+            entry
+            for mask in self._mask_order
+            for entry in tables[mask].values()
+            if predicate(entry)
+        ]
         for entry in victims:
             self.remove(entry)
         return victims

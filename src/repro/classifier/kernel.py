@@ -7,7 +7,12 @@ each compound through the byte membership filter, and report per key whether
 any mask produced a filter hit plus where the first hit sits.  Everything
 semantic — dict confirmation, probe accounting, the fallback walks — stays in
 ``tss.py``; this module owns only that numeric plan, behind a small kernel
-interface so the implementation is selectable like a backend:
+interface so the implementation is selectable like a backend.  The
+interface has two steps: ``prepare`` digests the mask list (work linear in
+masks, done once per mask-list change and cached by the store) and
+``build_plan`` scans one chunk of keys against that digest — a 5-packet
+burst pays for 5 scans, not for re-deriving what only the masks determine.
+Two implementations:
 
 * :class:`NumpyScanKernel` — the portable reference: the exact vectorised
   numpy pass PR 1 introduced (dense compound matrix + one filter gather).
@@ -70,6 +75,7 @@ __all__ = [
     "to_column_matrix",
     "row_hash",
     "ScanPlan",
+    "ScanOperands",
     "ScanKernel",
     "NumpyScanKernel",
     "CffiScanKernel",
@@ -169,21 +175,71 @@ class DenseScanPlan(ScanPlan):
         return index, int(self._compounds[j, index])
 
 
+class ScanOperands:
+    """The scan's mask-side operands, in one kernel's layout (immutable).
+
+    Everything a plan needs that depends only on the mask list: which
+    columns any mask constrains (``active``), the mask matrix compacted to
+    those columns, the matching hash weights and the per-mask salts.  Built
+    by :meth:`ScanKernel.prepare` and reused by every
+    :meth:`ScanKernel.build_plan` until the mask list changes.  The owner
+    then drops its reference and prepares a fresh one — an instance is
+    never written after construction, so pointers a live plan holds into
+    it stay valid for as long as the plan pins it.
+    """
+
+    __slots__ = ("active", "masks", "weights", "salts", "pointers")
+
+    def __init__(self, active, masks, weights, salts, pointers=None):
+        self.active = active      # indices of the contributing columns
+        self.masks = masks        # compacted mask matrix (kernel's layout)
+        self.weights = weights    # WEIGHTS[active]
+        self.salts = salts        # (n_masks,) uint64
+        self.pointers = pointers  # cffi: (masks, weights, salts) cast once
+
+    def equals(self, other: "ScanOperands") -> bool:
+        """Same operands, value for value (the cache-coherence check)."""
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("active", "masks", "weights", "salts")
+        )
+
+
 class ScanKernel:
-    """Interface every scan kernel implements (registered like a backend)."""
+    """Interface every scan kernel implements (registered like a backend).
+
+    Two steps, split by what their inputs depend on.  :meth:`prepare`
+    digests the mask list — ``masks`` is the (n_masks x N_COLUMNS) uint64
+    mask matrix in scan order, ``salts`` the (n_masks,) per-mask salts —
+    into a :class:`ScanOperands` snapshot; its cost is linear in masks and
+    is paid once per mask-list change, not once per burst.
+    :meth:`build_plan` scans one chunk of keys against a snapshot plus the
+    per-plan state: the membership filter and the sorted compound set move
+    with every insert, so they are passed fresh.
+    """
 
     name = "abstract"
 
+    def prepare(self, masks: np.ndarray, salts: np.ndarray) -> ScanOperands:
+        raise NotImplementedError
+
     def build_plan(
         self,
-        rows: np.ndarray,       # (n_keys x N_COLUMNS) uint64 key matrix
-        masks: np.ndarray,      # (n_masks x N_COLUMNS) uint64 mask matrix
-        salts: np.ndarray,      # (n_masks,) uint64 per-mask salts
+        rows: np.ndarray,        # (n_keys x N_COLUMNS) uint64 key matrix
+        operands: ScanOperands,  # this kernel's prepare(masks, salts)
         filter_bytes: np.ndarray,  # (2**log2,) uint8 membership filter
-        filter_shift: int,      # 64 - log2
-        compounds: np.ndarray,  # sorted uint64 entry-compound set (exact)
+        filter_shift: int,       # 64 - log2
+        compounds: np.ndarray,   # sorted uint64 entry-compound set (exact)
     ) -> ScanPlan:
         raise NotImplementedError
+
+
+def _active_columns(masks: np.ndarray) -> np.ndarray:
+    """Columns some mask constrains.  Most are fully wildcarded across the
+    whole tuple space; their AND/MUL terms are identically zero, so both
+    kernels skip them (uint64 addition is commutative: the compound is
+    bit-identical)."""
+    return np.flatnonzero(masks.any(axis=0))
 
 
 class NumpyScanKernel(ScanKernel):
@@ -191,30 +247,37 @@ class NumpyScanKernel(ScanKernel):
 
     name = "numpy"
 
-    def build_plan(self, rows, masks, salts, filter_bytes, filter_shift, compounds):
+    def prepare(self, masks, salts):
+        active = _active_columns(masks)
+        # Column-major, so each broadcast operand below is one contiguous row.
+        return ScanOperands(
+            active,
+            np.ascontiguousarray(masks[:, active].T),
+            WEIGHTS[active],
+            salts.copy(),
+        )
+
+    def build_plan(self, rows, operands, filter_bytes, filter_shift, compounds):
         n_keys = len(rows)
-        n = len(masks)
-        # Most mask columns are fully wildcarded across the whole tuple
-        # space; their AND/MUL terms are identically zero and are skipped.
-        columns = np.flatnonzero(masks.any(axis=0)).tolist()
-        shape = (n_keys, n)
+        shape = (n_keys, len(operands.salts))
+        columns = operands.active.tolist()
+        mask_columns, weights = operands.masks, operands.weights
         if not columns:
             acc = np.zeros(shape, dtype=np.uint64)
         else:
-            first_col = columns[0]
-            acc = np.bitwise_and(rows[:, first_col, None], masks[None, :, first_col])
-            acc *= WEIGHTS[first_col]
+            acc = np.bitwise_and(rows[:, columns[0], None], mask_columns[0][None, :])
+            acc *= weights[0]
             if len(columns) > 1:
                 scratch = np.empty(shape, dtype=np.uint64)
-                for column in columns[1:]:
+                for k in range(1, len(columns)):
                     np.bitwise_and(
-                        rows[:, column, None],
-                        masks[None, :, column],
+                        rows[:, columns[k], None],
+                        mask_columns[k][None, :],
                         out=scratch,
                     )
-                    scratch *= WEIGHTS[column]
+                    scratch *= weights[k]
                     acc += scratch
-        acc ^= salts[None, :]
+        acc ^= operands.salts[None, :]
         cand = filter_bytes[
             (acc >> np.uint64(filter_shift)).astype(np.intp)
         ].view(bool)
@@ -427,42 +490,47 @@ class CffiScanPlan(ScanPlan):
 
     __slots__ = (
         "has", "first", "first_compound",
-        "_lib", "_n_masks", "_n_cols", "_n_comps", "_shift", "_fallback",
-        "_arrays",
+        "_lib", "_ffi", "_n_masks", "_n_cols", "_n_comps", "_shift",
+        "_fallback", "_pinned",
         "_p_rows", "_p_masks", "_p_weights", "_p_salts", "_p_filter",
-        "_p_comps", "_idx_buf", "_comp_buf", "_p_idx", "_p_comp",
+        "_p_comps", "_hit_buffers",
     )
 
-    def __init__(self, has, first, first_compound, lib, ffi,
-                 rows_c, masks_c, weights_c, salts_c, filt_c, comps_c, shift):
+    def __init__(self, has, first, first_compound, lib, ffi, operands,
+                 arrays, pointers, shift):
         self.has = has
         self.first = first
         self.first_compound = first_compound
         self._lib = lib
-        self._n_masks = len(salts_c)
-        self._n_cols = rows_c.shape[1]
-        self._n_comps = len(comps_c)
+        self._ffi = ffi
+        self._n_masks = len(operands.salts)
+        self._n_cols = len(operands.active)
+        self._n_comps = len(arrays[2])  # arrays: rows, filter, compounds
         self._shift = shift
         self._fallback: dict[int, tuple[list[tuple[int, int]], bool]] = {}
-        # Pointers are cast once; the numpy arrays are pinned on the plan so
-        # the addresses stay alive as long as the plan does.
-        self._arrays = (rows_c, masks_c, weights_c, salts_c, filt_c, comps_c)
-        self._p_rows = ffi.cast("const uint64_t *", rows_c.ctypes.data)
-        self._p_masks = ffi.cast("const uint64_t *", masks_c.ctypes.data)
-        self._p_weights = ffi.cast("const uint64_t *", weights_c.ctypes.data)
-        self._p_salts = ffi.cast("const uint64_t *", salts_c.ctypes.data)
-        self._p_filter = ffi.cast("const uint8_t *", filt_c.ctypes.data)
-        self._p_comps = ffi.cast("const uint64_t *", comps_c.ctypes.data)
-        self._idx_buf = np.empty(self.MAX_HITS, dtype=np.int64)
-        self._comp_buf = np.empty(self.MAX_HITS, dtype=np.uint64)
-        self._p_idx = ffi.cast("int64_t *", self._idx_buf.ctypes.data)
-        self._p_comp = ffi.cast("uint64_t *", self._comp_buf.ctypes.data)
+        # The arrays behind every pointer are pinned on the plan so the
+        # addresses stay alive as long as the plan does (the operands
+        # snapshot is immutable, so outliving the store's reference is safe).
+        self._pinned = (operands, arrays)
+        self._p_rows, self._p_filter, self._p_comps = pointers
+        self._p_masks, self._p_weights, self._p_salts = operands.pointers
+        self._hit_buffers = None  # allocated by the first fall-back fetch
 
     def _fetch(self, j: int, start: int) -> tuple[list[tuple[int, int]], bool]:
         """The (index, compound) filter hits for key ``j`` from mask
         ``start`` on (one C call), plus whether the fetch was truncated."""
         if start >= self._n_masks:
             return [], False
+        if self._hit_buffers is None:
+            indices = np.empty(self.MAX_HITS, dtype=np.int64)
+            compounds = np.empty(self.MAX_HITS, dtype=np.uint64)
+            self._hit_buffers = (
+                indices,
+                compounds,
+                self._ffi.cast("int64_t *", indices.ctypes.data),
+                self._ffi.cast("uint64_t *", compounds.ctypes.data),
+            )
+        indices, compounds, p_indices, p_compounds = self._hit_buffers
         count = self._lib.tss_scan_hits(
             self._p_rows + j * self._n_cols,
             self._p_masks + start * self._n_cols,
@@ -475,10 +543,9 @@ class CffiScanPlan(ScanPlan):
             self._n_masks - start,
             self._n_cols,
             self.MAX_HITS,
-            self._p_idx,
-            self._p_comp,
+            p_indices,
+            p_compounds,
         )
-        indices, compounds = self._idx_buf, self._comp_buf
         hits = [
             (start + int(indices[i]), int(compounds[i])) for i in range(count)
         ]
@@ -508,35 +575,47 @@ class CffiScanKernel(ScanKernel):
     def __init__(self):
         self._ffi, self._lib = _cffi_runtime()
 
-    def build_plan(self, rows, masks, salts, filter_bytes, filter_shift, compounds):
-        n_keys = len(rows)
-        n = len(masks)
-        # Compact away fully-wildcarded columns — the C loop then touches
-        # only columns that contribute to the hash (same skip the numpy
-        # kernel performs; addition over uint64 is commutative so the
-        # compound is bit-identical).
-        active = np.flatnonzero(masks.any(axis=0))
-        rows_c = np.ascontiguousarray(rows[:, active])
+    def prepare(self, masks, salts):
+        active = _active_columns(masks)
+        # Fancy indexing copies: the compacted matrix never aliases the
+        # store's (in-place appended) mask buffer.
         masks_c = np.ascontiguousarray(masks[:, active])
         weights_c = np.ascontiguousarray(WEIGHTS[active])
-        salts_c = np.ascontiguousarray(salts)
+        salts_c = salts.copy()
+        cast = self._ffi.cast
+        return ScanOperands(
+            active, masks_c, weights_c, salts_c,
+            pointers=(
+                cast("const uint64_t *", masks_c.ctypes.data),
+                cast("const uint64_t *", weights_c.ctypes.data),
+                cast("const uint64_t *", salts_c.ctypes.data),
+            ),
+        )
+
+    def build_plan(self, rows, operands, filter_bytes, filter_shift, compounds):
+        n_keys = len(rows)
+        rows_c = np.ascontiguousarray(rows[:, operands.active])
         filt_c = np.ascontiguousarray(filter_bytes)
         comps_c = np.ascontiguousarray(compounds, dtype=np.uint64)
         first = np.empty(n_keys, dtype=np.int64)
         first_compound = np.zeros(n_keys, dtype=np.uint64)
         ffi = self._ffi
+        p_masks, p_weights, p_salts = operands.pointers
+        p_rows = ffi.cast("const uint64_t *", rows_c.ctypes.data)
+        p_filter = ffi.cast("const uint8_t *", filt_c.ctypes.data)
+        p_comps = ffi.cast("const uint64_t *", comps_c.ctypes.data)
         self._lib.tss_scan_first(
-            ffi.cast("const uint64_t *", rows_c.ctypes.data),
-            ffi.cast("const uint64_t *", masks_c.ctypes.data),
-            ffi.cast("const uint64_t *", weights_c.ctypes.data),
-            ffi.cast("const uint64_t *", salts_c.ctypes.data),
-            ffi.cast("const uint8_t *", filt_c.ctypes.data),
+            p_rows,
+            p_masks,
+            p_weights,
+            p_salts,
+            p_filter,
             filter_shift,
-            ffi.cast("const uint64_t *", comps_c.ctypes.data),
+            p_comps,
             len(comps_c),
             n_keys,
-            n,
-            len(active),
+            len(operands.salts),
+            len(operands.active),
             ffi.cast("int64_t *", first.ctypes.data),
             ffi.cast("uint64_t *", first_compound.ctypes.data),
         )
@@ -545,8 +624,8 @@ class CffiScanKernel(ScanKernel):
             has.tolist(),
             np.where(has, first, 0).tolist(),
             first_compound.tolist(),
-            self._lib, ffi,
-            rows_c, masks_c, weights_c, salts_c, filt_c, comps_c, filter_shift,
+            self._lib, ffi, operands,
+            (rows_c, filt_c, comps_c), (p_rows, p_filter, p_comps), filter_shift,
         )
 
 

@@ -37,14 +37,13 @@ Inv(2).
 
 Batched generation.  :meth:`MegaflowGenerator.generate_batch` produces the
 same results as per-key :meth:`MegaflowGenerator.generate` — same masks,
-actions, ``rules_examined`` — but amortises the rule walk across a burst of
-missed keys:
+actions, ``rules_examined`` — but walks each *decision path* once instead
+of walking the rule table once per key.  Per key it is memo → trie walk →
+in-place extension, all scalar:
 
 * the decision procedure is compiled once per flow-table version into a
-  flat *program* (one test per chunk, in rule/field/chunk order) whose
-  chunk comparisons are precomputed as uint64 column parts, so a burst of
-  unproven keys walks the whole table in a handful of numpy passes over
-  their column matrix;
+  flat *program* — per rule, one ``(field, value, chunk)`` test per chunk,
+  in field/chunk order;
 * proven decision paths are memoised in a **chunk-decision trie**: each
   node re-runs one chunk test, each edge is an agree/disagree outcome, and
   each leaf carries the path-determined mask/action/``rules_examined``.
@@ -52,6 +51,11 @@ missed keys:
   branch taken at every node depends only on the chunk agreement bits, so
   any key reaching a proven leaf reproduces the scalar walk bit for bit,
   and only the emitted masked key differs per packet;
+* a key whose path runs off the proven part extends the trie where it
+  stands, with the same ``(key[field] ^ value) & chunk`` test the walk
+  uses: the missing node (the next program position) or leaf is created
+  and the walk continues through it.  There is no per-call set-up, so a
+  1-packet tick and a 256-packet rx burst pay the same per-key price;
 * the trie (plus an exact-key memo in front of it) is a pure accelerator:
   it is rebuilt from the flow table and discarded whenever the table's
   version changes (any rule insert/remove/flush), honouring the
@@ -64,11 +68,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from repro.classifier.actions import DENY, Action
 from repro.classifier.flowtable import FlowTable
-from repro.classifier.kernel import COLUMN_SPLITS, U64, to_column_matrix
 from repro.classifier.rule import FlowRule
 from repro.classifier.tss import MegaflowEntry
 from repro.exceptions import StrategyError
@@ -85,26 +86,23 @@ __all__ = [
 
 _INDEX = {name: i for i, name in enumerate(FIELD_ORDER)}
 
-# Field index -> [(column, shift)] in the shared uint64 column layout (two
-# columns for >64-bit fields), for compiling chunk tests to column parts.
-_FIELD_COLUMNS: dict[int, list[tuple[int, int]]] = {}
-for _column, (_findex, _shift) in enumerate(COLUMN_SPLITS):
-    _FIELD_COLUMNS.setdefault(_findex, []).append((_column, _shift))
-
 
 class _TrieNode:
     """One chunk test of the decision procedure; edges are its outcomes.
 
-    ``agree``/``disagree`` are ``None`` (path not yet proven), another
-    node, or a :class:`_TrieLeaf`.
+    ``rule``/``test`` name the program position the node stands at — where
+    an unproven edge resumes.  ``agree``/``disagree`` are ``None`` (path
+    not yet proven), another node, or a :class:`_TrieLeaf`.
     """
 
-    __slots__ = ("field", "value", "chunk", "agree", "disagree")
+    __slots__ = ("field", "value", "chunk", "rule", "test", "agree", "disagree")
 
-    def __init__(self, field: int, value: int, chunk: int):
+    def __init__(self, field: int, value: int, chunk: int, rule: int, test: int):
         self.field = field
         self.value = value
         self.chunk = chunk
+        self.rule = rule
+        self.test = test
         self.agree = None
         self.disagree = None
 
@@ -213,7 +211,7 @@ class MegaflowGenerator:
         # compiled test program, the chunk-decision trie and the exact-key
         # memo are all derived from the flow table at one version and
         # discarded wholesale when the table mutates.
-        self._program: list[tuple[FlowRule, list[tuple[int, int, int, tuple]]]] | None = None
+        self._program: list[tuple[FlowRule, list[tuple[int, int, int]]]] | None = None
         self._trie_version: int = -1
         self._trie_root: _TrieNode | _TrieLeaf | None = None
         self._key_memo: dict[tuple[int, ...], _TrieLeaf] = {}
@@ -278,56 +276,37 @@ class MegaflowGenerator:
         """Run the decision procedure for a burst of missed keys.
 
         Result-for-result identical to ``[self.generate(k) for k in keys]``
-        — same masks, actions, matched rules and ``rules_examined`` — but
-        amortised: keys whose decision path is already proven resolve
-        through the exact-key memo or a trie walk, and the remaining
-        (deduplicated) keys walk the compiled program together over their
-        uint64 column matrix, one vectorised chunk test at a time.
+        — same masks, actions, matched rules and ``rules_examined``.  Each
+        key resolves through the exact-key memo or one scalar trie walk
+        that extends the trie where the key's decision path is not yet
+        proven; a burst costs its keys and nothing per call.
         """
-        keys = list(keys)
         self._sync_trie()
         memo = self._key_memo
-        leaves: list[_TrieLeaf | None] = []
-        pending_values: list[tuple[int, ...]] = []
-        pending_seen: set[tuple[int, ...]] = set()
+        results = []
         for key in keys:
             values = key.values
             leaf = memo.get(values)
             if leaf is None:
-                leaf = self._trie_lookup(values)
-                if leaf is not None:
-                    memo[values] = leaf
-                elif values not in pending_seen:
-                    pending_seen.add(values)
-                    pending_values.append(values)
-            leaves.append(leaf)
-        if pending_values:
-            agree = self._agree_matrix(pending_values)
-            for j, values in enumerate(pending_values):
-                memo[values] = self._trie_build(agree, j)
-            for i, key in enumerate(keys):
-                if leaves[i] is None:
-                    leaves[i] = memo[key.values]
-        return [self._emit_leaf(key, leaf) for key, leaf in zip(keys, leaves)]
+                leaf = memo[values] = self._trie_walk(values)
+            results.append(self._emit_leaf(key, leaf))
+        return results
 
     def _sync_trie(self) -> None:
         """(Re)compile the program and reset the trie on table mutation."""
         if self._program is not None and self._trie_version == self.table.version:
             return
-        program = []
-        for rule in self.table.rules_by_priority():
-            tests: list[tuple[int, int, int, tuple]] = []
-            for field_name, rule_value, rule_mask in rule.match.constraints():
-                idx = _INDEX[field_name]
-                for chunk in self._chunks(field_name, rule_mask):
-                    parts = tuple(
-                        (column, np.uint64((rule_value >> shift) & part), np.uint64(part))
-                        for column, shift in _FIELD_COLUMNS[idx]
-                        if (part := (chunk >> shift) & U64)
-                    )
-                    tests.append((idx, rule_value, chunk, parts))
-            program.append((rule, tests))
-        self._program = program
+        self._program = [
+            (
+                rule,
+                [
+                    (_INDEX[field_name], rule_value, chunk)
+                    for field_name, rule_value, rule_mask in rule.match.constraints()
+                    for chunk in self._chunks(field_name, rule_mask)
+                ],
+            )
+            for rule in self.table.rules_by_priority()
+        ]
         self._trie_version = self.table.version
         self._key_memo = {}
         self._trie_root = self._trie_position(0, 0, [0] * len(FIELD_ORDER))
@@ -347,68 +326,38 @@ class MegaflowGenerator:
             )
         rule, tests = program[r]
         if t < len(tests):
-            field, value, chunk, _parts = tests[t]
-            return _TrieNode(field, value, chunk)
+            return _TrieNode(*tests[t], r, t)
         return _TrieLeaf(
             FlowMask.from_values(tuple(mask_values)), rule.action, rule, r + 1, rule.name
         )
 
-    def _trie_lookup(self, key_values: tuple[int, ...]) -> _TrieLeaf | None:
-        """Walk proven decision paths; ``None`` when the path is unproven."""
-        node = self._trie_root
-        while node is not None:
-            if type(node) is _TrieLeaf:
-                return node
-            if (key_values[node.field] ^ node.value) & node.chunk:
-                node = node.disagree
-            else:
-                node = node.agree
-        return None
+    def _trie_walk(self, key_values: tuple[int, ...]) -> _TrieLeaf:
+        """Follow ``key_values``' decision path to its leaf.
 
-    def _agree_matrix(self, values_list: list[tuple[int, ...]]) -> list[list[np.ndarray]]:
-        """Per-(rule, test) agreement vectors over the whole burst.
-
-        One vectorised XOR/AND per chunk column part — the burst-wide
-        counterpart of the scalar ``(key ^ value) & chunk`` test.
+        Each step is the scalar chunk test of :meth:`generate`.  Where the
+        path runs off the proven part of the trie the missing node or leaf
+        — the next program position — is created in place and the walk
+        continues through it, so the first key down a path proves it for
+        every later one.
         """
-        rows = to_column_matrix(values_list)
-        matrix: list[list[np.ndarray]] = []
-        for _rule, tests in self._program:
-            per_rule = []
-            for _field, _value, _chunk, parts in tests:
-                agree: np.ndarray | None = None
-                for column, value_part, mask_part in parts:
-                    ok = ((rows[:, column] ^ value_part) & mask_part) == 0
-                    agree = ok if agree is None else agree & ok
-                per_rule.append(agree)
-            matrix.append(per_rule)
-        return matrix
-
-    def _trie_build(self, agree: list[list[np.ndarray]], j: int) -> _TrieLeaf:
-        """Thread key ``j``'s decision path into the trie and return its leaf.
-
-        The path is read off the precomputed agreement matrix — no scalar
-        chunk comparisons — creating only the nodes the trie lacks.
-        """
-        program = self._program
         mask_values = [0] * len(FIELD_ORDER)
         node = self._trie_root
-        r = t = 0
         while type(node) is not _TrieLeaf:
-            mask_values[node.field] |= node.chunk
-            if agree[r][t][j]:
-                t += 1
-                nxt = node.agree
-                if nxt is None:
-                    nxt = self._trie_position(r, t, mask_values)
-                    node.agree = nxt
-            else:
-                r += 1
-                t = 0
+            field = node.field
+            chunk = node.chunk
+            mask_values[field] |= chunk
+            if (key_values[field] ^ node.value) & chunk:
                 nxt = node.disagree
                 if nxt is None:
-                    nxt = self._trie_position(r, t, mask_values)
-                    node.disagree = nxt
+                    nxt = node.disagree = self._trie_position(
+                        node.rule + 1, 0, mask_values
+                    )
+            else:
+                nxt = node.agree
+                if nxt is None:
+                    nxt = node.agree = self._trie_position(
+                        node.rule, node.test + 1, mask_values
+                    )
             node = nxt
         return node
 

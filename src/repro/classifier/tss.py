@@ -55,6 +55,12 @@ Accelerator invariants:
   explicitly preserves already-issued salts, because a salt change would
   orphan every compound computed under it (entries installed but
   unfindable by the accelerator);
+* the scan kernel's mask-side operands (active columns, compacted mask
+  matrix, weights, salts — ``ScanKernel.prepare``) depend only on the mask
+  list and are cached across plans; the snapshot is dropped wherever the
+  mask buffer is written, replaced or its order invalidated, and rebuilt
+  by the next plan.  It is never updated in place: a live plan may still
+  hold pointers into it;
 * under :meth:`MegaflowStore.index_burst` (the datapath wraps every
   ``process_batch`` in one) accelerator appends are *deferred*: inserts
   mutate the authoritative dicts immediately but queue their accelerator
@@ -91,6 +97,7 @@ from repro.classifier.kernel import (
     N_COLUMNS as _N_COLUMNS,
     U64 as _U64,
     WEIGHTS as _WEIGHTS,
+    ScanOperands,
     make_scan_kernel,
     row_hash as _row_hash,
     to_column_matrix as _to_column_matrix,
@@ -160,6 +167,9 @@ class TupleSpaceSearch(MegaflowStore):
         self._acc_filter_shift = np.uint64(64 - _FILTER_MIN_LOG2)
         self._acc_entries: dict[int, list[tuple[int, MegaflowEntry]]] = {}
         self._mask_index: dict[FlowMask, int] = {}
+        # ``ScanKernel.prepare`` over the mask/salt buffer prefix, shared by
+        # every plan until the buffer changes (see "Accelerator invariants").
+        self._acc_operands: ScanOperands | None = None
         # Burst-deferred accelerator appends (see module docstring): while
         # a burst is open, (entry, new_mask) pairs queue here and drain
         # vectorised before the next accelerator read.
@@ -169,6 +179,7 @@ class TupleSpaceSearch(MegaflowStore):
     # -- store hooks -------------------------------------------------------------
     def _index_invalidate(self) -> None:
         self._acc_dirty = True
+        self._acc_operands = None
         # The lazy rebuild re-indexes everything from the dicts, deferred
         # appends included.
         self._burst_buf.clear()
@@ -202,6 +213,7 @@ class TupleSpaceSearch(MegaflowStore):
     def _acc_grow(self, needed: int) -> None:
         if needed <= self._acc_capacity:
             return
+        self._acc_operands = None
         old = self._acc_capacity
         capacity = max(64, old * 2, needed)
         masks = np.zeros((capacity, _N_COLUMNS), dtype=np.uint64)
@@ -225,6 +237,7 @@ class TupleSpaceSearch(MegaflowStore):
         self._acc_grow(index + 1)
         self._acc_mask_buffer[index] = _to_columns(mask.values)
         self._mask_index[mask] = index
+        self._acc_operands = None
 
     def _burst_drain(self) -> None:
         """Fold deferred inserts into the accelerator in one pass.
@@ -246,6 +259,8 @@ class TupleSpaceSearch(MegaflowStore):
         # Bursts defer every append, so the masks with columns are exactly
         # the order prefix and the k-th deferred one sits right behind it.
         first = len(self._mask_index) - len(new_masks)
+        if new_masks:
+            self._acc_operands = None
         self._acc_grow(len(self._mask_index))
         for k, mask in enumerate(new_masks):
             index = self._mask_index[mask]
@@ -343,8 +358,26 @@ class TupleSpaceSearch(MegaflowStore):
                         hits[index] = True
         return hits
 
+    def _scan_operands(self) -> ScanOperands:
+        """The kernel's operands for the current mask list (cached)."""
+        cached = self._acc_operands
+        if cached is not None and not self.check_invariants:
+            return cached
+        n = len(self._mask_order)
+        fresh = self._scan_kernel.prepare(
+            self._acc_mask_buffer[:n], self._acc_salt_buffer[:n]
+        )
+        if cached is None:
+            self._acc_operands = cached = fresh
+        elif not cached.equals(fresh):
+            raise CacheInvariantError(
+                f"cached scan operands are stale against the {n}-mask buffer"
+            )
+        return cached
+
     def _rebuild_accelerator(self) -> None:
         self._burst_buf.clear()  # superseded: everything re-indexed from truth
+        self._acc_operands = None
         n = len(self._mask_order)
         self._acc_grow(max(n, 1))
         self._acc_entries = {}
@@ -588,8 +621,7 @@ class _BatchScanner:
             tss._acc_merge_pending()
         self._plan = tss._scan_kernel.build_plan(
             rows,
-            tss._acc_mask_buffer[:n],
-            tss._acc_salt_buffer[:n],
+            tss._scan_operands(),
             tss._acc_filter,
             int(tss._acc_filter_shift),
             tss._acc_compounds,

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.classifier.actions import ALLOW
 from repro.classifier.backend import MegaflowEntry
+from repro.classifier.flowtable import FlowTable
 from repro.classifier.kernel import (
     FORCE_NUMPY_ENV,
     N_COLUMNS,
@@ -28,8 +29,11 @@ from repro.classifier.kernel import (
     to_column_matrix,
     to_columns,
 )
+from repro.classifier.rule import Match
 from repro.classifier.tss import TupleSpaceSearch
+from repro.exceptions import CacheInvariantError
 from repro.packet.fields import FlowKey, FlowMask
+from repro.switch.datapath import Datapath, DatapathConfig
 
 CFFI_AVAILABLE = cffi_kernel_available()
 needs_cffi = pytest.mark.skipif(
@@ -170,6 +174,135 @@ class TestDifferential:
         for entry in entries:
             tss.insert(entry)
         assert tss.n_masks > 64
+
+
+# -- operand-cache coherence ---------------------------------------------------
+# Two exact-match allow rules: a key that first disagrees with rule 1 at
+# ip_src bit i and with rule 2 at ip_dst bit j spawns the megaflow mask
+# (i+1-bit src prefix, j+1-bit dst prefix) -- 1,024 distinct masks on demand.
+_SRC, _DST = 0x0A000001, 0xC0A80001
+
+
+def _coherence_table() -> FlowTable:
+    table = FlowTable()
+    table.add_rule(Match(ip_src=_SRC), ALLOW, priority=20, name="src")
+    table.add_rule(Match(ip_dst=_DST), ALLOW, priority=10, name="dst")
+    return table
+
+
+def _fresh_mask_key(n: int) -> FlowKey:
+    """The ``n``-th key of a sequence in which every key spawns a new mask."""
+    i, j = divmod(n, 32)
+    return FlowKey(ip_src=_SRC ^ (1 << (31 - i)), ip_dst=_DST ^ (1 << (31 - j)))
+
+
+def _verdict_summary(verdict) -> tuple:
+    installed = verdict.installed
+    return (
+        verdict.action,
+        verdict.path,
+        verdict.masks_inspected,
+        verdict.rules_examined,
+        None if installed is None else (installed.mask, installed.key),
+    )
+
+
+_COHERENCE_OPS = st.one_of(
+    # A 1-8 key burst: True draws the next never-seen key (a new mask),
+    # an integer replays an earlier key (cached operands reused).
+    st.tuples(
+        st.just("burst"),
+        st.lists(st.one_of(st.just(True), st.integers(0, 10_000)), min_size=1, max_size=8),
+    ),
+    st.tuples(st.just("shuffle"), st.integers(0, 7)),
+    st.tuples(st.just("remove"), st.integers(0, 10_000)),
+    st.tuples(st.just("evict"), st.none()),
+    st.tuples(st.just("flush"), st.none()),
+    st.tuples(st.just("migrate"), st.none()),
+)
+
+
+class TestOperandCacheCoherence:
+    """The cached ``ScanOperands`` snapshot never outlives the mask list it
+    digests: small bursts interleaved with everything that moves the mask
+    buffer agree with per-key ``lookup`` on a twin, while
+    ``check_invariants`` compares the cache with a fresh ``prepare`` on
+    every plan."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @settings(max_examples=20, deadline=None)
+    @given(ops=st.lists(_COHERENCE_OPS, min_size=1, max_size=30))
+    def test_small_bursts_agree_with_per_key_lookup(self, kernel, ops):
+        config = DatapathConfig(
+            microflow_capacity=0, check_invariants=True, scan_kernel=kernel
+        )
+        batched = Datapath(_coherence_table(), config)
+        twin = Datapath(_coherence_table(), config)
+        seen: list[FlowKey] = []
+        clock = 0.0
+
+        def burst(picks) -> None:
+            nonlocal clock
+            keys = []
+            for pick in picks:
+                if pick is True or not seen:
+                    seen.append(_fresh_mask_key(len(seen)))
+                    keys.append(seen[-1])
+                else:
+                    keys.append(seen[pick % len(seen)])
+            clock += 1.0
+            got = batched.process_batch(keys, now=clock).verdicts
+            want = [twin.process(key, now=clock) for key in keys]
+            assert [_verdict_summary(v) for v in got] == [
+                _verdict_summary(v) for v in want
+            ]
+
+        # 60 masks in 8-key bursts, then one burst that outgrows the
+        # 64-row mask buffer between two replays.
+        for start in range(0, 60, 8):
+            burst([True] * min(8, 60 - start))
+        burst([0, True, True, True, 1, True, True, True])
+        assert batched.megaflows._acc_capacity == 128
+        for op, arg in ops:
+            if op == "burst":
+                burst(arg)
+            elif op == "shuffle":
+                batched.megaflows.shuffle_masks(seed=arg)
+                twin.megaflows.shuffle_masks(seed=arg)
+            elif op == "remove":
+                victims = list(batched.megaflows.entries())
+                if victims:
+                    victim = victims[arg % len(victims)]
+                    assert batched.megaflows.remove(victim)
+                    assert twin.megaflows.remove(
+                        twin.megaflows.get_entry(victim.mask, victim.key)
+                    )
+            elif op == "evict":
+                clock += 4.0
+                assert len(batched.evict_idle(clock)) == len(twin.evict_idle(clock))
+            elif op == "flush":
+                batched.flush_caches()
+                twin.flush_caches()
+            else:
+                batched.migrate_backend("tss")
+                twin.migrate_backend("tss")
+        for start in range(0, len(seen), 5):
+            burst(range(start, min(start + 5, len(seen))))
+        assert batched.megaflows.masks() == twin.megaflows.masks()
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_stale_operands_are_caught(self, kernel):
+        tss = TupleSpaceSearch(check_invariants=True, scan_kernel=kernel)
+        tss.insert(_entry(0, 1, 2, 3))
+        probe = [FlowKey(ip_src=9, tp_dst=9)]
+        tss.lookup_batch(probe)
+        stale = tss._acc_operands
+        tss.insert(_entry(1, 4, 5, 6))  # a second mask drops the snapshot
+        assert tss._acc_operands is None
+        tss._acc_operands = stale
+        tss.clear_memo()
+        with pytest.raises(CacheInvariantError):
+            tss.lookup_batch(probe)
 
 
 class TestSelection:

@@ -16,6 +16,7 @@ serial, thread, and process executors.
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import hypothesis.strategies as st
@@ -159,6 +160,84 @@ def test_empty_table_batch():
         assert result.entry.action is DENY
         assert result.entry.source_rule == "<table-miss>"
         assert all(v == 0 for v in result.entry.mask.values)
+
+
+# -- incremental trie growth (the fleet_tick shape) -----------------------------
+
+_V6 = (0x20010DB8 << 96) | 0xDEADBEEF  # constrains bits on both sides of bit 64
+
+
+def growth_table() -> FlowTable:
+    table = FlowTable()
+    table.add_rule(Match(ip_src=(0x0A000000, 0xFFFFFF00)), ALLOW, priority=50, name="net")
+    table.add_rule(Match(ipv6_src=_V6), DENY, priority=40, name="v6")
+    table.add_rule(Match(tp_dst=80), ALLOW, priority=30, name="web")
+    table.add_rule(Match.any(), DENY, priority=20, name="match-all")  # mid-table
+    table.add_rule(Match(ip_dst=0x0A000001), ALLOW, priority=10, name="shadowed")
+    return table
+
+
+def growth_key(rng) -> FlowKey:
+    """A key one bit-flip away (or not) from each rule's value."""
+    def near(value: int, width: int) -> int:
+        return value ^ (1 << rng.randrange(width)) if rng.random() < 0.7 else value
+
+    return FlowKey(
+        ip_src=near(0x0A000007, 32),
+        ipv6_src=near(_V6, 128),
+        tp_dst=near(80, 16),
+        tp_src=rng.randrange(1 << 16),
+    )
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [WILDCARDING, OVS_DEFAULT, replace(OVS_DEFAULT, default_chunks=3)],
+    ids=["wildcarding", "ovs-wide-field", "3-chunks-wide-field"],
+)
+def test_trie_grows_incrementally_across_small_bursts(strategy):
+    """Hundreds of 1-5 key calls on one generator ≡ scalar, call by call.
+
+    No call sees enough keys to amortise anything: every path is proven by
+    whichever key walks it first and must serve all later calls.  The table
+    holds a match-all rule mid-priority (a rule with no tests), a 128-bit
+    field (per-bit chunks above bit 64; one >64-bit chunk under
+    ``wide_field_threshold``), and mutates every few calls — each version
+    bump must replace the trie, every call in between must extend the same
+    one.
+    """
+    rng = random.Random(18)
+    table = growth_table()
+    generator = MegaflowGenerator(table, strategy)
+    pool: list[FlowKey] = []
+    added: FlowRule | None = None
+    root, version = None, None
+    for call in range(300):
+        if call and call % 23 == 0:
+            if added is None:
+                added = table.add_rule(
+                    Match(tp_src=(rng.randrange(1 << 16) & 0xFF00, 0xFF00)),
+                    rng.choice([ALLOW, DENY]),
+                    priority=rng.choice([60, 35, 15]),
+                    name=f"added-{call}",
+                )
+            else:
+                table.remove(added)
+                added = None
+        keys = []
+        for _ in range(rng.randint(1, 5)):
+            if pool and rng.random() < 0.3:
+                keys.append(rng.choice(pool))
+            else:
+                pool.append(growth_key(rng))
+                keys.append(pool[-1])
+        assert_batch_equals_scalar(generator, keys, f"call {call}")
+        if table.version == version:
+            assert generator._trie_root is root, call
+        else:
+            assert generator._trie_root is not root, call
+            root, version = generator._trie_root, table.version
+    assert version > 10  # the table really did mutate throughout
 
 
 # -- flow-limit behaviour under batched upcalls (serial/thread/process) ---------

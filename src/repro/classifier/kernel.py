@@ -2,20 +2,21 @@
 
 The TSS accelerator reduces a batch lookup to one dense computation: for a
 chunk of keys and the current mask list, compute the salted compound hash
-``(sum_c (row_c & mask_c) * w_c) ^ salt`` for every (key, mask) pair, gather
-each compound through the byte membership filter, and report per key whether
-any mask produced a filter hit plus where the first hit sits.  Everything
-semantic — dict confirmation, probe accounting, the fallback walks — stays in
-``tss.py``; this module owns only that numeric plan, behind a small kernel
-interface so the implementation is selectable like a backend.  The
-interface has two steps: ``prepare`` digests the mask list (work linear in
-masks, done once per mask-list change and cached by the store) and
-``build_plan`` scans one chunk of keys against that digest — a 5-packet
-burst pays for 5 scans, not for re-deriving what only the masks determine.
-Two implementations:
+``(sum_c (row_c & mask_c) * w_c) ^ salt`` for every (key, mask) pair, test
+each compound against the membership filter (a cache-resident bit array
+whose layout this module alone knows — see "membership filter" below), and
+report per key whether any mask produced a filter hit plus where the first
+hit sits.  Everything semantic — dict confirmation, probe accounting, the
+fallback walks — stays in ``tss.py``; this module owns only that numeric
+plan, behind a small kernel interface so the implementation is selectable
+like a backend.  The interface has two steps: ``prepare`` digests the mask
+list (work linear in masks, done once per mask-list change and cached by
+the store) and ``build_plan`` scans one chunk of keys against that digest —
+a 5-packet burst pays for 5 scans, not for re-deriving what only the masks
+determine.  Two implementations:
 
 * :class:`NumpyScanKernel` — the portable reference: the exact vectorised
-  numpy pass PR 1 introduced (dense compound matrix + one filter gather).
+  numpy pass PR 1 introduced (dense compound matrix + one filter test).
 * :class:`CffiScanKernel` — a compiled C inner loop (built on first use
   with cffi against the system toolchain, cached under ``_kernel_cache/``)
   that walks masks per key and **early-exits on the first filter hit**, so a
@@ -74,6 +75,9 @@ __all__ = [
     "to_columns",
     "to_column_matrix",
     "row_hash",
+    "filter_alloc",
+    "filter_set",
+    "filter_test",
     "ScanPlan",
     "ScanOperands",
     "ScanKernel",
@@ -131,6 +135,56 @@ def to_column_matrix(values_list: list[tuple[int, ...]]) -> np.ndarray:
 def row_hash(row: np.ndarray) -> int:
     """Salted modular hash of one column row."""
     return int((row * WEIGHTS).sum(dtype=np.uint64))
+
+
+# -- membership filter (the one place its layout is known) ---------------------
+#
+# A bit array of ``2**log2`` slots in front of the exact entry-compound set.
+# A compound's slot is its top ``log2`` bits, ``s = compound >> shift`` with
+# ``shift = 64 - log2`` (the top bits of a multiplicative hash mix every input
+# bit; the low bits do not, and IP-prefix attack traffic collides on them
+# systematically); slot ``s`` lives at byte ``s >> 3``, bit ``s & 7``.  The
+# three helpers here and the C probe in ``_SOURCE`` are the only code that
+# knows this; the store (``tss.py``) owns the sizing policy and nothing else.
+#
+# Why bits: a scan probes the filter once per (key, mask) at a random slot,
+# so what a probe costs is which cache level the array sits in, and a Bloom-
+# style filter's false-positive rate depends on slots per entry, not on how
+# wide a slot is stored.  A false candidate costs one exact ``tss_member``
+# binary search (``searchsorted`` in the numpy kernel) over the sorted
+# compound set — it never reaches Python — so the store keeps 256-1,024 slots
+# per entry (~0.1-0.4 % false candidates per probe) and a detonated 8.7k-entry
+# cache scans through a 512 KiB array that stays in L2 (the measured sweep
+# sits next to the sizing constants in ``tss.py``).
+def filter_alloc(log2: int) -> np.ndarray:
+    """An empty filter of ``2**log2`` slots."""
+    if not 3 <= log2 <= 32:
+        raise ValueError(f"filter log2 {log2} outside 3..32")
+    return np.zeros(1 << (log2 - 3), dtype=np.uint8)
+
+
+def _slots(shift: int, compounds: np.ndarray) -> np.ndarray:
+    # log2 <= 32, so a slot fits uint32: half the memory traffic of the
+    # passes below on a (keys x masks) compound matrix.
+    return (compounds >> np.uint64(shift)).astype(np.uint32)
+
+
+def filter_set(bits: np.ndarray, shift: int, compounds: np.ndarray) -> None:
+    """Set the slot of every uint64 in ``compounds`` (duplicates welcome)."""
+    slots = _slots(shift, compounds)
+    np.bitwise_or.at(
+        bits, slots >> 3, np.left_shift(1, slots & 7).astype(np.uint8)
+    )
+
+
+def filter_test(bits: np.ndarray, shift: int, compounds: np.ndarray) -> np.ndarray:
+    """Bool array, ``compounds``' shape: is each one's slot set?  No false
+    negatives for anything :func:`filter_set` was given at this ``shift``."""
+    slots = _slots(shift, compounds)
+    found = bits[slots >> 3]
+    found >>= (slots & 7).astype(np.uint8)
+    found &= 1
+    return found.view(bool)
 
 
 # -- the plan a kernel produces ------------------------------------------------
@@ -227,8 +281,8 @@ class ScanKernel:
         self,
         rows: np.ndarray,        # (n_keys x N_COLUMNS) uint64 key matrix
         operands: ScanOperands,  # this kernel's prepare(masks, salts)
-        filter_bytes: np.ndarray,  # (2**log2,) uint8 membership filter
-        filter_shift: int,       # 64 - log2
+        filter_bits: np.ndarray,  # filter_alloc(log2) membership filter
+        filter_shift: int,       # 64 - log2: filter_test's ``shift``
         compounds: np.ndarray,   # sorted uint64 entry-compound set (exact)
     ) -> ScanPlan:
         raise NotImplementedError
@@ -257,7 +311,7 @@ class NumpyScanKernel(ScanKernel):
             salts.copy(),
         )
 
-    def build_plan(self, rows, operands, filter_bytes, filter_shift, compounds):
+    def build_plan(self, rows, operands, filter_bits, filter_shift, compounds):
         n_keys = len(rows)
         shape = (n_keys, len(operands.salts))
         columns = operands.active.tolist()
@@ -278,10 +332,8 @@ class NumpyScanKernel(ScanKernel):
                     scratch *= weights[k]
                     acc += scratch
         acc ^= operands.salts[None, :]
-        cand = filter_bytes[
-            (acc >> np.uint64(filter_shift)).astype(np.intp)
-        ].view(bool)
-        # Refine the byte-filter candidates with exact membership in the
+        cand = filter_test(filter_bits, filter_shift, acc)
+        # Refine the filter candidates with exact membership in the
         # sorted entry-compound set — the filter's false positives are what
         # force fallback walks, and the sparse hit set makes the exact
         # check nearly free.  (64-bit compound collisions remain possible;
@@ -327,15 +379,64 @@ _SOURCE = """
 /* The scan is processed in strips of STRIP masks: the compound hashes of a
  * whole strip are computed first (sequential, ALU-bound, prefetch-friendly),
  * then the membership filter is probed for each — the probes are random
- * accesses into a filter that can span megabytes, and issuing them as
- * independent loads lets the out-of-order core overlap the cache misses
- * instead of paying one full latency per mask. */
+ * accesses, and issuing them as independent loads lets the out-of-order
+ * core overlap them instead of paying one full latency per mask.
+ * (Detonated warm replay, us/key: STRIP 16 12.4-13.1, 64 12.1-12.6, 256
+ * 11.0-12.0 -- not worth a 2 KiB stack array per key.) */
 #define STRIP 64
 
+#if defined(__GNUC__)
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE static inline
+#endif
+
+/* The strip hash, defined once.  Always inlined so that a call with a
+ * literal n_cols has a constant-trip column loop the compiler unrolls;
+ * `restrict` on the output tells it a store to accs cannot change row or
+ * weights, so they stay in registers across the strip. */
+ALWAYS_INLINE void
+strip_hash_cols(const uint64_t *row, const uint64_t *mask,
+                const uint64_t *weights, const uint64_t *salts,
+                int64_t n_cols, int64_t lim, uint64_t *restrict accs)
+{
+    for (int64_t i = 0; i < lim; i++, mask += n_cols) {
+        uint64_t acc = 0;
+        for (int64_t c = 0; c < n_cols; c++)
+            acc += (row[c] & mask[c]) * weights[c];
+        accs[i] = acc ^ salts[i];
+    }
+}
+
+/* accs[i] = compound of `row` under mask i of a strip of `lim` masks.
+ * Real mask lists constrain 1-4 columns (SipSpDp: 4); anything wider (IPv6
+ * address pairs, 5+ fields) takes the runtime loop. */
+static void strip_hash(const uint64_t *row, const uint64_t *mask,
+                       const uint64_t *weights, const uint64_t *salts,
+                       int64_t n_cols, int64_t lim, uint64_t *restrict accs)
+{
+    switch (n_cols) {
+    case 1: strip_hash_cols(row, mask, weights, salts, 1, lim, accs); break;
+    case 2: strip_hash_cols(row, mask, weights, salts, 2, lim, accs); break;
+    case 3: strip_hash_cols(row, mask, weights, salts, 3, lim, accs); break;
+    case 4: strip_hash_cols(row, mask, weights, salts, 4, lim, accs); break;
+    default: strip_hash_cols(row, mask, weights, salts, n_cols, lim, accs);
+    }
+}
+
+/* The membership filter is a bit array: slot s = compound >> shift lives at
+ * byte s >> 3, bit s & 7 (the layout kernel.py's filter_* helpers write). */
+static inline int filter_has(const uint8_t *filt, uint64_t shift,
+                             uint64_t compound)
+{
+    uint64_t slot = compound >> shift;
+    return (filt[slot >> 3] >> (slot & 7)) & 1;
+}
+
 /* Exact membership of one compound in the sorted entry-compound set.  The
- * byte filter in front keeps this off the common (miss) path; the binary
- * search then rejects almost every filter false positive, so the python
- * caller's fallback walk (a full rescan) stays rare. */
+ * filter in front keeps this off the common (miss) path; the binary search
+ * then rejects every filter false positive, so the python caller's
+ * fallback walk (a full rescan) stays rare. */
 static int tss_member(const uint64_t *comps, int64_t n, uint64_t value)
 {
     int64_t lo = 0, hi = n;
@@ -369,15 +470,10 @@ void tss_scan_first(const uint64_t *rows, const uint64_t *masks,
             int64_t lim = n_masks - base;
             if (lim > STRIP)
                 lim = STRIP;
-            const uint64_t *mask = masks + base * n_cols;
-            for (int64_t i = 0; i < lim; i++, mask += n_cols) {
-                uint64_t acc = 0;
-                for (int64_t c = 0; c < n_cols; c++)
-                    acc += (row[c] & mask[c]) * weights[c];
-                accs[i] = acc ^ salts[base + i];
-            }
+            strip_hash(row, masks + base * n_cols, weights, salts + base,
+                       n_cols, lim, accs);
             for (int64_t i = 0; i < lim; i++) {
-                if (filt[accs[i] >> shift] &&
+                if (filter_has(filt, shift, accs[i]) &&
                     tss_member(comps, n_comps, accs[i])) {
                     hit = base + i;
                     hit_acc = accs[i];
@@ -406,15 +502,10 @@ int64_t tss_scan_hits(const uint64_t *row, const uint64_t *masks,
         int64_t lim = n_masks - base;
         if (lim > STRIP)
             lim = STRIP;
-        const uint64_t *mask = masks + base * n_cols;
-        for (int64_t i = 0; i < lim; i++, mask += n_cols) {
-            uint64_t acc = 0;
-            for (int64_t c = 0; c < n_cols; c++)
-                acc += (row[c] & mask[c]) * weights[c];
-            accs[i] = acc ^ salts[base + i];
-        }
+        strip_hash(row, masks + base * n_cols, weights, salts + base,
+                   n_cols, lim, accs);
         for (int64_t i = 0; i < lim && count < max_hits; i++) {
-            if (filt[accs[i] >> shift] &&
+            if (filter_has(filt, shift, accs[i]) &&
                 tss_member(comps, n_comps, accs[i])) {
                 indices[count] = base + i;
                 compounds[count] = accs[i];
@@ -425,6 +516,12 @@ int64_t tss_scan_hits(const uint64_t *row, const uint64_t *masks,
     return count;
 }
 """
+
+# No auto-vectorisation: baseline x86-64 SIMD has no 64-bit multiply, and
+# gcc -O3 vectorises the unrolled column loop regardless, emulating each
+# product with three ``pmuludq`` — 17-22 us/key on the detonated warm replay
+# where the scalar loop (one ``imul`` per column) runs 12.7.
+_COMPILE_ARGS = ["-O3", "-fno-tree-vectorize"]
 
 #: Compile outcome memo: None = not tried, ("ok", lib) | ("error", message).
 _CFFI_STATE: tuple[str, object] | None = None
@@ -438,14 +535,19 @@ def _load_cffi_lib():
     """Compile (or reuse) the C kernel; returns the (ffi, lib) pair.
 
     The built extension is cached next to this module under
-    ``_kernel_cache/`` keyed by a hash of the C source, so repeated runs —
-    and forked worker processes — reuse one compile.  Concurrent compiles
-    are race-safe: each builds in a private tmpdir and ``os.replace``s the
-    artifact into place.
+    ``_kernel_cache/`` keyed by a hash of the C source and its compile
+    flags, so repeated runs — and forked worker processes — reuse one
+    compile.  Concurrent compiles are race-safe: each builds in a private
+    tmpdir and ``os.replace``s the artifact into place.  A successful build then unlinks the artifacts of
+    superseded sources (other digests) — every edit to the C would
+    otherwise leave a dead ``.so`` behind for good; a process that still
+    has one loaded keeps its mapping.
     """
     import cffi  # deferred: absence means fallback, not import failure
 
-    digest = hashlib.sha256((_CDEF + _SOURCE).encode()).hexdigest()[:12]
+    digest = hashlib.sha256(
+        (_CDEF + _SOURCE + " ".join(_COMPILE_ARGS)).encode()
+    ).hexdigest()[:12]
     modname = f"_tss_scan_{digest}"
     cache = _kernel_cache_dir()
 
@@ -461,7 +563,7 @@ def _load_cffi_lib():
             existing = candidate
             break
     if existing is None:
-        ffi.set_source(modname, _SOURCE, extra_compile_args=["-O3"])
+        ffi.set_source(modname, _SOURCE, extra_compile_args=_COMPILE_ARGS)
         cache.mkdir(exist_ok=True)
         tmpdir = Path(
             tempfile.mkdtemp(prefix=f".build-{os.getpid()}-", dir=cache)
@@ -472,6 +574,9 @@ def _load_cffi_lib():
             os.replace(built, existing)
         finally:
             shutil.rmtree(tmpdir, ignore_errors=True)
+        for sibling in cache.glob("_tss_scan_*"):
+            if not sibling.name.startswith(f"{modname}."):
+                sibling.unlink(missing_ok=True)
 
     import importlib.util
 
@@ -592,10 +697,10 @@ class CffiScanKernel(ScanKernel):
             ),
         )
 
-    def build_plan(self, rows, operands, filter_bytes, filter_shift, compounds):
+    def build_plan(self, rows, operands, filter_bits, filter_shift, compounds):
         n_keys = len(rows)
         rows_c = np.ascontiguousarray(rows[:, operands.active])
-        filt_c = np.ascontiguousarray(filter_bytes)
+        filt_c = np.ascontiguousarray(filter_bits)
         comps_c = np.ascontiguousarray(compounds, dtype=np.uint64)
         first = np.empty(n_keys, dtype=np.int64)
         first_compound = np.zeros(n_keys, dtype=np.uint64)

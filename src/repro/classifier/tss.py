@@ -31,15 +31,16 @@ batches): the (N keys x M masks) compound matrix is built in a handful of
 numpy passes — one bitwise-AND + multiply-accumulate per *non-wildcarded
 mask column* (most mask columns are all-zero, so most of the 15-column
 hash collapses away) — and candidate (key, mask) pairs are detected with a
-single gather through a byte-sized membership filter indexed by the *top*
-bits of the compound (the top bits of a multiplicative hash mix every
-input bit; the low bits do not, and IP-prefix attack traffic collides on
-them systematically).  Filter hits are confirmed against the
-authoritative dicts exactly like sequential candidates, so false
-positives cost a dict probe, never a wrong verdict.  Batch results are
-verdict-for-verdict identical to sequential ``lookup`` — same entries,
-same ``masks_inspected``, same statistics (property-tested in
-``tests/test_batch.py``).
+single test against the membership filter, a cache-resident bit array
+indexed by the *top* bits of the compound (its layout belongs to
+``classifier.kernel``; this module only decides how large it is — see
+"Candidate filter sizing").  The kernels refine filter hits against the
+exact compound set, and what survives is confirmed against the
+authoritative dicts exactly like sequential candidates, so a false
+positive costs a binary search or a dict probe, never a wrong verdict.
+Batch results are verdict-for-verdict identical to sequential ``lookup``
+— same entries, same ``masks_inspected``, same statistics
+(property-tested in ``tests/test_batch.py``).
 
 Accelerator invariants:
 
@@ -98,6 +99,9 @@ from repro.classifier.kernel import (
     U64 as _U64,
     WEIGHTS as _WEIGHTS,
     ScanOperands,
+    filter_alloc,
+    filter_set,
+    filter_test,
     make_scan_kernel,
     row_hash as _row_hash,
     to_column_matrix as _to_column_matrix,
@@ -115,12 +119,21 @@ __all__ = [
     "MASK_BYTES",
 ]
 
-# Candidate filter sizing: one byte per slot, indexed by the top bits of a
-# compound.  Grown whenever the entry count reaches 1/1024 of the slot
-# count, so the expected false-candidate rate stays ~0.1% per (key, mask).
+# Candidate filter sizing (the bit layout itself is ``classifier.kernel``'s):
+# 2**log2 one-bit slots, grown 4x whenever the entry count reaches 1/256 of
+# the slot count, so a cache holds 256-1,024 slots per entry and a probe
+# finds a false candidate ~0.1-0.4 % of the time (each costs the kernel one
+# exact binary search, none reaches Python).  8 KiB when empty, 512 KiB at
+# the 8,721 entries of a detonated SipSpDp cache, 2 MiB at most.  The load
+# was picked by sweeping the slot count at that cache size (C scan of the
+# warm replay's 4,000 keys, best of 3 runs x 7 passes, us/key): 2**16 61.8,
+# 2**18 26.4, 2**20 14.6, 2**21 13.4, 2**22 12.7 (kept), 2**23 14.0, 2**24
+# 17.9.  Fewer slots pay in false candidates, more stop fitting the cache
+# level the random probes land in.  One *byte* per slot loses at any size:
+# 2**19 26.2, 2**20 23.9, 2**24 (the layout this replaced) 37.0.
 _FILTER_MIN_LOG2 = 16
 _FILTER_MAX_LOG2 = 24
-_FILTER_LOAD_LOG2 = 10
+_FILTER_LOAD_LOG2 = 8
 
 
 class TupleSpaceSearch(MegaflowStore):
@@ -163,8 +176,8 @@ class TupleSpaceSearch(MegaflowStore):
         # sorted array periodically.
         self._acc_pending: list[int] = []
         self._acc_pending_set: set[int] = set()
-        self._acc_filter: np.ndarray = np.zeros(1 << _FILTER_MIN_LOG2, dtype=np.uint8)
-        self._acc_filter_shift = np.uint64(64 - _FILTER_MIN_LOG2)
+        self._acc_filter = filter_alloc(_FILTER_MIN_LOG2)
+        self._acc_filter_shift = 64 - _FILTER_MIN_LOG2
         self._acc_entries: dict[int, list[tuple[int, MegaflowEntry]]] = {}
         self._mask_index: dict[FlowMask, int] = {}
         # ``ScanKernel.prepare`` over the mask/salt buffer prefix, shared by
@@ -277,12 +290,13 @@ class TupleSpaceSearch(MegaflowStore):
             count=len(buf),
         )
         hashes = (rows * _WEIGHTS).sum(axis=1, dtype=np.uint64)
-        compounds = (hashes ^ self._acc_salt_buffer[indices]).tolist()
-        shift = int(self._acc_filter_shift)
-        for (entry, _), index, compound in zip(buf, indices.tolist(), compounds):
+        compounds = hashes ^ self._acc_salt_buffer[indices]
+        filter_set(self._acc_filter, self._acc_filter_shift, compounds)
+        for (entry, _), index, compound in zip(
+            buf, indices.tolist(), compounds.tolist()
+        ):
             self._acc_pending.append(compound)
             self._acc_pending_set.add(compound)
-            self._acc_filter[compound >> shift] = 1
             self._acc_entries.setdefault(compound, []).append((index, entry))
         if len(self._acc_pending) >= max(64, len(self._acc_compounds) >> 3):
             self._acc_merge_pending()
@@ -292,10 +306,20 @@ class TupleSpaceSearch(MegaflowStore):
         compound = (_row_hash(_to_columns(entry.key)) ^ int(self._acc_salt_buffer[index])) & _U64
         self._acc_pending.append(compound)
         self._acc_pending_set.add(compound)
-        self._acc_filter[compound >> int(self._acc_filter_shift)] = 1
+        filter_set(
+            self._acc_filter,
+            self._acc_filter_shift,
+            np.array([compound], dtype=np.uint64),
+        )
         self._acc_entries.setdefault(compound, []).append((index, entry))
         if len(self._acc_pending) >= max(64, len(self._acc_compounds) >> 3):
             self._acc_merge_pending()
+
+    def _acc_indexed(self) -> np.ndarray:
+        """Every indexed compound: the sorted array, then the pending backlog."""
+        return np.concatenate(
+            [self._acc_compounds, np.asarray(self._acc_pending, dtype=np.uint64)]
+        )
 
     def _acc_merge_pending(self) -> None:
         """Fold the pending buffer into the sorted compound array.
@@ -305,9 +329,7 @@ class TupleSpaceSearch(MegaflowStore):
         versus the O(n) copy a per-insert ``np.insert`` would pay.
         """
         if self._acc_pending:
-            merged = np.concatenate(
-                [self._acc_compounds, np.asarray(self._acc_pending, dtype=np.uint64)]
-            )
+            merged = self._acc_indexed()
             merged.sort()
             self._acc_compounds = merged
             self._acc_pending.clear()
@@ -316,19 +338,14 @@ class TupleSpaceSearch(MegaflowStore):
 
     def _acc_filter_maybe_grow(self) -> None:
         total = len(self._acc_compounds) + len(self._acc_pending)
-        log2 = 64 - int(self._acc_filter_shift)
+        log2 = 64 - self._acc_filter_shift
         if total << _FILTER_LOAD_LOG2 >= (1 << log2) and log2 < _FILTER_MAX_LOG2:
             self._acc_filter_rebuild(min(_FILTER_MAX_LOG2, log2 + 2))
 
     def _acc_filter_rebuild(self, log2: int) -> None:
-        self._acc_filter = np.zeros(1 << log2, dtype=np.uint8)
-        self._acc_filter_shift = np.uint64(64 - log2)
-        if len(self._acc_compounds):
-            self._acc_filter[
-                (self._acc_compounds >> self._acc_filter_shift).astype(np.intp)
-            ] = 1
-        for compound in self._acc_pending:
-            self._acc_filter[compound >> int(self._acc_filter_shift)] = 1
+        self._acc_filter = filter_alloc(log2)
+        self._acc_filter_shift = 64 - log2
+        filter_set(self._acc_filter, self._acc_filter_shift, self._acc_indexed())
 
     def _acc_candidates(self, compounds: np.ndarray) -> np.ndarray:
         """Exact membership of ``compounds`` in the entry-hash set.
@@ -347,9 +364,7 @@ class TupleSpaceSearch(MegaflowStore):
         else:
             hits = np.zeros(compounds.shape, dtype=bool)
         if self._acc_pending:
-            maybe = self._acc_filter[
-                (compounds >> self._acc_filter_shift).astype(np.intp)
-            ].view(bool)
+            maybe = filter_test(self._acc_filter, self._acc_filter_shift, compounds)
             maybe &= ~hits
             if maybe.any():
                 pending = self._acc_pending_set
@@ -375,6 +390,16 @@ class TupleSpaceSearch(MegaflowStore):
             )
         return cached
 
+    def _check_filter(self) -> None:
+        """``check_invariants``: the filter holds every indexed compound."""
+        indexed = self._acc_indexed()
+        found = filter_test(self._acc_filter, self._acc_filter_shift, indexed)
+        if not found.all():
+            raise CacheInvariantError(
+                f"membership filter misses {int((~found).sum())} of "
+                f"{len(indexed)} indexed compounds (a false negative hides an entry)"
+            )
+
     def _rebuild_accelerator(self) -> None:
         self._burst_buf.clear()  # superseded: everything re-indexed from truth
         self._acc_operands = None
@@ -393,7 +418,7 @@ class TupleSpaceSearch(MegaflowStore):
         self._acc_compounds = np.sort(np.asarray(compounds, dtype=np.uint64))
         self._acc_pending.clear()
         self._acc_pending_set.clear()
-        log2 = 64 - int(self._acc_filter_shift)
+        log2 = 64 - self._acc_filter_shift
         while len(compounds) << _FILTER_LOAD_LOG2 >= (1 << log2) and log2 < _FILTER_MAX_LOG2:
             log2 = min(_FILTER_MAX_LOG2, log2 + 2)
         self._acc_filter_rebuild(log2)
@@ -619,11 +644,13 @@ class _BatchScanner:
             # compound set; fold the unsorted insert backlog in first so
             # the snapshot is complete (amortised: once per plan).
             tss._acc_merge_pending()
+        if tss.check_invariants:
+            tss._check_filter()
         self._plan = tss._scan_kernel.build_plan(
             rows,
             tss._scan_operands(),
             tss._acc_filter,
-            int(tss._acc_filter_shift),
+            tss._acc_filter_shift,
             tss._acc_compounds,
         )
         self._start = start

@@ -11,16 +11,23 @@ it) and a sequential per-key reference, and require transcript equality.
 
 from __future__ import annotations
 
+import os
+import shlex
+import subprocess
+import sysconfig
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.classifier.actions import ALLOW
 from repro.classifier.backend import MegaflowEntry
+from repro.classifier import kernel as kernel_module
 from repro.classifier.flowtable import FlowTable
 from repro.classifier.kernel import (
     FORCE_NUMPY_ENV,
     N_COLUMNS,
+    CffiScanPlan,
     cffi_kernel_available,
     make_scan_kernel,
     resolve_scan_kernel_name,
@@ -32,7 +39,7 @@ from repro.classifier.kernel import (
 from repro.classifier.rule import Match
 from repro.classifier.tss import TupleSpaceSearch
 from repro.exceptions import CacheInvariantError
-from repro.packet.fields import FlowKey, FlowMask
+from repro.packet.fields import FIELDS, FlowKey, FlowMask
 from repro.switch.datapath import Datapath, DatapathConfig
 
 CFFI_AVAILABLE = cffi_kernel_available()
@@ -115,6 +122,53 @@ def _drive_sequential(entries, probes, shuffle_seed: int) -> tuple:
     return tuple(transcript)
 
 
+# -- every unrolled hash width -------------------------------------------------
+# Mask families by active column count (an IPv6 address is two columns).  A
+# family's masks differ in the first field's prefix length -- always >= 8
+# bits, and every entry gets its own top byte there, so entries are pairwise
+# disjoint -- and match the other fields exactly.  The C strip hash has a
+# constant-trip branch for 1-4 columns and a runtime loop for the rest.
+_WIDTH_FAMILIES = {
+    0: (),
+    1: ("ip_src",),
+    2: ("ip_src", "tp_dst"),
+    3: ("ip_src", "ip_dst", "tp_dst"),
+    4: ("ip_src", "ip_dst", "tp_src", "tp_dst"),
+    6: ("ipv6_src", "ipv6_dst", "tp_src", "tp_dst"),
+}
+_WILDCARDED_BITS = (24, 20, 13, 8, 3, 0)  # of the first field, per mask
+
+
+def _width_family(fields: tuple[str, ...]):
+    """(entries, probes) of one family: hits at every mask, then misses."""
+    if not fields:
+        entry = MegaflowEntry(mask=FlowMask(), key=FlowKey().values, action=ALLOW)
+        return [entry], [FlowKey(), FlowKey(ip_src=7, tp_dst=9)]
+    first, rest = fields[0], fields[1:]
+    width = FIELDS[first].width
+    entries, probes = [], []
+    for m, wild in enumerate(_WILDCARDED_BITS):
+        mask = FlowMask(
+            **{first: _prefix(width - wild, width)},
+            **{name: FIELDS[name].full_mask for name in rest},
+        )
+        for e in range(3):
+            n = 3 * m + e + 1
+            key = FlowKey(
+                **{first: (n << (width - 8)) | (0x5A5A5A * n & ((1 << (width - 8)) - 1))},
+                **{name: (n * 257 + i) & FIELDS[name].full_mask for i, name in enumerate(rest)},
+            )
+            entries.append(
+                MegaflowEntry(mask=mask, key=key.masked(mask), action=ALLOW)
+            )
+            probes.append(key)  # unmasked: hits through the wildcarded bits
+            # Same key off by one matched bit: the top one of the first
+            # field, and the lowest of the last.
+            probes.append(key.replace(**{first: key[first] ^ (1 << (width - 1))}))
+            probes.append(key.replace(**{fields[-1]: key[fields[-1]] ^ 1}))
+    return entries, probes
+
+
 class TestDifferential:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -174,6 +228,25 @@ class TestDifferential:
         for entry in entries:
             tss.insert(entry)
         assert tss.n_masks > 64
+
+    @pytest.mark.parametrize("width", sorted(_WIDTH_FAMILIES))
+    def test_every_hash_width(self, width):
+        """0-4 active columns take the constant-width C branches, 6 the
+        generic loop: hits at every mask, misses and shuffled orders agree
+        across kernels and with the sequential scan."""
+        entries, probes = _width_family(_WIDTH_FAMILIES[width])
+        tss = TupleSpaceSearch(scan_kernel="numpy")
+        for entry in entries:
+            tss.insert(MegaflowEntry(mask=entry.mask, key=entry.key, action=ALLOW))
+        results = tss.lookup_batch(probes).results
+        assert len(tss._scan_operands().active) == width
+        assert {r.masks_inspected for r in results if r.hit} == set(
+            range(1, tss.n_masks + 1)
+        )
+        assert width == 0 or any(not r.hit for r in results)
+        reference = _drive_sequential(entries, probes, shuffle_seed=2)
+        for kernel in KERNELS:
+            assert _drive(kernel, entries, probes, 2) == reference, kernel
 
 
 # -- operand-cache coherence ---------------------------------------------------
@@ -303,6 +376,157 @@ class TestOperandCacheCoherence:
         tss.clear_memo()
         with pytest.raises(CacheInvariantError):
             tss.lookup_batch(probe)
+
+
+# -- the failed-confirm resume walk ----------------------------------------------
+_NESTED = 20  # prefix lengths 8..27 of one ip_src, all covering one key
+_NESTED_KEY = FlowKey(ip_src=0x0A141E28, tp_dst=80)
+_WALL = 70  # unrelated masks between nested levels 16 and 17: > one C strip
+_UNRELATED_KEY = FlowKey(ip_src=0xC0A80001, ip_dst=0xAC100001, tp_dst=443)
+
+
+def _nested_store(kernel: str):
+    """``_NESTED`` overlapping entries, one per mask in prefix order, that
+    all cover ``_NESTED_KEY`` -- plus a disjoint filler per mask, so a mask
+    outlives the removal of its nested entry.  A wall of masks that never
+    match the key sits behind level ``MAX_HITS``: the fetch that resumes
+    there crosses a strip boundary before it finds the next level."""
+    tss = TupleSpaceSearch(scan_kernel=kernel)  # check_invariants off: overlap
+    nested_masks = [
+        FlowMask(ip_src=_prefix(8 + level), tp_dst=0xFFFF) for level in range(_NESTED)
+    ]
+    wall = [
+        FlowMask(ip_src=_prefix(src_bits), ip_dst=_prefix(dst_bits), tp_dst=0xFFFF)
+        for src_bits in (0, 8, 16)
+        for dst_bits in range(1, 25)
+    ][:_WALL]
+    split = CffiScanPlan.MAX_HITS + 1
+    for mask in nested_masks[:split] + wall + nested_masks[split:]:
+        tss.insert(
+            MegaflowEntry(mask=mask, key=_UNRELATED_KEY.masked(mask), action=ALLOW)
+        )
+    nested = [
+        tss.insert(MegaflowEntry(mask=mask, key=_NESTED_KEY.masked(mask), action=ALLOW))
+        for mask in nested_masks
+    ]
+    tss.lookup_batch([_UNRELATED_KEY])  # the index is built, and holds them all
+    return tss, nested
+
+
+class TestStaleCandidateWalk:
+    """A candidate the index still holds but the truth dicts no longer do
+    (the dicts-are-truth invariant's "stale accelerator" case) fails its
+    confirm; ``ScanPlan.next_hit`` must then walk to the next live one."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("stale", [1, 2, CffiScanPlan.MAX_HITS + 1, _NESTED])
+    def test_walk_past_stale_candidates(self, kernel, stale):
+        subject, nested = _nested_store(kernel)
+        twin, twin_nested = _nested_store("numpy")
+        for entry in nested[:stale]:  # behind the index: no invalidation
+            del subject._tables[entry.mask][subject._reduce(entry.mask, entry.key)]
+        assert not subject._acc_dirty
+        for entry in twin_nested[:stale]:  # the honest way
+            assert twin.remove(entry)
+        assert subject.masks() == twin.masks()
+
+        (got,) = subject.lookup_batch([_NESTED_KEY], now=1.0).results
+        want = twin.lookup(_NESTED_KEY, now=1.0)
+        assert _summarise(got) == _summarise(want)
+        if stale == _NESTED:
+            assert not got.hit and got.masks_inspected == _NESTED + _WALL
+        else:
+            assert got.entry is nested[stale]
+            assert got.masks_inspected == stale + 1 + (_WALL if stale > 16 else 0)
+        assert (subject.stats_hits, subject.stats_misses, subject.stats_scan_probes) == (
+            twin.stats_hits, twin.stats_misses, twin.stats_scan_probes
+        )
+
+
+# -- membership-filter coherence -------------------------------------------------
+def _filter_entry(n: int) -> MegaflowEntry:
+    """The ``n``-th of a family of pairwise-disjoint entries (unique tp_dst)."""
+    return _entry(n % len(MASK_SPACE), 0x9E3779B1 * n & 0xFFFFFFFF, 0x85EBCA6B * n & 0xFFFFFFFF, n)
+
+
+def _filter_log2(tss: TupleSpaceSearch) -> int:
+    return 64 - tss._acc_filter_shift
+
+
+class TestFilterCoherence:
+    """The filter never loses an indexed compound, whichever path wrote it
+    and however often it was regrown; ``check_invariants`` proves it on
+    every plan."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_no_false_negatives_across_growth(self, kernel):
+        tss = TupleSpaceSearch(check_invariants=True, scan_kernel=kernel)
+        entries = [_filter_entry(n) for n in range(1100)]
+        keys = [FlowKey.from_values(entry.key) for entry in entries]
+        tss.insert(entries[0])
+        tss.lookup_batch(keys[:1])  # builds the accelerator; inserts index from here
+        start = _filter_log2(tss)
+
+        # Per-entry appends, up to the first growth threshold with the last
+        # 63 of them still pending ...
+        for entry in entries[1:256]:
+            tss.insert(entry)
+        assert len(tss._acc_pending) == 63 and _filter_log2(tss) == start
+        # ... so this regrowth re-files sorted and pending compounds alike.
+        tss._acc_filter_maybe_grow()
+        assert _filter_log2(tss) == start + 2
+        tss._check_filter()
+        assert tss.lookup(keys[255]).entry is entries[255]  # found while pending
+
+        # Burst drains carry it through the next growth step.
+        for first in range(256, len(entries), 256):
+            tss.insert_batch(entries[first:first + 256])
+        assert _filter_log2(tss) == start + 4
+        tss.clear_memo()
+        results = tss.lookup_batch(keys).results  # _check_filter on every plan
+        assert [r.entry for r in results] == entries
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_stale_filter_is_caught(self, kernel):
+        tss = TupleSpaceSearch(check_invariants=True, scan_kernel=kernel)
+        tss.insert(_entry(0, 1, 2, 3))
+        probe = [FlowKey(ip_src=9, tp_dst=9)]
+        tss.lookup_batch(probe)
+        slot = int(tss._acc_compounds[0]) >> tss._acc_filter_shift
+        tss._acc_filter[slot >> 3] &= ~(1 << (slot & 7)) & 0xFF
+        tss.clear_memo()
+        with pytest.raises(CacheInvariantError):
+            tss.lookup_batch(probe)
+
+
+# -- the C source ----------------------------------------------------------------
+@needs_cffi
+class TestCSource:
+    def test_compiles_without_warnings(self, tmp_path):
+        """Tier-1 turns Python warnings into errors; the C is held to the
+        same bar (the kernel itself is built without ``-W`` flags)."""
+        source = tmp_path / "tss_scan.c"
+        source.write_text(kernel_module._SOURCE)
+        compiler = shlex.split(
+            os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+        )
+        done = subprocess.run(
+            [*compiler, *kernel_module._COMPILE_ARGS, "-Wall", "-Wextra", "-Werror",
+             "-c", str(source), "-o", str(tmp_path / "tss_scan.o")],
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_build_removes_superseded_artifacts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kernel_module, "_kernel_cache_dir", lambda: tmp_path)
+        dead = tmp_path / "_tss_scan_000000000000.cpython-311-x86_64-linux-gnu.so"
+        dead.write_bytes(b"")
+        bystander = tmp_path / "unrelated.txt"
+        bystander.write_text("kept")
+        _, lib = kernel_module._load_cffi_lib()
+        assert hasattr(lib, "tss_scan_first")
+        assert not dead.exists() and bystander.exists()
+        assert len(list(tmp_path.glob("_tss_scan_*"))) == 1  # the fresh build
 
 
 class TestSelection:

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Protocol, runtime_checkable
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, runtime_checkable
 
 from repro.classifier.actions import Action
 from repro.exceptions import CacheInvariantError, ClassifierError
@@ -123,9 +123,8 @@ class MegaflowEntry:
         return f"MegaflowEntry({fields or '*'} -> {self.action})"
 
 
-@dataclass(frozen=True)
-class TssLookupResult:
-    """Outcome of one megaflow lookup.
+class TssLookupResult(NamedTuple):
+    """Outcome of one megaflow lookup (one per scanned packet: a tuple).
 
     Attributes:
         entry: the hit entry, or ``None`` on a cache miss.
@@ -213,6 +212,14 @@ class MegaflowBackend(Protocol):
     ``DatapathConfig(megaflow_backend=...)``.  Implementations must keep
     the per-mask dicts authoritative (dicts-as-truth) and their batch path
     verdict-identical to their sequential path (batch ≡ sequential).
+
+    **Only a miss moves size or cost.**  ``n_masks``, ``n_entries`` and
+    ``expected_scan_cost()`` may change under the datapath's packet loop
+    only through a lookup that *misses* (a cost estimator may learn from
+    the miss scan; the upcall it causes may install) — never through a
+    hit, a memo hit or ``probe_mask``.  ``Datapath.process_batch`` reads
+    the pre-packet ``(n_masks, expected_scan_cost())`` once per upcall on
+    that premise, and re-reads it per packet under ``check_invariants``.
     """
 
     check_invariants: bool
@@ -389,7 +396,8 @@ class MegaflowStore:
         return tuple((i, m) for i, m in enumerate(mask.values) if m)
 
     def _reduce(self, mask: FlowMask, full_values: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(full_values[i] & m for i, m in self._mask_fields[mask])
+        # Per packet on every hit path: a list comprehension, not a generator.
+        return tuple([full_values[i] & m for i, m in self._mask_fields[mask]])
 
     def _invalidate(self) -> None:
         self._memo.clear()

@@ -74,6 +74,7 @@ __all__ = [
     "WEIGHTS",
     "to_columns",
     "to_column_matrix",
+    "keys_to_matrix",
     "row_hash",
     "filter_alloc",
     "filter_set",
@@ -130,6 +131,36 @@ def to_column_matrix(values_list: list[tuple[int, ...]]) -> np.ndarray:
         else:
             rows[:, column] = [v[index] & U64 for v in values_list]
     return rows
+
+
+# -- the packed row (owned here: nobody else reads or writes ``FlowKey._row``) --
+#
+# A key's row of the column matrix, as ``N_COLUMNS`` native uint64s (120
+# bytes).  Attack traces, keepalives and every harness workload replay the
+# *same* ``FlowKey`` objects burst after burst, and a key is immutable, so
+# its row is packed the first time the key reaches a scan and kept on the
+# key (``FlowKey._row``, ``None`` until then); a burst's matrix is then one
+# ``bytes.join``.  Value tuples that are not keys — masks, installed
+# entries — take :func:`to_columns` / :func:`to_column_matrix`.
+_ROW_BYTES = 8 * N_COLUMNS
+
+
+def keys_to_matrix(keys) -> np.ndarray:
+    """``FlowKey``s -> their (N x columns) uint64 matrix, **read-only**.
+
+    Bit for bit ``to_column_matrix([k.values for k in keys])``.  The result
+    views the joined bytes, so nothing may write it (the cffi kernel copies
+    the active columns out, the numpy kernel only reads).
+    """
+    try:
+        packed = b"".join([key._row for key in keys])
+    except TypeError:  # a None: some key has never been scanned
+        fresh = [key for key in keys if key._row is None]
+        rows = to_column_matrix([key.values for key in fresh]).tobytes()
+        for n, key in enumerate(fresh):
+            key._row = rows[n * _ROW_BYTES : (n + 1) * _ROW_BYTES]
+        packed = b"".join([key._row for key in keys])
+    return np.frombuffer(packed, dtype=np.uint64).reshape(-1, N_COLUMNS)
 
 
 def row_hash(row: np.ndarray) -> int:

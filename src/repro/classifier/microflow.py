@@ -41,7 +41,8 @@ class MicroflowCache:
 
         A hit whose underlying megaflow was removed (e.g. by MFCGuard or the
         revalidator) is treated as a miss and dropped, mirroring how OVS
-        invalidates microflows pointing at dead megaflows.
+        invalidates microflows pointing at dead megaflows: the caller, who
+        can tell, reports it through :meth:`drop_stale_hit`.
         """
         entry = self._entries.get(key)
         if entry is None:
@@ -66,6 +67,13 @@ class MicroflowCache:
         for key in stale:
             del self._entries[key]
         return len(stale)
+
+    def drop_stale_hit(self, entry: MegaflowEntry) -> None:
+        """The hit :meth:`lookup` just served points at a removed megaflow:
+        drop every microflow pointing at it and count that lookup as a miss."""
+        self.invalidate(entry)
+        self.stats_hits -= 1
+        self.stats_misses += 1
 
     def invalidate_many(self, entries: Iterable[MegaflowEntry]) -> int:
         """Drop microflows pointing at any of ``entries`` in one pass.

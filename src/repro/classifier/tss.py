@@ -27,20 +27,21 @@ loops.
 
 Batch pipeline.  :meth:`TupleSpaceSearch.lookup_batch` classifies N keys
 per call the way real software switches do (OVS/DPDK process ~32-packet
-batches): the (N keys x M masks) compound matrix is built in a handful of
-numpy passes — one bitwise-AND + multiply-accumulate per *non-wildcarded
-mask column* (most mask columns are all-zero, so most of the 15-column
-hash collapses away) — and candidate (key, mask) pairs are detected with a
-single test against the membership filter, a cache-resident bit array
-indexed by the *top* bits of the compound (its layout belongs to
-``classifier.kernel``; this module only decides how large it is — see
-"Candidate filter sizing").  The kernels refine filter hits against the
-exact compound set, and what survives is confirmed against the
-authoritative dicts exactly like sequential candidates, so a false
-positive costs a binary search or a dict probe, never a wrong verdict.
-Batch results are verdict-for-verdict identical to sequential ``lookup``
-— same entries, same ``masks_inspected``, same statistics
-(property-tested in ``tests/test_batch.py``).
+batches).  The keys' column matrix is the join of the packed rows the keys
+carry (``classifier.kernel.keys_to_matrix``: a replayed key is packed
+once, not once per burst); a scan kernel computes the salted compound of
+every (key, mask) pair over the *non-wildcarded* mask columns only (most
+of the 15-column hash collapses away) and tests each against the
+membership filter, a cache-resident bit array indexed by the *top* bits of
+the compound (its layout belongs to ``classifier.kernel``; this module
+only decides how large it is — see "Candidate filter sizing").  The
+kernels refine filter hits against the exact compound set, and what
+survives is confirmed against the authoritative dicts exactly like
+sequential candidates — a dict probe with the packet's own masked key per
+hit — so a false positive costs a binary search or a dict probe, never a
+wrong verdict.  Batch results are verdict-for-verdict identical to
+sequential ``lookup`` — same entries, same ``masks_inspected``, same
+statistics (property-tested in ``tests/test_batch.py``).
 
 Accelerator invariants:
 
@@ -91,9 +92,9 @@ from repro.classifier.backend import (
     register_megaflow_backend,
 )
 
-# The column layout and hash weights live in ``classifier.kernel`` now (they
-# double as the shared-memory transport's wire format); the underscore names
-# are kept as aliases for existing call sites.
+# The column layout, the packed row a key carries and the hash weights live
+# in ``classifier.kernel`` (they double as the shared-memory transport's wire
+# format); the underscore names are kept as aliases for existing call sites.
 from repro.classifier.kernel import (
     N_COLUMNS as _N_COLUMNS,
     U64 as _U64,
@@ -102,6 +103,7 @@ from repro.classifier.kernel import (
     filter_alloc,
     filter_set,
     filter_test,
+    keys_to_matrix as _keys_to_matrix,
     make_scan_kernel,
     row_hash as _row_hash,
     to_column_matrix as _to_column_matrix,
@@ -438,7 +440,7 @@ class TupleSpaceSearch(MegaflowStore):
         if not len(self._acc_compounds) and not self._acc_pending:
             self._register_miss()
             return TssLookupResult(entry=None, masks_inspected=n)
-        row = _to_columns(key_values)
+        row = _keys_to_matrix((key,))[0]
         masked = self._acc_mask_buffer[:n] & row
         hashes = (masked * _WEIGHTS).sum(axis=1, dtype=np.uint64)
         compounds = hashes ^ self._acc_salt_buffer[:n]
@@ -477,8 +479,9 @@ class TupleSpaceSearch(MegaflowStore):
         and may mutate the cache between keys (slow-path installs); the
         scanner keeps its vectorised plan coherent — see
         :class:`_BatchScanner`'s coherence rules.  ``rows`` optionally
-        supplies ``keys``' precomputed column matrix (the shm transport's
-        wire format) so planning skips the derive.  ``spawn(i)`` names the
+        supplies ``keys``' column matrix for a caller that already holds
+        it (the shm worker, whose keys were rebuilt from it); otherwise
+        planning joins the keys' packed rows.  ``spawn(i)`` names the
         megaflow the slow path generates for ``keys[i]`` (anything with
         ``.mask`` and ``.key``): a caller that installs nothing but such
         megaflows mid-batch passes it and gets an O(1) coherence probe;
@@ -489,7 +492,9 @@ class TupleSpaceSearch(MegaflowStore):
     def _acc_confirm(
         self, compound: int, index: int, key_values: tuple[int, ...]
     ) -> MegaflowEntry | None:
-        """Authoritative-dict confirmation of one (compound, mask) candidate."""
+        """Authoritative-dict confirmation of one (compound, mask) candidate:
+        the candidate sits at this mask index, its table is live, and the
+        packet's own masked key finds exactly it there (Algorithm 1's probe)."""
         for entry_index, entry in self._acc_entries.get(compound, ()):
             if entry_index == index:
                 mask = entry.mask
@@ -563,55 +568,52 @@ class _BatchScanner:
         tss = self.tss
         if now is not None:
             self.now = now
-        key = self.keys[i]
-        key_values = key.values
+        key_values = self.keys[i].values
         memoised = tss._memo_consult(key_values, self.now)
         if memoised is not None:
             return memoised
-        result = self._scan_key(i, key, key_values)
+        result = self._scan_key(tss, i, key_values)
         tss._account_scan(result)
         tss._memo_store(key_values, result)
         return result
 
     def _scan_key(
-        self, i: int, key: FlowKey, key_values: tuple[int, ...]
+        self, tss: TupleSpaceSearch, i: int, key_values: tuple[int, ...]
     ) -> TssLookupResult:
-        tss = self.tss
         n_now = len(tss._mask_order)
         if n_now == 0:
             tss.stats_misses += 1
-            return TssLookupResult(entry=None, masks_inspected=0)
+            return TssLookupResult(None, 0)
         if tss._acc_dirty:
             tss._rebuild_accelerator()
         if tss._order_seq != self._order_seq or not (self._start <= i < self._end):
             self._build_plan(i)
-        found = self._plan_hit(i, key_values)
+        found = self._plan_hit(tss, i, key_values)
         if found is None and tss._n_entries != self._n_entries:
             # Plan says miss, but entries were installed after the snapshot.
             if self._spawn is None:
                 self._build_plan(i)
-                found = self._plan_hit(i, key_values)
+                found = self._plan_hit(tss, i, key_values)
             else:
                 spawned = self._spawn(i)
                 hit = tss.get_entry(spawned.mask, spawned.key)
                 if hit is not None:
-                    found = hit, tss._mask_index[hit.mask]
+                    found = TssLookupResult(hit, tss._mask_index[hit.mask] + 1)
         if found is None:
             tss._register_miss()
-            return TssLookupResult(entry=None, masks_inspected=n_now)
-        hit, index = found
-        tss._register_hit(hit, self.now)
-        return TssLookupResult(entry=hit, masks_inspected=index + 1)
+            return TssLookupResult(None, n_now)
+        tss._register_hit(found.entry, self.now)
+        return found
 
     def _plan_hit(
-        self, i: int, key_values: tuple[int, ...]
-    ) -> tuple[MegaflowEntry, int] | None:
-        """The dict-confirmed (entry, mask index) the plan holds for key ``i``."""
+        self, tss: TupleSpaceSearch, i: int, key_values: tuple[int, ...]
+    ) -> TssLookupResult | None:
+        """The plan's dict-confirmed hit for key ``i`` — the entry and the
+        probes the sequential scan spends reaching it — or None on a miss."""
         j = i - self._start
         plan = self._plan
         if not plan.has[j]:
             return None
-        tss = self.tss
         index = plan.first[j]
         hit = tss._acc_confirm(plan.first_compound[j], index, key_values)
         while hit is None:
@@ -622,7 +624,7 @@ class _BatchScanner:
                 return None
             index, compound = nxt
             hit = tss._acc_confirm(int(compound), index, key_values)
-        return hit, index
+        return TssLookupResult(hit, index + 1)
 
     def _build_plan(self, start: int) -> None:
         """Kernel-computed compound/candidate plan for keys[start:end]."""
@@ -633,7 +635,7 @@ class _BatchScanner:
         if self._rows is not None:
             rows = self._rows[start:end]
         else:
-            rows = _to_column_matrix([k.values for k in self.keys[start:end]])
+            rows = _keys_to_matrix(self.keys[start:end])
         if tss._burst_buf:
             # Deferred burst appends must reach the accelerator before the
             # plan snapshots it: the entry count recorded below tells the

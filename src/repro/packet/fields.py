@@ -175,8 +175,9 @@ class _FieldVector:
         self._values = values
         self._hash = hash(values)
 
-    @classmethod
-    def _build(cls, kind: str, kwargs: Mapping[str, int], checker: str) -> "_FieldVector":
+    @staticmethod
+    def _build(kind: str, kwargs: Mapping[str, int], checker: str) -> tuple[int, ...]:
+        """Checked keyword fields -> the canonical value tuple."""
         values = [0] * _NFIELDS
         for name, value in kwargs.items():
             idx = _INDEX.get(name)
@@ -184,7 +185,7 @@ class _FieldVector:
                 raise FieldError(f"unknown field {name!r} for {kind}")
             check = getattr(_FIELD_DEFS[idx], checker)
             values[idx] = check(value)
-        return cls(tuple(values))
+        return tuple(values)
 
     # -- mapping-ish interface ------------------------------------------------
     def __getitem__(self, name: str) -> int:
@@ -236,13 +237,22 @@ class FlowKey(_FieldVector):
 
         key = FlowKey(ip_src=0x0a000001, ip_proto=6, tp_dst=80)
         key["tp_dst"]    # 80
+
+    ``_row`` is an opaque slot owned by :mod:`repro.classifier.kernel` (see
+    "the packed row" there): ``None`` until the key is first scanned, a pure
+    function of ``values`` afterwards, and never pickled or copied.
     """
 
-    __slots__ = ()
+    __slots__ = ("_row",)
 
     def __init__(self, **kwargs: int):
-        vec = _FieldVector._build("FlowKey", kwargs, "check_value")
-        super().__init__(vec._values)
+        super().__init__(self._build("FlowKey", kwargs, "check_value"))
+        self._row = None
+
+    def __reduce__(self):
+        # Values only: neither the hash (recomputed) nor the packed row
+        # (120 bytes per key the pipe transport must not ship) travels.
+        return FlowKey.from_values, (self._values,)
 
     @classmethod
     def from_values(cls, values: tuple[int, ...]) -> "FlowKey":
@@ -250,7 +260,9 @@ class FlowKey(_FieldVector):
         if len(values) != _NFIELDS:
             raise FieldError(f"FlowKey needs {_NFIELDS} values, got {len(values)}")
         obj = cls.__new__(cls)
-        _FieldVector.__init__(obj, values)
+        obj._values = values
+        obj._hash = hash(values)
+        obj._row = None
         return obj
 
     def replace(self, **kwargs: int) -> "FlowKey":
@@ -289,8 +301,7 @@ class FlowMask(_FieldVector):
     __slots__ = ()
 
     def __init__(self, **kwargs: int):
-        vec = _FieldVector._build("FlowMask", kwargs, "check_mask")
-        super().__init__(vec._values)
+        super().__init__(self._build("FlowMask", kwargs, "check_mask"))
 
     @classmethod
     def from_values(cls, values: tuple[int, ...]) -> "FlowMask":

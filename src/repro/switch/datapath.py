@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.classifier.actions import Action
 from repro.classifier.backend import (
@@ -45,7 +45,7 @@ from repro.classifier.slowpath import (
     SlowPathResult,
     StrategyConfig,
 )
-from repro.exceptions import SwitchError
+from repro.exceptions import CacheInvariantError, SwitchError
 from repro.packet.fields import FlowKey, FlowMask
 from repro.packet.packet import Packet
 from repro.switch.maskcache import KernelMaskCache
@@ -69,9 +69,8 @@ class PathTaken(enum.Enum):
     SLOW_PATH = "slow_path"
 
 
-@dataclass(frozen=True)
-class PacketVerdict:
-    """Per-packet processing report.
+class PacketVerdict(NamedTuple):
+    """Per-packet processing report (one per packet: a tuple).
 
     Attributes:
         action: the final decision.
@@ -186,9 +185,10 @@ class DatapathConfig:
             shard on a sharded datapath.
         executor: shard-execution strategy for a sharded datapath (see
             :mod:`repro.switch.executor`): ``"serial"`` (the reference),
-            ``"thread"`` (GIL-releasing numpy kernels overlap), or
-            ``"process"`` (worker processes own the shards — true
-            multi-core wall clock).  Ignored by a plain datapath.
+            ``"thread"`` (the compiled scan runs with the GIL released,
+            so shards overlap there; the per-packet Python around it
+            does not), or ``"process"`` (worker processes own the shards
+            — true multi-core wall clock).  Ignored by a plain datapath.
         executor_workers: worker cap for pooled executors (0 → one worker
             per shard).
         executor_transport: data-plane transport for the ``process``
@@ -358,7 +358,7 @@ class Datapath:
             entry.last_used = self.now
             self.stats.microflow_hits += 1
             return PacketVerdict(action=entry.action, path=PathTaken.MICROFLOW)
-        self.microflows.invalidate(entry)  # stale pointer
+        self.microflows.drop_stale_hit(entry)
         return None
 
     def _mask_cache_level(self, key: FlowKey) -> PacketVerdict | None:
@@ -451,10 +451,22 @@ class Datapath:
         install-for-install identical to the scalar engine: per-key
         :meth:`process`, one :meth:`MegaflowGenerator.generate` per upcall.
 
-        ``rows`` optionally supplies ``keys``' uint64 column matrix when
-        the caller already has it (the shared-memory transport's wire
-        format is exactly this layout) — purely a recomputation saving,
-        never a semantic input.
+        Per-packet bookkeeping is kept off the warm path on one premise,
+        stated in :class:`MegaflowBackend` and re-checked per packet under
+        ``check_invariants``: only an upcall moves the cache's size or the
+        backend's cost estimate.  So the pre-packet ``(n_masks,
+        expected_scan_cost())`` behind ``mask_counts`` / ``probe_costs`` is
+        read at burst entry and again after every upcall, and the
+        per-packet counters accumulate in locals that a ``finally`` adds
+        to :attr:`stats` — a burst that raises mid-way leaves the counters
+        its packets so far would have written one by one.
+
+        ``rows`` optionally supplies ``keys``' uint64 column matrix.  Keys
+        that have been scanned before carry their packed row
+        (:func:`repro.classifier.kernel.keys_to_matrix`), so only a caller
+        whose keys are fresh objects every burst gains by it: the
+        shared-memory worker, which rebuilds its keys *from* that matrix.
+        Purely a recomputation saving, never a semantic input.
         """
         self._advance_clock(now)
         keys = list(keys)
@@ -480,26 +492,49 @@ class Datapath:
                 slow = results[0]  # the cohort leads with ``key``
             return slow
 
-        scanner = self.megaflows.batch_scanner(
+        megaflows = self.megaflows
+        scanner = megaflows.batch_scanner(
             keys, now=self.now, rows=rows, spawn=lambda i: generate(i).entry
         )
-        with self.megaflows.index_burst():
-            for i, key in enumerate(keys):
-                self.stats.packets += 1
-                mask_counts.append(self.megaflows.n_masks)
-                probe_costs.append(self.megaflows.expected_scan_cost())
-                verdict = self._fast_levels(key)
-                if verdict is None:
-                    result = scanner.result(i)
-                    if result.entry is None:
-                        self.stats.masks_inspected_total += result.masks_inspected
-                        verdict = self._install_upcall(
-                            key, generate(i), result.masks_inspected
+        check = self.config.check_invariants
+        fast = self.microflows is not None or self.mask_cache is not None
+        # Only an upcall moves the cache's size or the backend's cost
+        # estimate (MegaflowBackend: "only a miss moves size or cost").
+        n_masks, scan_cost = megaflows.n_masks, megaflows.expected_scan_cost()
+        megaflow_hits = inspected = 0
+        try:
+            with megaflows.index_burst():
+                for i, key in enumerate(keys):
+                    if check and (n_masks, scan_cost) != (
+                        megaflows.n_masks, megaflows.expected_scan_cost()
+                    ):
+                        raise CacheInvariantError(
+                            f"packet {i} of the burst: megaflow (n_masks, scan cost) left "
+                            f"{(n_masks, scan_cost)} without an upcall"
                         )
-                        upcalls += 1
-                    else:
-                        verdict = self._scan_levels(key, result)
-                verdicts.append(verdict)
+                    mask_counts.append(n_masks)
+                    probe_costs.append(scan_cost)
+                    verdict = self._fast_levels(key) if fast else None
+                    if verdict is None:
+                        entry, probes = scanner.result(i)
+                        inspected += probes
+                        if entry is None:
+                            verdict = self._install_upcall(key, generate(i), probes)
+                            upcalls += 1
+                            n_masks, scan_cost = megaflows.n_masks, megaflows.expected_scan_cost()
+                        else:
+                            megaflow_hits += 1
+                            if fast:
+                                self._remember(key, entry)
+                            verdict = PacketVerdict(entry.action, PathTaken.MEGAFLOW, probes)
+                    verdicts.append(verdict)
+        finally:
+            # What per-packet writes would have left, also when a packet
+            # raised: every packet entered has its pre-packet mask count.
+            stats = self.stats
+            stats.packets += len(mask_counts)
+            stats.megaflow_hits += megaflow_hits
+            stats.masks_inspected_total += inspected
         # ``generate`` closes over the scanner and the scanner holds ``spawn``:
         # unbind the cell so the (up to 32 MB) scan plan is freed by refcount
         # here, not whenever the cyclic GC next runs.

@@ -41,13 +41,12 @@ orders the ring stores before the reader looks — no locks needed.
 from __future__ import annotations
 
 import pickle
-from dataclasses import replace as dc_replace
 from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
 from repro.classifier.actions import Action, ActionKind
-from repro.classifier.kernel import COLUMN_SPLITS, N_COLUMNS, to_column_matrix
+from repro.classifier.kernel import COLUMN_SPLITS, N_COLUMNS, keys_to_matrix
 from repro.exceptions import SwitchError
 from repro.packet.fields import FIELD_ORDER, FlowKey
 from repro.switch.datapath import BatchVerdicts, PacketVerdict, PathTaken
@@ -226,7 +225,7 @@ def encode_batch(ring: ShmRing, seq: int, jobs, now: float | None) -> bool:
     chunks = [_as_bytes(header)]
     for shard_id, keys in jobs:
         chunks.append(_as_bytes(np.array([shard_id, len(keys)], dtype=np.uint64)))
-        chunks.append(_as_bytes(to_column_matrix([k.values for k in keys])))
+        chunks.append(_as_bytes(keys_to_matrix(keys)))
     return ring.try_write(chunks)
 
 
@@ -395,7 +394,7 @@ def decode_verdicts(payload: bytes, expected_seq: int):
         by_shard = {shard_id: verdicts for shard_id, verdicts, _, _, _ in decoded}
         for shard_id, index, entry in pickle.loads(blob):
             verdicts = by_shard[shard_id]
-            verdicts[index] = dc_replace(verdicts[index], installed=entry)
+            verdicts[index] = verdicts[index]._replace(installed=entry)
     return [
         (shard_id, BatchVerdicts(tuple(verdicts), mask_counts, costs, upcalls))
         for shard_id, verdicts, mask_counts, costs, upcalls in decoded

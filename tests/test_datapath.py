@@ -162,6 +162,31 @@ class TestIdleEviction:
         verdict = datapath.process(WEB, now=20.0)
         assert verdict.path is PathTaken.SLOW_PATH  # no stale microflow hit
 
+    @pytest.mark.parametrize("batched", [False, True], ids=["process", "process_batch"])
+    @pytest.mark.parametrize("how", ["flush", "remove"])
+    def test_stale_microflow_pointer_counts_as_a_miss(self, table, how, batched):
+        """A megaflow removed behind the datapath's back (no microflow
+        invalidation, as ``cold_detonation``'s direct flush) leaves a
+        dangling microflow: the lookup that finds it is a miss, not a hit."""
+        datapath = Datapath(table)
+
+        def run(key):
+            return datapath.process_batch([key]).verdicts[0] if batched else datapath.process(key)
+
+        entry = run(WEB).installed
+        assert run(WEB).path is PathTaken.MICROFLOW
+        micro = datapath.microflows
+        hits, misses = micro.stats_hits, micro.stats_misses
+        if how == "flush":
+            datapath.megaflows.flush()
+        else:
+            assert datapath.megaflows.remove(entry)
+        assert run(WEB).path is PathTaken.SLOW_PATH
+        assert (micro.stats_hits, micro.stats_misses) == (hits, misses + 1)
+        assert datapath.stats.microflow_hits == 1
+        assert run(WEB).path is PathTaken.MICROFLOW  # re-installed, live again
+        assert (micro.stats_hits, micro.stats_misses) == (hits + 1, misses + 1)
+
 
 class TestMaskCachePath:
     def test_established_flow_hits_mask_cache(self, table):

@@ -10,6 +10,7 @@ from repro.packet.fields import (
     WILDCARD_MASK,
     FlowKey,
     FlowMask,
+    _FieldVector,
     field,
     field_names,
     first_diff_bit,
@@ -98,6 +99,21 @@ class TestFlowKey:
     def test_unknown_kwarg(self):
         with pytest.raises(FieldError):
             FlowKey(bogus=1)
+
+    @pytest.mark.parametrize("cls", [FlowKey, FlowMask])
+    def test_kwargs_build_no_throwaway_vector(self, cls, monkeypatch):
+        """Keyword construction hashes its value tuple once, for itself."""
+        built = []
+        init = _FieldVector.__init__
+
+        def counting(self, values):
+            built.append(type(self))
+            init(self, values)
+
+        monkeypatch.setattr(_FieldVector, "__init__", counting)
+        vector = cls(ip_src=0x0A000001, tp_dst=80)
+        assert built == [cls]
+        assert vector == cls.from_values(vector.values) and hash(vector) == hash(vector.values)
 
     def test_equality_and_hash(self):
         a = FlowKey(ip_src=1, tp_dst=2)

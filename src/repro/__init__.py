@@ -29,9 +29,9 @@ from repro.classifier import (
     FlowRule,
     FlowTable,
     Match,
-    MegaflowBackend,
     MegaflowEntry,
     MegaflowGenerator,
+    MegaflowStore,
     MicroflowCache,
     TupleChainSearch,
     TupleSpaceSearch,
@@ -67,7 +67,7 @@ __all__ = [
     "DENY",
     "TupleSpaceSearch",
     "TupleChainSearch",
-    "MegaflowBackend",
+    "MegaflowStore",
     "make_megaflow_backend",
     "MegaflowEntry",
     "MegaflowGenerator",

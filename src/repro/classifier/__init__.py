@@ -1,21 +1,17 @@
 """Packet classification substrates: flow tables, megaflow backends, alternatives.
 
-Two registries live here:
-
-* **Megaflow backends** — implementations of the
-  :class:`~repro.classifier.backend.MegaflowBackend` protocol that can
-  serve as a datapath's level-3 cache
-  (``DatapathConfig(megaflow_backend=...)``): ``"tss"`` (the paper's Tuple
-  Space Search) and ``"tuplechain"`` (grouped/chained lookup à la
-  TupleChain, arXiv:2408.04390).  Extend with
-  :func:`register_megaflow_backend`.
+* **Megaflow backends** — subclasses of
+  :class:`~repro.classifier.backend.MegaflowStore` that can serve as a
+  datapath's level-3 cache (``DatapathConfig(megaflow_backend=...)``):
+  ``"tss"`` (the paper's Tuple Space Search) and ``"tuplechain"``
+  (grouped/chained lookup à la TupleChain, arXiv:2408.04390), built by
+  name with :func:`make_megaflow_backend`.
 * **§7 comparison classifiers** — :func:`section7_registry` maps the
   comparison lineup's names to factories over a rule list: one cached
-  datapath per *currently registered* megaflow backend, plus the
-  traffic-independent alternatives (linear search, hierarchical tries,
-  HyperCuts, HaRP).  :func:`section7_classifiers` builds the full
-  lineup; the ``comparison`` experiment and
-  ``examples/classifier_comparison.py`` consume it.
+  datapath per megaflow backend, plus the traffic-independent
+  alternatives (linear search, hierarchical tries, HyperCuts, HaRP).
+  :func:`section7_classifiers` builds the full lineup; the ``comparison``
+  experiment and ``examples/classifier_comparison.py`` consume it.
 """
 
 from typing import Callable, Sequence
@@ -24,14 +20,11 @@ from repro.classifier.actions import ALLOW, DENY, Action, ActionKind
 from repro.classifier.backend import (
     ENTRY_BYTES,
     MASK_BYTES,
-    BatchLookupResult,
-    MegaflowBackend,
     MegaflowEntry,
     MegaflowStore,
     TssLookupResult,
     make_megaflow_backend,
     megaflow_backend_names,
-    register_megaflow_backend,
 )
 from repro.classifier.base import ClassifierResult, PacketClassifier
 from repro.classifier.flowtable import FlowTable
@@ -60,18 +53,15 @@ __all__ = [
     "Match",
     "FlowRule",
     "FlowTable",
-    "MegaflowBackend",
     "MegaflowStore",
     "TupleSpaceSearch",
     "TupleChainSearch",
     "MegaflowEntry",
     "TssLookupResult",
-    "BatchLookupResult",
     "ENTRY_BYTES",
     "MASK_BYTES",
     "make_megaflow_backend",
     "megaflow_backend_names",
-    "register_megaflow_backend",
     "MicroflowCache",
     "MegaflowGenerator",
     "SlowPathResult",
@@ -105,9 +95,7 @@ def _cached(backend: str) -> Callable[[list], PacketClassifier]:
 def section7_registry() -> dict[str, Callable[[list], PacketClassifier]]:
     """The §7 comparison lineup: classifier name -> factory over a rule list.
 
-    Built fresh on every call so a megaflow backend registered *after*
-    import (the documented extension point) still joins the lineup: one
-    ``"<backend>-cache"`` datapath per registered backend, then the
+    One ``"<backend>-cache"`` datapath per megaflow backend, then the
     traffic-independent long-term-mitigation alternatives.
     """
     lineup: dict[str, Callable[[list], PacketClassifier]] = {

@@ -6,14 +6,14 @@ slow-path rule scan on misses) depends on what the traffic history did to
 its cache.  For the TSS backend that cost explodes as attack traffic
 detonates the tuple space; for the TupleChain-style grouped backend it
 stays bounded — the ``comparison`` experiment shows exactly that contrast, by
-running one adapter instance per registered megaflow backend.
+running one adapter instance per megaflow backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
 
-from repro.classifier.backend import MegaflowBackend, backend_name_of
+from repro.classifier.backend import MegaflowStore
 from repro.classifier.base import ClassifierResult, PacketClassifier
 from repro.classifier.flowtable import FlowTable
 from repro.classifier.rule import FlowRule
@@ -30,10 +30,10 @@ class TssCachedClassifier(PacketClassifier):
         rules: the rule list (loaded into a private flow table).
         config: datapath knobs; the default disables the microflow cache so
             the comparison measures the megaflow lookup itself.
-        backend: which megaflow cache backs the datapath — a registry name
+        backend: which megaflow cache backs the datapath — a backend name
             (``"tss"``, ``"tuplechain"``) or an injected pre-built
-            :class:`~repro.classifier.backend.MegaflowBackend` instance.
-            The classifier's reported name becomes ``"<backend>-cache"``.
+            :class:`~repro.classifier.backend.MegaflowStore` instance.
+            The classifier's reported name becomes ``"<backend name>-cache"``.
     """
 
     name = "tss-cache"
@@ -42,18 +42,15 @@ class TssCachedClassifier(PacketClassifier):
         self,
         rules: list[FlowRule],
         config: DatapathConfig | None = None,
-        backend: str | MegaflowBackend = "tss",
+        backend: str | MegaflowStore = "tss",
     ):
         table = FlowTable(rules=list(rules), name="cache-adapter")
         config = config or DatapathConfig(microflow_capacity=0)
         if isinstance(backend, str):
-            config = dc_replace(config, megaflow_backend=backend)
-            self.name = f"{backend}-cache"
-            self.datapath = Datapath(table, config)
+            self.datapath = Datapath(table, dc_replace(config, megaflow_backend=backend))
         else:
-            registered = backend_name_of(backend)
-            self.name = f"{registered or type(backend).__name__.lower()}-cache"
             self.datapath = Datapath(table, config, megaflows=backend)
+        self.name = f"{self.datapath.megaflows.name}-cache"
         self._clock = 0.0
 
     def classify(self, key: FlowKey) -> ClassifierResult:

@@ -1,4 +1,4 @@
-"""The pluggable megaflow-backend layer: protocol, shared store, registry.
+"""The swappable megaflow backend: one base class and a two-row name table.
 
 The datapath's level-3 cache — the structure the TSE attack detonates — is
 not inherently Tuple Space Search.  §7 of the paper argues the attack is
@@ -8,23 +8,18 @@ resist it (TupleChain, arXiv:2408.04390, keeps scan cost sublinear in the
 mask count by chaining compatible masks into groups).  This module is the
 seam that makes the megaflow cache swappable:
 
-* :class:`MegaflowBackend` — the protocol every backend implements.  It is
-  exactly the surface the switch layers pull out of the cache today:
-  ``lookup`` / ``lookup_batch`` / ``batch_scanner`` (the datapath),
-  ``insert`` / ``remove`` / ``evict_idle`` / ``remove_where`` (the slow
-  path and the revalidator), ``entries()`` / ``masks()`` / ``find_entry``
-  / ``probe_mask`` / ``memory_bytes()`` / hit statistics (dpctl, MFCGuard,
-  the kernel mask cache, the perf harness).
-* :class:`MegaflowStore` — the shared truth-store machinery: per-mask hash
+* :class:`MegaflowStore` — the one definition of a backend: per-mask hash
   dicts, the mask list, the lookup memo, and the hit/miss statistics
-  funnel.  Concrete backends subclass it and supply ``_scan`` (how a key
-  is matched) plus index hooks (how their accelerating structure tracks
-  inserts and removals).  The dicts-as-truth invariant lives here: the
-  per-mask dicts decide every verdict and any backend index must be
-  rebuildable from them without observable change.
-* the backend registry — ``make_megaflow_backend("tss")`` and friends, the
-  single place new backends (grouped lookup, HyperCuts-megaflow, offload
-  hybrids) plug into :class:`~repro.switch.datapath.DatapathConfig`.
+  funnel, i.e. everything the datapath, the slow path, the revalidator,
+  dpctl and MFCGuard drive.  Concrete backends subclass it and supply a
+  ``name``, ``_scan`` (how a key is matched) and two index hooks (how
+  their accelerating structure tracks inserts and removals).  The
+  dicts-as-truth invariant lives here: the per-mask dicts decide every
+  verdict and any backend index must be rebuildable from them without
+  observable change.
+* :func:`make_megaflow_backend` — builds a backend from its name in a
+  literal two-row table (``"tss"``, ``"tuplechain"``); the name is what
+  ``DatapathConfig(megaflow_backend=...)`` selects.
 
 ``masks_inspected`` is reported in **backend-native probe units**: mask
 tables scanned for TSS, chain/group hash probes for the grouped backend.
@@ -34,17 +29,17 @@ installed entries are comparable, which is what the differential tests
 compare.
 
 The **probe-cost surface** makes those native units priceable across the
-whole stack: every backend declares :meth:`MegaflowBackend.probe_unit_cost`
+whole stack: every backend declares :meth:`MegaflowStore.probe_unit_cost`
 (how many *calibrated single-table probes* one native probe unit costs —
 the normalisation constant of the cost plane) and
-:meth:`MegaflowBackend.expected_scan_cost` (the expected cost of one full
+:meth:`MegaflowStore.expected_scan_cost` (the expected cost of one full
 scan of the current cache, in normalised probe units — the quantity the
 calibrated cost curves take as their argument).  For TSS probes ≡ masks
 and the unit cost is 1.0, so the normalised scan cost *is* the mask count
 and every mask-count-anchored consumer (the Table 1 / Fig 8-9 presets)
 reproduces byte-identically; for the grouped backend the scan cost tracks
 the observed chain walks, which is what lets the hypervisor's time series
-finally see the defense.  :meth:`MegaflowBackend.probe_cost_snapshot`
+finally see the defense.  :meth:`MegaflowStore.probe_cost_snapshot`
 bundles the currency into one introspection record for dpctl, MFCGuard
 and the dilution detector.
 """
@@ -53,7 +48,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Protocol, runtime_checkable
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from repro.classifier.actions import Action
 from repro.exceptions import CacheInvariantError, ClassifierError
@@ -64,16 +59,12 @@ __all__ = [
     "MASK_BYTES",
     "MegaflowEntry",
     "TssLookupResult",
-    "BatchLookupResult",
     "ProbeCostSnapshot",
-    "MegaflowBackend",
     "MegaflowStore",
     "LiveBatchScanner",
     "BackendRebuild",
-    "register_megaflow_backend",
     "megaflow_backend_names",
     "make_megaflow_backend",
-    "backend_name_of",
 ]
 
 # Memory-footprint estimates per cache object, sized after the OVS kernel
@@ -142,37 +133,6 @@ class TssLookupResult(NamedTuple):
 
 
 @dataclass(frozen=True)
-class BatchLookupResult:
-    """Outcome of one batched megaflow lookup, one result per input key.
-
-    Semantically a transcript of running the backend's ``lookup`` over the
-    keys in order — same entries, same ``masks_inspected``, same statistics
-    side effects — however the backend vectorises it.
-    """
-
-    results: tuple[TssLookupResult, ...]
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __iter__(self):
-        return iter(self.results)
-
-    def __getitem__(self, index: int) -> TssLookupResult:
-        return self.results[index]
-
-    @property
-    def hits(self) -> int:
-        """Number of keys served from the cache."""
-        return sum(1 for r in self.results if r.hit)
-
-    @property
-    def masks_inspected_total(self) -> int:
-        """Total scan work across the batch (cost-model input)."""
-        return sum(r.masks_inspected for r in self.results)
-
-
-@dataclass(frozen=True)
 class ProbeCostSnapshot:
     """One backend's lookup-cost currency, in one introspection record.
 
@@ -202,123 +162,15 @@ class ProbeCostSnapshot:
         return self.probes_total / self.scans if self.scans else 0.0
 
 
-@runtime_checkable
-class MegaflowBackend(Protocol):
-    """What the switch layers require of a megaflow cache.
-
-    This is the exact surface ``datapath.py``, ``sharded.py``,
-    ``revalidator.py``, ``dpctl.py`` and MFCGuard drive; anything
-    implementing it can be selected via
-    ``DatapathConfig(megaflow_backend=...)``.  Implementations must keep
-    the per-mask dicts authoritative (dicts-as-truth) and their batch path
-    verdict-identical to their sequential path (batch ≡ sequential).
-
-    **Only a miss moves size or cost.**  ``n_masks``, ``n_entries`` and
-    ``expected_scan_cost()`` may change under the datapath's packet loop
-    only through a lookup that *misses* (a cost estimator may learn from
-    the miss scan; the upcall it causes may install) — never through a
-    hit, a memo hit or ``probe_mask``.  ``Datapath.process_batch`` reads
-    the pre-packet ``(n_masks, expected_scan_cost())`` once per upcall on
-    that premise, and re-reads it per packet under ``check_invariants``.
-    """
-
-    check_invariants: bool
-    stats_hits: int
-    stats_misses: int
-    stats_scans: int
-    stats_scan_probes: int
-
-    # -- size ----------------------------------------------------------------
-    @property
-    def n_masks(self) -> int: ...
-
-    @property
-    def n_entries(self) -> int: ...
-
-    def memory_bytes(self) -> int: ...
-
-    def __len__(self) -> int: ...
-
-    # -- lookup ---------------------------------------------------------------
-    def lookup(self, key: FlowKey, now: float = 0.0) -> TssLookupResult: ...
-
-    def lookup_batch(self, keys, now: float = 0.0) -> BatchLookupResult: ...
-
-    def batch_scanner(
-        self, keys: list[FlowKey], now: float = 0.0, rows=None, spawn=None
-    ):
-        """A consume-in-order scanner: ``result(i)`` and ``plan_misses(i)``.
-
-        ``rows`` (the keys' precomputed uint64 column matrix) and
-        ``spawn`` (a callable mapping ``i`` to the megaflow the slow path
-        generates for ``keys[i]`` — the handle for an O(1) mid-burst
-        coherence probe) serve backends that precompute a scan plan;
-        backends without one (:class:`LiveBatchScanner`, tuplechain)
-        ignore both.
-        """
-        ...
-
-    def probe_mask(
-        self, mask: FlowMask, key: FlowKey, now: float = 0.0
-    ) -> MegaflowEntry | None: ...
-
-    def find(self, key: FlowKey) -> MegaflowEntry | None: ...
-
-    # -- probe-cost surface ----------------------------------------------------
-    def probe_unit_cost(self) -> float: ...
-
-    def expected_scan_cost(self) -> float: ...
-
-    def structural_scan_cost(self) -> float: ...
-
-    def probe_cost_snapshot(self) -> ProbeCostSnapshot: ...
-
-    # -- mutation -------------------------------------------------------------
-    def insert(self, entry: MegaflowEntry, now: float = 0.0) -> MegaflowEntry: ...
-
-    def insert_batch(
-        self, entries: Iterable[MegaflowEntry], now: float = 0.0
-    ) -> list[MegaflowEntry]: ...
-
-    def index_burst(self): ...
-
-    def remove(self, entry: MegaflowEntry) -> bool: ...
-
-    def remove_where(
-        self, predicate: Callable[[MegaflowEntry], bool]
-    ) -> list[MegaflowEntry]: ...
-
-    def evict_idle(self, now: float, idle_timeout: float) -> list[MegaflowEntry]: ...
-
-    def flush(self) -> None: ...
-
-    def shuffle_masks(self, seed: int = 0) -> None: ...
-
-    def clear_memo(self) -> None: ...
-
-    # -- iteration / introspection --------------------------------------------
-    def entries(self) -> Iterator[MegaflowEntry]: ...
-
-    def masks(self) -> list[FlowMask]: ...
-
-    def entries_for_mask(self, mask: FlowMask) -> list[MegaflowEntry]: ...
-
-    def find_entry(self, entry: MegaflowEntry) -> bool: ...
-
-    def get_entry(
-        self, mask: FlowMask, key: tuple[int, ...]
-    ) -> MegaflowEntry | None: ...
-
-    def verify_disjoint(self) -> None: ...
-
-
 class MegaflowStore:
-    """Shared truth-store machinery for megaflow backends.
+    """A megaflow backend: the truth store every backend subclasses.
 
     Owns everything that is *semantics*: the per-mask hash dicts (the
     single source of truth for every verdict), the mask list, the lookup
-    memo, timestamps/hit counters, and the statistics funnel.  Subclasses
-    supply the *index* — whatever accelerating structure they scan — via
+    memo, timestamps/hit counters, and the statistics funnel — the whole
+    surface the datapath, the revalidator, dpctl and MFCGuard drive.  A
+    subclass supplies its ``name`` (its row in :func:`make_megaflow_backend`'s
+    table) and the *index* — whatever accelerating structure it scans — via
     three hooks:
 
     * :meth:`_scan` — resolve one key against the store (the lookup
@@ -329,11 +181,21 @@ class MegaflowStore:
     * :meth:`_index_invalidate` — mark the index stale after a removal,
       reorder, or flush (lazily rebuilt by the subclass).
 
-    The default ``lookup_batch`` / ``batch_scanner`` run the sequential
-    path key by key — trivially batch ≡ sequential, because every lookup
-    reads the live dicts; backends with a vectorised plan (TSS) override
-    them.
+    The index must stay a pure accelerator (dicts-as-truth) and a batch
+    scanner verdict-identical to :meth:`lookup` (batch ≡ sequential); the
+    default :meth:`batch_scanner` is a live lookup per key, which is both.
+
+    **Only a miss moves size or cost.**  ``n_masks``, ``n_entries`` and
+    ``expected_scan_cost()`` may change under the datapath's packet loop
+    only through a lookup that *misses* (a cost estimator may learn from
+    the miss scan; the upcall it causes may install) — never through a
+    hit, a memo hit or ``probe_mask``.  ``Datapath.process_batch`` reads
+    the pre-packet ``(n_masks, expected_scan_cost())`` once per upcall on
+    that premise, and re-reads it per packet under ``check_invariants``.
     """
+
+    #: The backend's name in :func:`make_megaflow_backend`'s table.
+    name: str
 
     MEMO_LIMIT = 65536  # distinct keys memoised between cache mutations
 
@@ -433,7 +295,7 @@ class MegaflowStore:
             if entry is not None:
                 self._register_hit(entry, now)
             else:
-                self.stats_misses += 1
+                self._register_miss()
         return memoised
 
     def _memo_store(self, key_values: tuple[int, ...], result: TssLookupResult) -> None:
@@ -456,26 +318,25 @@ class MegaflowStore:
         self._memo_store(key_values, result)
         return result
 
-    def lookup_batch(self, keys, now: float = 0.0) -> BatchLookupResult:
-        """Classify ``keys`` in order; equivalent to per-key :meth:`lookup`.
-
-        Backends with a vectorised plan override this; the default runs the
-        sequential path, which is batch ≡ sequential by construction.
-        """
-        return BatchLookupResult(results=tuple(self.lookup(k, now) for k in keys))
+    def lookup_batch(self, keys, now: float = 0.0) -> tuple[TssLookupResult, ...]:
+        """``[self.lookup(k, now) for k in keys]``, through :meth:`batch_scanner`."""
+        keys = list(keys)
+        scanner = self.batch_scanner(keys, now)
+        return tuple(scanner.result(i) for i in range(len(keys)))
 
     def batch_scanner(
         self, keys: list[FlowKey], now: float = 0.0, rows=None, spawn=None
     ):
         """A consume-in-order batch scanner (the datapath's level-3 engine).
 
-        The caller drives it one key at a time and may mutate the cache
-        between keys (slow-path installs).  The default scanner performs a
-        live lookup per key, so mid-batch mutations are always visible and
-        no coherence protocol is needed.  ``rows`` (the batch's
-        precomputed uint64 column matrix) and ``spawn`` (the caller's
-        ``i -> generated megaflow`` handle) only serve backends that plan
-        ahead (see :meth:`MegaflowBackend.batch_scanner`); they are
+        The caller drives it one key at a time (``result(i)``,
+        ``plan_misses(i)``) and may mutate the cache between keys
+        (slow-path installs).  The default scanner performs a live lookup
+        per key, so mid-batch mutations are always visible and no
+        coherence protocol is needed.  ``rows`` (the keys' precomputed
+        uint64 column matrix) and ``spawn`` (``i`` -> the megaflow the slow
+        path generates for ``keys[i]``, the handle for an O(1) mid-burst
+        coherence probe) serve backends that plan ahead (TSS); they are
         ignored here.
         """
         return LiveBatchScanner(self, list(keys), now)
@@ -548,6 +409,7 @@ class MegaflowStore:
         self.stats_hits += 1
 
     def _register_miss(self) -> None:
+        """Single funnel for every miss — scan, memo and batch alike."""
         self.stats_misses += 1
 
     # -- mutation ---------------------------------------------------------------
@@ -798,71 +660,44 @@ class LiveBatchScanner:
         return [start]
 
 
-# -- backend registry ------------------------------------------------------------
-
-#: name -> factory; factories accept ``check_invariants`` (and any
-#: backend-specific keyword arguments).
-_MEGAFLOW_BACKENDS: dict[str, Callable[..., "MegaflowBackend"]] = {}
+# -- the name table --------------------------------------------------------------
 
 
-def register_megaflow_backend(name: str, factory: Callable[..., "MegaflowBackend"]) -> None:
-    """Register a backend factory under ``name`` (last registration wins)."""
-    _MEGAFLOW_BACKENDS[name] = factory
+def _backends() -> dict[str, Callable[[bool, str], MegaflowStore]]:
+    """name -> ``(check_invariants, scan_kernel) -> backend``, one row each."""
+    # Imported here: both backends subclass MegaflowStore, so importing them
+    # at module level would be circular.
+    from repro.classifier.tss import TupleSpaceSearch
+    from repro.classifier.tuplechain import TupleChainSearch
 
-
-def _ensure_builtin_backends() -> None:
-    # Imported lazily: the builtin backends import this module for the base
-    # class, so registering them here at import time would be circular.
-    import repro.classifier.tss  # noqa: F401  (registers "tss")
-    import repro.classifier.tuplechain  # noqa: F401  (registers "tuplechain")
+    return {
+        TupleSpaceSearch.name: lambda check, kernel: TupleSpaceSearch(check, kernel),
+        TupleChainSearch.name: lambda check, kernel: TupleChainSearch(check),
+    }
 
 
 def megaflow_backend_names() -> tuple[str, ...]:
-    """All registered backend names, sorted."""
-    _ensure_builtin_backends()
-    return tuple(sorted(_MEGAFLOW_BACKENDS))
+    """Every backend name in the table, sorted."""
+    return tuple(sorted(_backends()))
 
 
-def make_megaflow_backend(name: str, **kwargs) -> "MegaflowBackend":
-    """Build a megaflow backend by registry name.
+def make_megaflow_backend(
+    name: str, check_invariants: bool = False, scan_kernel: str = "auto"
+) -> MegaflowStore:
+    """Build a megaflow backend by name.
 
     Args:
-        name: registered backend name (``"tss"``, ``"tuplechain"``, …).
-        **kwargs: passed to the factory (``check_invariants`` etc.).
-            Keyword arguments the factory does not accept — e.g.
-            ``scan_kernel`` for backends without a batch scan kernel —
-            are dropped, so config-level knobs stay backend-agnostic.
+        name: ``"tss"`` or ``"tuplechain"``.
+        check_invariants: verify Inv(2) on every insert (tests).
+        scan_kernel: the :mod:`repro.classifier.kernel` implementation for
+            backends that plan their batch scans (TSS); the others have no
+            kernel and ignore it, so one config serves every backend.
     """
-    _ensure_builtin_backends()
-    factory = _MEGAFLOW_BACKENDS.get(name)
+    factory = _backends().get(name)
     if factory is None:
-        known = ", ".join(sorted(_MEGAFLOW_BACKENDS))
+        known = ", ".join(megaflow_backend_names())
         raise ClassifierError(f"unknown megaflow backend {name!r}; known: {known}")
-    if kwargs:
-        import inspect
-
-        try:
-            parameters = inspect.signature(factory).parameters
-        except (TypeError, ValueError):  # builtins/odd callables: pass all
-            parameters = None
-        if parameters is not None and not any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-        ):
-            kwargs = {k: v for k, v in kwargs.items() if k in parameters}
-    return factory(**kwargs)
-
-
-def backend_name_of(backend: "MegaflowBackend") -> str | None:
-    """The registry name whose factory built ``backend``, or None.
-
-    Only class factories can be matched; backends from closure factories
-    (or never registered) return None.
-    """
-    _ensure_builtin_backends()
-    for name, factory in _MEGAFLOW_BACKENDS.items():
-        if isinstance(factory, type) and type(backend) is factory:
-            return name
-    return None
+    return factory(check_invariants, scan_kernel)
 
 
 # -- live backend-to-backend rebuild ----------------------------------------------
@@ -873,7 +708,7 @@ class BackendRebuild:
 
     The dicts-as-truth invariant *is* the rebuild contract: the source's
     per-mask dicts hold every installed entry, so a fresh backend of any
-    registered kind can be reconstructed from them without consulting the
+    kind in the table can be reconstructed from them without consulting the
     old backend's index.  The rebuild is incremental — :meth:`step` copies a
     bounded slice per call, so the hot path keeps serving lookups from the
     old backend between slices — and journalled: the source notifies every
@@ -894,12 +729,6 @@ class BackendRebuild:
         while not rebuild.done:
             rebuild.step(max_entries=512)   # bounded work per call
         target = rebuild.finish()           # verify + detach + stats carry
-
-    :meth:`finish` verifies entry and mask counts match the source (the
-    structural entries-dropped-equals-zero guarantee) and carries the
-    hit/miss counters over so operator-visible statistics survive.  Scan
-    and probe counters are *not* carried: they are denominated in
-    backend-native probe units, which are not comparable across kinds.
     """
 
     def __init__(
@@ -943,11 +772,6 @@ class BackendRebuild:
         self._journal.append(("flush", None))
 
     # -- progress ------------------------------------------------------------
-    @property
-    def total(self) -> int:
-        """Entries in the start-of-rebuild snapshot."""
-        return len(self._snapshot)
-
     @property
     def progress(self) -> float:
         """Fraction of the snapshot copied (1.0 for an empty snapshot)."""
@@ -1014,10 +838,6 @@ class BackendRebuild:
             self._drain_journal()
         return visited
 
-    def run_to_completion(self) -> None:
-        while not self.done:
-            self.step()
-
     def detach(self) -> None:
         """Stop observing the source (idempotent)."""
         if not self._detached:
@@ -1027,7 +847,7 @@ class BackendRebuild:
             except ValueError:
                 pass
 
-    def finish(self) -> "MegaflowBackend":
+    def finish(self) -> MegaflowStore:
         """Complete the rebuild, verify it, and return the target backend.
 
         Verifies entry and mask counts against the source — the rebuild is
@@ -1036,7 +856,8 @@ class BackendRebuild:
         operator-visible hit statistics survive the swap; scan/probe
         counters stay at zero because their units are backend-native.
         """
-        self.run_to_completion()
+        while not self.done:
+            self.step()
         self.detach()
         if (
             self.target.n_entries != self.source.n_entries

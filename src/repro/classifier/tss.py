@@ -25,8 +25,8 @@ semantics).  A small memo additionally short-circuits repeated lookups of
 identical keys between cache mutations, since attack traces are replayed in
 loops.
 
-Batch pipeline.  :meth:`TupleSpaceSearch.lookup_batch` classifies N keys
-per call the way real software switches do (OVS/DPDK process ~32-packet
+Batch pipeline.  :meth:`TupleSpaceSearch.batch_scanner` plans N keys per
+call the way real software switches do (OVS/DPDK process ~32-packet
 batches).  The keys' column matrix is the join of the packed rows the keys
 carry (``classifier.kernel.keys_to_matrix``: a replayed key is packed
 once, not once per burst); a scan kernel computes the salted compound of
@@ -85,11 +85,9 @@ import numpy as np
 from repro.classifier.backend import (
     ENTRY_BYTES,
     MASK_BYTES,
-    BatchLookupResult,
     MegaflowEntry,
     MegaflowStore,
     TssLookupResult,
-    register_megaflow_backend,
 )
 
 # The column layout, the packed row a key carries and the hash weights live
@@ -115,7 +113,6 @@ from repro.packet.fields import FlowKey, FlowMask
 __all__ = [
     "MegaflowEntry",
     "TssLookupResult",
-    "BatchLookupResult",
     "TupleSpaceSearch",
     "ENTRY_BYTES",
     "MASK_BYTES",
@@ -159,6 +156,8 @@ class TupleSpaceSearch(MegaflowStore):
     # (``expected_scan_cost() == max(n_masks, 1)``), both inherited from
     # :class:`MegaflowStore`.  Every mask-count-anchored consumer
     # therefore prices TSS exactly as before the probe refactor.
+
+    name = "tss"
 
     def __init__(self, check_invariants: bool = False, scan_kernel: str = "auto"):
         super().__init__(check_invariants=check_invariants)
@@ -431,7 +430,7 @@ class TupleSpaceSearch(MegaflowStore):
         """Algorithm 1: scan masks, probe each hash, early-exit on hit."""
         n = len(self._mask_order)
         if n == 0:
-            self.stats_misses += 1
+            self._register_miss()
             return TssLookupResult(entry=None, masks_inspected=0)
         if self._acc_dirty:
             self._rebuild_accelerator()
@@ -456,29 +455,16 @@ class TupleSpaceSearch(MegaflowStore):
         return TssLookupResult(entry=None, masks_inspected=n)
 
     # -- batched lookup --------------------------------------------------------
-    def lookup_batch(self, keys, now: float = 0.0) -> BatchLookupResult:
-        """Classify ``keys`` in one vectorised pass (see module docstring).
-
-        Equivalent to ``[self.lookup(k, now) for k in keys]`` — entry for
-        entry, ``masks_inspected`` for ``masks_inspected``, including memo
-        consultation — but the (N x M) mask/hash work runs as a handful of
-        numpy operations.
-        """
-        keys = list(keys)
-        scanner = _BatchScanner(self, keys, now)
-        return BatchLookupResult(
-            results=tuple(scanner.result(i) for i in range(len(keys)))
-        )
-
     def batch_scanner(
         self, keys: list[FlowKey], now: float = 0.0, rows=None, spawn=None
     ) -> "_BatchScanner":
         """A consume-in-order batch scanner (the datapath's level-3 engine).
 
-        Unlike :meth:`lookup_batch` the caller drives it one key at a time
-        and may mutate the cache between keys (slow-path installs); the
-        scanner keeps its vectorised plan coherent — see
-        :class:`_BatchScanner`'s coherence rules.  ``rows`` optionally
+        The (N x M) mask/hash work runs in the scan kernel, planned ahead;
+        the caller drives the scanner one key at a time and may mutate the
+        cache between keys (slow-path installs), and the scanner keeps its
+        plan coherent — see :class:`_BatchScanner`'s coherence rules.
+        ``rows`` optionally
         supplies ``keys``' column matrix for a caller that already holds
         it (the shm worker, whose keys were rebuilt from it); otherwise
         planning joins the keys' packed rows.  ``spawn(i)`` names the
@@ -504,9 +490,6 @@ class TupleSpaceSearch(MegaflowStore):
                 if table.get(self._reduce(mask, key_values)) is entry:
                     return entry
         return None
-
-    def __repr__(self) -> str:
-        return f"TupleSpaceSearch({self.n_masks} masks, {self.n_entries} entries)"
 
 
 class _BatchScanner:
@@ -582,7 +565,7 @@ class _BatchScanner:
     ) -> TssLookupResult:
         n_now = len(tss._mask_order)
         if n_now == 0:
-            tss.stats_misses += 1
+            tss._register_miss()
             return TssLookupResult(None, 0)
         if tss._acc_dirty:
             tss._rebuild_accelerator()
@@ -682,6 +665,3 @@ class _BatchScanner:
         has = plan.has
         offset = self._start
         return [j for j in range(start, self._end) if not has[j - offset]]
-
-
-register_megaflow_backend("tss", TupleSpaceSearch)

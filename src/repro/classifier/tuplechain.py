@@ -62,7 +62,6 @@ from repro.classifier.backend import (
     MegaflowEntry,
     MegaflowStore,
     TssLookupResult,
-    register_megaflow_backend,
 )
 from repro.packet.fields import FIELD_ORDER, FlowKey, FlowMask
 
@@ -85,6 +84,8 @@ class TupleChainSearch(MegaflowStore):
         check_invariants: verify Inv(2) on every insert (tests).
     """
 
+    name = "tuplechain"
+
     def __init__(self, check_invariants: bool = False):
         super().__init__(check_invariants=check_invariants)
         self._root: _Node = {}
@@ -98,11 +99,6 @@ class TupleChainSearch(MegaflowStore):
     #: EMA weight: each new scan moves the estimate 1/8 of the way — smooth
     #: enough to ignore one shallow walk, fast enough to track a detonation.
     EMA_WEIGHT = 8.0
-
-    @property
-    def stats_chain_probes(self) -> int:
-        """Total chain probes across all scans (alias of the shared funnel)."""
-        return self.stats_scan_probes
 
     # -- group introspection -------------------------------------------------
     @property
@@ -123,17 +119,6 @@ class TupleChainSearch(MegaflowStore):
         return sizes
 
     # -- probe-cost surface ----------------------------------------------------
-    def probe_unit_cost(self) -> float:
-        """One chain probe is one hash-table probe: same currency as TSS.
-
-        A chain step masks a single field and probes one sub-mask
-        variant's table — the same work a TSS mask probe does for one
-        (all-field) mask, so the calibrated single-table-probe unit maps
-        1:1.  Declared explicitly so backends with heavier probe steps
-        know where to plug a different constant.
-        """
-        return 1.0
-
     def _account_scan(self, result: TssLookupResult) -> None:
         super()._account_scan(result)
         # Only *misses* feed the estimator: a miss traverses every matching
@@ -244,7 +229,7 @@ class TupleChainSearch(MegaflowStore):
         if self._trie_dirty:
             self._rebuild_trie()
         if not self._mask_order:
-            self.stats_misses += 1
+            self._register_miss()
             return TssLookupResult(entry=None, masks_inspected=0)
         probes = 0
         stack: list[tuple[int, _Node]] = [(0, self._root)]
@@ -280,6 +265,3 @@ class TupleChainSearch(MegaflowStore):
             f"TupleChainSearch({self.n_masks} masks in {self.n_groups} groups, "
             f"{self.n_entries} entries)"
         )
-
-
-register_megaflow_backend("tuplechain", TupleChainSearch)

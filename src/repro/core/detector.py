@@ -18,12 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.classifier.backend import (
-    MegaflowBackend,
-    MegaflowEntry,
-    backend_name_of,
-    make_megaflow_backend,
-)
+from repro.classifier.backend import MegaflowEntry, MegaflowStore
 from repro.classifier.flowtable import FlowTable
 from repro.classifier.rule import FlowRule
 from repro.packet.fields import FIELD_ORDER, FIELDS
@@ -107,7 +102,7 @@ def entry_matches_pattern(entry: MegaflowEntry, rule: FlowRule) -> bool:
     return False  # every field agreed: the rule matches; not a rejection
 
 
-def find_tse_entries(cache: MegaflowBackend, table: FlowTable) -> list[TsePattern]:
+def find_tse_entries(cache: MegaflowStore, table: FlowTable) -> list[TsePattern]:
     """Alg. 2's per-rule pattern scan over the whole cache."""
     patterns: list[TsePattern] = []
     entries = list(cache.entries())
@@ -120,7 +115,7 @@ def find_tse_entries(cache: MegaflowBackend, table: FlowTable) -> list[TsePatter
     return patterns
 
 
-def tse_mask_fraction(cache: MegaflowBackend, table: FlowTable) -> float:
+def tse_mask_fraction(cache: MegaflowStore, table: FlowTable) -> float:
     """Fraction of cache masks attributable to TSE patterns (a health metric).
 
     Masks are the *composition* metric (how much of the tuple space the
@@ -136,7 +131,7 @@ def tse_mask_fraction(cache: MegaflowBackend, table: FlowTable) -> float:
     return len(suspicious) / n_masks
 
 
-def tse_scan_cost_dilution(cache: MegaflowBackend, table: FlowTable) -> float:
+def tse_scan_cost_dilution(cache: MegaflowStore, table: FlowTable) -> float:
     """How much TSE-attributed entries inflate the cache's scan cost (>= 1).
 
     The probe-native dilution ratio: the cache's structural full-scan cost
@@ -151,8 +146,7 @@ def tse_scan_cost_dilution(cache: MegaflowBackend, table: FlowTable) -> float:
     """
     patterns = find_tse_entries(cache, table)
     suspicious = {id(entry) for pattern in patterns for entry in pattern.entries}
-    name = backend_name_of(cache)
-    clean = make_megaflow_backend(name) if name is not None else type(cache)()
+    clean = type(cache)()
     for entry in cache.entries():
         if id(entry) not in suspicious:
             clean.insert(MegaflowEntry(mask=entry.mask, key=entry.key, action=entry.action))

@@ -48,7 +48,7 @@ class MigrationPolicy:
     """When and how to migrate a shard's megaflow backend.
 
     Attributes:
-        target_backend: registry name of the backend to rebuild into
+        target_backend: name of the backend to rebuild into
             (``"tuplechain"`` — scan cost sublinear in the mask count).
         cost_threshold: expected full-scan cost (normalised probe units)
             at which a shard's migration triggers.  Well above any benign

@@ -90,7 +90,7 @@ class MFCGuard:
     shared slow-path daemon.
 
     The guard drives caches through the
-    :class:`~repro.classifier.backend.MegaflowBackend` protocol only
+    :class:`~repro.classifier.backend.MegaflowStore` surface only
     (``entries()`` via the detector, ``kill_entry`` via the datapath), so
     it works unchanged over non-TSS backends — and with
     ``probe_cost_threshold`` set it is *chain-aware*: it reads the worst

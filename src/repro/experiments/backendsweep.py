@@ -3,13 +3,13 @@
 The §7 discussion argues the TSE attack is specific to Tuple Space Search:
 any cache whose lookup cost does not scale with the installed mask count
 shrugs the detonation off.  With the megaflow cache behind the pluggable
-:class:`~repro.classifier.backend.MegaflowBackend` seam *and* the cost
+:class:`~repro.classifier.backend.MegaflowStore` seam *and* the cost
 plane priced in backend-native probe units, this is measurable in two
 regimes, both covered here:
 
 * **the probe table** — the identical three-phase traffic program (benign,
   co-located TSE detonation, benign again) through one bare datapath per
-  registered backend, reporting mask/entry growth (identical by
+  backend, reporting mask/entry growth (identical by
   construction) and per-packet lookup cost in the backend's native probe
   units;
 * **the netsim time series** — the full Fig. 7 hypervisor under a
@@ -89,7 +89,9 @@ def run_netsim_cell(
     final expected scan cost in the backend's normalised probe units.
     """
     environment = replace(
-        SYNTHETIC_ENV, name=f"Synthetic/{backend}", megaflow_backend=backend
+        SYNTHETIC_ENV,
+        name=f"Synthetic/{backend}",
+        datapath=replace(SYNTHETIC_ENV.datapath, megaflow_backend=backend),
     )
     testbed, trace = detonation_testbed(
         environment, attacker_rules(use_case_name), use_case_name, offered_gbps, dt

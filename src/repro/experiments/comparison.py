@@ -4,7 +4,7 @@ The paper's long-term mitigation: replace TSS with classifiers whose
 lookup cost does not depend on traffic history — hierarchical tries,
 HyperCuts, HaRP.  This harness runs the same three traffic phases through
 every classifier in the :data:`repro.classifier.SECTION7_CLASSIFIERS`
-lineup (one cached datapath per registered megaflow backend, plus the
+lineup (one cached datapath per megaflow backend, plus the
 traffic-independent alternatives) and reports the mean per-packet lookup
 cost (each in its own units — the *trend across phases* is the result):
 

@@ -90,7 +90,6 @@ def run_policy_cell(
     environment = replace(
         SYNTHETIC_ENV,
         name=f"Synthetic/{policy}",
-        megaflow_backend="tss",
         migration_policy=mpolicy if with_migration else None,
     )
     testbed, trace = detonation_testbed(

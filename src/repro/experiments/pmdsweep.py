@@ -68,7 +68,7 @@ def run_config(
         SYNTHETIC_ENV,
         name=f"Synthetic/{n_pmd}pmd/{executor}",
         n_pmd=n_pmd,
-        executor=executor,
+        datapath=replace(SYNTHETIC_ENV.datapath, executor=executor),
     )
     testbed = build_testbed(environment, dt=dt)
     host, datapath = testbed.server.host, testbed.server.datapath

@@ -103,7 +103,6 @@ def run_policy_cell(
     environment = replace(
         MULTIQUEUE_ENV,
         name=f"Multiqueue/{policy}",
-        megaflow_backend="tss",
         rebalance_policy=rpolicy if policy == "rebalance" else None,
     )
     testbed, trace = detonation_testbed(

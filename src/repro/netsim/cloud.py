@@ -19,7 +19,7 @@ streamed from seeded generators and settled columnarly — see
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field, replace as dc_replace
+from dataclasses import dataclass, field as dc_field
 
 from repro.classifier.flowtable import FlowTable
 from repro.classifier.rule import FlowRule
@@ -71,43 +71,20 @@ class EnvironmentProfile:
         cost_model: calibrated throughput model (budgets are per PMD core).
         cms: the CMS backend mediating tenants' ACLs.
         quirks: behavioural quirks (mask-memo protection on OpenStack).
-        datapath: datapath knobs (strategy, caches, timeouts; applied per
-            shard when ``n_pmd > 1``).
+        datapath: datapath knobs (strategy, caches, timeouts, megaflow
+            backend, shard executor, scan kernel; applied per shard when
+            ``n_pmd > 1``).  The paper's testbeds all ran Tuple Space
+            Search on one serial datapath thread, so no Table 1 preset
+            changes those three; ``dataclasses.replace`` them (e.g.
+            ``megaflow_backend="tuplechain"`` for the §7 grouped-lookup
+            regime of the ``backendsweep`` experiment, ``executor="thread"``
+            for concurrently executed shards) to study the other regimes.
         n_pmd: PMD cores / receive queues per hypervisor switch.  The
             paper's testbeds all ran a single datapath thread, so the
             Table 1 presets keep ``n_pmd=1``; raise it (or use
             ``MULTIQUEUE_ENV`` / ``dataclasses.replace``) to study the
             RSS-sharded regime of the feasibility follow-up
             (arXiv:2011.09107).
-        megaflow_backend: megaflow-cache backend registry name for every
-            datapath (shard) this environment builds, overriding the
-            ``datapath`` config's choice when set; ``None`` (the default)
-            defers to ``datapath.megaflow_backend``.  The paper's testbeds
-            all ran Tuple Space Search, so every Table 1 preset resolves
-            to ``"tss"``; select ``"tuplechain"`` (or use
-            ``dataclasses.replace``) to study the grouped-lookup defense
-            regime of the §7 discussion / the ``backendsweep`` experiment.
-            The cost plane prices work in the backend's normalised probe
-            units (``expected_scan_cost()``), so the grouped backend's
-            cheaper scans show up directly in the netsim Gbps/FCT time
-            series — and the ``"tss"`` presets price exactly as the
-            paper's mask-count model (probes ≡ masks).
-        executor: shard-execution strategy for every sharded datapath this
-            environment builds (see :mod:`repro.switch.executor`),
-            overriding the ``datapath`` config's choice when set; ``None``
-            (the default) defers to ``datapath.executor``.  The strategies
-            are verdict-equivalent by invariant, so this knob only decides
-            *wall-clock* parallelism: the Table 1 presets resolve to
-            ``"serial"`` (single datapath thread, and byte-identical
-            outputs), while ``"thread"``/``"process"`` make a multi-PMD
-            environment actually execute its shards concurrently.
-        executor_transport: data-plane transport override for the
-            ``process`` executor (``"shm"`` shared-memory rings or
-            ``"pipe"``); ``None`` defers to ``datapath.executor_transport``.
-        scan_kernel: megaflow scan-kernel override (``"auto"``, ``"numpy"``,
-            ``"cffi"``); ``None`` defers to ``datapath.scan_kernel``.
-            Kernels are verdict-equivalent by invariant — like ``executor``
-            this knob only decides wall-clock speed.
         migration_policy: optional
             :class:`~repro.core.migration.MigrationPolicy` — when set,
             every server built from this profile runs a
@@ -132,31 +109,9 @@ class EnvironmentProfile:
     quirks: QuirkConfig = dc_field(default_factory=QuirkConfig)
     datapath: DatapathConfig = dc_field(default_factory=DatapathConfig)
     n_pmd: int = 1
-    megaflow_backend: str | None = None
-    executor: str | None = None
-    executor_transport: str | None = None
-    scan_kernel: str | None = None
     migration_policy: MigrationPolicy | None = None
     rebalance_policy: "RebalancePolicy | None" = None
     description: str = ""
-
-    def datapath_config(self) -> DatapathConfig:
-        """The datapath knobs with this profile's backend/executor applied."""
-        config = self.datapath
-        overrides = {
-            "megaflow_backend": self.megaflow_backend,
-            "executor": self.executor,
-            "executor_transport": self.executor_transport,
-            "scan_kernel": self.scan_kernel,
-        }
-        changes = {
-            field: value
-            for field, value in overrides.items()
-            if value is not None and getattr(config, field) != value
-        }
-        if changes:
-            config = dc_replace(config, **changes)
-        return config
 
 
 # n_pmd=1: the paper's SUT pinned OVS to a single datapath thread — the
@@ -244,13 +199,12 @@ class Server:
         self.name = name
         self.environment = environment
         self.flow_table = FlowTable(name=f"{name}-acl")
-        datapath_config = environment.datapath_config()
         if environment.n_pmd > 1:
             self.datapath: Datapath | ShardedDatapath = ShardedDatapath(
-                self.flow_table, datapath_config, n_shards=environment.n_pmd
+                self.flow_table, environment.datapath, n_shards=environment.n_pmd
             )
         else:
-            self.datapath = Datapath(self.flow_table, datapath_config)
+            self.datapath = Datapath(self.flow_table, environment.datapath)
         guard = MFCGuard(self.datapath, guard_config) if with_guard else None
         migrator = (
             MigrationController(

@@ -217,13 +217,12 @@ class FleetHost(HypervisorHost):
         self.name = name
         self.environment = environment
         self.flow_table = FlowTable(name=f"{name}-acl")
-        config = environment.datapath_config()
         if environment.n_pmd > 1:
             datapath: Datapath | ShardedDatapath = ShardedDatapath(
-                self.flow_table, config, n_shards=environment.n_pmd
+                self.flow_table, environment.datapath, n_shards=environment.n_pmd
             )
         else:
-            datapath = Datapath(self.flow_table, config)
+            datapath = Datapath(self.flow_table, environment.datapath)
         super().__init__(datapath, environment.cost_model, quirks=environment.quirks)
         self.tenants = tenants
         self.attacker_ip = attacker_ip

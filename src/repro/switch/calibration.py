@@ -9,7 +9,7 @@ throughput is modelled as
 where ``P`` is the expected full-scan cost of the megaflow cache in
 **normalised probe units** — calibrated single-table probes, the currency
 of the probe-native cost plane (see
-:meth:`repro.classifier.backend.MegaflowBackend.expected_scan_cost`).
+:meth:`repro.classifier.backend.MegaflowStore.expected_scan_cost`).
 The paper's anchors are measured on Tuple Space Search, where one probe
 unit is one mask table and a full scan probes all of them, so for TSS
 ``P`` *is* the mask count — the mask-count reading of these curves is the

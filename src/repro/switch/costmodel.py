@@ -14,7 +14,7 @@ bookkeeping.
 
 Scan-cost convention: the cost curves take the cache's **expected
 full-scan cost in normalised probe units** (calibrated single-table
-probes — :meth:`repro.classifier.backend.MegaflowBackend.expected_scan_cost`).
+probes — :meth:`repro.classifier.backend.MegaflowStore.expected_scan_cost`).
 The ``*_probes`` methods are the primary, backend-agnostic entry points;
 the historical mask-count methods remain as the exact TSS special case
 (probes ≡ masks, unit cost 1.0), which is what keeps every Table 1 /

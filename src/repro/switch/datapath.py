@@ -5,7 +5,7 @@ A packet entering the switch traverses, in order:
 1. the **microflow cache** — exact match on all fields (short-term memory);
 2. optionally the **kernel mask cache** — a memo of which megaflow mask
    matched this flow last time (one hash probe instead of a scan);
-3. the **megaflow cache** — a pluggable :class:`MegaflowBackend` (Tuple
+3. the **megaflow cache** — a pluggable :class:`MegaflowStore` (Tuple
    Space Search by default; ``DatapathConfig.megaflow_backend`` selects
    alternatives such as the TupleChain-style grouped backend);
 4. the **slow path** — an upcall running the full ordered flow-table
@@ -32,9 +32,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from repro.classifier.actions import Action
 from repro.classifier.backend import (
     BackendRebuild,
-    MegaflowBackend,
     MegaflowEntry,
-    backend_name_of,
+    MegaflowStore,
     make_megaflow_backend,
 )
 from repro.classifier.flowtable import FlowTable
@@ -178,7 +177,7 @@ class DatapathConfig:
         idle_timeout: seconds of inactivity before the revalidator may
             evict an entry (the paper's 10 s).
         check_invariants: verify Inv(2) on every install (tests).
-        megaflow_backend: registry name of the level-3 megaflow cache
+        megaflow_backend: name of the level-3 megaflow cache
             implementation (see :mod:`repro.classifier.backend`) —
             ``"tss"`` is the paper's Tuple Space Search; ``"tuplechain"``
             the grouped/chained §7-style defense backend.  Applied per
@@ -238,8 +237,8 @@ class Datapath:
 
     Args:
         flow_table: the slow-path classifier (subscribed for cache flushes).
-        config: behaviour knobs (``config.megaflow_backend`` selects the
-            level-3 cache implementation from the backend registry).
+        config: behaviour knobs (``config.megaflow_backend`` names the
+            level-3 cache implementation).
         megaflows: a pre-built megaflow backend to use instead of building
             one from the config (dependency injection for the §7 adapter
             and the tests; must be empty).
@@ -249,7 +248,7 @@ class Datapath:
         self,
         flow_table: FlowTable,
         config: DatapathConfig | None = None,
-        megaflows: MegaflowBackend | None = None,
+        megaflows: MegaflowStore | None = None,
     ):
         self.config = config or DatapathConfig()
         self.flow_table = flow_table
@@ -260,7 +259,7 @@ class Datapath:
             raise SwitchError(
                 f"injected megaflow backend must be empty, has {len(megaflows)} entries"
             )
-        self.megaflows: MegaflowBackend = (
+        self.megaflows: MegaflowStore = (
             megaflows
             if megaflows is not None
             else make_megaflow_backend(
@@ -452,7 +451,7 @@ class Datapath:
         :meth:`process`, one :meth:`MegaflowGenerator.generate` per upcall.
 
         Per-packet bookkeeping is kept off the warm path on one premise,
-        stated in :class:`MegaflowBackend` and re-checked per packet under
+        stated in :class:`MegaflowStore` and re-checked per packet under
         ``check_invariants``: only an upcall moves the cache's size or the
         backend's cost estimate.  So the pre-packet ``(n_masks,
         expected_scan_cost())`` behind ``mask_counts`` / ``probe_costs`` is
@@ -499,7 +498,7 @@ class Datapath:
         check = self.config.check_invariants
         fast = self.microflows is not None or self.mask_cache is not None
         # Only an upcall moves the cache's size or the backend's cost
-        # estimate (MegaflowBackend: "only a miss moves size or cost").
+        # estimate (MegaflowStore: "only a miss moves size or cost").
         n_masks, scan_cost = megaflows.n_masks, megaflows.expected_scan_cost()
         megaflow_hits = inspected = 0
         try:
@@ -656,7 +655,7 @@ class Datapath:
             rebuild_memory = self._last_rebuild_memory
         return {
             "status": status,
-            "backend": backend_name_of(self.megaflows) or type(self.megaflows).__name__,
+            "backend": self.megaflows.name,
             "target": rebuild.target_kind if rebuild is not None else None,
             "progress": rebuild.progress if rebuild is not None else 1.0,
             "rebuild_done": rebuild.done if rebuild is not None else False,

@@ -575,7 +575,7 @@ class ShardHandle:
     """Parent-side remote handle onto one worker-owned shard (or its backend).
 
     Duck-typed to the slice of the :class:`Datapath` surface — and, through
-    ``.megaflows``, of the :class:`MegaflowBackend` surface — that
+    ``.megaflows``, of the :class:`MegaflowStore` surface — that
     :data:`SHARD_OPS` exports: attribute access resolves the name against
     the table, ``get`` rows answer with the value, ``call`` rows with a
     callable that forwards its arguments, and any other name is refused

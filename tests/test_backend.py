@@ -2,9 +2,8 @@
 
 The backend seam's contract (see ``repro/classifier/backend.py``):
 
-* every registered backend satisfies the :class:`MegaflowBackend`
-  protocol — the exact surface the datapath, revalidator, dpctl and
-  MFCGuard drive;
+* every backend in the name table is a :class:`MegaflowStore` — the
+  exact surface the datapath, revalidator, dpctl and MFCGuard drive;
 * backends are **verdict-for-verdict and action-identical** on any
   traffic: same actions, same pipeline paths, same installed entry and
   mask sets, same upcall/install statistics, same eviction outcomes —
@@ -24,7 +23,6 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.classifier.actions import ALLOW, DENY
 from repro.classifier.backend import (
-    MegaflowBackend,
     MegaflowStore,
     make_megaflow_backend,
     megaflow_backend_names,
@@ -41,9 +39,9 @@ from repro.packet.fields import FIELDS, FlowKey
 from repro.packet.headers import PROTO_TCP
 from repro.switch.datapath import Datapath, DatapathConfig
 
-# Derived from the registry: a newly registered backend automatically
-# inherits the protocol/differential coverage (differentials compare each
-# backend against "tss", the reference implementation).
+# Derived from the name table: a new backend's row automatically inherits
+# the store/differential coverage (differentials compare each backend
+# against "tss", the reference implementation).
 BACKENDS = megaflow_backend_names()
 FIELD_POOL = ("ip_src", "ip_dst", "tp_src", "tp_dst", "ip_proto")
 
@@ -115,7 +113,6 @@ class TestRegistry:
     @pytest.mark.parametrize("name", BACKENDS)
     def test_factories_satisfy_protocol(self, name):
         backend = make_megaflow_backend(name, check_invariants=True)
-        assert isinstance(backend, MegaflowBackend)
         assert isinstance(backend, MegaflowStore)
         assert backend.check_invariants
 

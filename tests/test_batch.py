@@ -163,7 +163,7 @@ def test_lookup_batch_empty_and_trivial():
     assert len(cache.lookup_batch([])) == 0
     result = cache.lookup_batch([FlowKey(tp_dst=80)])
     assert not result[0].hit and result[0].masks_inspected == 0
-    assert result.hits == 0 and result.masks_inspected_total == 0
+    assert sum(r.hit for r in result) == 0 and sum(r.masks_inspected for r in result) == 0
 
 
 # -- batch_scanner without ``spawn`` ≡ lookup, under mid-batch inserts -----------

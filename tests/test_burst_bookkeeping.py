@@ -2,7 +2,7 @@
 
 The burst reads the pre-packet ``(n_masks, expected_scan_cost())`` once per
 upcall and flushes its per-packet counters in a ``finally``; both rest on
-the :class:`MegaflowBackend` premise that only a miss moves a cache's size
+the :class:`MegaflowStore` premise that only a miss moves a cache's size
 or a backend's cost estimate.  These tests hold that premise where it can
 break: on tuplechain, whose EMA moves mid-burst; at the flow limit; on dead
 entries; on a backend that breaks it; and on a burst that raises mid-way.

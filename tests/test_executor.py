@@ -360,7 +360,10 @@ class TestConfigPlumbing:
         from dataclasses import replace
 
         environment = replace(
-            SYNTHETIC_ENV, name="Synthetic/exec", n_pmd=2, executor="process"
+            SYNTHETIC_ENV,
+            name="Synthetic/exec",
+            n_pmd=2,
+            datapath=replace(SYNTHETIC_ENV.datapath, executor="process"),
         )
         assert isinstance(environment, EnvironmentProfile)
         server = Server("s1", environment)

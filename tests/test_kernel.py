@@ -238,7 +238,7 @@ class TestDifferential:
         tss = TupleSpaceSearch(scan_kernel="numpy")
         for entry in entries:
             tss.insert(MegaflowEntry(mask=entry.mask, key=entry.key, action=ALLOW))
-        results = tss.lookup_batch(probes).results
+        results = tss.lookup_batch(probes)
         assert len(tss._scan_operands().active) == width
         assert {r.masks_inspected for r in results if r.hit} == set(
             range(1, tss.n_masks + 1)
@@ -430,7 +430,7 @@ class TestStaleCandidateWalk:
             assert twin.remove(entry)
         assert subject.masks() == twin.masks()
 
-        (got,) = subject.lookup_batch([_NESTED_KEY], now=1.0).results
+        (got,) = subject.lookup_batch([_NESTED_KEY], now=1.0)
         want = twin.lookup(_NESTED_KEY, now=1.0)
         assert _summarise(got) == _summarise(want)
         if stale == _NESTED:
@@ -483,7 +483,7 @@ class TestFilterCoherence:
             tss.insert_batch(entries[first:first + 256])
         assert _filter_log2(tss) == start + 4
         tss.clear_memo()
-        results = tss.lookup_batch(keys).results  # _check_filter on every plan
+        results = tss.lookup_batch(keys)  # _check_filter on every plan
         assert [r.entry for r in results] == entries
 
     @pytest.mark.parametrize("kernel", KERNELS)

@@ -27,7 +27,7 @@ import pytest
 from test_executor import assert_equivalent, build, small_table, staircase_replay
 
 from repro.classifier.actions import DENY
-from repro.classifier.backend import BackendRebuild, backend_name_of
+from repro.classifier.backend import BackendRebuild
 from repro.classifier.flowtable import FlowTable
 from repro.classifier.rule import Match
 from repro.core.migration import MigrationController, MigrationPolicy
@@ -84,7 +84,7 @@ class TestRebuildContract:
         status = migrating.migrate_backend("tuplechain")
         assert status["status"] == "swapped"
         assert status["swaps"] == 1
-        assert backend_name_of(migrating.megaflows) == "tuplechain"
+        assert migrating.megaflows.name == "tuplechain"
         # The rebuild adopted the *same* entry objects, every one of them.
         assert {id(entry) for entry in migrating.megaflows.entries()} == pre_ids
         assert migrating.megaflows.n_entries == pre_entries
@@ -134,7 +134,7 @@ class TestRebuildContract:
         assert status["journal_replayed"] > 0
         status = migrating.migrate_backend_swap()
         assert status["status"] == "swapped"
-        assert backend_name_of(migrating.megaflows) == "tuplechain"
+        assert migrating.megaflows.name == "tuplechain"
         assert migrating.megaflows.n_entries == shadow.megaflows.n_entries
         assert migrating.n_masks == shadow.n_masks
         assert replay_actions(migrating, extra) == replay_actions(shadow, extra)
@@ -162,7 +162,7 @@ class TestRebuildContract:
         datapath.migrate_backend_start("tuplechain", slice_size=64)
         status = datapath.migrate_backend_abort()
         assert status["status"] == "idle"
-        assert backend_name_of(datapath.megaflows) == "tss"
+        assert datapath.megaflows.name == "tss"
         # A fresh start is legal after an abort (and abort is idempotent).
         datapath.migrate_backend_abort()
         assert datapath.migrate_backend("tuplechain")["status"] == "swapped"
@@ -286,7 +286,7 @@ class TestMigrationController:
         assert report.started == (0,)
         assert report.swapped == (0,)
         assert controller.migrations_completed == 1
-        assert backend_name_of(datapath.megaflows) == "tuplechain"
+        assert datapath.megaflows.name == "tuplechain"
 
     def test_bounded_slices_spread_the_rebuild(self):
         datapath = self.detonated()
@@ -301,7 +301,7 @@ class TestMigrationController:
             runs += 1
             assert runs < 100
         assert runs > 1  # the rebuild genuinely spread over several passes
-        assert backend_name_of(datapath.megaflows) == "tuplechain"
+        assert datapath.megaflows.name == "tuplechain"
 
     def test_no_retrigger_after_swap(self):
         datapath = self.detonated()

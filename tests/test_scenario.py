@@ -115,7 +115,13 @@ def test_cell_on_a_process_executor_leaves_nothing_behind(monkeypatch):
     (Server 2's pool included — it never carries a packet, but it is spawned)."""
     shm = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
     monkeypatch.setattr(
-        backendsweep, "SYNTHETIC_ENV", replace(backendsweep.SYNTHETIC_ENV, n_pmd=2, executor="process")
+        backendsweep,
+        "SYNTHETIC_ENV",
+        replace(
+            backendsweep.SYNTHETIC_ENV,
+            n_pmd=2,
+            datapath=replace(backendsweep.SYNTHETIC_ENV.datapath, executor="process"),
+        ),
     )
     cell = backendsweep.run_netsim_cell(
         "tss", use_case_name="Dp", duration=8.0, attack_start=1.0, attack_stop=7.0, attack_pps=200.0

@@ -12,11 +12,11 @@ seam that makes the megaflow cache swappable:
   dicts, the mask list, the lookup memo, and the hit/miss statistics
   funnel, i.e. everything the datapath, the slow path, the revalidator,
   dpctl and MFCGuard drive.  Concrete backends subclass it and supply a
-  ``name``, ``_scan`` (how a key is matched) and two index hooks (how
-  their accelerating structure tracks inserts and removals).  The
-  dicts-as-truth invariant lives here: the per-mask dicts decide every
-  verdict and any backend index must be rebuildable from them without
-  observable change.
+  ``name``, how a key is matched (``_scan``, or a whole batch scanner) and
+  two index hooks (how their accelerating structure tracks inserts and
+  removals).  The dicts-as-truth invariant lives here: the per-mask dicts
+  are the truth every verdict must agree with, and any backend index must
+  be rebuildable from them without observable change.
 * :func:`make_megaflow_backend` — builds a backend from its name in a
   literal two-row table (``"tss"``, ``"tuplechain"``); the name is what
   ``DatapathConfig(megaflow_backend=...)`` selects.
@@ -174,16 +174,19 @@ class MegaflowStore:
     three hooks:
 
     * :meth:`_scan` — resolve one key against the store (the lookup
-      algorithm; must route hits through :meth:`_register_hit` and misses
-      through :meth:`_register_miss`);
+      algorithm the default :class:`LiveBatchScanner` runs per key; must
+      route hits through :meth:`_register_hits` and misses through
+      :meth:`_register_miss`), or a whole :meth:`batch_scanner` of its own
+      (TSS plans a chunk of keys at once);
     * :meth:`_index_insert` — fold one freshly installed entry into the
       index incrementally (the hot path while an attack detonates);
     * :meth:`_index_invalidate` — mark the index stale after a removal,
       reorder, or flush (lazily rebuilt by the subclass).
 
-    The index must stay a pure accelerator (dicts-as-truth) and a batch
-    scanner verdict-identical to :meth:`lookup` (batch ≡ sequential); the
-    default :meth:`batch_scanner` is a live lookup per key, which is both.
+    The index must stay rebuildable from the dicts (dicts-as-truth), and
+    :meth:`lookup` is the batch scanner's one-key case, so a backend has
+    one scan engine (batch ≡ sequential by construction; the tests hold
+    both against the pure-Python Algorithm 1 in ``tests/scan_oracle.py``).
 
     **Only a miss moves size or cost.**  ``n_masks``, ``n_entries`` and
     ``expected_scan_cost()`` may change under the datapath's packet loop
@@ -191,7 +194,8 @@ class MegaflowStore:
     the miss scan; the upcall it causes may install) — never through a
     hit, a memo hit or ``probe_mask``.  ``Datapath.process_batch`` reads
     the pre-packet ``(n_masks, expected_scan_cost())`` once per upcall on
-    that premise, and re-reads it per packet under ``check_invariants``.
+    that premise, and re-reads it after every run of hits under
+    ``check_invariants``.
     """
 
     #: The backend's name in :func:`make_megaflow_backend`'s table.
@@ -293,7 +297,7 @@ class MegaflowStore:
         if memoised is not None:
             entry = memoised.entry
             if entry is not None:
-                self._register_hit(entry, now)
+                self._register_hits((entry,), now)
             else:
                 self._register_miss()
         return memoised
@@ -308,15 +312,8 @@ class MegaflowStore:
 
     # -- lookup ---------------------------------------------------------------------
     def lookup(self, key: FlowKey, now: float = 0.0) -> TssLookupResult:
-        """Resolve one key: memo, then the backend's scan."""
-        key_values = key.values
-        memoised = self._memo_consult(key_values, now)
-        if memoised is not None:
-            return memoised
-        result = self._scan(key, key_values, now)
-        self._account_scan(result)
-        self._memo_store(key_values, result)
-        return result
+        """Resolve one key: the one-key case of :meth:`batch_scanner`."""
+        return self.batch_scanner((key,), now).result(0)
 
     def lookup_batch(self, keys, now: float = 0.0) -> tuple[TssLookupResult, ...]:
         """``[self.lookup(k, now) for k in keys]``, through :meth:`batch_scanner`."""
@@ -329,15 +326,16 @@ class MegaflowStore:
     ):
         """A consume-in-order batch scanner (the datapath's level-3 engine).
 
-        The caller drives it one key at a time (``result(i)``,
-        ``plan_misses(i)``) and may mutate the cache between keys
-        (slow-path installs).  The default scanner performs a live lookup
-        per key, so mid-batch mutations are always visible and no
-        coherence protocol is needed.  ``rows`` (the keys' precomputed
-        uint64 column matrix) and ``spawn`` (``i`` -> the megaflow the slow
-        path generates for ``keys[i]``, the handle for an O(1) mid-burst
-        coherence probe) serve backends that plan ahead (TSS); they are
-        ignored here.
+        The caller drives it in order — ``hits(i, stop)`` settles the run
+        of consecutive hits from ``i``, ``result(i)`` one key,
+        ``plan_misses(i)`` names keys known to miss — and may mutate the
+        cache between calls (slow-path installs).  The default scanner
+        runs the backend's :meth:`_scan` live per key, so mid-batch
+        mutations are always visible and no coherence protocol is needed.
+        ``rows`` (the keys' precomputed uint64 column matrix) and ``spawn``
+        (``i`` -> the megaflow the slow path generates for ``keys[i]``, the
+        handle for an O(1) mid-burst coherence probe) serve backends that
+        plan ahead (TSS); they are ignored here.
         """
         return LiveBatchScanner(self, list(keys), now)
 
@@ -345,13 +343,19 @@ class MegaflowStore:
     def _account_scan(self, result: TssLookupResult) -> None:
         """Record one performed scan's probe spend (the single funnel).
 
-        Both the sequential :meth:`lookup` and any batch scanner must route
-        every *scan* (not memo hits — those probe nothing) through here, so
-        the probe currency stays batch ≡ sequential.  Subclasses may extend
-        it to feed backend-specific cost estimators.
+        Every scan (not memo hits — those probe nothing) is accounted here
+        or, for a run of scans that hit, in one step by
+        :meth:`_account_hit_scans`, so the probe currency stays batch ≡
+        sequential.  Every miss comes here, so this is what a subclass
+        extends to feed a cost estimator (only a miss may move cost).
         """
         self.stats_scans += 1
         self.stats_scan_probes += result.masks_inspected
+
+    def _account_hit_scans(self, scans: int, probes: int) -> None:
+        """Record ``scans`` scans that hit, spending ``probes`` in all."""
+        self.stats_scans += scans
+        self.stats_scan_probes += probes
 
     def probe_unit_cost(self) -> float:
         """Calibrated single-table-probe units per native probe unit.
@@ -401,12 +405,14 @@ class MegaflowStore:
         )
 
     # -- accounting ------------------------------------------------------------
-    def _register_hit(self, entry: MegaflowEntry, now: float) -> None:
+    def _register_hits(self, entries, now: float) -> None:
         """Single funnel for every served hit — scan, memo, batch, and
-        single-mask probes all feed the same statistics."""
-        entry.hits += 1
-        entry.last_used = now
-        self.stats_hits += 1
+        single-mask probes all feed the same statistics; a batch scanner
+        passes a run of them at once."""
+        for entry in entries:
+            entry.hits += 1
+            entry.last_used = now
+        self.stats_hits += len(entries)
 
     def _register_miss(self) -> None:
         """Single funnel for every miss — scan, memo and batch alike."""
@@ -418,7 +424,8 @@ class MegaflowStore:
 
         Returns the entry actually stored (the existing one on refresh).
         Raises :class:`CacheInvariantError` when invariant checking is on and
-        the entry overlaps a different existing entry.
+        the entry's key has bits its mask does not keep, or the entry
+        overlaps a different existing entry.
         """
         table = self._tables.get(entry.mask)
         new_mask = table is None
@@ -433,6 +440,10 @@ class MegaflowStore:
         # mask is registered would leave a ghost (empty, unindexed) mask
         # that inflates n_masks and derails later incremental inserts.
         if self.check_invariants:
+            if any(k & ~m for k, m in zip(entry.key, entry.mask.values)):
+                raise CacheInvariantError(
+                    f"{entry!r} has key bits outside its mask: {entry.key}"
+                )
             self._assert_disjoint(entry)
         if new_mask:
             table = {}
@@ -603,7 +614,7 @@ class MegaflowStore:
             return None
         entry = table.get(self._reduce(mask, key.values))
         if entry is not None:
-            self._register_hit(entry, now)
+            self._register_hits((entry,), now)
         return entry
 
     def find(self, key: FlowKey) -> MegaflowEntry | None:
@@ -631,7 +642,7 @@ class MegaflowStore:
 
 
 class LiveBatchScanner:
-    """The default consume-in-order batch scanner: one live lookup per key.
+    """The default consume-in-order batch scanner: one live scan per key.
 
     Because every :meth:`result` call reads the live dicts, mid-batch
     inserts are immediately visible — coherence is free where there is no
@@ -645,10 +656,28 @@ class LiveBatchScanner:
         self.now = now
 
     def result(self, i: int, now: float | None = None) -> TssLookupResult:
-        """The lookup result for key ``i``."""
+        """The lookup result for key ``i``: memo, then the backend's scan."""
         if now is not None:
             self.now = now
-        return self.backend.lookup(self.keys[i], now=self.now)
+        backend, key = self.backend, self.keys[i]
+        key_values = key.values
+        memoised = backend._memo_consult(key_values, self.now)
+        if memoised is not None:
+            return memoised
+        result = backend._scan(key, key_values, self.now)
+        backend._account_scan(result)
+        backend._memo_store(key_values, result)
+        return result
+
+    def hits(self, i: int, stop: int) -> list[TssLookupResult]:
+        """``result(j)`` for ``j`` from ``i`` while they hit, up to ``stop``;
+        the last result may be the miss that ended the run."""
+        run = []
+        for j in range(i, stop):
+            run.append(self.result(j))
+            if run[-1].entry is None:
+                break
+        return run
 
     def plan_misses(self, start: int) -> list[int]:
         """Keys known to miss from position ``start`` on: just ``start``.

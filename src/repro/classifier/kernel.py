@@ -1,57 +1,53 @@
-"""Scan-kernel layer: the batch scanner's gather-filter-confirm inner loop.
+"""Scan-kernel layer: the batch scanner's exact scan.
 
 The TSS accelerator reduces a batch lookup to one dense computation: for a
 chunk of keys and the current mask list, compute the salted compound hash
 ``(sum_c (row_c & mask_c) * w_c) ^ salt`` for every (key, mask) pair, test
 each compound against the membership filter (a cache-resident bit array
 whose layout this module alone knows — see "membership filter" below), and
-report per key whether any mask produced a filter hit plus where the first
-hit sits.  Everything semantic — dict confirmation, probe accounting, the
-fallback walks — stays in ``tss.py``; this module owns only that numeric
-plan, behind a small kernel interface so the implementation is selectable
-like a backend.  The interface has two steps: ``prepare`` digests the mask
-list (work linear in masks, done once per mask-list change and cached by
-the store) and ``build_plan`` scans one chunk of keys against that digest —
-a 5-packet burst pays for 5 scans, not for re-deriving what only the masks
-determine.  Two implementations:
+settle every filter hit *exactly*: look for the indexed entry that sits
+under that mask and whose packed row equals the key's masked row.  The plan
+reports, per key, the first mask with such an entry and the entry's
+**slot** — its position in the store's append-only entry table — so the
+caller maps a hit to its entry with one list index.  Everything semantic —
+the memo, statistics, mid-burst coherence — stays in ``tss.py``; this
+module owns only that numeric plan, behind a two-step interface.
+``prepare`` digests the mask list (work linear in masks, done once per
+mask-list change and cached by the store) and ``build_plan`` scans one
+chunk of keys against that digest — a 5-packet burst pays for 5 scans, not
+for re-deriving what only the masks determine.  Two implementations:
 
-* :class:`NumpyScanKernel` — the portable reference: the exact vectorised
-  numpy pass PR 1 introduced (dense compound matrix + one filter test).
+* :class:`NumpyScanKernel` — the portable reference: a dense vectorised
+  numpy pass (compound matrix, one filter test, the exact match on the
+  sparse filter hits).
 * :class:`CffiScanKernel` — a compiled C inner loop (built on first use
   with cffi against the system toolchain, cached under ``_kernel_cache/``)
-  that walks masks per key and **early-exits on the first filter hit**, so a
-  warmed cache does O(first hit) work per key instead of O(masks).  The rare
-  key whose first hit fails dict confirmation (filter false positive)
-  resumes the C scan past the failed index via :meth:`ScanPlan.next_hit` —
-  identical math, identical verdicts, never a dense matrix.
+  that walks masks per key and **early-exits on the first exact match**, so
+  a warmed cache does O(first hit) work per key instead of O(masks).
 
 Selection: ``make_scan_kernel("auto")`` prefers the compiled kernel and
 falls back to numpy when the toolchain/cffi is absent; setting
 ``REPRO_FORCE_NUMPY_KERNEL=1`` forces the numpy path (the no-compiler CI
-leg).  Kernels are pure accelerators under the standing invariants: every
-candidate they surface is confirmed against the per-mask dicts, so a kernel
-can never change a verdict, only how fast the plan is computed.
+leg).
 
-Equivalence argument for the early-exit kernel (property-tested in
-``tests/test_kernel.py``): both kernels evaluate the same compound hash
-(addition is commutative mod 2**64, so column order does not matter) against
-the same filter snapshot, hence they agree on the *first* filter hit per
-key.  A confirmed first hit is the result for both.  On a failed confirm the
-numpy path walks its dense candidate row; the cffi path recomputes that row
-lazily.  The lazy row can only differ by filter bits set *after* the plan
-was built (mid-batch installs) — and under Inv(2) at most one installed
-entry covers any key, so either walk confirms exactly that entry at exactly
-its mask index, or neither confirms and the scanner's mid-burst coherence
-check returns the same entry at the same index.  That check is
-kernel-independent — it never reads the filter or a plan row: it probes the
-truth dicts for the one megaflow the slow path generates for the key,
-``(mask, key & mask)``, which is complete on three premises (a plan miss
-rules out every pre-snapshot entry, because the filter has no false
-negatives and candidates are dict-confirmed; ``Datapath.process_batch`` is
-the only mid-burst installer; generated entries that overlap are identical),
-and a caller that cannot name that megaflow makes the scanner replan from
-the current key instead (see ``tss._BatchScanner``).  ``masks_inspected`` is
-index+1 either way.
+Why a plan hit is exact (property-tested in ``tests/test_kernel.py``): a
+hit is decided by row equality, never by a hash.  An indexed entry is the
+answer for a key at mask ``m`` only when the entry sits under ``m`` and its
+packed row equals ``row & mask_m``.  Slot rows are stored masked, and a
+column no mask constrains is zero in every mask and every masked row, so
+comparing the active columns compares the whole row.  The packed row is an
+injective image of the field values (one column per field, two for a
+128-bit address), so equal rows are equal masked keys — the very test the
+per-mask dicts apply.  Compound and filter only choose *where* to compare:
+the filter has no false negatives, an entry's compound is a function of its
+masked row and its mask, so the entry that matches is always among the
+indexed compounds equal to the key's; a filter false positive or a 64-bit
+compound collision compares unequal and the scan moves on.  Both kernels
+evaluate the same compound (addition is commutative mod 2**64, so column
+order does not matter) against the same filter and entry table, and so
+return the same first mask and slot for every key.  Under Inv(2) at most
+one entry covers a key, so the first exact match is the only one, and
+``masks_inspected`` is its mask index + 1.
 """
 
 from __future__ import annotations
@@ -61,10 +57,10 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
+from repro.exceptions import ClassifierError
 from repro.packet.fields import FIELD_ORDER, FIELDS
 
 __all__ = [
@@ -75,16 +71,13 @@ __all__ = [
     "to_columns",
     "to_column_matrix",
     "keys_to_matrix",
-    "row_hash",
     "filter_alloc",
     "filter_set",
     "filter_test",
-    "ScanPlan",
     "ScanOperands",
     "ScanKernel",
     "NumpyScanKernel",
     "CffiScanKernel",
-    "register_scan_kernel",
     "scan_kernel_names",
     "resolve_scan_kernel_name",
     "make_scan_kernel",
@@ -163,11 +156,6 @@ def keys_to_matrix(keys) -> np.ndarray:
     return np.frombuffer(packed, dtype=np.uint64).reshape(-1, N_COLUMNS)
 
 
-def row_hash(row: np.ndarray) -> int:
-    """Salted modular hash of one column row."""
-    return int((row * WEIGHTS).sum(dtype=np.uint64))
-
-
 # -- membership filter (the one place its layout is known) ---------------------
 #
 # A bit array of ``2**log2`` slots in front of the exact entry-compound set.
@@ -181,9 +169,9 @@ def row_hash(row: np.ndarray) -> int:
 # Why bits: a scan probes the filter once per (key, mask) at a random slot,
 # so what a probe costs is which cache level the array sits in, and a Bloom-
 # style filter's false-positive rate depends on slots per entry, not on how
-# wide a slot is stored.  A false candidate costs one exact ``tss_member``
-# binary search (``searchsorted`` in the numpy kernel) over the sorted
-# compound set — it never reaches Python — so the store keeps 256-1,024 slots
+# wide a slot is stored.  A false candidate costs one binary search over the
+# sorted compound set (``searchsorted`` in the numpy kernel) and finds no
+# equal row there — it never reaches Python — so the store keeps 256-1,024 slots
 # per entry (~0.1-0.4 % false candidates per probe) and a detonated 8.7k-entry
 # cache scans through a 512 KiB array that stays in L2 (the measured sweep
 # sits next to the sizing constants in ``tss.py``).
@@ -218,48 +206,7 @@ def filter_test(bits: np.ndarray, shift: int, compounds: np.ndarray) -> np.ndarr
     return found.view(bool)
 
 
-# -- the plan a kernel produces ------------------------------------------------
-class ScanPlan:
-    """Per-chunk filter-candidate plan: first hit per key + a resume walk.
-
-    ``has[j]``/``first[j]``/``first_compound[j]`` describe key ``j``'s first
-    filter hit (the common case: one dict confirm and done).  When that
-    confirm fails (filter false positive), :meth:`next_hit` resumes the scan
-    for that one key past the failed index — from the dense candidate matrix
-    (numpy kernel) or by re-entering the C scanner with a start offset (cffi
-    kernel, which never materialised the dense matrices).
-    """
-
-    has: list[bool]
-    first: list[int]
-    first_compound: list[int]
-
-    def next_hit(self, j: int, after: int) -> tuple[int, int] | None:
-        """The next (mask index, compound) filter hit for key ``j`` past
-        index ``after``, or ``None`` when no mask remains a candidate."""
-        raise NotImplementedError
-
-
-class DenseScanPlan(ScanPlan):
-    """Numpy plan: the full (keys x masks) compound/candidate matrices."""
-
-    __slots__ = ("has", "first", "first_compound", "_compounds", "_cand")
-
-    def __init__(self, has, first, first_compound, compounds, cand):
-        self.has = has
-        self.first = first
-        self.first_compound = first_compound
-        self._compounds = compounds
-        self._cand = cand
-
-    def next_hit(self, j, after):
-        tail = self._cand[j, after + 1:]
-        if not tail.any():
-            return None
-        index = after + 1 + int(tail.argmax())
-        return index, int(self._compounds[j, index])
-
-
+# -- what a plan reads ---------------------------------------------------------
 class ScanOperands:
     """The scan's mask-side operands, in one kernel's layout (immutable).
 
@@ -269,18 +216,18 @@ class ScanOperands:
     by :meth:`ScanKernel.prepare` and reused by every
     :meth:`ScanKernel.build_plan` until the mask list changes.  The owner
     then drops its reference and prepares a fresh one — an instance is
-    never written after construction, so pointers a live plan holds into
-    it stay valid for as long as the plan pins it.
+    never written after construction, so the C views it holds stay valid
+    for as long as it lives.
     """
 
     __slots__ = ("active", "masks", "weights", "salts", "pointers")
 
     def __init__(self, active, masks, weights, salts, pointers=None):
-        self.active = active      # indices of the contributing columns
+        self.active = active      # int64 indices of the contributing columns
         self.masks = masks        # compacted mask matrix (kernel's layout)
         self.weights = weights    # WEIGHTS[active]
         self.salts = salts        # (n_masks,) uint64
-        self.pointers = pointers  # cffi: (masks, weights, salts) cast once
+        self.pointers = pointers  # cffi: C views of (masks, weights, salts, active)
 
     def equals(self, other: "ScanOperands") -> bool:
         """Same operands, value for value (the cache-coherence check)."""
@@ -291,7 +238,7 @@ class ScanOperands:
 
 
 class ScanKernel:
-    """Interface every scan kernel implements (registered like a backend).
+    """Interface every scan kernel implements (one row of the name table).
 
     Two steps, split by what their inputs depend on.  :meth:`prepare`
     digests the mask list — ``masks`` is the (n_masks x N_COLUMNS) uint64
@@ -299,8 +246,13 @@ class ScanKernel:
     into a :class:`ScanOperands` snapshot; its cost is linear in masks and
     is paid once per mask-list change, not once per burst.
     :meth:`build_plan` scans one chunk of keys against a snapshot plus the
-    per-plan state: the membership filter and the sorted compound set move
-    with every insert, so they are passed fresh.
+    entry side, which moves with every insert and is passed fresh: the
+    membership filter, the sorted compound set with each compound's slot,
+    and per slot the entry's masked packed row and mask index.
+
+    The plan is two lists, one element per key: ``first`` — the index of the
+    first mask under which an indexed entry's row equals the key's masked
+    row, or -1 — and ``slot`` — that entry's slot, or -1.
     """
 
     name = "abstract"
@@ -310,12 +262,15 @@ class ScanKernel:
 
     def build_plan(
         self,
-        rows: np.ndarray,        # (n_keys x N_COLUMNS) uint64 key matrix
-        operands: ScanOperands,  # this kernel's prepare(masks, salts)
-        filter_bits: np.ndarray,  # filter_alloc(log2) membership filter
-        filter_shift: int,       # 64 - log2: filter_test's ``shift``
-        compounds: np.ndarray,   # sorted uint64 entry-compound set (exact)
-    ) -> ScanPlan:
+        rows: np.ndarray,            # (n_keys x N_COLUMNS) uint64 key matrix
+        operands: ScanOperands,      # this kernel's prepare(masks, salts)
+        filter_bits: np.ndarray,     # filter_alloc(log2) membership filter
+        filter_shift: int,           # 64 - log2: filter_test's ``shift``
+        compounds: np.ndarray,       # sorted uint64 entry-compound set
+        compound_slots: np.ndarray,  # int64 slot of each compound
+        slot_rows: np.ndarray,       # (>= n_slots x N_COLUMNS) uint64 masked rows
+        slot_masks: np.ndarray,      # (>= n_slots,) int64 mask index per slot
+    ) -> tuple[list[int], list[int]]:
         raise NotImplementedError
 
 
@@ -323,8 +278,9 @@ def _active_columns(masks: np.ndarray) -> np.ndarray:
     """Columns some mask constrains.  Most are fully wildcarded across the
     whole tuple space; their AND/MUL terms are identically zero, so both
     kernels skip them (uint64 addition is commutative: the compound is
-    bit-identical)."""
-    return np.flatnonzero(masks.any(axis=0))
+    bit-identical), and so does the row comparison (a masked row is zero
+    there)."""
+    return np.flatnonzero(masks.any(axis=0)).astype(np.int64)
 
 
 class NumpyScanKernel(ScanKernel):
@@ -342,7 +298,8 @@ class NumpyScanKernel(ScanKernel):
             salts.copy(),
         )
 
-    def build_plan(self, rows, operands, filter_bits, filter_shift, compounds):
+    def build_plan(self, rows, operands, filter_bits, filter_shift,
+                   compounds, compound_slots, slot_rows, slot_masks):
         n_keys = len(rows)
         shape = (n_keys, len(operands.salts))
         columns = operands.active.tolist()
@@ -363,45 +320,44 @@ class NumpyScanKernel(ScanKernel):
                     scratch *= weights[k]
                     acc += scratch
         acc ^= operands.salts[None, :]
-        cand = filter_test(filter_bits, filter_shift, acc)
-        # Refine the filter candidates with exact membership in the
-        # sorted entry-compound set — the filter's false positives are what
-        # force fallback walks, and the sparse hit set makes the exact
-        # check nearly free.  (64-bit compound collisions remain possible;
-        # the caller's dict confirm stays authoritative.)
-        hit_rows, hit_cols = np.nonzero(cand)
-        if hit_rows.size:
-            if len(compounds):
-                values = acc[hit_rows, hit_cols]
-                positions = np.searchsorted(compounds, values)
-                in_bounds = positions < len(compounds)
-                member = np.zeros(values.shape, dtype=bool)
-                member[in_bounds] = compounds[positions[in_bounds]] == values[in_bounds]
-                cand[hit_rows, hit_cols] = member
-            else:
-                cand[hit_rows, hit_cols] = False
-        has = cand.any(axis=1)
-        first = np.where(has, cand.argmax(axis=1), 0)
-        first_compound = acc[np.arange(n_keys), first]
-        return DenseScanPlan(
-            has.tolist(), first.tolist(), first_compound.tolist(), acc, cand
-        )
+        # Each filter hit, expanded to the run of indexed compounds equal to it.
+        hit_keys, hit_masks = np.nonzero(filter_test(filter_bits, filter_shift, acc))
+        values = acc[hit_keys, hit_masks]
+        lo = np.searchsorted(compounds, values, side="left")
+        counts = np.searchsorted(compounds, values, side="right") - lo
+        owner = np.repeat(np.arange(len(values)), counts)
+        positions = np.arange(len(owner)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        slots = compound_slots[positions]
+        hit_keys, hit_masks = hit_keys[owner], hit_masks[owner]
+        # Exact: the slot's entry sits under this mask, and its row is the
+        # key's masked row.
+        exact = slot_masks[slots] == hit_masks
+        exact &= (
+            slot_rows[slots][:, columns]
+            == rows[hit_keys][:, columns] & mask_columns[:, hit_masks].T
+        ).all(axis=1)
+        hit_keys, hit_masks, slots = hit_keys[exact], hit_masks[exact], slots[exact]
+        # np.nonzero is row-major, so a key's matches come in mask order: its
+        # first is its hit.
+        keys_hit, at = np.unique(hit_keys, return_index=True)
+        first = np.full(n_keys, -1, dtype=np.int64)
+        slot = np.full(n_keys, -1, dtype=np.int64)
+        first[keys_hit] = hit_masks[at]
+        slot[keys_hit] = slots[at]
+        return first.tolist(), slot.tolist()
 
 
 # -- compiled kernel -----------------------------------------------------------
 _CDEF = """
-void tss_scan_first(const uint64_t *rows, const uint64_t *masks,
-                    const uint64_t *weights, const uint64_t *salts,
-                    const uint8_t *filt, uint64_t shift,
-                    const uint64_t *comps, int64_t n_comps,
-                    int64_t n_keys, int64_t n_masks, int64_t n_cols,
-                    int64_t *first, uint64_t *first_compound);
-int64_t tss_scan_hits(const uint64_t *row, const uint64_t *masks,
-                      const uint64_t *weights, const uint64_t *salts,
-                      const uint8_t *filt, uint64_t shift,
-                      const uint64_t *comps, int64_t n_comps,
-                      int64_t n_masks, int64_t n_cols, int64_t max_hits,
-                      int64_t *indices, uint64_t *compounds);
+void tss_scan(const uint64_t *rows, int64_t n_keys,
+              const uint64_t *masks, const uint64_t *weights,
+              const uint64_t *salts, const int64_t *active,
+              int64_t n_masks, int64_t n_cols,
+              const uint8_t *filt, uint64_t shift,
+              const uint64_t *comps, const int64_t *comp_slots,
+              int64_t n_comps, const uint64_t *slot_rows,
+              const int64_t *slot_masks, int64_t width,
+              int64_t *first, int64_t *slot);
 """
 
 _SOURCE = """
@@ -418,8 +374,10 @@ _SOURCE = """
 
 #if defined(__GNUC__)
 #define ALWAYS_INLINE static inline __attribute__((always_inline))
+#define NOINLINE static __attribute__((noinline))
 #else
 #define ALWAYS_INLINE static inline
+#define NOINLINE static
 #endif
 
 /* The strip hash, defined once.  Always inlined so that a call with a
@@ -464,39 +422,78 @@ static inline int filter_has(const uint8_t *filt, uint64_t shift,
     return (filt[slot >> 3] >> (slot & 7)) & 1;
 }
 
-/* Exact membership of one compound in the sorted entry-compound set.  The
- * filter in front keeps this off the common (miss) path; the binary search
- * then rejects every filter false positive, so the python caller's
- * fallback walk (a full rescan) stays rare. */
-static int tss_member(const uint64_t *comps, int64_t n, uint64_t value)
+/* The entry side of a plan, as tss_match reads it: the sorted compound
+ * set with each compound's slot; per slot the entry's masked row (`width`
+ * columns) and mask index; and the compacted masks with the `n_cols`
+ * columns (`active`) they constrain. */
+struct entry_index {
+    const uint64_t *comps;
+    const int64_t *comp_slots;
+    int64_t n_comps;
+    const uint64_t *slot_rows;
+    const int64_t *slot_masks;
+    int64_t width;
+    const uint64_t *masks;
+    const int64_t *active;
+    int64_t n_cols;
+};
+
+/* The exact match behind one filter hit: binary-search the sorted compound
+ * set for `value`, then walk its run of equal compounds.  A slot matches
+ * only if its entry sits under mask `m` and its masked row equals the
+ * key's masked row on the active columns -- every other column is zero on
+ * both sides.  Returns the slot, or -1 for a filter false positive or a
+ * 64-bit compound collision.  Out of line, reading the entry side through
+ * one pointer: it runs ~9 times a key on the detonated warm replay and the
+ * probe loop around it ~4,100 times.  Inlined, or handed a dozen arguments,
+ * its operands crowd that loop's registers and the compiler spills the
+ * filter shift (C scan 13.3-13.9 us/key inlined, 12.1-12.8 with arguments;
+ * through one pointer it matches a bare membership probe). */
+NOINLINE int64_t tss_match(const struct entry_index *ix, uint64_t value,
+                           int64_t m, const uint64_t *row)
 {
-    int64_t lo = 0, hi = n;
+    const uint64_t *mask = ix->masks + m * ix->n_cols;
+    int64_t lo = 0, hi = ix->n_comps;
     while (lo < hi) {
-        int64_t mid = (lo + hi) >> 1;
-        if (comps[mid] < value)
+        int64_t mid = lo + ((hi - lo) >> 1);
+        if (ix->comps[mid] < value)
             lo = mid + 1;
         else
             hi = mid;
     }
-    return lo < n && comps[lo] == value;
+    for (; lo < ix->n_comps && ix->comps[lo] == value; lo++) {
+        int64_t s = ix->comp_slots[lo];
+        const uint64_t *entry = ix->slot_rows + s * ix->width;
+        int64_t c = 0;
+        if (ix->slot_masks[s] != m)
+            continue;
+        while (c < ix->n_cols && entry[ix->active[c]] == (row[c] & mask[c]))
+            c++;
+        if (c == ix->n_cols)
+            return s;
+    }
+    return -1;
 }
 
-/* Per key: scan masks in order and early-exit on the first confirmed filter
- * hit.  The python caller confirms that hit against the authoritative
- * dicts; masks past the first hit are only needed on a (rare) failed
- * confirm, and are collected by tss_scan_hits on that path. */
-void tss_scan_first(const uint64_t *rows, const uint64_t *masks,
-                    const uint64_t *weights, const uint64_t *salts,
-                    const uint8_t *filt, uint64_t shift,
-                    const uint64_t *comps, int64_t n_comps,
-                    int64_t n_keys, int64_t n_masks, int64_t n_cols,
-                    int64_t *first, uint64_t *first_compound)
+/* Per key: scan masks in order and stop at the first exact match (under
+ * Inv(2) the only one).  first[k] is its mask index and slot[k] the
+ * entry's slot, both -1 when no mask matches. */
+void tss_scan(const uint64_t *rows, int64_t n_keys,
+              const uint64_t *masks, const uint64_t *weights,
+              const uint64_t *salts, const int64_t *active,
+              int64_t n_masks, int64_t n_cols,
+              const uint8_t *filt, uint64_t shift,
+              const uint64_t *comps, const int64_t *comp_slots,
+              int64_t n_comps, const uint64_t *slot_rows,
+              const int64_t *slot_masks, int64_t width,
+              int64_t *first, int64_t *slot)
 {
+    const struct entry_index ix = {comps, comp_slots, n_comps, slot_rows,
+                                   slot_masks, width, masks, active, n_cols};
+    uint64_t accs[STRIP];
     for (int64_t k = 0; k < n_keys; k++) {
         const uint64_t *row = rows + k * n_cols;
-        int64_t hit = -1;
-        uint64_t hit_acc = 0;
-        uint64_t accs[STRIP];
+        int64_t hit = -1, hit_slot = -1;
         for (int64_t base = 0; base < n_masks && hit < 0; base += STRIP) {
             int64_t lim = n_masks - base;
             if (lim > STRIP)
@@ -504,47 +501,18 @@ void tss_scan_first(const uint64_t *rows, const uint64_t *masks,
             strip_hash(row, masks + base * n_cols, weights, salts + base,
                        n_cols, lim, accs);
             for (int64_t i = 0; i < lim; i++) {
-                if (filter_has(filt, shift, accs[i]) &&
-                    tss_member(comps, n_comps, accs[i])) {
+                if (!filter_has(filt, shift, accs[i]))
+                    continue;
+                hit_slot = tss_match(&ix, accs[i], base + i, row);
+                if (hit_slot >= 0) {
                     hit = base + i;
-                    hit_acc = accs[i];
                     break;
                 }
             }
         }
         first[k] = hit;
-        first_compound[k] = hit_acc;
+        slot[k] = hit_slot;
     }
-}
-
-/* The fallback walk for ONE key: collect membership-confirmed filter hits
- * in mask order (up to max_hits), so a failed dict confirm costs one C
- * call, not one per remaining candidate.  Returns the hit count. */
-int64_t tss_scan_hits(const uint64_t *row, const uint64_t *masks,
-                      const uint64_t *weights, const uint64_t *salts,
-                      const uint8_t *filt, uint64_t shift,
-                      const uint64_t *comps, int64_t n_comps,
-                      int64_t n_masks, int64_t n_cols, int64_t max_hits,
-                      int64_t *indices, uint64_t *compounds)
-{
-    int64_t count = 0;
-    uint64_t accs[STRIP];
-    for (int64_t base = 0; base < n_masks && count < max_hits; base += STRIP) {
-        int64_t lim = n_masks - base;
-        if (lim > STRIP)
-            lim = STRIP;
-        strip_hash(row, masks + base * n_cols, weights, salts + base,
-                   n_cols, lim, accs);
-        for (int64_t i = 0; i < lim && count < max_hits; i++) {
-            if (filter_has(filt, shift, accs[i]) &&
-                tss_member(comps, n_comps, accs[i])) {
-                indices[count] = base + i;
-                compounds[count] = accs[i];
-                count++;
-            }
-        }
-    }
-    return count;
 }
 """
 
@@ -617,92 +585,6 @@ def _load_cffi_lib():
     return module.ffi, module.lib
 
 
-class CffiScanPlan(ScanPlan):
-    """Compiled plan: first hits only; :meth:`next_hit` re-enters the C
-    scanner once per falling-back key to collect the remaining candidates
-    (no dense matrices ever built)."""
-
-    MAX_HITS = 16  # per fetch; a truncated fetch resumes past its last hit
-
-    __slots__ = (
-        "has", "first", "first_compound",
-        "_lib", "_ffi", "_n_masks", "_n_cols", "_n_comps", "_shift",
-        "_fallback", "_pinned",
-        "_p_rows", "_p_masks", "_p_weights", "_p_salts", "_p_filter",
-        "_p_comps", "_hit_buffers",
-    )
-
-    def __init__(self, has, first, first_compound, lib, ffi, operands,
-                 arrays, pointers, shift):
-        self.has = has
-        self.first = first
-        self.first_compound = first_compound
-        self._lib = lib
-        self._ffi = ffi
-        self._n_masks = len(operands.salts)
-        self._n_cols = len(operands.active)
-        self._n_comps = len(arrays[2])  # arrays: rows, filter, compounds
-        self._shift = shift
-        self._fallback: dict[int, tuple[list[tuple[int, int]], bool]] = {}
-        # The arrays behind every pointer are pinned on the plan so the
-        # addresses stay alive as long as the plan does (the operands
-        # snapshot is immutable, so outliving the store's reference is safe).
-        self._pinned = (operands, arrays)
-        self._p_rows, self._p_filter, self._p_comps = pointers
-        self._p_masks, self._p_weights, self._p_salts = operands.pointers
-        self._hit_buffers = None  # allocated by the first fall-back fetch
-
-    def _fetch(self, j: int, start: int) -> tuple[list[tuple[int, int]], bool]:
-        """The (index, compound) filter hits for key ``j`` from mask
-        ``start`` on (one C call), plus whether the fetch was truncated."""
-        if start >= self._n_masks:
-            return [], False
-        if self._hit_buffers is None:
-            indices = np.empty(self.MAX_HITS, dtype=np.int64)
-            compounds = np.empty(self.MAX_HITS, dtype=np.uint64)
-            self._hit_buffers = (
-                indices,
-                compounds,
-                self._ffi.cast("int64_t *", indices.ctypes.data),
-                self._ffi.cast("uint64_t *", compounds.ctypes.data),
-            )
-        indices, compounds, p_indices, p_compounds = self._hit_buffers
-        count = self._lib.tss_scan_hits(
-            self._p_rows + j * self._n_cols,
-            self._p_masks + start * self._n_cols,
-            self._p_weights,
-            self._p_salts + start,
-            self._p_filter,
-            self._shift,
-            self._p_comps,
-            self._n_comps,
-            self._n_masks - start,
-            self._n_cols,
-            self.MAX_HITS,
-            p_indices,
-            p_compounds,
-        )
-        hits = [
-            (start + int(indices[i]), int(compounds[i])) for i in range(count)
-        ]
-        return hits, count == self.MAX_HITS
-
-    def next_hit(self, j, after):
-        cached = self._fallback.get(j)
-        if cached is None:
-            cached = self._fetch(j, after + 1)
-            self._fallback[j] = cached
-        while True:
-            hits, truncated = cached
-            for index, compound in hits:
-                if index > after:
-                    return index, compound
-            if not truncated:
-                return None
-            cached = self._fetch(j, hits[-1][0] + 1)
-            self._fallback[j] = cached
-
-
 class CffiScanKernel(ScanKernel):
     """Early-exit compiled C kernel (cffi API mode, GIL released in C)."""
 
@@ -718,51 +600,45 @@ class CffiScanKernel(ScanKernel):
         masks_c = np.ascontiguousarray(masks[:, active])
         weights_c = np.ascontiguousarray(WEIGHTS[active])
         salts_c = salts.copy()
-        cast = self._ffi.cast
+        view = self._ffi.from_buffer
         return ScanOperands(
             active, masks_c, weights_c, salts_c,
             pointers=(
-                cast("const uint64_t *", masks_c.ctypes.data),
-                cast("const uint64_t *", weights_c.ctypes.data),
-                cast("const uint64_t *", salts_c.ctypes.data),
+                view("uint64_t[]", masks_c),
+                view("uint64_t[]", weights_c),
+                view("uint64_t[]", salts_c),
+                view("int64_t[]", active),
             ),
         )
 
-    def build_plan(self, rows, operands, filter_bits, filter_shift, compounds):
+    def build_plan(self, rows, operands, filter_bits, filter_shift,
+                   compounds, compound_slots, slot_rows, slot_masks):
+        # C reads raw memory: every array it is handed is C-contiguous in
+        # the dtype its signature names (a no-op for the store's own arrays).
         n_keys = len(rows)
-        rows_c = np.ascontiguousarray(rows[:, operands.active])
-        filt_c = np.ascontiguousarray(filter_bits)
+        rows_c = np.ascontiguousarray(rows[:, operands.active], dtype=np.uint64)
+        filt_c = np.ascontiguousarray(filter_bits, dtype=np.uint8)
         comps_c = np.ascontiguousarray(compounds, dtype=np.uint64)
+        comp_slots_c = np.ascontiguousarray(compound_slots, dtype=np.int64)
+        slot_rows_c = np.ascontiguousarray(slot_rows, dtype=np.uint64)
+        slot_masks_c = np.ascontiguousarray(slot_masks, dtype=np.int64)
+        if len(comp_slots_c) != len(comps_c) or slot_rows_c.shape[1] != N_COLUMNS:
+            raise ValueError("entry index arrays disagree in shape")
         first = np.empty(n_keys, dtype=np.int64)
-        first_compound = np.zeros(n_keys, dtype=np.uint64)
-        ffi = self._ffi
-        p_masks, p_weights, p_salts = operands.pointers
-        p_rows = ffi.cast("const uint64_t *", rows_c.ctypes.data)
-        p_filter = ffi.cast("const uint8_t *", filt_c.ctypes.data)
-        p_comps = ffi.cast("const uint64_t *", comps_c.ctypes.data)
-        self._lib.tss_scan_first(
-            p_rows,
-            p_masks,
-            p_weights,
-            p_salts,
-            p_filter,
-            filter_shift,
-            p_comps,
-            len(comps_c),
-            n_keys,
-            len(operands.salts),
-            len(operands.active),
-            ffi.cast("int64_t *", first.ctypes.data),
-            ffi.cast("uint64_t *", first_compound.ctypes.data),
+        slot = np.empty(n_keys, dtype=np.int64)
+        view = self._ffi.from_buffer
+        p_masks, p_weights, p_salts, p_active = operands.pointers
+        self._lib.tss_scan(
+            view("uint64_t[]", rows_c), n_keys,
+            p_masks, p_weights, p_salts, p_active,
+            len(operands.salts), len(operands.active),
+            view("uint8_t[]", filt_c), filter_shift,
+            view("uint64_t[]", comps_c), view("int64_t[]", comp_slots_c), len(comps_c),
+            view("uint64_t[]", slot_rows_c), view("int64_t[]", slot_masks_c), N_COLUMNS,
+            view("int64_t[]", first, require_writable=True),
+            view("int64_t[]", slot, require_writable=True),
         )
-        has = first >= 0
-        return CffiScanPlan(
-            has.tolist(),
-            np.where(has, first, 0).tolist(),
-            first_compound.tolist(),
-            self._lib, ffi, operands,
-            (rows_c, filt_c, comps_c), (p_rows, p_filter, p_comps), filter_shift,
-        )
+        return first.tolist(), slot.tolist()
 
 
 def _cffi_runtime():
@@ -794,25 +670,26 @@ def cffi_kernel_available() -> bool:
     return True
 
 
-# -- registry ------------------------------------------------------------------
-_SCAN_KERNELS: dict[str, Callable[[], ScanKernel]] = {}
-_NUMPY_SINGLETON = NumpyScanKernel()
+# -- the name table --------------------------------------------------------------
+_NUMPY_KERNEL = NumpyScanKernel()
 
-
-def register_scan_kernel(name: str, factory: Callable[[], ScanKernel]) -> None:
-    _SCAN_KERNELS[name] = factory
+#: One row per kernel: name -> factory.  ``"auto"`` resolves to a row.
+_KERNELS = {
+    "numpy": lambda: _NUMPY_KERNEL,
+    "cffi": CffiScanKernel,
+}
 
 
 def scan_kernel_names() -> tuple[str, ...]:
-    return ("auto", *sorted(_SCAN_KERNELS))
+    return ("auto", *sorted(_KERNELS))
 
 
 def resolve_scan_kernel_name(name: str = "auto") -> str:
     """What ``make_scan_kernel(name)`` would actually build right now."""
     if name == "auto":
         return "cffi" if cffi_kernel_available() else "numpy"
-    if name not in _SCAN_KERNELS:
-        raise KeyError(
+    if name not in _KERNELS:
+        raise ClassifierError(
             f"unknown scan kernel {name!r}; known: {', '.join(scan_kernel_names())}"
         )
     return name
@@ -829,8 +706,4 @@ def make_scan_kernel(name: str = "auto") -> ScanKernel:
         raise RuntimeError(
             f"scan kernel 'cffi' requested but {FORCE_NUMPY_ENV}=1 forces numpy"
         )
-    return _SCAN_KERNELS[resolved]()
-
-
-register_scan_kernel("numpy", lambda: _NUMPY_SINGLETON)
-register_scan_kernel("cffi", CffiScanKernel)
+    return _KERNELS[resolved]()

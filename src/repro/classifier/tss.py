@@ -14,45 +14,52 @@ The number of masks inspected by each lookup is reported back to the caller
 Implementation note: the semantic model is exactly the per-mask hash-table
 scan above, and the per-mask dictionaries remain the source of truth (they
 live in :class:`~repro.classifier.backend.MegaflowStore`, the shared base
-every megaflow backend builds on).  On top of them sits a vectorised
-accelerator (numpy): every entry is indexed by a salted 64-bit hash of its
-masked key, so one lookup ANDs the key against the whole mask matrix,
-hashes row-wise, and binary-searches the sorted entry-hash array — turning
-the O(|M|) Python probe loop into a few array operations while reporting
-the same ``masks_inspected`` the sequential scan would (candidates are
-confirmed against the authoritative dicts, so hash collisions cannot change
-semantics).  A small memo additionally short-circuits repeated lookups of
-identical keys between cache mutations, since attack traces are replayed in
-loops.
+every megaflow backend builds on).  On top of them sits an accelerator.
+Every entry gets an append-only **slot** holding the entry, its masked
+packed row and its mask's scan position, and is indexed by a salted 64-bit
+hash of that row (its *compound*) in a sorted array behind a membership
+filter.  A scan kernel (``classifier.kernel``) hashes a key under every
+mask in scan order, probes the filter and decides a hit **only by exact row
+equality** against a slot, so it stops at the entry the sequential scan
+would find, at the same ``masks_inspected``, and Python maps the slot to
+its entry with one list index (a dict confirm runs only under
+``check_invariants``).  A small memo
+additionally short-circuits repeated lookups of identical keys between
+cache mutations, since attack traces are replayed in loops.
 
 Batch pipeline.  :meth:`TupleSpaceSearch.batch_scanner` plans N keys per
 call the way real software switches do (OVS/DPDK process ~32-packet
-batches).  The keys' column matrix is the join of the packed rows the keys
-carry (``classifier.kernel.keys_to_matrix``: a replayed key is packed
-once, not once per burst); a scan kernel computes the salted compound of
-every (key, mask) pair over the *non-wildcarded* mask columns only (most
-of the 15-column hash collapses away) and tests each against the
-membership filter, a cache-resident bit array indexed by the *top* bits of
-the compound (its layout belongs to ``classifier.kernel``; this module
-only decides how large it is — see "Candidate filter sizing").  The
-kernels refine filter hits against the exact compound set, and what
-survives is confirmed against the authoritative dicts exactly like
-sequential candidates — a dict probe with the packet's own masked key per
-hit — so a false positive costs a binary search or a dict probe, never a
-wrong verdict.  Batch results are verdict-for-verdict identical to
-sequential ``lookup`` — same entries, same ``masks_inspected``, same
-statistics (property-tested in ``tests/test_batch.py``).
+batches), and ``lookup`` is its one-key case: there is one scan engine.
+The keys' column matrix is the join of the packed rows the keys carry
+(``classifier.kernel.keys_to_matrix``: a replayed key is packed once, not
+once per burst); the kernel computes the salted compound of every (key,
+mask) pair over the *non-wildcarded* mask columns only (most of the
+15-column hash collapses away), tests each against the membership filter
+(its bit layout belongs to ``classifier.kernel``; this module only decides
+how large it is — see "Candidate filter sizing") and settles each filter
+hit by comparing rows, so a filter false positive or a compound collision
+costs a binary search, never a wrong verdict.  The scanner then settles a
+run of consecutive hits per call (:meth:`_BatchScanner.hits`).  Results are
+verdict-for-verdict identical to Algorithm 1 over the dicts — same entries,
+same ``masks_inspected``, same statistics (checked key by key against the
+pure-Python walk in ``tests/scan_oracle.py``).
 
 Accelerator invariants:
 
-* the per-mask dicts are the single source of truth; the accelerator is a
-  pure accelerator — rebuilding it from the dicts at any point must never
-  change observable behaviour;
-* inserts are O(1) amortised: new entry hashes go to an unsorted pending
-  buffer (plus a filter bit) and are merged into the sorted compound
-  array only when the pending buffer outgrows an eighth of it, replacing
-  the old O(n)-copy-per-insert ``np.insert`` scheme that turned a
-  detonating attack into quadratic work;
+* the per-mask dicts are the single source of truth; the accelerator
+  decides a hit only by exact row equality and stays rebuildable from the
+  dicts — rebuilding it at any point must never change observable
+  behaviour.  Under ``check_invariants`` every plan checks the slot table
+  and the filter against the dicts, and every plan hit is dict-confirmed;
+* slots are append-only between rebuilds, so the slots a plan returns stay
+  valid until the scan order changes (which rebuilds the index and makes
+  every scanner replan);
+* inserts are O(1) amortised: a new entry's slot and compound are appended
+  unsorted (plus a filter bit) and merged into the sorted compound array —
+  compounds and their slots permuted together by one argsort — only when
+  the unsorted tail outgrows an eighth of it, or before a plan reads it,
+  replacing the old O(n)-copy-per-insert ``np.insert`` scheme that turned
+  a detonating attack into quadratic work;
 * per-mask hash salts are append-only: growth of the salt buffer
   explicitly preserves already-issued salts, because a salt change would
   orphan every compound computed under it (entries installed but
@@ -61,8 +68,7 @@ Accelerator invariants:
   matrix, weights, salts — ``ScanKernel.prepare``) depend only on the mask
   list and are cached across plans; the snapshot is dropped wherever the
   mask buffer is written, replaced or its order invalidated, and rebuilt
-  by the next plan.  It is never updated in place: a live plan may still
-  hold pointers into it;
+  by the next plan.  It is never updated in place;
 * under :meth:`MegaflowStore.index_burst` (the datapath wraps every
   ``process_batch`` in one) accelerator appends are *deferred*: inserts
   mutate the authoritative dicts immediately but queue their accelerator
@@ -79,6 +85,8 @@ Accelerator invariants:
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -95,7 +103,6 @@ from repro.classifier.backend import (
 # format); the underscore names are kept as aliases for existing call sites.
 from repro.classifier.kernel import (
     N_COLUMNS as _N_COLUMNS,
-    U64 as _U64,
     WEIGHTS as _WEIGHTS,
     ScanOperands,
     filter_alloc,
@@ -103,7 +110,6 @@ from repro.classifier.kernel import (
     filter_test,
     keys_to_matrix as _keys_to_matrix,
     make_scan_kernel,
-    row_hash as _row_hash,
     to_column_matrix as _to_column_matrix,
     to_columns as _to_columns,
 )
@@ -135,19 +141,26 @@ _FILTER_MAX_LOG2 = 24
 _FILTER_LOAD_LOG2 = 8
 
 
+def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
+    """``array`` copied into the head of a zeroed ``capacity``-row buffer."""
+    out = np.zeros((capacity, *array.shape[1:]), dtype=array.dtype)
+    out[: len(array)] = array
+    return out
+
+
 class TupleSpaceSearch(MegaflowStore):
     """The TSS megaflow backend: mask list + per-mask hash tables.
 
     Args:
         check_invariants: when True, every insert verifies Inv(2)
             (disjointness) against the whole cache — O(|C|) per insert, used
-            by the test suite to prove the slow path correct.
+            by the test suite to prove the slow path correct — and every
+            plan checks the accelerator against the dicts.
         scan_kernel: which :mod:`repro.classifier.kernel` implementation
-            computes the batch scan plan — ``"auto"`` (compiled cffi kernel
-            when the toolchain allows, numpy otherwise), ``"numpy"`` or
-            ``"cffi"``.  Kernels are pure accelerators: every candidate is
-            confirmed against the dicts, so the choice can never change a
-            verdict (``tests/test_kernel.py``).
+            computes the scan plan — ``"auto"`` (compiled cffi kernel when
+            the toolchain allows, numpy otherwise), ``"numpy"`` or
+            ``"cffi"``.  Both decide hits by the same exact row comparison,
+            so the choice can never change a verdict (``tests/test_kernel.py``).
     """
 
     # Probe-cost surface: TSS is the identity case of the probe-native
@@ -163,24 +176,31 @@ class TupleSpaceSearch(MegaflowStore):
         super().__init__(check_invariants=check_invariants)
         self._scan_kernel = make_scan_kernel(scan_kernel)
         self.scan_kernel_name = self._scan_kernel.name
-        # Vectorised accelerator state.  Inserts update it incrementally
-        # (the hot path while an attack detonates); removals and reorders
-        # mark it dirty for a lazy rebuild.
+        # Accelerator state.  Inserts update it incrementally (the hot path
+        # while an attack detonates); removals and reorders mark it dirty
+        # for a lazy rebuild.
         self._acc_dirty = True
         self._acc_capacity = 0
         self._acc_mask_buffer: np.ndarray = np.empty((0, _N_COLUMNS), dtype=np.uint64)
         self._acc_salt_buffer: np.ndarray = np.empty(0, dtype=np.uint64)
         self._acc_salt_rng = np.random.default_rng(0xACCE1)
+        self._mask_index: dict[FlowMask, int] = {}
+        # The slot table: slot s holds an indexed entry's lookup result (the
+        # entry and its mask's scan position + 1: what a plan hit on it
+        # returns), its masked packed row, its mask's scan position and its
+        # compound (arrays grown by doubling; ``len(_slot_results)`` slots
+        # are live).
+        self._slot_results: list[TssLookupResult] = []
+        self._slot_rows: np.ndarray = np.empty((0, _N_COLUMNS), dtype=np.uint64)
+        self._slot_masks: np.ndarray = np.empty(0, dtype=np.int64)
+        self._slot_compounds: np.ndarray = np.empty(0, dtype=np.uint64)
+        self._slots_checked = 0  # slots ``_check_slots`` has re-derived
+        # The sorted compound array and each compound's slot.  Slots past
+        # its length are the insert backlog, merged in periodically.
         self._acc_compounds: np.ndarray = np.empty(0, dtype=np.uint64)
-        # Amortised insert path: fresh compounds accumulate unsorted here
-        # (plus a set for membership and a filter bit) and merge into the
-        # sorted array periodically.
-        self._acc_pending: list[int] = []
-        self._acc_pending_set: set[int] = set()
+        self._acc_compound_slots: np.ndarray = np.empty(0, dtype=np.int64)
         self._acc_filter = filter_alloc(_FILTER_MIN_LOG2)
         self._acc_filter_shift = 64 - _FILTER_MIN_LOG2
-        self._acc_entries: dict[int, list[tuple[int, MegaflowEntry]]] = {}
-        self._mask_index: dict[FlowMask, int] = {}
         # ``ScanKernel.prepare`` over the mask/salt buffer prefix, shared by
         # every plan until the buffer changes (see "Accelerator invariants").
         self._acc_operands: ScanOperands | None = None
@@ -210,7 +230,7 @@ class TupleSpaceSearch(MegaflowStore):
             return
         if new_mask:
             self._acc_append_mask(entry.mask)
-        self._acc_append_entry(entry.mask, entry)
+        self._slot_append([entry], np.array([self._mask_index[entry.mask]]))
 
     @contextmanager
     def index_burst(self):
@@ -230,16 +250,13 @@ class TupleSpaceSearch(MegaflowStore):
         self._acc_operands = None
         old = self._acc_capacity
         capacity = max(64, old * 2, needed)
-        masks = np.zeros((capacity, _N_COLUMNS), dtype=np.uint64)
-        masks[:old] = self._acc_mask_buffer[:old]
-        self._acc_mask_buffer = masks
+        self._acc_mask_buffer = _grown(self._acc_mask_buffer[:old], capacity)
         # Salts are append-only: already-issued salts are copied over and
         # only the new tail is drawn, so compounds computed under earlier
         # salts stay valid.  (Regenerating the whole buffer — even from a
         # fixed seed — silently bets on numpy keeping prefix-stable
         # generation; a salt change strands every installed entry.)
-        salts = np.empty(capacity, dtype=np.uint64)
-        salts[:old] = self._acc_salt_buffer[:old]
+        salts = _grown(self._acc_salt_buffer[:old], capacity)
         salts[old:] = self._acc_salt_rng.integers(
             0, 1 << 63, size=capacity - old, dtype=np.uint64
         )
@@ -253,15 +270,44 @@ class TupleSpaceSearch(MegaflowStore):
         self._mask_index[mask] = index
         self._acc_operands = None
 
+    def _index_rows(self, entries, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The masked packed rows of ``entries`` under the masks at scan
+        positions ``indices``, and their compounds."""
+        rows = _to_column_matrix([entry.key for entry in entries])
+        rows &= self._acc_mask_buffer[indices]
+        # uint64 matmul wraps mod 2**64 like the kernels' sums (bit for bit)
+        # and needs no (entries x columns) product temporary.
+        return rows, (rows @ _WEIGHTS) ^ self._acc_salt_buffer[indices]
+
+    def _slot_append(self, entries: list[MegaflowEntry], indices: np.ndarray) -> None:
+        """Index ``entries`` (under the masks at ``indices``) in new slots."""
+        rows, compounds = self._index_rows(entries, indices)
+        first = len(self._slot_results)
+        end = first + len(entries)
+        if end > len(self._slot_masks):
+            capacity = max(64, 2 * len(self._slot_masks), end)
+            self._slot_rows = _grown(self._slot_rows, capacity)
+            self._slot_masks = _grown(self._slot_masks, capacity)
+            self._slot_compounds = _grown(self._slot_compounds, capacity)
+        self._slot_results.extend(
+            [TssLookupResult(*hit) for hit in zip(entries, (indices + 1).tolist())]
+        )
+        self._slot_rows[first:end] = rows
+        self._slot_masks[first:end] = indices
+        self._slot_compounds[first:end] = compounds
+        filter_set(self._acc_filter, self._acc_filter_shift, compounds)
+        if end - len(self._acc_compounds) >= max(64, len(self._acc_compounds) >> 3):
+            self._acc_merge_pending()
+
     def _burst_drain(self) -> None:
         """Fold deferred inserts into the accelerator in one pass.
 
         Equivalent to having run :meth:`_acc_append_mask` /
-        :meth:`_acc_append_entry` per entry at insert time — same mask
-        positions (recorded in ``_mask_index`` at defer time), same
-        compounds — but the per-entry column derive and hash collapse into
-        one matrix build, and the pending-merge threshold is checked once
-        per burst.
+        :meth:`_slot_append` per entry at insert time — same mask
+        positions (recorded in ``_mask_index`` at defer time), same slots
+        and compounds — but the per-entry column derive and hash collapse
+        into one matrix build, and the pending-merge threshold is checked
+        once per burst.
         """
         buf = self._burst_buf
         if not buf:
@@ -284,61 +330,43 @@ class TupleSpaceSearch(MegaflowStore):
                     f"drain assigns {first + k}"
                 )
             self._acc_mask_buffer[index] = _to_columns(mask.values)
-        rows = _to_column_matrix([entry.key for entry, _ in buf])
+        entries = [entry for entry, _ in buf]
         indices = np.fromiter(
-            (self._mask_index[entry.mask] for entry, _ in buf),
-            dtype=np.intp,
-            count=len(buf),
+            (self._mask_index[entry.mask] for entry in entries),
+            dtype=np.int64,
+            count=len(entries),
         )
-        hashes = (rows * _WEIGHTS).sum(axis=1, dtype=np.uint64)
-        compounds = hashes ^ self._acc_salt_buffer[indices]
-        filter_set(self._acc_filter, self._acc_filter_shift, compounds)
-        for (entry, _), index, compound in zip(
-            buf, indices.tolist(), compounds.tolist()
-        ):
-            self._acc_pending.append(compound)
-            self._acc_pending_set.add(compound)
-            self._acc_entries.setdefault(compound, []).append((index, entry))
-        if len(self._acc_pending) >= max(64, len(self._acc_compounds) >> 3):
-            self._acc_merge_pending()
+        self._slot_append(entries, indices)
 
-    def _acc_append_entry(self, mask: FlowMask, entry: MegaflowEntry) -> None:
-        index = self._mask_index[mask]
-        compound = (_row_hash(_to_columns(entry.key)) ^ int(self._acc_salt_buffer[index])) & _U64
-        self._acc_pending.append(compound)
-        self._acc_pending_set.add(compound)
-        filter_set(
-            self._acc_filter,
-            self._acc_filter_shift,
-            np.array([compound], dtype=np.uint64),
-        )
-        self._acc_entries.setdefault(compound, []).append((index, entry))
-        if len(self._acc_pending) >= max(64, len(self._acc_compounds) >> 3):
-            self._acc_merge_pending()
-
-    def _acc_indexed(self) -> np.ndarray:
-        """Every indexed compound: the sorted array, then the pending backlog."""
-        return np.concatenate(
-            [self._acc_compounds, np.asarray(self._acc_pending, dtype=np.uint64)]
-        )
+    def _acc_backlog(self) -> int:
+        """Slots indexed since the last merge (their compounds unsorted)."""
+        return len(self._slot_results) - len(self._acc_compounds)
 
     def _acc_merge_pending(self) -> None:
-        """Fold the pending buffer into the sorted compound array.
+        """Fold the slot backlog into the sorted compound array.
 
-        Runs every O(n/8) inserts, so each compound is touched O(log n)
-        times over the cache's lifetime — amortised O(1)-ish per insert
-        versus the O(n) copy a per-insert ``np.insert`` would pay.
+        Runs every O(n/8) inserts (and before a plan reads the array), so
+        each compound is touched O(log n) times over the cache's lifetime —
+        amortised O(1)-ish per insert versus the O(n) copy a per-insert
+        ``np.insert`` would pay.  A stable argsort of a sorted prefix plus
+        a short tail is near-linear, and permutes each compound's slot
+        with it.
         """
-        if self._acc_pending:
-            merged = self._acc_indexed()
-            merged.sort()
-            self._acc_compounds = merged
-            self._acc_pending.clear()
-            self._acc_pending_set.clear()
+        merged, end = len(self._acc_compounds), len(self._slot_results)
+        if end > merged:
+            compounds = np.concatenate(
+                [self._acc_compounds, self._slot_compounds[merged:end]]
+            )
+            slots = np.concatenate(
+                [self._acc_compound_slots, np.arange(merged, end, dtype=np.int64)]
+            )
+            order = np.argsort(compounds, kind="stable")
+            self._acc_compounds = compounds[order]
+            self._acc_compound_slots = slots[order]
         self._acc_filter_maybe_grow()
 
     def _acc_filter_maybe_grow(self) -> None:
-        total = len(self._acc_compounds) + len(self._acc_pending)
+        total = len(self._slot_results)
         log2 = 64 - self._acc_filter_shift
         if total << _FILTER_LOAD_LOG2 >= (1 << log2) and log2 < _FILTER_MAX_LOG2:
             self._acc_filter_rebuild(min(_FILTER_MAX_LOG2, log2 + 2))
@@ -346,33 +374,11 @@ class TupleSpaceSearch(MegaflowStore):
     def _acc_filter_rebuild(self, log2: int) -> None:
         self._acc_filter = filter_alloc(log2)
         self._acc_filter_shift = 64 - log2
-        filter_set(self._acc_filter, self._acc_filter_shift, self._acc_indexed())
-
-    def _acc_candidates(self, compounds: np.ndarray) -> np.ndarray:
-        """Exact membership of ``compounds`` in the entry-hash set.
-
-        Binary search over the sorted main array; pending (unmerged)
-        compounds are found by filter-gather prefilter plus a set probe
-        per surviving position, so inserts never force a sort here.
-        Used by the sequential scan, where the per-lookup vector is only
-        |M| wide.
-        """
-        main = self._acc_compounds
-        if len(main):
-            positions = np.searchsorted(main, compounds)
-            np.clip(positions, 0, len(main) - 1, out=positions)
-            hits = main[positions] == compounds
-        else:
-            hits = np.zeros(compounds.shape, dtype=bool)
-        if self._acc_pending:
-            maybe = filter_test(self._acc_filter, self._acc_filter_shift, compounds)
-            maybe &= ~hits
-            if maybe.any():
-                pending = self._acc_pending_set
-                for index in np.flatnonzero(maybe).tolist():
-                    if int(compounds[index]) in pending:
-                        hits[index] = True
-        return hits
+        filter_set(
+            self._acc_filter,
+            self._acc_filter_shift,
+            self._slot_compounds[: len(self._slot_results)],
+        )
 
     def _scan_operands(self) -> ScanOperands:
         """The kernel's operands for the current mask list (cached)."""
@@ -393,7 +399,7 @@ class TupleSpaceSearch(MegaflowStore):
 
     def _check_filter(self) -> None:
         """``check_invariants``: the filter holds every indexed compound."""
-        indexed = self._acc_indexed()
+        indexed = self._slot_compounds[: len(self._slot_results)]
         found = filter_test(self._acc_filter, self._acc_filter_shift, indexed)
         if not found.all():
             raise CacheInvariantError(
@@ -401,108 +407,114 @@ class TupleSpaceSearch(MegaflowStore):
                 f"{len(indexed)} indexed compounds (a false negative hides an entry)"
             )
 
+    def _check_slots(self) -> None:
+        """``check_invariants``: the slot table indexes exactly the dicts.
+
+        Its slots hold the dicts' entries, each once; the mask index agrees
+        with the scan order; every slot appended since the last check
+        carries the scan position (in its result, too), masked row and
+        compound a rebuild would derive (a slot is never rewritten, so once
+        is enough); the sorted array holds the merged slots' compounds, in
+        order.
+        """
+        results, order = self._slot_results, self._mask_order
+        n, checked = len(results), self._slots_checked
+        # Whole-table checks run on every plan (built from C-level maps: a
+        # per-key lookup plans once per key).
+        indexed = set(map(id, map(itemgetter(0), results)))
+        truth = set(map(id, chain.from_iterable(map(dict.values, self._tables.values()))))
+        if len(indexed) != n or indexed != truth:
+            raise CacheInvariantError(
+                f"the slot table's {n} entries are not the dicts' {len(truth)}"
+            )
+        if len(self._mask_index) != len(order) or list(
+            map(self._mask_index.get, order)
+        ) != list(range(len(order))):
+            raise CacheInvariantError("mask scan positions are stale against the mask order")
+        fresh = [result.entry for result in results[checked:]]
+        indices = np.fromiter(
+            (self._mask_index[entry.mask] for entry in fresh), dtype=np.int64, count=len(fresh)
+        )
+        rows, compounds = self._index_rows(fresh, indices)
+        merged = self._acc_compound_slots
+        if not (
+            [result.masks_inspected for result in results[checked:]] == (indices + 1).tolist()
+            and np.array_equal(self._slot_masks[checked:n], indices)
+            and np.array_equal(self._slot_rows[checked:n], rows)
+            and np.array_equal(self._slot_compounds[checked:n], compounds)
+            and np.array_equal(np.sort(merged), np.arange(len(merged)))
+            and np.array_equal(self._slot_compounds[merged], self._acc_compounds)
+            and bool((self._acc_compounds[1:] >= self._acc_compounds[:-1]).all())
+        ):
+            raise CacheInvariantError("the slot table's rows, masks or compounds are stale")
+        self._slots_checked = n
+
     def _rebuild_accelerator(self) -> None:
         self._burst_buf.clear()  # superseded: everything re-indexed from truth
         self._acc_operands = None
-        n = len(self._mask_order)
-        self._acc_grow(max(n, 1))
-        self._acc_entries = {}
-        self._mask_index = {mask: i for i, mask in enumerate(self._mask_order)}
-        compounds: list[int] = []
-        for index, mask in enumerate(self._mask_order):
-            self._acc_mask_buffer[index] = _to_columns(mask.values)
-            salt = int(self._acc_salt_buffer[index])
-            for entry in self._tables[mask].values():
-                compound = (_row_hash(_to_columns(entry.key)) ^ salt) & _U64
-                compounds.append(compound)
-                self._acc_entries.setdefault(compound, []).append((index, entry))
-        self._acc_compounds = np.sort(np.asarray(compounds, dtype=np.uint64))
-        self._acc_pending.clear()
-        self._acc_pending_set.clear()
+        order = self._mask_order
+        self._acc_grow(max(len(order), 1))
+        self._mask_index = {mask: i for i, mask in enumerate(order)}
+        if order:
+            self._acc_mask_buffer[: len(order)] = _to_column_matrix(
+                [mask.values for mask in order]
+            )
+        entries = [entry for mask in order for entry in self._tables[mask].values()]
+        self._slot_results = []
+        self._slots_checked = 0
+        self._acc_compounds = np.empty(0, dtype=np.uint64)
+        self._acc_compound_slots = np.empty(0, dtype=np.int64)
         log2 = 64 - self._acc_filter_shift
-        while len(compounds) << _FILTER_LOAD_LOG2 >= (1 << log2) and log2 < _FILTER_MAX_LOG2:
+        while len(entries) << _FILTER_LOAD_LOG2 >= (1 << log2) and log2 < _FILTER_MAX_LOG2:
             log2 = min(_FILTER_MAX_LOG2, log2 + 2)
         self._acc_filter_rebuild(log2)
+        if entries:
+            self._slot_append(
+                entries,
+                np.repeat(
+                    np.arange(len(order), dtype=np.int64),
+                    [len(self._tables[mask]) for mask in order],
+                ),
+            )
+        self._acc_merge_pending()
         self._acc_dirty = False
 
-    # -- core scan -------------------------------------------------------------
-    def _scan(self, key: FlowKey, key_values: tuple[int, ...], now: float) -> TssLookupResult:
-        """Algorithm 1: scan masks, probe each hash, early-exit on hit."""
-        n = len(self._mask_order)
-        if n == 0:
-            self._register_miss()
-            return TssLookupResult(entry=None, masks_inspected=0)
-        if self._acc_dirty:
-            self._rebuild_accelerator()
-        elif self._burst_buf:
-            self._burst_drain()
-        if not len(self._acc_compounds) and not self._acc_pending:
-            self._register_miss()
-            return TssLookupResult(entry=None, masks_inspected=n)
-        row = _keys_to_matrix((key,))[0]
-        masked = self._acc_mask_buffer[:n] & row
-        hashes = (masked * _WEIGHTS).sum(axis=1, dtype=np.uint64)
-        compounds = hashes ^ self._acc_salt_buffer[:n]
-        candidates = self._acc_candidates(compounds)
-        for index in np.flatnonzero(candidates):
-            # Confirm against the authoritative dicts: 64-bit collisions
-            # are possible, just rare, and must not change semantics.
-            for entry_index, entry in self._acc_entries.get(int(compounds[index]), ()):
-                if entry_index == index and entry.covers(key):
-                    self._register_hit(entry, now)
-                    return TssLookupResult(entry=entry, masks_inspected=int(index) + 1)
-        self._register_miss()
-        return TssLookupResult(entry=None, masks_inspected=n)
-
-    # -- batched lookup --------------------------------------------------------
+    # -- the scan --------------------------------------------------------------
     def batch_scanner(
         self, keys: list[FlowKey], now: float = 0.0, rows=None, spawn=None
     ) -> "_BatchScanner":
-        """A consume-in-order batch scanner (the datapath's level-3 engine).
+        """A consume-in-order batch scanner (the datapath's level-3 engine,
+        and ``lookup``'s, one key at a time).
 
         The (N x M) mask/hash work runs in the scan kernel, planned ahead;
-        the caller drives the scanner one key at a time and may mutate the
-        cache between keys (slow-path installs), and the scanner keeps its
-        plan coherent — see :class:`_BatchScanner`'s coherence rules.
-        ``rows`` optionally
-        supplies ``keys``' column matrix for a caller that already holds
-        it (the shm worker, whose keys were rebuilt from it); otherwise
-        planning joins the keys' packed rows.  ``spawn(i)`` names the
-        megaflow the slow path generates for ``keys[i]`` (anything with
-        ``.mask`` and ``.key``): a caller that installs nothing but such
-        megaflows mid-batch passes it and gets an O(1) coherence probe;
-        without it the scanner replans whenever an insert could matter.
+        the caller drives the scanner in order — a run of hits per
+        :meth:`_BatchScanner.hits` call, or one key per ``result`` — and may
+        mutate the cache between calls (slow-path installs), and the
+        scanner keeps its plan coherent — see :class:`_BatchScanner`'s
+        coherence rules.  ``rows`` optionally supplies ``keys``' column
+        matrix for a caller that already holds it (the shm worker, whose
+        keys were rebuilt from it); otherwise planning joins the keys'
+        packed rows.  ``spawn(i)`` names the megaflow the slow path
+        generates for ``keys[i]`` (anything with ``.mask`` and ``.key``): a
+        caller that installs nothing but such megaflows mid-batch passes it
+        and gets an O(1) coherence probe; without it the scanner replans
+        whenever an insert could matter.
         """
         return _BatchScanner(self, keys, now, rows=rows, spawn=spawn)
 
-    def _acc_confirm(
-        self, compound: int, index: int, key_values: tuple[int, ...]
-    ) -> MegaflowEntry | None:
-        """Authoritative-dict confirmation of one (compound, mask) candidate:
-        the candidate sits at this mask index, its table is live, and the
-        packet's own masked key finds exactly it there (Algorithm 1's probe)."""
-        for entry_index, entry in self._acc_entries.get(compound, ()):
-            if entry_index == index:
-                mask = entry.mask
-                table = self._tables.get(mask)
-                if table is None:
-                    continue
-                if table.get(self._reduce(mask, key_values)) is entry:
-                    return entry
-        return None
-
 
 class _BatchScanner:
-    """Vectorised scan plan over a key sequence, consumed in order.
+    """A kernel scan plan over a key sequence, consumed in order.
 
-    The scanner precomputes, for a contiguous chunk of keys, the full
-    (keys x masks) compound matrix and its filter-candidate bitmap, then
-    serves per-key results with sequential-identical bookkeeping.  Three
+    The scanner has the kernel plan a contiguous chunk of keys — per key
+    the first mask holding an exact match and that entry's slot — and
+    settles results from it with sequential-identical bookkeeping.  Three
     coherence rules keep it honest while the caller mutates the cache
-    between keys:
+    between calls:
 
-    * a scan-order change (removal, shuffle, flush) bumps the
-      cache's ``_order_seq``; the scanner replans from the current key;
+    * a scan-order change (removal, shuffle, flush) bumps the cache's
+      ``_order_seq``; the scanner replans from the current key (the index
+      rebuild behind such a change is the only thing that renumbers slots);
     * inserts since the plan snapshot (``n_entries`` moved; removals fall
       under the first rule) matter only on a plan *miss* — under Inv(2) a
       snapshot hit can never be preempted by a newer entry.  A plan-missed
@@ -510,21 +522,21 @@ class _BatchScanner:
       dicts**: one ``get_entry(mask, k & mask)`` for the megaflow
       ``spawn`` says the slow path generates for ``k``.  Three premises
       make that probe complete: (1) the filter has no false negatives and
-      candidates are dict-confirmed, so a plan miss means no pre-snapshot
-      entry covers ``k``; (2) every entry installed since was generated
-      by the caller's slow path (``Datapath.process_batch`` is the only
-      mid-burst installer); (3) generated entries that overlap are
-      identical (``slowpath.py``'s tested correctness property), so the
-      only such entry that can cover ``k`` is ``(mask, k & mask)``
+      hits are decided by exact row equality, so a plan miss means no
+      pre-snapshot entry covers ``k``; (2) every entry installed since was
+      generated by the caller's slow path (``Datapath.process_batch`` is
+      the only mid-burst installer); (3) generated entries that overlap
+      are identical (``slowpath.py``'s tested correctness property), so
+      the only such entry that can cover ``k`` is ``(mask, k & mask)``
       itself.  A caller that cannot name the megaflow passes no ``spawn``
       and the scanner replans from the current key instead;
-    * filter candidates are confirmed against the authoritative dicts, so
-      filter false positives degrade to a few dict probes.
+    * a plan hit is final (see ``classifier.kernel``): Python maps its slot
+      to the entry and, under ``check_invariants``, dict-confirms it.
     """
 
     # Compound-matrix budget per planning chunk (uint64 elements): caps the
-    # plan at ~32 MB while letting an OVS-sized rx burst plan in one go
-    # even against a fully detonated (8k+ mask) tuple space.
+    # numpy kernel's plan at ~32 MB while letting an OVS-sized rx burst plan
+    # in one go even against a fully detonated (8k+ mask) tuple space.
     CHUNK_ELEMS = 4_000_000
 
     def __init__(
@@ -544,100 +556,154 @@ class _BatchScanner:
         self._end = 0
         self._order_seq = -1
         self._n_entries = 0  # entry count at the plan snapshot
-        self._plan = None  # the kernel-built ScanPlan for keys[start:end]
+        # The plan for keys[start:end]: per key the first matching mask
+        # index (-1: none) and the matched entry's slot.
+        self._first: list[int] = []
+        self._slot: list[int] = []
 
     def result(self, i: int, now: float | None = None) -> TssLookupResult:
         """The lookup result for key ``i`` (call with non-decreasing ``i``)."""
-        tss = self.tss
         if now is not None:
             self.now = now
-        key_values = self.keys[i].values
-        memoised = tss._memo_consult(key_values, self.now)
-        if memoised is not None:
-            return memoised
-        result = self._scan_key(tss, i, key_values)
+        return self.hits(i, i + 1)[0]
+
+    def hits(self, i: int, stop: int) -> list[TssLookupResult]:
+        """Settle keys ``i``, ``i + 1``, ... while they hit, up to ``stop``.
+
+        Returns their results, in order: hits, except possibly the last,
+        which is the miss that ended the run (settled like any key).  The
+        memo, the statistics and the entries' ``hits`` / ``last_used`` end
+        up exactly as ``result`` key by key leaves them, but the run's hits
+        reach the funnels once (:meth:`MegaflowStore._register_hits`,
+        :meth:`MegaflowStore._account_hit_scans`), not once per key.
+        """
+        tss = self.tss
+        memo, keys = tss._memo, self.keys
+        start = end = 0  # the plan is read at the first memo miss: a run of memo hits needs none
+        run: list[TssLookupResult] = []
+        served: list[MegaflowEntry] = []
+        scans = probes = 0
+        try:
+            for j in range(i, stop):
+                values = keys[j].values
+                result = memo.get(values)
+                if result is not None:
+                    entry = result.entry
+                    if entry is None:
+                        tss._register_miss()
+                        run.append(result)
+                        break
+                else:
+                    if j >= end:
+                        start, end, first, slots, indexed = self._plan_at(j)
+                        check, limit = tss.check_invariants, tss.MEMO_LIMIT
+                    index = first[j - start]
+                    if index < 0 and self._spawn is None and tss._n_entries != self._n_entries:
+                        # Installs since the plan: replan from key j.
+                        self._build_plan(j)
+                        start, end, first, slots, indexed = self._plan_at(j)
+                        index = first[0]
+                    if index < 0:
+                        result = self._settle_miss(j, values)
+                        run.append(result)
+                        if result.entry is None:
+                            break
+                        continue
+                    result = indexed[slots[j - start]]
+                    entry = result.entry
+                    if check:
+                        self._confirm(result, index, values)
+                    scans += 1
+                    probes += index + 1
+                    if len(memo) < limit:
+                        memo[values] = result
+                served.append(entry)
+                run.append(result)
+        finally:
+            if served:
+                tss._register_hits(served, self.now)
+            if scans:
+                tss._account_hit_scans(scans, probes)
+        return run
+
+    def _confirm(self, result: TssLookupResult, index: int, values: tuple[int, ...]) -> None:
+        """``check_invariants``: a plan hit is the dicts' entry for the key,
+        at its mask's scan position."""
+        tss = self.tss
+        entry = result.entry
+        table = tss._tables.get(entry.mask)
+        if (
+            table is None
+            or table.get(tss._reduce(entry.mask, values)) is not entry
+            or tss._mask_index.get(entry.mask) != index
+            or result.masks_inspected != index + 1
+        ):
+            raise CacheInvariantError(
+                f"plan hit {entry!r} at mask {index} is not the dicts' entry for the key"
+            )
+
+    def _settle_miss(self, j: int, values: tuple[int, ...]) -> TssLookupResult:
+        """Settle key ``j``, which the current plan misses (or, with
+        installs since the plan, whose own megaflow ``spawn`` names)."""
+        tss = self.tss
+        hit = None
+        if tss._n_entries != self._n_entries:
+            spawned = self._spawn(j)
+            hit = tss.get_entry(spawned.mask, spawned.key)
+        if hit is None:
+            tss._register_miss()
+            result = TssLookupResult(None, len(tss._mask_order))
+        else:
+            tss._register_hits((hit,), self.now)
+            result = TssLookupResult(hit, tss._mask_index[hit.mask] + 1)
         tss._account_scan(result)
-        tss._memo_store(key_values, result)
+        tss._memo_store(values, result)
         return result
 
-    def _scan_key(
-        self, tss: TupleSpaceSearch, i: int, key_values: tuple[int, ...]
-    ) -> TssLookupResult:
-        n_now = len(tss._mask_order)
-        if n_now == 0:
-            tss._register_miss()
-            return TssLookupResult(None, 0)
-        if tss._acc_dirty:
-            tss._rebuild_accelerator()
-        if tss._order_seq != self._order_seq or not (self._start <= i < self._end):
-            self._build_plan(i)
-        found = self._plan_hit(tss, i, key_values)
-        if found is None and tss._n_entries != self._n_entries:
-            # Plan says miss, but entries were installed after the snapshot.
-            if self._spawn is None:
-                self._build_plan(i)
-                found = self._plan_hit(tss, i, key_values)
-            else:
-                spawned = self._spawn(i)
-                hit = tss.get_entry(spawned.mask, spawned.key)
-                if hit is not None:
-                    found = TssLookupResult(hit, tss._mask_index[hit.mask] + 1)
-        if found is None:
-            tss._register_miss()
-            return TssLookupResult(None, n_now)
-        tss._register_hit(found.entry, self.now)
-        return found
-
-    def _plan_hit(
-        self, tss: TupleSpaceSearch, i: int, key_values: tuple[int, ...]
-    ) -> TssLookupResult | None:
-        """The plan's dict-confirmed hit for key ``i`` — the entry and the
-        probes the sequential scan spends reaching it — or None on a miss."""
-        j = i - self._start
-        plan = self._plan
-        if not plan.has[j]:
-            return None
-        index = plan.first[j]
-        hit = tss._acc_confirm(plan.first_compound[j], index, key_values)
-        while hit is None:
-            # Filter false positive: resume the scan past the failed
-            # index and confirm the next candidate.
-            nxt = plan.next_hit(j, index)
-            if nxt is None:
-                return None
-            index, compound = nxt
-            hit = tss._acc_confirm(int(compound), index, key_values)
-        return TssLookupResult(hit, index + 1)
+    def _plan_at(self, j: int) -> tuple:
+        """``(start, end, first, slot, slot results)`` of a current plan
+        covering key ``j``: the one in hand, or a fresh one from ``j``."""
+        tss = self.tss
+        if tss._order_seq != self._order_seq or not self._start <= j < self._end:
+            self._build_plan(j)
+        return self._start, self._end, self._first, self._slot, tss._slot_results
 
     def _build_plan(self, start: int) -> None:
-        """Kernel-computed compound/candidate plan for keys[start:end]."""
+        """The kernel's plan for keys[start:end], over a current index."""
         tss = self.tss
-        n = len(tss._mask_order)
-        chunk = max(32, self.CHUNK_ELEMS // max(n, 1))
-        end = min(len(self.keys), start + chunk)
-        if self._rows is not None:
-            rows = self._rows[start:end]
-        else:
-            rows = _keys_to_matrix(self.keys[start:end])
-        if tss._burst_buf:
+        if tss._acc_dirty:
+            tss._rebuild_accelerator()
+        elif tss._burst_buf:
             # Deferred burst appends must reach the accelerator before the
             # plan snapshots it: the entry count recorded below tells the
             # miss path that nothing is newer than this plan.
             tss._burst_drain()
-        if tss._acc_pending:
-            # The kernels refine filter candidates against the sorted
-            # compound set; fold the unsorted insert backlog in first so
-            # the snapshot is complete (amortised: once per plan).
+        if tss._acc_backlog():
+            # The kernels search the sorted compound array only; fold the
+            # unsorted insert backlog in first (amortised: once per plan).
             tss._acc_merge_pending()
-        if tss.check_invariants:
-            tss._check_filter()
-        self._plan = tss._scan_kernel.build_plan(
-            rows,
-            tss._scan_operands(),
-            tss._acc_filter,
-            tss._acc_filter_shift,
-            tss._acc_compounds,
-        )
+        n = len(tss._mask_order)
+        end = min(len(self.keys), start + max(32, self.CHUNK_ELEMS // max(n, 1)))
+        if not n:
+            self._first = self._slot = [-1] * (end - start)
+        else:
+            if tss.check_invariants:
+                tss._check_filter()
+                tss._check_slots()
+            if self._rows is not None:
+                rows = self._rows[start:end]
+            else:
+                rows = _keys_to_matrix(self.keys[start:end])
+            self._first, self._slot = tss._scan_kernel.build_plan(
+                rows,
+                tss._scan_operands(),
+                tss._acc_filter,
+                tss._acc_filter_shift,
+                tss._acc_compounds,
+                tss._acc_compound_slots,
+                tss._slot_rows,
+                tss._slot_masks,
+            )
         self._start = start
         self._end = end
         self._order_seq = tss._order_seq
@@ -646,22 +712,17 @@ class _BatchScanner:
     def plan_misses(self, start: int) -> list[int]:
         """Key indices ``>= start`` guaranteed to miss the plan snapshot.
 
-        The filter has no false negatives, so a key with no plan candidate
-        cannot hit any entry installed before the batch — the upcall
-        coalescer uses this as its burst of soon-to-miss keys.  Only
-        entries installed *mid-batch* can still serve some of them (which
-        is fine: megaflow generation is pure, so speculatively generating
-        for a key that ends up hitting changes nothing).  When no plan
-        covers ``start`` (empty tuple space: the scan early-exits before
-        planning), every remaining key is a guaranteed miss.
+        The filter has no false negatives, so a key with no plan hit cannot
+        hit any entry installed before the batch — the upcall coalescer
+        uses this as its burst of soon-to-miss keys.  Only entries
+        installed *mid-batch* can still serve some of them (which is fine:
+        megaflow generation is pure, so speculatively generating for a key
+        that ends up hitting changes nothing).  When no plan covers
+        ``start``, every remaining key is reported.
         """
-        plan = self._plan
-        if (
-            plan is None
-            or self.tss._order_seq != self._order_seq
-            or not (self._start <= start < self._end)
+        if self.tss._order_seq != self._order_seq or not (
+            self._start <= start < self._end
         ):
             return list(range(start, len(self.keys)))
-        has = plan.has
-        offset = self._start
-        return [j for j in range(start, self._end) if not has[j - offset]]
+        first, offset = self._first, self._start
+        return [j for j in range(start, self._end) if first[j - offset] < 0]

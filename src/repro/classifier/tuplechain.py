@@ -241,7 +241,7 @@ class TupleChainSearch(MegaflowStore):
                     probes += 1
                     entry = table.get(value & submask)
                     if entry is not None and self.find_entry(entry):
-                        self._register_hit(entry, now)
+                        self._register_hits((entry,), now)
                         return TssLookupResult(entry=entry, masks_inspected=probes)
                 continue
             for submask, table in node.items():

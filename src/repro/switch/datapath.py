@@ -92,6 +92,12 @@ class PacketVerdict(NamedTuple):
         return self.path is PathTaken.SLOW_PATH
 
 
+_MEGAFLOW = PathTaken.MEGAFLOW
+# A NamedTuple's generated ``__new__`` is a Python-level call; a run of warm
+# hits builds its verdicts with ``tuple.__new__`` (every field given).
+_new = tuple.__new__
+
+
 @dataclass(frozen=True)
 class BatchVerdicts:
     """Result of one :meth:`Datapath.process_batch` call.
@@ -451,14 +457,17 @@ class Datapath:
         :meth:`process`, one :meth:`MegaflowGenerator.generate` per upcall.
 
         Per-packet bookkeeping is kept off the warm path on one premise,
-        stated in :class:`MegaflowStore` and re-checked per packet under
+        stated in :class:`MegaflowStore` and re-checked per run under
         ``check_invariants``: only an upcall moves the cache's size or the
         backend's cost estimate.  So the pre-packet ``(n_masks,
         expected_scan_cost())`` behind ``mask_counts`` / ``probe_costs`` is
         read at burst entry and again after every upcall, and the
         per-packet counters accumulate in locals that a ``finally`` adds
         to :attr:`stats` — a burst that raises mid-way leaves the counters
-        its packets so far would have written one by one.
+        its packets so far would have written one by one.  With levels 1-2
+        off nothing reads per-packet cache state between hits, so the scan
+        level settles a whole run of consecutive hits per scanner call
+        (``hits``), and the miss that ends a run in the same call.
 
         ``rows`` optionally supplies ``keys``' uint64 column matrix.  Keys
         that have been scanned before carry their packed row
@@ -501,32 +510,42 @@ class Datapath:
         # estimate (MegaflowStore: "only a miss moves size or cost").
         n_masks, scan_cost = megaflows.n_masks, megaflows.expected_scan_cost()
         megaflow_hits = inspected = 0
+        verdict_append = verdicts.append
+        # ``hits`` settles a run of consecutive hits in one call (ended by the
+        # burst, or by a miss it settles too); the packets then consume it.
+        # Levels 1-2 probe what the previous packet remembered, so with
+        # either on, a run is one packet.
+        run: list = []
+        taken = 0
+        n = len(keys)
         try:
             with megaflows.index_burst():
                 for i, key in enumerate(keys):
-                    if check and (n_masks, scan_cost) != (
-                        megaflows.n_masks, megaflows.expected_scan_cost()
-                    ):
-                        raise CacheInvariantError(
-                            f"packet {i} of the burst: megaflow (n_masks, scan cost) left "
-                            f"{(n_masks, scan_cost)} without an upcall"
-                        )
+                    if check and taken == len(run):
+                        self._check_cost_unmoved(i, (n_masks, scan_cost))
                     mask_counts.append(n_masks)
                     probe_costs.append(scan_cost)
-                    verdict = self._fast_levels(key) if fast else None
-                    if verdict is None:
-                        entry, probes = scanner.result(i)
-                        inspected += probes
-                        if entry is None:
-                            verdict = self._install_upcall(key, generate(i), probes)
-                            upcalls += 1
-                            n_masks, scan_cost = megaflows.n_masks, megaflows.expected_scan_cost()
-                        else:
-                            megaflow_hits += 1
-                            if fast:
-                                self._remember(key, entry)
-                            verdict = PacketVerdict(entry.action, PathTaken.MEGAFLOW, probes)
-                    verdicts.append(verdict)
+                    if fast:
+                        verdict = self._fast_levels(key)
+                        if verdict is not None:
+                            verdict_append(verdict)
+                            continue
+                    if taken == len(run):
+                        run, taken = scanner.hits(i, i + 1 if fast else n), 0
+                    entry, probes = run[taken]
+                    taken += 1
+                    inspected += probes
+                    if entry is None:
+                        verdict_append(self._install_upcall(key, generate(i), probes))
+                        upcalls += 1
+                        n_masks, scan_cost = megaflows.n_masks, megaflows.expected_scan_cost()
+                    else:
+                        megaflow_hits += 1
+                        if fast:
+                            self._remember(key, entry)
+                        verdict_append(_new(PacketVerdict, (entry.action, _MEGAFLOW, probes, 0, None)))
+                if check:
+                    self._check_cost_unmoved(n, (n_masks, scan_cost))
         finally:
             # What per-packet writes would have left, also when a packet
             # raised: every packet entered has its pre-packet mask count.
@@ -544,6 +563,15 @@ class Datapath:
             probe_costs=tuple(probe_costs),
             upcalls=upcalls,
         )
+
+    def _check_cost_unmoved(self, i: int, snapshot: tuple[int, float]) -> None:
+        """``check_invariants``: nothing but an upcall moved size or cost."""
+        megaflows = self.megaflows
+        if snapshot != (megaflows.n_masks, megaflows.expected_scan_cost()):
+            raise CacheInvariantError(
+                f"packet {i} of the burst: megaflow (n_masks, scan cost) left "
+                f"{snapshot} without an upcall"
+            )
 
     def process_packet(self, packet: Packet, in_port: int = 0, now: float | None = None) -> PacketVerdict:
         """Classify a concrete :class:`Packet` (wire-format convenience)."""

@@ -12,6 +12,7 @@ from repro.classifier.actions import ALLOW
 from repro.classifier.flowtable import FlowTable
 from repro.classifier.rule import Match
 from repro.experiments import run_experiment
+from tests import scan_oracle as scan_oracle_module
 from tests.settlement_oracle import ride_along
 
 # The nightly CI leg runs the property-based tests with a 10x example
@@ -61,6 +62,13 @@ def fig4_table() -> FlowTable:
 def settlement_oracle():
     """Check every settlement call of the test against the scalar loops."""
     with ride_along() as oracle:
+        yield oracle
+
+
+@pytest.fixture
+def scan_oracle():
+    """Check every megaflow scanner result of the test against Algorithm 1."""
+    with scan_oracle_module.ride_along() as oracle:
         yield oracle
 
 

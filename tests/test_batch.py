@@ -96,6 +96,7 @@ def assert_caches_equal(a: TupleSpaceSearch, b: TupleSpaceSearch):
 
 # -- lookup_batch ≡ lookup ------------------------------------------------------
 
+@pytest.mark.usefixtures("scan_oracle")
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     rules=rule_sets(),
@@ -122,6 +123,7 @@ def test_lookup_batch_equivalent(rules, keys):
     assert_caches_equal(a, b)
 
 
+@pytest.mark.usefixtures("scan_oracle")
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     rules=rule_sets(),
@@ -158,6 +160,7 @@ def test_lookup_batch_equivalent_with_churn(rules, keys, drop_every):
     assert_caches_equal(seq_cache, batch_cache)
 
 
+@pytest.mark.usefixtures("scan_oracle")
 def test_lookup_batch_empty_and_trivial():
     cache = TupleSpaceSearch()
     assert len(cache.lookup_batch([])) == 0
@@ -197,6 +200,7 @@ def scanner_scripts(draw):
     return keys, inserts
 
 
+@pytest.mark.usefixtures("scan_oracle")
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     rules=rule_sets(),
@@ -302,6 +306,7 @@ def assert_verdicts_equal(sequential, batched):
             assert (x.installed.mask, x.installed.key) == (y.installed.mask, y.installed.key), i
 
 
+@pytest.mark.usefixtures("scan_oracle")
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     rules=rule_sets(),
@@ -354,6 +359,7 @@ def _replay_burst(trace, copies=3, seed=7):
     return keys
 
 
+@pytest.mark.usefixtures("scan_oracle")
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("order", ["insertion", "reshuffled"])
 @pytest.mark.parametrize("check_invariants", [True, False])
@@ -475,6 +481,7 @@ def test_one_burst_replay_bookkeeping_is_linear(monkeypatch):
         assert 0.35 * full[label] <= half[label] <= 0.65 * full[label], (label, full, half)
 
 
+@pytest.mark.usefixtures("scan_oracle")
 def test_process_batch_mask_counts_track_installs():
     """mask_counts reports the pre-packet mask count, growing mid-batch."""
     table = FlowTable()
@@ -488,6 +495,7 @@ def test_process_batch_mask_counts_track_installs():
     assert len(batch) == 2 and batch.upcalls >= 1
 
 
+@pytest.mark.usefixtures("scan_oracle")
 def test_process_batch_duplicate_keys_hit_microflow():
     """A batch of duplicates must hit the microflow its first packet installs."""
     table = FlowTable()
@@ -502,6 +510,7 @@ def test_process_batch_duplicate_keys_hit_microflow():
 
 # -- hypervisor batch accounting -------------------------------------------------
 
+@pytest.mark.usefixtures("scan_oracle")
 def test_inject_attack_batch_charges_like_sequential():
     from repro.netsim.hypervisor import HypervisorHost
     from repro.switch.costmodel import CostModel

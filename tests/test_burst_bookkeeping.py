@@ -90,9 +90,9 @@ class _LearnsFromHits(TupleSpaceSearch):
         super().__init__(**kwargs)
         self.hits_seen = 0
 
-    def _register_hit(self, entry, now):
-        super()._register_hit(entry, now)
-        self.hits_seen += 1
+    def _register_hits(self, entries, now):
+        super()._register_hits(entries, now)
+        self.hits_seen += len(entries)
 
     def expected_scan_cost(self) -> float:
         return super().expected_scan_cost() + self.hits_seen

@@ -1,12 +1,15 @@
-"""Scan-kernel differential tests: cffi ≡ numpy ≡ sequential dict-truth.
+"""Scan-kernel tests: cffi ≡ numpy ≡ Algorithm 1 over the dicts, exactly.
 
-The kernels in :mod:`repro.classifier.kernel` are pure accelerators — they
-only *propose* filter-hit candidates, and every candidate is confirmed
-against the per-mask dicts — so no kernel choice may ever change a lookup
-outcome, a ``masks_inspected`` count, or a statistics counter.  These
-tests drive identical install / lookup / shuffle / salt-growth traces
-through a numpy-kernel TSS, a cffi-kernel TSS (when the toolchain built
-it) and a sequential per-key reference, and require transcript equality.
+The kernels in :mod:`repro.classifier.kernel` decide a hit by exact row
+equality, so no kernel choice may ever change a lookup outcome, a
+``masks_inspected`` count, or a statistics counter.  These tests drive
+identical install / lookup / shuffle / salt-growth traces through a
+numpy-kernel TSS, a cffi-kernel TSS (when the toolchain built it) and
+per-key ``lookup``, require transcript equality, and hold every result
+against the pure-Python scan (the ``scan_oracle`` fixture).  They also pin
+what exactness rests on: the packed row is injective, a 64-bit compound
+collision never decides a hit, an entry deleted behind the index is caught
+under ``check_invariants``, and the C runs clean under ASan/UBSan.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import shlex
 import subprocess
 import sysconfig
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,21 +29,21 @@ from repro.classifier.backend import MegaflowEntry
 from repro.classifier import kernel as kernel_module
 from repro.classifier.flowtable import FlowTable
 from repro.classifier.kernel import (
+    COLUMN_SPLITS,
     FORCE_NUMPY_ENV,
     N_COLUMNS,
-    CffiScanPlan,
+    WEIGHTS,
     cffi_kernel_available,
     make_scan_kernel,
     resolve_scan_kernel_name,
-    row_hash,
     scan_kernel_names,
     to_column_matrix,
     to_columns,
 )
 from repro.classifier.rule import Match
 from repro.classifier.tss import TupleSpaceSearch
-from repro.exceptions import CacheInvariantError
-from repro.packet.fields import FIELDS, FlowKey, FlowMask
+from repro.exceptions import CacheInvariantError, ClassifierError
+from repro.packet.fields import FIELD_ORDER, FIELDS, FlowKey, FlowMask
 from repro.switch.datapath import Datapath, DatapathConfig
 
 CFFI_AVAILABLE = cffi_kernel_available()
@@ -104,7 +108,7 @@ def _drive(kernel: str, entries, probes, shuffle_seed: int) -> tuple:
 
 
 def _drive_sequential(entries, probes, shuffle_seed: int) -> tuple:
-    """The dict-truth reference: the same trace, one ``lookup`` at a time."""
+    """The same trace, one ``lookup`` at a time."""
     tss = TupleSpaceSearch(scan_kernel="numpy")
     transcript = []
     half = len(entries) // 2
@@ -169,6 +173,7 @@ def _width_family(fields: tuple[str, ...]):
     return entries, probes
 
 
+@pytest.mark.usefixtures("scan_oracle")
 class TestDifferential:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -302,6 +307,7 @@ class TestOperandCacheCoherence:
     ``check_invariants`` compares the cache with a fresh ``prepare`` on
     every plan."""
 
+    @pytest.mark.usefixtures("scan_oracle")
     @pytest.mark.parametrize("kernel", KERNELS)
     @settings(max_examples=20, deadline=None)
     @given(ops=st.lists(_COHERENCE_OPS, min_size=1, max_size=30))
@@ -378,71 +384,6 @@ class TestOperandCacheCoherence:
             tss.lookup_batch(probe)
 
 
-# -- the failed-confirm resume walk ----------------------------------------------
-_NESTED = 20  # prefix lengths 8..27 of one ip_src, all covering one key
-_NESTED_KEY = FlowKey(ip_src=0x0A141E28, tp_dst=80)
-_WALL = 70  # unrelated masks between nested levels 16 and 17: > one C strip
-_UNRELATED_KEY = FlowKey(ip_src=0xC0A80001, ip_dst=0xAC100001, tp_dst=443)
-
-
-def _nested_store(kernel: str):
-    """``_NESTED`` overlapping entries, one per mask in prefix order, that
-    all cover ``_NESTED_KEY`` -- plus a disjoint filler per mask, so a mask
-    outlives the removal of its nested entry.  A wall of masks that never
-    match the key sits behind level ``MAX_HITS``: the fetch that resumes
-    there crosses a strip boundary before it finds the next level."""
-    tss = TupleSpaceSearch(scan_kernel=kernel)  # check_invariants off: overlap
-    nested_masks = [
-        FlowMask(ip_src=_prefix(8 + level), tp_dst=0xFFFF) for level in range(_NESTED)
-    ]
-    wall = [
-        FlowMask(ip_src=_prefix(src_bits), ip_dst=_prefix(dst_bits), tp_dst=0xFFFF)
-        for src_bits in (0, 8, 16)
-        for dst_bits in range(1, 25)
-    ][:_WALL]
-    split = CffiScanPlan.MAX_HITS + 1
-    for mask in nested_masks[:split] + wall + nested_masks[split:]:
-        tss.insert(
-            MegaflowEntry(mask=mask, key=_UNRELATED_KEY.masked(mask), action=ALLOW)
-        )
-    nested = [
-        tss.insert(MegaflowEntry(mask=mask, key=_NESTED_KEY.masked(mask), action=ALLOW))
-        for mask in nested_masks
-    ]
-    tss.lookup_batch([_UNRELATED_KEY])  # the index is built, and holds them all
-    return tss, nested
-
-
-class TestStaleCandidateWalk:
-    """A candidate the index still holds but the truth dicts no longer do
-    (the dicts-are-truth invariant's "stale accelerator" case) fails its
-    confirm; ``ScanPlan.next_hit`` must then walk to the next live one."""
-
-    @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("stale", [1, 2, CffiScanPlan.MAX_HITS + 1, _NESTED])
-    def test_walk_past_stale_candidates(self, kernel, stale):
-        subject, nested = _nested_store(kernel)
-        twin, twin_nested = _nested_store("numpy")
-        for entry in nested[:stale]:  # behind the index: no invalidation
-            del subject._tables[entry.mask][subject._reduce(entry.mask, entry.key)]
-        assert not subject._acc_dirty
-        for entry in twin_nested[:stale]:  # the honest way
-            assert twin.remove(entry)
-        assert subject.masks() == twin.masks()
-
-        (got,) = subject.lookup_batch([_NESTED_KEY], now=1.0)
-        want = twin.lookup(_NESTED_KEY, now=1.0)
-        assert _summarise(got) == _summarise(want)
-        if stale == _NESTED:
-            assert not got.hit and got.masks_inspected == _NESTED + _WALL
-        else:
-            assert got.entry is nested[stale]
-            assert got.masks_inspected == stale + 1 + (_WALL if stale > 16 else 0)
-        assert (subject.stats_hits, subject.stats_misses, subject.stats_scan_probes) == (
-            twin.stats_hits, twin.stats_misses, twin.stats_scan_probes
-        )
-
-
 # -- membership-filter coherence -------------------------------------------------
 def _filter_entry(n: int) -> MegaflowEntry:
     """The ``n``-th of a family of pairwise-disjoint entries (unique tp_dst)."""
@@ -458,6 +399,7 @@ class TestFilterCoherence:
     and however often it was regrown; ``check_invariants`` proves it on
     every plan."""
 
+    @pytest.mark.usefixtures("scan_oracle")
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_no_false_negatives_across_growth(self, kernel):
         tss = TupleSpaceSearch(check_invariants=True, scan_kernel=kernel)
@@ -471,7 +413,7 @@ class TestFilterCoherence:
         # 63 of them still pending ...
         for entry in entries[1:256]:
             tss.insert(entry)
-        assert len(tss._acc_pending) == 63 and _filter_log2(tss) == start
+        assert tss._acc_backlog() == 63 and _filter_log2(tss) == start
         # ... so this regrowth re-files sorted and pending compounds alike.
         tss._acc_filter_maybe_grow()
         assert _filter_log2(tss) == start + 2
@@ -499,6 +441,119 @@ class TestFilterCoherence:
             tss.lookup_batch(probe)
 
 
+# -- exactness ---------------------------------------------------------------------
+def _from_columns(row) -> tuple[int, ...]:
+    """The field values a packed row was packed from (the row's inverse)."""
+    values = [0] * len(FIELD_ORDER)
+    for column, (index, shift) in enumerate(COLUMN_SPLITS):
+        values[index] |= int(row[column]) << shift
+    return tuple(values)
+
+
+def _masked_hash(values, mask: FlowMask) -> int:
+    """The compound of ``values`` under ``mask`` before its salt."""
+    return int(((to_columns(values) & to_columns(mask.values)) * WEIGHTS).sum(dtype=np.uint64))
+
+
+def _weights(field: str) -> list[int]:
+    """The hash weights of ``field``'s columns (hi, lo for a 128-bit one)."""
+    return [
+        int(WEIGHTS[column])
+        for column, (index, _) in enumerate(COLUMN_SPLITS)
+        if FIELD_ORDER[index] == field
+    ]
+
+
+_IPV6 = FIELDS["ipv6_src"].full_mask
+
+
+class TestExactness:
+    """A hit is decided by comparing packed rows, so the row must say
+    everything the values say, and a compound may never decide alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.fixed_dictionaries(
+            {name: st.integers(0, FIELDS[name].full_mask) for name in FIELD_ORDER}
+        )
+    )
+    def test_packed_row_is_injective(self, values):
+        """The row unpacks to the values it was packed from — IPv6's 128
+        bits included, split hi/lo — so equal rows are equal keys."""
+        key = FlowKey(**values)
+        row = to_columns(key.values)
+        assert _from_columns(row) == key.values
+        assert (to_column_matrix([key.values])[0] == row).all()
+
+    @pytest.mark.usefixtures("scan_oracle")
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_compound_collisions_never_decide(self, kernel):
+        """One compound, three ways.  Masks ``narrow`` (scan position 0) and
+        ``wide`` (1) get equal salts, and IPv6's two 64-bit columns let a
+        hash preimage be solved, so: the two entries share a compound; the
+        wide entry's key, masked by ``narrow``, *is* the wide entry's row
+        (only its mask differs); and a third key collides with the wide
+        entry under ``wide`` itself.  Each key gets its own entry, or none,
+        at its own ``masks_inspected``."""
+        narrow = FlowMask(ipv6_src=_IPV6, tp_dst=0xFFFF)
+        wide = FlowMask(ipv6_src=_IPV6)
+        (w_hi, w_lo), (w_tp,) = _weights("ipv6_src"), _weights("tp_dst")
+        hi, lo = 7, 9
+        wide_entry = MegaflowEntry(wide, FlowKey(ipv6_src=(hi << 64) | lo).values, ALLOW)
+        # (hi + w_lo) * w_hi + (lo - w_hi - 80 w_tp / w_lo) * w_lo + 80 w_tp
+        #   == hi * w_hi + lo * w_lo  (mod 2**64; weights are odd, so invertible)
+        narrow_lo = (lo - w_hi - 80 * w_tp * pow(w_lo, -1, 2**64)) % 2**64
+        narrow_entry = MegaflowEntry(
+            narrow, FlowKey(ipv6_src=((hi + w_lo) % 2**64) << 64 | narrow_lo, tp_dst=80).values, ALLOW
+        )
+        collider = FlowKey(ipv6_src=((hi + w_lo) % 2**64) << 64 | (lo - w_hi) % 2**64)
+        assert _masked_hash(narrow_entry.key, narrow) == _masked_hash(wide_entry.key, wide)
+        assert _masked_hash(collider.values, wide) == _masked_hash(wide_entry.key, wide)
+        assert collider.masked(wide) != wide_entry.key
+
+        tss = TupleSpaceSearch(check_invariants=True, scan_kernel=kernel)
+        tss._acc_grow(2)  # issue the salts, then make them equal
+        tss._acc_salt_buffer[1] = tss._acc_salt_buffer[0]
+        tss.insert(narrow_entry)
+        tss.insert(wide_entry)
+        keys = [
+            FlowKey.from_values(narrow_entry.key),
+            FlowKey.from_values(wide_entry.key),
+            collider,
+        ]
+        want = [(narrow_entry, 1), (wide_entry, 2), (None, 2)]
+        assert [tuple(r) for r in tss.lookup_batch(keys)] == want
+        assert len(set(tss._acc_compounds.tolist())) == 1  # one shared compound
+        tss.clear_memo()
+        assert [tuple(tss.lookup(key)) for key in keys] == want
+
+
+class TestStaleSlot:
+    """Entries the index still holds but the dicts no longer do (the "stale
+    accelerator" the dicts-are-truth invariant rules out).  A plan hit is
+    final, so only ``check_invariants`` can see them — and must: on a plan
+    built before the deletion (its hit against the dicts), and on every
+    later plan (the slot table against the dicts)."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("stale", [1, 2, 17, 20])
+    def test_entry_deleted_behind_the_index_is_caught(self, kernel, stale):
+        tss = TupleSpaceSearch(check_invariants=True, scan_kernel=kernel)
+        entries = [_filter_entry(n) for n in range(24)]
+        for entry in entries:
+            tss.insert(entry)
+        keys = [FlowKey.from_values(entry.key) for entry in entries]
+        scanner = tss.batch_scanner(keys)
+        assert scanner.result(0).entry is entries[0]
+        for victim in entries[1 : 1 + stale]:  # behind the index
+            del tss._tables[victim.mask][tss._reduce(victim.mask, victim.key)]
+        assert not tss._acc_dirty
+        with pytest.raises(CacheInvariantError, match="not the dicts' entry"):
+            scanner.hits(1, len(keys))
+        with pytest.raises(CacheInvariantError, match="not the dicts'"):
+            tss.lookup(keys[-1])  # a live entry's key: the plan itself is refused
+
+
 # -- the C source ----------------------------------------------------------------
 @needs_cffi
 class TestCSource:
@@ -524,9 +579,125 @@ class TestCSource:
         bystander = tmp_path / "unrelated.txt"
         bystander.write_text("kept")
         _, lib = kernel_module._load_cffi_lib()
-        assert hasattr(lib, "tss_scan_first")
+        assert hasattr(lib, "tss_scan")
         assert not dead.exists() and bystander.exists()
         assert len(list(tmp_path.glob("_tss_scan_*"))) == 1  # the fresh build
+
+    def test_exact_scan_is_clean_under_sanitizers(self, tmp_path):
+        """ASan + UBSan over ``tss_scan`` on a synthetic store with equal
+        compounds, compounds past the array's last one, an empty compound
+        array and a mask count that is not a multiple of ``STRIP`` — every
+        array an exact-size heap block, so a read past any end aborts."""
+        compiler = shlex.split(
+            os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+        )
+        flags = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+        probe = tmp_path / "probe.c"
+        probe.write_text("int main(void) { return 0; }\n")
+        if subprocess.run(
+            [*compiler, *flags, str(probe), "-o", str(tmp_path / "probe")],
+            capture_output=True,
+        ).returncode:
+            pytest.skip("the compiler has no sanitizer runtime")
+        (tmp_path / "tss_scan.c").write_text(kernel_module._SOURCE)
+        (tmp_path / "driver.c").write_text(_SANITIZER_DRIVER)
+        built = subprocess.run(
+            [*compiler, *flags, str(tmp_path / "driver.c"), "-o", str(tmp_path / "driver")],
+            capture_output=True, text=True,
+        )
+        assert built.returncode == 0, built.stderr
+        ran = subprocess.run(
+            [str(tmp_path / "driver")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "ASAN_OPTIONS": "detect_leaks=0"},
+        )
+        assert (ran.returncode, ran.stdout) == (0, "ok\n"), ran.stderr
+
+
+_SANITIZER_DRIVER = r"""
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+#include "tss_scan.c"
+
+#define N_MASKS 70  /* one full strip of 64, then a tail of 6 */
+#define N_COLS 2    /* active columns 1 and 3 ... */
+#define WIDTH 4     /* ... of a 4-column row */
+#define N_KEYS 4
+
+static void *block(const void *src, size_t size)
+{
+    void *dst = malloc(size);
+    if (size)
+        memcpy(dst, src, size);
+    return dst;
+}
+
+static uint64_t hash(const uint64_t *key, const uint64_t *mask, const uint64_t *w)
+{
+    return (key[0] & mask[0]) * w[0] + (key[1] & mask[1]) * w[1];
+}
+
+/* One plan over heap copies of everything; nonzero when it is not `want`. */
+static int plan(const uint64_t *keys, const uint64_t *masks, const uint64_t *w,
+                const uint64_t *salts, const int64_t *active, const uint8_t *filt,
+                size_t filt_size, const uint64_t *comps, const int64_t *comp_slots,
+                int64_t n_comps, const uint64_t *slot_rows, const int64_t *slot_masks,
+                const int64_t *want_first, const int64_t *want_slot)
+{
+    void *b[] = {
+        block(keys, N_KEYS * N_COLS * 8), block(masks, N_MASKS * N_COLS * 8),
+        block(w, N_COLS * 8), block(salts, N_MASKS * 8), block(active, N_COLS * 8),
+        block(filt, filt_size), block(comps, n_comps * 8),
+        block(comp_slots, n_comps * 8), block(slot_rows, 3 * WIDTH * 8),
+        block(slot_masks, 3 * 8), malloc(N_KEYS * 8), malloc(N_KEYS * 8),
+    };
+    int bad;
+    tss_scan(b[0], N_KEYS, b[1], b[2], b[3], b[4], N_MASKS, N_COLS, b[5], 48,
+             b[6], b[7], n_comps, b[8], b[9], WIDTH, b[10], b[11]);
+    bad = memcmp(b[10], want_first, N_KEYS * 8) || memcmp(b[11], want_slot, N_KEYS * 8);
+    for (size_t i = 0; i < sizeof b / sizeof b[0]; i++)
+        free(b[i]);
+    return bad;
+}
+
+int main(void)
+{
+    const uint64_t w[N_COLS] = {0x9E3779B97F4A7C15ull, 0xC2B2AE3D27D4EB4Full};
+    const int64_t active[N_COLS] = {1, 3};
+    /* Key rows on the active columns; the last key matches no entry. */
+    const uint64_t keys[N_KEYS * N_COLS] = {0x0A000001, 80, 0x0A000002, 443,
+                                            0xC0A80001, 53, 7, 9};
+    /* Slot s indexes key s under mask slot_masks[s], at compound comps[s]:
+     * slots 0 and 1 share one; every other probe lands past the last. */
+    const int64_t slot_masks[3] = {5, 69, 64};
+    const uint64_t comps[3] = {10, 10, 20};
+    const int64_t comp_slots[3] = {0, 1, 2};
+    const int64_t first[N_KEYS] = {5, 69, 64, -1}, slot[N_KEYS] = {0, 1, 2, -1};
+    const int64_t none[N_KEYS] = {-1, -1, -1, -1};
+    uint64_t masks[N_MASKS * N_COLS], salts[N_MASKS], slot_rows[3 * WIDTH] = {0};
+    uint8_t filt[1 << 13];  /* 2**16 one-bit slots (shift 48), all set */
+    int bad;
+    memset(filt, 0xFF, sizeof filt);
+    for (int m = 0; m < N_MASKS; m++) {
+        masks[m * N_COLS] = ~0ull << (m % 8);
+        masks[m * N_COLS + 1] = 0xFFFF;
+        salts[m] = 0x5DEECE66Dull * (uint64_t)(m + 1);
+    }
+    for (int s = 0; s < 3; s++) {
+        const uint64_t *mask = masks + slot_masks[s] * N_COLS;
+        for (int c = 0; c < N_COLS; c++)
+            slot_rows[s * WIDTH + active[c]] = keys[s * N_COLS + c] & mask[c];
+        salts[slot_masks[s]] = hash(keys + s * N_COLS, mask, w) ^ comps[s];
+    }
+    bad = plan(keys, masks, w, salts, active, filt, sizeof filt, comps, comp_slots,
+               3, slot_rows, slot_masks, first, slot);
+    bad |= plan(keys, masks, w, salts, active, filt, sizeof filt, comps, comp_slots,
+                0, slot_rows, slot_masks, none, none);
+    puts(bad ? "mismatch" : "ok");
+    return bad;
+}
+"""
 
 
 class TestSelection:
@@ -541,7 +712,7 @@ class TestSelection:
         assert make_scan_kernel("auto").name == resolved
 
     def test_unknown_kernel_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ClassifierError, match="known: auto, cffi, numpy"):
             make_scan_kernel("turbo")
 
     def test_forced_numpy_fallback(self, monkeypatch):
@@ -574,4 +745,3 @@ class TestLayout:
         matrix = to_column_matrix([key.values])
         assert matrix.shape == (1, N_COLUMNS)
         assert (matrix[0] == row).all()
-        assert row_hash(row) == row_hash(matrix[0])

@@ -14,6 +14,7 @@ These are the load-bearing correctness arguments of the reproduction:
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.classifier.actions import ALLOW, DENY
@@ -125,6 +126,7 @@ def test_generated_action_matches_table(rules, keys, strategy):
         assert generator.generate(key).entry.action == table.classify(key)
 
 
+@pytest.mark.usefixtures("scan_oracle")
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(rules=rule_sets(), keys=st.lists(flow_keys(), min_size=1, max_size=40))
 def test_datapath_transparency(rules, keys):
@@ -158,6 +160,7 @@ def test_all_classifiers_agree_with_linear(rules, keys):
 
 # -- TSS structural properties --------------------------------------------------------
 
+@pytest.mark.usefixtures("scan_oracle")
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(rules=rule_sets(), keys=st.lists(flow_keys(), min_size=1, max_size=30))
 def test_masks_inspected_bounded(rules, keys):
@@ -172,6 +175,7 @@ def test_masks_inspected_bounded(rules, keys):
         assert 1 <= result.masks_inspected <= cache.n_masks
 
 
+@pytest.mark.usefixtures("scan_oracle")
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(rules=rule_sets(), keys=st.lists(flow_keys(), min_size=1, max_size=30))
 def test_memo_never_changes_results(rules, keys):

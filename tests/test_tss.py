@@ -16,12 +16,14 @@ def entry(tp_dst_value: int, tp_dst_mask: int = 0xFFFF, action=DENY, **extra) ->
 
 
 class TestInsertLookup:
+    @pytest.mark.usefixtures("scan_oracle")
     def test_empty_cache_misses(self):
         cache = TupleSpaceSearch()
         result = cache.lookup(FlowKey(tp_dst=80))
         assert not result.hit
         assert result.masks_inspected == 0
 
+    @pytest.mark.usefixtures("scan_oracle")
     def test_hit_after_insert(self):
         cache = TupleSpaceSearch()
         cache.insert(entry(80, action=ALLOW))
@@ -30,6 +32,7 @@ class TestInsertLookup:
         assert result.entry.action == ALLOW
         assert result.masks_inspected == 1
 
+    @pytest.mark.usefixtures("scan_oracle")
     def test_masked_lookup(self):
         cache = TupleSpaceSearch()
         cache.insert(entry(0x8000, tp_dst_mask=0x8000))  # "top bit set" deny
@@ -37,6 +40,7 @@ class TestInsertLookup:
         assert cache.lookup(FlowKey(tp_dst=0xFFFF)).hit
         assert not cache.lookup(FlowKey(tp_dst=0x7FFF)).hit
 
+    @pytest.mark.usefixtures("scan_oracle")
     def test_masks_inspected_counts_scan_position(self):
         cache = TupleSpaceSearch()
         cache.insert(entry(0x8000, tp_dst_mask=0x8000))      # mask 1
@@ -56,6 +60,7 @@ class TestInsertLookup:
         assert first.last_used == 5.0
         assert cache.n_entries == 1
 
+    @pytest.mark.usefixtures("scan_oracle")
     def test_hits_and_timestamps_update(self):
         cache = TupleSpaceSearch()
         stored = cache.insert(entry(80), now=0.0)
@@ -64,6 +69,7 @@ class TestInsertLookup:
         assert stored.hits == 2
         assert stored.last_used == 7.0
 
+    @pytest.mark.usefixtures("scan_oracle")
     def test_stats(self):
         cache = TupleSpaceSearch()
         cache.insert(entry(80))
@@ -85,6 +91,22 @@ class TestInvariants:
         cache.insert(entry(0x8000, tp_dst_mask=0x8000))
         cache.insert(entry(0x4000, tp_dst_mask=0xC000))
         cache.verify_disjoint()
+
+    @pytest.mark.parametrize("kernel", ["numpy", "auto"])
+    def test_key_bits_outside_the_mask(self, kernel):
+        """An entry whose key is not masked by its own mask: rejected under
+        checking; unchecked, the index keys it by its masked row, as the
+        dicts do, so every lookup path finds what ``find`` finds."""
+        mask = FlowMask(ip_src=0xFFFFFF00, tp_dst=0xFFFF)
+        raw = MegaflowEntry(mask, FlowKey(ip_src=0x0A000001, tp_dst=80).values, ALLOW)
+        with pytest.raises(CacheInvariantError, match="outside its mask"):
+            TupleSpaceSearch(check_invariants=True, scan_kernel=kernel).insert(raw)
+        cache = TupleSpaceSearch(scan_kernel=kernel)
+        cache.insert(raw)
+        key = FlowKey(ip_src=0x0A0000FE, tp_dst=80)
+        assert cache.find(key) is raw
+        assert cache.lookup(key).entry is raw
+        assert cache.lookup_batch([key, FlowKey(ip_src=0x0A000001, tp_dst=80)])[1].entry is raw
 
     def test_verify_disjoint_catches_violation(self):
         cache = TupleSpaceSearch()
@@ -139,6 +161,7 @@ class TestRemoveEvict:
         assert not cache.lookup(FlowKey(tp_dst=80)).hit
 
 
+@pytest.mark.usefixtures("scan_oracle")
 class TestMemoCoherence:
     """The lookup memo must never change observable results."""
 
@@ -207,6 +230,7 @@ class TestIntrospection:
         assert "1 masks" in repr(cache)
 
 
+@pytest.mark.usefixtures("scan_oracle")
 class TestAcceleratorGrowth:
     """The accelerator must keep finding old entries as its buffers grow."""
 

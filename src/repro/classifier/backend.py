@@ -259,7 +259,7 @@ class MegaflowStore:
     # -- helpers -----------------------------------------------------------------
     @staticmethod
     def _fields_of(mask: FlowMask) -> tuple[tuple[int, int], ...]:
-        return tuple((i, m) for i, m in enumerate(mask.values) if m)
+        return tuple([(i, m) for i, m in enumerate(mask.values) if m])
 
     def _reduce(self, mask: FlowMask, full_values: tuple[int, ...]) -> tuple[int, ...]:
         # Per packet on every hit path: a list comprehension, not a generator.
@@ -430,7 +430,8 @@ class MegaflowStore:
         table = self._tables.get(entry.mask)
         new_mask = table is None
         fields = self._fields_of(entry.mask) if new_mask else self._mask_fields[entry.mask]
-        reduced = tuple(entry.key[i] & m for i, m in fields)
+        key = entry.key
+        reduced = tuple([key[i] & m for i, m in fields])
         if not new_mask:
             existing = table.get(reduced)
             if existing is not None:

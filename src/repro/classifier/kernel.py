@@ -12,10 +12,11 @@ reports, per key, the first mask with such an entry and the entry's
 caller maps a hit to its entry with one list index.  Everything semantic —
 the memo, statistics, mid-burst coherence — stays in ``tss.py``; this
 module owns only that numeric plan, behind a two-step interface.
-``prepare`` digests the mask list (work linear in masks, done once per
-mask-list change and cached by the store) and ``build_plan`` scans one
-chunk of keys against that digest — a 5-packet burst pays for 5 scans, not
-for re-deriving what only the masks determine.  Two implementations:
+``prepare`` digests the mask list (work linear in masks, cached by the
+store; ``extend`` grows a digest by appended masks that constrain no new
+column) and ``build_plan`` scans one chunk of keys against that digest — a
+5-packet burst pays for 5 scans, not for re-deriving what only the masks
+determine.  Two implementations:
 
 * :class:`NumpyScanKernel` — the portable reference: a dense vectorised
   numpy pass (compound matrix, one filter test, the exact match on the
@@ -68,7 +69,6 @@ __all__ = [
     "N_COLUMNS",
     "U64",
     "WEIGHTS",
-    "to_columns",
     "to_column_matrix",
     "keys_to_matrix",
     "filter_alloc",
@@ -97,6 +97,12 @@ for _index, _name in enumerate(FIELD_ORDER):
     COLUMN_SPLITS.append((_index, 0))
 N_COLUMNS = len(COLUMN_SPLITS)
 U64 = (1 << 64) - 1
+ALL_FIELDS = range(len(FIELD_ORDER))
+# Per field index, its (column, shift) pairs: one, or two for a 128-bit field.
+_FIELD_COLUMNS = tuple(
+    tuple((column, shift) for column, (index, shift) in enumerate(COLUMN_SPLITS) if index == field)
+    for field in ALL_FIELDS
+)
 
 _HASH_RNG = np.random.default_rng(0x7553_5345)  # deterministic accelerator weights
 WEIGHTS = (
@@ -107,22 +113,21 @@ WEIGHTS = (
 FORCE_NUMPY_ENV = "REPRO_FORCE_NUMPY_KERNEL"
 
 
-def to_columns(values: tuple[int, ...]) -> np.ndarray:
-    """Canonical value tuple -> uint64 column row."""
-    row = np.empty(N_COLUMNS, dtype=np.uint64)
-    for column, (index, shift) in enumerate(COLUMN_SPLITS):
-        row[column] = (values[index] >> shift) & U64
-    return row
+def to_column_matrix(values_list: list[tuple[int, ...]], fields=ALL_FIELDS) -> np.ndarray:
+    """Many canonical value tuples -> (N x columns) uint64 matrix.
 
-
-def to_column_matrix(values_list: list[tuple[int, ...]]) -> np.ndarray:
-    """Many canonical value tuples -> (N x columns) uint64 matrix."""
-    rows = np.empty((len(values_list), N_COLUMNS), dtype=np.uint64)
-    for column, (index, shift) in enumerate(COLUMN_SPLITS):
-        if shift:
-            rows[:, column] = [(v[index] >> shift) & U64 for v in values_list]
-        else:
-            rows[:, column] = [v[index] & U64 for v in values_list]
+    Only the columns of ``fields`` (field indices) are converted; every other
+    column is zero.  A caller that will AND the rows with masks constraining
+    nothing outside ``fields`` gets the full conversion's result for the
+    columns' cost alone.
+    """
+    rows = np.zeros((len(values_list), N_COLUMNS), dtype=np.uint64)
+    for index in fields:
+        for column, shift in _FIELD_COLUMNS[index]:
+            if shift:
+                rows[:, column] = [(v[index] >> shift) & U64 for v in values_list]
+            else:
+                rows[:, column] = [v[index] & U64 for v in values_list]
     return rows
 
 
@@ -134,7 +139,8 @@ def to_column_matrix(values_list: list[tuple[int, ...]]) -> np.ndarray:
 # its row is packed the first time the key reaches a scan and kept on the
 # key (``FlowKey._row``, ``None`` until then); a burst's matrix is then one
 # ``bytes.join``.  Value tuples that are not keys — masks, installed
-# entries — take :func:`to_columns` / :func:`to_column_matrix`.
+# entries — take :func:`to_column_matrix`, restricted to the fields their
+# masks constrain.
 _ROW_BYTES = 8 * N_COLUMNS
 
 
@@ -215,9 +221,10 @@ class ScanOperands:
     those columns, the matching hash weights and the per-mask salts.  Built
     by :meth:`ScanKernel.prepare` and reused by every
     :meth:`ScanKernel.build_plan` until the mask list changes.  The owner
-    then drops its reference and prepares a fresh one — an instance is
-    never written after construction, so the C views it holds stay valid
-    for as long as it lives.
+    then replaces it — with :meth:`ScanKernel.extend` of it when masks were
+    appended, else with a fresh ``prepare`` — and an instance is never
+    written after construction, so the C views it holds stay valid for as
+    long as it lives.
     """
 
     __slots__ = ("active", "masks", "weights", "salts", "pointers")
@@ -244,7 +251,8 @@ class ScanKernel:
     digests the mask list — ``masks`` is the (n_masks x N_COLUMNS) uint64
     mask matrix in scan order, ``salts`` the (n_masks,) per-mask salts —
     into a :class:`ScanOperands` snapshot; its cost is linear in masks and
-    is paid once per mask-list change, not once per burst.
+    is paid once per mask-list change, not once per burst, and an append
+    pays only for its new rows (:meth:`extend`).
     :meth:`build_plan` scans one chunk of keys against a snapshot plus the
     entry side, which moves with every insert and is passed fresh: the
     membership filter, the sorted compound set with each compound's slot,
@@ -258,6 +266,35 @@ class ScanKernel:
     name = "abstract"
 
     def prepare(self, masks: np.ndarray, salts: np.ndarray) -> ScanOperands:
+        active = _active_columns(masks)
+        # Fancy indexing copies: the operands never alias the store's (in-place
+        # appended) mask buffer.
+        return self._operands(active, masks[:, active], salts.copy())
+
+    def extend(
+        self, operands: ScanOperands, masks: np.ndarray, salts: np.ndarray
+    ) -> ScanOperands | None:
+        """``prepare`` of ``operands``' mask list followed by ``masks`` (with
+        their ``salts``), built from the snapshot and the new rows alone — or
+        ``None`` when a new mask constrains a column the snapshot does not,
+        which changes every row's layout (call ``prepare`` then)."""
+        active = operands.active
+        constrained = masks.any(axis=0)
+        constrained[active] = False
+        if constrained.any():
+            return None
+        return self._operands(
+            active,
+            np.concatenate([self._compact(operands), masks[:, active]]),
+            np.concatenate([operands.salts, salts]),
+        )
+
+    def _operands(self, active, compact, salts) -> ScanOperands:
+        """Operands over ``compact``, the (n_masks x len(active)) masks."""
+        raise NotImplementedError
+
+    def _compact(self, operands: ScanOperands) -> np.ndarray:
+        """``operands``' masks as ``_operands`` took them."""
         raise NotImplementedError
 
     def build_plan(
@@ -288,15 +325,12 @@ class NumpyScanKernel(ScanKernel):
 
     name = "numpy"
 
-    def prepare(self, masks, salts):
-        active = _active_columns(masks)
+    def _operands(self, active, compact, salts):
         # Column-major, so each broadcast operand below is one contiguous row.
-        return ScanOperands(
-            active,
-            np.ascontiguousarray(masks[:, active].T),
-            WEIGHTS[active],
-            salts.copy(),
-        )
+        return ScanOperands(active, np.ascontiguousarray(compact.T), WEIGHTS[active], salts)
+
+    def _compact(self, operands):
+        return operands.masks.T
 
     def build_plan(self, rows, operands, filter_bits, filter_shift,
                    compounds, compound_slots, slot_rows, slot_masks):
@@ -593,23 +627,22 @@ class CffiScanKernel(ScanKernel):
     def __init__(self):
         self._ffi, self._lib = _cffi_runtime()
 
-    def prepare(self, masks, salts):
-        active = _active_columns(masks)
-        # Fancy indexing copies: the compacted matrix never aliases the
-        # store's (in-place appended) mask buffer.
-        masks_c = np.ascontiguousarray(masks[:, active])
+    def _operands(self, active, compact, salts):
+        masks_c = np.ascontiguousarray(compact)
         weights_c = np.ascontiguousarray(WEIGHTS[active])
-        salts_c = salts.copy()
         view = self._ffi.from_buffer
         return ScanOperands(
-            active, masks_c, weights_c, salts_c,
+            active, masks_c, weights_c, salts,
             pointers=(
                 view("uint64_t[]", masks_c),
                 view("uint64_t[]", weights_c),
-                view("uint64_t[]", salts_c),
+                view("uint64_t[]", salts),
                 view("int64_t[]", active),
             ),
         )
+
+    def _compact(self, operands):
+        return operands.masks
 
     def build_plan(self, rows, operands, filter_bits, filter_shift,
                    compounds, compound_slots, slot_rows, slot_masks):

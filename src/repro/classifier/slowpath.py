@@ -66,7 +66,7 @@ in-place extension, all scalar:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.classifier.actions import DENY, Action
 from repro.classifier.flowtable import FlowTable
@@ -179,9 +179,8 @@ EXACT_MATCH = StrategyConfig(default_chunks=1)
 OVS_DEFAULT = StrategyConfig(default_chunks=None, wide_field_threshold=64)
 
 
-@dataclass(frozen=True)
-class SlowPathResult:
-    """Outcome of one slow-path invocation.
+class SlowPathResult(NamedTuple):
+    """Outcome of one slow-path invocation (one per upcall: a tuple).
 
     Attributes:
         entry: the generated megaflow (always covers the packet).
@@ -362,13 +361,10 @@ class MegaflowGenerator:
         return node
 
     def _emit_leaf(self, key: FlowKey, leaf: _TrieLeaf) -> SlowPathResult:
-        entry = MegaflowEntry(
-            mask=leaf.mask,
-            key=key.masked(leaf.mask),
-            action=leaf.action,
-            source_rule=leaf.source_rule,
-        )
-        return SlowPathResult(entry=entry, rule=leaf.rule, rules_examined=leaf.rules_examined)
+        # Once per generated key: positional construction throughout.
+        mask = leaf.mask
+        entry = MegaflowEntry(mask, key.masked(mask), leaf.action, leaf.source_rule)
+        return SlowPathResult(entry, leaf.rule, leaf.rules_examined)
 
     def _emit(
         self,
@@ -385,7 +381,7 @@ class MegaflowGenerator:
             action=action,
             source_rule=rule.name if rule is not None else "<table-miss>",
         )
-        return SlowPathResult(entry=entry, rule=rule, rules_examined=rules_examined)
+        return SlowPathResult(entry, rule, rules_examined)
 
     def classify(self, key: FlowKey) -> Action:
         """Reference classification (ignores caches): flow-table semantics."""

@@ -66,20 +66,29 @@ Accelerator invariants:
   unfindable by the accelerator);
 * the scan kernel's mask-side operands (active columns, compacted mask
   matrix, weights, salts — ``ScanKernel.prepare``) depend only on the mask
-  list and are cached across plans; the snapshot is dropped wherever the
-  mask buffer is written, replaced or its order invalidated, and rebuilt
-  by the next plan.  It is never updated in place;
-* under :meth:`MegaflowStore.index_burst` (the datapath wraps every
-  ``process_batch`` in one) accelerator appends are *deferred*: inserts
-  mutate the authoritative dicts immediately but queue their accelerator
-  work, which drains as one vectorised append (one column-matrix build,
-  one hash pass, at most one pending merge) before the next accelerator
-  read or at burst exit — one accelerator append/resort per burst instead
-  of per upcall.  Deferral is invisible to lookups because every
-  accelerator read path drains first, and the batch scanner's mid-burst
-  coherence check never reads the accelerator: it probes the truth dicts
-  for the key's own megaflow, and a deferred mask's scan position is
-  recorded in ``_mask_index`` the moment its append is deferred.
+  list and are cached across plans.  An append of masks that constrain no
+  new column replaces the snapshot with ``ScanKernel.extend`` of it (the
+  old rows plus the new ones); an append that does, or a buffer replaced
+  or reordered, drops it, and the next plan prepares afresh.  A snapshot
+  is never updated in place, and under ``check_invariants`` every plan
+  compares it with a fresh ``prepare``;
+* every accelerator append goes through one drain: under
+  :meth:`MegaflowStore.index_burst` (the datapath wraps every
+  ``process_batch`` in one) inserts mutate the authoritative dicts
+  immediately but queue their accelerator work until the next accelerator
+  read or burst exit, and outside a burst an insert drains at once.  A
+  drain is one vectorised append — one column-matrix build for the new
+  masks' rows and one for the entries', over only the fields the burst's
+  masks constrain (any other column is zero in those masks, so the AND
+  zeroes it anyway); one hash pass; at most one pending merge — so a
+  burst pays one accelerator append/resort, not one per upcall.  The
+  reference derive stays full-width: ``check_invariants`` re-derives new
+  slots' rows and their masks' rows over every field.  Deferral is
+  invisible to lookups because every accelerator read path drains first,
+  and the batch scanner's mid-burst coherence check never reads the
+  accelerator: it probes the truth dicts for the key's own megaflow, and
+  a deferred mask's scan position is recorded in ``_mask_index`` the
+  moment its append is deferred.
 """
 
 from __future__ import annotations
@@ -111,7 +120,6 @@ from repro.classifier.kernel import (
     keys_to_matrix as _keys_to_matrix,
     make_scan_kernel,
     to_column_matrix as _to_column_matrix,
-    to_columns as _to_columns,
 )
 from repro.exceptions import CacheInvariantError
 from repro.packet.fields import FlowKey, FlowMask
@@ -139,6 +147,10 @@ __all__ = [
 _FILTER_MIN_LOG2 = 16
 _FILTER_MAX_LOG2 = 24
 _FILTER_LOAD_LOG2 = 8
+
+# A NamedTuple's generated ``__new__`` is a Python-level call; records built
+# per entry or per miss take ``tuple.__new__`` (every field given).
+_new = tuple.__new__
 
 
 def _grown(array: np.ndarray, capacity: int) -> np.ndarray:
@@ -201,12 +213,13 @@ class TupleSpaceSearch(MegaflowStore):
         self._acc_compound_slots: np.ndarray = np.empty(0, dtype=np.int64)
         self._acc_filter = filter_alloc(_FILTER_MIN_LOG2)
         self._acc_filter_shift = 64 - _FILTER_MIN_LOG2
-        # ``ScanKernel.prepare`` over the mask/salt buffer prefix, shared by
-        # every plan until the buffer changes (see "Accelerator invariants").
+        # ``ScanKernel.prepare`` over the mask/salt buffer prefix (or an
+        # ``extend`` of it), shared by every plan until the buffer changes
+        # (see "Accelerator invariants").
         self._acc_operands: ScanOperands | None = None
-        # Burst-deferred accelerator appends (see module docstring): while
-        # a burst is open, (entry, new_mask) pairs queue here and drain
-        # vectorised before the next accelerator read.
+        # Deferred accelerator appends (see module docstring): while a burst
+        # is open, (entry, new_mask) pairs queue here and drain vectorised
+        # before the next accelerator read; outside one they drain at once.
         self._burst_depth = 0
         self._burst_buf: list[tuple[MegaflowEntry, bool]] = []
 
@@ -221,16 +234,13 @@ class TupleSpaceSearch(MegaflowStore):
     def _index_insert(self, entry: MegaflowEntry, new_mask: bool) -> None:
         if self._acc_dirty:
             return
-        if self._burst_depth:
-            if new_mask:
-                # The position is known now (the truth-side ``_mask_order``
-                # append already happened); only the column/salt work waits.
-                self._mask_index[entry.mask] = len(self._mask_order) - 1
-            self._burst_buf.append((entry, new_mask))
-            return
         if new_mask:
-            self._acc_append_mask(entry.mask)
-        self._slot_append([entry], np.array([self._mask_index[entry.mask]]))
+            # The position is known now (the truth-side ``_mask_order``
+            # append already happened); only the column/salt work waits.
+            self._mask_index[entry.mask] = len(self._mask_order) - 1
+        self._burst_buf.append((entry, new_mask))
+        if not self._burst_depth:
+            self._burst_drain()  # outside a burst: a burst of one
 
     @contextmanager
     def index_burst(self):
@@ -247,7 +257,6 @@ class TupleSpaceSearch(MegaflowStore):
     def _acc_grow(self, needed: int) -> None:
         if needed <= self._acc_capacity:
             return
-        self._acc_operands = None
         old = self._acc_capacity
         capacity = max(64, old * 2, needed)
         self._acc_mask_buffer = _grown(self._acc_mask_buffer[:old], capacity)
@@ -263,25 +272,25 @@ class TupleSpaceSearch(MegaflowStore):
         self._acc_salt_buffer = salts
         self._acc_capacity = capacity
 
-    def _acc_append_mask(self, mask: FlowMask) -> None:
-        index = len(self._mask_order) - 1  # mask already appended to order
-        self._acc_grow(index + 1)
-        self._acc_mask_buffer[index] = _to_columns(mask.values)
-        self._mask_index[mask] = index
-        self._acc_operands = None
+    def _fields_of_masks(self, masks) -> list[int]:
+        """The field indices some mask in ``masks`` constrains, in order."""
+        mask_fields = self._mask_fields
+        return sorted({i for mask in masks for i, _ in mask_fields[mask]})
 
-    def _index_rows(self, entries, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The masked packed rows of ``entries`` under the masks at scan
-        positions ``indices``, and their compounds."""
-        rows = _to_column_matrix([entry.key for entry in entries])
+    def _slot_append(
+        self, entries: list[MegaflowEntry], indices: np.ndarray, fields: list[int]
+    ) -> None:
+        """Index ``entries`` (under the masks at ``indices``) in new slots.
+
+        ``fields`` covers every field those masks constrain: the entries'
+        rows convert only those columns, the rest of a masked row is zero
+        whatever the key holds there.
+        """
+        rows = _to_column_matrix([entry.key for entry in entries], fields)
         rows &= self._acc_mask_buffer[indices]
         # uint64 matmul wraps mod 2**64 like the kernels' sums (bit for bit)
         # and needs no (entries x columns) product temporary.
-        return rows, (rows @ _WEIGHTS) ^ self._acc_salt_buffer[indices]
-
-    def _slot_append(self, entries: list[MegaflowEntry], indices: np.ndarray) -> None:
-        """Index ``entries`` (under the masks at ``indices``) in new slots."""
-        rows, compounds = self._index_rows(entries, indices)
+        compounds = (rows @ _WEIGHTS) ^ self._acc_salt_buffer[indices]
         first = len(self._slot_results)
         end = first + len(entries)
         if end > len(self._slot_masks):
@@ -290,7 +299,7 @@ class TupleSpaceSearch(MegaflowStore):
             self._slot_masks = _grown(self._slot_masks, capacity)
             self._slot_compounds = _grown(self._slot_compounds, capacity)
         self._slot_results.extend(
-            [TssLookupResult(*hit) for hit in zip(entries, (indices + 1).tolist())]
+            [_new(TssLookupResult, hit) for hit in zip(entries, (indices + 1).tolist())]
         )
         self._slot_rows[first:end] = rows
         self._slot_masks[first:end] = indices
@@ -302,12 +311,12 @@ class TupleSpaceSearch(MegaflowStore):
     def _burst_drain(self) -> None:
         """Fold deferred inserts into the accelerator in one pass.
 
-        Equivalent to having run :meth:`_acc_append_mask` /
-        :meth:`_slot_append` per entry at insert time — same mask
-        positions (recorded in ``_mask_index`` at defer time), same slots
-        and compounds — but the per-entry column derive and hash collapse
-        into one matrix build, and the pending-merge threshold is checked
-        once per burst.
+        Every append goes through here (outside a burst, right away), so
+        each new mask's row and each entry's masked row is derived once,
+        by one column-matrix build apiece over the fields the burst's masks
+        constrain — the positions are the ones recorded in ``_mask_index``
+        at defer time — and the pending-merge threshold is checked once
+        per burst.
         """
         buf = self._burst_buf
         if not buf:
@@ -315,28 +324,35 @@ class TupleSpaceSearch(MegaflowStore):
         self._burst_buf = []
         if self._acc_dirty:
             return  # the lazy rebuild covers these entries
-        new_masks = [entry.mask for entry, new_mask in buf if new_mask]
-        # Bursts defer every append, so the masks with columns are exactly
-        # the order prefix and the k-th deferred one sits right behind it.
-        first = len(self._mask_index) - len(new_masks)
-        if new_masks:
-            self._acc_operands = None
-        self._acc_grow(len(self._mask_index))
-        for k, mask in enumerate(new_masks):
-            index = self._mask_index[mask]
-            if self.check_invariants and index != first + k:
-                raise CacheInvariantError(
-                    f"deferred mask recorded at scan position {index}, "
-                    f"drain assigns {first + k}"
-                )
-            self._acc_mask_buffer[index] = _to_columns(mask.values)
         entries = [entry for entry, _ in buf]
+        mask_index = self._mask_index
         indices = np.fromiter(
-            (self._mask_index[entry.mask] for entry in entries),
-            dtype=np.int64,
-            count=len(entries),
+            [mask_index[entry.mask] for entry in entries], dtype=np.int64, count=len(entries)
         )
-        self._slot_append(entries, indices)
+        fields = self._fields_of_masks({entry.mask for entry in entries})
+        new_masks = [entry.mask for entry, new_mask in buf if new_mask]
+        if new_masks:
+            # Every append is deferred, so the masks with rows are exactly
+            # the order prefix and the k-th deferred one sits right behind it.
+            first, end = len(mask_index) - len(new_masks), len(mask_index)
+            if self.check_invariants and [mask_index[mask] for mask in new_masks] != list(
+                range(first, end)
+            ):
+                raise CacheInvariantError(
+                    "deferred masks' recorded scan positions are not the ones the drain assigns"
+                )
+            self._acc_grow(end)
+            mask_rows = _to_column_matrix([mask.values for mask in new_masks], fields)
+            self._acc_mask_buffer[first:end] = mask_rows
+            # The cached operands cover the masks before ``first``: extend
+            # them by the new rows (None if those add a column: the next
+            # plan prepares afresh).
+            cached = self._acc_operands
+            if cached is not None:
+                self._acc_operands = self._scan_kernel.extend(
+                    cached, mask_rows, self._acc_salt_buffer[first:end]
+                )
+        self._slot_append(entries, indices, fields)
 
     def _acc_backlog(self) -> int:
         """Slots indexed since the last merge (their compounds unsorted)."""
@@ -435,10 +451,16 @@ class TupleSpaceSearch(MegaflowStore):
         indices = np.fromiter(
             (self._mask_index[entry.mask] for entry in fresh), dtype=np.int64, count=len(fresh)
         )
-        rows, compounds = self._index_rows(fresh, indices)
+        # The reference derive is full-width over every field, so the drain's
+        # restricted one is checked against it, not against itself (a new
+        # mask's row is checked with its first entry's slot).
+        masks = _to_column_matrix([entry.mask.values for entry in fresh])
+        rows = _to_column_matrix([entry.key for entry in fresh]) & masks
+        compounds = (rows @ _WEIGHTS) ^ self._acc_salt_buffer[indices]
         merged = self._acc_compound_slots
         if not (
             [result.masks_inspected for result in results[checked:]] == (indices + 1).tolist()
+            and np.array_equal(self._acc_mask_buffer[indices], masks)
             and np.array_equal(self._slot_masks[checked:n], indices)
             and np.array_equal(self._slot_rows[checked:n], rows)
             and np.array_equal(self._slot_compounds[checked:n], compounds)
@@ -455,9 +477,10 @@ class TupleSpaceSearch(MegaflowStore):
         order = self._mask_order
         self._acc_grow(max(len(order), 1))
         self._mask_index = {mask: i for i, mask in enumerate(order)}
+        fields = self._fields_of_masks(order)
         if order:
             self._acc_mask_buffer[: len(order)] = _to_column_matrix(
-                [mask.values for mask in order]
+                [mask.values for mask in order], fields
             )
         entries = [entry for mask in order for entry in self._tables[mask].values()]
         self._slot_results = []
@@ -475,6 +498,7 @@ class TupleSpaceSearch(MegaflowStore):
                     np.arange(len(order), dtype=np.int64),
                     [len(self._tables[mask]) for mask in order],
                 ),
+                fields,
             )
         self._acc_merge_pending()
         self._acc_dirty = False
@@ -652,10 +676,10 @@ class _BatchScanner:
             hit = tss.get_entry(spawned.mask, spawned.key)
         if hit is None:
             tss._register_miss()
-            result = TssLookupResult(None, len(tss._mask_order))
+            result = _new(TssLookupResult, (None, len(tss._mask_order)))
         else:
             tss._register_hits((hit,), self.now)
-            result = TssLookupResult(hit, tss._mask_index[hit.mask] + 1)
+            result = _new(TssLookupResult, (hit, tss._mask_index[hit.mask] + 1))
         tss._account_scan(result)
         tss._memo_store(values, result)
         return result

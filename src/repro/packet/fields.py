@@ -20,6 +20,7 @@ part of the reproduction's semantics (see ``repro.classifier.slowpath``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_
 from typing import Iterator, Mapping
 
 from repro.exceptions import FieldError
@@ -277,7 +278,7 @@ class FlowKey(_FieldVector):
 
     def masked(self, mask: "FlowMask") -> tuple[int, ...]:
         """This key under ``mask`` — the hashable tuple stored in TSS hashes."""
-        return tuple(v & m for v, m in zip(self._values, mask.values))
+        return tuple(map(and_, self._values, mask._values))
 
     def matches(self, value_mask: "FlowMask", value: "FlowKey") -> bool:
         """True when this key agrees with ``value`` on all bits of the mask."""

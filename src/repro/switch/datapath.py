@@ -93,8 +93,9 @@ class PacketVerdict(NamedTuple):
 
 
 _MEGAFLOW = PathTaken.MEGAFLOW
-# A NamedTuple's generated ``__new__`` is a Python-level call; a run of warm
-# hits builds its verdicts with ``tuple.__new__`` (every field given).
+_SLOW_PATH = PathTaken.SLOW_PATH
+# A NamedTuple's generated ``__new__`` is a Python-level call; warm hits and
+# upcalls build their verdicts with ``tuple.__new__`` (every field given).
 _new = tuple.__new__
 
 
@@ -284,6 +285,9 @@ class Datapath:
             if self.config.enable_mask_cache
             else None
         )
+        # Whether levels 1-2 exist (fixed from here on): the per-packet paths
+        # remember a megaflow for them only then.
+        self._fast = self.microflows is not None or self.mask_cache is not None
         self.generator = MegaflowGenerator(flow_table, self.config.strategy)
         self._dead_entries: set[tuple[FlowMask, tuple[int, ...]]] = set()
         self.stats = DatapathStats()
@@ -505,7 +509,7 @@ class Datapath:
             keys, now=self.now, rows=rows, spawn=lambda i: generate(i).entry
         )
         check = self.config.check_invariants
-        fast = self.microflows is not None or self.mask_cache is not None
+        fast = self._fast
         # Only an upcall moves the cache's size or the backend's cost
         # estimate (MegaflowStore: "only a miss moves size or cost").
         n_masks, scan_cost = megaflows.n_masks, megaflows.expected_scan_cost()
@@ -599,24 +603,24 @@ class Datapath:
         the per-packet settlement order (and therefore all accounting)
         identical to the scalar path.
         """
-        self.stats.upcalls += 1
+        stats = self.stats
+        stats.upcalls += 1
         entry = result.entry
         installed: MegaflowEntry | None = None
-        if (entry.mask, entry.key) in self._dead_entries:
+        dead = self._dead_entries
+        if dead and (entry.mask, entry.key) in dead:
             # §8 quirk: deleted megaflows never re-spark; stay on slow path.
-            self.stats.dead_entry_suppressed += 1
+            stats.dead_entry_suppressed += 1
         elif self.megaflows.n_entries >= self.config.max_megaflows:
-            self.stats.install_rejected += 1
+            stats.install_rejected += 1
         else:
             installed = self.megaflows.insert(entry, now=self.now)
-            self.stats.installs += 1
-            self._remember(key, installed)
-        return PacketVerdict(
-            action=entry.action,
-            path=PathTaken.SLOW_PATH,
-            masks_inspected=scanned,
-            rules_examined=result.rules_examined,
-            installed=installed,
+            stats.installs += 1
+            if self._fast:
+                self._remember(key, installed)
+        return _new(
+            PacketVerdict,
+            (entry.action, _SLOW_PATH, scanned, result.rules_examined, installed),
         )
 
     def _remember(self, key: FlowKey, entry: MegaflowEntry) -> None:
@@ -803,15 +807,19 @@ class Datapath:
         ``max_megaflows`` admission gate — zero-drop through re-maps is
         the contract, and the aggregate count across shards is unchanged.
 
-        Returns the number of entries newly stored on this shard.
+        Returns the number of entries newly stored on this shard.  The
+        inserts share one index burst, so the backend's accelerator appends
+        drain once per call, not once per entry.
         """
         stored_here = 0
-        for entry in entries:
-            created = entry.created_at
-            stored = self.megaflows.insert(entry, now=entry.last_used)
-            if stored is entry:
-                entry.created_at = created
-                stored_here += 1
+        megaflows = self.megaflows
+        with megaflows.index_burst():
+            for entry in entries:
+                created = entry.created_at
+                stored = megaflows.insert(entry, now=entry.last_used)
+                if stored is entry:
+                    entry.created_at = created
+                    stored_here += 1
         self._dead_entries.update(tuple(record) for record in dead)
         return stored_here
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import repro.classifier.kernel as kernel_module
 import repro.classifier.tss as tss_module
 from repro.classifier.actions import ALLOW, DENY
 from repro.classifier.backend import MegaflowStore
@@ -442,17 +443,41 @@ def _counted(monkeypatch, owner, name, counts, label):
     monkeypatch.setattr(owner, name, counting)
 
 
+def _count_column_derives(monkeypatch, counts) -> None:
+    """Count the TSS store's column-matrix builds under whatever name
+    ``tss`` bound ``to_column_matrix`` to: the ``matrix`` calls, the
+    ``rows`` they convert, and the ``drains`` that had appends to make."""
+    for name, value in list(vars(tss_module).items()):
+        if value is kernel_module.to_column_matrix:
+
+            def matrix(values_list, *args, _original=value):
+                counts["matrix"] += 1
+                counts["rows"] += len(values_list)
+                return _original(values_list, *args)
+
+            monkeypatch.setattr(tss_module, name, matrix)
+    drain = TupleSpaceSearch._burst_drain
+
+    def counting_drain(store):
+        counts["drains"] += bool(store._burst_buf)
+        return drain(store)
+
+    monkeypatch.setattr(TupleSpaceSearch, "_burst_drain", counting_drain)
+
+
 def test_one_burst_replay_bookkeeping_is_linear(monkeypatch):
     """Mid-burst coherence costs O(1) per packet — by exact counts, not clocks.
 
-    The full 8k-mask SipSpDp trace x3 as one burst: comparisons, column
-    derives, truth-dict probes and generation calls are each bounded by a
-    small multiple of the burst, and a half-size burst halves them.  (The
-    announced-insert sweep this replaced made ~7e7 ``__eq__`` calls here
-    through ``list.index`` and derived two column rows per install.)
+    The full 8k-mask SipSpDp trace x3 as one burst: comparisons, truth-dict
+    probes and generation calls are each bounded by a small multiple of the
+    burst, and a half-size burst halves them.  Column rows are derived once
+    each: every new mask's and every entry's row in matrix builds, at most
+    two per drain.  (The announced-insert sweep this replaced made ~7e7
+    ``__eq__`` calls here through ``list.index`` and derived two column rows
+    per install.)
     """
     trace = _detonation_trace(SIPSPDP)
-    labels = ("eq", "to_columns", "get_entry", "generate_batch")
+    labels = ("eq", "get_entry", "generate_batch", "matrix", "rows", "drains")
 
     def run(part):
         keys = _replay_burst(part)
@@ -460,25 +485,45 @@ def test_one_burst_replay_bookkeeping_is_linear(monkeypatch):
         counts = dict.fromkeys(labels, 0)
         with monkeypatch.context() as patch:
             _counted(patch, _FieldVector, "__eq__", counts, "eq")
-            _counted(patch, tss_module, "_to_columns", counts, "to_columns")
             _counted(patch, MegaflowStore, "get_entry", counts, "get_entry")
             _counted(patch, MegaflowGenerator, "generate_batch", counts, "generate_batch")
+            _count_column_derives(patch, counts)
             batch = datapath.process_batch(keys)
         assert batch.upcalls == len(part) and datapath.stats.megaflow_hits == 2 * len(part)
-        return len(keys), datapath.n_masks, counts
+        return len(keys), datapath, counts
 
-    packets, masks, full = run(trace)
-    assert full["eq"] <= 2 * packets
-    assert full["to_columns"] <= masks + 64
-    assert full["get_entry"] <= packets
-    assert full["generate_batch"] == 1
-    half_packets, half_masks, half = run(trace[: len(trace) // 2])
-    assert half["eq"] <= 2 * half_packets
-    assert half["to_columns"] <= half_masks + 64
-    assert half["get_entry"] <= half_packets
-    assert half["generate_batch"] == 1
-    for label in ("eq", "to_columns", "get_entry"):
+    for part in (trace, trace[: len(trace) // 2]):
+        packets, datapath, counts = run(part)
+        assert counts["eq"] <= 2 * packets
+        assert counts["get_entry"] <= packets
+        assert counts["generate_batch"] == 1
+        assert 1 <= counts["drains"] and counts["matrix"] <= 2 * counts["drains"]
+        assert counts["rows"] == datapath.n_masks + datapath.n_megaflows
+        if part is trace:
+            full = counts
+    half = counts
+    for label in ("eq", "get_entry"):
         assert 0.35 * full[label] <= half[label] <= 0.65 * full[label], (label, full, half)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_cold_burst_derives_no_mask_row_alone(monkeypatch, kernel):
+    """A cold 256-packet burst drains once: one matrix build for its new
+    masks' rows and one for its entries' rows — every mask row among them,
+    none derived on its own."""
+    keys = _detonation_trace(SIPSPDP)[:256]
+    config = DatapathConfig(microflow_capacity=0, scan_kernel=kernel, check_invariants=True)
+    datapath = Datapath(SIPSPDP.build_table(), config)
+    counts = dict.fromkeys(("matrix", "rows", "drains"), 0)
+    with monkeypatch.context() as patch:
+        _count_column_derives(patch, counts)
+        batch = datapath.process_batch(keys)
+    assert batch.upcalls == len(keys) and datapath.n_masks > 2
+    assert counts == {
+        "matrix": 2,
+        "rows": datapath.n_masks + datapath.n_megaflows,
+        "drains": 1,
+    }
 
 
 @pytest.mark.usefixtures("scan_oracle")

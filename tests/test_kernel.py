@@ -38,7 +38,6 @@ from repro.classifier.kernel import (
     resolve_scan_kernel_name,
     scan_kernel_names,
     to_column_matrix,
-    to_columns,
 )
 from repro.classifier.rule import Match
 from repro.classifier.tss import TupleSpaceSearch
@@ -452,7 +451,8 @@ def _from_columns(row) -> tuple[int, ...]:
 
 def _masked_hash(values, mask: FlowMask) -> int:
     """The compound of ``values`` under ``mask`` before its salt."""
-    return int(((to_columns(values) & to_columns(mask.values)) * WEIGHTS).sum(dtype=np.uint64))
+    row, mask_row = to_column_matrix([values, mask.values])
+    return int(((row & mask_row) * WEIGHTS).sum(dtype=np.uint64))
 
 
 def _weights(field: str) -> list[int]:
@@ -481,9 +481,7 @@ class TestExactness:
         """The row unpacks to the values it was packed from — IPv6's 128
         bits included, split hi/lo — so equal rows are equal keys."""
         key = FlowKey(**values)
-        row = to_columns(key.values)
-        assert _from_columns(row) == key.values
-        assert (to_column_matrix([key.values])[0] == row).all()
+        assert _from_columns(to_column_matrix([key.values])[0]) == key.values
 
     @pytest.mark.usefixtures("scan_oracle")
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -740,8 +738,16 @@ class TestLayout:
             tp_dst=443,
             ipv6_src=(1 << 127) | 0xDEADBEEF,  # exercises the hi/lo split
         )
-        row = to_columns(key.values)
-        assert row.shape == (N_COLUMNS,)
         matrix = to_column_matrix([key.values])
         assert matrix.shape == (1, N_COLUMNS)
-        assert (matrix[0] == row).all()
+        assert _from_columns(matrix[0]) == key.values
+
+    def test_a_field_set_converts_only_its_columns(self):
+        values = [FlowKey(ip_src=0x0A0B0C0D, tp_dst=443, ipv6_src=(1 << 127) | 0xDEADBEEF).values]
+        full = to_column_matrix(values)
+        fields = [FIELD_ORDER.index("ipv6_src"), FIELD_ORDER.index("tp_dst")]
+        kept = [column for column, (index, _) in enumerate(COLUMN_SPLITS) if index in fields]
+        part = to_column_matrix(values, fields)
+        assert len(kept) == 3 and (part[:, kept] == full[:, kept]).all()
+        assert not np.delete(part, kept, axis=1).any()
+        assert not to_column_matrix(values, []).any()

@@ -29,6 +29,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.classifier.flowtable import FlowTable
+from repro.classifier.tss import TupleSpaceSearch
 from repro.core.rebalance import RebalanceController, RebalancePolicy
 from repro.core.tracegen import ColocatedTraceGenerator
 from repro.core.usecases import SIPDP
@@ -232,6 +233,32 @@ class TestRemapMigration:
             assert entry_union(datapath) == before
         finally:
             datapath.close()
+
+
+def test_rebalance_install_appends_to_the_index_once(monkeypatch):
+    """A shard adopts a re-map's entries under one index burst: one
+    accelerator append per ``rebalance_install`` call, not one per entry,
+    and every adopted entry is found by a scan of its new shard."""
+    datapath, _keys = detonated(2)
+    before = entry_union(datapath)
+    source, target = datapath.shards
+    delta = source.rebalance_extract(RetaDispatcher(2, five_tuple_hash, salt=SALTS[1]), 0)
+    assert len(delta["entries"]) > 10 and not target.megaflows._acc_dirty
+    appends = []
+    slot_append = TupleSpaceSearch._slot_append
+
+    def counting(store, entries, *args):
+        appends.append(len(entries))
+        return slot_append(store, entries, *args)
+
+    monkeypatch.setattr(TupleSpaceSearch, "_slot_append", counting)
+    stored = target.rebalance_install(delta["entries"], delta["dead"])
+    assert stored > 10 and appends == [stored]
+    assert entry_union(datapath) == before
+    for entry in delta["entries"]:
+        assert target.megaflows.lookup(FlowKey.from_values(entry.key)).entry is target.megaflows.get_entry(
+            entry.mask, entry.key
+        )
 
 
 class TestRemapRaces:

@@ -3,7 +3,8 @@
 ``kernel.keys_to_matrix`` must be ``to_column_matrix`` bit for bit however
 the keys were built and however often they were seen; the cached row must
 never travel (pickle / copy) nor be needed; and ``PacketVerdict`` /
-``TssLookupResult`` keep their public surface as ``NamedTuple``s.
+``TssLookupResult`` / ``SlowPathResult`` keep their public surface as
+``NamedTuple``s.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from repro.classifier.actions import ALLOW
 from repro.classifier.backend import MegaflowEntry, TssLookupResult
 from repro.classifier.kernel import N_COLUMNS, keys_to_matrix, to_column_matrix
-from repro.classifier.slowpath import MegaflowGenerator
+from repro.classifier.slowpath import MegaflowGenerator, SlowPathResult
 from repro.classifier.tss import TupleSpaceSearch
 from repro.core.usecases import SIPDP
 from repro.packet.fields import _FIELD_DEFS, FIELD_ORDER, FlowKey, FlowMask
@@ -144,13 +145,25 @@ def test_result_records_keep_their_surface():
     assert hit.hit and not miss.hit and miss.masks_inspected == 9
     found, probes = hit
     assert found is entry and probes == 4
-    for record, field in ((verdict, "action"), (hit, "entry")):
+    slow = SlowPathResult(entry=entry, rule=None, rules_examined=3)
+    assert SlowPathResult._fields == ("entry", "rule", "rules_examined")
+    assert slow == SlowPathResult(entry, None, 3) and slow.entry is entry and slow.rules_examined == 3
+    for record, field in ((verdict, "action"), (hit, "entry"), (slow, "rules_examined")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         with pytest.raises(AttributeError):
             record.extra = 1  # no instance dict either
     with pytest.raises(TypeError):
         TssLookupResult(entry)  # masks_inspected has no default
+    with pytest.raises(TypeError):
+        SlowPathResult(entry, None)  # nor has rules_examined
+    # Equality is tuple equality: batch and scalar generation agree record
+    # for record (the entries compare by value: mask, key, action, rule name).
+    generator = MegaflowGenerator(SIPDP.build_table(), DatapathConfig().strategy)
+    keys = _detonation_trace(SIPDP)[:80]
+    batch = generator.generate_batch(keys)
+    assert batch == [generator.generate(key) for key in keys]
+    assert all(type(result) is SlowPathResult for result in batch)
 
 
 def test_verdicts_survive_both_executor_transports():

@@ -35,32 +35,29 @@ the emitted entry.  Hence any packet matching an entry reproduces the exact
 path that created it, so overlapping entries are identical, which is
 Inv(2).
 
-Batched generation.  :meth:`MegaflowGenerator.generate_batch` produces the
-same results as per-key :meth:`MegaflowGenerator.generate` — same masks,
-actions, ``rules_examined`` — but walks each *decision path* once instead
-of walking the rule table once per key.  Per key it is memo → trie walk →
-in-place extension, all scalar:
+The compiled program.  Per field the procedure has a closed form: the
+first disagreeing chunk is the one holding the top set bit of
+``(key ^ value) & rule_mask`` — chunks are contiguous MSB-first groups of
+the constrained bits, so every chunk before it holds only agreeing bits.
+The table is therefore compiled once per flow-table version into a
+*field-level program*: per rule, one ``(field, value, rule mask, through)``
+step per constraint, where ``through[b]`` is the OR of every chunk up to
+and including the one holding bit ``b - 1``.  A step is
 
-* the decision procedure is compiled once per flow-table version into a
-  flat *program* — per rule, one ``(field, value, chunk)`` test per chunk,
-  in field/chunk order;
-* proven decision paths are memoised in a **chunk-decision trie**: each
-  node re-runs one chunk test, each edge is an agree/disagree outcome, and
-  each leaf carries the path-determined mask/action/``rules_examined``.
-  The correctness argument above is exactly what makes this sound — the
-  branch taken at every node depends only on the chunk agreement bits, so
-  any key reaching a proven leaf reproduces the scalar walk bit for bit,
-  and only the emitted masked key differs per packet;
-* a key whose path runs off the proven part extends the trie where it
-  stands, with the same ``(key[field] ^ value) & chunk`` test the walk
-  uses: the missing node (the next program position) or leaf is created
-  and the walk continues through it.  There is no per-call set-up, so a
-  1-packet tick and a 256-packet rx burst pay the same per-key price;
-* the trie (plus an exact-key memo in front of it) is a pure accelerator:
-  it is rebuilt from the flow table and discarded whenever the table's
-  version changes (any rule insert/remove/flush), honouring the
-  dicts-as-truth invariant — the ordered flow table remains the single
-  source of truth for classification.
+* ``diff = (key[field] ^ value) & rule_mask``;
+* ``diff`` non-zero: the field's mask gains ``through[diff.bit_length()]``
+  and the rule fails;
+* otherwise the field's mask gains ``rule_mask`` and the rule continues.
+
+:meth:`MegaflowGenerator.generate` and
+:meth:`MegaflowGenerator.generate_batch` run that one program.  Each
+distinct outcome — mask, action, rule, ``rules_examined`` — is interned
+once as a leaf record, so only the emitted masked key differs per packet,
+and ``generate_batch`` keeps an exact-key memo in front of the program.
+Program, leaves and memo are a pure accelerator: derived from the flow
+table at one version and discarded whenever the version changes (any rule
+insert/remove/flush), honouring the dicts-as-truth invariant — the
+ordered flow table remains the single source of truth for classification.
 """
 
 from __future__ import annotations
@@ -87,44 +84,14 @@ __all__ = [
 _INDEX = {name: i for i, name in enumerate(FIELD_ORDER)}
 
 
-class _TrieNode:
-    """One chunk test of the decision procedure; edges are its outcomes.
+class _Leaf(NamedTuple):
+    """One decision outcome: everything but the emitted key is pinned."""
 
-    ``rule``/``test`` name the program position the node stands at — where
-    an unproven edge resumes.  ``agree``/``disagree`` are ``None`` (path
-    not yet proven), another node, or a :class:`_TrieLeaf`.
-    """
-
-    __slots__ = ("field", "value", "chunk", "rule", "test", "agree", "disagree")
-
-    def __init__(self, field: int, value: int, chunk: int, rule: int, test: int):
-        self.field = field
-        self.value = value
-        self.chunk = chunk
-        self.rule = rule
-        self.test = test
-        self.agree = None
-        self.disagree = None
-
-
-class _TrieLeaf:
-    """A proven decision path: everything but the emitted key is pinned."""
-
-    __slots__ = ("mask", "action", "rule", "rules_examined", "source_rule")
-
-    def __init__(
-        self,
-        mask: FlowMask,
-        action: Action,
-        rule: FlowRule | None,
-        rules_examined: int,
-        source_rule: str,
-    ):
-        self.mask = mask
-        self.action = action
-        self.rule = rule
-        self.rules_examined = rules_examined
-        self.source_rule = source_rule
+    mask: FlowMask
+    action: Action
+    rule: FlowRule | None
+    rules_examined: int
+    source_rule: str
 
 
 @dataclass(frozen=True)
@@ -204,23 +171,19 @@ class MegaflowGenerator:
     def __init__(self, table: FlowTable, strategy: StrategyConfig = WILDCARDING):
         self.table = table
         self.strategy = strategy
-        # (field, rule mask) -> chunk masks, precomputed per rule constraint.
-        self._chunk_cache: dict[tuple[str, int], tuple[int, ...]] = {}
-        # Batched-generation accelerator state (see module docstring): the
-        # compiled test program, the chunk-decision trie and the exact-key
-        # memo are all derived from the flow table at one version and
-        # discarded wholesale when the table mutates.
-        self._program: list[tuple[FlowRule, list[tuple[int, int, int]]]] | None = None
-        self._trie_version: int = -1
-        self._trie_root: _TrieNode | _TrieLeaf | None = None
-        self._key_memo: dict[tuple[int, ...], _TrieLeaf] = {}
+        # (field, rule mask) -> ``through`` table, precomputed per constraint.
+        self._through_cache: dict[tuple[str, int], tuple[int, ...]] = {}
+        # Accelerator state (see module docstring): the compiled program,
+        # the interned leaf records and the exact-key memo, all derived from
+        # the flow table at ``_version`` and dropped when the table mutates.
+        self._program: list[tuple[FlowRule, tuple[tuple[int, int, int, tuple[int, ...]], ...]]] = []
+        self._version: int = -1
+        self._leaves: dict[tuple, _Leaf] = {}
+        self._key_memo: dict[tuple[int, ...], _Leaf] = {}
 
     # -- chunk computation ------------------------------------------------------
     def _chunks(self, field_name: str, rule_mask: int) -> tuple[int, ...]:
         """Split a rule's constrained bits into the strategy's chunk masks."""
-        cached = self._chunk_cache.get((field_name, rule_mask))
-        if cached is not None:
-            return cached
         width = FIELDS[field_name].width
         # Constrained bit positions, MSB first.
         positions = [p for p in range(width) if rule_mask & (1 << (width - 1 - p))]
@@ -238,150 +201,109 @@ class MegaflowGenerator:
                 size = base + (1 if i < extra else 0)
                 groups.append(positions[start : start + size])
                 start += size
-        chunk_masks = tuple(
-            sum(1 << (width - 1 - p) for p in group) for group in groups if group
-        )
-        self._chunk_cache[(field_name, rule_mask)] = chunk_masks
-        return chunk_masks
+        return tuple(sum(1 << (width - 1 - p) for p in group) for group in groups if group)
+
+    def _through(self, field_name: str, rule_mask: int) -> tuple[int, ...]:
+        """``through[b]``: every chunk up to the one holding bit ``b - 1``.
+
+        Indexed by ``diff.bit_length()`` for a non-zero ``diff`` inside
+        ``rule_mask``; slots of unconstrained bits are never read.
+        """
+        cached = self._through_cache.get((field_name, rule_mask))
+        if cached is not None:
+            return cached
+        through = [0] * (FIELDS[field_name].width + 1)
+        examined = 0
+        for chunk in self._chunks(field_name, rule_mask):
+            examined |= chunk
+            bits = chunk
+            while bits:
+                low = bits & -bits
+                through[low.bit_length()] = examined
+                bits ^= low
+        cached = self._through_cache[(field_name, rule_mask)] = tuple(through)
+        return cached
 
     # -- the decision procedure ---------------------------------------------------
     def generate(self, key: FlowKey) -> SlowPathResult:
         """Run the chunked decision procedure for ``key`` (see module doc)."""
-        mask_values = [0] * len(FIELD_ORDER)
-        key_values = key.values
-        rules_examined = 0
-        for rule in self.table.rules_by_priority():
-            rules_examined += 1
-            matched = True
-            for field_name, rule_value, rule_mask in rule.match.constraints():
-                idx = _INDEX[field_name]
-                key_value = key_values[idx]
-                for chunk in self._chunks(field_name, rule_mask):
-                    mask_values[idx] |= chunk
-                    if (key_value ^ rule_value) & chunk:
-                        matched = False
-                        break
-                if not matched:
-                    break
-            if matched:
-                return self._emit(key, mask_values, rule.action, rule, rules_examined)
-        # Table miss: OpenFlow table-miss defaults to drop.  Every examined
-        # bit stays in the mask so the miss entry remains disjoint from the
-        # rule-matching entries.
-        return self._emit(key, mask_values, DENY, None, rules_examined)
+        self._sync()
+        return self._emit(key, self._decide(key.values))
 
-    # -- batched generation -------------------------------------------------------
     def generate_batch(self, keys: Sequence[FlowKey]) -> list[SlowPathResult]:
         """Run the decision procedure for a burst of missed keys.
 
         Result-for-result identical to ``[self.generate(k) for k in keys]``
         — same masks, actions, matched rules and ``rules_examined``.  Each
-        key resolves through the exact-key memo or one scalar trie walk
-        that extends the trie where the key's decision path is not yet
-        proven; a burst costs its keys and nothing per call.
+        key resolves through the exact-key memo or one run of the compiled
+        program; a burst costs its keys and nothing per call.
         """
-        self._sync_trie()
+        self._sync()
         memo = self._key_memo
         results = []
         for key in keys:
             values = key.values
             leaf = memo.get(values)
             if leaf is None:
-                leaf = memo[values] = self._trie_walk(values)
-            results.append(self._emit_leaf(key, leaf))
+                leaf = memo[values] = self._decide(values)
+            results.append(self._emit(key, leaf))
         return results
 
-    def _sync_trie(self) -> None:
-        """(Re)compile the program and reset the trie on table mutation."""
-        if self._program is not None and self._trie_version == self.table.version:
+    def _sync(self) -> None:
+        """(Re)compile the program and drop leaves and memo on table mutation."""
+        if self._version == self.table.version:
             return
         self._program = [
             (
                 rule,
-                [
-                    (_INDEX[field_name], rule_value, chunk)
+                tuple(
+                    (_INDEX[field_name], rule_value, rule_mask, self._through(field_name, rule_mask))
                     for field_name, rule_value, rule_mask in rule.match.constraints()
-                    for chunk in self._chunks(field_name, rule_mask)
-                ],
+                ),
             )
             for rule in self.table.rules_by_priority()
         ]
-        self._trie_version = self.table.version
+        self._version = self.table.version
+        self._leaves = {}
         self._key_memo = {}
-        self._trie_root = self._trie_position(0, 0, [0] * len(FIELD_ORDER))
 
-    def _trie_position(
-        self, r: int, t: int, mask_values: list[int]
-    ) -> _TrieNode | _TrieLeaf:
-        """Node or leaf for program position (rule ``r``, test ``t``).
-
-        ``mask_values`` is the chunk accumulation along the path reaching
-        the position — a leaf freezes it (the mask is path-determined).
-        """
-        program = self._program
-        if r == len(program):
-            return _TrieLeaf(
-                FlowMask.from_values(tuple(mask_values)), DENY, None, r, "<table-miss>"
-            )
-        rule, tests = program[r]
-        if t < len(tests):
-            return _TrieNode(*tests[t], r, t)
-        return _TrieLeaf(
-            FlowMask.from_values(tuple(mask_values)), rule.action, rule, r + 1, rule.name
-        )
-
-    def _trie_walk(self, key_values: tuple[int, ...]) -> _TrieLeaf:
-        """Follow ``key_values``' decision path to its leaf.
-
-        Each step is the scalar chunk test of :meth:`generate`.  Where the
-        path runs off the proven part of the trie the missing node or leaf
-        — the next program position — is created in place and the walk
-        continues through it, so the first key down a path proves it for
-        every later one.
-        """
+    def _decide(self, key_values: tuple[int, ...]) -> _Leaf:
+        """Run the program over ``key_values``: one step per constraint."""
         mask_values = [0] * len(FIELD_ORDER)
-        node = self._trie_root
-        while type(node) is not _TrieLeaf:
-            field = node.field
-            chunk = node.chunk
-            mask_values[field] |= chunk
-            if (key_values[field] ^ node.value) & chunk:
-                nxt = node.disagree
-                if nxt is None:
-                    nxt = node.disagree = self._trie_position(
-                        node.rule + 1, 0, mask_values
-                    )
+        rules_examined = 0
+        matched = None
+        for rule, steps in self._program:
+            rules_examined += 1
+            for field, rule_value, rule_mask, through in steps:
+                diff = (key_values[field] ^ rule_value) & rule_mask
+                if diff:
+                    mask_values[field] |= through[diff.bit_length()]
+                    break
+                mask_values[field] |= rule_mask
             else:
-                nxt = node.agree
-                if nxt is None:
-                    nxt = node.agree = self._trie_position(
-                        node.rule, node.test + 1, mask_values
-                    )
-            node = nxt
-        return node
+                matched = rule
+                break
+        # A table miss keeps every examined bit in the mask, so the miss
+        # entry stays disjoint from the rule-matching entries.  A match on
+        # the last rule and a miss failing on its last chunk can share mask
+        # and ``rules_examined``: the intern key tells them apart.
+        intern = (tuple(mask_values), rules_examined, matched is not None)
+        leaf = self._leaves.get(intern)
+        if leaf is None:
+            mask = FlowMask.from_values(intern[0])
+            if matched is None:
+                # OpenFlow table-miss defaults to drop.
+                leaf = _Leaf(mask, DENY, None, rules_examined, "<table-miss>")
+            else:
+                leaf = _Leaf(mask, matched.action, matched, rules_examined, matched.name)
+            self._leaves[intern] = leaf
+        return leaf
 
-    def _emit_leaf(self, key: FlowKey, leaf: _TrieLeaf) -> SlowPathResult:
+    def _emit(self, key: FlowKey, leaf: _Leaf) -> SlowPathResult:
         # Once per generated key: positional construction throughout.
         mask = leaf.mask
         entry = MegaflowEntry(mask, key.masked(mask), leaf.action, leaf.source_rule)
         return SlowPathResult(entry, leaf.rule, leaf.rules_examined)
-
-    def _emit(
-        self,
-        key: FlowKey,
-        mask_values: list[int],
-        action: Action,
-        rule: FlowRule | None,
-        rules_examined: int,
-    ) -> SlowPathResult:
-        mask = FlowMask.from_values(tuple(mask_values))
-        entry = MegaflowEntry(
-            mask=mask,
-            key=key.masked(mask),
-            action=action,
-            source_rule=rule.name if rule is not None else "<table-miss>",
-        )
-        return SlowPathResult(entry, rule, rules_examined)
 
     def classify(self, key: FlowKey) -> Action:
         """Reference classification (ignores caches): flow-table semantics."""

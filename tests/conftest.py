@@ -13,6 +13,7 @@ from repro.classifier.flowtable import FlowTable
 from repro.classifier.rule import Match
 from repro.experiments import run_experiment
 from tests import scan_oracle as scan_oracle_module
+from tests import slowpath_oracle as slowpath_oracle_module
 from tests.settlement_oracle import ride_along
 
 # The nightly CI leg runs the property-based tests with a 10x example
@@ -69,6 +70,13 @@ def settlement_oracle():
 def scan_oracle():
     """Check every megaflow scanner result of the test against Algorithm 1."""
     with scan_oracle_module.ride_along() as oracle:
+        yield oracle
+
+
+@pytest.fixture
+def slowpath_oracle():
+    """Check every generated megaflow of the test against the per-chunk walk."""
+    with slowpath_oracle_module.ride_along() as oracle:
         yield oracle
 
 

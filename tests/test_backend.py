@@ -314,6 +314,35 @@ def test_eviction_outcomes_identical():
         assert_backends_agree(dps["tss"], dps[name])
 
 
+@pytest.mark.parametrize("name", BACKENDS)
+def test_evict_idle_is_remove_where(name):
+    """Idle eviction picks ``remove_where``'s victims in its order (mask
+    scan order, then insertion) on a detonated, shuffled store."""
+    stores = []
+    for _ in range(2):
+        datapath = Datapath(
+            SIPDP.build_table(), DatapathConfig(microflow_capacity=0, megaflow_backend=name)
+        )
+        keys = list(ColocatedTraceGenerator(
+            datapath.flow_table, base={"ip_proto": PROTO_TCP}
+        ).generate().keys)
+        datapath.process_batch(keys)
+        for i, entry in enumerate(datapath.megaflows.entries()):  # staggered stamps
+            entry.last_used = float(i * 37 % 10)
+        datapath.megaflows.shuffle_masks(seed=7)
+        stores.append(datapath.megaflows)
+    evicting, reference = stores
+    expected = reference.remove_where(lambda e: 9.0 - e.last_used >= 6.0)
+    got = evicting.evict_idle(9.0, 6.0)
+    assert 0 < len(got) < len(keys)
+    assert [(e.mask.values, e.key) for e in got] == [(e.mask.values, e.key) for e in expected]
+    assert [(e.mask.values, e.key) for e in evicting.entries()] == [
+        (e.mask.values, e.key) for e in reference.entries()
+    ]
+    assert evicting.masks() == reference.masks()
+    assert evicting.evict_idle(9.0, 6.0) == []
+
+
 def test_attack_detonation_identical_and_probe_bounded():
     """The SipDp staircase: same cache contents, bounded chain probes."""
     dps = {}

@@ -33,6 +33,7 @@ def build_cache(table, strategy, keys, check=True) -> TupleSpaceSearch:
     return cache
 
 
+@pytest.mark.usefixtures("slowpath_oracle")
 class TestFig3Wildcarding:
     """Fig. 3: the wildcarding strategy on the Fig. 1 ACL."""
 
@@ -66,6 +67,7 @@ class TestFig3Wildcarding:
             assert entry.action == expected
 
 
+@pytest.mark.usefixtures("slowpath_oracle")
 class TestFig2ExactMatch:
     """Fig. 2: the exact-match strategy — one mask, 2^w entries."""
 
@@ -81,6 +83,7 @@ class TestFig2ExactMatch:
         assert cache.lookup(FlowKey(ip_tos=hyp(7))).masks_inspected == 1
 
 
+@pytest.mark.usefixtures("slowpath_oracle")
 class TestFig5TwoFields:
     """Fig. 4/5: two-field ACL -> 13 masks (3*4+1), 16 entries."""
 
@@ -115,6 +118,7 @@ class TestFig5TwoFields:
             assert generator.generate(key).entry.action == fig4_table.classify(key)
 
 
+@pytest.mark.usefixtures("slowpath_oracle")
 class TestInvariants:
     def test_cover_invariant(self, fig4_table):
         """Inv(1): the generated entry always matches its packet."""
@@ -156,6 +160,7 @@ class TestInvariants:
 class TestChunkedStrategies:
     """Theorem 4.1: k chunks -> k masks, sum(2^b_i - 1) + 1 entries."""
 
+    @pytest.mark.usefixtures("slowpath_oracle")
     @pytest.mark.parametrize("k,expected_masks", [(1, 1), (2, 2), (3, 3)])
     def test_mask_counts_per_k(self, fig1_table, k, expected_masks):
         keys = [FlowKey(ip_tos=hyp(v)) for v in range(8)]
@@ -163,12 +168,14 @@ class TestChunkedStrategies:
         cache = build_cache(fig1_table, strategy, keys)
         assert cache.n_masks == expected_masks
 
+    @pytest.mark.usefixtures("slowpath_oracle")
     def test_k2_entry_count(self, fig1_table):
         # 3 bits in chunks of (2, 1): entries = (2^2-1) + (2^1-1) + 1 = 5.
         keys = [FlowKey(ip_tos=hyp(v)) for v in range(8)]
         cache = build_cache(fig1_table, StrategyConfig(field_chunks={"ip_tos": 2}), keys)
         assert cache.n_entries == 5
 
+    @pytest.mark.usefixtures("slowpath_oracle")
     def test_chunk_count_above_width_clamps_to_per_bit(self, fig1_table):
         keys = [FlowKey(ip_tos=hyp(v)) for v in range(8)]
         cache = build_cache(fig1_table, StrategyConfig(field_chunks={"ip_tos": 64}), keys)
@@ -190,6 +197,7 @@ class TestChunkedStrategies:
             StrategyConfig(wide_field_threshold=0)
 
 
+@pytest.mark.usefixtures("slowpath_oracle")
 class TestIPv6Quirk:
     """§5.4: OVS exact-matches 128-bit addresses — few masks, many entries."""
 

@@ -1,12 +1,15 @@
-"""Differential tests: batched slow-path generation ≡ scalar generation.
+"""Differential tests: batched slow-path generation ≡ the per-chunk walk.
 
-``MegaflowGenerator.generate_batch`` is a pure accelerator over the chunked
-decision procedure: for any flow table, strategy, and burst of missed keys
-it must return result-for-result what sequential ``generate`` calls return —
-same entries, same order, same matched rules and ``rules_examined`` — while
-the chunk-decision trie and exact-key memo behind it must be discarded on
+``MegaflowGenerator.generate`` and ``generate_batch`` run one compiled
+field-level program, so they are held against the per-chunk walk of
+``tests/slowpath_oracle.py`` instead of each other: for any flow table,
+strategy, and burst of missed keys every result must carry the walk's
+mask, masked key, action, matched rule and ``rules_examined`` — while the
+program, leaf records and exact-key memo behind them must be discarded on
 every table mutation (dicts-as-truth: the ordered flow table is the only
-source of classification truth).
+source of classification truth).  The ``slowpath_oracle`` fixture checks
+every result the module's tests generate, the flow-limit differentials'
+included.
 
 The datapath half: under a small ``max_megaflows`` flow limit
 ``process_batch``'s batched upcall engine must reject, suppress, and
@@ -31,13 +34,23 @@ from repro.classifier.slowpath import (
     OVS_DEFAULT,
     WILDCARDING,
     MegaflowGenerator,
+    StrategyConfig,
 )
 from repro.packet.fields import FIELDS, FlowKey
 from repro.switch.datapath import DatapathConfig
 from repro.switch.sharded import ShardedDatapath
+from tests.slowpath_oracle import assert_matches
 
-FIELD_POOL = ("ip_src", "ip_dst", "tp_src", "tp_dst", "ip_proto")
-STRATEGIES = {"wildcarding": WILDCARDING, "exact": EXACT_MATCH, "ovs": OVS_DEFAULT}
+pytestmark = pytest.mark.usefixtures("slowpath_oracle")
+
+FIELD_POOL = ("ip_src", "ip_dst", "tp_src", "tp_dst", "ip_proto", "ipv6_src", "ipv6_dst")
+STRATEGIES = {
+    "wildcarding": WILDCARDING,
+    "exact": EXACT_MATCH,
+    "ovs": OVS_DEFAULT,
+    "3-chunks": replace(WILDCARDING, default_chunks=3),
+    "field-chunks": StrategyConfig(field_chunks={"ip_src": 5, "tp_dst": 2, "ipv6_src": 7}),
+}
 
 
 # -- strategies -----------------------------------------------------------------
@@ -53,13 +66,24 @@ def prefix_constraints(draw):
 
 
 @st.composite
+def holed_constraints(draw):
+    """A (field, value, mask) constraint whose mask is any bit set."""
+    name = draw(st.sampled_from(FIELD_POOL))
+    width = FIELDS[name].width
+    mask = draw(st.integers(min_value=1, max_value=(1 << width) - 1))
+    value = draw(st.integers(min_value=0, max_value=(1 << width) - 1)) & mask
+    return name, value, mask
+
+
+@st.composite
 def rule_sets(draw, max_rules=6):
     n = draw(st.integers(min_value=1, max_value=max_rules))
     rules = []
     for index in range(n):
         constraints = {}
-        for _ in range(draw(st.integers(min_value=1, max_value=3))):
-            name, value, mask = draw(prefix_constraints())
+        # Zero constraints is a match-all rule, wherever it lands.
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            name, value, mask = draw(st.one_of(prefix_constraints(), holed_constraints()))
             constraints[name] = (value, mask)
         action = ALLOW if draw(st.booleans()) else DENY
         priority = draw(st.integers(min_value=0, max_value=5))
@@ -79,45 +103,84 @@ def flow_keys(draw):
 
 
 @st.composite
-def key_bursts(draw, max_size=25):
+def near_keys(draw, rules):
+    """A key carrying some rule's values, a few bits flipped (or none):
+    random keys fail on a rule's first bit, these walk deep paths."""
+    rule = draw(st.sampled_from(rules))
+    values = {name: draw(st.integers(0, (1 << FIELDS[name].width) - 1)) for name in FIELD_POOL}
+    for name, value, mask in rule.match.constraints():
+        values[name] = (values[name] & ~mask) | value
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        name = draw(st.sampled_from(FIELD_POOL))
+        values[name] ^= 1 << draw(st.integers(0, FIELDS[name].width - 1))
+    return FlowKey(**values)
+
+
+@st.composite
+def key_bursts(draw, max_size=25, rules=None):
     """Key lists with deliberate duplicates (the coalescing case)."""
-    keys = draw(st.lists(flow_keys(), min_size=1, max_size=max_size))
+    keys = st.one_of(flow_keys(), near_keys(rules)) if rules else flow_keys()
+    keys = draw(st.lists(keys, min_size=1, max_size=max_size))
     for _ in range(draw(st.integers(min_value=0, max_value=5))):
         keys.append(keys[draw(st.integers(min_value=0, max_value=len(keys) - 1))])
     return keys
 
 
 def assert_batch_equals_scalar(generator: MegaflowGenerator, keys, label=""):
-    """generate_batch ≡ sequential generate, field for field, in order."""
-    reference = MegaflowGenerator(generator.table, generator.strategy)
-    scalar = [reference.generate(key) for key in keys]
+    """generate_batch ≡ the per-chunk walk, field for field, in order."""
     batched = generator.generate_batch(keys)
-    assert len(batched) == len(scalar)
-    for i, (a, b) in enumerate(zip(scalar, batched)):
-        assert a.rules_examined == b.rules_examined, (label, i)
-        assert a.rule is b.rule, (label, i)
-        assert a.entry.mask == b.entry.mask, (label, i)
-        assert a.entry.key == b.entry.key, (label, i)
-        assert a.entry.action == b.entry.action, (label, i)
-        assert a.entry.source_rule == b.entry.source_rule, (label, i)
+    assert len(batched) == len(keys)
+    for i, (key, result) in enumerate(zip(keys, batched)):
+        assert_matches(generator, key, result, (label, i))
 
 
-# -- generate_batch ≡ generate --------------------------------------------------
+# -- generate_batch ≡ the per-chunk walk ----------------------------------------
+
+@st.composite
+def tables_and_bursts(draw):
+    rules = draw(rule_sets())
+    return rules, draw(key_bursts(rules=rules))
+
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(rules=rule_sets(), keys=key_bursts(), strategy=st.sampled_from(sorted(STRATEGIES)))
-def test_generate_batch_equivalent(rules, keys, strategy):
-    """Batched ≡ scalar for random tables/bursts, all three strategies."""
+@given(case=tables_and_bursts(), strategy=st.sampled_from(sorted(STRATEGIES)))
+def test_generate_batch_equivalent(case, strategy):
+    """Batched ≡ the walk for random tables/bursts under every strategy:
+    holed masks, 128-bit fields, match-all rules, k-chunk splits."""
+    rules, keys = case
     generator = MegaflowGenerator(FlowTable(rules=rules), STRATEGIES[strategy])
     assert_batch_equals_scalar(generator, keys, strategy)
-    # A second pass answers from the memo/trie — still identical.
+    # A second pass answers from the memo — still identical.
     assert_batch_equals_scalar(generator, keys, f"{strategy}/memoised")
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_last_rule_match_and_miss_in_its_last_chunk(strategy):
+    """The last rule's match and a miss failing on its last chunk share
+    mask and ``rules_examined``; only the action (and rule) differ."""
+    table = FlowTable()
+    table.add_rule(Match(tp_dst=80), DENY, priority=20, name="web")
+    last = table.add_rule(
+        Match(ip_src=(0x0A000000, 0xFFFFFF00), ipv6_src=(0xAB << 64, 0xFF << 64)),
+        ALLOW, priority=10, name="last",
+    )
+    generator = MegaflowGenerator(table, STRATEGIES[strategy])
+    chunks = generator._chunks("ipv6_src", 0xFF << 64)
+    hit = FlowKey(tp_dst=443, ip_src=0x0A000007, ipv6_src=0xAB << 64)
+    # Flip one bit of the last chunk only: every earlier chunk agrees.
+    miss = hit.replace(ipv6_src=hit["ipv6_src"] ^ (chunks[-1] & -chunks[-1]))
+    matched, missed = generator.generate_batch([hit, miss])
+    assert matched.rule is last and matched.entry.action is ALLOW
+    assert missed.rule is None and missed.entry.action is DENY
+    assert matched.entry.mask == missed.entry.mask
+    assert matched.rules_examined == missed.rules_examined == 2
+    assert generator.generate(miss).entry.action is DENY
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(rules=rule_sets(), keys=key_bursts(max_size=12), extra=prefix_constraints())
 def test_trie_invalidated_on_table_mutation(rules, keys, extra):
-    """Rule insert/remove/flush each discard the trie (dicts-as-truth)."""
+    """Rule insert/remove/flush each discard the program (dicts-as-truth)."""
     table = FlowTable(rules=rules)
     generator = MegaflowGenerator(table)
     assert_batch_equals_scalar(generator, keys, "initial")
@@ -162,7 +225,7 @@ def test_empty_table_batch():
         assert all(v == 0 for v in result.entry.mask.values)
 
 
-# -- incremental trie growth (the fleet_tick shape) -----------------------------
+# -- many small calls on one program (the fleet_tick shape) ---------------------
 
 _V6 = (0x20010DB8 << 96) | 0xDEADBEEF  # constrains bits on both sides of bit 64
 
@@ -196,22 +259,21 @@ def growth_key(rng) -> FlowKey:
     ids=["wildcarding", "ovs-wide-field", "3-chunks-wide-field"],
 )
 def test_trie_grows_incrementally_across_small_bursts(strategy):
-    """Hundreds of 1-5 key calls on one generator ≡ scalar, call by call.
+    """Hundreds of 1-5 key calls on one generator ≡ the walk, call by call.
 
-    No call sees enough keys to amortise anything: every path is proven by
-    whichever key walks it first and must serve all later calls.  The table
-    holds a match-all rule mid-priority (a rule with no tests), a 128-bit
-    field (per-bit chunks above bit 64; one >64-bit chunk under
+    No call sees enough keys to amortise anything: one compiled program
+    and its leaf records must serve every call of a table version.  The
+    table holds a match-all rule mid-priority (a rule with no steps), a
+    128-bit field (per-bit chunks above bit 64; one >64-bit chunk under
     ``wide_field_threshold``), and mutates every few calls — each version
-    bump must replace the trie, every call in between must extend the same
-    one.
+    bump must recompile the program, every call in between must reuse it.
     """
     rng = random.Random(18)
     table = growth_table()
     generator = MegaflowGenerator(table, strategy)
     pool: list[FlowKey] = []
     added: FlowRule | None = None
-    root, version = None, None
+    program, version = None, None
     for call in range(300):
         if call and call % 23 == 0:
             if added is None:
@@ -233,10 +295,10 @@ def test_trie_grows_incrementally_across_small_bursts(strategy):
                 keys.append(pool[-1])
         assert_batch_equals_scalar(generator, keys, f"call {call}")
         if table.version == version:
-            assert generator._trie_root is root, call
+            assert generator._program is program, call
         else:
-            assert generator._trie_root is not root, call
-            root, version = generator._trie_root, table.version
+            assert generator._program is not program, call
+            program, version = generator._program, table.version
     assert version > 10  # the table really did mutate throughout
 
 

@@ -25,6 +25,7 @@ class TestBitInversion:
         assert len(bit_inversion_list(80, 16)) == 17
 
 
+@pytest.mark.usefixtures("slowpath_oracle")
 class TestSingleHeader:
     def test_fig1_keys(self, fig1_table):
         generator = ColocatedTraceGenerator(fig1_table)
@@ -41,6 +42,7 @@ class TestSingleHeader:
         assert datapath.n_megaflows == 4
 
 
+@pytest.mark.usefixtures("slowpath_oracle")
 class TestMultiHeader:
     def test_fig4_sixteen_paths(self, fig4_table):
         trace = ColocatedTraceGenerator(fig4_table).generate()
@@ -76,6 +78,7 @@ class TestMultiHeader:
 
 
 class TestTraceProperties:
+    @pytest.mark.usefixtures("slowpath_oracle")
     def test_all_keys_unique(self):
         table = SIPDP.build_table()
         trace = ColocatedTraceGenerator(table, base={"ip_proto": PROTO_TCP}).generate()
@@ -85,15 +88,18 @@ class TestTraceProperties:
         with pytest.raises(ExperimentError):
             ColocatedTraceGenerator(FlowTable()).generate()
 
+    @pytest.mark.usefixtures("slowpath_oracle")
     def test_keys_exercise_each_action(self, fig4_table):
         trace = ColocatedTraceGenerator(fig4_table).generate()
         actions = {fig4_table.classify(key).is_drop for key in trace.keys}
         assert actions == {True, False}
 
+    @pytest.mark.usefixtures("slowpath_oracle")
     def test_trace_label(self, fig1_table):
         trace = ColocatedTraceGenerator(fig1_table).generate(use_case="Demo")
         assert trace.use_case == "Demo"
 
+    @pytest.mark.usefixtures("slowpath_oracle")
     def test_packets_materialize_with_noise(self, fig1_table):
         trace = ColocatedTraceGenerator(fig1_table).generate()
         packets = trace.packets()
@@ -101,17 +107,20 @@ class TestTraceProperties:
         ttls = {p.ip.ttl for p in packets}
         assert len(ttls) > 1  # noise varied the TTL
 
+    @pytest.mark.usefixtures("slowpath_oracle")
     def test_packets_keep_classification_fields(self, fig1_table):
         trace = ColocatedTraceGenerator(fig1_table).generate()
         for key, packet in zip(trace.keys, trace.packets()):
             assert packet.flow_key()["ip_tos"] == key["ip_tos"]
 
+    @pytest.mark.usefixtures("slowpath_oracle")
     def test_to_pcap(self, tmp_path, fig1_table):
         trace = ColocatedTraceGenerator(fig1_table).generate()
         path = tmp_path / "attack.pcap"
         assert trace.to_pcap(path, rate_pps=100) == len(trace)
         assert path.stat().st_size > 24
 
+    @pytest.mark.usefixtures("slowpath_oracle")
     def test_iteration(self, fig1_table):
         trace = ColocatedTraceGenerator(fig1_table).generate()
         assert list(iter(trace)) == trace.keys

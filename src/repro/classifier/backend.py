@@ -40,8 +40,7 @@ and every mask-count-anchored consumer (the Table 1 / Fig 8-9 presets)
 reproduces byte-identically; for the grouped backend the scan cost tracks
 the observed chain walks, which is what lets the hypervisor's time series
 finally see the defense.  :meth:`MegaflowStore.probe_cost_snapshot`
-bundles the currency into one introspection record for dpctl, MFCGuard
-and the dilution detector.
+bundles the currency into one introspection record for dpctl.
 """
 
 from __future__ import annotations
@@ -155,11 +154,6 @@ class ProbeCostSnapshot:
     scan_cost: float
     scans: int
     probes_total: int
-
-    @property
-    def probes_per_scan(self) -> float:
-        """Observed mean native probes per scan (0.0 before any scan)."""
-        return self.probes_total / self.scans if self.scans else 0.0
 
 
 class MegaflowStore:
@@ -314,12 +308,6 @@ class MegaflowStore:
     def lookup(self, key: FlowKey, now: float = 0.0) -> TssLookupResult:
         """Resolve one key: the one-key case of :meth:`batch_scanner`."""
         return self.batch_scanner((key,), now).result(0)
-
-    def lookup_batch(self, keys, now: float = 0.0) -> tuple[TssLookupResult, ...]:
-        """``[self.lookup(k, now) for k in keys]``, through :meth:`batch_scanner`."""
-        keys = list(keys)
-        scanner = self.batch_scanner(keys, now)
-        return tuple(scanner.result(i) for i in range(len(keys)))
 
     def batch_scanner(
         self, keys: list[FlowKey], now: float = 0.0, rows=None, spawn=None
@@ -515,28 +503,13 @@ class MegaflowStore:
             rebuild.note_remove(entry)
         return True
 
-    def remove_where(self, predicate: Callable[[MegaflowEntry], bool]) -> list[MegaflowEntry]:
-        """Remove and return every entry satisfying ``predicate``."""
-        # The victim list is complete before the first removal, so the
-        # truth dicts are read directly — no defensive copies as in entries().
-        tables = self._tables
-        victims = [
-            entry
-            for mask in self._mask_order
-            for entry in tables[mask].values()
-            if predicate(entry)
-        ]
-        for entry in victims:
-            self.remove(entry)
-        return victims
-
     def evict_idle(self, now: float, idle_timeout: float) -> list[MegaflowEntry]:
         """Remove entries unused for at least ``idle_timeout`` seconds.
 
         This is the 10-second megaflow idle eviction responsible for the
-        delayed victim recovery in Fig. 8a/8b.  Same victims, same order as
-        ``remove_where`` with the same predicate, but a sweep that finds
-        nothing idle pays no Python call per entry or per mask.
+        delayed victim recovery in Fig. 8a/8b.  Victims are removed (and
+        returned) in scan order, mask by mask; a sweep that finds nothing
+        idle pays no Python call per entry or per mask.
         """
         victims = [
             entry
@@ -592,10 +565,6 @@ class MegaflowStore:
         """The mask list in current scan order."""
         return list(self._mask_order)
 
-    def entries_for_mask(self, mask: FlowMask) -> list[MegaflowEntry]:
-        """All entries stored under ``mask``."""
-        return list(self._tables.get(mask, {}).values())
-
     def find_entry(self, entry: MegaflowEntry) -> bool:
         """True when exactly this entry object is still installed (O(1))."""
         table = self._tables.get(entry.mask)
@@ -609,7 +578,7 @@ class MegaflowStore:
         Value-addressed and statistics-free: the resolver the parallel
         execution engine uses to map an entry *copy* that crossed a process
         boundary back onto this store's own object before management
-        operations (kill, reinject, remove) run on it.
+        operations (kill, reinject, find_entry) run on it.
         """
         table = self._tables.get(mask)
         if table is None:
@@ -640,16 +609,6 @@ class MegaflowStore:
             if entry is not None:
                 return entry
         return None
-
-    def verify_disjoint(self) -> None:
-        """Assert Inv(2) over the whole cache (test helper, O(|C|^2))."""
-        all_entries = list(self.entries())
-        for i, first in enumerate(all_entries):
-            for second in all_entries[i + 1 :]:
-                if first.overlaps(second):
-                    raise CacheInvariantError(
-                        f"Inv(2) violation between {first!r} and {second!r}"
-                    )
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.n_masks} masks, {self.n_entries} entries)"

@@ -56,14 +56,12 @@ Invariants:
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.classifier.backend import (
     MegaflowEntry,
     MegaflowStore,
     TssLookupResult,
 )
-from repro.packet.fields import FIELD_ORDER, FlowKey, FlowMask
+from repro.packet.fields import FIELD_ORDER, FlowKey
 
 __all__ = ["TupleChainSearch"]
 
@@ -109,14 +107,6 @@ class TupleChainSearch(MegaflowStore):
         with the group count and chain depth, not with :attr:`n_masks`.
         """
         return len({tuple(bool(m) for m in mask.values) for mask in self._mask_order})
-
-    def group_sizes(self) -> dict[tuple[int, ...], int]:
-        """Mask count per group signature (constrained-field index tuple)."""
-        sizes: dict[tuple[int, ...], int] = {}
-        for mask in self._mask_order:
-            signature = tuple(i for i, m in enumerate(mask.values) if m)
-            sizes[signature] = sizes.get(signature, 0) + 1
-        return sizes
 
     # -- probe-cost surface ----------------------------------------------------
     def _account_scan(self, result: TssLookupResult) -> None:
@@ -251,14 +241,6 @@ class TupleChainSearch(MegaflowStore):
                     stack.append((depth + 1, child))
         self._register_miss()
         return TssLookupResult(entry=None, masks_inspected=probes)
-
-    # -- diagnostics -------------------------------------------------------------
-    def chains(self) -> Iterator[tuple[FlowMask, int]]:
-        """(mask, entry count) per installed tuple, group-major order."""
-        for signature in sorted(self.group_sizes()):
-            for mask in self._mask_order:
-                if tuple(i for i, m in enumerate(mask.values) if m) == signature:
-                    yield mask, len(self._tables[mask])
 
     def __repr__(self) -> str:
         return (

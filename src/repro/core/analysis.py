@@ -17,9 +17,9 @@ Eq. 1 of the paper gives the probability that at least one of ``n`` random
 packets spawns an entry with ``k`` wildcarded bits; Eq. 2 sums over the
 entry census ``C_k``.  This module computes the expected number of
 distinct *entries* (Eq. 2 literally) and of distinct *masks* (what Fig. 9b
-plots), the latter two independent ways — exact enumeration over prefix
-combinations, and a convolution over the wildcard census (§11.3) — which
-the test suite cross-checks against each other and against Monte Carlo
+plots), the latter by a convolution over the wildcard census (§11.3).
+The test suite holds that convolution against exact enumeration over
+prefix combinations (``tests/masks_oracle.py``) and against Monte Carlo
 simulation of the real cache.
 """
 
@@ -194,32 +194,22 @@ def expected_entries(widths: Sequence[int] | AclSpec, n: int) -> float:
     )
 
 
-def expected_masks(widths: Sequence[int] | AclSpec, n: int, method: str = "census") -> float:
+def expected_masks(widths: Sequence[int] | AclSpec, n: int) -> float:
     """Expected distinct MFC *masks* after ``n`` uniformly random packets.
 
     A mask is present when at least one of its entries has been spawned.
     Every mask has exactly one entry except the shared masks (deny with a
-    full last prefix + the last rule's allow entry), which have two.
+    full last prefix + the last rule's allow entry), which have two.  The
+    masks are grouped by (wildcarded bits, entry multiplicity) via the
+    §11.3 convolution, which is exact for this ACL family.
 
     Args:
         widths: the ACL spec (attacked-field widths, priority order).
         n: number of random packets.
-        method: ``"census"`` groups masks by (wildcarded bits, entry
-            multiplicity) via the §11.3 convolution; ``"enumerate"`` walks
-            every prefix combination explicitly.  Both are exact for this
-            ACL family and cross-checked in tests.
     """
     spec = _spec(widths)
     if n < 0:
         raise ExperimentError(f"n must be >= 0, got {n}")
-    if method == "census":
-        return _expected_masks_census(spec, n)
-    if method == "enumerate":
-        return _expected_masks_enumerate(spec, n)
-    raise ExperimentError(f"unknown method {method!r}")
-
-
-def _expected_masks_census(spec: AclSpec, n: int) -> float:
     total_bits = spec.total_bits
     widths = spec.widths
     m = len(widths)
@@ -243,38 +233,6 @@ def _expected_masks_census(spec: AclSpec, n: int) -> float:
         for k_head, count in _deny_wildcard_census(widths[:i]).items():
             k = k_head + tail_bits
             expected += count * eq1_probability(k, total_bits, n)
-    return expected
-
-
-def _expected_masks_enumerate(spec: AclSpec, n: int) -> float:
-    widths = spec.widths
-    m = len(widths)
-    expected = 0.0
-
-    def deny(index: int, log2p: float) -> float:
-        if index == m:
-            return _hit_probability(2.0**log2p, n)
-        total = 0.0
-        width = widths[index]
-        for length in range(1, width + 1):
-            if index == m - 1 and length == width:
-                total += _hit_probability(2.0 ** (log2p - length) * 2.0, n)
-            else:
-                total += deny(index + 1, log2p - length)
-        return total
-
-    expected += deny(0, 0.0)
-
-    def allow(rule_index: int, index: int, log2p: float) -> float:
-        if index == rule_index:
-            return _hit_probability(2.0 ** (log2p - widths[rule_index]), n)
-        return sum(
-            allow(rule_index, index + 1, log2p - length)
-            for length in range(1, widths[index] + 1)
-        )
-
-    for i in range(m - 1):
-        expected += allow(i, 0, 0.0)
     return expected
 
 

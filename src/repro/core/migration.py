@@ -26,6 +26,10 @@ Three policies, compared by the ``migrationsweep`` experiment:
   scan cost is exploded and stands down by itself the moment the swapped
   backend collapses the cost.
 
+A rebuild that fails mid-protocol (a step or the swap raises) is aborted
+on its shard before the error propagates, so the old backend keeps
+serving with no rebuild attached.
+
 Trigger discipline: threshold with hysteresis (after a swap the shard
 must fall below ``cost_threshold * hysteresis`` before the trigger
 re-arms — a cache that stays expensive after migrating must not flap) and
@@ -37,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.mitigation import MFCGuard
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, ReproError
 from repro.switch.sharded import AnyDatapath
 
 __all__ = ["MigrationPolicy", "MigrationReport", "MigrationController"]
@@ -159,21 +163,27 @@ class MigrationController:
             status = shard.migration_status()
             report.checked += 1
             report.worst_scan_cost = max(report.worst_scan_cost, status["scan_cost"])
-            if status["status"] == "rebuilding":
-                status = shard.migrate_backend_step(policy.slice_entries)
-                stepped.append(shard_id)
-            elif self._should_start(shard_id, status, now):
-                status = shard.migrate_backend_start(
-                    policy.target_backend, slice_size=policy.slice_entries
-                )
-                started.append(shard_id)
-                status = shard.migrate_backend_step(policy.slice_entries)
-            if status["status"] == "rebuilding" and status["rebuild_done"]:
-                status = shard.migrate_backend_swap()
-                swapped.append(shard_id)
-                self._cooldown_until[shard_id] = now + policy.cooldown
-                self._armed[shard_id] = False
-                self.migrations_completed += 1
+            try:
+                if status["status"] == "rebuilding":
+                    status = shard.migrate_backend_step(policy.slice_entries)
+                    stepped.append(shard_id)
+                elif self._should_start(shard_id, status, now):
+                    status = shard.migrate_backend_start(
+                        policy.target_backend, slice_size=policy.slice_entries
+                    )
+                    started.append(shard_id)
+                    status = shard.migrate_backend_step(policy.slice_entries)
+                if status["status"] == "rebuilding" and status["rebuild_done"]:
+                    status = shard.migrate_backend_swap()
+                    swapped.append(shard_id)
+                    self._cooldown_until[shard_id] = now + policy.cooldown
+                    self._armed[shard_id] = False
+                    self.migrations_completed += 1
+            except ReproError:
+                # Left attached, a rebuild that diverged from the truth
+                # store would fail the same swap on every later pass.
+                shard.migrate_backend_abort()
+                raise
             report.statuses.append(status)
         report.started = tuple(started)
         report.stepped = tuple(stepped)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from repro.classifier.actions import Action
 from repro.classifier.backend import (
@@ -46,7 +46,6 @@ from repro.classifier.slowpath import (
 )
 from repro.exceptions import CacheInvariantError, SwitchError
 from repro.packet.fields import FlowKey, FlowMask
-from repro.packet.packet import Packet
 from repro.switch.maskcache import KernelMaskCache
 
 __all__ = [
@@ -224,7 +223,7 @@ class DatapathConfig:
 
 @dataclass
 class DatapathStats:
-    """Aggregate counters, reset with :meth:`Datapath.reset_stats`."""
+    """Aggregate counters of one datapath."""
 
     packets: int = 0
     microflow_hits: int = 0
@@ -577,18 +576,6 @@ class Datapath:
                 f"{snapshot} without an upcall"
             )
 
-    def process_packet(self, packet: Packet, in_port: int = 0, now: float | None = None) -> PacketVerdict:
-        """Classify a concrete :class:`Packet` (wire-format convenience)."""
-        return self.process(packet.flow_key(in_port=in_port), now=now)
-
-    def process_packet_batch(
-        self, packets: Iterable[Packet], in_port: int = 0, now: float | None = None
-    ) -> BatchVerdicts:
-        """Batch-classify concrete :class:`Packet` objects."""
-        return self.process_batch(
-            [packet.flow_key(in_port=in_port) for packet in packets], now=now
-        )
-
     def _upcall(self, key: FlowKey, scanned: int) -> PacketVerdict:
         """Scalar slow path: generate for one key, then settle."""
         return self._install_upcall(key, self.generator.generate(key), scanned)
@@ -822,10 +809,6 @@ class Datapath:
                     stored_here += 1
         self._dead_entries.update(tuple(record) for record in dead)
         return stored_here
-
-    def reset_stats(self) -> None:
-        """Zero the aggregate counters (cache contents are kept)."""
-        self.stats = DatapathStats()
 
     def __repr__(self) -> str:
         return (

@@ -180,13 +180,12 @@ def _rebalance_line(status: dict) -> str:
 def _kernel_names(datapath: AnyDatapath) -> str:
     """The distinct scan-kernel names across shards (usually one).
 
-    Backends that scan without a pluggable kernel report ``none``; the
-    worker-owned shards of the process executor answer through the same
-    remote handle as the rest of the management plane.
+    Every backend declares ``scan_kernel_name`` (``none`` for those that
+    scan without a pluggable kernel); the worker-owned shards of the
+    process executor answer through the same remote handle as the rest of
+    the management plane.
     """
-    names = sorted(
-        {getattr(shard.megaflows, "scan_kernel_name", "none") for shard in datapath.shards}
-    )
+    names = sorted({shard.megaflows.scan_kernel_name for shard in datapath.shards})
     return "+".join(names)
 
 

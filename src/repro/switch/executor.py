@@ -66,11 +66,12 @@ Executor invariants (tested in ``tests/test_executor.py``):
   boundary.**  Entries returned by a worker are copies.  Every operation
   that can reach a shard is one row of :data:`SHARD_OPS`; a row whose
   ``by_value`` column is set (``kill_entry``, ``reinject``,
-  ``megaflows.find_entry``, ``megaflows.remove``) has its leading entry
-  argument resolved in the owning worker by ``(mask, masked key)`` — the
-  same value identity the §8 dead-entry quirk already uses — before the
-  real method runs.  Entry *lists* (``rebalance_install``) are never
-  resolved: they are state in flight to be adopted, not addresses.
+  ``megaflows.find_entry``) has its leading entry argument resolved in
+  the owning worker by ``(mask, masked key)`` — the same value identity
+  the §8 dead-entry quirk already uses — before the real method runs.
+  Entry *lists* (``rebalance_install``) are never resolved: they are
+  state in flight to be adopted, not addresses.  Packet batches are not
+  rows: they travel only as ``run_batch`` messages.
 * **One table, one message, one fan-out.**  The worker dispatch, the
   parent-side handles and :meth:`ShardExecutor.call_all` are all derived
   from :data:`SHARD_OPS`; a name that is not in it is refused in the
@@ -124,7 +125,9 @@ __all__ = [
 #
 # Every management capability that must reach a shard wherever its executor put
 # it is one row here.  Adding a capability is a ``Datapath`` (or backend) member
-# plus one row; nothing else in this module names an operation.
+# plus one row; nothing else in this module names an operation.  A row stays
+# only while code outside this module sends it (``tests/test_shard_ops.py``):
+# a member that is only ever called on a local object needs none.
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,12 +170,10 @@ SHARD_OPS: dict[str, ShardOp] = {
         ShardOp("microflows", kind="get"),
         ShardOp("core_report", fold="concat"),
         ShardOp("process"),
-        ShardOp("process_batch"),
         ShardOp("kill_entry", by_value=True),
         ShardOp("reinject", by_value=True, fold="none"),
         ShardOp("flush_caches", fold="none"),
         ShardOp("evict_idle", fold="concat"),
-        ShardOp("reset_stats", fold="none"),
         # Live backend migration: the rebuild and swap run *inside* the
         # owning worker; only the plain-dict status record crosses back.
         ShardOp("migration_status"),
@@ -187,39 +188,16 @@ SHARD_OPS: dict[str, ShardOp] = {
         ShardOp("rebalance_install"),
         ShardOp("stats_hits", "backend", "get", fold="sum"),
         ShardOp("stats_misses", "backend", "get", fold="sum"),
-        ShardOp("stats_scans", "backend", "get"),
-        ShardOp("stats_scan_probes", "backend", "get"),
-        ShardOp("n_masks", "backend", "get"),
-        ShardOp("n_entries", "backend", "get"),
-        ShardOp("check_invariants", "backend", "get"),
         ShardOp("scan_kernel_name", "backend", "get"),
         ShardOp("memory_bytes", "backend", fold="sum"),
         ShardOp("expected_scan_cost", "backend"),
-        ShardOp("structural_scan_cost", "backend"),
-        ShardOp("probe_unit_cost", "backend"),
         ShardOp("probe_cost_snapshot", "backend"),
         ShardOp("entries", "backend", fold="concat"),
         ShardOp("masks", "backend", fold="concat"),
-        ShardOp("entries_for_mask", "backend"),
-        ShardOp("find", "backend"),
         ShardOp("find_entry", "backend", by_value=True),
-        ShardOp("get_entry", "backend"),
-        ShardOp("probe_mask", "backend"),
-        ShardOp("remove", "backend", by_value=True),
-        ShardOp("evict_idle", "backend"),
-        ShardOp("insert_batch", "backend"),
         ShardOp("clear_memo", "backend"),
         ShardOp("shuffle_masks", "backend"),
-        ShardOp("verify_disjoint", "backend"),
     )
-}
-
-# Why a well-known member is deliberately *not* a row (appended to the refusal).
-_NOT_EXPORTED = {
-    "megaflows.remove_where": (
-        ": predicates do not cross the process boundary — run the predicate "
-        "over entries() copies and remove() the matches"
-    ),
 }
 
 
@@ -232,7 +210,7 @@ def shard_op(name: str) -> ShardOp:
     """The table row ``name`` travels under, or a :class:`SwitchError` naming it."""
     op = SHARD_OPS.get(name)
     if op is None:
-        raise _UnknownShardOp(f"{name!r} is not a shard operation (no SHARD_OPS row){_NOT_EXPORTED.get(name, '')}")
+        raise _UnknownShardOp(f"{name!r} is not a shard operation (no SHARD_OPS row)")
     return op
 
 
@@ -581,8 +559,8 @@ class ShardHandle:
     callable that forwards its arguments, and any other name is refused
     here, before anything touches the pipe.  Entries returned are copies;
     ``by_value`` rows resolve entry arguments in the worker.  Packet
-    batches normally flow through the executor's scatter/gather path
-    rather than per-handle calls.
+    batches have no row: they flow only through the executor's
+    scatter/gather path (:meth:`ProcessShardExecutor.run_batch`).
     """
 
     def __init__(

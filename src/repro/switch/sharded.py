@@ -27,7 +27,9 @@ every-shard management operation below is one
 :meth:`~repro.switch.executor.ShardExecutor.call_all` over a row of
 :data:`~repro.switch.executor.SHARD_OPS`: the row's fold column says how
 the per-shard answers combine, and the executor makes it one message per
-worker rather than one per shard per field.
+worker rather than one per shard per field.  A burst is not a row:
+``process_batch`` partitions it by RSS and hands the sub-batches to the
+executor's ``run_batch``.
 
 Sharding invariants (see ROADMAP.md):
 
@@ -44,13 +46,12 @@ Sharding invariants (see ROADMAP.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.classifier.backend import MegaflowEntry
 from repro.classifier.flowtable import FlowTable
 from repro.exceptions import SwitchError
 from repro.packet.fields import FlowKey
-from repro.packet.packet import Packet
 from repro.switch.datapath import (
     BatchVerdicts,
     CoreReport,
@@ -274,20 +275,6 @@ class ShardedDatapath:
             shard_ids=assignment,
         )
 
-    def process_packet(
-        self, packet: Packet, in_port: int = 0, now: float | None = None
-    ) -> PacketVerdict:
-        """Classify a concrete :class:`Packet` (wire-format convenience)."""
-        return self.process(packet.flow_key(in_port=in_port), now=now)
-
-    def process_packet_batch(
-        self, packets: Iterable[Packet], in_port: int = 0, now: float | None = None
-    ) -> ShardBatchVerdicts:
-        """Batch-classify concrete :class:`Packet` objects."""
-        return self.process_batch(
-            [packet.flow_key(in_port=in_port) for packet in packets], now=now
-        )
-
     # -- management operations ----------------------------------------------------
     def entries(self) -> Iterator[MegaflowEntry]:
         """All megaflow entries across shards (shard-major order)."""
@@ -317,10 +304,6 @@ class ShardedDatapath:
     def evict_idle(self, now: float | None = None) -> list[MegaflowEntry]:
         """Evict idle megaflows on every shard; returns all evicted entries."""
         return self.executor.call_all("evict_idle", now)
-
-    def reset_stats(self) -> None:
-        """Zero every shard's aggregate counters."""
-        self.executor.call_all("reset_stats")
 
     # -- live backend migration ---------------------------------------------------
     def migration_status(self) -> list[dict]:

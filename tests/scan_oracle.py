@@ -1,8 +1,8 @@
 """The scan oracle: the paper's Algorithm 1 over the truth dicts, in Python.
 
 ``lookup`` is the one-key case of the batch scanner, so the megaflow scan
-has one engine and comparing ``lookup`` with ``lookup_batch`` proves
-nothing about it.  This module is what the engine is held against: a
+has one engine and comparing ``lookup`` with a batch scanner's results
+proves nothing about it.  This module is what the engine is held against: a
 linear walk of the store's scan-ordered mask list that probes each mask's
 dict with the key's masked key and stops at the first entry (Inv(2): the
 only one).  :class:`ScanOracle` rides along a whole test: it wraps the

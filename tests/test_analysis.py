@@ -15,6 +15,7 @@ from repro.core.analysis import (
     spawn_probability,
 )
 from repro.exceptions import ExperimentError
+from tests.masks_oracle import expected_masks_enumerate
 
 
 class TestSpawnProbability:
@@ -104,10 +105,11 @@ class TestCensus:
 
 class TestExpectedMasks:
     def test_methods_agree(self):
+        """The census convolution ≡ the enumeration oracle."""
         for widths in ([16], [16, 16], [16, 32, 16]):
             for n in (10, 1000, 50000):
-                census = expected_masks(widths, n, method="census")
-                enum = expected_masks(widths, n, method="enumerate")
+                census = expected_masks(widths, n)
+                enum = expected_masks_enumerate(widths, n)
                 assert census == pytest.approx(enum, rel=1e-9), (widths, n)
 
     def test_paper_fig9b_values(self):
@@ -134,10 +136,6 @@ class TestExpectedMasks:
 
     def test_zero_packets(self):
         assert expected_masks([16], 0) == 0.0
-
-    def test_unknown_method(self):
-        with pytest.raises(ExperimentError):
-            expected_masks([16], 10, method="magic")
 
     def test_negative_n(self):
         with pytest.raises(ExperimentError):

@@ -16,6 +16,8 @@ The backend seam's contract (see ``repro/classifier/backend.py``):
 
 from __future__ import annotations
 
+from collections import Counter
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from repro.exceptions import CacheInvariantError, ClassifierError
 from repro.packet.fields import FIELDS, FlowKey
 from repro.packet.headers import PROTO_TCP
 from repro.switch.datapath import Datapath, DatapathConfig
+from tests.store_helpers import lookup_batch, remove_where, verify_disjoint
 
 # Derived from the name table: a new backend's row automatically inherits
 # the store/differential coverage (differentials compare each backend
@@ -274,7 +277,7 @@ def test_tuplechain_batch_equals_sequential(rules, keys):
     replay = list(keys) + list(keys)
     a, b = build(), build()
     sequential = [a.lookup(k, now=1.0) for k in replay]
-    batched = list(b.lookup_batch(replay, now=1.0))
+    batched = list(lookup_batch(b, replay, now=1.0))
     assert len(sequential) == len(batched)
     for i, (x, y) in enumerate(zip(sequential, batched)):
         assert x.masks_inspected == y.masks_inspected, i
@@ -332,7 +335,7 @@ def test_evict_idle_is_remove_where(name):
         datapath.megaflows.shuffle_masks(seed=7)
         stores.append(datapath.megaflows)
     evicting, reference = stores
-    expected = reference.remove_where(lambda e: 9.0 - e.last_used >= 6.0)
+    expected = remove_where(reference, lambda e: 9.0 - e.last_used >= 6.0)
     got = evicting.evict_idle(9.0, 6.0)
     assert 0 < len(got) < len(keys)
     assert [(e.mask.values, e.key) for e in got] == [(e.mask.values, e.key) for e in expected]
@@ -376,15 +379,15 @@ def test_attack_detonation_identical_and_probe_bounded():
 
 
 def test_tuplechain_group_accounting():
-    """Groups and chains reflect the constrained-field structure."""
+    """Groups reflect the constrained-field structure."""
     cache = TupleChainSearch()
     generator = MegaflowGenerator(SIPDP.build_table())
     for i in range(64):
-        cache.insert(generator.generate(FlowKey(ip_src=i, tp_dst=81, ip_proto=6)).entry)
-    sizes = cache.group_sizes()
-    assert sum(sizes.values()) == cache.n_masks
-    assert len(sizes) == cache.n_groups
-    assert sum(count for _mask, count in cache.chains()) == cache.n_entries
+        key = FlowKey(ip_src=i << 26, tp_dst=80 ^ (1 << (i % 16)), ip_proto=6)
+        cache.insert(generator.generate(key).entry)
+    groups = Counter(tuple(bool(m) for m in mask.values) for mask in cache.masks())
+    assert sum(groups.values()) == cache.n_masks > 1
+    assert len(groups) == cache.n_groups
 
 
 def test_find_and_probe_mask_shared_surface():
@@ -397,9 +400,9 @@ def test_find_and_probe_mask_shared_surface():
         assert cache.find(key) is entry
         assert cache.find_entry(entry)
         assert cache.probe_mask(entry.mask, key, now=1.0) is entry
-        assert cache.entries_for_mask(entry.mask) == [entry]
+        assert [e for e in cache.entries() if e.mask == entry.mask] == [entry]
         assert cache.memory_bytes() > 0
         assert len(cache) == 1
-        cache.verify_disjoint()
+        verify_disjoint(cache)
         assert cache.remove(entry)
         assert cache.find(key) is None

@@ -31,6 +31,7 @@ from repro.core.usecases import SIPDP, SIPSPDP
 from repro.packet.fields import FIELDS, FlowKey, _FieldVector
 from repro.packet.headers import PROTO_TCP
 from repro.switch.datapath import Datapath, DatapathConfig
+from tests.store_helpers import lookup_batch
 
 FIELD_POOL = ("ip_src", "ip_dst", "tp_src", "tp_dst", "ip_proto")
 
@@ -119,7 +120,7 @@ def test_lookup_batch_equivalent(rules, keys):
     replay = list(keys) + list(keys)
     a, b = build(), build()
     sequential = [a.lookup(k, now=1.0) for k in replay]
-    batched = b.lookup_batch(replay, now=1.0)
+    batched = lookup_batch(b, replay, now=1.0)
     assert_results_equal(sequential, list(batched))
     assert_caches_equal(a, b)
 
@@ -146,7 +147,7 @@ def test_lookup_batch_equivalent_with_churn(rules, keys, drop_every):
                 installed.append(cache.insert(generator.generate(key).entry))
             # Phase: look everything up (batch vs per-key).
             if batched:
-                transcript.extend(cache.lookup_batch(keys, now=float(round_no)))
+                transcript.extend(lookup_batch(cache, keys, now=float(round_no)))
             else:
                 transcript.extend(cache.lookup(k, now=float(round_no)) for k in keys)
             # Phase: remove every drop_every-th installed entry (retires
@@ -164,8 +165,8 @@ def test_lookup_batch_equivalent_with_churn(rules, keys, drop_every):
 @pytest.mark.usefixtures("scan_oracle")
 def test_lookup_batch_empty_and_trivial():
     cache = TupleSpaceSearch()
-    assert len(cache.lookup_batch([])) == 0
-    result = cache.lookup_batch([FlowKey(tp_dst=80)])
+    assert len(lookup_batch(cache, [])) == 0
+    result = lookup_batch(cache, [FlowKey(tp_dst=80)])
     assert not result[0].hit and result[0].masks_inspected == 0
     assert sum(r.hit for r in result) == 0 and sum(r.masks_inspected for r in result) == 0
 

@@ -26,6 +26,7 @@ from repro.classifier.rule import Match
 from repro.classifier.slowpath import WILDCARDING, MegaflowGenerator
 from repro.classifier.tss import TupleSpaceSearch
 from repro.packet.fields import FIELD_ORDER, FlowKey, FlowMask
+from tests.store_helpers import lookup_batch
 from tests.test_batch import KERNELS
 
 pytestmark = pytest.mark.usefixtures("scan_oracle")
@@ -91,7 +92,7 @@ def _assert_rows_are_the_full_derive(store: TupleSpaceSearch) -> None:
 
 def _scan_all(store: TupleSpaceSearch, keys) -> None:
     store.clear_memo()
-    store.lookup_batch(keys)  # each result is held to Algorithm 1 by the fixture
+    lookup_batch(store, keys)  # each result is held to Algorithm 1 by the fixture
     _assert_rows_are_the_full_derive(store)
 
 

@@ -128,10 +128,10 @@ def assert_equivalent(
         assert got_shard.stats == ref_shard.stats, (label, shard_id)
         assert got_shard.megaflows.stats_hits == ref_shard.megaflows.stats_hits
         assert got_shard.megaflows.stats_misses == ref_shard.megaflows.stats_misses
-        assert got_shard.megaflows.stats_scans == ref_shard.megaflows.stats_scans
+        # scans / probes_total are stats_scans / stats_scan_probes.
         assert (
-            got_shard.megaflows.stats_scan_probes
-            == ref_shard.megaflows.stats_scan_probes
+            got_shard.megaflows.probe_cost_snapshot()
+            == ref_shard.megaflows.probe_cost_snapshot()
         ), (label, shard_id)
 
 

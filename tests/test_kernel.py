@@ -44,6 +44,7 @@ from repro.classifier.tss import TupleSpaceSearch
 from repro.exceptions import CacheInvariantError, ClassifierError
 from repro.packet.fields import FIELD_ORDER, FIELDS, FlowKey, FlowMask
 from repro.switch.datapath import Datapath, DatapathConfig
+from tests.store_helpers import lookup_batch
 
 CFFI_AVAILABLE = cffi_kernel_available()
 needs_cffi = pytest.mark.skipif(
@@ -94,12 +95,12 @@ def _drive(kernel: str, entries, probes, shuffle_seed: int) -> tuple:
     half = len(entries) // 2
     for entry in entries[:half]:
         tss.insert(MegaflowEntry(mask=entry.mask, key=entry.key, action=entry.action))
-    transcript.append([_summarise(r) for r in tss.lookup_batch(probes, now=1.0)])
+    transcript.append([_summarise(r) for r in lookup_batch(tss, probes, now=1.0)])
     for entry in entries[half:]:
         tss.insert(MegaflowEntry(mask=entry.mask, key=entry.key, action=entry.action))
-    transcript.append([_summarise(r) for r in tss.lookup_batch(probes, now=2.0)])
+    transcript.append([_summarise(r) for r in lookup_batch(tss, probes, now=2.0)])
     tss.shuffle_masks(seed=shuffle_seed)
-    transcript.append([_summarise(r) for r in tss.lookup_batch(probes, now=3.0)])
+    transcript.append([_summarise(r) for r in lookup_batch(tss, probes, now=3.0)])
     transcript.append(
         (tss.stats_hits, tss.stats_misses, tss.stats_scans, tss.stats_scan_probes)
     )
@@ -242,7 +243,7 @@ class TestDifferential:
         tss = TupleSpaceSearch(scan_kernel="numpy")
         for entry in entries:
             tss.insert(MegaflowEntry(mask=entry.mask, key=entry.key, action=ALLOW))
-        results = tss.lookup_batch(probes)
+        results = lookup_batch(tss, probes)
         assert len(tss._scan_operands().active) == width
         assert {r.masks_inspected for r in results if r.hit} == set(
             range(1, tss.n_masks + 1)
@@ -373,14 +374,14 @@ class TestOperandCacheCoherence:
         tss = TupleSpaceSearch(check_invariants=True, scan_kernel=kernel)
         tss.insert(_entry(0, 1, 2, 3))
         probe = [FlowKey(ip_src=9, tp_dst=9)]
-        tss.lookup_batch(probe)
+        lookup_batch(tss, probe)
         stale = tss._acc_operands
         tss.insert(_entry(1, 4, 5, 6))  # a second mask drops the snapshot
         assert tss._acc_operands is None
         tss._acc_operands = stale
         tss.clear_memo()
         with pytest.raises(CacheInvariantError):
-            tss.lookup_batch(probe)
+            lookup_batch(tss, probe)
 
 
 # -- membership-filter coherence -------------------------------------------------
@@ -405,7 +406,7 @@ class TestFilterCoherence:
         entries = [_filter_entry(n) for n in range(1100)]
         keys = [FlowKey.from_values(entry.key) for entry in entries]
         tss.insert(entries[0])
-        tss.lookup_batch(keys[:1])  # builds the accelerator; inserts index from here
+        lookup_batch(tss, keys[:1])  # builds the accelerator; inserts index from here
         start = _filter_log2(tss)
 
         # Per-entry appends, up to the first growth threshold with the last
@@ -424,7 +425,7 @@ class TestFilterCoherence:
             tss.insert_batch(entries[first:first + 256])
         assert _filter_log2(tss) == start + 4
         tss.clear_memo()
-        results = tss.lookup_batch(keys)  # _check_filter on every plan
+        results = lookup_batch(tss, keys)  # _check_filter on every plan
         assert [r.entry for r in results] == entries
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -432,12 +433,12 @@ class TestFilterCoherence:
         tss = TupleSpaceSearch(check_invariants=True, scan_kernel=kernel)
         tss.insert(_entry(0, 1, 2, 3))
         probe = [FlowKey(ip_src=9, tp_dst=9)]
-        tss.lookup_batch(probe)
+        lookup_batch(tss, probe)
         slot = int(tss._acc_compounds[0]) >> tss._acc_filter_shift
         tss._acc_filter[slot >> 3] &= ~(1 << (slot & 7)) & 0xFF
         tss.clear_memo()
         with pytest.raises(CacheInvariantError):
-            tss.lookup_batch(probe)
+            lookup_batch(tss, probe)
 
 
 # -- exactness ---------------------------------------------------------------------
@@ -520,7 +521,7 @@ class TestExactness:
             collider,
         ]
         want = [(narrow_entry, 1), (wide_entry, 2), (None, 2)]
-        assert [tuple(r) for r in tss.lookup_batch(keys)] == want
+        assert [tuple(r) for r in lookup_batch(tss, keys)] == want
         assert len(set(tss._acc_compounds.tolist())) == 1  # one shared compound
         tss.clear_memo()
         assert [tuple(tss.lookup(key)) for key in keys] == want

@@ -303,6 +303,26 @@ class TestMigrationController:
         assert runs > 1  # the rebuild genuinely spread over several passes
         assert datapath.megaflows.name == "tuplechain"
 
+    def test_a_failed_swap_is_aborted_and_raised(self, monkeypatch):
+        datapath = self.detonated()
+        controller = MigrationController(
+            datapath, MigrationPolicy(cost_threshold=50.0, slice_entries=100_000)
+        )
+
+        def diverged(rebuild):
+            rebuild.detach()
+            raise ClassifierError("rebuild diverged from the truth store")
+
+        monkeypatch.setattr(BackendRebuild, "finish", diverged)
+        with pytest.raises(ClassifierError, match="diverged"):
+            controller.run(now=0.0)
+        assert datapath.migration_status()["status"] == "idle"
+        assert datapath.megaflows.name == "tss"
+        assert controller.migrations_completed == 0
+        monkeypatch.undo()  # the next pass starts afresh and swaps
+        assert controller.run(now=1.0).swapped == (0,)
+        assert datapath.megaflows.name == "tuplechain"
+
     def test_no_retrigger_after_swap(self):
         datapath = self.detonated()
         controller = MigrationController(

@@ -189,9 +189,6 @@ def test_scan_stats_feed_the_snapshot(name):
     snapshot = cache.probe_cost_snapshot()
     assert snapshot.scans == cache.stats_scans > 0
     assert snapshot.probes_total == cache.stats_scan_probes > 0
-    assert snapshot.probes_per_scan == pytest.approx(
-        cache.stats_scan_probes / cache.stats_scans
-    )
     assert snapshot.scan_cost >= 1.0
     assert make_megaflow_backend(name).probe_cost_snapshot().scans == 0
 

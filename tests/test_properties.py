@@ -34,6 +34,8 @@ from repro.core.analysis import (
 from repro.packet.builder import PacketBuilder
 from repro.packet.fields import FIELDS, FlowKey
 from repro.packet.packet import parse_packet
+from tests.masks_oracle import expected_masks_enumerate
+from tests.store_helpers import verify_disjoint
 
 # -- strategies -----------------------------------------------------------------
 
@@ -112,7 +114,7 @@ def test_independence_invariant(rules, keys, strategy):
     cache = TupleSpaceSearch()
     for key in keys:
         cache.insert(generator.generate(key).entry)
-    cache.verify_disjoint()
+    verify_disjoint(cache)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -214,8 +216,8 @@ def test_detector_never_flags_allow_entries(rules, keys):
 @given(widths=st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=3),
        n=st.integers(min_value=0, max_value=100000))
 def test_expected_mask_methods_agree(widths, n):
-    census = expected_masks(widths, n, method="census")
-    enumerate_ = expected_masks(widths, n, method="enumerate")
+    census = expected_masks(widths, n)
+    enumerate_ = expected_masks_enumerate(widths, n)
     assert abs(census - enumerate_) <= max(1e-6, 1e-9 * census)
 
 

@@ -26,6 +26,7 @@ from repro.core.usecases import SIPDP
 from repro.packet.fields import _FIELD_DEFS, FIELD_ORDER, FlowKey, FlowMask
 from repro.switch.datapath import BatchVerdicts, Datapath, DatapathConfig, PacketVerdict, PathTaken
 from repro.switch.shm_ring import ShmRing, decode_verdicts, encode_verdicts
+from tests.store_helpers import lookup_batch
 from tests.test_batch import KERNELS, _detonation_trace
 
 # Any value of a field's full width, its extremes (both 64-bit halves of an
@@ -99,7 +100,7 @@ def test_both_kernels_scan_the_read_only_matrix(kernel):
 
 def _scan(store: TupleSpaceSearch, keys) -> list:
     store.clear_memo()
-    return [(r.entry, r.masks_inspected) for r in store.lookup_batch(keys)]
+    return [(r.entry, r.masks_inspected) for r in lookup_batch(store, keys)]
 
 
 @pytest.mark.parametrize(

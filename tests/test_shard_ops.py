@@ -5,12 +5,16 @@ outcomes: that the stringly-typed table names real members of the declared
 kind, that adding a row is all it takes to reach every shard under every
 executor, that a name outside the table never reaches a pipe, that the
 ``by_value`` column — and nothing else — decides which arguments a worker
-resolves, and that an aggregate costs one message per *worker*.
+resolves, that an aggregate costs one message per *worker*, and that every
+row has a sender in the program: a member only ever called on a local
+object needs no row.
 """
 
 from __future__ import annotations
 
 import pickle
+import re
+from pathlib import Path
 
 import pytest
 from test_executor import build, small_table, staircase_replay
@@ -23,6 +27,25 @@ from repro.switch.dpctl import dump_flows, show
 from repro.switch.executor import _FOLDS, SHARD_OPS, ShardOp, _apply_op
 
 EXECUTORS = ("serial", "thread", "process")
+
+REPO = Path(__file__).resolve().parent.parent
+# Where a row may be sent from: the program, minus the module the table lives in.
+SENDER_ROOTS = ("src", "examples", "benchmarks/perf")
+EXECUTOR_MODULE = REPO / "src" / "repro" / "switch" / "executor.py"
+# A shard as the program reaches it: a ``for shard in ...shards`` variable or an index.
+SHARD = r"(?:\bshard|shards\[[^\]]*\])"
+
+
+def sent_rows(source: str) -> set[str]:
+    """The table keys one file sends: ``call_all("key")`` strings, shard
+    attributes, and attributes of a shard's store (or a local alias of it,
+    such as ``cache = shard.megaflows``)."""
+    aliases = re.findall(rf"\b(\w+) = {SHARD}\.megaflows\b", source)
+    store = "|".join([rf"{SHARD}\.megaflows", *(rf"\b{alias}" for alias in aliases)])
+    sent = set(re.findall(r"call_all\(\s*[\"']([\w.]+)[\"']", source))
+    sent.update(re.findall(rf"{SHARD}\.(\w+)", source))
+    sent.update(f"megaflows.{name}" for name in re.findall(rf"(?:{store})\.(\w+)", source))
+    return sent
 
 
 def warm_keys(n: int = 48) -> list[FlowKey]:
@@ -61,8 +84,15 @@ class TestTable:
             "kill_entry",
             "reinject",
             "megaflows.find_entry",
-            "megaflows.remove",
         }
+
+    def test_every_row_has_a_sender(self):
+        sent = set()
+        for root in SENDER_ROOTS:
+            for path in sorted((REPO / root).rglob("*.py")):
+                if path != EXECUTOR_MODULE:
+                    sent |= sent_rows(path.read_text())
+        assert sorted(set(SHARD_OPS) - sent) == []
 
     def test_only_by_value_rows_resolve_and_only_their_leading_entry(self, monkeypatch):
         datapath = Datapath(small_table(), DatapathConfig(microflow_capacity=0))
@@ -75,11 +105,10 @@ class TestTable:
             monkeypatch.setattr(
                 Datapath, name, lambda self, *args, _name=name, **kw: seen.__setitem__(_name, args)
             )
-        for name in ("find_entry", "remove"):
-            monkeypatch.setattr(
-                type(datapath.megaflows), name, lambda self, *args, _name=name: seen.__setitem__(_name, args)
-            )
-        for key in ("kill_entry", "reinject", "megaflows.find_entry", "megaflows.remove"):
+        monkeypatch.setattr(
+            type(datapath.megaflows), "find_entry", lambda self, *args: seen.__setitem__("find_entry", args)
+        )
+        for key in ("kill_entry", "reinject", "megaflows.find_entry"):
             op = SHARD_OPS[key]
             _apply_op(datapath, op, (copy,), {}, remote=True)
             assert seen[op.name][0] is installed, key
@@ -98,7 +127,7 @@ class TestTable:
             before = shard.n_megaflows
             assert before > 2
             assert shard.megaflows.find_entry(copy)
-            assert shard.megaflows.remove(copy)
+            assert shard.kill_entry(copy)
             assert not shard.megaflows.find_entry(copy)
             assert shard.n_megaflows == before - 1
             # A copy of an installed entry handed over in a list is adopted
@@ -131,12 +160,12 @@ class TestRefusal:
         with build("process", small_table(), n_shards=2) as datapath:
             datapath.process_batch(warm_keys())
             shard = datapath.shards[0]
+            copy = next(iter(shard.megaflows.entries()))
             sent = count_sends(monkeypatch, datapath.executor)
-            with pytest.raises(SwitchError, match="remove_where") as excinfo:
-                shard.megaflows.remove_where(lambda entry: True)
-            message = str(excinfo.value)
-            assert "predicates do not cross the process boundary" in message
-            assert "entries()" in message and "remove()" in message
+            with pytest.raises(SwitchError, match="'megaflows.remove' is not a shard operation"):
+                shard.megaflows.remove(copy)
+            with pytest.raises(SwitchError, match="'process_batch'"):  # batches are run_batch messages
+                shard.process_batch(warm_keys())
             with pytest.raises(SwitchError, match="'warp'"):
                 shard.warp
             with pytest.raises(SwitchError, match="'megaflows.warp'"):
@@ -157,8 +186,11 @@ class TestRefusal:
     @pytest.mark.parametrize("executor", ("serial", "thread"))
     def test_in_process_fan_out_refuses_before_touching_a_shard(self, executor):
         with build(executor, small_table(), n_shards=2) as datapath:
-            with pytest.raises(SwitchError, match="remove_where"):
-                datapath.executor.call_all("megaflows.remove_where", lambda entry: True)
+            datapath.process_batch(warm_keys())
+            entry = next(datapath.entries())
+            with pytest.raises(SwitchError, match="'megaflows.remove'"):
+                datapath.executor.call_all("megaflows.remove", entry)
+            assert sorted(datapath.executor.call_all("megaflows.find_entry", entry)) == [False, True]
 
 
 class TestOneMessagePerWorker:

@@ -6,6 +6,7 @@ from repro.classifier.actions import ALLOW, DENY
 from repro.classifier.tss import ENTRY_BYTES, MASK_BYTES, MegaflowEntry, TupleSpaceSearch
 from repro.exceptions import CacheInvariantError
 from repro.packet.fields import FlowKey, FlowMask
+from tests.store_helpers import lookup_batch, verify_disjoint
 
 
 def entry(tp_dst_value: int, tp_dst_mask: int = 0xFFFF, action=DENY, **extra) -> MegaflowEntry:
@@ -90,7 +91,7 @@ class TestInvariants:
         cache = TupleSpaceSearch(check_invariants=True)
         cache.insert(entry(0x8000, tp_dst_mask=0x8000))
         cache.insert(entry(0x4000, tp_dst_mask=0xC000))
-        cache.verify_disjoint()
+        verify_disjoint(cache)
 
     @pytest.mark.parametrize("kernel", ["numpy", "auto"])
     def test_key_bits_outside_the_mask(self, kernel):
@@ -106,14 +107,14 @@ class TestInvariants:
         key = FlowKey(ip_src=0x0A0000FE, tp_dst=80)
         assert cache.find(key) is raw
         assert cache.lookup(key).entry is raw
-        assert cache.lookup_batch([key, FlowKey(ip_src=0x0A000001, tp_dst=80)])[1].entry is raw
+        assert lookup_batch(cache, [key, FlowKey(ip_src=0x0A000001, tp_dst=80)])[1].entry is raw
 
     def test_verify_disjoint_catches_violation(self):
         cache = TupleSpaceSearch()
         cache.insert(entry(0x8000, tp_dst_mask=0x8000))
         cache.insert(entry(0x8080, tp_dst_mask=0xFFFF))  # overlapping
         with pytest.raises(CacheInvariantError):
-            cache.verify_disjoint()
+            verify_disjoint(cache)
 
 
 class TestRemoveEvict:
@@ -133,15 +134,6 @@ class TestRemoveEvict:
         assert cache.n_masks == 1
         cache.remove(b)
         assert cache.n_masks == 0
-
-    def test_remove_where(self):
-        cache = TupleSpaceSearch()
-        cache.insert(entry(80, action=ALLOW))
-        cache.insert(entry(81, action=DENY))
-        cache.insert(entry(82, action=DENY))
-        removed = cache.remove_where(lambda e: e.action.is_drop)
-        assert len(removed) == 2
-        assert cache.n_entries == 1
 
     def test_evict_idle(self):
         cache = TupleSpaceSearch()
@@ -199,11 +191,6 @@ class TestIntrospection:
         cache.insert(entry(0x4000, tp_dst_mask=0xC000))
         masks = [e.mask for e in cache.entries()]
         assert masks == cache.masks()
-
-    def test_entries_for_mask(self):
-        cache = TupleSpaceSearch()
-        stored = cache.insert(entry(80))
-        assert cache.entries_for_mask(stored.mask) == [stored]
 
     def test_find(self):
         cache = TupleSpaceSearch()

@@ -3,7 +3,7 @@ Attack Against a Software Packet Classifier" (Csikor et al., CoNEXT 2019).
 
 The package provides, in layers:
 
-* :mod:`repro.packet` — packet crafting (headers, checksums, pcap I/O);
+* :mod:`repro.packet` — packet crafting (headers, checksums, pcap export);
 * :mod:`repro.classifier` — flow tables, the pluggable megaflow backends
   (Tuple Space Search, TupleChain-style grouped lookup) with their
   generation strategies, and the alternative classifiers of §7 (tries,
@@ -15,11 +15,8 @@ The package provides, in layers:
   analytic tuple-space model, the complexity theorems, and MFCGuard;
 * :mod:`repro.experiments` — one harness per table/figure of the paper.
 
-Quickstart::
-
-    from repro import quickstart
-    report = quickstart()          # runs a small co-located TSE end to end
-    print(report)
+Quickstart: ``python examples/quickstart.py`` runs a small co-located
+TSE end to end.
 """
 
 from repro.classifier import (
@@ -84,27 +81,5 @@ __all__ = [
     "expected_masks",
     "use_case",
     "SIPSPDP",
-    "quickstart",
     "__version__",
 ]
-
-
-def quickstart() -> str:
-    """Run a miniature co-located TSE end to end and describe the damage.
-
-    Builds the Fig. 6 ACL, generates the adversarial trace, replays it
-    through a simulated datapath and reports mask growth plus the modelled
-    victim throughput — a three-line tour of the whole library.
-    """
-    table = SIPSPDP.build_table()
-    trace = ColocatedTraceGenerator(table, base={"ip_proto": 6}).generate("SipSpDp")
-    datapath = Datapath(table)
-    datapath.process_batch(trace.keys)
-    model = CostModel()
-    gbps = model.victim_gbps(datapath.n_masks)
-    return (
-        f"TSE quickstart: replayed {len(trace)} crafted packets against the "
-        f"Fig. 6 ACL; megaflow cache now holds {datapath.n_masks} masks / "
-        f"{datapath.n_megaflows} entries; modelled victim throughput "
-        f"{gbps:.3f} Gbps (baseline {model.baseline_gbps:.1f} Gbps)."
-    )

@@ -38,16 +38,6 @@ class Action:
         """True for deny actions (the entries MFCGuard evicts)."""
         return self.kind is ActionKind.DENY
 
-    @property
-    def is_allow(self) -> bool:
-        """True for allow/forward actions (traffic admitted by the ACL)."""
-        return self.kind in (ActionKind.ALLOW, ActionKind.FORWARD)
-
-    @classmethod
-    def forward(cls, out_port: int) -> "Action":
-        """A FORWARD action to ``out_port``."""
-        return cls(ActionKind.FORWARD, out_port=out_port)
-
     def __str__(self) -> str:
         if self.kind is ActionKind.FORWARD:
             return f"forward:{self.out_port}"

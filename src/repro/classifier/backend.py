@@ -96,10 +96,6 @@ class MegaflowEntry:
     last_used: float = 0.0
     hits: int = 0
 
-    def covers(self, key: FlowKey) -> bool:
-        """True when ``key`` matches this entry (agrees on all masked bits)."""
-        return key.masked(self.mask) == self.key
-
     def overlaps(self, other: "MegaflowEntry") -> bool:
         """True when some packet could match both entries."""
         return self.mask.overlaps_key(self.key, other.mask, other.key)

@@ -45,10 +45,6 @@ class PacketClassifier(abc.ABC):
     def classify(self, key: FlowKey) -> ClassifierResult:
         """Classify ``key``, reporting the decision and the lookup cost."""
 
-    def action_for(self, key: FlowKey) -> Action:
-        """Convenience: just the action."""
-        return self.classify(key).action
-
     @abc.abstractmethod
     def memory_units(self) -> int:
         """Rough structure size (nodes/entries) for space comparisons."""

@@ -163,29 +163,6 @@ class FlowTable:
     def __len__(self) -> int:
         return len(self._rules)
 
-    def is_order_independent(self) -> bool:
-        """True when all rules are pairwise disjoint (§2.1).
-
-        Order-independent tables have a unique matching rule per packet, the
-        property the megaflow cache must establish via Inv(2).
-        """
-        ordered = self.rules_by_priority()
-        for i, first in enumerate(ordered):
-            for second in ordered[i + 1 :]:
-                if first.match.overlaps(second.match):
-                    return False
-        return True
-
-    def overlapping_pairs(self) -> list[tuple[FlowRule, FlowRule]]:
-        """All rule pairs a single packet could match (diagnostics)."""
-        ordered = self.rules_by_priority()
-        pairs = []
-        for i, first in enumerate(ordered):
-            for second in ordered[i + 1 :]:
-                if first.match.overlaps(second.match):
-                    pairs.append((first, second))
-        return pairs
-
     def __repr__(self) -> str:
         return f"FlowTable({self.name!r}, {len(self._rules)} rules)"
 

@@ -40,7 +40,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import ExperimentResult
 
-__all__ = ["EXPERIMENTS", "run_experiment", "ExperimentResult"]
+__all__ = ["EXPERIMENTS", "ExperimentResult"]
 
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "didactic": didactic.run,
@@ -65,8 +65,3 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "migrationsweep": migrationsweep.run,
     "rsssweep": rsssweep.run,
 }
-
-
-def run_experiment(experiment_id: str, **params) -> ExperimentResult:
-    """Run one experiment by id (raises KeyError for unknown ids)."""
-    return EXPERIMENTS[experiment_id](**params)

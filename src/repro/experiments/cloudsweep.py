@@ -57,7 +57,6 @@ def run_plan(
     seed: int = 0,
     dt: float = 0.1,
     rack_period: float = 1.0,
-    mode: str = "event",
 ) -> dict:
     """One detonation plan over a fresh fleet; returns its floor stats.
 
@@ -76,7 +75,7 @@ def run_plan(
         rack_period=rack_period,
     )
     try:
-        simulation = Simulation(dt=dt, mode=mode)
+        simulation = Simulation(dt=dt)
         fleet.register(simulation)
         rules = attacker_rules(use_case_name)
         window = [ActiveWindow(attack_start, attack_stop)]
@@ -137,7 +136,6 @@ def run(
     seed: int = 0,
     dt: float = 0.1,
     rack_period: float = 1.0,
-    mode: str = "event",
 ) -> ExperimentResult:
     """Floor distributions for both detonation plans over the same fleet shape."""
     try:
@@ -181,7 +179,6 @@ def run(
             seed=seed,
             dt=dt,
             rack_period=rack_period,
-            mode=mode,
         )
         for plan in PLANS
     ]

@@ -21,7 +21,7 @@ from repro.netsim.cms import (
 )
 from repro.netsim.engine import SimComponent, Simulation
 from repro.netsim.fleet import Fleet, FleetHost, Rack, TenantBlock, TenantStream
-from repro.netsim.flows import ActiveWindow, AttackSource, RandomFloodSource, VictimFlow
+from repro.netsim.flows import ActiveWindow, AttackSource, VictimFlow
 from repro.netsim.hypervisor import HypervisorHost, QuirkConfig, VictimState
 from repro.netsim.metrics import MetricsCollector, TimeSeries, quantile
 
@@ -41,7 +41,6 @@ __all__ = [
     "VictimState",
     "ActiveWindow",
     "AttackSource",
-    "RandomFloodSource",
     "VictimFlow",
     "PolicyRule",
     "CmsBackend",

@@ -303,8 +303,3 @@ class Datacenter:
         tenant.vms.append(vm)
         self.servers[server_index].place(vm)
         return vm
-
-    def server_of(self, vm: VirtualMachine) -> Server:
-        if vm.server is None:
-            raise SimulationError(f"{vm.name} is not scheduled")
-        return vm.server

@@ -1,23 +1,18 @@
-"""Simulation engine: fixed-step exact-compat loop + event-driven scheduler.
+"""Simulation engine: one event-driven scheduler on a drift-free clock.
 
 The experiments advance in small ticks (100 ms by default): traffic sources
 inject real packets into the simulated datapath, then the hypervisor model
 settles CPU accounting and assigns victim rates, then observers sample
-metrics.  Components are ticked in registration order, so register sources
-before the hypervisor and the hypervisor before observers.
+metrics.  Components due at the same tick run in registration order, so
+register sources before the hypervisor and the hypervisor before observers.
 
-Two scheduling modes share one drift-free clock:
-
-* ``mode="fixed"`` (the default, and the exact-compat mode every paper
-  preset runs in): every component ticks at every ``dt`` step, exactly as
-  the original fixed-step loop did — byte-identical Fig 8/9 / Table 1
-  outputs.
-* ``mode="event"``: components declare a ``period`` (an attribute, or the
-  ``period=`` argument to :meth:`Simulation.add`) and are ticked from a
-  heap at their own cadence.  A 10k-host fleet whose idle hosts settle
-  once a second no longer pays 100 ms ticks everywhere; a component's
-  ``tick`` receives the time elapsed since *its* previous tick as ``dt``,
-  so rate integration (``pps * dt``) stays exact at any cadence.
+A component declares a ``period`` (an attribute, or the ``period=``
+argument to :meth:`Simulation.add`) and is ticked from a heap at its own
+cadence; one that declares none ticks at every base ``dt``, which is how
+every paper preset runs.  A 10k-host fleet whose idle hosts settle once a
+second does not pay 100 ms ticks everywhere; a component's ``tick``
+receives the time elapsed since *its* previous tick as ``dt``, so rate
+integration (``pps * dt``) stays exact at any cadence.
 
 Periods are quantised onto the base ``dt`` grid (integer tick multiples),
 which keeps coincident events exactly coincident — a 0.1 s source and a
@@ -32,7 +27,6 @@ ticks.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field as dc_field
 from typing import Callable, Protocol
 
 from repro.exceptions import SimulationError
@@ -44,44 +38,32 @@ class SimComponent(Protocol):
     """Anything the simulation loop can drive.
 
     A component may additionally expose a ``period`` attribute (seconds);
-    the event-driven scheduler ticks it at that cadence (quantised to the
-    base ``dt`` grid).  The fixed-step mode ignores periods entirely.
+    the scheduler ticks it at that cadence (quantised to the base ``dt``
+    grid), and at every ``dt`` when it declares none.
     """
 
     def tick(self, now: float, dt: float) -> None:  # pragma: no cover - protocol
         ...
 
 
-@dataclass
-class _Scheduled:
-    """One registered component with its scheduling state."""
-
-    component: SimComponent
-    period_ticks: int
-    order: int
-    next_tick: int = dc_field(default=0)
-
-
 class Simulation:
     """The simulation loop.
 
     Args:
-        dt: base tick length in seconds (the fixed-step cadence, and the
-            grid event-mode periods are quantised onto).
-        mode: ``"fixed"`` (every component every tick — the paper-exact
-            compat mode) or ``"event"`` (heap-scheduled per-component
-            periods).
+        dt: base tick length in seconds (the cadence of a component that
+            declares no period, and the grid periods are quantised onto).
+        mode: ``"event"``, the one schedule; accepted so that callers
+            which still name it keep working.
     """
 
-    MODES = ("fixed", "event")
+    MODES = ("event",)
 
-    def __init__(self, dt: float = 0.1, mode: str = "fixed"):
+    def __init__(self, dt: float = 0.1, mode: str = "event"):
         if dt <= 0:
             raise SimulationError(f"dt must be positive, got {dt}")
         if mode not in self.MODES:
             raise SimulationError(f"unknown mode {mode!r}; expected one of {self.MODES}")
         self.dt = dt
-        self.mode = mode
         self.now = 0.0
         # Single integer tick counter spanning the simulation's lifetime.
         # Every timestamp is derived as `tick * dt` from it (never
@@ -89,19 +71,17 @@ class Simulation:
         # across ticks *or* across resumed `run()` calls — the contract the
         # 10 s idle-eviction comparisons of Fig. 8a/8b rely on.
         self._tick = 0
-        self._components: list[_Scheduled] = []
-        self._heap: list[tuple[int, int, _Scheduled]] = []
+        # (next tick, registration order, component, period in ticks).
+        self._heap: list[tuple[int, int, SimComponent, int]] = []
         self._observers: list[Callable[[float], None]] = []
 
     def add(self, component: SimComponent, period: float | None = None) -> None:
         """Register a component (ticked in registration order at equal times).
 
-        ``period`` (seconds) sets the component's event-mode cadence; when
-        omitted, a ``period`` attribute on the component is honoured, and
-        components declaring neither tick at every base ``dt``.  Periods
-        are quantised to the nearest whole number of base ticks (at least
-        one).  The fixed-step mode ticks every component at every ``dt``
-        regardless of period.
+        ``period`` (seconds) sets the component's cadence; when omitted, a
+        ``period`` attribute on the component is honoured, and components
+        declaring neither tick at every base ``dt``.  Periods are quantised
+        to the nearest whole number of base ticks (at least one).
         """
         if not hasattr(component, "tick"):
             raise SimulationError(f"{component!r} has no tick() method")
@@ -112,20 +92,12 @@ class Simulation:
             if period <= 0:
                 raise SimulationError(f"period must be positive, got {period}")
             period_ticks = max(1, round(period / self.dt))
-        entry = _Scheduled(
-            component,
-            period_ticks,
-            order=len(self._components),
-            next_tick=self._tick,
-        )
-        self._components.append(entry)
-        heapq.heappush(self._heap, (entry.next_tick, entry.order, entry))
+        heapq.heappush(self._heap, (self._tick, len(self._heap), component, period_ticks))
 
     def observe(self, callback: Callable[[float], None]) -> None:
         """Register a sampling callback run after the components of a tick.
 
-        In fixed mode observers run after every base tick; in event mode
-        they run after every timestamp at which at least one component
+        Observers run after every timestamp at which at least one component
         ticked (there is nothing new to sample in between).
         """
         if not callable(callback):
@@ -133,42 +105,25 @@ class Simulation:
         self._observers.append(callback)
 
     def run(self, duration: float) -> None:
-        """Advance the simulation by ``duration`` seconds."""
+        """Advance the simulation by ``duration`` seconds.
+
+        Pops the schedule heap up to (excluding) the end tick.  Components
+        due at the same tick run in registration order (the heap is keyed
+        ``(tick, registration order)``); each receives the wall time
+        elapsed since its own previous tick as ``dt``.
+        """
         if duration < 0:
             raise SimulationError(f"duration must be >= 0, got {duration}")
-        ticks = round(duration / self.dt)
-        end_tick = self._tick + ticks
-        if self.mode == "fixed":
-            self._run_fixed(end_tick)
-        else:
-            self._run_events(end_tick)
-        self._tick = end_tick
-        self.now = end_tick * self.dt
-
-    def _run_fixed(self, end_tick: int) -> None:
-        """The exact-compat fixed-step loop (every component, every tick)."""
-        for k in range(self._tick, end_tick):
-            self.now = k * self.dt
-            for entry in self._components:
-                entry.component.tick(self.now, self.dt)
-            for observer in self._observers:
-                observer(self.now)
-
-    def _run_events(self, end_tick: int) -> None:
-        """Pop the schedule heap up to (excluding) ``end_tick``.
-
-        Components due at the same tick run in registration order (the
-        heap is keyed ``(tick, registration order)``); each receives the
-        wall time elapsed since its own previous tick as ``dt``.
-        """
+        end_tick = self._tick + round(duration / self.dt)
         heap = self._heap
         while heap and heap[0][0] < end_tick:
             tick = heap[0][0]
             self.now = tick * self.dt
             while heap and heap[0][0] == tick:
-                _, order, entry = heapq.heappop(heap)
-                entry.component.tick(self.now, entry.period_ticks * self.dt)
-                entry.next_tick = tick + entry.period_ticks
-                heapq.heappush(heap, (entry.next_tick, order, entry))
+                _, order, component, period_ticks = heapq.heappop(heap)
+                component.tick(self.now, period_ticks * self.dt)
+                heapq.heappush(heap, (tick + period_ticks, order, component, period_ticks))
             for observer in self._observers:
                 observer(self.now)
+        self._tick = end_tick
+        self.now = end_tick * self.dt

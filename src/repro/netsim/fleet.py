@@ -31,8 +31,8 @@ member host's maintenance, then settles **all tenants of all its hosts in
 a single array pass** — per-host core arrays are concatenated with core
 offsets (cores are never shared between hosts, so the concatenated pass
 is exactly the per-host passes run back to back; differential-tested).
-Racks declare a ``period``, so an event-mode :class:`~repro.netsim.engine.
-Simulation` settles a mostly-idle fleet at 1 s cadence while attack
+Racks declare a ``period``, so the :class:`~repro.netsim.engine.Simulation`
+scheduler settles a mostly-idle fleet at 1 s cadence while attack
 sources on the few detonating hosts tick at 100 ms.
 """
 
@@ -51,12 +51,10 @@ from repro.netsim import settlement
 from repro.netsim.cloud import EnvironmentProfile
 from repro.netsim.cms import PolicyRule
 from repro.netsim.hypervisor import HypervisorHost
-from repro.netsim.metrics import quantile
 from repro.packet.addresses import ipv4
-from repro.packet.fields import FlowKey
 from repro.packet.headers import PROTO_TCP
 from repro.switch.datapath import Datapath
-from repro.switch.rss import RSS_FIELDS, five_tuple_hash_columns
+from repro.switch.rss import five_tuple_hash_columns
 from repro.switch.sharded import ShardedDatapath
 
 __all__ = [
@@ -76,8 +74,7 @@ class TenantBlock:
 
     Position ``i`` across every array is one tenant.  The 5-tuple columns
     exist so placement (RSS home shard) and identity are *derived* the
-    same way a packet's would be; :meth:`tenant_key` materialises a
-    :class:`FlowKey` lazily for spot checks and tests only.
+    same way a packet's would be.
     """
 
     ip_src: np.ndarray
@@ -108,16 +105,6 @@ class TenantBlock:
 
     def __len__(self) -> int:
         return len(self.ip_src)
-
-    def tenant_key(self, index: int) -> FlowKey:
-        """Materialise tenant ``index``'s 5-tuple as a :class:`FlowKey`."""
-        return FlowKey(
-            ip_src=int(self.ip_src[index]),
-            ip_dst=int(self.ip_dst[index]),
-            ip_proto=int(self.ip_proto[index]),
-            tp_src=int(self.tp_src[index]),
-            tp_dst=int(self.tp_dst[index]),
-        )
 
 
 class TenantStream:
@@ -349,7 +336,7 @@ class Fleet:
         seed: fleet seed (same seed → identical fleet, see
             :class:`TenantStream`).
         rack_period: settlement cadence (seconds) racks declare for the
-            event-driven scheduler.
+            scheduler.
         offered_range: per-tenant offered load interval (Gbps).
     """
 
@@ -430,15 +417,3 @@ class Fleet:
             rack.recording = True
             for host in rack.hosts:
                 host.tenants.floor_gbps[:] = np.inf
-
-    def stop_recording(self) -> None:
-        for rack in self.racks:
-            rack.recording = False
-
-    def floor_quantiles(self, qs: Sequence[float] = (1.0, 50.0, 99.0)) -> dict[float, float]:
-        """Percentiles of the per-tenant floor distribution."""
-        floors = self.floors()
-        if not np.isfinite(floors).all():
-            raise SimulationError("floors not recorded (run with recording on)")
-        values = floors.tolist()
-        return {q: quantile(values, q) for q in qs}

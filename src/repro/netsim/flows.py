@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.core.general import GeneralTraceGenerator
 from repro.exceptions import SimulationError
 from repro.netsim.hypervisor import HypervisorHost
 from repro.packet.fields import FlowKey
@@ -23,7 +22,6 @@ from repro.switch.rss import RetargetReport, retarget_trace
 __all__ = [
     "ActiveWindow",
     "AttackSource",
-    "RandomFloodSource",
     "VictimFlow",
     "queue_aware_trace",
 ]
@@ -105,7 +103,7 @@ class AttackSource:
         windows: activity intervals; always active when empty.
         name: label for metrics.
         batch_size: packets per injected batch (OVS-like 32 by default).
-        period: event-mode tick cadence in seconds (``Simulation.add``
+        period: tick cadence in seconds (``Simulation.add``
             honours the attribute); the fractional-packet carry keeps the
             injected rate exact at any cadence.  ``None`` ticks at the
             base ``dt``.
@@ -190,35 +188,6 @@ class AttackSource:
         self.current_pps = sent / dt if dt else 0.0
 
 
-class RandomFloodSource(AttackSource):
-    """General-TSE flood: every packet a fresh random flow.
-
-    Unlike a looped trace replay (whose packets hit existing megaflows
-    after the first pass), sustained random traffic keeps spawning new
-    megaflow *entries* under the deep masks, so a large share of packets
-    upcall forever — the escalation that produces the full denial of
-    service at 2 kpps in Fig. 8c.
-    """
-
-    def __init__(
-        self,
-        host: HypervisorHost,
-        generator: GeneralTraceGenerator,
-        pps: float,
-        windows: Sequence[ActiveWindow] = (),
-        name: str = "random-flood",
-    ):
-        self._generator = generator
-
-        def stream() -> Iterator[FlowKey]:
-            while True:
-                yield from generator.keys(1024)
-
-        super().__init__(
-            host, keys=(), pps=pps, windows=windows, name=name, key_stream=stream()
-        )
-
-
 class VictimFlow:
     """An iperf-like victim session.
 
@@ -231,7 +200,7 @@ class VictimFlow:
         kind: ``"tcp"`` (ramping, drop-sensitive) or ``"udp"`` (CBR).
         windows: activity intervals.
         ramp_tau: TCP exponential-ramp time constant (seconds).
-        period: event-mode tick cadence in seconds (keepalives need not
+        period: tick cadence in seconds (keepalives need not
             run at the base ``dt``; the cache entries stay warm at any
             cadence below the idle timeout).  ``None`` ticks at ``dt``.
     """

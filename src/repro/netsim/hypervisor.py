@@ -167,25 +167,12 @@ class HypervisorHost:
         return state
 
     # -- ingress from traffic sources ---------------------------------------------
-    def inject_attack(self, key: FlowKey, now: float) -> PacketVerdict:
-        """Classify one attack packet; account its cost to its RSS core.
-
-        The charge is the shard's expected scan cost *before* the packet,
-        in the backend's normalised probe units — for TSS exactly the old
-        ``max(n_masks, 1)`` mask-count charge.  A single-packet batch:
-        delegates to :meth:`inject_attack_batch`, whose per-shard charge
-        path is the one copy of the accounting (batch ≡ sequential per
-        the datapath invariant, and ``attack_units_batch`` over one cost
-        is float-identical to the single-packet formula).
-        """
-        return self.inject_attack_batch([key], now)[0]
-
     def inject_attack_batch(self, keys: Sequence[FlowKey], now: float) -> list[PacketVerdict]:
         """Classify one batch of attack packets; account the batch's cost.
 
-        Equivalent to ``[self.inject_attack(k, now) for k in keys]`` —
-        same verdicts, same units charged (each packet pays the expected
-        scan cost *its core* reported before it ran, via
+        Equivalent to one one-packet batch per key — same verdicts, same
+        units charged (each packet pays the expected scan cost *its core*
+        reported before it ran, via
         ``probe_costs``/``shard_ids``) — but the datapath work runs
         through the batched pipeline and the cost curve is evaluated per
         distinct probe cost, not per packet.

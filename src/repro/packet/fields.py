@@ -33,7 +33,6 @@ __all__ = [
     "field_names",
     "prefix_mask",
     "first_diff_bit",
-    "popcount",
     "FlowKey",
     "FlowMask",
     "EXACT_MASK",
@@ -155,11 +154,6 @@ def first_diff_bit(a: int, b: int, width: int) -> int | None:
     if diff == 0:
         return None
     return width - diff.bit_length()
-
-
-def popcount(value: int) -> int:
-    """Number of set bits in ``value``."""
-    return value.bit_count()
 
 
 class _FieldVector:

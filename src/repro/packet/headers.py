@@ -172,21 +172,6 @@ class IPv4:
         )
         return header, data[ihl:]
 
-    def verify_checksum(self) -> bool:
-        """True when the stored checksum matches the header contents."""
-        packed = IPv4(
-            src=self.src,
-            dst=self.dst,
-            proto=self.proto,
-            ttl=self.ttl,
-            tos=self.tos,
-            ident=self.ident,
-            flags=self.flags,
-            frag_offset=self.frag_offset,
-            total_length=self.total_length or self.HEADER_LEN,
-        ).pack()
-        return internet_checksum(packed) == 0
-
 
 @dataclass
 class IPv6:

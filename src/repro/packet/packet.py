@@ -1,9 +1,10 @@
-"""Layered packets: header stacks, wire serialization, flow-key extraction.
+"""Layered packets: header stacks and wire serialization.
 
 A :class:`Packet` is an ordered stack of header objects (from
 :mod:`repro.packet.headers`) plus an opaque payload.  It can be serialized to
-wire bytes (with checksums), parsed back from bytes, and reduced to the
-:class:`~repro.packet.fields.FlowKey` the classifiers operate on.
+wire bytes (with checksums).  Parsing bytes back into a packet, and the
+OVS-style flow-key extraction, are the read-back side the tests check the
+wire format with (``tests/packet_oracle.py``).
 """
 
 from __future__ import annotations
@@ -11,14 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from repro.exceptions import PacketError
-from repro.packet.fields import FlowKey
 from repro.packet.headers import (
-    ETHERTYPE_IPV4,
-    ETHERTYPE_IPV6,
     ICMP,
     IPv4,
     IPv6,
-    PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
     TCP,
@@ -28,7 +25,7 @@ from repro.packet.headers import (
     _pseudo_header_v6,
 )
 
-__all__ = ["Packet", "parse_packet"]
+__all__ = ["Packet"]
 
 Header = Ethernet | IPv4 | IPv6 | TCP | UDP | ICMP
 
@@ -95,10 +92,6 @@ class Packet:
     def udp(self) -> UDP | None:
         return self.layer(UDP)  # type: ignore[return-value]
 
-    @property
-    def icmp(self) -> ICMP | None:
-        return self.layer(ICMP)  # type: ignore[return-value]
-
     # -- serialization --------------------------------------------------------
     def to_bytes(self) -> bytes:
         """Serialize to wire bytes, filling lengths and checksums."""
@@ -128,104 +121,6 @@ class Packet:
             return _pseudo_header_v6(ip_layer.src, ip_layer.dst, proto, length)
         return None
 
-    def wire_length(self) -> int:
-        """Total serialized length in bytes."""
-        length = len(self.payload)
-        for layer in self.layers:
-            length += layer.HEADER_LEN
-        return length
-
-    # -- classification -------------------------------------------------------
-    def flow_key(self, in_port: int = 0) -> FlowKey:
-        """Extract the flow key the classifiers match on.
-
-        Mirrors OVS flow extraction: zero-fill fields of absent layers and
-        take L4 ports from TCP/UDP (ICMP type/code are mapped onto the port
-        fields, as OVS does).
-        """
-        kwargs: dict[str, int] = {"in_port": in_port}
-        eth = self.eth
-        if eth is not None:
-            kwargs["eth_src"] = eth.src
-            kwargs["eth_dst"] = eth.dst
-            kwargs["eth_type"] = eth.ethertype
-        ip4 = self.ip
-        ip6 = self.ip6
-        if ip4 is not None:
-            kwargs["ip_src"] = ip4.src
-            kwargs["ip_dst"] = ip4.dst
-            kwargs["ip_proto"] = ip4.proto
-            kwargs["ip_ttl"] = ip4.ttl
-            kwargs["ip_tos"] = ip4.tos
-            kwargs.setdefault("eth_type", ETHERTYPE_IPV4)
-        elif ip6 is not None:
-            kwargs["ipv6_src"] = ip6.src
-            kwargs["ipv6_dst"] = ip6.dst
-            kwargs["ip_proto"] = ip6.next_header
-            kwargs["ip_ttl"] = ip6.hop_limit
-            kwargs["ip_tos"] = ip6.traffic_class
-            kwargs.setdefault("eth_type", ETHERTYPE_IPV6)
-        tcp = self.tcp
-        udp = self.udp
-        icmp = self.icmp
-        if tcp is not None:
-            kwargs["tp_src"] = tcp.src_port
-            kwargs["tp_dst"] = tcp.dst_port
-        elif udp is not None:
-            kwargs["tp_src"] = udp.src_port
-            kwargs["tp_dst"] = udp.dst_port
-        elif icmp is not None:
-            kwargs["tp_src"] = icmp.icmp_type
-            kwargs["tp_dst"] = icmp.code
-        return FlowKey(**kwargs)
-
     def __repr__(self) -> str:
         names = "/".join(type(layer).__name__ for layer in self.layers)
         return f"Packet({names}, payload={len(self.payload)}B)"
-
-
-def parse_packet(data: bytes, link_layer: bool = True) -> Packet:
-    """Parse wire bytes into a :class:`Packet`.
-
-    Args:
-        data: raw bytes.
-        link_layer: when True, expect an Ethernet header first; otherwise
-            start at the IP layer (pcap files written with a RAW linktype).
-    """
-    layers: list[Header] = []
-    rest = data
-    next_proto: int | None = None
-
-    if link_layer:
-        eth, rest = Ethernet.unpack(rest)
-        layers.append(eth)
-        ethertype = eth.ethertype
-    else:
-        if not rest:
-            raise PacketError("empty packet")
-        version = rest[0] >> 4
-        ethertype = ETHERTYPE_IPV4 if version == 4 else ETHERTYPE_IPV6
-
-    if ethertype == ETHERTYPE_IPV4:
-        ip4, rest = IPv4.unpack(rest)
-        layers.append(ip4)
-        next_proto = ip4.proto
-    elif ethertype == ETHERTYPE_IPV6:
-        ip6, rest = IPv6.unpack(rest)
-        layers.append(ip6)
-        next_proto = ip6.next_header
-    else:
-        # Unknown L3: keep remaining bytes as payload.
-        return Packet(layers=layers, payload=rest)
-
-    if next_proto == PROTO_TCP:
-        tcp, rest = TCP.unpack(rest)
-        layers.append(tcp)
-    elif next_proto == PROTO_UDP:
-        udp, rest = UDP.unpack(rest)
-        layers.append(udp)
-    elif next_proto == PROTO_ICMP:
-        icmp, rest = ICMP.unpack(rest)
-        layers.append(icmp)
-
-    return Packet(layers=layers, payload=rest)

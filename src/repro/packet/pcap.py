@@ -1,33 +1,28 @@
-"""Reader/writer for the classic libpcap capture format.
+"""Writer for the classic libpcap capture format.
 
 The paper's testbed replays attack traces "via replaying a pcap file"; this
 module lets the trace generators export adversarial packet sequences as real
-pcap files (microsecond timestamps, Ethernet or raw-IP linktype) and read
-them back for replay through the simulated switch.
+pcap files (microsecond timestamps, Ethernet or raw-IP linktype).  The
+reader the tests check them with is ``tests/packet_oracle.py``.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable
 
 from repro.exceptions import PcapError
-from repro.packet.packet import Packet, parse_packet
+from repro.packet.packet import Packet
 
 __all__ = [
     "LINKTYPE_ETHERNET",
     "LINKTYPE_RAW",
-    "PcapRecord",
     "PcapWriter",
-    "PcapReader",
     "write_pcap",
-    "read_pcap",
 ]
 
 _MAGIC_US = 0xA1B2C3D4  # microsecond-resolution, native byte order
-_MAGIC_US_SWAPPED = 0xD4C3B2A1
 _VERSION_MAJOR = 2
 _VERSION_MINOR = 4
 
@@ -36,22 +31,6 @@ LINKTYPE_RAW = 101
 
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
-
-
-@dataclass(frozen=True)
-class PcapRecord:
-    """One captured packet: timestamp (seconds, float) plus raw bytes."""
-
-    timestamp: float
-    data: bytes
-
-    @property
-    def ts_sec(self) -> int:
-        return int(self.timestamp)
-
-    @property
-    def ts_usec(self) -> int:
-        return int(round((self.timestamp - int(self.timestamp)) * 1_000_000))
 
 
 class PcapWriter:
@@ -79,12 +58,15 @@ class PcapWriter:
         self.packets_written = 0
 
     def write(self, data: bytes, timestamp: float = 0.0) -> None:
-        """Append one packet record."""
+        """Append one packet record.
+
+        Both timestamp fields come from one rounding to whole microseconds,
+        so a timestamp just under a second carries into ``ts_sec`` instead
+        of writing an out-of-range ``ts_usec`` of 1,000,000.
+        """
         captured = data[: self.snaplen]
-        record = PcapRecord(timestamp=timestamp, data=captured)
-        self._file.write(
-            _RECORD_HEADER.pack(record.ts_sec, record.ts_usec, len(captured), len(data))
-        )
+        ts_sec, ts_usec = divmod(round(timestamp * 1_000_000), 1_000_000)
+        self._file.write(_RECORD_HEADER.pack(ts_sec, ts_usec, len(captured), len(data)))
         self._file.write(captured)
         self.packets_written += 1
 
@@ -97,63 +79,6 @@ class PcapWriter:
             self._file.close()
 
     def __enter__(self) -> "PcapWriter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class PcapReader:
-    """Streaming pcap reader (iterates :class:`PcapRecord`)."""
-
-    def __init__(self, source: str | Path | BinaryIO):
-        if isinstance(source, (str, Path)):
-            self._file: BinaryIO = open(source, "rb")
-            self._owns_file = True
-        else:
-            self._file = source
-            self._owns_file = False
-        header = self._file.read(_GLOBAL_HEADER.size)
-        if len(header) < _GLOBAL_HEADER.size:
-            raise PcapError("pcap global header truncated")
-        magic, major, minor, _tz, _sig, snaplen, linktype = _GLOBAL_HEADER.unpack(header)
-        if magic == _MAGIC_US:
-            self._swapped = False
-        elif magic == _MAGIC_US_SWAPPED:
-            self._swapped = True
-        else:
-            raise PcapError(f"bad pcap magic {magic:#010x}")
-        self.version = (major, minor)
-        self.snaplen = snaplen
-        self.linktype = linktype
-
-    def __iter__(self) -> Iterator[PcapRecord]:
-        record_struct = struct.Struct(">IIII" if self._swapped else "<IIII")
-        while True:
-            header = self._file.read(record_struct.size)
-            if not header:
-                return
-            if len(header) < record_struct.size:
-                raise PcapError("pcap record header truncated")
-            ts_sec, ts_usec, incl_len, orig_len = record_struct.unpack(header)
-            if incl_len > orig_len or incl_len > self.snaplen + 65535:
-                raise PcapError(f"pcap record has implausible length {incl_len}")
-            data = self._file.read(incl_len)
-            if len(data) < incl_len:
-                raise PcapError("pcap record body truncated")
-            yield PcapRecord(timestamp=ts_sec + ts_usec / 1_000_000, data=data)
-
-    def packets(self) -> Iterator[tuple[float, Packet]]:
-        """Iterate (timestamp, parsed Packet) pairs."""
-        link_layer = self.linktype == LINKTYPE_ETHERNET
-        for record in self:
-            yield record.timestamp, parse_packet(record.data, link_layer=link_layer)
-
-    def close(self) -> None:
-        if self._owns_file:
-            self._file.close()
-
-    def __enter__(self) -> "PcapReader":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -174,9 +99,3 @@ def write_pcap(
         for i, packet in enumerate(packets):
             writer.write_packet(packet, timestamp=i * interval)
         return writer.packets_written
-
-
-def read_pcap(path: str | Path) -> list[tuple[float, Packet]]:
-    """Read every packet of a pcap file into memory."""
-    with PcapReader(path) as reader:
-        return list(reader.packets())

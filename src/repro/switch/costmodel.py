@@ -117,17 +117,11 @@ class CostModel:
         """Fast-path budget of **one PMD core**: units available per second.
 
         Every PMD thread owns one dedicated core with this same cycle
-        budget; a multi-queue host's aggregate capacity is
-        :meth:`aggregate_budget_units_per_sec`.  (The single-PMD testbeds
-        of the paper are the ``n_cores=1`` case, where the two coincide.)
+        budget; a multi-queue host's aggregate capacity is ``n_cores``
+        times it.  (The single-PMD testbeds of the paper are the
+        ``n_cores=1`` case, where the two coincide.)
         """
         return self.baseline_gbps * 1e9 / 8.0 / self.profile.unit_bytes
-
-    def aggregate_budget_units_per_sec(self, n_cores: int) -> float:
-        """Total fast-path budget of ``n_cores`` PMD cores (units/second)."""
-        if n_cores < 1:
-            raise SwitchError(f"n_cores must be >= 1, got {n_cores}")
-        return n_cores * self.budget_units_per_sec
 
     @property
     def unit_bits(self) -> float:
@@ -146,26 +140,6 @@ class CostModel:
         count) and the microflow-thrash step.
         """
         return self.params.relative_cost(scan_cost)
-
-    def victim_cost_units(self, masks: int) -> float:
-        """Mask-count entry point: the TSS special case (probes ≡ masks)."""
-        return self.victim_cost_units_probes(masks)
-
-    def attack_cost_units_probes(self, scan_cost: float, upcall: bool) -> float:
-        """Per-packet cost of an attack packet at full-scan cost ``scan_cost``.
-
-        Attack packets either hit their adversarial megaflow (full-scan-like
-        cost — their masks sit all along the scan) or miss and additionally
-        pay the slow-path upcall.
-        """
-        cost = self.attack_cost_scale * self.params.relative_cost(scan_cost)
-        if upcall:
-            cost += self.upcall_units
-        return cost
-
-    def attack_cost_units(self, masks: int, upcall: bool) -> float:
-        """Mask-count entry point: the TSS special case (probes ≡ masks)."""
-        return self.attack_cost_units_probes(masks, upcall)
 
     def attack_units_batch(self, probe_costs: Sequence[float], upcall_count: int) -> float:
         """Total attack cost of one batch, charged in one call.

@@ -96,9 +96,5 @@ class Revalidator:
                 evicted = evicted + by_lru[:overflow]
             return evicted
 
-    def sweep_work_units(self) -> float:
-        """Units a sweep would cost right now (CPU accounting)."""
-        return self.datapath.n_megaflows * REVALIDATE_UNITS_PER_ENTRY
-
     def __repr__(self) -> str:
         return f"Revalidator(period={self.period}s, sweeps={self.stats.sweeps})"

@@ -177,9 +177,6 @@ class ShmRing:
         self._ctrl[0] = head + 8 + _aligned(length)
         return payload
 
-    def free_bytes(self) -> int:
-        return self.capacity - (int(self._ctrl[1]) - int(self._ctrl[0]))
-
     # -- lifecycle ---------------------------------------------------------------
     def close(self) -> None:
         """Release the local mapping (owner additionally unlinks)."""

@@ -11,7 +11,7 @@ from hypothesis import settings
 from repro.classifier.actions import ALLOW
 from repro.classifier.flowtable import FlowTable
 from repro.classifier.rule import Match
-from repro.experiments import run_experiment
+from repro.experiments import EXPERIMENTS
 from tests import scan_oracle as scan_oracle_module
 from tests import slowpath_oracle as slowpath_oracle_module
 from tests.settlement_oracle import ride_along
@@ -87,4 +87,4 @@ def golden_run():
     comparison and every paper-shape assertion read the same result."""
     from tests.test_golden import CASES
 
-    return functools.cache(lambda experiment_id: run_experiment(experiment_id, **CASES[experiment_id]))
+    return functools.cache(lambda experiment_id: EXPERIMENTS[experiment_id](**CASES[experiment_id]))

@@ -51,11 +51,11 @@ class TestPrefixLength:
 class TestFig6Semantics:
     def test_allow_web(self, classifier_cls):
         clf = classifier_cls(fig6_rules())
-        assert clf.classify(WEB).action.is_allow
+        assert clf.classify(WEB).action == ALLOW
 
     def test_allow_trusted_host(self, classifier_cls):
         clf = classifier_cls(fig6_rules())
-        assert clf.classify(TRUSTED).action.is_allow
+        assert clf.classify(TRUSTED).action == ALLOW
 
     def test_default_deny(self, classifier_cls):
         clf = classifier_cls(fig6_rules())
@@ -66,7 +66,7 @@ class TestFig6Semantics:
         clf = classifier_cls(fig6_rules())
         key = FlowKey(ip_proto=PROTO_TCP, ip_src=0x0A000001, tp_src=34521, tp_dst=443)
         result = clf.classify(key)
-        assert result.action.is_allow
+        assert result.action == ALLOW
 
     def test_cost_positive(self, classifier_cls):
         clf = classifier_cls(fig6_rules())
@@ -88,7 +88,7 @@ class TestTrieSpecifics:
         trie = HierarchicalTrieClassifier(rules)
         # Longest-match by priority: 10.10.x.x denied, rest of 10/8 allowed.
         assert trie.classify(FlowKey(ip_src=0x0A0A0001)).action.is_drop
-        assert trie.classify(FlowKey(ip_src=0x0A0B0001)).action.is_allow
+        assert trie.classify(FlowKey(ip_src=0x0A0B0001)).action == ALLOW
         assert trie.classify(FlowKey(ip_src=0x0B000001)).action.is_drop
 
     def test_backtracking_finds_shorter_prefix(self):
@@ -109,13 +109,13 @@ class TestTrieSpecifics:
 
     def test_catchall_only(self):
         trie = HierarchicalTrieClassifier([FlowRule(Match.any(), ALLOW, name="any")])
-        assert trie.classify(FlowKey()).action.is_allow
+        assert trie.classify(FlowKey()).action == ALLOW
 
 
 class TestHyperCutsSpecifics:
     def test_bucket_limit_respected(self):
         clf = HyperCutsClassifier(fig6_rules(), binth=2)
-        assert clf.classify(WEB).action.is_allow
+        assert clf.classify(WEB).action == ALLOW
 
     def test_config_validation(self):
         with pytest.raises(ClassifierError):
@@ -145,11 +145,11 @@ class TestHarpSpecifics:
         clf = HarpClassifier(fig6_rules())
         # ip_proto appears in 3 rules (most-constrained): acceptable choice,
         # but classification stays correct regardless.
-        assert clf.classify(WEB).action.is_allow
+        assert clf.classify(WEB).action == ALLOW
 
     def test_explicit_primary_field(self):
         clf = HarpClassifier(fig6_rules(), primary_field="ip_src", stride=8)
-        assert clf.classify(TRUSTED).action.is_allow
+        assert clf.classify(TRUSTED).action == ALLOW
         assert clf.classify(RANDOM_DENY).action.is_drop
 
     def test_tread_rounding(self):

@@ -572,7 +572,7 @@ def test_inject_attack_batch_charges_like_sequential():
 
     keys = _mixed_traffic(table_rules, seed=3, count=64)
     a, b = mk(), mk()
-    va = [a.inject_attack(k, now=0.0) for k in keys]
+    va = [a.inject_attack_batch([k], now=0.0)[0] for k in keys]
     vb = b.inject_attack_batch(keys, now=0.0)
     assert [v.action for v in va] == [v.action for v in vb]
     assert [v.path for v in va] == [v.path for v in vb]

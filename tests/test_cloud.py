@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.classifier.actions import ALLOW
 from repro.core.usecases import use_case
 from repro.exceptions import PolicyError, SimulationError
 from repro.netsim.cloud import (
@@ -49,8 +50,8 @@ class TestDatacenter:
         v1 = cloud.launch_vm("victim", "V1", 0)
         a1 = cloud.launch_vm("attacker", "A1", 0)
         v2 = cloud.launch_vm("victim", "V2", 1)
-        assert cloud.server_of(v1) is cloud.server_of(a1)  # co-located!
-        assert cloud.server_of(v2) is not cloud.server_of(v1)
+        assert v1.server is a1.server  # co-located!
+        assert v2.server is not v1.server
         assert v1.ip != a1.ip != v2.ip
 
     def test_shared_datapath_is_the_point(self):
@@ -75,7 +76,7 @@ class TestDatacenter:
         server.ensure_default_deny()
         to_victim = FlowKey(ip_proto=PROTO_TCP, ip_dst=v1.ip, tp_dst=5001)
         to_attacker = FlowKey(ip_proto=PROTO_TCP, ip_dst=a1.ip, tp_dst=5001)
-        assert server.flow_table.classify(to_victim).is_allow
+        assert server.flow_table.classify(to_victim) == ALLOW
         assert server.flow_table.classify(to_attacker).is_drop
 
     def test_cms_enforced_per_environment(self):

@@ -53,20 +53,20 @@ class TestVictimThroughput:
 class TestAttackCosts:
     def test_upcall_surcharge(self):
         model = CostModel(upcall_units=25.0)
-        fast = model.attack_cost_units(100, upcall=False)
-        slow = model.attack_cost_units(100, upcall=True)
+        fast = model.attack_units_batch([100], upcall_count=0)
+        slow = model.attack_units_batch([100], upcall_count=1)
         assert slow == pytest.approx(fast + 25.0)
 
     def test_attack_scale(self):
         base = CostModel(attack_cost_scale=1.0)
         scaled = CostModel(attack_cost_scale=0.5)
-        assert scaled.attack_cost_units(100, upcall=False) == pytest.approx(
-            base.attack_cost_units(100, upcall=False) / 2
+        assert scaled.attack_units_batch([100], upcall_count=0) == pytest.approx(
+            base.attack_units_batch([100], upcall_count=0) / 2
         )
 
     def test_cost_grows_with_masks(self):
         model = CostModel()
-        assert model.attack_cost_units(8200, upcall=False) > model.attack_cost_units(17, upcall=False)
+        assert model.attack_units_batch([8200], upcall_count=0) > model.attack_units_batch([17], upcall_count=0)
 
     def test_revalidation_rate(self):
         model = CostModel(revalidate_units_per_entry=5.0)

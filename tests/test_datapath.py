@@ -9,6 +9,7 @@ from repro.exceptions import SwitchError
 from repro.packet.builder import PacketBuilder
 from repro.packet.fields import FlowKey
 from repro.switch.datapath import Datapath, DatapathConfig, PathTaken
+from tests.packet_oracle import flow_key
 
 
 @pytest.fixture
@@ -61,7 +62,7 @@ class TestPipeline:
     def test_process_packet_wire_level(self, table):
         datapath = Datapath(table)
         packet = PacketBuilder().tcp(ip_src=1, ip_dst=2, tp_dst=80)
-        verdict = datapath.process(packet.flow_key())
+        verdict = datapath.process(flow_key(packet))
         assert verdict.action == ALLOW
 
     def test_time_cannot_go_backwards(self, table):

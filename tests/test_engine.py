@@ -107,6 +107,8 @@ class TestSimulation:
             Simulation(dt=0)
         with pytest.raises(SimulationError):
             Simulation(mode="adaptive")
+        with pytest.raises(SimulationError):
+            Simulation(mode="fixed")
         sim = Simulation()
         with pytest.raises(SimulationError):
             sim.run(-1)
@@ -125,7 +127,7 @@ class TestSimulation:
 
 class TestEventMode:
     def test_components_tick_at_their_period(self):
-        sim = Simulation(dt=0.1, mode="event")
+        sim = Simulation(dt=0.1)
         fast, slow = Recorder(), Recorder()
         sim.add(fast, period=0.1)
         sim.add(slow, period=0.5)
@@ -140,7 +142,7 @@ class TestEventMode:
         class Periodic(Recorder):
             period = 0.4
 
-        sim = Simulation(dt=0.1, mode="event")
+        sim = Simulation(dt=0.1)
         component = Periodic()
         sim.add(component)
         sim.run(1.0)
@@ -149,7 +151,7 @@ class TestEventMode:
     def test_registration_order_at_coincident_ticks(self):
         """Periods are tick-quantised: a 0.2s and a 0.1s component meet
         exactly every other tick, in registration order."""
-        sim = Simulation(dt=0.1, mode="event")
+        sim = Simulation(dt=0.1)
         order = []
 
         class Tagged:
@@ -168,7 +170,7 @@ class TestEventMode:
         ]
 
     def test_observers_after_each_event_batch(self):
-        sim = Simulation(dt=0.1, mode="event")
+        sim = Simulation(dt=0.1)
         events = []
 
         class Component:
@@ -186,18 +188,8 @@ class TestEventMode:
             ("tick", 0.6), ("observe", 0.6),
         ]
 
-    def test_event_equals_fixed_when_everything_ticks_every_dt(self):
-        runs = {}
-        for mode in ("fixed", "event"):
-            sim = Simulation(dt=0.1, mode=mode)
-            recorder = Recorder()
-            sim.add(recorder)
-            sim.run(2.0)
-            runs[mode] = recorder.ticks
-        assert runs["fixed"] == runs["event"]
-
     def test_resumable_across_runs(self):
-        sim = Simulation(dt=0.1, mode="event")
+        sim = Simulation(dt=0.1)
         slow = Recorder()
         sim.add(slow, period=0.3)
         sim.run(0.4)  # ticks at 0.0, 0.3
@@ -261,7 +253,7 @@ class TestLongRunContracts:
         dt = 0.1
 
         def build():
-            sim = Simulation(dt=dt, mode="event")
+            sim = Simulation(dt=dt)
             recorders = []
             for ticks in periods:
                 recorder = Recorder()

@@ -14,7 +14,6 @@ from repro.exceptions import ExperimentError
 from repro.experiments import (
     EXPERIMENTS,
     backendsweep,
-    run_experiment,
     table1,
     theorem41,
 )
@@ -41,7 +40,7 @@ class TestRegistry:
         assert "rsssweep" in EXPERIMENTS
 
     def test_run_by_id(self):
-        result = run_experiment("table1")
+        result = EXPERIMENTS["table1"]()
         assert result.experiment_id == "table1"
 
     def test_every_result_formats(self):

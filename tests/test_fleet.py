@@ -4,17 +4,29 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ExperimentError, SimulationError
-from repro.experiments import run_experiment
+from repro.experiments import EXPERIMENTS
 from repro.experiments.backendsweep import attacker_rules
 from repro.netsim.cloud import MULTIQUEUE_ENV, SYNTHETIC_ENV
 from repro.netsim.engine import Simulation
-from repro.netsim.fleet import Fleet, FleetHost, Rack, TenantBlock, TenantStream
+from repro.netsim.fleet import Fleet, Rack, TenantBlock, TenantStream
 from repro.netsim.flows import ActiveWindow, AttackSource
 from repro.packet.fields import FlowKey
 from repro.switch.rss import RSS_FIELDS, five_tuple_hash, five_tuple_hash_columns
 
 COLUMN_NAMES = ("ip_src", "ip_dst", "ip_proto", "tp_src", "tp_dst",
                 "home_shard", "offered_gbps")
+
+
+def tenant_key(block: TenantBlock, index: int) -> FlowKey:
+    """Tenant ``index``'s 5-tuple as a :class:`FlowKey`: the scalar reference
+    the block's derived columns are checked against."""
+    return FlowKey(
+        ip_src=int(block.ip_src[index]),
+        ip_dst=int(block.ip_dst[index]),
+        ip_proto=int(block.ip_proto[index]),
+        tp_src=int(block.tp_src[index]),
+        tp_dst=int(block.tp_dst[index]),
+    )
 
 
 def blocks_equal(a: TenantBlock, b: TenantBlock) -> bool:
@@ -50,7 +62,7 @@ class TestTenantStream:
     def test_home_shards_follow_rss_hash(self):
         block = TenantStream(5, 0, 0, 128, n_shards=4).build()
         for index in (0, 17, 127):
-            key = block.tenant_key(index)
+            key = tenant_key(block, index)
             assert block.home_shard[index] == five_tuple_hash(key) % 4
 
     def test_validation(self):
@@ -64,7 +76,7 @@ class TestHashColumns:
         columns = {name: getattr(block, name) for name in RSS_FIELDS}
         hashes = five_tuple_hash_columns(columns)
         for index in range(len(block)):
-            assert int(hashes[index]) == five_tuple_hash(block.tenant_key(index))
+            assert int(hashes[index]) == five_tuple_hash(tenant_key(block, index))
 
     def test_full_field_width(self):
         """32-bit fields hash identically to the scalar byte walk."""
@@ -124,11 +136,11 @@ class TestRackSettlement:
             standalone.close()
 
     def test_vector_equals_scalar_over_a_run(self, settlement_oracle):
-        """Every rack pass of a multi-rack event-mode run ≡ the scalar oracle's."""
+        """Every rack pass of a multi-rack run ≡ the scalar oracle's."""
         fleet = Fleet(SYNTHETIC_ENV, n_racks=2, hosts_per_rack=2,
                       tenants_per_host=30, seed=5)
         try:
-            sim = Simulation(dt=0.1, mode="event")
+            sim = Simulation(dt=0.1)
             fleet.register(sim)
             host = fleet.host(0, 0)
             trace = host.detonation_trace(attacker_rules("SipDp"))
@@ -156,52 +168,14 @@ class TestRackSettlement:
         finally:
             fleet.close()
 
-    def test_event_mode_matches_fixed_at_equal_cadence(self):
-        """rack_period == dt: the heap scheduler ≡ the fixed-step loop."""
-        results = {}
-        for mode in ("fixed", "event"):
-            fleet = Fleet(SYNTHETIC_ENV, n_racks=1, hosts_per_rack=2,
-                          tenants_per_host=25, seed=8, rack_period=0.1)
-            try:
-                sim = Simulation(dt=0.1, mode=mode)
-                fleet.register(sim)
-                host = fleet.host(0, 0)
-                trace = host.detonation_trace(attacker_rules("SipDp"))
-                sim.add(AttackSource(host=host, keys=trace.keys, pps=200.0,
-                                     period=0.1))
-                fleet.start_recording()
-                sim.run(4.0)
-                results[mode] = (fleet.rates().copy(), fleet.floors().copy())
-            finally:
-                fleet.close()
-        assert np.array_equal(results["fixed"][0], results["event"][0])
-        assert np.array_equal(results["fixed"][1], results["event"][1])
-
     def test_empty_rack_rejected(self):
         with pytest.raises(SimulationError, match="no hosts"):
             Rack("r", [])
 
 
-class TestFleetReadouts:
-    def test_floor_quantiles_require_recording(self):
-        fleet = Fleet(SYNTHETIC_ENV, n_racks=1, hosts_per_rack=1,
-                      tenants_per_host=10, seed=0)
-        try:
-            with pytest.raises(SimulationError, match="recorded"):
-                fleet.floor_quantiles()
-            fleet.start_recording()
-            fleet.racks[0].tick(0.0, 1.0)
-            quantiles = fleet.floor_quantiles((50.0,))
-            assert quantiles[50.0] > 0
-            assert fleet.tenant_count == 10
-        finally:
-            fleet.close()
-
-
 class TestCloudsweepExperiment:
     def test_smoke_run(self):
-        result = run_experiment(
-            "cloudsweep",
+        result = EXPERIMENTS["cloudsweep"](
             n_racks=1,
             hosts_per_rack=3,
             tenants_per_host=20,
@@ -224,7 +198,7 @@ class TestCloudsweepExperiment:
 
     def test_bad_environment_rejected(self):
         with pytest.raises(ExperimentError, match="unknown environment"):
-            run_experiment("cloudsweep", environment_name="AWS")
+            EXPERIMENTS["cloudsweep"](environment_name="AWS")
 
     def test_bad_plan_rejected(self):
         from repro.experiments.cloudsweep import run_plan

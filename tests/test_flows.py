@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.core.general import GeneralTraceGenerator
 from repro.core.usecases import DP
 from repro.exceptions import SimulationError
 from repro.netsim.cloud import SYNTHETIC_ENV
-from repro.netsim.flows import ActiveWindow, AttackSource, RandomFloodSource, VictimFlow
+from repro.netsim.flows import ActiveWindow, AttackSource, VictimFlow
 from repro.netsim.hypervisor import HypervisorHost
 from repro.packet.fields import FlowKey
 from repro.packet.headers import PROTO_TCP
@@ -90,16 +89,6 @@ class TestAttackSource:
         source = AttackSource(host, KEYS, pps=100)
         source.tick(0.0, 0.1)
         assert host.datapath.stats.packets == 10
-
-
-class TestRandomFlood:
-    def test_streams_random_keys(self):
-        host = make_host()
-        generator = GeneralTraceGenerator(fields=("tp_dst",), base={"ip_proto": PROTO_TCP})
-        source = RandomFloodSource(host, generator, pps=100)
-        source.tick(0.0, 0.1)
-        source.tick(0.1, 0.1)
-        assert source.packets_sent == 20
 
 
 class TestVictimFlow:

@@ -88,23 +88,6 @@ class TestMutation:
 
 
 class TestStructure:
-    def test_order_independence_detection(self):
-        disjoint = FlowTable()
-        disjoint.add_rule(Match(tp_dst=80), ALLOW)
-        disjoint.add_rule(Match(tp_dst=81), DENY)
-        assert disjoint.is_order_independent()
-
-        overlapping = FlowTable()
-        overlapping.add_rule(Match(tp_dst=80), ALLOW)
-        overlapping.add_default_deny()
-        assert not overlapping.is_order_independent()
-
-    def test_overlapping_pairs(self):
-        table = FlowTable()
-        a = table.add_rule(Match(tp_dst=80), ALLOW, priority=2, name="a")
-        b = table.add_default_deny(name="b")
-        pairs = table.overlapping_pairs()
-        assert (a, b) in pairs
 
     def test_format_table_renders(self):
         table = FlowTable(name="acl")

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, migrationsweep, run_experiment
+from repro.experiments import EXPERIMENTS, migrationsweep
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -89,4 +89,4 @@ def test_output_matches_golden(experiment_id, golden_run):
 
 if __name__ == "__main__":  # pragma: no cover
     for experiment_id, params in CASES.items():
-        print(run_experiment(experiment_id, **params).save(GOLDEN_DIR))
+        print(EXPERIMENTS[experiment_id](**params).save(GOLDEN_DIR))

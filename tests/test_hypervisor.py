@@ -24,7 +24,7 @@ def run_attack(host: HypervisorHost, now: float) -> int:
     table = host.datapath.flow_table
     trace = ColocatedTraceGenerator(table, base={"ip_proto": PROTO_TCP}).generate()
     for key in trace.keys:
-        host.inject_attack(key, now)
+        host.inject_attack_batch([key], now)
     return len(trace)
 
 

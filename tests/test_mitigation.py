@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.classifier.actions import ALLOW
 from repro.core.mitigation import GuardReport, MFCGuard, MFCGuardConfig
 from repro.core.tracegen import ColocatedTraceGenerator
 from repro.core.usecases import SIPDP
@@ -47,7 +48,7 @@ class TestAlgorithm2:
         guard.run(now=10.0)
         verdict = datapath.process(BENIGN, now=11.0)
         assert verdict.path is not PathTaken.SLOW_PATH
-        assert verdict.action.is_allow
+        assert verdict.action == ALLOW
 
     def test_below_threshold_noop(self):
         table = SIPDP.build_table()

@@ -7,13 +7,8 @@ import pytest
 
 from repro.exceptions import PcapError
 from repro.packet.builder import PacketBuilder
-from repro.packet.pcap import (
-    LINKTYPE_ETHERNET,
-    PcapReader,
-    PcapWriter,
-    read_pcap,
-    write_pcap,
-)
+from repro.packet.pcap import LINKTYPE_ETHERNET, PcapWriter, write_pcap
+from tests.packet_oracle import PcapReader, flow_key, read_pcap
 
 
 def sample_packets(n=5):
@@ -30,7 +25,7 @@ class TestRoundtrip:
         loaded = read_pcap(path)
         assert len(loaded) == 5
         for (timestamp, packet), original in zip(loaded, packets):
-            assert packet.flow_key() == original.flow_key()
+            assert flow_key(packet) == flow_key(original)
         # 100 pps spacing = 10 ms between packets.
         assert loaded[1][0] - loaded[0][0] == pytest.approx(0.01, abs=1e-6)
 
@@ -43,6 +38,22 @@ class TestRoundtrip:
         records = list(PcapReader(buffer))
         assert len(records) == 3
         assert records[0].timestamp == pytest.approx(1.5, abs=1e-6)
+
+    def test_timestamps_stay_in_range_at_any_rate(self, tmp_path):
+        # At 49 pps packet 49 is stamped 0.99999...: it must carry into the
+        # seconds field, never be written as (0 s, 1,000,000 us).
+        path = tmp_path / "trace.pcap"
+        write_pcap(path, sample_packets(1) * 150, rate_pps=49)
+        data = path.read_bytes()
+        offset, stamps = 24, []  # past the global header
+        while offset < len(data):
+            ts_sec, ts_usec, incl_len, _orig_len = struct.unpack_from("<IIII", data, offset)
+            stamps.append((ts_sec, ts_usec))
+            offset += 16 + incl_len
+        assert len(stamps) == 150
+        assert all(ts_usec < 1_000_000 for _ts_sec, ts_usec in stamps)
+        assert stamps == sorted(stamps)
+        assert stamps[49] == (1, 0)
 
     def test_linktype_recorded(self, tmp_path):
         path = tmp_path / "trace.pcap"

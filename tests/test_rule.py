@@ -106,13 +106,8 @@ class TestFlowRule:
 class TestAction:
     def test_drop_predicates(self):
         assert DENY.is_drop
-        assert not DENY.is_allow
-        assert ALLOW.is_allow
         assert not ALLOW.is_drop
 
     def test_forward(self):
-        action = Action.forward(3)
-        assert action.kind is ActionKind.FORWARD
-        assert action.out_port == 3
-        assert action.is_allow
+        action = Action(ActionKind.FORWARD, out_port=3)
         assert str(action) == "forward:3"

@@ -10,6 +10,7 @@ from repro.packet.fields import FlowKey
 from repro.packet.headers import PROTO_TCP
 from repro.switch.datapath import Datapath, DatapathConfig
 from tests.conftest import HYP_SHIFT
+from tests.packet_oracle import flow_key
 
 
 class TestBitInversion:
@@ -111,7 +112,7 @@ class TestTraceProperties:
     def test_packets_keep_classification_fields(self, fig1_table):
         trace = ColocatedTraceGenerator(fig1_table).generate()
         for key, packet in zip(trace.keys, trace.packets()):
-            assert packet.flow_key()["ip_tos"] == key["ip_tos"]
+            assert flow_key(packet)["ip_tos"] == key["ip_tos"]
 
     @pytest.mark.usefixtures("slowpath_oracle")
     def test_to_pcap(self, tmp_path, fig1_table):

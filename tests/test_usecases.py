@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.classifier.actions import ALLOW
 from repro.core.usecases import BASELINE, DP, SIPDP, SIPSPDP, SPDP, USE_CASES, use_case
 from repro.exceptions import ExperimentError
 from repro.packet.fields import FlowKey
@@ -40,9 +41,9 @@ class TestTables:
             "allow-tp_dst", "allow-ip_src", "allow-tp_src", "default-deny",
         ]
         # Fig. 6 semantics checks.
-        assert table.classify(FlowKey(ip_proto=PROTO_TCP, tp_dst=80)).is_allow
-        assert table.classify(FlowKey(ip_proto=PROTO_TCP, ip_src=0x0A000001)).is_allow
-        assert table.classify(FlowKey(ip_proto=PROTO_TCP, tp_src=12345)).is_allow
+        assert table.classify(FlowKey(ip_proto=PROTO_TCP, tp_dst=80)) == ALLOW
+        assert table.classify(FlowKey(ip_proto=PROTO_TCP, ip_src=0x0A000001)) == ALLOW
+        assert table.classify(FlowKey(ip_proto=PROTO_TCP, tp_src=12345)) == ALLOW
         assert table.classify(FlowKey(ip_proto=PROTO_TCP, tp_src=1, tp_dst=1)).is_drop
 
     def test_priority_order_matches_fig6(self):
@@ -59,7 +60,7 @@ class TestTables:
         ).is_drop
         assert table.classify(
             FlowKey(ip_proto=PROTO_TCP, ip_dst=0xC0000201, tp_dst=80)
-        ).is_allow
+        ) == ALLOW
 
     def test_l4_rules_constrain_protocol(self):
         table = DP.build_table()

@@ -456,8 +456,8 @@ class MegaflowStore:
         Semantically ``[self.insert(e, now) for e in entries]`` — every
         entry mutates the authoritative dicts, is invariant-checked and
         journalled individually, in order — but backends with an
-        incremental index (TSS) amortise their index appends to one
-        vectorised pass per call instead of one per entry.
+        incremental index (TSS) amortise their index appends into
+        vectorised drains instead of one append per entry.
         """
         with self.index_burst():
             return [self.insert(entry, now) for entry in entries]
@@ -467,9 +467,11 @@ class MegaflowStore:
 
         The datapath opens one burst per ``process_batch``; backends whose
         per-insert index work is worth amortising (TSS) override this to
-        defer appends until the next index read or burst exit.  Truth-side
-        mutations are never deferred — only the pure accelerating index —
-        so behaviour inside the burst is observably unchanged.
+        defer appends — TSS carries them across bursts until the backlog
+        reaches its merge cadence, a burst reads it, or a reader that
+        cannot probe the truth dicts for it needs the index.  Truth-side mutations are never
+        deferred — only the pure accelerating index — so behaviour inside
+        and after the burst is observably unchanged.
         """
         return nullcontext()
 

@@ -72,23 +72,31 @@ Accelerator invariants:
   or reordered, drops it, and the next plan prepares afresh.  A snapshot
   is never updated in place, and under ``check_invariants`` every plan
   compares it with a fresh ``prepare``;
-* every accelerator append goes through one drain: under
+* every accelerator append goes through one drain, and the accelerator
+  may lag the dicts by a bounded backlog: under
   :meth:`MegaflowStore.index_burst` (the datapath wraps every
   ``process_batch`` in one) inserts mutate the authoritative dicts
-  immediately but queue their accelerator work until the next accelerator
-  read or burst exit, and outside a burst an insert drains at once.  A
-  drain is one vectorised append — one column-matrix build for the new
-  masks' rows and one for the entries', over only the fields the burst's
-  masks constrain (any other column is zero in those masks, so the AND
-  zeroes it anyway); one hash pass; at most one pending merge — so a
-  burst pays one accelerator append/resort, not one per upcall.  The
+  immediately but queue their accelerator work, and a burst's exit drains
+  the queue only once it reaches the merge cadence (an eighth of the sorted
+  compound array, at least 64 — :meth:`TupleSpaceSearch._acc_due`) or a
+  key of the burst was served from it, so a trickle of small cold bursts
+  pays one append per cadence, not one per burst, and a replay that
+  re-reads the backlog pays for it in one burst only.  Outside a burst an
+  insert drains at once (with any backlog).  A drain is one vectorised
+  append — one column-matrix build for the new masks' rows and one for
+  the entries', over only the fields the backlog's masks constrain (any
+  other column is zero in those masks, so the AND zeroes it anyway); one
+  hash pass; at most one pending merge.  The
   reference derive stays full-width: ``check_invariants`` re-derives new
   slots' rows and their masks' rows over every field.  Deferral is
-  invisible to lookups because every accelerator read path drains first,
-  and the batch scanner's mid-burst coherence check never reads the
-  accelerator: it probes the truth dicts for the key's own megaflow, and
-  a deferred mask's scan position is recorded in ``_mask_index`` the
-  moment its append is deferred.
+  invisible to lookups: a reader with no coherence probe (a scanner built
+  without ``spawn``, so ``lookup`` and ``process``; the rebuild) drains
+  first, and a scanner built with ``spawn`` plans over the indexed prefix
+  only — its mask operands span the indexed masks, its entry-count
+  snapshot counts only indexed entries — so a key whose megaflow is still
+  queued is a plan miss settled by the mid-burst coherence probe of the
+  truth dicts, at the scan position recorded in ``_mask_index`` the moment
+  the append was deferred.
 """
 
 from __future__ import annotations
@@ -197,6 +205,9 @@ class TupleSpaceSearch(MegaflowStore):
         self._acc_salt_buffer: np.ndarray = np.empty(0, dtype=np.uint64)
         self._acc_salt_rng = np.random.default_rng(0xACCE1)
         self._mask_index: dict[FlowMask, int] = {}
+        # Masks with rows in the buffer: the indexed prefix of the scan
+        # order (masks past it wait in the backlog).
+        self._acc_n_masks = 0
         # The slot table: slot s holds an indexed entry's lookup result (the
         # entry and its mask's scan position + 1: what a plan hit on it
         # returns), its masked packed row, its mask's scan position and its
@@ -219,9 +230,15 @@ class TupleSpaceSearch(MegaflowStore):
         self._acc_operands: ScanOperands | None = None
         # Deferred accelerator appends (see module docstring): while a burst
         # is open, (entry, new_mask) pairs queue here and drain vectorised
-        # before the next accelerator read; outside one they drain at once.
+        # at a burst exit (at the merge cadence, or once the probe served a
+        # key from them) or before a read with no coherence probe; outside
+        # a burst they drain at once.
         self._burst_depth = 0
         self._burst_buf: list[tuple[MegaflowEntry, bool]] = []
+        # Set when the coherence probe serves a key from an unindexed entry:
+        # the backlog is being re-read, and every re-read pays a generation
+        # a plan hit would not, so the burst's exit drains it.
+        self._backlog_served = False
 
     # -- store hooks -------------------------------------------------------------
     def _index_invalidate(self) -> None:
@@ -244,13 +261,21 @@ class TupleSpaceSearch(MegaflowStore):
 
     @contextmanager
     def index_burst(self):
-        """Defer accelerator appends for the duration of one batch."""
+        """Defer accelerator appends for the duration of one batch.
+
+        The exit drains the backlog once it reaches the merge cadence
+        (:meth:`_acc_due`) or once the coherence probe has served a key from
+        it; otherwise it carries over to later bursts until one of those
+        happens, or until a reader with no coherence probe drains it.
+        """
         self._burst_depth += 1
         try:
             yield self
         finally:
             self._burst_depth -= 1
-            if self._burst_depth == 0:
+            if self._burst_depth == 0 and (
+                self._backlog_served or self._acc_due(len(self._burst_buf))
+            ):
                 self._burst_drain()
 
     # -- accelerator maintenance ----------------------------------------------
@@ -305,7 +330,7 @@ class TupleSpaceSearch(MegaflowStore):
         self._slot_masks[first:end] = indices
         self._slot_compounds[first:end] = compounds
         filter_set(self._acc_filter, self._acc_filter_shift, compounds)
-        if end - len(self._acc_compounds) >= max(64, len(self._acc_compounds) >> 3):
+        if self._acc_due(end - len(self._acc_compounds)):
             self._acc_merge_pending()
 
     def _burst_drain(self) -> None:
@@ -316,8 +341,9 @@ class TupleSpaceSearch(MegaflowStore):
         by one column-matrix build apiece over the fields the burst's masks
         constrain — the positions are the ones recorded in ``_mask_index``
         at defer time — and the pending-merge threshold is checked once
-        per burst.
+        per drain.
         """
+        self._backlog_served = False
         buf = self._burst_buf
         if not buf:
             return
@@ -334,7 +360,7 @@ class TupleSpaceSearch(MegaflowStore):
         if new_masks:
             # Every append is deferred, so the masks with rows are exactly
             # the order prefix and the k-th deferred one sits right behind it.
-            first, end = len(mask_index) - len(new_masks), len(mask_index)
+            first, end = self._acc_n_masks, len(mask_index)
             if self.check_invariants and [mask_index[mask] for mask in new_masks] != list(
                 range(first, end)
             ):
@@ -352,11 +378,19 @@ class TupleSpaceSearch(MegaflowStore):
                 self._acc_operands = self._scan_kernel.extend(
                     cached, mask_rows, self._acc_salt_buffer[first:end]
                 )
+            self._acc_n_masks = end
         self._slot_append(entries, indices, fields)
 
     def _acc_backlog(self) -> int:
         """Slots indexed since the last merge (their compounds unsorted)."""
         return len(self._slot_results) - len(self._acc_compounds)
+
+    def _acc_due(self, backlog: int) -> bool:
+        """Whether ``backlog`` appends have reached the merge cadence: an
+        eighth of the sorted compound array, at least 64.  Both backlogs
+        keep it — the drain's queue at burst exit and the slots' unsorted
+        tail — so a cadence-sized drain also merges."""
+        return backlog >= max(64, len(self._acc_compounds) >> 3)
 
     def _acc_merge_pending(self) -> None:
         """Fold the slot backlog into the sorted compound array.
@@ -397,11 +431,11 @@ class TupleSpaceSearch(MegaflowStore):
         )
 
     def _scan_operands(self) -> ScanOperands:
-        """The kernel's operands for the current mask list (cached)."""
+        """The kernel's operands for the indexed masks (cached)."""
         cached = self._acc_operands
         if cached is not None and not self.check_invariants:
             return cached
-        n = len(self._mask_order)
+        n = self._acc_n_masks
         fresh = self._scan_kernel.prepare(
             self._acc_mask_buffer[:n], self._acc_salt_buffer[:n]
         )
@@ -424,25 +458,36 @@ class TupleSpaceSearch(MegaflowStore):
             )
 
     def _check_slots(self) -> None:
-        """``check_invariants``: the slot table indexes exactly the dicts.
+        """``check_invariants``: the slot table indexes exactly the dicts
+        minus the backlog.
 
-        Its slots hold the dicts' entries, each once; the mask index agrees
-        with the scan order; every slot appended since the last check
-        carries the scan position (in its result, too), masked row and
-        compound a rebuild would derive (a slot is never rewritten, so once
-        is enough); the sorted array holds the merged slots' compounds, in
-        order.
+        Its slots hold the dicts' entries that are not queued in
+        ``_burst_buf``, each once; the queued new masks are the scan order
+        past the indexed prefix; the mask index agrees with the scan order;
+        every slot appended since the last check carries the scan position
+        (in its result, too), masked row and compound a rebuild would derive
+        (a slot is never rewritten, so once is enough); the sorted array
+        holds the merged slots' compounds, in order.
         """
-        results, order = self._slot_results, self._mask_order
+        results, order, buf = self._slot_results, self._mask_order, self._burst_buf
         n, checked = len(results), self._slots_checked
         # Whole-table checks run on every plan (built from C-level maps: a
         # per-key lookup plans once per key).
         indexed = set(map(id, map(itemgetter(0), results)))
+        pending = set(map(id, map(itemgetter(0), buf)))
         truth = set(map(id, chain.from_iterable(map(dict.values, self._tables.values()))))
-        if len(indexed) != n or indexed != truth:
+        if (
+            len(indexed) != n
+            or len(pending) != len(buf)
+            or not indexed.isdisjoint(pending)
+            or indexed | pending != truth
+        ):
             raise CacheInvariantError(
-                f"the slot table's {n} entries are not the dicts' {len(truth)}"
+                f"the slot table's {n} entries and the {len(buf)} queued are not "
+                f"the dicts' {len(truth)}"
             )
+        if [entry.mask for entry, new_mask in buf if new_mask] != order[self._acc_n_masks :]:
+            raise CacheInvariantError("the queued new masks are not the unindexed scan order")
         if len(self._mask_index) != len(order) or list(
             map(self._mask_index.get, order)
         ) != list(range(len(order))):
@@ -477,6 +522,7 @@ class TupleSpaceSearch(MegaflowStore):
         order = self._mask_order
         self._acc_grow(max(len(order), 1))
         self._mask_index = {mask: i for i, mask in enumerate(order)}
+        self._acc_n_masks = len(order)
         fields = self._fields_of_masks(order)
         if order:
             self._acc_mask_buffer[: len(order)] = _to_column_matrix(
@@ -539,21 +585,29 @@ class _BatchScanner:
     * a scan-order change (removal, shuffle, flush) bumps the cache's
       ``_order_seq``; the scanner replans from the current key (the index
       rebuild behind such a change is the only thing that renumbers slots);
-    * inserts since the plan snapshot (``n_entries`` moved; removals fall
-      under the first rule) matter only on a plan *miss* — under Inv(2) a
-      snapshot hit can never be preempted by a newer entry.  A plan-missed
+    * entries the plan snapshot does not index (``n_entries`` moved past
+      the indexed count: installs since the plan, and with ``spawn`` the
+      accelerator's queued backlog from earlier bursts; removals fall under
+      the first rule) matter only on a plan *miss* — under Inv(2) a
+      snapshot hit can never be preempted by another entry.  A plan-missed
       key ``k`` is then settled by an **identity probe of the truth
       dicts**: one ``get_entry(mask, k & mask)`` for the megaflow
       ``spawn`` says the slow path generates for ``k``.  Three premises
       make that probe complete: (1) the filter has no false negatives and
       hits are decided by exact row equality, so a plan miss means no
-      pre-snapshot entry covers ``k``; (2) every entry installed since was
-      generated by the caller's slow path (``Datapath.process_batch`` is
-      the only mid-burst installer); (3) generated entries that overlap
-      are identical (``slowpath.py``'s tested correctness property), so
-      the only such entry that can cover ``k`` is ``(mask, k & mask)``
-      itself.  A caller that cannot name the megaflow passes no ``spawn``
-      and the scanner replans from the current key instead;
+      indexed entry covers ``k``; (2) every unindexed entry was generated
+      under the current flow table — ``Datapath.process_batch`` is the
+      only mid-burst installer and installs nothing else, sibling shards'
+      re-mapped megaflows and rebuild copies were generated so too, and a
+      flow-table change flushes the cache; (3) generated entries that
+      overlap are identical (``slowpath.py``'s tested correctness
+      property), so the only such entry that can cover ``k`` is
+      ``(mask, k & mask)`` itself, at the scan position ``_mask_index``
+      recorded for it.  Serving a key so costs a generation a plan hit
+      would not, so a burst whose probe did drains the backlog at exit.  A
+      caller that cannot name the megaflow passes no ``spawn``; its plans
+      drain the backlog first and it replans from the current key after an
+      install instead;
     * a plan hit is final (see ``classifier.kernel``): Python maps its slot
       to the entry and, under ``check_invariants``, dict-confirms it.
     """
@@ -579,7 +633,7 @@ class _BatchScanner:
         self._start = 0
         self._end = 0
         self._order_seq = -1
-        self._n_entries = 0  # entry count at the plan snapshot
+        self._n_entries = 0  # indexed entry count at the plan snapshot
         # The plan for keys[start:end]: per key the first matching mask
         # index (-1: none) and the matched entry's slot.
         self._first: list[int] = []
@@ -668,7 +722,8 @@ class _BatchScanner:
 
     def _settle_miss(self, j: int, values: tuple[int, ...]) -> TssLookupResult:
         """Settle key ``j``, which the current plan misses (or, with
-        installs since the plan, whose own megaflow ``spawn`` names)."""
+        entries the plan does not index, whose own megaflow ``spawn``
+        names)."""
         tss = self.tss
         hit = None
         if tss._n_entries != self._n_entries:
@@ -679,6 +734,7 @@ class _BatchScanner:
             result = _new(TssLookupResult, (None, len(tss._mask_order)))
         else:
             tss._register_hits((hit,), self.now)
+            tss._backlog_served = True
             result = _new(TssLookupResult, (hit, tss._mask_index[hit.mask] + 1))
         tss._account_scan(result)
         tss._memo_store(values, result)
@@ -693,20 +749,24 @@ class _BatchScanner:
         return self._start, self._end, self._first, self._slot, tss._slot_results
 
     def _build_plan(self, start: int) -> None:
-        """The kernel's plan for keys[start:end], over a current index."""
+        """The kernel's plan for keys[start:end], over a current index.
+
+        With ``spawn`` the plan covers the indexed prefix and leaves the
+        deferred appends queued: the indexed entry count it records below
+        sends every plan miss to the truth-dict probe, which finds a queued
+        megaflow.  Without ``spawn`` it drains them first, so that count is
+        the cache's and a plan miss is final.
+        """
         tss = self.tss
         if tss._acc_dirty:
             tss._rebuild_accelerator()
-        elif tss._burst_buf:
-            # Deferred burst appends must reach the accelerator before the
-            # plan snapshots it: the entry count recorded below tells the
-            # miss path that nothing is newer than this plan.
+        elif tss._burst_buf and self._spawn is None:
             tss._burst_drain()
         if tss._acc_backlog():
             # The kernels search the sorted compound array only; fold the
             # unsorted insert backlog in first (amortised: once per plan).
             tss._acc_merge_pending()
-        n = len(tss._mask_order)
+        n = tss._acc_n_masks
         end = min(len(self.keys), start + max(32, self.CHUNK_ELEMS // max(n, 1)))
         if not n:
             self._first = self._slot = [-1] * (end - start)
@@ -731,18 +791,19 @@ class _BatchScanner:
         self._start = start
         self._end = end
         self._order_seq = tss._order_seq
-        self._n_entries = tss._n_entries
+        self._n_entries = len(tss._slot_results)
 
     def plan_misses(self, start: int) -> list[int]:
         """Key indices ``>= start`` guaranteed to miss the plan snapshot.
 
         The filter has no false negatives, so a key with no plan hit cannot
-        hit any entry installed before the batch — the upcall coalescer
-        uses this as its burst of soon-to-miss keys.  Only entries
-        installed *mid-batch* can still serve some of them (which is fine:
-        megaflow generation is pure, so speculatively generating for a key
-        that ends up hitting changes nothing).  When no plan covers
-        ``start``, every remaining key is reported.
+        hit any entry the plan indexes — the upcall coalescer uses this as
+        its burst of soon-to-miss keys.  Only entries it does not index
+        (installed *mid-batch*, or queued in the accelerator's backlog) can
+        still serve some of them (which is fine: megaflow generation is
+        pure, so speculatively generating for a key that ends up hitting
+        changes nothing).  When no plan covers ``start``, every remaining
+        key is reported.
         """
         if self.tss._order_seq != self._order_seq or not (
             self._start <= start < self._end

@@ -76,7 +76,3 @@ class GeneralTraceGenerator:
         use :func:`repro.core.analysis.expected_masks` for the analytic
         prediction)."""
         return AdversarialTrace(keys=list(self.keys(n)), expected_masks=0, use_case=use_case)
-
-    def reseed(self, seed: int) -> None:
-        """Restart the RNG (Monte Carlo runs)."""
-        self._rng = np.random.default_rng(seed)

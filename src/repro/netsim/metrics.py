@@ -61,24 +61,12 @@ class TimeSeries:
             raise SimulationError(f"{self.name}: no samples in [{start}, {stop})")
         return max(window)
 
-    def percentile(
-        self,
-        q: float,
-        start: float = float("-inf"),
-        stop: float = float("inf"),
-    ) -> float:
-        """The ``q``-th percentile (0..100) over samples with start <= t < stop."""
-        window = [v for t, v in self if start <= t < stop]
-        if not window:
-            raise SimulationError(f"{self.name}: no samples in [{start}, {stop})")
-        return quantile(window, q)
-
 
 def quantile(values: list[float], q: float) -> float:
     """Linear-interpolation percentile (numpy's default), 0 <= q <= 100.
 
-    Shared by :meth:`TimeSeries.percentile` and the fleet readouts, which
-    compute p50/p99 over per-tenant floors rather than over time.
+    The fleet readouts compute p50/p99 with it over per-tenant floors
+    rather than over time.
     """
     if not 0.0 <= q <= 100.0:
         raise SimulationError(f"percentile must be in [0, 100], got {q}")

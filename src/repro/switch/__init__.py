@@ -1,6 +1,6 @@
 """The simulated software switch: datapath, caches, offloads, cost model."""
 
-from repro.switch.calibration import CurveParams, fit_profile, fraction_of_baseline
+from repro.switch.calibration import CurveParams, fit_profile
 from repro.switch.costmodel import CostModel, SlowPathModel
 from repro.switch.datapath import (
     BatchVerdicts,
@@ -38,7 +38,6 @@ __all__ = [
     "UDP_PROFILE",
     "CurveParams",
     "fit_profile",
-    "fraction_of_baseline",
     "CostModel",
     "SlowPathModel",
     "show",

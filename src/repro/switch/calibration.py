@@ -42,7 +42,7 @@ from scipy.optimize import least_squares
 from repro.exceptions import SwitchError
 from repro.switch.offload import NicProfile
 
-__all__ = ["CurveParams", "fit_profile", "fraction_of_baseline"]
+__all__ = ["CurveParams", "fit_profile"]
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,3 @@ def fit_profile(profile: NicProfile) -> CurveParams:
     items = tuple(sorted(profile.anchors.items()))
     return _fit_cached(items)
 
-
-def fraction_of_baseline(profile: NicProfile, masks: float) -> float:
-    """Fraction of ``profile``'s baseline throughput at ``masks`` masks."""
-    return fit_profile(profile).fraction(masks)

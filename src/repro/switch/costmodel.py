@@ -7,8 +7,9 @@ flow completion time, and slow-path CPU% — using the calibrated curves of
 
 Unit convention: **1 unit = the cost of classifying one baseline packet at a
 single-mask MFC** for the given profile.  The fast path has a budget of
-``baseline_pps`` units per second (that is what makes the baseline rate the
-baseline); every packet then costs its *relative cost* in units, so CPU
+one unit per baseline packet per second (``budget_units_per_sec``: that is
+what makes the baseline rate the baseline); every packet then costs its
+*relative cost* in units, so CPU
 contention between victim and attack traffic falls out of simple unit
 bookkeeping.
 

@@ -443,7 +443,9 @@ class Datapath:
         scan plan missed, looked up after this burst installed something,
         is settled by one truth-dict probe for *its own* megaflow
         (``spawn`` below; the argument and its premises are in
-        :class:`~repro.classifier.tss._BatchScanner`).  This method is the
+        :class:`~repro.classifier.tss._BatchScanner`), and so is a key
+        whose megaflow an earlier burst installed but the index has not
+        yet appended.  This method is the
         only mid-burst installer and installs nothing but generated
         megaflows, which is what makes that probe complete.
 
@@ -451,8 +453,12 @@ class Datapath:
         the scanner's guaranteed-miss set for the rest of the burst
         through one :meth:`MegaflowGenerator.generate_batch` call,
         packets spawning the same megaflow share one generation (OVS
-        handler dedup), and the backend's accelerator appends amortise to
-        one pass per burst (:meth:`MegaflowStore.index_burst`).
+        handler dedup), and the backend's accelerator appends queue under
+        :meth:`MegaflowStore.index_burst` and drain in one pass once the
+        backlog reaches the index's merge cadence, which a trickle of
+        small cold bursts reaches only every several bursts, or once a
+        burst re-reads it; ``spawn`` settles a key whose megaflow is
+        still queued.
         Generation is pure — it reads only the flow table — so generating
         for a key that ends up hitting a mid-batch install observably
         changes nothing, and the burst stays verdict-for-verdict and

@@ -59,11 +59,6 @@ class NicProfile:
             if masks < 1 or not (0.0 < fraction <= 1.0):
                 raise SwitchError(f"{self.name}: bad anchor ({masks}, {fraction})")
 
-    @property
-    def baseline_pps(self) -> float:
-        """Classified units per second at baseline."""
-        return self.baseline_gbps * 1e9 / 8.0 / self.unit_bytes
-
 
 # Anchor fractions transcribed from §5.4 (use cases at 17 / 260 / 516 / 8200
 # masks) and §6.2 (UDP at the general-TSE mask counts).

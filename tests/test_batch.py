@@ -10,6 +10,7 @@ random inputs (hypothesis plus seeded fuzz) and compare transcripts.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import hypothesis.strategies as st
@@ -315,10 +316,18 @@ def assert_verdicts_equal(sequential, batched):
     seed=st.integers(min_value=0, max_value=2**31),
     microflow=st.sampled_from([0, 8]),
     mask_cache=st.booleans(),
-    batch_size=st.integers(min_value=1, max_value=17),
+    burst_sizes=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=8),
+    lookup_every=st.integers(min_value=0, max_value=3),
 )
-def test_process_batch_equivalent(rules, seed, microflow, mask_cache, batch_size):
-    """process_batch ≡ sequential process across cache configurations."""
+def test_process_batch_equivalent(rules, seed, microflow, mask_cache, burst_sizes, lookup_every):
+    """process_batch ≡ sequential process across cache configurations.
+
+    Burst boundaries cycle through ``burst_sizes``, so the TSS index's
+    deferred appends carry over several bursts before the merge cadence
+    drains them; after every ``lookup_every``-th burst (0: never) both
+    stores serve a spawn-less ``lookup`` of the burst's first key, a reader
+    that drains that backlog first.
+    """
 
     def mk():
         return Datapath(
@@ -330,13 +339,21 @@ def test_process_batch_equivalent(rules, seed, microflow, mask_cache, batch_size
             ),
         )
 
-    keys = _mixed_traffic(rules, seed, 60)
+    keys = _mixed_traffic(rules, seed, 120)
     a, b = mk(), mk()
-    sequential = [a.process(k, now=1.0) for k in keys]
-    batched = []
-    for start in range(0, len(keys), batch_size):
-        batch = b.process_batch(keys[start : start + batch_size], now=1.0)
-        batched.extend(batch.verdicts)
+    sequential, batched = [], []
+    start = 0
+    for n, size in enumerate(itertools.cycle(burst_sizes), start=1):
+        burst = keys[start : start + size]
+        if not burst:
+            break
+        sequential.extend(a.process(k, now=1.0) for k in burst)
+        batched.extend(b.process_batch(burst, now=1.0).verdicts)
+        if lookup_every and n % lookup_every == 0:
+            assert_results_equal(
+                [a.megaflows.lookup(burst[0], now=1.0)], [b.megaflows.lookup(burst[0], now=1.0)]
+            )
+        start += size
     assert_verdicts_equal(sequential, batched)
     assert_datapaths_equal(a, b)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import SwitchError
-from repro.switch.calibration import CurveParams, fit_profile, fraction_of_baseline
+from repro.switch.calibration import CurveParams, fit_profile
 from repro.switch.offload import FHO_TCP, GRO_OFF_TCP, GRO_ON_TCP, NicProfile, UDP_PROFILE
 
 
@@ -68,9 +68,6 @@ class TestCurveShape:
         """The GRO OFF curve needs the M>1 step for its steep first drop."""
         params = fit_profile(GRO_OFF_TCP)
         assert params.s > 0.1
-
-    def test_convenience_wrapper(self):
-        assert fraction_of_baseline(GRO_OFF_TCP, 17) == fit_profile(GRO_OFF_TCP).fraction(17)
 
 
 class TestCurveParamsDirect:

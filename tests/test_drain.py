@@ -9,6 +9,12 @@ rows and their masks' rows over all fields — and these tests also hold the
 rows to that derive directly, and every verdict to Algorithm 1
 (``tests/scan_oracle.py``), on both kernels, for bursts whose field sets
 differ, are empty, or grow the scan's active columns mid-detonation.
+
+A burst shorter than the merge cadence leaves its appends queued, and the
+last tests hold that backlog: a trickle of 5-packet cold bursts drains at
+the cadence, a key whose megaflow is queued is served by the coherence
+probe (and its burst drains the backlog it read), a reader with no probe
+drains first, and a lost queued entry fails the slot check.
 """
 
 from __future__ import annotations
@@ -25,9 +31,18 @@ from repro.classifier.kernel import COLUMN_SPLITS, to_column_matrix
 from repro.classifier.rule import Match
 from repro.classifier.slowpath import WILDCARDING, MegaflowGenerator
 from repro.classifier.tss import TupleSpaceSearch
+from repro.core.usecases import SIPDP
+from repro.exceptions import CacheInvariantError
 from repro.packet.fields import FIELD_ORDER, FlowKey, FlowMask
+from repro.switch.datapath import Datapath, DatapathConfig, PathTaken
+from tests.scan_oracle import algorithm1
 from tests.store_helpers import lookup_batch
-from tests.test_batch import KERNELS
+from tests.test_batch import (
+    KERNELS,
+    _detonation_trace,
+    assert_datapaths_equal,
+    assert_verdicts_equal,
+)
 
 pytestmark = pytest.mark.usefixtures("scan_oracle")
 
@@ -130,10 +145,12 @@ def test_a_burst_of_the_all_wildcard_mask(kernel):
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_a_new_column_mid_detonation(kernel):
+def test_a_new_column_mid_detonation(kernel, monkeypatch):
     """Masks over the IPv4 fields first; then a burst whose new mask is the
     first to constrain an IPv6 column, which the cached scan operands cannot
-    be extended by; then bursts that add no column, which they are."""
+    be extended by; then bursts that add no column, which they are.  A short
+    burst's appends wait in the backlog until a read drains them, so the
+    operands are held to what the drain's ``extend`` made after that read."""
     keys = _keys(400, seed=11)
     entries = _megaflows(keys)
     v6 = [e for e in entries if e.mask["ipv6_src"] or e.mask["ipv6_dst"]]
@@ -144,19 +161,127 @@ def test_a_new_column_mid_detonation(kernel):
     )
     assert len(v4) > 8 and len(v6) > 8 and v4[0].mask["tp_dst"]
     store = TupleSpaceSearch(check_invariants=True, scan_kernel=kernel)
+    extended = []  # what each drain's ``extend`` returned
+    extend = store._scan_kernel.extend
+
+    def spy(*args):
+        extended.append(extend(*args))
+        return extended[-1]
+
+    monkeypatch.setattr(store._scan_kernel, "extend", spy)
     store.insert_batch(v4[:4])
     _scan_all(store, keys[:20])
     before = store._acc_operands.active.tolist()
-    store.insert_batch(v4[4:])  # no new column: the operands are extended
-    assert store._acc_operands is not None
+    store.insert_batch(v4[4:])  # no new column: the drain extends the operands
+    assert store._burst_buf and not extended
+    _scan_all(store, keys[:20])
+    assert store._acc_operands is not None and store._acc_operands is extended[-1]
     assert store._acc_operands.active.tolist() == before
     assert len(store._acc_operands.salts) == store.n_masks
-    _scan_all(store, keys[:20])
     store.insert_batch(v6[:1])  # the first IPv6 column
-    assert store._acc_operands is None
     _scan_all(store, keys[:20])
+    assert extended[-1] is None  # the drain dropped them; the read prepared afresh
     assert len(store._acc_operands.active) > len(before)
     for start in range(1, len(v6), 5):
         store.insert_batch(v6[start : start + 5])
         _scan_all(store, keys[start : start + 40])
     _scan_all(store, keys)
+
+
+# -- the backlog: a trickle of short cold bursts drains at the merge cadence ------
+
+
+def _sipdp(kernel: str) -> Datapath:
+    config = DatapathConfig(microflow_capacity=0, check_invariants=True, scan_kernel=kernel)
+    return Datapath(SIPDP.build_table(), config)
+
+
+def _slots_are_the_dicts(store: TupleSpaceSearch) -> bool:
+    indexed = [id(result.entry) for result in store._slot_results]
+    return sorted(indexed) == sorted(map(id, store.entries()))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_trickle_of_cold_bursts_drains_at_the_merge_cadence(kernel, monkeypatch):
+    """SipDp's trace, every key cold, fed in 5-packet bursts: no key reads
+    the backlog, so it drains only when it reaches the merge cadence (8
+    times for 529 keys, where a drain per burst made 106), and installs
+    and verdicts are those of the same trace as one burst."""
+    trace = _detonation_trace(SIPDP)
+    whole, trickle = _sipdp(kernel), _sipdp(kernel)
+    expected = whole.process_batch(trace, now=1.0).verdicts
+    drains = []
+    drain = TupleSpaceSearch._burst_drain
+
+    def counting_drain(store):
+        if store._burst_buf:
+            drains.append(len(store._burst_buf))
+        return drain(store)
+
+    monkeypatch.setattr(TupleSpaceSearch, "_burst_drain", counting_drain)
+    verdicts = []
+    for start in range(0, len(trace), 5):
+        verdicts.extend(trickle.process_batch(trace[start : start + 5], now=1.0).verdicts)
+    assert len(trace) == 529 and trickle.n_megaflows == len(trace)
+    assert 1 <= len(drains) <= 10 and min(drains) >= 64, drains
+    assert_verdicts_equal(expected, verdicts)
+    assert_datapaths_equal(whole, trickle)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_key_resent_while_its_megaflow_is_queued(kernel, scan_oracle):
+    """A key whose megaflow is indexed hits the plan and leaves the backlog
+    queued; keys re-sent while their megaflows (each under a new mask, past
+    the indexed prefix) are still queued get Algorithm 1's entry and
+    ``masks_inspected`` from the coherence probe, and the burst that read
+    the backlog drains it at exit."""
+    trace = _detonation_trace(SIPDP)
+    datapath = _sipdp(kernel)
+    store = datapath.megaflows
+
+    def resend(keys) -> None:
+        for key, verdict in zip(keys, datapath.process_batch(keys, now=2.0).verdicts):
+            entry, inspected = algorithm1(key, scan_oracle.walk(store))
+            assert entry is not None and verdict.path is PathTaken.MEGAFLOW
+            assert verdict.masks_inspected == inspected
+
+    datapath.process_batch(trace[:100], now=1.0)  # past the cadence: drained
+    assert not store._burst_buf and store._acc_n_masks == store.n_masks
+    installed = [v.installed for v in datapath.process_batch(trace[100:103], now=1.0).verdicts]
+    assert [(entry, True) for entry in installed] == store._burst_buf
+    assert store._acc_n_masks == store.n_masks - 3
+    resend([trace[50]])
+    assert len(store._burst_buf) == 3
+    resend([trace[101], trace[50], trace[100], trace[101]])
+    assert not store._burst_buf and _slots_are_the_dicts(store)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_lookup_and_process_drain_the_backlog_first(kernel):
+    """A reader with no coherence probe indexes the backlog before it
+    plans: after it, the slot table is the dicts."""
+    trace = _detonation_trace(SIPDP)
+    datapath = _sipdp(kernel)
+    store = datapath.megaflows
+    datapath.process_batch(trace[:100], now=1.0)
+    datapath.process_batch(trace[100:103], now=1.0)
+    assert store._burst_buf and not _slots_are_the_dicts(store)
+    assert store.lookup(trace[101], now=1.0).entry is not None
+    assert not store._burst_buf and _slots_are_the_dicts(store)
+    datapath.process_batch(trace[103:106], now=1.0)
+    assert store._burst_buf
+    assert datapath.process(trace[104], now=1.0).path is PathTaken.MEGAFLOW
+    assert not store._burst_buf and _slots_are_the_dicts(store)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_an_entry_dropped_from_the_backlog_fails_the_slot_check(kernel):
+    trace = _detonation_trace(SIPDP)
+    datapath = _sipdp(kernel)
+    datapath.process_batch(trace[:100], now=1.0)
+    datapath.process_batch(trace[100:103], now=1.0)
+    store = datapath.megaflows
+    store._check_slots()
+    store._burst_buf.pop(0)  # neither queued nor indexed
+    with pytest.raises(CacheInvariantError, match="queued are not the dicts"):
+        store._check_slots()

@@ -303,20 +303,6 @@ class TestTimeSeries:
         series.record(0.0, 1.0)
         assert list(series) == [(0.0, 1.0)]
 
-    def test_percentile(self):
-        series = TimeSeries("x")
-        for t in range(11):
-            series.record(float(t), float(t))
-        assert series.percentile(0.0) == 0.0
-        assert series.percentile(50.0) == 5.0
-        assert series.percentile(100.0) == 10.0
-        assert series.percentile(25.0) == 2.5
-        assert series.percentile(50.0, start=5.0) == 7.5
-        with pytest.raises(SimulationError, match="percentile"):
-            series.percentile(101.0)
-        with pytest.raises(SimulationError):
-            series.percentile(50.0, start=100.0)
-
 
 class TestMetricsCollector:
     def test_collects_named_series(self):

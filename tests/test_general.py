@@ -32,12 +32,6 @@ class TestGeneration:
         b = list(GeneralTraceGenerator(fields=("ip_src",), seed=2).keys(20))
         assert a != b
 
-    def test_reseed(self):
-        generator = GeneralTraceGenerator(fields=("ip_src",), seed=3)
-        first = list(generator.keys(10))
-        generator.reseed(3)
-        assert list(generator.keys(10)) == first
-
     def test_wide_field_random(self):
         generator = GeneralTraceGenerator(fields=("ipv6_src",), seed=5)
         values = [key["ipv6_src"] for key in generator.keys(32)]

@@ -65,7 +65,6 @@ PINNED_BY_TESTS: dict[str, tuple[str, ...]] = {
         "test_backend_table::test_dilution_on_a_subclassed_backend",
         "test_probecost::test_detector_dilution_is_backend_meaningful",
     ),
-    "core.general:GeneralTraceGenerator.reseed": ("test_general::TestGeneration::test_reseed",),
     "core.mitigation:MFCGuard.demoted_pps": (
         "test_mitigation::TestCpuAccounting::test_demoted_rate_estimated_from_hits",
     ),
@@ -77,7 +76,6 @@ PINNED_BY_TESTS: dict[str, tuple[str, ...]] = {
         "test_tracegen::TestBitInversion::test_respects_mask",
         "test_tracegen::TestBitInversion::test_length_is_width_plus_one",
     ),
-    "netsim.metrics:TimeSeries.percentile": ("test_engine::TestTimeSeries::test_percentile",),
     "packet.addresses:mac": ("test_addresses::TestMac::test_roundtrip", "test_addresses::TestMac::test_bad_input"),
     "packet.addresses:mac_str": ("test_addresses::TestMac::test_roundtrip", "test_addresses::TestMac::test_bad_input"),
     "packet.addresses:cidr4": (
@@ -105,8 +103,6 @@ PINNED_BY_TESTS: dict[str, tuple[str, ...]] = {
     "packet.fields:FlowMask.with_bits": ("test_fields::TestFlowMask::test_with_bits",),
     "packet.fields:FlowMask.covers": ("test_fields::TestFlowMask::test_covers",),
     "packet.fields:FlowMask.is_exact": ("test_fields::TestFlowMask::test_exact_and_wildcard",),
-    "switch.calibration:fraction_of_baseline": ("test_calibration::TestCurveShape::test_convenience_wrapper",),
-    "switch.offload:NicProfile.baseline_pps": ("test_offload::TestProfiles::test_baseline_pps",),
 }
 
 

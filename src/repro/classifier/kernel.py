@@ -24,7 +24,13 @@ determine.  Two implementations:
 * :class:`CffiScanKernel` — a compiled C inner loop (built on first use
   with cffi against the system toolchain, cached under ``_kernel_cache/``)
   that walks masks per key and **early-exits on the first exact match**, so
-  a warmed cache does O(first hit) work per key instead of O(masks).
+  a warmed cache does O(first hit) work per key instead of O(masks).  It
+  computes the same compound by table reads: a column takes few distinct
+  values across a mask list, so a key's ``(row_c & value) * w_c`` products
+  are tabulated once per key over each column's dictionary of mask values,
+  and a mask's compound is the sum of its columns' entries (the encoding
+  lives in :class:`ScanOperands`; the C comment at ``strip_hash`` has the
+  details).
 
 Selection: ``make_scan_kernel("auto")`` prefers the compiled kernel and
 falls back to numpy when the toolchain/cffi is absent; setting
@@ -44,11 +50,12 @@ the filter has no false negatives, an entry's compound is a function of its
 masked row and its mask, so the entry that matches is always among the
 indexed compounds equal to the key's; a filter false positive or a 64-bit
 compound collision compares unequal and the scan moves on.  Both kernels
-evaluate the same compound (addition is commutative mod 2**64, so column
-order does not matter) against the same filter and entry table, and so
-return the same first mask and slot for every key.  Under Inv(2) at most
-one entry covers a key, so the first exact match is the only one, and
-``masks_inspected`` is its mask index + 1.
+evaluate the same compound against the same filter and entry table, and
+so return the same first mask and slot for every key: the C kernel's
+table reads add up the very products the numpy kernel multiplies out, and
+addition is commutative mod 2**64, so neither term order nor tabulation
+changes a bit.  Under Inv(2) at most one entry covers a key, so the first
+exact match is the only one, and ``masks_inspected`` is its mask index + 1.
 """
 
 from __future__ import annotations
@@ -225,23 +232,61 @@ class ScanOperands:
     appended, else with a fresh ``prepare`` — and an instance is never
     written after construction, so the C views it holds stay valid for as
     long as it lives.
+
+    The cffi layout also carries the masks *encoded* for the tabulated
+    hash, as *terms*: one (column, value) pair per distinct value a column
+    takes across the masks, in ``terms`` = (an (n_terms x 3) uint64 matrix
+    of (position in ``active``, value, weight) rows, the base terms' int64
+    indices).  A ``uniform``
+    column holds one value in every mask, and its term is in the base,
+    which the hash adds once per key.  A ``varying`` column's masks name
+    their value's term in ``codes``, an (n_masks x n_varying) uint32
+    matrix.  Both are tuples of (position, ``{value: term}``).  Terms and
+    codes are append-only — ``extend`` never renumbers a term — and a
+    dictionary is copied before it grows, because the snapshot it came
+    from shares it.
     """
 
-    __slots__ = ("active", "masks", "weights", "salts", "pointers")
+    __slots__ = (
+        "active", "masks", "weights", "salts", "uniform", "varying", "codes", "terms", "pointers",
+    )
 
-    def __init__(self, active, masks, weights, salts, pointers=None):
+    def __init__(self, active, masks, weights, salts, uniform=None, varying=None,
+                 codes=None, terms=None, pointers=None):
         self.active = active      # int64 indices of the contributing columns
         self.masks = masks        # compacted mask matrix (kernel's layout)
         self.weights = weights    # WEIGHTS[active]
         self.salts = salts        # (n_masks,) uint64
-        self.pointers = pointers  # cffi: C views of (masks, weights, salts, active)
+        self.uniform = uniform    # cffi: ((position, {value: term}), ...)
+        self.varying = varying    # cffi: ((position, {value: term}), ...)
+        self.codes = codes        # cffi: (n_masks x len(varying)) uint32 terms
+        self.terms = terms        # cffi: ((n_terms x 3) uint64, base terms)
+        self.pointers = pointers  # cffi: the C mask side and the views it reads
+
+    def decoded(self) -> np.ndarray | None:
+        """The (n_masks x len(active)) masks the encoding spells, or
+        ``None`` for a layout that carries none."""
+        if self.codes is None:
+            return None
+        decoded = np.empty((len(self.salts), len(self.active)), dtype=np.uint64)
+        for position, values in self.uniform:
+            decoded[:, position] = next(iter(values))
+        values = self.terms[0][:, 1]
+        for j, (position, _) in enumerate(self.varying):
+            decoded[:, position] = values[self.codes[:, j]]
+        return decoded
 
     def equals(self, other: "ScanOperands") -> bool:
-        """Same operands, value for value (the cache-coherence check)."""
-        return all(
+        """Same operands, value for value (the cache-coherence check); an
+        encoding is compared by the masks it decodes to, not term for term."""
+        same = all(
             np.array_equal(getattr(self, name), getattr(other, name))
             for name in ("active", "masks", "weights", "salts")
         )
+        mine, theirs = self.decoded(), other.decoded()
+        if mine is None or theirs is None:
+            return same and mine is theirs
+        return same and np.array_equal(mine, theirs)
 
 
 class ScanKernel:
@@ -283,18 +328,14 @@ class ScanKernel:
         constrained[active] = False
         if constrained.any():
             return None
-        return self._operands(
-            active,
-            np.concatenate([self._compact(operands), masks[:, active]]),
-            np.concatenate([operands.salts, salts]),
-        )
+        return self._extend(operands, masks[:, active], salts)
 
     def _operands(self, active, compact, salts) -> ScanOperands:
         """Operands over ``compact``, the (n_masks x len(active)) masks."""
         raise NotImplementedError
 
-    def _compact(self, operands: ScanOperands) -> np.ndarray:
-        """``operands``' masks as ``_operands`` took them."""
+    def _extend(self, operands: ScanOperands, compact, salts) -> ScanOperands:
+        """``operands`` followed by ``compact``, new rows over its columns."""
         raise NotImplementedError
 
     def build_plan(
@@ -329,8 +370,12 @@ class NumpyScanKernel(ScanKernel):
         # Column-major, so each broadcast operand below is one contiguous row.
         return ScanOperands(active, np.ascontiguousarray(compact.T), WEIGHTS[active], salts)
 
-    def _compact(self, operands):
-        return operands.masks.T
+    def _extend(self, operands, compact, salts):
+        return self._operands(
+            operands.active,
+            np.concatenate([operands.masks.T, compact]),
+            np.concatenate([operands.salts, salts]),
+        )
 
     def build_plan(self, rows, operands, filter_bits, filter_shift,
                    compounds, compound_slots, slot_rows, slot_masks):
@@ -382,28 +427,46 @@ class NumpyScanKernel(ScanKernel):
 
 
 # -- compiled kernel -----------------------------------------------------------
-_CDEF = """
-void tss_scan(const uint64_t *rows, int64_t n_keys,
-              const uint64_t *masks, const uint64_t *weights,
-              const uint64_t *salts, const int64_t *active,
-              int64_t n_masks, int64_t n_cols,
-              const uint8_t *filt, uint64_t shift,
-              const uint64_t *comps, const int64_t *comp_slots,
-              int64_t n_comps, const uint64_t *slot_rows,
-              const int64_t *slot_masks, int64_t width,
-              int64_t *first, int64_t *slot);
+# The mask side of a plan, built once per ScanOperands (it only holds
+# pointers into the operands' arrays, which the operands keep alive).
+_MASK_SIDE = """
+struct mask_side {
+    const uint64_t *masks;
+    const int64_t *active;
+    const uint64_t *salts;
+    const uint32_t *codes;
+    const uint64_t *terms;
+    const int64_t *base_terms;
+    int64_t n_masks, n_cols, n_terms, n_base, n_vary;
+};
 """
 
-_SOURCE = """
-#include <stdint.h>
+_CDEF = _MASK_SIDE + """
+int tss_scan(const uint64_t *rows, int64_t n_keys, const struct mask_side *ms,
+             const uint8_t *filt, uint64_t shift,
+             const uint64_t *comps, const int64_t *comp_slots,
+             int64_t n_comps, const uint64_t *slot_rows,
+             const int64_t *slot_masks, int64_t width,
+             int64_t *first, int64_t *slot);
+"""
+
+_SOURCE = "#include <stdint.h>\n#include <stdlib.h>\n" + _MASK_SIDE + r"""
+/* What a mask side holds.  masks: the n_masks x n_cols mask matrix over
+ * the active columns of a row (tss_match compares with it); salts: one
+ * per mask.  The hash reads the rest.  A term is a (column, mask value,
+ * weight) triple, one per distinct value a column takes across the masks
+ * (the column as its position in `active`), three uint64s in `terms`.
+ * The n_base terms listed in base_terms belong to columns whose value is
+ * the same in every mask; each mask's codes row names, per varying
+ * column, the term of its value there (n_vary codes a mask). */
 
 /* The scan is processed in strips of STRIP masks: the compound hashes of a
- * whole strip are computed first (sequential, ALU-bound, prefetch-friendly),
- * then the membership filter is probed for each — the probes are random
- * accesses, and issuing them as independent loads lets the out-of-order
- * core overlap them instead of paying one full latency per mask.
- * (Detonated warm replay, us/key: STRIP 16 12.4-13.1, 64 12.1-12.6, 256
- * 11.0-12.0 -- not worth a 2 KiB stack array per key.) */
+ * whole strip are computed first (sequential, prefetch-friendly), then the
+ * membership filter is probed for each -- the probes are random accesses,
+ * and issuing them as independent loads lets the out-of-order core overlap
+ * them instead of paying one full latency per mask.  (C scan alone on the
+ * detonated warm replay, us/key: STRIP 16 10.7-10.9, 64 10.1-10.3, 256
+ * 10.4-10.7.) */
 #define STRIP 64
 
 #if defined(__GNUC__)
@@ -414,36 +477,42 @@ _SOURCE = """
 #define NOINLINE static
 #endif
 
-/* The strip hash, defined once.  Always inlined so that a call with a
- * literal n_cols has a constant-trip column loop the compiler unrolls;
- * `restrict` on the output tells it a store to accs cannot change row or
- * weights, so they stay in registers across the strip. */
+/* The strip hash, defined once.  A compound is a sum of per-column
+ * products (row & value) * weight, and a column takes only a few distinct
+ * values across the masks, so tss_scan tabulates the key's product for
+ * every term once (tab) and a mask's compound is base -- the uniform
+ * columns' products -- plus one table read per varying column.  Always
+ * inlined so that a call with a literal n_vary has a constant-trip column
+ * loop the compiler unrolls; `restrict` on the output tells it a store to
+ * accs cannot change what the loop reads. */
 ALWAYS_INLINE void
-strip_hash_cols(const uint64_t *row, const uint64_t *mask,
-                const uint64_t *weights, const uint64_t *salts,
-                int64_t n_cols, int64_t lim, uint64_t *restrict accs)
+strip_hash_cols(const uint64_t *tab, uint64_t base, const uint32_t *codes,
+                const uint64_t *salts, int64_t n_vary, int64_t lim,
+                uint64_t *restrict accs)
 {
-    for (int64_t i = 0; i < lim; i++, mask += n_cols) {
-        uint64_t acc = 0;
-        for (int64_t c = 0; c < n_cols; c++)
-            acc += (row[c] & mask[c]) * weights[c];
+    for (int64_t i = 0; i < lim; i++, codes += n_vary) {
+        uint64_t acc = base;
+        for (int64_t c = 0; c < n_vary; c++)
+            acc += tab[codes[c]];
         accs[i] = acc ^ salts[i];
     }
 }
 
-/* accs[i] = compound of `row` under mask i of a strip of `lim` masks.
- * Real mask lists constrain 1-4 columns (SipSpDp: 4); anything wider (IPv6
- * address pairs, 5+ fields) takes the runtime loop. */
-static void strip_hash(const uint64_t *row, const uint64_t *mask,
-                       const uint64_t *weights, const uint64_t *salts,
-                       int64_t n_cols, int64_t lim, uint64_t *restrict accs)
+/* accs[i] = compound of the tabulated key under mask i of a strip of `lim`
+ * masks.  Real mask lists vary in 1-4 columns (the detonated SipSpDp cache:
+ * 3, its ip_proto uniform); anything wider (IPv6 address pairs, 5+ fields)
+ * takes the runtime loop. */
+static void strip_hash(const uint64_t *tab, uint64_t base, const uint32_t *codes,
+                       const uint64_t *salts, int64_t n_vary, int64_t lim,
+                       uint64_t *restrict accs)
 {
-    switch (n_cols) {
-    case 1: strip_hash_cols(row, mask, weights, salts, 1, lim, accs); break;
-    case 2: strip_hash_cols(row, mask, weights, salts, 2, lim, accs); break;
-    case 3: strip_hash_cols(row, mask, weights, salts, 3, lim, accs); break;
-    case 4: strip_hash_cols(row, mask, weights, salts, 4, lim, accs); break;
-    default: strip_hash_cols(row, mask, weights, salts, n_cols, lim, accs);
+    switch (n_vary) {
+    case 0: strip_hash_cols(tab, base, codes, salts, 0, lim, accs); break;
+    case 1: strip_hash_cols(tab, base, codes, salts, 1, lim, accs); break;
+    case 2: strip_hash_cols(tab, base, codes, salts, 2, lim, accs); break;
+    case 3: strip_hash_cols(tab, base, codes, salts, 3, lim, accs); break;
+    case 4: strip_hash_cols(tab, base, codes, salts, 4, lim, accs); break;
+    default: strip_hash_cols(tab, base, codes, salts, n_vary, lim, accs);
     }
 }
 
@@ -509,37 +578,50 @@ NOINLINE int64_t tss_match(const struct entry_index *ix, uint64_t value,
     return -1;
 }
 
-/* Per key: scan masks in order and stop at the first exact match (under
- * Inv(2) the only one).  first[k] is its mask index and slot[k] the
- * entry's slot, both -1 when no mask matches. */
-void tss_scan(const uint64_t *rows, int64_t n_keys,
-              const uint64_t *masks, const uint64_t *weights,
-              const uint64_t *salts, const int64_t *active,
-              int64_t n_masks, int64_t n_cols,
-              const uint8_t *filt, uint64_t shift,
-              const uint64_t *comps, const int64_t *comp_slots,
-              int64_t n_comps, const uint64_t *slot_rows,
-              const int64_t *slot_masks, int64_t width,
-              int64_t *first, int64_t *slot)
+/* Per key: tabulate its products, then scan masks in order and stop at
+ * the first exact match (under Inv(2) the only one).  first[k] is its
+ * mask index and slot[k] the entry's slot, both -1 when no mask matches.
+ * The key's product table is one heap block per call, so plans running at
+ * once (the GIL is released) never share one; one slot more than the terms,
+ * so a list with no active column still gets a block.  Returns 0, or -1
+ * when the table could not be allocated. */
+int tss_scan(const uint64_t *rows, int64_t n_keys, const struct mask_side *ms,
+             const uint8_t *filt, uint64_t shift,
+             const uint64_t *comps, const int64_t *comp_slots,
+             int64_t n_comps, const uint64_t *slot_rows,
+             const int64_t *slot_masks, int64_t width,
+             int64_t *first, int64_t *slot)
 {
     const struct entry_index ix = {comps, comp_slots, n_comps, slot_rows,
-                                   slot_masks, width, masks, active, n_cols};
+                                   slot_masks, width, ms->masks, ms->active,
+                                   ms->n_cols};
+    const int64_t n_masks = ms->n_masks, n_vary = ms->n_vary;
     uint64_t accs[STRIP];
+    uint64_t *tab = malloc((size_t)(ms->n_terms + 1) * sizeof *tab);
+    if (tab == NULL)
+        return -1;
     for (int64_t k = 0; k < n_keys; k++) {
-        const uint64_t *row = rows + k * n_cols;
+        const uint64_t *row = rows + k * ms->n_cols;
         int64_t hit = -1, hit_slot = -1;
-        for (int64_t base = 0; base < n_masks && hit < 0; base += STRIP) {
-            int64_t lim = n_masks - base;
+        uint64_t base = 0;
+        for (int64_t t = 0; t < ms->n_terms; t++) {
+            const uint64_t *term = ms->terms + 3 * t;
+            tab[t] = (row[term[0]] & term[1]) * term[2];
+        }
+        for (int64_t u = 0; u < ms->n_base; u++)
+            base += tab[ms->base_terms[u]];
+        for (int64_t start = 0; start < n_masks && hit < 0; start += STRIP) {
+            int64_t lim = n_masks - start;
             if (lim > STRIP)
                 lim = STRIP;
-            strip_hash(row, masks + base * n_cols, weights, salts + base,
-                       n_cols, lim, accs);
+            strip_hash(tab, base, ms->codes + start * n_vary, ms->salts + start,
+                       n_vary, lim, accs);
             for (int64_t i = 0; i < lim; i++) {
                 if (!filter_has(filt, shift, accs[i]))
                     continue;
-                hit_slot = tss_match(&ix, accs[i], base + i, row);
+                hit_slot = tss_match(&ix, accs[i], start + i, row);
                 if (hit_slot >= 0) {
-                    hit = base + i;
+                    hit = start + i;
                     break;
                 }
             }
@@ -547,14 +629,16 @@ void tss_scan(const uint64_t *rows, int64_t n_keys,
         first[k] = hit;
         slot[k] = hit_slot;
     }
+    free(tab);
+    return 0;
 }
 """
 
-# No auto-vectorisation: baseline x86-64 SIMD has no 64-bit multiply, and
-# gcc -O3 vectorises the unrolled column loop regardless, emulating each
-# product with three ``pmuludq`` — 17-22 us/key on the detonated warm replay
-# where the scalar loop (one ``imul`` per column) runs 12.7.
-_COMPILE_ARGS = ["-O3", "-fno-tree-vectorize"]
+# Plain -O3: the per-mask loop reads a table at data-dependent indices,
+# which baseline x86-64 SIMD cannot gather, so auto-vectorisation leaves
+# the scan alone (C scan alone on the detonated warm replay: 10.2-10.5
+# us/key, and 10.2-10.9 with -fno-tree-vectorize).
+_COMPILE_ARGS = ["-O3"]
 
 #: Compile outcome memo: None = not tried, ("ok", lib) | ("error", message).
 _CFFI_STATE: tuple[str, object] | None = None
@@ -628,21 +712,86 @@ class CffiScanKernel(ScanKernel):
         self._ffi, self._lib = _cffi_runtime()
 
     def _operands(self, active, compact, salts):
-        masks_c = np.ascontiguousarray(compact)
-        weights_c = np.ascontiguousarray(WEIGHTS[active])
-        view = self._ffi.from_buffer
-        return ScanOperands(
-            active, masks_c, weights_c, salts,
-            pointers=(
-                view("uint64_t[]", masks_c),
-                view("uint64_t[]", weights_c),
-                view("uint64_t[]", salts),
-                view("int64_t[]", active),
+        # An empty mask list whose every column is uniform at the first
+        # mask's value (one term each), extended by all the masks: the rows
+        # that disagree turn a column varying, as in any extend.
+        first = compact[0].tolist() if len(compact) else []
+        weights = WEIGHTS[active]
+        empty = ScanOperands(
+            active, compact[:0], weights, salts[:0],
+            uniform=tuple((p, {value: p}) for p, value in enumerate(first)), varying=(),
+            codes=np.zeros((0, 0), dtype=np.uint32),
+            terms=(
+                np.array([[p, value, w] for p, (value, w) in enumerate(zip(first, weights.tolist()))],
+                         dtype=np.uint64).reshape(-1, 3),
+                np.arange(len(first), dtype=np.int64),
             ),
+            pointers=(None, None, None),
         )
+        return self._extend(empty, compact, salts)
 
-    def _compact(self, operands):
-        return operands.masks
+    def _extend(self, operands, compact, salts):
+        """Linear in the new rows: each looks its values up in the
+        dictionaries.  A value no dictionary holds yet appends a term; a
+        uniform column some new row breaks turns varying, every old mask
+        coded to its one term.  Old codes and terms are never rewritten,
+        and the C views of the terms are rebuilt only when they change."""
+        active, codes, weights = operands.active, operands.codes, operands.weights
+        terms, base = operands.terms
+        views = operands.pointers[1]
+        columns = compact.T.tolist()
+        kept, varying, broken = [], list(operands.varying), []
+        for position, values in operands.uniform:
+            if columns[position].count(next(iter(values))) == len(compact):
+                kept.append((position, values))
+            else:
+                varying.append((position, values))
+                broken.extend(values.values())
+        n_old, n_vary = len(codes), len(varying)
+        grown_codes = np.empty((n_old + len(compact), n_vary), dtype=np.uint32)
+        grown_codes[:n_old, : n_vary - len(broken)] = codes
+        grown_codes[:n_old, n_vary - len(broken):] = broken
+        fresh = []  # a (position, value, weight) row per term appended
+        for j, (position, values) in enumerate(varying):
+            column = columns[position]
+            try:
+                grown_codes[n_old:, j] = np.fromiter(
+                    map(values.__getitem__, column), dtype=np.uint32, count=len(column)
+                )
+                continue
+            except KeyError:  # a value the dictionary does not hold yet
+                pass
+            values = dict(values)
+            weight = int(weights[position])
+            for value in dict.fromkeys(column):
+                if value not in values:
+                    values[value] = len(terms) + len(fresh)
+                    fresh.append((position, value, weight))
+            varying[j] = (position, values)
+            grown_codes[n_old:, j] = np.fromiter(
+                map(values.__getitem__, column), dtype=np.uint32, count=len(column)
+            )
+        view = self._ffi.from_buffer
+        if fresh or broken or views is None:
+            if fresh:
+                terms = np.concatenate([terms, np.array(fresh, dtype=np.uint64)])
+            if broken:
+                base = np.array([t for _, values in kept for t in values.values()], dtype=np.int64)
+            views = (view("uint64_t[]", terms), view("int64_t[]", base))
+        masks = np.ascontiguousarray(np.concatenate([operands.masks, compact]))
+        salts = np.concatenate([operands.salts, salts])
+        arrays = (
+            view("uint64_t[]", masks),
+            operands.pointers[2][1] if operands.pointers[2] else view("int64_t[]", active),
+            view("uint64_t[]", salts), view("uint32_t[]", grown_codes),
+        )
+        side = self._ffi.new("struct mask_side *", [
+            *arrays, *views, len(salts), len(active), len(terms), len(kept), n_vary,
+        ])
+        return ScanOperands(
+            active, masks, weights, salts, tuple(kept), tuple(varying), grown_codes,
+            (terms, base), pointers=(side, views, arrays),
+        )
 
     def build_plan(self, rows, operands, filter_bits, filter_shift,
                    compounds, compound_slots, slot_rows, slot_masks):
@@ -660,17 +809,15 @@ class CffiScanKernel(ScanKernel):
         first = np.empty(n_keys, dtype=np.int64)
         slot = np.empty(n_keys, dtype=np.int64)
         view = self._ffi.from_buffer
-        p_masks, p_weights, p_salts, p_active = operands.pointers
-        self._lib.tss_scan(
-            view("uint64_t[]", rows_c), n_keys,
-            p_masks, p_weights, p_salts, p_active,
-            len(operands.salts), len(operands.active),
+        if self._lib.tss_scan(
+            view("uint64_t[]", rows_c), n_keys, operands.pointers[0],
             view("uint8_t[]", filt_c), filter_shift,
             view("uint64_t[]", comps_c), view("int64_t[]", comp_slots_c), len(comps_c),
             view("uint64_t[]", slot_rows_c), view("int64_t[]", slot_masks_c), N_COLUMNS,
             view("int64_t[]", first, require_writable=True),
             view("int64_t[]", slot, require_writable=True),
-        )
+        ):
+            raise MemoryError("no memory for the scan's product table")
         return first.tolist(), slot.tolist()
 
 

@@ -19,7 +19,6 @@ from repro.core.complexity import (
     constructive_cost_single,
     theorem41_bound,
     theorem42_bound,
-    tradeoff_curve,
 )
 from repro.core.detector import (
     TsePattern,
@@ -74,7 +73,6 @@ __all__ = [
     "theorem42_bound",
     "constructive_cost_single",
     "constructive_cost_multi",
-    "tradeoff_curve",
     "TsePattern",
     "entry_matches_pattern",
     "find_tse_entries",

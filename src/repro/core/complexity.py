@@ -29,7 +29,6 @@ __all__ = [
     "constructive_cost_single",
     "theorem42_bound",
     "constructive_cost_multi",
-    "tradeoff_curve",
 ]
 
 
@@ -139,7 +138,3 @@ def constructive_cost_multi(widths: Sequence[int], ks: Sequence[int]) -> Tradeof
         prefix_entries *= per_field_entries[i]
     return TradeoffPoint(k=masks, time=masks, space=space)
 
-
-def tradeoff_curve(width: int) -> list[TradeoffPoint]:
-    """The constructive trade-off curve for all ``k`` in ``1..width``."""
-    return [constructive_cost_single(width, k) for k in range(1, width + 1)]

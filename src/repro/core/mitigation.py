@@ -237,8 +237,3 @@ class MFCGuard:
         if pps < 0:
             raise ExperimentError("pps must be >= 0")
         self._demoted_pps = pps
-
-    @property
-    def demoted_pps(self) -> float:
-        """Current estimate of slow-path-pinned packet rate."""
-        return self._demoted_pps

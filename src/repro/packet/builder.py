@@ -1,8 +1,8 @@
 """High-level packet crafting: the ergonomic layer attack tooling builds on.
 
-The :class:`PacketBuilder` crafts TCP/UDP/ICMP packets from keyword
-arguments, converts :class:`~repro.packet.fields.FlowKey` objects back into
-concrete packets (used when replaying adversarial traces through the
+The :class:`PacketBuilder` crafts TCP/UDP packets from keyword
+arguments, converts :class:`~repro.packet.fields.FlowKey` objects (ICMP
+ones included) back into concrete packets (used when replaying adversarial traces through the
 simulated switch as real wire packets), and adds the "random noise on
 unimportant header fields" the paper uses to exhaust the microflow cache.
 """
@@ -108,16 +108,6 @@ class PacketBuilder:
                 UDP(src_port=tp_src, dst_port=tp_dst),
             ],
             payload=payload,
-        )
-
-    def icmp(self, ip_src: int = 0, ip_dst: int = 0, icmp_type: int = 8, code: int = 0) -> Packet:
-        """Craft an Ethernet/IPv4/ICMP packet."""
-        return Packet(
-            layers=[
-                Ethernet(src=self.default_eth_src, dst=self.default_eth_dst),
-                IPv4(src=ip_src, dst=ip_dst, proto=PROTO_ICMP),
-                ICMP(icmp_type=icmp_type, code=code),
-            ]
         )
 
     # -- FlowKey -> Packet -----------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from repro.exceptions import PacketError
 from repro.packet.builder import NoiseConfig, PacketBuilder
 from repro.packet.fields import FlowKey
-from repro.packet.headers import ETHERTYPE_IPV6, PROTO_ICMP, PROTO_TCP, PROTO_UDP
+from repro.packet.headers import ETHERTYPE_IPV6, PROTO_TCP, PROTO_UDP
 from tests.packet_oracle import flow_key
 
 
@@ -21,10 +21,6 @@ class TestDirectCrafting:
     def test_udp(self):
         packet = PacketBuilder().udp(tp_dst=53)
         assert flow_key(packet)["ip_proto"] == PROTO_UDP
-
-    def test_icmp(self):
-        packet = PacketBuilder().icmp(icmp_type=8, code=0)
-        assert flow_key(packet)["ip_proto"] == PROTO_ICMP
 
     def test_default_macs_applied(self):
         builder = PacketBuilder(default_eth_src=0xAA, default_eth_dst=0xBB)

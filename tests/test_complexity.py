@@ -8,7 +8,6 @@ from repro.core.complexity import (
     constructive_cost_single,
     theorem41_bound,
     theorem42_bound,
-    tradeoff_curve,
 )
 from repro.exceptions import ExperimentError
 
@@ -71,14 +70,6 @@ class TestTheorem41:
             theorem41_bound(8, 0)
         with pytest.raises(ExperimentError):
             theorem41_bound(8, 9)
-
-    def test_curve_shape(self):
-        curve = tradeoff_curve(12)
-        assert len(curve) == 12
-        spaces = [point.space for point in curve]
-        assert spaces == sorted(spaces, reverse=True)  # space falls as k grows
-        times = [point.time for point in curve]
-        assert times == sorted(times)  # time grows with k
 
 
 class TestTheorem42:

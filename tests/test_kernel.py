@@ -9,7 +9,9 @@ per-key ``lookup``, require transcript equality, and hold every result
 against the pure-Python scan (the ``scan_oracle`` fixture).  They also pin
 what exactness rests on: the packed row is injective, a 64-bit compound
 collision never decides a hit, an entry deleted behind the index is caught
-under ``check_invariants``, and the C runs clean under ASan/UBSan.
+under ``check_invariants``, the cffi operands' mask encoding is the same
+after any chain of ``extend`` calls as after one ``prepare``, and the C
+runs clean under ASan/UBSan.
 """
 
 from __future__ import annotations
@@ -126,12 +128,14 @@ def _drive_sequential(entries, probes, shuffle_seed: int) -> tuple:
     return tuple(transcript)
 
 
-# -- every unrolled hash width -------------------------------------------------
+# -- every active-column count ---------------------------------------------------
 # Mask families by active column count (an IPv6 address is two columns).  A
 # family's masks differ in the first field's prefix length -- always >= 8
 # bits, and every entry gets its own top byte there, so entries are pairwise
-# disjoint -- and match the other fields exactly.  The C strip hash has a
-# constant-trip branch for 1-4 columns and a runtime loop for the rest.
+# disjoint -- and match the other fields exactly.  So the first field's
+# columns vary and the rest are uniform; the C strip hash branches on the
+# number of varying columns, which TestEncoding's random lists take through
+# 0-6.
 _WIDTH_FAMILIES = {
     0: (),
     1: ("ip_src",),
@@ -236,9 +240,9 @@ class TestDifferential:
 
     @pytest.mark.parametrize("width", sorted(_WIDTH_FAMILIES))
     def test_every_hash_width(self, width):
-        """0-4 active columns take the constant-width C branches, 6 the
-        generic loop: hits at every mask, misses and shuffled orders agree
-        across kernels and with the sequential scan."""
+        """0-6 active columns, an IPv6 address pair among them: hits at
+        every mask, misses and shuffled orders agree across kernels and
+        with the sequential scan."""
         entries, probes = _width_family(_WIDTH_FAMILIES[width])
         tss = TupleSpaceSearch(scan_kernel="numpy")
         for entry in entries:
@@ -252,6 +256,152 @@ class TestDifferential:
         reference = _drive_sequential(entries, probes, shuffle_seed=2)
         for kernel in KERNELS:
             assert _drive(kernel, entries, probes, 2) == reference, kernel
+
+
+# -- the tabulated hash's encoding ---------------------------------------------------
+# The cffi operands spell each mask as codes into per-column dictionaries.
+# A family's fields (0-6 active columns; the IPv6 pair is 4 of them, so 5+
+# varying columns take the C runtime loop) each draw a pool of 1-4 mask
+# values -- prefix-shaped or arbitrary, 0 included, so a column can turn
+# active mid-chain -- and every mask picks one value per field.  A pool of
+# one is a uniform column; a family of all one-value pools (or no fields)
+# is a list with no varying column at all.
+def _mask_pool(field: str):
+    width = FIELDS[field].width
+    value = st.one_of(
+        st.integers(0, width).map(lambda bits: _prefix(bits, width)),
+        st.integers(0, FIELDS[field].full_mask),
+    )
+    return st.lists(value, min_size=1, max_size=4)
+
+
+@st.composite
+def _mask_lists(draw, min_size: int = 1):
+    """(fields, list of FlowMasks) of one family; masks may repeat."""
+    fields = _WIDTH_FAMILIES[draw(st.sampled_from(sorted(_WIDTH_FAMILIES)))]
+    pools = {field: draw(_mask_pool(field)) for field in fields}
+    picks = draw(st.lists(
+        st.tuples(*[st.integers(0, 3) for _ in fields]), min_size=min_size, max_size=40,
+    ))
+    return fields, [
+        FlowMask(**{f: pools[f][i % len(pools[f])] for f, i in zip(fields, pick)})
+        for pick in picks
+    ]
+
+
+def _chain_cuts(draw, n: int) -> list[int]:
+    """Ascending cut points 1 <= c <= n ending at n: a prepare, then extends."""
+    cuts = draw(st.lists(st.integers(1, n), max_size=6))
+    return sorted(set(cuts) | {n})
+
+
+def _algorithm1_rows(rows, masks, slot_rows, slot_masks):
+    """(first, slot) per key row: the first mask under which an entry's row
+    equals the key's masked row (Algorithm 1 over packed rows)."""
+    first, slot = [], []
+    for row in rows:
+        found = (-1, -1)
+        for m, mask in enumerate(masks):
+            hits = np.flatnonzero((slot_masks == m) & (slot_rows == row & mask).all(axis=1))
+            if len(hits):
+                found = (m, int(hits[0]))
+                break
+        first.append(found[0])
+        slot.append(found[1])
+    return first, slot
+
+
+class TestEncoding:
+    """Chained ``extend`` spells the same operands as a fresh ``prepare``,
+    and a plan over either finds what Algorithm 1 finds, in both kernels."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_extend_chains_equal_a_fresh_prepare(self, data):
+        _, masks = data.draw(_mask_lists())
+        rows = to_column_matrix([mask.values for mask in masks])
+        n = len(rows)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        salts = rng.integers(0, 2**63, size=n, dtype=np.uint64)
+        cuts = _chain_cuts(data.draw, n)
+        # The entry side: an entry under a random mask for some keys, keys
+        # that share its masked row, and keys that hit nothing.
+        keys = rng.integers(0, 2**63, size=(2 * n + 4, N_COLUMNS), dtype=np.uint64)
+        under = rng.integers(0, n, size=n)
+        slot_rows = keys[:n] & rows[under]
+        _, unique = np.unique(np.column_stack([under, slot_rows]), axis=0, return_index=True)
+        slot_rows, slot_masks = slot_rows[np.sort(unique)], under[np.sort(unique)]
+        compounds = ((slot_rows * WEIGHTS).sum(axis=1, dtype=np.uint64)) ^ salts[slot_masks]
+        order = np.argsort(compounds, kind="stable")
+        filter_bits = kernel_module.filter_alloc(6)  # 64 slots: false positives galore
+        kernel_module.filter_set(filter_bits, 58, compounds)
+        keys[n : 2 * n] = keys[:n] & rows[under] | rng.integers(
+            0, 2**63, size=(n, N_COLUMNS), dtype=np.uint64
+        ) & ~rows[under]
+        want = _algorithm1_rows(keys, rows, slot_rows, slot_masks)
+
+        for name in KERNELS:
+            kernel = make_scan_kernel(name)
+            operands = kernel.prepare(rows[: cuts[0]], salts[: cuts[0]])
+            for start, end in zip(cuts, cuts[1:]):
+                new_column = bool((rows[start:end].any(axis=0) & ~rows[:start].any(axis=0)).any())
+                extended = kernel.extend(operands, rows[start:end], salts[start:end])
+                # None exactly when a column turns active -- never for a
+                # uniform column a new mask breaks.
+                assert (extended is None) == new_column
+                if extended is not None:
+                    # A snapshot is immutable: extending it again by the same
+                    # rows spells the same operands, and the chain (and the
+                    # plan below) goes on from this second branch.
+                    extended = kernel.extend(operands, rows[start:end], salts[start:end])
+                fresh = kernel.prepare(rows[:end], salts[:end])
+                operands = fresh if extended is None else extended
+                assert operands.equals(fresh)
+            if name == "cffi":
+                assert np.array_equal(operands.decoded(), operands.masks)
+            got = kernel.build_plan(
+                keys, operands, filter_bits, 58, compounds[order], order.astype(np.int64),
+                slot_rows, slot_masks.astype(np.int64),
+            )
+            assert got == want, name
+
+    @pytest.mark.usefixtures("scan_oracle")
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_random_masks_agree_with_the_oracle(self, data):
+        """Through the store: bursts of random masks, each burst's drain
+        extending the cached operands, which ``check_invariants`` holds to
+        a fresh ``prepare`` on every plan."""
+        fields, masks = data.draw(_mask_lists())
+        if not fields:
+            return  # one entry at most; test_every_hash_width covers it
+        first, width = fields[0], FIELDS[fields[0]].width
+        top = _prefix(8, width)
+        masks = list(dict.fromkeys(  # every mask pins the first field's top byte
+            FlowMask(**{field: mask[field] | (top if field == first else 0) for field in fields})
+            for mask in masks
+        ))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        entries, probes = [], []
+        for n, mask in enumerate(masks):
+            key = FlowKey(**{
+                field: int(rng.integers(0, 2**62)) * 7 & FIELDS[field].full_mask
+                for field in fields
+            })
+            key = key.replace(**{first: (n + 1) << (width - 8) | key[first] & ~top})
+            entries.append(MegaflowEntry(mask=mask, key=key.masked(mask), action=ALLOW))
+            probes += [key, key.replace(**{first: key[first] ^ 1})]
+        probes.append(FlowKey(**{first: 0xFF << (width - 8)}))
+        cuts = _chain_cuts(data.draw, len(entries))
+        transcripts = []
+        for name in KERNELS:
+            tss = TupleSpaceSearch(check_invariants=True, scan_kernel=name)
+            transcript = []
+            for start, end in zip([0, *cuts], cuts):
+                tss.insert_batch(entries[start:end])
+                transcript.append([_summarise(r) for r in lookup_batch(tss, probes)])
+            transcripts.append(transcript)
+        assert all(t == transcripts[0] for t in transcripts)
 
 
 # -- operand-cache coherence ---------------------------------------------------
@@ -586,7 +736,11 @@ class TestCSource:
         """ASan + UBSan over ``tss_scan`` on a synthetic store with equal
         compounds, compounds past the array's last one, an empty compound
         array and a mask count that is not a multiple of ``STRIP`` — every
-        array an exact-size heap block, so a read past any end aborts."""
+        array an exact-size heap block, so a read past any end aborts.
+        Three mask sides: a uniform column beside a varying one, every
+        column uniform (no table read), and five varying columns (the
+        runtime column loop); each plan's
+        compounds are checked against the multiply hash they tabulate."""
         compiler = shlex.split(
             os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
         )
@@ -620,79 +774,140 @@ _SANITIZER_DRIVER = r"""
 #include "tss_scan.c"
 
 #define N_MASKS 70  /* one full strip of 64, then a tail of 6 */
-#define N_COLS 2    /* active columns 1 and 3 ... */
-#define WIDTH 4     /* ... of a 4-column row */
 #define N_KEYS 4
+#define MAX_COLS 5  /* active columns 1, 3, ... of a row twice as wide */
 
 static void *block(const void *src, size_t size)
 {
-    void *dst = malloc(size);
+    void *dst = malloc(size ? size : 1);
     if (size)
         memcpy(dst, src, size);
     return dst;
 }
 
-static uint64_t hash(const uint64_t *key, const uint64_t *mask, const uint64_t *w)
+/* Mask m's value in active column c, by case: 0 -- column 0 takes 8
+ * values, column 1 one (a base term and one table read); 1 -- every mask
+ * the same (no table read at all); 2 -- five columns of 3-7 values each
+ * (the runtime column loop). */
+static uint64_t mask_value(int kind, int m, int c)
 {
-    return (key[0] & mask[0]) * w[0] + (key[1] & mask[1]) * w[1];
+    if (kind == 0)
+        return c ? 0xFFFF : ~0ull << (m % 8);
+    if (kind == 1)
+        return c ? 0xFFFF : ~0ull << 4;
+    return ~0ull << ((m + c) % (3 + c));
 }
 
-/* One plan over heap copies of everything; nonzero when it is not `want`. */
-static int plan(const uint64_t *keys, const uint64_t *masks, const uint64_t *w,
-                const uint64_t *salts, const int64_t *active, const uint8_t *filt,
+/* The multiply hash the tabulated one must reproduce, term for term. */
+static uint64_t hash(const uint64_t *key, const uint64_t *mask, const uint64_t *w, int n_cols)
+{
+    uint64_t acc = 0;
+    for (int c = 0; c < n_cols; c++)
+        acc += (key[c] & mask[c]) * w[c];
+    return acc;
+}
+
+/* One plan of case `kind` over heap copies of everything, the mask side
+ * encoded as kernel.py encodes it; nonzero when it is not `want`. */
+static int plan(int kind, int n_cols, const uint64_t *keys, const uint64_t *masks,
+                const uint64_t *w, const uint64_t *salts, const uint8_t *filt,
                 size_t filt_size, const uint64_t *comps, const int64_t *comp_slots,
                 int64_t n_comps, const uint64_t *slot_rows, const int64_t *slot_masks,
                 const int64_t *want_first, const int64_t *want_slot)
 {
+    int64_t active[MAX_COLS], base[MAX_COLS];
+    uint64_t terms[3 * N_MASKS * MAX_COLS];  /* (column, value, weight) rows */
+    uint32_t codes[N_MASKS * MAX_COLS];
+    int64_t n_terms = 0, n_base = 0, n_vary = 0;
+    int width = 2 * n_cols;
+    for (int c = 0; c < n_cols; c++)
+        active[c] = 2 * c + 1;
+    /* A term per distinct value of each column: a uniform column's goes in
+     * the base, a varying column's masks name theirs in the codes. */
+    for (int c = 0; c < n_cols; c++) {
+        int64_t first_term = n_terms;
+        for (int m = 0; m < N_MASKS; m++) {
+            int64_t t = first_term;
+            while (t < n_terms && terms[3 * t + 1] != masks[m * n_cols + c])
+                t++;
+            if (t == n_terms) {
+                terms[3 * t] = (uint64_t)c, terms[3 * t + 1] = masks[m * n_cols + c];
+                terms[3 * t + 2] = w[c], n_terms++;
+            }
+            codes[m * MAX_COLS + n_vary] = (uint32_t)t;
+        }
+        if (n_terms == first_term + 1)
+            base[n_base++] = first_term;
+        else
+            n_vary++;
+    }
+    for (int m = 0; m < N_MASKS; m++)  /* pack the codes n_vary to a row */
+        memmove(codes + m * n_vary, codes + m * MAX_COLS, n_vary * sizeof *codes);
     void *b[] = {
-        block(keys, N_KEYS * N_COLS * 8), block(masks, N_MASKS * N_COLS * 8),
-        block(w, N_COLS * 8), block(salts, N_MASKS * 8), block(active, N_COLS * 8),
-        block(filt, filt_size), block(comps, n_comps * 8),
-        block(comp_slots, n_comps * 8), block(slot_rows, 3 * WIDTH * 8),
+        block(keys, N_KEYS * n_cols * 8), block(masks, N_MASKS * n_cols * 8),
+        block(active, n_cols * 8), block(salts, N_MASKS * 8),
+        block(codes, N_MASKS * n_vary * 4), block(terms, 3 * n_terms * 8),
+        block(base, n_base * 8), block(filt, filt_size), block(comps, n_comps * 8),
+        block(comp_slots, n_comps * 8), block(slot_rows, 3 * width * 8),
         block(slot_masks, 3 * 8), malloc(N_KEYS * 8), malloc(N_KEYS * 8),
     };
-    int bad;
-    tss_scan(b[0], N_KEYS, b[1], b[2], b[3], b[4], N_MASKS, N_COLS, b[5], 48,
-             b[6], b[7], n_comps, b[8], b[9], WIDTH, b[10], b[11]);
-    bad = memcmp(b[10], want_first, N_KEYS * 8) || memcmp(b[11], want_slot, N_KEYS * 8);
+    const struct mask_side side = {b[1], b[2], b[3], b[4], b[5], b[6],
+                                   N_MASKS, n_cols, n_terms, n_base, n_vary};
+    int bad = tss_scan(b[0], N_KEYS, &side, b[7], 48, b[8], b[9], n_comps, b[10],
+                       b[11], width, b[12], b[13]) != 0;
+    bad |= memcmp(b[12], want_first, N_KEYS * 8) || memcmp(b[13], want_slot, N_KEYS * 8);
+    bad |= (kind == 0) != (n_base == 1 && n_vary == 1);
+    bad |= (kind == 1) != (n_vary == 0);
+    bad |= (kind == 2) != (n_vary == 5);
     for (size_t i = 0; i < sizeof b / sizeof b[0]; i++)
         free(b[i]);
     return bad;
 }
 
-int main(void)
+/* Case `kind` with `n_cols` active columns: a plan that finds each of
+ * three entries, then one over an empty compound array. */
+static int scan_case(int kind, int n_cols)
 {
-    const uint64_t w[N_COLS] = {0x9E3779B97F4A7C15ull, 0xC2B2AE3D27D4EB4Full};
-    const int64_t active[N_COLS] = {1, 3};
-    /* Key rows on the active columns; the last key matches no entry. */
-    const uint64_t keys[N_KEYS * N_COLS] = {0x0A000001, 80, 0x0A000002, 443,
-                                            0xC0A80001, 53, 7, 9};
+    const uint64_t w[MAX_COLS] = {0x9E3779B97F4A7C15ull, 0xC2B2AE3D27D4EB4Full,
+                                  0x165667B19E3779F9ull, 0x27D4EB2F165667C5ull,
+                                  0xFF51AFD7ED558CCDull};
     /* Slot s indexes key s under mask slot_masks[s], at compound comps[s]:
-     * slots 0 and 1 share one; every other probe lands past the last. */
+     * slots 0 and 1 share one; every other probe lands past the last.  The
+     * last key matches no entry. */
     const int64_t slot_masks[3] = {5, 69, 64};
     const uint64_t comps[3] = {10, 10, 20};
     const int64_t comp_slots[3] = {0, 1, 2};
     const int64_t first[N_KEYS] = {5, 69, 64, -1}, slot[N_KEYS] = {0, 1, 2, -1};
     const int64_t none[N_KEYS] = {-1, -1, -1, -1};
-    uint64_t masks[N_MASKS * N_COLS], salts[N_MASKS], slot_rows[3 * WIDTH] = {0};
+    uint64_t keys[N_KEYS * MAX_COLS], masks[N_MASKS * MAX_COLS], salts[N_MASKS];
+    uint64_t slot_rows[3 * 2 * MAX_COLS] = {0};
     uint8_t filt[1 << 13];  /* 2**16 one-bit slots (shift 48), all set */
-    int bad;
+    int width = 2 * n_cols, bad;
     memset(filt, 0xFF, sizeof filt);
+    for (int k = 0; k < N_KEYS; k++)
+        for (int c = 0; c < n_cols; c++)
+            keys[k * n_cols + c] = (uint64_t)(k + 1) << 56 | (uint64_t)(c + 1) * 0x10203;
     for (int m = 0; m < N_MASKS; m++) {
-        masks[m * N_COLS] = ~0ull << (m % 8);
-        masks[m * N_COLS + 1] = 0xFFFF;
+        for (int c = 0; c < n_cols; c++)
+            masks[m * n_cols + c] = mask_value(kind, m, c);
         salts[m] = 0x5DEECE66Dull * (uint64_t)(m + 1);
     }
     for (int s = 0; s < 3; s++) {
-        const uint64_t *mask = masks + slot_masks[s] * N_COLS;
-        for (int c = 0; c < N_COLS; c++)
-            slot_rows[s * WIDTH + active[c]] = keys[s * N_COLS + c] & mask[c];
-        salts[slot_masks[s]] = hash(keys + s * N_COLS, mask, w) ^ comps[s];
+        const uint64_t *mask = masks + slot_masks[s] * n_cols;
+        for (int c = 0; c < n_cols; c++)
+            slot_rows[s * width + 2 * c + 1] = keys[s * n_cols + c] & mask[c];
+        salts[slot_masks[s]] = hash(keys + s * n_cols, mask, w, n_cols) ^ comps[s];
     }
-    bad = plan(keys, masks, w, salts, active, filt, sizeof filt, comps, comp_slots,
-               3, slot_rows, slot_masks, first, slot);
-    bad |= plan(keys, masks, w, salts, active, filt, sizeof filt, comps, comp_slots,
-                0, slot_rows, slot_masks, none, none);
+    bad = plan(kind, n_cols, keys, masks, w, salts, filt, sizeof filt, comps,
+               comp_slots, 3, slot_rows, slot_masks, first, slot);
+    bad |= plan(kind, n_cols, keys, masks, w, salts, filt, sizeof filt, comps,
+                comp_slots, 0, slot_rows, slot_masks, none, none);
+    return bad;
+}
+
+int main(void)
+{
+    int bad = scan_case(0, 2) | scan_case(1, 2) | scan_case(2, 5);
     puts(bad ? "mismatch" : "ok");
     return bad;
 }

@@ -132,14 +132,6 @@ class TestCpuAccounting:
         with pytest.raises(ExperimentError):
             guard.note_attack_rate(-5)
 
-    def test_demoted_rate_estimated_from_hits(self):
-        _table, datapath, trace, guard = attacked_setup()
-        # Replay part of the trace to give entries a hit rate.
-        for key in trace.keys[:200]:
-            datapath.process(key, now=5.0)
-        guard.run(now=10.0)
-        assert guard.demoted_pps > 0
-
 
 class TestConfigValidation:
     def test_bad_thresholds(self):

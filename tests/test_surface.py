@@ -54,7 +54,6 @@ PINNED_BY_TESTS: dict[str, tuple[str, ...]] = {
         "test_analysis::TestExpectedEntries::test_entries_at_least_masks",
     ),
     "core.analysis:expected_masks_curve": ("test_analysis::TestExpectedMasks::test_monotone_in_n",),
-    "core.complexity:tradeoff_curve": ("test_complexity::TestTheorem41::test_curve_shape",),
     "core.detector:tse_mask_fraction": (
         "test_detector::TestDetection::test_most_masks_attributed",
         "test_detector::TestBenignTraffic::test_benign_cache_not_flagged",
@@ -64,9 +63,6 @@ PINNED_BY_TESTS: dict[str, tuple[str, ...]] = {
     "core.detector:tse_scan_cost_dilution": (
         "test_backend_table::test_dilution_on_a_subclassed_backend",
         "test_probecost::test_detector_dilution_is_backend_meaningful",
-    ),
-    "core.mitigation:MFCGuard.demoted_pps": (
-        "test_mitigation::TestCpuAccounting::test_demoted_rate_estimated_from_hits",
     ),
     "core.tracegen:bit_inversion_list": (
         "test_backend::test_eviction_outcomes_identical",
@@ -85,7 +81,6 @@ PINNED_BY_TESTS: dict[str, tuple[str, ...]] = {
         "test_addresses::TestCidr::test_bad_cidr",
     ),
     "packet.addresses:cidr6": ("test_addresses::TestCidr::test_cidr6",),
-    "packet.builder:PacketBuilder.icmp": ("test_builder::TestDirectCrafting::test_icmp",),
     "packet.builder:PacketBuilder.random_field_value": (
         "test_builder::TestRandomValues::test_width_respected",
         "test_builder::TestRandomValues::test_wide_fields",

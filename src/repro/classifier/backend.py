@@ -47,6 +47,8 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from repro.classifier.actions import Action
@@ -206,7 +208,7 @@ class MegaflowStore:
         self._tables: dict[FlowMask, dict[tuple[int, ...], MegaflowEntry]] = {}
         self._mask_fields: dict[FlowMask, tuple[tuple[int, int], ...]] = {}
         self._mask_order: list[FlowMask] = []
-        # Entry count, maintained by insert/remove/flush: the flow-limit
+        # Entry count, maintained by insert/remove_entries/flush: the flow-limit
         # check runs once per upcall, so |C| must not be O(|C|) to read.
         self._n_entries = 0
         # Lookup memo: replayed traffic (the common case during an attack)
@@ -482,33 +484,40 @@ class MegaflowStore:
                     f"Inv(2) violation: {entry!r} overlaps existing {other!r}"
                 )
 
-    def remove(self, entry: MegaflowEntry) -> bool:
-        """Remove ``entry``; True when it was present."""
-        table = self._tables.get(entry.mask)
-        if table is None:
-            return False
-        reduced = self._reduce(entry.mask, entry.key)
-        if table.get(reduced) is not entry:
-            return False
-        del table[reduced]
-        self._n_entries -= 1
-        if not table:
-            del self._tables[entry.mask]
-            del self._mask_fields[entry.mask]
-            self._mask_order.remove(entry.mask)
-        self._invalidate()
-        for rebuild in self._rebuild_journals:
-            rebuild.note_remove(entry)
-        return True
+    def remove_entries(self, entries: Iterable[MegaflowEntry]) -> list[MegaflowEntry]:
+        """Remove ``entries`` in the order given; return those that were installed.
 
-    def evict_idle(self, now: float, idle_timeout: float) -> list[MegaflowEntry]:
-        """Remove entries unused for at least ``idle_timeout`` seconds.
-
-        This is the 10-second megaflow idle eviction responsible for the
-        delayed victim recovery in Fig. 8a/8b.  Victims are removed (and
-        returned) in scan order, mask by mask; a sweep that finds nothing
-        idle pays no Python call per entry or per mask.
+        The one removal path: each removal is journalled in order, the
+        masks it empties leave the scan order in one pass (survivors keep
+        their relative order) and the index is invalidated once — only if
+        something was removed.
         """
+        tables, removed = self._tables, []
+        for entry in entries:
+            mask = entry.mask
+            table = tables.get(mask)
+            reduced = None if table is None else self._reduce(mask, entry.key)
+            if reduced is None or table.get(reduced) is not entry:
+                continue
+            del table[reduced]
+            removed.append(entry)
+            if not table:
+                del tables[mask]
+                del self._mask_fields[mask]
+        if removed:
+            self._n_entries -= len(removed)
+            if len(self._mask_order) != len(tables):
+                self._mask_order = [mask for mask in self._mask_order if mask in tables]
+            self._invalidate()
+            for rebuild in self._rebuild_journals:
+                for entry in removed:
+                    rebuild.note_remove(entry)
+        return removed
+
+    def idle_entries(self, now: float, idle_timeout: float) -> list[MegaflowEntry]:
+        """Entries unused for at least ``idle_timeout`` seconds, in scan
+        order, mask by mask; a sweep that finds nothing idle pays no Python
+        call per entry or per mask."""
         victims = [
             entry
             for table in self._tables.values()
@@ -518,9 +527,15 @@ class MegaflowStore:
         if victims:
             position = {mask: i for i, mask in enumerate(self._mask_order)}
             victims.sort(key=lambda entry: position[entry.mask])
-            for entry in victims:
-                self.remove(entry)
         return victims
+
+    def evict_idle(self, now: float, idle_timeout: float) -> list[MegaflowEntry]:
+        """Remove and return :meth:`idle_entries` (in that order).
+
+        This is the 10-second megaflow idle eviction responsible for the
+        delayed victim recovery in Fig. 8a/8b.
+        """
+        return self.remove_entries(self.idle_entries(now, idle_timeout))
 
     def shuffle_masks(self, seed: int = 0) -> None:
         """Randomise the mask scan order (steady-state churn model).
@@ -802,15 +817,17 @@ class BackendRebuild:
     def _drain_journal(self) -> None:
         # Replaying an insert can itself be observed by *other* rebuilds,
         # never by this one (notifications come from the source store only).
+        # A run of consecutive removals is one bulk removal.
         while self._journal:
             ops, self._journal = self._journal, []
-            for op, entry in ops:
-                self.journal_replayed += 1
+            self.journal_replayed += len(ops)
+            for op, run in groupby(ops, key=itemgetter(0)):
                 if op == "insert":
-                    self._adopt(entry)
+                    for _, entry in run:
+                        self._adopt(entry)
                 elif op == "remove":
-                    self.target.remove(entry)
-                else:  # flush
+                    self.target.remove_entries(entry for _, entry in run)
+                else:  # flush (a run of them is one)
                     self.target.flush()
 
     def step(self, max_entries: int | None = None) -> int:

@@ -61,26 +61,18 @@ class MicroflowCache:
             self._entries.popitem(last=False)
             self.stats_evictions += 1
 
-    def invalidate(self, entry: MegaflowEntry) -> int:
-        """Drop every microflow pointing at ``entry``; return the count."""
-        stale = [key for key, cached in self._entries.items() if cached is entry]
-        for key in stale:
-            del self._entries[key]
-        return len(stale)
-
     def drop_stale_hit(self, entry: MegaflowEntry) -> None:
         """The hit :meth:`lookup` just served points at a removed megaflow:
         drop every microflow pointing at it and count that lookup as a miss."""
-        self.invalidate(entry)
+        self.invalidate_many((entry,))
         self.stats_hits -= 1
         self.stats_misses += 1
 
     def invalidate_many(self, entries: Iterable[MegaflowEntry]) -> int:
-        """Drop microflows pointing at any of ``entries`` in one pass.
+        """Drop microflows pointing at any of ``entries``; return the count.
 
-        A revalidator sweep can evict hundreds of megaflows at once;
-        calling :meth:`invalidate` per victim rescans this cache per
-        victim, while one identity-set sweep is linear in the cache size.
+        A revalidator sweep can evict hundreds of megaflows at once: one
+        identity-set sweep is linear in the cache size, however many.
         """
         victims = {id(entry) for entry in entries}
         if not victims:

@@ -91,7 +91,7 @@ class MFCGuard:
 
     The guard drives caches through the
     :class:`~repro.classifier.backend.MegaflowStore` surface only
-    (``entries()`` via the detector, ``kill_entry`` via the datapath), so
+    (``entries()`` via the detector, ``kill_entries`` via the datapath), so
     it works unchanged over non-TSS backends — and with
     ``probe_cost_threshold`` set it is *chain-aware*: it reads the worst
     core's expected scan cost in the backend's normalised probe units and
@@ -177,12 +177,11 @@ class MFCGuard:
             for pattern in patterns:
                 # Delete this rule's adversarial entries (drop-only by
                 # construction of the detector).
-                rate = 0.0
-                for entry in pattern.entries:
-                    age = max(now - entry.created_at, self.config.period)
-                    rate += entry.hits / age
-                    shard.kill_entry(entry, permanent=self.config.permanent_delete)
-                    deleted += 1
+                rate = sum(
+                    entry.hits / max(now - entry.created_at, self.config.period) for entry in pattern.entries
+                )
+                shard.kill_entries(pattern.entries, permanent=self.config.permanent_delete)
+                deleted += len(pattern.entries)
                 cleaned.append(pattern.rule.name or repr(pattern.rule.match))
                 self._demoted_pps += rate
 

@@ -1,4 +1,4 @@
-"""IPv4/IPv6/MAC address helpers.
+"""IPv4/IPv6 address helpers.
 
 All classifier code works on plain integers; these helpers convert between
 human-readable notation and the integer form, and generate addresses for
@@ -17,10 +17,6 @@ __all__ = [
     "ipv4_str",
     "ipv6",
     "ipv6_str",
-    "mac",
-    "mac_str",
-    "cidr4",
-    "cidr6",
 ]
 
 
@@ -52,45 +48,3 @@ def ipv6_str(value: int) -> str:
     if value < 0 or value > (1 << 128) - 1:
         raise FieldError(f"IPv6 value {value:#x} out of range")
     return str(ipaddress.IPv6Address(value))
-
-
-def mac(text: str) -> int:
-    """Parse ``aa:bb:cc:dd:ee:ff`` MAC notation into a 48-bit integer."""
-    parts = text.split(":")
-    if len(parts) != 6:
-        raise FieldError(f"bad MAC address {text!r}: expected 6 colon-separated octets")
-    try:
-        octets = [int(p, 16) for p in parts]
-    except ValueError as exc:
-        raise FieldError(f"bad MAC address {text!r}: {exc}") from exc
-    if any(o < 0 or o > 0xFF for o in octets):
-        raise FieldError(f"bad MAC address {text!r}: octet out of range")
-    value = 0
-    for octet in octets:
-        value = (value << 8) | octet
-    return value
-
-
-def mac_str(value: int) -> str:
-    """Format a 48-bit integer as colon-separated MAC notation."""
-    if value < 0 or value > (1 << 48) - 1:
-        raise FieldError(f"MAC value {value:#x} out of range")
-    return ":".join(f"{(value >> shift) & 0xFF:02x}" for shift in range(40, -8, -8))
-
-
-def cidr4(text: str) -> tuple[int, int]:
-    """Parse ``a.b.c.d/plen`` into an ``(address, prefix mask)`` pair."""
-    try:
-        network = ipaddress.IPv4Network(text, strict=False)
-    except (ipaddress.AddressValueError, ipaddress.NetmaskValueError, ValueError) as exc:
-        raise FieldError(f"bad IPv4 CIDR {text!r}: {exc}") from exc
-    return int(network.network_address), int(network.netmask)
-
-
-def cidr6(text: str) -> tuple[int, int]:
-    """Parse IPv6 CIDR notation into an ``(address, prefix mask)`` pair."""
-    try:
-        network = ipaddress.IPv6Network(text, strict=False)
-    except (ipaddress.AddressValueError, ipaddress.NetmaskValueError, ValueError) as exc:
-        raise FieldError(f"bad IPv6 CIDR {text!r}: {exc}") from exc
-    return int(network.network_address), int(network.netmask)

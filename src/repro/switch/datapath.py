@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.classifier.actions import Action
 from repro.classifier.backend import (
@@ -623,20 +623,29 @@ class Datapath:
             self.mask_cache.update(key, entry.mask)
 
     # -- management operations ---------------------------------------------------------
-    def kill_entry(self, entry: MegaflowEntry, permanent: bool = True) -> bool:
-        """Remove a megaflow (MFCGuard's delete).
-
-        With ``permanent`` (the documented OVS quirk) matching packets are
-        processed by the slow path forever after; :meth:`reinject` undoes it.
-        """
-        removed = self.megaflows.remove(entry)
+    def _remove(self, entries: list[MegaflowEntry]) -> list[MegaflowEntry]:
+        """Remove ``entries`` from the megaflow cache (returning those that
+        were installed) and drop every microflow and mask-cache slot that
+        points at any of them, installed or not: one pass each."""
+        removed = self.megaflows.remove_entries(entries)
         if self.microflows is not None:
-            self.microflows.invalidate(entry)
+            self.microflows.invalidate_many(entries)
         if self.mask_cache is not None:
-            self.mask_cache.invalidate_mask(entry.mask)
-        if permanent:
-            self._dead_entries.add((entry.mask, entry.key))
+            self.mask_cache.invalidate_masks(entry.mask for entry in entries)
         return removed
+
+    def kill_entries(self, entries: Iterable[MegaflowEntry], permanent: bool = True) -> int:
+        """Remove megaflows (MFCGuard's delete); returns how many were installed.
+
+        With ``permanent`` (the documented OVS quirk) packets matching any
+        of them are processed by the slow path forever after;
+        :meth:`reinject` undoes it.
+        """
+        entries = list(entries)
+        removed = self._remove(entries)
+        if permanent:
+            self._dead_entries.update((entry.mask, entry.key) for entry in entries)
+        return len(removed)
 
     def reinject(self, entry: MegaflowEntry) -> None:
         """Manually re-allow an entry previously killed permanently."""
@@ -655,13 +664,7 @@ class Datapath:
         """Evict megaflows idle past the configured timeout."""
         if now is not None:
             self.now = max(self.now, now)
-        evicted = self.megaflows.evict_idle(self.now, self.config.idle_timeout)
-        if evicted:
-            if self.microflows is not None:
-                self.microflows.invalidate_many(evicted)
-            if self.mask_cache is not None:
-                self.mask_cache.invalidate_masks(entry.mask for entry in evicted)
-        return evicted
+        return self._remove(self.megaflows.idle_entries(self.now, self.config.idle_timeout))
 
     # -- live backend migration ---------------------------------------------------
     # The rebuild runs *on this object* wherever it lives: under the
@@ -763,24 +766,20 @@ class Datapath:
         as the representative flow identity (copies of the same entry that
         RSS scattered across shards all agree on it, so they converge on
         one destination and the aggregate ``(mask, masked key)`` union is
-        preserved through a re-map).  Moved entries are removed from the
-        backend with their caches invalidated but — unlike
-        :meth:`kill_entry` — never dead-marked: they are in flight, not
-        deleted.  Dead-entry records (§8 quirk) migrate alongside so a
-        killed megaflow stays killed on its new home shard.
+        preserved through a re-map).  Moved entries leave in one bulk
+        removal, after they are all collected, with their caches
+        invalidated but — unlike :meth:`kill_entries` — never dead-marked:
+        they are in flight, not deleted.  Dead-entry records (§8 quirk)
+        migrate alongside so a killed megaflow stays killed on its new
+        home shard.
 
         Returns a picklable delta: ``{"entries": [...], "dead": [...]}``.
         """
-        moved: list[MegaflowEntry] = []
-        for entry in list(self.megaflows.entries()):
-            if new_rss.queue_of(FlowKey.from_values(entry.key)) == shard_id:
-                continue
-            self.megaflows.remove(entry)
-            if self.microflows is not None:
-                self.microflows.invalidate(entry)
-            if self.mask_cache is not None:
-                self.mask_cache.invalidate_mask(entry.mask)
-            moved.append(entry)
+        moved = self._remove([
+            entry
+            for entry in self.megaflows.entries()
+            if new_rss.queue_of(FlowKey.from_values(entry.key)) != shard_id
+        ])
         moved_dead = [
             (mask, key)
             for mask, key in self._dead_entries

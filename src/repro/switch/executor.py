@@ -65,12 +65,13 @@ Executor invariants (tested in ``tests/test_executor.py``):
 * **Management operations are value-addressed across the process
   boundary.**  Entries returned by a worker are copies.  Every operation
   that can reach a shard is one row of :data:`SHARD_OPS`; a row whose
-  ``by_value`` column is set (``kill_entry``, ``reinject``,
-  ``megaflows.find_entry``) has its leading entry argument resolved in
-  the owning worker by ``(mask, masked key)`` — the same value identity
-  the §8 dead-entry quirk already uses — before the real method runs.
-  Entry *lists* (``rebalance_install``) are never resolved: they are
-  state in flight to be adopted, not addresses.  Packet batches are not
+  ``by_value`` column is set (``kill_entries``, ``reinject``,
+  ``megaflows.find_entry``) has its leading argument — one entry, or a
+  list of them for ``kill_entries`` — resolved in the owning worker by
+  ``(mask, masked key)`` — the same value identity the §8 dead-entry
+  quirk already uses — before the real method runs.  The entry lists of
+  other rows (``rebalance_install``) are never resolved: they are state
+  in flight to be adopted, not addresses.  Packet batches are not
   rows: they travel only as ``run_batch`` messages.
 * **One table, one message, one fan-out.**  The worker dispatch, the
   parent-side handles and :meth:`ShardExecutor.call_all` are all derived
@@ -140,8 +141,8 @@ class ShardOp:
             ``megaflows`` cache).
         kind: ``"get"`` reads the member, ``"call"`` invokes it.
         by_value: the leading argument is a :class:`MegaflowEntry` *copy*
-            that the owning worker resolves to its own object by
-            ``(mask, masked key)`` before the call.
+            (or a list of copies) that the owning worker resolves to its
+            own objects by ``(mask, masked key)`` before the call.
         fold: how :meth:`ShardExecutor.call_all` combines the per-shard
             answers — ``"list"`` (by shard id), ``"none"``, ``"sum"``
             (dataclasses field-wise), ``"max"`` or ``"concat"``.
@@ -170,7 +171,7 @@ SHARD_OPS: dict[str, ShardOp] = {
         ShardOp("microflows", kind="get"),
         ShardOp("core_report", fold="concat"),
         ShardOp("process"),
-        ShardOp("kill_entry", by_value=True),
+        ShardOp("kill_entries", by_value=True),
         ShardOp("reinject", by_value=True, fold="none"),
         ShardOp("flush_caches", fold="none"),
         ShardOp("evict_idle", fold="concat"),
@@ -214,13 +215,16 @@ def shard_op(name: str) -> ShardOp:
     return op
 
 
-def _resolve_entry(shard: Datapath, entry: MegaflowEntry) -> MegaflowEntry:
-    """The worker's own entry object for a by-value copy (or the copy).
+def _resolve_entry(shard: Datapath, entry):
+    """The worker's own entry object for a by-value copy (or the copy), or
+    a list of them for a list of copies.
 
     Falling back to the copy keeps value-keyed semantics working for
     entries that are no longer installed (``reinject`` of a killed entry,
-    ``kill_entry`` marking an absent entry dead).
+    ``kill_entries`` marking an absent entry dead).
     """
+    if not isinstance(entry, MegaflowEntry):
+        return [_resolve_entry(shard, copy) for copy in entry]
     local = shard.megaflows.get_entry(entry.mask, entry.key)
     return entry if local is None else local
 
@@ -229,8 +233,8 @@ def _apply_op(shard: Datapath, op: ShardOp, args: tuple, kwargs: dict, remote: b
     """Run one table row on one shard — the only place an op executes.
 
     ``remote`` is set by the process worker: its arguments were pickled, so
-    a ``by_value`` row's entry copy is resolved to the shard's own object
-    first (in-process callers already hold the real objects).
+    a ``by_value`` row's entry copies are resolved to the shard's own
+    objects first (in-process callers already hold the real objects).
     """
     target = shard if op.target == "shard" else shard.megaflows
     if op.kind == "get":

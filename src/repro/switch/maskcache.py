@@ -60,12 +60,8 @@ class KernelMaskCache:
         """Memoise that ``key``'s flow matched under ``mask``."""
         self._slots[self._slot_index(key)] = (hash(key), mask)
 
-    def invalidate_mask(self, mask: FlowMask) -> int:
-        """Drop every slot pointing at ``mask``; returns the count."""
-        return self.invalidate_masks((mask,))
-
     def invalidate_masks(self, masks: Iterable[FlowMask]) -> int:
-        """Drop every slot pointing at any of ``masks`` in one pass."""
+        """Drop every slot pointing at any of ``masks``; returns the count."""
         victims = set(masks)
         if not victims:
             return 0

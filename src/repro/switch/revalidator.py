@@ -65,9 +65,11 @@ class Revalidator:
         """One full revalidation pass; returns the evicted entries.
 
         The sweep runs under the datapath's maintenance lock so a
-        parallel executor never lets it observe a shard mid-batch; under
-        the process executor the entries it dumps are value-addressed
-        copies, which ``kill_entry`` resolves in the owning worker.
+        parallel executor never lets it observe a shard mid-batch.  Idle
+        eviction is one bulk removal per shard, and so is the flow-limit
+        cut: one ``kill_entries`` call, which under the process executor
+        hands each worker its share of the dumped entries as one list of
+        value-addressed copies, resolved there.
         """
         with self.datapath.maintenance():
             self.stats.sweeps += 1
@@ -90,8 +92,7 @@ class Revalidator:
                     ),
                     key=lambda e: e.last_used,
                 )
-                for entry in by_lru[:overflow]:
-                    self.datapath.kill_entry(entry, permanent=False)
+                self.datapath.kill_entries(by_lru[:overflow], permanent=False)
                 self.stats.evicted_limit += overflow
                 evicted = evicted + by_lru[:overflow]
             return evicted

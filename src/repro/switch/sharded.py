@@ -12,7 +12,7 @@ victims RSS co-scheduled onto those cores pay the scan (arXiv:2011.09107).
 :class:`~repro.switch.datapath.Datapath` shards behind an
 :class:`~repro.switch.rss.RssDispatcher`.  It exposes the same processing
 surface as a single datapath (``process`` / ``process_batch`` /
-``kill_entry`` / ``evict_idle`` / aggregate counters), so the hypervisor,
+``kill_entries`` / ``evict_idle`` / aggregate counters), so the hypervisor,
 revalidator, MFCGuard and dpctl drive either interchangeably; per-shard
 structure is reachable through ``.shards`` for per-core accounting.
 
@@ -46,7 +46,7 @@ Sharding invariants (see ROADMAP.md):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.classifier.backend import MegaflowEntry
 from repro.classifier.flowtable import FlowTable
@@ -280,18 +280,21 @@ class ShardedDatapath:
         """All megaflow entries across shards (shard-major order)."""
         return iter(self.executor.call_all("megaflows.entries"))
 
-    def kill_entry(self, entry: MegaflowEntry, permanent: bool = True) -> bool:
-        """Remove a megaflow from every shard holding it (MFCGuard delete).
+    def kill_entries(self, entries: Iterable[MegaflowEntry], permanent: bool = True) -> int:
+        """Remove megaflows from every shard holding them (MFCGuard delete).
 
         Entries are matched by value (``mask`` + masked key), so copies
         that crossed a worker-process boundary address the same megaflow.
+        A shard removes and dead-marks only the entries it holds, in one
+        kill per shard; returns the number of removals.
         """
-        removed = False
+        held: list[list[MegaflowEntry]] = [[] for _ in self._shards]
         with self.maintenance():  # no batch may land between the find and the kill
-            for shard_id, held in enumerate(self.executor.call_all("megaflows.find_entry", entry)):
-                if held:
-                    removed = self._shards[shard_id].kill_entry(entry, permanent=permanent) or removed
-        return removed
+            for entry in entries:
+                for own, holds in zip(held, self.executor.call_all("megaflows.find_entry", entry)):
+                    if holds:
+                        own.append(entry)
+            return sum(shard.kill_entries(own, permanent=permanent) for shard, own in zip(self._shards, held) if own)
 
     def reinject(self, entry: MegaflowEntry) -> None:
         """Re-allow an entry previously killed permanently, on every shard."""
@@ -407,5 +410,5 @@ class ShardedDatapath:
 
 
 # Anything the switch-management layers (revalidator, guard, dpctl,
-# hypervisor) can drive: both expose shards/n_masks/n_megaflows/kill_entry.
+# hypervisor) can drive: both expose shards/n_masks/n_megaflows/kill_entries.
 AnyDatapath = Datapath | ShardedDatapath

@@ -1,7 +1,7 @@
 """Whole-store helpers the tests need and the program does not.
 
 Each is written over the public :class:`~repro.classifier.backend.MegaflowStore`
-surface (``batch_scanner``, ``entries``, ``remove``), so it holds for every
+surface (``batch_scanner``, ``entries``, ``remove_entries``), so it holds for every
 backend without a member of its own.
 """
 
@@ -34,7 +34,4 @@ def verify_disjoint(store) -> None:
 def remove_where(store, predicate) -> list:
     """Remove and return every entry satisfying ``predicate``, in
     ``entries()`` order (mask scan order, then insertion)."""
-    victims = [entry for entry in store.entries() if predicate(entry)]
-    for entry in victims:
-        store.remove(entry)
-    return victims
+    return store.remove_entries([entry for entry in store.entries() if predicate(entry)])

@@ -404,5 +404,5 @@ def test_find_and_probe_mask_shared_surface():
         assert cache.memory_bytes() > 0
         assert len(cache) == 1
         verify_disjoint(cache)
-        assert cache.remove(entry)
+        assert cache.remove_entries([entry]) == [entry]
         assert cache.find(key) is None

@@ -153,8 +153,7 @@ def test_lookup_batch_equivalent_with_churn(rules, keys, drop_every):
                 transcript.extend(cache.lookup(k, now=float(round_no)) for k in keys)
             # Phase: remove every drop_every-th installed entry (retires
             # masks when their table empties, invalidating the accelerator).
-            for victim in installed[::drop_every]:
-                cache.remove(victim)
+            cache.remove_entries(installed[::drop_every])
         return transcript, cache
 
     seq_transcript, seq_cache = run(batched=False)
@@ -420,8 +419,7 @@ def test_process_batch_one_burst_replay_equivalent(case, check_invariants, order
             # good (§8 quirk): those packets recur in the burst and must
             # stay on the slow path, uninstalled, every time.
             installed = [datapath.process(key).installed for key in trace[:60]]
-            for entry in installed[::3]:
-                assert datapath.kill_entry(entry, permanent=True)
+            assert datapath.kill_entries(installed[::3], permanent=True) == len(installed[::3])
         return datapath
 
     a, b = mk(), mk()

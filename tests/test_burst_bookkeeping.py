@@ -59,7 +59,7 @@ def test_burst_snapshots_equal_per_packet_reads(backend, microflow, mask_cache, 
             ),
         )
         installed = [datapath.process(key).installed for key in TRACE[:6]]
-        assert datapath.kill_entry(installed[2], permanent=True)
+        assert datapath.kill_entries([installed[2]], permanent=True) == 1
         return datapath
 
     a, b = mk(), mk()

@@ -117,7 +117,7 @@ class TestDeadEntries:
         datapath = Datapath(table, DatapathConfig(microflow_capacity=0))
         verdict = datapath.process(OTHER)
         entry = verdict.installed
-        assert datapath.kill_entry(entry)
+        assert datapath.kill_entries([entry]) == 1
         # Every replay goes to the slow path; nothing is installed.
         for _ in range(3):
             verdict = datapath.process(OTHER)
@@ -129,7 +129,7 @@ class TestDeadEntries:
     def test_reinject_restores(self, table):
         datapath = Datapath(table, DatapathConfig(microflow_capacity=0))
         entry = datapath.process(OTHER).installed
-        datapath.kill_entry(entry)
+        datapath.kill_entries([entry])
         datapath.reinject(entry)
         verdict = datapath.process(OTHER)
         assert verdict.installed is not None
@@ -138,7 +138,7 @@ class TestDeadEntries:
     def test_non_permanent_kill_resparks(self, table):
         datapath = Datapath(table, DatapathConfig(microflow_capacity=0))
         entry = datapath.process(OTHER).installed
-        datapath.kill_entry(entry, permanent=False)
+        datapath.kill_entries([entry], permanent=False)
         verdict = datapath.process(OTHER)
         assert verdict.installed is not None
 
@@ -179,7 +179,7 @@ class TestIdleEviction:
         if how == "flush":
             datapath.megaflows.flush()
         else:
-            assert datapath.megaflows.remove(entry)
+            assert datapath.megaflows.remove_entries([entry]) == [entry]
         assert run(WEB).path is PathTaken.SLOW_PATH
         assert (micro.stats_hits, micro.stats_misses) == (hits, misses + 1)
         assert datapath.stats.microflow_hits == 1
@@ -201,5 +201,5 @@ class TestMaskCachePath:
         datapath = Datapath(table, config)
         entry = datapath.process(WEB).installed
         datapath.process(WEB)
-        datapath.kill_entry(entry, permanent=False)
+        datapath.kill_entries([entry], permanent=False)
         assert datapath.process(WEB).path is PathTaken.SLOW_PATH

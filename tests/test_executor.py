@@ -333,8 +333,8 @@ class TestManagementPlane:
             # worker's entry and engage the permanent-death quirk.
             proxy_copy = next(iter(other.entries()))
             local_entry = next(iter(reference.entries()))
-            assert other.kill_entry(proxy_copy, permanent=True)
-            assert reference.kill_entry(local_entry, permanent=True)
+            assert other.kill_entries([proxy_copy], permanent=True) == 1
+            assert reference.kill_entries([local_entry], permanent=True) == 1
             for datapath in (reference, other):
                 verdict = datapath.process(key)
                 assert verdict.installed is None  # dead entries never re-spark

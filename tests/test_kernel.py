@@ -502,10 +502,8 @@ class TestOperandCacheCoherence:
                 victims = list(batched.megaflows.entries())
                 if victims:
                     victim = victims[arg % len(victims)]
-                    assert batched.megaflows.remove(victim)
-                    assert twin.megaflows.remove(
-                        twin.megaflows.get_entry(victim.mask, victim.key)
-                    )
+                    assert batched.megaflows.remove_entries([victim]) == [victim]
+                    assert twin.megaflows.remove_entries([twin.megaflows.get_entry(victim.mask, victim.key)])
             elif op == "evict":
                 clock += 4.0
                 assert len(batched.evict_idle(clock)) == len(twin.evict_idle(clock))

@@ -55,7 +55,7 @@ class TestCollisionsAndInvalidation:
         for key in keys:
             cache.update(key, MASK_A)
         cache.update(FlowKey(tp_src=9), MASK_B)
-        dropped = cache.invalidate_mask(MASK_A)
+        dropped = cache.invalidate_masks([MASK_A])
         assert dropped >= 1
         assert all(cache.probe(key) is None for key in keys)
         assert cache.probe(FlowKey(tp_src=9)) == MASK_B

@@ -80,7 +80,7 @@ class TestInvalidation:
             cache.insert(key, entry)
         other = megaflow(81)
         cache.insert(FlowKey(tp_dst=81), other)
-        assert cache.invalidate(entry) == 3
+        assert cache.invalidate_many([entry]) == 3
         assert len(cache) == 1
 
     def test_flush(self):

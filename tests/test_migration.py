@@ -30,6 +30,7 @@ from repro.classifier.actions import DENY
 from repro.classifier.backend import BackendRebuild
 from repro.classifier.flowtable import FlowTable
 from repro.classifier.rule import Match
+from repro.core.detector import find_tse_entries
 from repro.core.migration import MigrationController, MigrationPolicy
 from repro.core.mitigation import MFCGuard, MFCGuardConfig
 from repro.core.tracegen import ColocatedTraceGenerator
@@ -104,7 +105,9 @@ class TestRebuildContract:
 
     def test_journal_carries_mid_rebuild_mutations(self):
         """Installs, kills and idle evictions during the rebuild land in
-        the target — the swapped cache matches a never-migrated twin."""
+        the target — the swapped cache matches a never-migrated twin.  A
+        whole TSE pattern killed at once journals a run of removals, which
+        the replay hands to the target's bulk removal in one call."""
         table, keys = sipdp_detonation()
         migrating = plain(table)
         shadow = plain(SIPDP.build_table())  # same backend, never migrated
@@ -115,16 +118,24 @@ class TestRebuildContract:
         assert status["status"] == "rebuilding"
         assert 0.0 < migrating.migrate_backend_step(64)["progress"] < 1.0
 
-        # Mid-rebuild mutations, applied identically to the shadow twin:
-        # a permanent kill, a full idle eviction, then fresh re-installs
-        # (insert + remove + re-insert all land in the delta journal).
+        # Mid-rebuild mutations, applied identically to the shadow twin: a
+        # whole pattern killed, a full idle eviction, fresh re-installs, and
+        # a whole pattern of those killed for good (insert + remove +
+        # re-insert all land in the delta journal).
         extra = keys[: len(keys) // 4]
+
+        def kill_largest_pattern(datapath, permanent):
+            patterns = find_tse_entries(datapath.megaflows, table)
+            entries = max(patterns, key=lambda pattern: len(pattern.entries)).entries
+            assert 1 < len(entries) < datapath.megaflows.n_entries
+            assert datapath.kill_entries(entries, permanent=permanent) == len(entries)
+
         for datapath in (migrating, shadow):
-            victim = next(iter(datapath.megaflows.entries()))
-            assert datapath.kill_entry(victim, permanent=True)
+            kill_largest_pattern(datapath, permanent=False)
             datapath.evict_idle(now=12.0)  # the idle detonation entries go
             assert datapath.megaflows.n_entries == 0
             datapath.process_batch(extra, now=13.0)  # fresh installs
+            kill_largest_pattern(datapath, permanent=True)
             assert datapath.megaflows.n_entries > 0
 
         while True:
@@ -138,6 +149,7 @@ class TestRebuildContract:
         assert migrating.megaflows.n_entries == shadow.megaflows.n_entries
         assert migrating.n_masks == shadow.n_masks
         assert replay_actions(migrating, extra) == replay_actions(shadow, extra)
+        assert replay_actions(migrating, keys) == replay_actions(shadow, keys)
 
     def test_flush_mid_rebuild_empties_the_target(self):
         """A flow-table delta flushes the live cache *and* the rebuild."""

@@ -13,7 +13,7 @@ from repro.switch.revalidator import REVALIDATE_UNITS_PER_ENTRY, Revalidator
 
 
 # The revalidator drives caches through the MegaflowStore surface only
-# (n_megaflows / evict_idle / entries / kill_entry), so every test in this
+# (n_megaflows / evict_idle / entries / kill_entries), so every test in this
 # module runs over each backend in the name table.
 @pytest.fixture(params=megaflow_backend_names())
 def datapath(request) -> Datapath:

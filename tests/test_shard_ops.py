@@ -81,7 +81,7 @@ class TestTable:
 
     def test_by_value_column_is_exactly_the_single_entry_operations(self):
         assert {key for key, op in SHARD_OPS.items() if op.by_value} == {
-            "kill_entry",
+            "kill_entries",
             "reinject",
             "megaflows.find_entry",
         }
@@ -101,19 +101,22 @@ class TestTable:
         copy = pickle.loads(pickle.dumps(installed))
         assert copy is not installed
         seen = {}
-        for name in ("kill_entry", "reinject", "rebalance_install"):
+        for name in ("kill_entries", "reinject", "rebalance_install"):
             monkeypatch.setattr(
                 Datapath, name, lambda self, *args, _name=name, **kw: seen.__setitem__(_name, args)
             )
         monkeypatch.setattr(
             type(datapath.megaflows), "find_entry", lambda self, *args: seen.__setitem__("find_entry", args)
         )
-        for key in ("kill_entry", "reinject", "megaflows.find_entry"):
+        for key in ("kill_entries", "reinject", "megaflows.find_entry"):
             op = SHARD_OPS[key]
             _apply_op(datapath, op, (copy,), {}, remote=True)
             assert seen[op.name][0] is installed, key
             _apply_op(datapath, op, (copy,), {})  # in-process callers hold the real objects
             assert seen[op.name][0] is copy, key
+        # A leading list of copies is resolved copy by copy.
+        _apply_op(datapath, SHARD_OPS["kill_entries"], ((copy, copy),), {}, remote=True)
+        assert [entry is installed for entry in seen["kill_entries"][0]] == [True, True]
         # Entry *lists* are state in flight, adopted as they arrive.
         _apply_op(datapath, SHARD_OPS["rebalance_install"], ([copy], []), {}, remote=True)
         assert seen["rebalance_install"][0][0] is copy
@@ -127,7 +130,7 @@ class TestTable:
             before = shard.n_megaflows
             assert before > 2
             assert shard.megaflows.find_entry(copy)
-            assert shard.kill_entry(copy)
+            assert shard.kill_entries([copy]) == 1
             assert not shard.megaflows.find_entry(copy)
             assert shard.n_megaflows == before - 1
             # A copy of an installed entry handed over in a list is adopted
@@ -135,6 +138,30 @@ class TestTable:
             other = next(iter(shard.megaflows.entries()))
             assert shard.rebalance_install([other], []) == 0
             assert shard.n_megaflows == before - 1
+
+    def test_entry_lists_are_value_addressed_through_a_worker(self):
+        """One ``kill_entries`` message carries a list of copies: the worker
+        removes the installed ones and dead-marks every one, the copy of an
+        entry it no longer holds included (it is marked, not removed)."""
+        table, keys = staircase_replay(extra=0)
+        with build("process", table, n_shards=2) as datapath:
+            batch = datapath.process_batch(keys)
+            shard = datapath.shards[0]
+            spawned = [
+                (key, verdict.installed)
+                for key, verdict, shard_id in zip(keys, batch.verdicts, batch.shard_ids)
+                if shard_id == 0 and verdict.installed is not None
+            ][:4]
+            *held, (absent_key, absent) = spawned
+            assert shard.kill_entries([absent], permanent=False) == 1  # gone, not dead
+            before = shard.n_megaflows
+            assert shard.kill_entries([*(entry for _, entry in held), absent]) == len(held)
+            assert shard.n_megaflows == before - len(held)
+            assert not any(shard.megaflows.find_entry(entry) for _, entry in held)
+            for key, _ in [*held, (absent_key, absent)]:
+                verdict = datapath.process(key)
+                assert verdict.installed is None, key  # dead: never re-sparks
+            assert shard.n_megaflows == before - len(held)
 
 
 class TestOneRowAddsACapability:
@@ -162,8 +189,8 @@ class TestRefusal:
             shard = datapath.shards[0]
             copy = next(iter(shard.megaflows.entries()))
             sent = count_sends(monkeypatch, datapath.executor)
-            with pytest.raises(SwitchError, match="'megaflows.remove' is not a shard operation"):
-                shard.megaflows.remove(copy)
+            with pytest.raises(SwitchError, match="'megaflows.remove_entries' is not a shard operation"):
+                shard.megaflows.remove_entries([copy])
             with pytest.raises(SwitchError, match="'process_batch'"):  # batches are run_batch messages
                 shard.process_batch(warm_keys())
             with pytest.raises(SwitchError, match="'warp'"):
@@ -188,8 +215,8 @@ class TestRefusal:
         with build(executor, small_table(), n_shards=2) as datapath:
             datapath.process_batch(warm_keys())
             entry = next(datapath.entries())
-            with pytest.raises(SwitchError, match="'megaflows.remove'"):
-                datapath.executor.call_all("megaflows.remove", entry)
+            with pytest.raises(SwitchError, match="'megaflows.remove_entries'"):
+                datapath.executor.call_all("megaflows.remove_entries", [entry])
             assert sorted(datapath.executor.call_all("megaflows.find_entry", entry)) == [False, True]
 
 

@@ -72,15 +72,6 @@ PINNED_BY_TESTS: dict[str, tuple[str, ...]] = {
         "test_tracegen::TestBitInversion::test_respects_mask",
         "test_tracegen::TestBitInversion::test_length_is_width_plus_one",
     ),
-    "packet.addresses:mac": ("test_addresses::TestMac::test_roundtrip", "test_addresses::TestMac::test_bad_input"),
-    "packet.addresses:mac_str": ("test_addresses::TestMac::test_roundtrip", "test_addresses::TestMac::test_bad_input"),
-    "packet.addresses:cidr4": (
-        "test_addresses::TestCidr::test_cidr4",
-        "test_addresses::TestCidr::test_cidr4_host_route",
-        "test_addresses::TestCidr::test_cidr4_non_strict",
-        "test_addresses::TestCidr::test_bad_cidr",
-    ),
-    "packet.addresses:cidr6": ("test_addresses::TestCidr::test_cidr6",),
     "packet.builder:PacketBuilder.random_field_value": (
         "test_builder::TestRandomValues::test_width_respected",
         "test_builder::TestRandomValues::test_wide_fields",

@@ -121,18 +121,18 @@ class TestRemoveEvict:
     def test_remove(self):
         cache = TupleSpaceSearch()
         stored = cache.insert(entry(80))
-        assert cache.remove(stored)
+        assert cache.remove_entries([stored]) == [stored]
         assert cache.n_masks == 0
-        assert not cache.remove(stored)  # second removal is a no-op
+        assert cache.remove_entries([stored]) == []  # second removal is a no-op
 
     def test_mask_retired_with_last_entry(self):
         cache = TupleSpaceSearch()
         a = cache.insert(entry(80))
         b = cache.insert(entry(81))
         assert cache.n_masks == 1  # same mask
-        cache.remove(a)
+        cache.remove_entries([a])
         assert cache.n_masks == 1
-        cache.remove(b)
+        cache.remove_entries([b])
         assert cache.n_masks == 0
 
     def test_evict_idle(self):
@@ -171,7 +171,7 @@ class TestMemoCoherence:
         stored = cache.insert(entry(80))
         key = FlowKey(tp_dst=80)
         assert cache.lookup(key).hit
-        cache.remove(stored)
+        cache.remove_entries([stored])
         assert not cache.lookup(key).hit
 
     def test_memoised_hit_updates_stats(self):

@@ -45,6 +45,7 @@ bundles the currency into one introspection record for dpctl.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import groupby
@@ -229,6 +230,10 @@ class MegaflowStore:
         # every install/remove/flush that lands while a rebuild is in flight
         # is journalled so the target backend can replay it.
         self._rebuild_journals: list["BackendRebuild"] = []
+        # A lower bound on every entry's ``last_used``, or -inf when
+        # unknown (until a scanning idle sweep sets it, and after a flush):
+        # while ``now - bound < idle_timeout`` nothing is idle.
+        self._used_bound = -math.inf
 
     # -- size ----------------------------------------------------------------
     @property
@@ -418,6 +423,8 @@ class MegaflowStore:
         fields = self._fields_of(entry.mask) if new_mask else self._mask_fields[entry.mask]
         key = entry.key
         reduced = tuple([key[i] & m for i, m in fields])
+        if now < self._used_bound:
+            self._used_bound = now
         if not new_mask:
             existing = table.get(reduced)
             if existing is not None:
@@ -516,14 +523,27 @@ class MegaflowStore:
 
     def idle_entries(self, now: float, idle_timeout: float) -> list[MegaflowEntry]:
         """Entries unused for at least ``idle_timeout`` seconds, in scan
-        order, mask by mask; a sweep that finds nothing idle pays no Python
-        call per entry or per mask."""
-        victims = [
-            entry
-            for table in self._tables.values()
-            for entry in table.values()
-            if now - entry.last_used >= idle_timeout
-        ]
+        order, mask by mask.
+
+        Preconditions: the caller removes the victims, and outside
+        :meth:`insert` (which lowers the store's bound on ``last_used``) an
+        entry's ``last_used`` only moves forward.  Then a sweep reads no
+        entry while ``now - bound < idle_timeout``, since nothing can be
+        idle; otherwise it scans once and resets the bound to the
+        survivors' oldest ``last_used``.
+        """
+        if now - self._used_bound < idle_timeout:
+            return []
+        victims = []
+        bound = math.inf
+        for table in self._tables.values():
+            for entry in table.values():
+                used = entry.last_used
+                if now - used >= idle_timeout:
+                    victims.append(entry)
+                elif used < bound:
+                    bound = used
+        self._used_bound = bound
         if victims:
             position = {mask: i for i, mask in enumerate(self._mask_order)}
             victims.sort(key=lambda entry: position[entry.mask])
@@ -564,6 +584,7 @@ class MegaflowStore:
         self._mask_fields.clear()
         self._mask_order.clear()
         self._n_entries = 0
+        self._used_bound = -math.inf
         self._invalidate()
         for rebuild in self._rebuild_journals:
             rebuild.note_flush()

@@ -10,7 +10,7 @@ victim's packets fall through to the (exploded) megaflow path.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.classifier.tss import MegaflowEntry
 from repro.exceptions import ClassifierError
@@ -60,6 +60,46 @@ class MicroflowCache:
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats_evictions += 1
+
+    def miss_region(self, keys: Sequence[FlowKey], start: int) -> int:
+        """End of the *decided-miss region* of ``keys`` from ``start``.
+
+        ``keys[start:end]`` are not cached now and no key repeats in it,
+        so each one's :meth:`lookup` misses however the region's own
+        inserts go: an insert of a region key adds no key still ahead of
+        it, and an eviction only removes.  ``end == start`` when
+        ``keys[start]`` is cached.
+        """
+        cached, seen = self._entries, set()
+        for end in range(start, len(keys)):
+            key = keys[end]
+            if key in cached or key in seen:
+                return end
+            seen.add(key)
+        return len(keys)
+
+    def insert_missed(
+        self, keys: Sequence[FlowKey], entries: Sequence[MegaflowEntry | None]
+    ) -> None:
+        """Settle one missed :meth:`lookup` per key, then :meth:`insert`
+        each key whose entry is not None, in order.
+
+        Precondition: the keys are absent and distinct (one
+        :meth:`miss_region`).  Then every insert appends, and popping the
+        excess from the front once, at the end, leaves the LRU order,
+        counters and evictions that per-key ``lookup`` and ``insert``
+        leave.
+        """
+        self.stats_misses += len(keys)
+        cached = self._entries
+        for key, entry in zip(keys, entries):
+            if entry is not None:
+                cached[key] = entry
+        excess = len(cached) - self.capacity
+        if excess > 0:
+            self.stats_evictions += excess
+            for _ in range(excess):
+                cached.popitem(last=False)
 
     def drop_stale_hit(self, entry: MegaflowEntry) -> None:
         """The hit :meth:`lookup` just served points at a removed megaflow:

@@ -174,14 +174,20 @@ class MFCGuard:
         stopped = False
         for shard in self.datapath.shards:
             patterns = find_tse_entries(shard.megaflows, self.datapath.flow_table)
+            # Patterns overlap (an entry can match several rules' patterns):
+            # only the entries an earlier pattern left installed are removed
+            # and demoted by this one.
+            killed: set[tuple] = set()
             for pattern in patterns:
                 # Delete this rule's adversarial entries (drop-only by
                 # construction of the detector).
                 rate = sum(
-                    entry.hits / max(now - entry.created_at, self.config.period) for entry in pattern.entries
+                    entry.hits / max(now - entry.created_at, self.config.period)
+                    for entry in pattern.entries
+                    if (entry.mask, entry.key) not in killed
                 )
-                shard.kill_entries(pattern.entries, permanent=self.config.permanent_delete)
-                deleted += len(pattern.entries)
+                deleted += shard.kill_entries(pattern.entries, permanent=self.config.permanent_delete)
+                killed.update((entry.mask, entry.key) for entry in pattern.entries)
                 cleaned.append(pattern.rule.name or repr(pattern.rule.match))
                 self._demoted_pps += rate
 

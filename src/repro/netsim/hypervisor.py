@@ -61,6 +61,9 @@ from repro.switch.sharded import AnyDatapath
 
 __all__ = ["QuirkConfig", "VictimState", "HypervisorHost"]
 
+_MASK_CACHE = PathTaken.MASK_CACHE
+_SLOW_PATH = PathTaken.SLOW_PATH
+
 
 @dataclass(frozen=True)
 class QuirkConfig:
@@ -185,11 +188,15 @@ class HypervisorHost:
         upcalls_by_shard: dict[int, int] = {}
         total_upcalls = 0
         for verdict, scan_cost, shard_id in zip(batch.verdicts, batch.probe_costs, shard_ids):
-            if verdict.path is PathTaken.MASK_CACHE:
+            path = verdict.path
+            if path is _MASK_CACHE:
                 self._attack_units[shard_id] += 1.0  # single-table probe
                 continue
-            scan_costs.setdefault(shard_id, []).append(scan_cost)
-            if verdict.is_upcall:
+            costs = scan_costs.get(shard_id)
+            if costs is None:
+                costs = scan_costs[shard_id] = []
+            costs.append(scan_cost)
+            if path is _SLOW_PATH:
                 upcalls_by_shard[shard_id] = upcalls_by_shard.get(shard_id, 0) + 1
                 total_upcalls += 1
         for shard_id, costs in scan_costs.items():

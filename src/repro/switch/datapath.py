@@ -476,7 +476,17 @@ class Datapath:
         its packets so far would have written one by one.  With levels 1-2
         off nothing reads per-packet cache state between hits, so the scan
         level settles a whole run of consecutive hits per scanner call
-        (``hits``), and the miss that ends a run in the same call.
+        (``hits``), and the miss that ends a run in the same call.  With
+        the microflow cache the only fast level, the same holds inside a
+        *decided-miss region* (:meth:`MicroflowCache.miss_region`): keys
+        not cached at the region's start and not repeated in it miss level
+        1 whatever the region's remembers evict, so they skip the probe,
+        settle as one run, and enter the LRU in one
+        :meth:`MicroflowCache.insert_missed` call — the order, counters and
+        evictions per-key probes and inserts leave.  The region is computed
+        once, when the loop reaches its start, so a cold burst costs O(n)
+        in it.  With the mask cache on, a run stays one packet: its probe
+        reads what the previous packet remembered.
 
         ``rows`` optionally supplies ``keys``' uint64 column matrix.  Keys
         that have been scanned before carry their packed row
@@ -523,7 +533,11 @@ class Datapath:
         # ``hits`` settles a run of consecutive hits in one call (ended by the
         # burst, or by a miss it settles too); the packets then consume it.
         # Levels 1-2 probe what the previous packet remembered, so with
-        # either on, a run is one packet.
+        # either on, a run is one packet — except inside a decided-miss
+        # region (see above): ``keys[i:region]`` skip the level-1 probe and
+        # settle as one run, remembered in one call.
+        microflows = self.microflows if self.mask_cache is None else None
+        region = 0
         run: list = []
         taken = 0
         n = len(keys)
@@ -534,13 +548,21 @@ class Datapath:
                         self._check_cost_unmoved(i, (n_masks, scan_cost))
                     mask_counts.append(n_masks)
                     probe_costs.append(scan_cost)
-                    if fast:
-                        verdict = self._fast_levels(key)
-                        if verdict is not None:
-                            verdict_append(verdict)
-                            continue
                     if taken == len(run):
-                        run, taken = scanner.hits(i, i + 1 if fast else n), 0
+                        if microflows is not None and i >= region:
+                            region = microflows.miss_region(keys, i)
+                        if i < region:
+                            run, taken = scanner.hits(i, region), 0
+                            microflows.insert_missed(
+                                keys[i : i + len(run)], [entry for entry, _ in run]
+                            )
+                        else:
+                            if fast:
+                                verdict = self._fast_levels(key)
+                                if verdict is not None:
+                                    verdict_append(verdict)
+                                    continue
+                            run, taken = scanner.hits(i, i + 1 if fast else n), 0
                     entry, probes = run[taken]
                     taken += 1
                     inspected += probes
@@ -550,7 +572,7 @@ class Datapath:
                         n_masks, scan_cost = megaflows.n_masks, megaflows.expected_scan_cost()
                     else:
                         megaflow_hits += 1
-                        if fast:
+                        if fast and i >= region:
                             self._remember(key, entry)
                         verdict_append(_new(PacketVerdict, (entry.action, _MEGAFLOW, probes, 0, None)))
                 if check:

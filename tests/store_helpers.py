@@ -35,3 +35,9 @@ def remove_where(store, predicate) -> list:
     """Remove and return every entry satisfying ``predicate``, in
     ``entries()`` order (mask scan order, then insertion)."""
     return store.remove_entries([entry for entry in store.entries() if predicate(entry)])
+
+
+def idle_entries(store, now: float, idle_timeout: float) -> list:
+    """Every entry unused for at least ``idle_timeout`` seconds, in
+    ``entries()`` order: the full scan an idle sweep may skip."""
+    return [entry for entry in store.entries() if now - entry.last_used >= idle_timeout]

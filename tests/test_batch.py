@@ -285,11 +285,22 @@ STATS_FIELDS = (
 )
 
 
+MICROFLOW_STATS = ("stats_hits", "stats_misses", "stats_evictions")
+
+
 def assert_datapaths_equal(a: Datapath, b: Datapath):
     for field in STATS_FIELDS:
         assert getattr(a.stats, field) == getattr(b.stats, field), field
     for field in BACKEND_STATS:
         assert getattr(a.megaflows, field) == getattr(b.megaflows, field), field
+    assert (a.microflows is None) == (b.microflows is None)
+    if a.microflows is not None:
+        for field in MICROFLOW_STATS:
+            assert getattr(a.microflows, field) == getattr(b.microflows, field), field
+        # The LRU order, and what each microflow points at.
+        assert [
+            (key, entry.mask, entry.key) for key, entry in a.microflows._entries.items()
+        ] == [(key, entry.mask, entry.key) for key, entry in b.microflows._entries.items()]
     assert a.megaflows.masks() == b.megaflows.masks()
     assert sorted((e.mask.values, e.key) for e in a.megaflows.entries()) == sorted(
         (e.mask.values, e.key) for e in b.megaflows.entries()
@@ -313,19 +324,26 @@ def assert_verdicts_equal(sequential, batched):
 @given(
     rules=rule_sets(),
     seed=st.integers(min_value=0, max_value=2**31),
-    microflow=st.sampled_from([0, 8]),
+    microflow=st.sampled_from([0, 4, 8]),
     mask_cache=st.booleans(),
     burst_sizes=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=8),
     lookup_every=st.integers(min_value=0, max_value=3),
+    kill=st.sampled_from([None, "kill_entries", "remove_entries"]),
 )
-def test_process_batch_equivalent(rules, seed, microflow, mask_cache, burst_sizes, lookup_every):
+def test_process_batch_equivalent(
+    rules, seed, microflow, mask_cache, burst_sizes, lookup_every, kill
+):
     """process_batch ≡ sequential process across cache configurations.
 
     Burst boundaries cycle through ``burst_sizes``, so the TSS index's
     deferred appends carry over several bursts before the merge cadence
     drains them; after every ``lookup_every``-th burst (0: never) both
     stores serve a spawn-less ``lookup`` of the burst's first key, a reader
-    that drains that backlog first.
+    that drains that backlog first.  A microflow capacity of 4 is smaller
+    than most bursts, so one decided-miss run evicts its own keys.  With
+    ``kill``, the megaflow of each burst's last key goes after the burst:
+    through the datapath (its microflows go too, and it is dead-marked), or
+    from the store alone, which leaves its microflows for a stale hit.
     """
 
     def mk():
@@ -352,6 +370,12 @@ def test_process_batch_equivalent(rules, seed, microflow, mask_cache, burst_size
             assert_results_equal(
                 [a.megaflows.lookup(burst[0], now=1.0)], [b.megaflows.lookup(burst[0], now=1.0)]
             )
+        if kill is not None:
+            for datapath in (a, b):
+                entry = datapath.megaflows.find(burst[-1])
+                if entry is not None:
+                    target = datapath if kill == "kill_entries" else datapath.megaflows
+                    getattr(target, kill)([entry])
         start += size
     assert_verdicts_equal(sequential, batched)
     assert_datapaths_equal(a, b)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.classifier.actions import ALLOW
+from repro.core.detector import find_tse_entries
 from repro.core.mitigation import GuardReport, MFCGuard, MFCGuardConfig
 from repro.core.tracegen import ColocatedTraceGenerator
 from repro.core.usecases import SIPDP
@@ -81,6 +82,22 @@ class TestAlgorithm2:
         report = guard.run(now=10.0)
         assert report.stopped_by_cpu
         assert len(report.rules_cleaned) == 1
+
+    def test_overlapping_patterns_counted_once(self):
+        """SipDp's ``allow-tp_dst`` and ``allow-ip_src`` patterns share 512
+        entries: each is deleted, and its hit rate demoted, once."""
+        _table, datapath, trace, guard = attacked_setup()
+        for key in trace.keys:  # one hit per attack megaflow
+            datapath.process(key, now=2.0)
+        patterns = find_tse_entries(datapath.megaflows, datapath.flow_table)
+        installed = {(entry.mask, entry.key): entry for pattern in patterns for entry in pattern.entries}
+        before = datapath.n_megaflows
+        report = guard.run(now=10.0)
+        removed = before - datapath.n_megaflows
+        assert report.entries_deleted == removed == len(installed)
+        assert sum(len(pattern.entries) for pattern in patterns) - removed == 512
+        rate = sum(entry.hits / max(10.0 - entry.created_at, 10.0) for entry in installed.values())
+        assert guard.projected_cpu_pct() == pytest.approx(guard.slow_path_model.cpu_pct(rate))
 
     def test_rules_cleaned_reported(self):
         _table, _datapath, _trace, guard = attacked_setup()

@@ -39,8 +39,9 @@ and the unit cost is 1.0, so the normalised scan cost *is* the mask count
 and every mask-count-anchored consumer (the Table 1 / Fig 8-9 presets)
 reproduces byte-identically; for the grouped backend the scan cost tracks
 the observed chain walks, which is what lets the hypervisor's time series
-finally see the defense.  :meth:`MegaflowStore.probe_cost_snapshot`
-bundles the currency into one introspection record for dpctl.
+finally see the defense.  The datapath's
+:meth:`~repro.switch.datapath.Datapath.snapshot` carries the currency, with
+the scan and probe counters, out to dpctl in one record.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ __all__ = [
     "MASK_BYTES",
     "MegaflowEntry",
     "TssLookupResult",
-    "ProbeCostSnapshot",
     "MegaflowStore",
     "LiveBatchScanner",
     "BackendRebuild",
@@ -128,31 +128,6 @@ class TssLookupResult(NamedTuple):
     @property
     def hit(self) -> bool:
         return self.entry is not None
-
-
-@dataclass(frozen=True)
-class ProbeCostSnapshot:
-    """One backend's lookup-cost currency, in one introspection record.
-
-    Attributes:
-        backend: implementing class name (diagnostic label).
-        n_masks: installed distinct masks — still the attack's *detection*
-            figure of merit, even where it no longer implies scan cost.
-        unit_cost: calibrated single-table-probe units per backend-native
-            probe unit (1.0 for TSS: a native probe *is* a table probe).
-        scan_cost: expected cost of one full scan of the current cache, in
-            normalised probe units (``n_masks`` for TSS).  This is the
-            argument the calibrated cost curves take.
-        scans: lookups that ran the backend's scan (memo hits excluded).
-        probes_total: native probe units spent across all scans.
-    """
-
-    backend: str
-    n_masks: int
-    unit_cost: float
-    scan_cost: float
-    scans: int
-    probes_total: int
 
 
 class MegaflowStore:
@@ -383,17 +358,6 @@ class MegaflowStore:
         (the grouped backend's chain walks) override it.
         """
         return self.probe_unit_cost() * self.structural_scan_cost()
-
-    def probe_cost_snapshot(self) -> ProbeCostSnapshot:
-        """The cache's probe currency as one introspection record."""
-        return ProbeCostSnapshot(
-            backend=type(self).__name__,
-            n_masks=self.n_masks,
-            unit_cost=self.probe_unit_cost(),
-            scan_cost=self.expected_scan_cost(),
-            scans=self.stats_scans,
-            probes_total=self.stats_scan_probes,
-        )
 
     # -- accounting ------------------------------------------------------------
     def _register_hits(self, entries, now: float) -> None:

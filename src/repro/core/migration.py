@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 from repro.core.mitigation import MFCGuard
 from repro.exceptions import ExperimentError, ReproError
+from repro.switch.datapath import ShardSnapshot
 from repro.switch.sharded import AnyDatapath
 
 __all__ = ["MigrationPolicy", "MigrationReport", "MigrationController"]
@@ -93,7 +94,8 @@ class MigrationPolicy:
 
 @dataclass
 class MigrationReport:
-    """What one controller run did."""
+    """What one controller run did; ``statuses`` holds each checked
+    shard's snapshot after the run acted on it."""
 
     ran: bool = False
     checked: int = 0
@@ -101,7 +103,7 @@ class MigrationReport:
     started: tuple[int, ...] = ()
     stepped: tuple[int, ...] = ()
     swapped: tuple[int, ...] = ()
-    statuses: list[dict] = field(default_factory=list)
+    statuses: list[ShardSnapshot] = field(default_factory=list)
 
 
 class MigrationController:
@@ -111,7 +113,10 @@ class MigrationController:
     (``HypervisorHost(migrator=...)``); drives plain and sharded datapaths
     uniformly through the ``migrate_backend_*`` surface, so under the
     ``process`` executor each shard's rebuild runs inside its owning
-    worker via the control pipe — entry objects never cross the boundary.
+    worker via the control pipe — entry objects never cross the boundary;
+    each call answers with the shard's
+    :class:`~repro.switch.datapath.ShardSnapshot`, which the controller
+    reads by attribute.
 
     Args:
         datapath: the switch to watch (plain or sharded).
@@ -160,21 +165,21 @@ class MigrationController:
         stepped: list[int] = []
         swapped: list[int] = []
         for shard_id, shard in enumerate(self.datapath.shards):
-            status = shard.migration_status()
+            snapshot = shard.snapshot()
             report.checked += 1
-            report.worst_scan_cost = max(report.worst_scan_cost, status["scan_cost"])
+            report.worst_scan_cost = max(report.worst_scan_cost, snapshot.scan_cost)
             try:
-                if status["status"] == "rebuilding":
-                    status = shard.migrate_backend_step(policy.slice_entries)
+                if snapshot.migration == "rebuilding":
+                    snapshot = shard.migrate_backend_step(policy.slice_entries)
                     stepped.append(shard_id)
-                elif self._should_start(shard_id, status, now):
-                    status = shard.migrate_backend_start(
+                elif self._should_start(shard_id, snapshot, now):
+                    snapshot = shard.migrate_backend_start(
                         policy.target_backend, slice_size=policy.slice_entries
                     )
                     started.append(shard_id)
-                    status = shard.migrate_backend_step(policy.slice_entries)
-                if status["status"] == "rebuilding" and status["rebuild_done"]:
-                    status = shard.migrate_backend_swap()
+                    snapshot = shard.migrate_backend_step(policy.slice_entries)
+                if snapshot.migration == "rebuilding" and snapshot.rebuild_done:
+                    snapshot = shard.migrate_backend_swap()
                     swapped.append(shard_id)
                     self._cooldown_until[shard_id] = now + policy.cooldown
                     self._armed[shard_id] = False
@@ -184,15 +189,15 @@ class MigrationController:
                 # store would fail the same swap on every later pass.
                 shard.migrate_backend_abort()
                 raise
-            report.statuses.append(status)
+            report.statuses.append(snapshot)
         report.started = tuple(started)
         report.stepped = tuple(stepped)
         report.swapped = tuple(swapped)
         return report
 
-    def _should_start(self, shard_id: int, status: dict, now: float) -> bool:
+    def _should_start(self, shard_id: int, snapshot: ShardSnapshot, now: float) -> bool:
         policy = self.policy
-        cost = status["scan_cost"]
+        cost = snapshot.scan_cost
         # Hysteresis: a shard that swapped re-arms only once its cost has
         # genuinely collapsed — otherwise a still-expensive cache would
         # re-trigger every cooldown.
@@ -201,7 +206,7 @@ class MigrationController:
                 self._armed[shard_id] = True
             else:
                 return False
-        if status["backend"] == policy.target_backend:
+        if snapshot.backend == policy.target_backend:
             return False
         if now < self._cooldown_until.get(shard_id, float("-inf")):
             return False

@@ -145,12 +145,11 @@ class RebalanceController:
         if not self._should_remap(report, now):
             return report
         successor = self._successor()
-        status = self.datapath.rebalance(successor)
+        report.entries_moved = self.datapath.rebalance(successor)
         self._cooldown_until = now + self.policy.cooldown
         self.remaps_completed += 1
         report.remapped = True
-        report.entries_moved = status["entries_moved"]
-        report.salt = status["salt"]
+        report.salt = successor.salt
         return report
 
     def _should_remap(self, report: RebalanceReport, now: float) -> bool:

@@ -107,10 +107,10 @@ def run_policy_cell(
         probes={
             "upcall_pps": lambda: host.upcall_pps,
             "rebuild_memory": lambda: max(
-                shard.migration_status()["rebuild_memory_bytes"] for shard in shards
+                shard.snapshot().rebuild_memory_bytes for shard in shards
             ),
         },
-        readout=lambda: [shard.migration_status() for shard in shards],
+        readout=lambda: [shard.snapshot() for shard in shards],
     )
 
     metrics = testbed.metrics
@@ -138,9 +138,9 @@ def run_policy_cell(
         "entries_deleted": guard.total_deleted if guard is not None else 0,
         "peak_upcall_pps": metrics.series("upcall_pps").maximum(),
         "peak_rebuild_memory_bytes": metrics.series("rebuild_memory").maximum(),
-        "swaps": sum(record["swaps"] for record in records),
-        "final_backend": records[0]["backend"],
-        "final_scan_cost": max(record["scan_cost"] for record in records),
+        "swaps": sum(record.swaps for record in records),
+        "final_backend": records[0].backend,
+        "final_scan_cost": max(record.scan_cost for record in records),
         "peak_masks": metrics.series("masks").maximum(),
         "trace_packets": len(trace.keys),
     }

@@ -141,14 +141,13 @@ def run_policy_cell(
             attacker.set_trace(regrind(now))
             next_round += round_period
 
-    status = run_attack_window(
+    run_attack_window(
         testbed,
         regrind(attack_start),
         attack_pps,
         [(attack_start, attack_stop)],
         duration,
         events=next_move,
-        readout=datapath.rebalance_status,
     )
 
     # Round-tail floors: the second half of every retargeting round — the
@@ -171,9 +170,9 @@ def run_policy_cell(
         "tail_floor_gbps": min(tail_floors),
         "tail_floors_gbps": tail_floors,
         "rounds": len(retargets),
-        "remaps": status["remaps"],
-        "entries_moved": status["entries_moved"],
-        "final_salt": status["salt"],
+        "remaps": datapath.remaps,
+        "entries_moved": datapath.entries_moved,
+        "final_salt": getattr(datapath.rss, "salt", 0),
         "peak_masks": metrics.series("masks").maximum(),
         "peak_scan_cost": metrics.series("scan_cost").maximum(),
         "trace_packets": len(base_keys),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import PacketError
-from repro.packet.fields import FIELDS, FlowKey
+from repro.packet.fields import FlowKey
 from repro.packet.headers import (
     ETHERTYPE_IPV4,
     ETHERTYPE_IPV6,
@@ -160,16 +160,3 @@ class PacketBuilder:
         else:
             raise PacketError(f"cannot materialize packet for ip_proto={proto}")
         return Packet(layers=layers, payload=payload)
-
-    # -- randomized crafting ----------------------------------------------------
-    def random_field_value(self, name: str) -> int:
-        """A uniformly random value for registry field ``name``."""
-        width = FIELDS[name].width
-        # numpy integers cap at 64 bits; compose wider values from chunks.
-        value = 0
-        remaining = width
-        while remaining > 0:
-            take = min(remaining, 32)
-            value = (value << take) | int(self._rng.integers(0, 1 << take))
-            remaining -= take
-        return value

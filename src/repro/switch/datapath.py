@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.classifier.actions import Action
@@ -53,6 +53,7 @@ __all__ = [
     "PacketVerdict",
     "BatchVerdicts",
     "CoreReport",
+    "ShardSnapshot",
     "DatapathConfig",
     "Datapath",
 ]
@@ -236,6 +237,57 @@ class DatapathStats:
     dead_entry_suppressed: int = 0
     flushes: int = 0
     masks_inspected_total: int = 0
+
+
+@dataclass(frozen=True)
+class ShardSnapshot:
+    """One shard's state, read in one pass: the only record of it that
+    crosses an executor (one message per worker under ``process``).
+
+    Attributes:
+        stats: a copy of the shard's :class:`DatapathStats` counters.
+        lookup_hits / lookup_misses: megaflow-cache lookups served / missed.
+        n_masks / n_megaflows: installed distinct masks and entries.
+        scan_cost: expected full-scan cost, normalised probe units.
+        unit_cost: calibrated table probes per backend-native probe unit.
+        scans / probes_total: scans run and native probe units they spent.
+        backend: the serving backend's name; scan_kernel: its scan kernel.
+        memory_bytes: the megaflow cache's estimated footprint.
+        microflows / microflow_capacity / microflow_hit_rate: the exact-
+            match cache's occupancy (capacity 0: the cache is off).
+        migration: ``"idle"``, ``"rebuilding"`` or ``"swapped"``.
+        target / progress / rebuild_done / entries_copied /
+            journal_replayed: the in-flight rebuild (``None``/1.0/False/0/0
+            when none is).
+        rebuild_memory_bytes: the rebuild target's footprint (the last
+            swapped-in one when no rebuild is in flight).
+        swaps / last_swap_at: completed swaps and the last one's time.
+    """
+
+    stats: DatapathStats
+    lookup_hits: int
+    lookup_misses: int
+    n_masks: int
+    n_megaflows: int
+    scan_cost: float
+    unit_cost: float
+    scans: int
+    probes_total: int
+    backend: str
+    scan_kernel: str
+    memory_bytes: int
+    microflows: int
+    microflow_capacity: int
+    microflow_hit_rate: float
+    migration: str
+    target: str | None
+    progress: float
+    rebuild_done: bool
+    entries_copied: int
+    journal_replayed: int
+    rebuild_memory_bytes: int
+    swaps: int
+    last_swap_at: float | None
 
 
 class Datapath:
@@ -688,38 +740,48 @@ class Datapath:
             self.now = max(self.now, now)
         return self._remove(self.megaflows.idle_entries(self.now, self.config.idle_timeout))
 
+    def snapshot(self) -> ShardSnapshot:
+        """Everything dpctl renders and the migration controller reads, at once."""
+        cache, microflows, rebuild = self.megaflows, self.microflows, self._rebuild
+        if rebuild is not None:
+            migration, rebuild_memory = "rebuilding", rebuild.target.memory_bytes()
+        else:
+            migration = "swapped" if self._migration_swaps else "idle"
+            rebuild_memory = self._last_rebuild_memory
+        return ShardSnapshot(
+            stats=replace(self.stats),
+            lookup_hits=cache.stats_hits,
+            lookup_misses=cache.stats_misses,
+            n_masks=cache.n_masks,
+            n_megaflows=cache.n_entries,
+            scan_cost=cache.expected_scan_cost(),
+            unit_cost=cache.probe_unit_cost(),
+            scans=cache.stats_scans,
+            probes_total=cache.stats_scan_probes,
+            backend=cache.name,
+            scan_kernel=cache.scan_kernel_name,
+            memory_bytes=cache.memory_bytes(),
+            microflows=len(microflows) if microflows is not None else 0,
+            microflow_capacity=microflows.capacity if microflows is not None else 0,
+            microflow_hit_rate=microflows.hit_rate if microflows is not None else 0.0,
+            migration=migration,
+            target=rebuild.target_kind if rebuild is not None else None,
+            progress=rebuild.progress if rebuild is not None else 1.0,
+            rebuild_done=rebuild.done if rebuild is not None else False,
+            entries_copied=rebuild.entries_copied if rebuild is not None else 0,
+            journal_replayed=rebuild.journal_replayed if rebuild is not None else 0,
+            rebuild_memory_bytes=rebuild_memory,
+            swaps=self._migration_swaps,
+            last_swap_at=self._last_swap_at,
+        )
+
     # -- live backend migration ---------------------------------------------------
     # The rebuild runs *on this object* wherever it lives: under the
     # ``process`` executor these methods are invoked inside the owning
     # worker (via the control pipe's shard-call protocol), so entry objects
-    # never cross a process boundary — the status dicts below are the only
-    # thing shipped back, and they are plain picklable scalars.
-    def migration_status(self) -> dict:
-        """The shard's backend + migration state as one picklable record."""
-        rebuild = self._rebuild
-        if rebuild is not None:
-            status = "rebuilding"
-            rebuild_memory = rebuild.target.memory_bytes()
-        else:
-            status = "swapped" if self._migration_swaps else "idle"
-            rebuild_memory = self._last_rebuild_memory
-        return {
-            "status": status,
-            "backend": self.megaflows.name,
-            "target": rebuild.target_kind if rebuild is not None else None,
-            "progress": rebuild.progress if rebuild is not None else 1.0,
-            "rebuild_done": rebuild.done if rebuild is not None else False,
-            "entries_copied": rebuild.entries_copied if rebuild is not None else 0,
-            "journal_replayed": rebuild.journal_replayed if rebuild is not None else 0,
-            "rebuild_memory_bytes": rebuild_memory,
-            "n_masks": self.n_masks,
-            "n_entries": self.n_megaflows,
-            "scan_cost": self.scan_cost,
-            "swaps": self._migration_swaps,
-            "last_swap_at": self._last_swap_at,
-        }
-
-    def migrate_backend_start(self, target_kind: str, slice_size: int = 512) -> dict:
+    # never cross a process boundary — the snapshot each returns is the
+    # only thing shipped back.
+    def migrate_backend_start(self, target_kind: str, slice_size: int = 512) -> ShardSnapshot:
         """Begin rebuilding the megaflow cache as ``target_kind``.
 
         The hot path keeps serving from the current backend; call
@@ -737,16 +799,16 @@ class Datapath:
             slice_size=slice_size,
             scan_kernel=self.config.scan_kernel,
         )
-        return self.migration_status()
+        return self.snapshot()
 
-    def migrate_backend_step(self, max_entries: int | None = None) -> dict:
+    def migrate_backend_step(self, max_entries: int | None = None) -> ShardSnapshot:
         """Advance the in-flight rebuild by a bounded slice."""
         if self._rebuild is None:
             raise SwitchError("no backend migration in progress")
         self._rebuild.step(max_entries)
-        return self.migration_status()
+        return self.snapshot()
 
-    def migrate_backend_swap(self) -> dict:
+    def migrate_backend_swap(self) -> ShardSnapshot:
         """Atomically swap the rebuilt backend in.
 
         Safe without any cache flush: the target holds the *same entry
@@ -763,16 +825,16 @@ class Datapath:
         self._rebuild = None
         self._migration_swaps += 1
         self._last_swap_at = self.now
-        return self.migration_status()
+        return self.snapshot()
 
-    def migrate_backend_abort(self) -> dict:
+    def migrate_backend_abort(self) -> ShardSnapshot:
         """Abandon the in-flight rebuild (the old backend stays in place)."""
         if self._rebuild is not None:
             self._rebuild.detach()
             self._rebuild = None
-        return self.migration_status()
+        return self.snapshot()
 
-    def migrate_backend(self, target_kind: str, slice_size: int = 512) -> dict:
+    def migrate_backend(self, target_kind: str, slice_size: int = 512) -> ShardSnapshot:
         """One-shot migration: rebuild to completion and swap immediately."""
         self.migrate_backend_start(target_kind, slice_size=slice_size)
         return self.migrate_backend_swap()

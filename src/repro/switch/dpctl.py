@@ -22,14 +22,19 @@ eyeball a tuple space explosion the way the paper's authors did:
 * :func:`mask_histogram` — mask population by wildcarded-bit count, handy
   for spotting the prefix staircase a TSE attack carves.
 
+``show`` is a renderer: every per-shard figure comes from one
+:class:`~repro.switch.datapath.ShardSnapshot` per shard, fetched in one
+message per worker (a multi-shard datapath adds one more for the
+distinct-mask union), and one line builder renders it both as the
+single-datapath block and as a ``pmd`` line.
+
 All three accept a sharded multi-PMD datapath too: ``show`` reports the
 execution strategy and scan kernel (``pmd executor: serial, kernel=numpy``
-or ``process[4 workers]/shm, kernel=cffi`` — worker-owned shards render
-through the same remote handles the management plane drives, and the transport
-suffix distinguishes the shared-memory data plane from the pickled-pipe
-one) and appends one ``pmd`` line per shard (mask
-count, megaflow count, hit statistics — the operator-triage view that
-reveals a queue-concentrated explosion),
+or ``process[4 workers]/shm, kernel=cffi`` — the transport suffix
+distinguishes the shared-memory data plane from the pickled-pipe one) and
+appends one ``pmd`` line per shard (mask count, megaflow count, hit
+statistics — the operator-triage view that reveals a queue-concentrated
+explosion),
 ``dump_flows`` prefixes each shard's flows with its queue header, and
 ``mask_histogram`` aggregates the staircase across shards.  Single-shard
 output is unchanged.
@@ -42,7 +47,8 @@ from collections import Counter
 from repro.classifier.backend import MegaflowEntry
 from repro.packet.addresses import ipv4_str, ipv6_str
 from repro.packet.fields import FIELD_ORDER, FIELDS
-from repro.switch.sharded import AnyDatapath
+from repro.switch.datapath import ShardSnapshot
+from repro.switch.sharded import AnyDatapath, ShardedDatapath
 
 __all__ = ["show", "dump_flows", "format_flow", "mask_histogram"]
 
@@ -109,57 +115,54 @@ def dump_flows(datapath: AnyDatapath, max_flows: int | None = None) -> str:
     return "\n".join(lines)
 
 
-def _shard_summary(shard) -> tuple[str, str, str, str, str, str]:
+def _lookups_line(hits: int, misses: int) -> str:
+    return f"lookups: hit:{hits} missed:{misses} total:{hits + misses}"
+
+
+def _masks_line(inspected: int, packets: int, total: int) -> str:
+    return f"masks: hit:{inspected} total:{total} hit/pkt:{inspected / max(packets, 1):.2f}"
+
+
+def _shard_lines(snapshot: ShardSnapshot) -> tuple[str, ...]:
     """The ``lookups``/``masks``/``probes``/``slow path``/``backend``/
-    ``migration`` lines of one (shard) datapath."""
-    stats = shard.stats
-    cache = shard.megaflows
-    lookups = cache.stats_hits + cache.stats_misses
-    snapshot = cache.probe_cost_snapshot()
+    ``migration`` lines of one (shard) datapath.
+
+    The last two are what an operator watches during a live migration:
+    which backend kind serves the shard (and what one full scan of it
+    costs), then the migration state — ``rebuilding`` with progress and
+    target while a rebuild is in flight, ``swapped`` with the swap count
+    and timestamp after, ``idle`` otherwise.
+    """
+    stats = snapshot.stats
+    if snapshot.migration == "rebuilding":
+        migration_line = (
+            f"migration: rebuilding -> {snapshot.target} "
+            f"{snapshot.progress:.0%} ({snapshot.entries_copied} copied, "
+            f"{snapshot.journal_replayed} replayed)"
+        )
+    elif snapshot.migration == "swapped":
+        migration_line = (
+            f"migration: swapped x{snapshot.swaps} "
+            f"(last at {snapshot.last_swap_at:.3f}s)"
+        )
+    else:
+        migration_line = "migration: idle"
     return (
-        f"lookups: hit:{cache.stats_hits} missed:{cache.stats_misses} total:{lookups}",
-        f"masks: hit:{stats.masks_inspected_total} total:{shard.n_masks} "
-        f"hit/pkt:{stats.masks_inspected_total / max(stats.packets, 1):.2f}",
+        _lookups_line(snapshot.lookup_hits, snapshot.lookup_misses),
+        _masks_line(stats.masks_inspected_total, stats.packets, snapshot.n_masks),
         f"probes: scans:{snapshot.scans} spent:{snapshot.probes_total} "
         f"scan cost:{snapshot.scan_cost:.1f} unit:{snapshot.unit_cost:.2f}",
         # Upcall pressure: the slow path is the paper's actual DoS
         # mechanism, so operators watch it next to the probe currency.
         f"slow path: upcalls:{stats.upcalls} installs:{stats.installs} "
         f"rejected:{stats.install_rejected} dead:{stats.dead_entry_suppressed}",
-        *_migration_lines(shard.migration_status()),
+        f"backend: {snapshot.backend} masks:{snapshot.n_masks} "
+        f"scan cost:{snapshot.scan_cost:.1f}",
+        migration_line,
     )
 
 
-def _migration_lines(status: dict) -> tuple[str, str]:
-    """The ``backend:`` and ``migration:`` lines from one status record.
-
-    What an operator watches during a live migration: which backend kind
-    currently serves the shard (and what one full scan of it costs), then
-    the migration state — ``rebuilding`` with progress and target while a
-    rebuild is in flight, ``swapped`` with the swap count and timestamp
-    after, ``idle`` otherwise.
-    """
-    backend_line = (
-        f"backend: {status['backend']} masks:{status['n_masks']} "
-        f"scan cost:{status['scan_cost']:.1f}"
-    )
-    if status["status"] == "rebuilding":
-        migration_line = (
-            f"migration: rebuilding -> {status['target']} "
-            f"{status['progress']:.0%} ({status['entries_copied']} copied, "
-            f"{status['journal_replayed']} replayed)"
-        )
-    elif status["status"] == "swapped":
-        migration_line = (
-            f"migration: swapped x{status['swaps']} "
-            f"(last at {status['last_swap_at']:.3f}s)"
-        )
-    else:
-        migration_line = "migration: idle"
-    return backend_line, migration_line
-
-
-def _rebalance_line(status: dict) -> str:
+def _rebalance_line(datapath: ShardedDatapath) -> str:
     """The datapath-level ``rebalance:`` line (RSS re-map state).
 
     Unlike ``backend:``/``migration:``, which are per-shard, a re-map is a
@@ -168,89 +171,69 @@ def _rebalance_line(status: dict) -> str:
     one was, how many entries moved homes in total and the dispatcher's
     current salt (``salt:0x0`` is the un-re-keyed natural placement).
     """
-    if status["remaps"]:
+    salt = getattr(datapath.rss, "salt", 0)
+    if datapath.remaps:
         return (
-            f"rebalance: remaps:{status['remaps']} "
-            f"(last at {status['last_remap_at']:.3f}s) "
-            f"moved:{status['entries_moved']} salt:{status['salt']:#x}"
+            f"rebalance: remaps:{datapath.remaps} "
+            f"(last at {datapath.last_remap_at:.3f}s) "
+            f"moved:{datapath.entries_moved} salt:{salt:#x}"
         )
-    return f"rebalance: idle salt:{status['salt']:#x}"
-
-
-def _kernel_names(datapath: AnyDatapath) -> str:
-    """The distinct scan-kernel names across shards (usually one).
-
-    Every backend declares ``scan_kernel_name`` (``none`` for those that
-    scan without a pluggable kernel); the worker-owned shards of the
-    process executor answer through the same remote handle as the rest of
-    the management plane.
-    """
-    names = sorted({shard.megaflows.scan_kernel_name for shard in datapath.shards})
-    return "+".join(names)
+    return f"rebalance: idle salt:{salt:#x}"
 
 
 def show(datapath: AnyDatapath) -> str:
     """The ``ovs-dpctl show`` summary (the Alg. 2 line-2 data source).
 
-    For a sharded datapath the summary block reports aggregates (the
-    ``masks: … total:`` is the distinct-mask union, the attack's figure of
-    merit) followed by one ``pmd`` line per shard, so a queue-concentrated
-    explosion is visible core by core.
+    Rendered from one :class:`ShardSnapshot` per shard, fetched in one
+    message per worker.  For a sharded datapath the summary block reports
+    aggregates (the ``masks: … total:`` is the distinct-mask union, the
+    attack's figure of merit) followed by one ``pmd`` line per shard, so a
+    queue-concentrated explosion is visible core by core.
     """
-    sharded = datapath.n_shards > 1
-    if sharded:
-        stats = datapath.stats
-        lookup_hits = datapath.executor.call_all("megaflows.stats_hits")
-        lookup_misses = datapath.executor.call_all("megaflows.stats_misses")
-        memory = datapath.executor.call_all("megaflows.memory_bytes")
+    if datapath.n_shards == 1:
+        snapshot = datapath.shards[0].snapshot()
+        lookups_line, *rest = _shard_lines(snapshot)
         lines = [
             "datapath@repro:",
-            f"  lookups: hit:{lookup_hits} missed:{lookup_misses} "
-            f"total:{lookup_hits + lookup_misses}",
-            f"  flows: {datapath.n_megaflows}",
-            f"  masks: hit:{stats.masks_inspected_total} total:{datapath.n_masks} "
-            f"hit/pkt:{stats.masks_inspected_total / max(stats.packets, 1):.2f}",
-            f"  mask tables: {datapath.n_mask_tables} across {datapath.n_shards} pmds",
-            f"  pmd executor: {datapath.executor_name}, kernel={_kernel_names(datapath)}",
-            f"  scan cost: {datapath.scan_cost:.1f} probe units (worst pmd)",
-            f"  cache usage: {memory / 1e6:.2f} MB",
-            f"  {_rebalance_line(datapath.rebalance_status())}",
+            f"  {lookups_line}",
+            f"  flows: {snapshot.n_megaflows}",
+            *(f"  {line}" for line in rest),
+            f"  cache usage: {snapshot.memory_bytes / 1e6:.2f} MB",
         ]
-        for shard_id, shard in enumerate(datapath.shards):
-            (
-                lookups_line,
-                masks_line,
-                probes_line,
-                slow_line,
-                backend_line,
-                migration_line,
-            ) = _shard_summary(shard)
+        if snapshot.microflow_capacity:
             lines.append(
-                f"  pmd queue {shard_id}: flows: {shard.n_megaflows}; "
-                f"{lookups_line}; {masks_line}; {probes_line}; {slow_line}; "
-                f"{backend_line}; {migration_line}"
+                f"  microflows: {snapshot.microflows}/{snapshot.microflow_capacity} "
+                f"(hit rate {snapshot.microflow_hit_rate:.0%})"
             )
         return "\n".join(lines)
 
-    shard = datapath.shards[0]
-    lookups_line, masks_line, probes_line, slow_line, backend_line, migration_line = (
-        _shard_summary(shard)
-    )
+    snapshots = datapath.executor.call_all("snapshot")
+    kernels = "+".join(sorted({snapshot.scan_kernel for snapshot in snapshots}))
     lines = [
         "datapath@repro:",
-        f"  {lookups_line}",
-        f"  flows: {shard.n_megaflows}",
-        f"  {masks_line}",
-        f"  {probes_line}",
-        f"  {slow_line}",
-        f"  {backend_line}",
-        f"  {migration_line}",
-        f"  cache usage: {shard.megaflows.memory_bytes() / 1e6:.2f} MB",
+        "  " + _lookups_line(
+            sum(snapshot.lookup_hits for snapshot in snapshots),
+            sum(snapshot.lookup_misses for snapshot in snapshots),
+        ),
+        f"  flows: {sum(snapshot.n_megaflows for snapshot in snapshots)}",
+        "  " + _masks_line(
+            sum(snapshot.stats.masks_inspected_total for snapshot in snapshots),
+            sum(snapshot.stats.packets for snapshot in snapshots),
+            datapath.n_masks,
+        ),
+        f"  mask tables: {sum(snapshot.n_masks for snapshot in snapshots)} "
+        f"across {datapath.n_shards} pmds",
+        f"  pmd executor: {datapath.executor_name}, kernel={kernels}",
+        f"  scan cost: {max(snapshot.scan_cost for snapshot in snapshots):.1f} "
+        "probe units (worst pmd)",
+        f"  cache usage: {sum(snapshot.memory_bytes for snapshot in snapshots) / 1e6:.2f} MB",
+        f"  {_rebalance_line(datapath)}",
     ]
-    if shard.microflows is not None:
+    for shard_id, snapshot in enumerate(snapshots):
+        lookups_line, *rest = _shard_lines(snapshot)
         lines.append(
-            f"  microflows: {len(shard.microflows)}/{shard.microflows.capacity} "
-            f"(hit rate {shard.microflows.hit_rate:.0%})"
+            f"  pmd queue {shard_id}: flows: {snapshot.n_megaflows}; "
+            + "; ".join([lookups_line, *rest])
         )
     return "\n".join(lines)
 

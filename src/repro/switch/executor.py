@@ -168,7 +168,8 @@ SHARD_OPS: dict[str, ShardOp] = {
         ShardOp("scan_cost", kind="get", fold="max"),
         ShardOp("now", kind="get", fold="max"),
         ShardOp("stats", kind="get", fold="sum"),
-        ShardOp("microflows", kind="get"),
+        # Everything dpctl shows of a shard, in one message per worker.
+        ShardOp("snapshot"),
         ShardOp("core_report", fold="concat"),
         ShardOp("process"),
         ShardOp("kill_entries", by_value=True),
@@ -176,8 +177,7 @@ SHARD_OPS: dict[str, ShardOp] = {
         ShardOp("flush_caches", fold="none"),
         ShardOp("evict_idle", fold="concat"),
         # Live backend migration: the rebuild and swap run *inside* the
-        # owning worker; only the plain-dict status record crosses back.
-        ShardOp("migration_status"),
+        # owning worker; only the shard's snapshot crosses back.
         ShardOp("migrate_backend"),
         ShardOp("migrate_backend_start"),
         ShardOp("migrate_backend_step"),
@@ -187,12 +187,7 @@ SHARD_OPS: dict[str, ShardOp] = {
         # what crosses the pipe is the moved-entry delta, never a snapshot.
         ShardOp("rebalance_extract"),
         ShardOp("rebalance_install"),
-        ShardOp("stats_hits", "backend", "get", fold="sum"),
-        ShardOp("stats_misses", "backend", "get", fold="sum"),
-        ShardOp("scan_kernel_name", "backend", "get"),
-        ShardOp("memory_bytes", "backend", fold="sum"),
         ShardOp("expected_scan_cost", "backend"),
-        ShardOp("probe_cost_snapshot", "backend"),
         ShardOp("entries", "backend", fold="concat"),
         ShardOp("masks", "backend", fold="concat"),
         ShardOp("find_entry", "backend", by_value=True),

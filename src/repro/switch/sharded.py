@@ -59,6 +59,7 @@ from repro.switch.datapath import (
     DatapathConfig,
     DatapathStats,
     PacketVerdict,
+    ShardSnapshot,
 )
 from repro.switch.executor import ShardExecutor, make_shard_executor
 from repro.switch.rss import RssDispatcher, five_tuple_hash
@@ -187,17 +188,11 @@ class ShardedDatapath:
 
         A mask installed in several shards counts once — this is the size
         of the tuple space the attack has carved, comparable across shard
-        counts.  Per-core scan length is ``shards[i].n_masks``; the summed
-        table count is :attr:`n_mask_tables`.
+        counts.  Per-core scan length is ``shards[i].n_masks``.
         """
         if len(self._shards) == 1:
             return self._shards[0].n_masks
         return len(set(self.executor.call_all("megaflows.masks")))
-
-    @property
-    def n_mask_tables(self) -> int:
-        """Total per-shard mask tables (what revalidation/memory see)."""
-        return self.executor.call_all("n_masks")
 
     @property
     def n_megaflows(self) -> int:
@@ -309,19 +304,15 @@ class ShardedDatapath:
         return self.executor.call_all("evict_idle", now)
 
     # -- live backend migration ---------------------------------------------------
-    def migration_status(self) -> list[dict]:
-        """Per-shard backend + migration state records, by shard id."""
-        return self.executor.call_all("migration_status")
-
     def migrate_backend(
         self, target_kind: str, shard_id: int | None = None, slice_size: int = 512
-    ) -> list[dict]:
+    ) -> list[ShardSnapshot]:
         """Rebuild and swap shard caches to ``target_kind``, one shot.
 
         Runs under :meth:`maintenance`, so the swap serialises against
         in-flight batches under every executor strategy; under the
         ``process`` executor each shard's rebuild runs inside its owning
-        worker (only the status dict is shipped back).  ``shard_id``
+        worker (only its snapshot is shipped back).  ``shard_id``
         limits the migration to one shard (a targeted rescue of the
         detonated core) and must name an existing shard; default is every
         shard.
@@ -331,12 +322,12 @@ class ShardedDatapath:
         with self.maintenance():
             if shard_id is None:
                 return self.executor.call_all("migrate_backend", target_kind, slice_size=slice_size)
-            statuses = self.migration_status()
-            statuses[shard_id] = self._shards[shard_id].migrate_backend(target_kind, slice_size=slice_size)
-            return statuses
+            snapshots = self.executor.call_all("snapshot")
+            snapshots[shard_id] = self._shards[shard_id].migrate_backend(target_kind, slice_size=slice_size)
+            return snapshots
 
     # -- live RSS rebalancing -----------------------------------------------------
-    def rebalance(self, dispatcher: RssDispatcher) -> dict:
+    def rebalance(self, dispatcher: RssDispatcher) -> int:
         """Re-map the datapath onto ``dispatcher``, migrating flow state live.
 
         The re-map protocol (ROADMAP item 5, the defense against the
@@ -360,7 +351,9 @@ class ShardedDatapath:
         bypasses admission gates), and with ``n_shards == 1`` every home
         is shard 0, so a re-map is a no-op on the cache contents.
 
-        Returns the :meth:`rebalance_status` record after the swap.
+        Returns the number of entries this re-map moved; the running
+        totals are :attr:`remaps`, :attr:`last_remap_at` and
+        :attr:`entries_moved`, the new salt ``rss.salt``.
         """
         if dispatcher.n_queues != self.n_shards:
             raise SwitchError(
@@ -389,17 +382,22 @@ class ShardedDatapath:
             self._remaps += 1
             self._last_remap_at = self.now
             self._entries_moved += moved
-        return self.rebalance_status()
+        return moved
 
-    def rebalance_status(self) -> dict:
-        """The datapath's re-map state as one picklable record."""
-        return {
-            "remaps": self._remaps,
-            "last_remap_at": self._last_remap_at,
-            "entries_moved": self._entries_moved,
-            "salt": getattr(self.rss, "salt", 0),
-            "reta_slots": len(getattr(self.rss, "reta", ())),
-        }
+    @property
+    def remaps(self) -> int:
+        """Re-maps run so far."""
+        return self._remaps
+
+    @property
+    def last_remap_at(self) -> float | None:
+        """When the last re-map ran (``None`` before the first)."""
+        return self._last_remap_at
+
+    @property
+    def entries_moved(self) -> int:
+        """Entries moved to a new home shard, over every re-map so far."""
+        return self._entries_moved
 
     def __repr__(self) -> str:
         per_shard = ", ".join(str(shard.n_masks) for shard in self._shards)

@@ -37,7 +37,7 @@ BACKENDS = megaflow_backend_names()
 def test_name_reaches_every_surface(name):
     assert make_megaflow_backend(name).name == name
     datapath = Datapath(FlowTable(), DatapathConfig(megaflow_backend=name))
-    assert datapath.migration_status()["backend"] == name
+    assert datapath.snapshot().backend == name
     rules = [FlowRule(Match.any(), DENY, priority=-1, name="default")]
     classifier = TssCachedClassifier(rules, backend=make_megaflow_backend(name))
     assert classifier.name == f"{name}-cache"
@@ -97,7 +97,7 @@ def test_environment_datapath_config_builds_servers_and_fleet_hosts():
             assert isinstance(datapath, ShardedDatapath)
             assert isinstance(datapath.executor, ThreadShardExecutor)
             assert [shard.megaflows.name for shard in datapath.shards] == ["tuplechain"] * 2
-            assert [s["backend"] for s in datapath.migration_status()] == ["tuplechain"] * 2
+            assert [s.backend for s in datapath.executor.call_all("snapshot")] == ["tuplechain"] * 2
     finally:
         server.close()
         fleet.close()

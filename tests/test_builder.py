@@ -71,14 +71,3 @@ class TestFromFlowKey:
         b = PacketBuilder(seed=5).from_flow_key(key).to_bytes()
         assert a == b
 
-
-class TestRandomValues:
-    def test_width_respected(self):
-        builder = PacketBuilder(seed=2)
-        for _ in range(20):
-            assert 0 <= builder.random_field_value("tp_dst") < (1 << 16)
-
-    def test_wide_fields(self):
-        builder = PacketBuilder(seed=2)
-        values = [builder.random_field_value("ipv6_src") for _ in range(16)]
-        assert any(v >= (1 << 64) for v in values)

@@ -9,6 +9,8 @@ from repro.packet.fields import FlowKey
 from repro.packet.headers import PROTO_TCP
 from repro.switch.datapath import Datapath, DatapathConfig
 from repro.switch.dpctl import dump_flows, format_flow, mask_histogram, show
+from repro.switch.rss import RetaDispatcher
+from repro.switch.sharded import ShardedDatapath
 
 
 # dpctl renders the protocol surface (entries / masks / counters /
@@ -67,6 +69,101 @@ class TestShow:
         assert "microflows:" in show(with_emc)
         without = Datapath(table, DatapathConfig(microflow_capacity=0))
         assert "microflows:" not in show(without)
+
+
+def _sipdp_keys(table):
+    return list(ColocatedTraceGenerator(table, base={"ip_proto": PROTO_TCP}).generate().keys)
+
+
+# ``show`` text pinned byte for byte on four states: what an operator reads
+# must not move when the renderer's plumbing does.
+SHOW_DETONATED = """\
+datapath@repro:
+  lookups: hit:0 missed:529 total:529
+  flows: 529
+  masks: hit:135696 total:513 hit/pkt:228.83
+  probes: scans:529 spent:135696 scan cost:513.0 unit:1.00
+  slow path: upcalls:529 installs:529 rejected:0 dead:0
+  backend: tss masks:513 scan cost:513.0
+  migration: idle
+  cache usage: 0.40 MB
+  microflows: 256/256 (hit rate 11%)"""
+
+SHOW_REBALANCED = """\
+datapath@repro:
+  lookups: hit:0 missed:529 total:529
+  flows: 529
+  masks: hit:92046 total:513 hit/pkt:174.00
+  mask tables: 522 across 2 pmds
+  pmd executor: serial, kernel=numpy
+  scan cost: 270.0 probe units (worst pmd)
+  cache usage: 0.41 MB
+  rebalance: remaps:1 (last at 1.500s) moved:254 salt:0x2545f491
+  pmd queue 0: flows: 274; lookups: hit:0 missed:414 total:414; \
+masks: hit:85491 total:270 hit/pkt:206.50; \
+probes: scans:414 spent:85491 scan cost:270.0 unit:1.00; \
+slow path: upcalls:414 installs:414 rejected:0 dead:0; \
+backend: tss masks:270 scan cost:270.0; migration: idle
+  pmd queue 1: flows: 255; lookups: hit:0 missed:115 total:115; \
+masks: hit:6555 total:252 hit/pkt:57.00; \
+probes: scans:115 spent:6555 scan cost:252.0 unit:1.00; \
+slow path: upcalls:115 installs:115 rejected:0 dead:0; \
+backend: tss masks:252 scan cost:252.0; migration: idle"""
+
+SHOW_REBUILDING = """\
+datapath@repro:
+  lookups: hit:0 missed:529 total:529
+  flows: 529
+  masks: hit:135696 total:513 hit/pkt:256.51
+  probes: scans:529 spent:135696 scan cost:513.0 unit:1.00
+  slow path: upcalls:529 installs:529 rejected:0 dead:0
+  backend: tss masks:513 scan cost:513.0
+  migration: rebuilding -> tuplechain 85% (256 copied, 229 replayed)
+  cache usage: 0.40 MB"""
+
+SHOW_SWAPPED = """\
+datapath@repro:
+  lookups: hit:16 missed:529 total:545
+  flows: 529
+  masks: hit:135832 total:513 hit/pkt:249.23
+  probes: scans:0 spent:0 scan cost:60.0 unit:1.00
+  slow path: upcalls:529 installs:529 rejected:0 dead:0
+  backend: tuplechain masks:513 scan cost:60.0
+  migration: swapped x1 (last at 3.125s)
+  cache usage: 0.40 MB"""
+
+
+class TestShowPinned:
+    def test_detonated_datapath_with_microflows(self):
+        table = SIPDP.build_table()
+        keys = _sipdp_keys(table)
+        datapath = Datapath(table, DatapathConfig(scan_kernel="numpy"))
+        for i, key in enumerate(keys):
+            datapath.process(key, now=i * 0.001)
+        for key in keys[-64:]:
+            datapath.process(key)
+        assert show(datapath) == SHOW_DETONATED
+
+    def test_two_shards_after_one_rebalance(self):
+        table = SIPDP.build_table()
+        datapath = ShardedDatapath(table, DatapathConfig(scan_kernel="numpy"), n_shards=2)
+        datapath.process_batch(_sipdp_keys(table), now=1.5)
+        datapath.rebalance(RetaDispatcher(2, salt=0x2545F491))
+        assert show(datapath) == SHOW_REBALANCED
+
+    def test_mid_rebuild_then_swapped(self):
+        table = SIPDP.build_table()
+        keys = _sipdp_keys(table)
+        datapath = Datapath(table, DatapathConfig(microflow_capacity=0, scan_kernel="numpy"))
+        datapath.process_batch(keys[:300], now=2.0)
+        datapath.migrate_backend_start("tuplechain", slice_size=128)
+        datapath.migrate_backend_step()
+        datapath.process_batch(keys[300:], now=2.25)
+        datapath.migrate_backend_step()
+        assert show(datapath) == SHOW_REBUILDING
+        datapath.process_batch(keys[:16], now=3.125)
+        datapath.migrate_backend_swap()  # finishes the copy first
+        assert show(datapath) == SHOW_SWAPPED
 
 
 class TestDumpFlows:

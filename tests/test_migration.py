@@ -23,6 +23,8 @@ The migration invariants under test (ISSUE 8 / ROADMAP item 3):
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from test_executor import assert_equivalent, build, small_table, staircase_replay
 
@@ -83,8 +85,8 @@ class TestRebuildContract:
         assert replay_actions(migrating, keys) == expected
 
         status = migrating.migrate_backend("tuplechain")
-        assert status["status"] == "swapped"
-        assert status["swaps"] == 1
+        assert status.migration == "swapped"
+        assert status.swaps == 1
         assert migrating.megaflows.name == "tuplechain"
         # The rebuild adopted the *same* entry objects, every one of them.
         assert {id(entry) for entry in migrating.megaflows.entries()} == pre_ids
@@ -115,8 +117,8 @@ class TestRebuildContract:
             datapath.process_batch(keys, now=0.0)
 
         status = migrating.migrate_backend_start("tuplechain", slice_size=64)
-        assert status["status"] == "rebuilding"
-        assert 0.0 < migrating.migrate_backend_step(64)["progress"] < 1.0
+        assert status.migration == "rebuilding"
+        assert 0.0 < migrating.migrate_backend_step(64).progress < 1.0
 
         # Mid-rebuild mutations, applied identically to the shadow twin: a
         # whole pattern killed, a full idle eviction, fresh re-installs, and
@@ -140,11 +142,11 @@ class TestRebuildContract:
 
         while True:
             status = migrating.migrate_backend_step(64)
-            if status["rebuild_done"]:
+            if status.rebuild_done:
                 break
-        assert status["journal_replayed"] > 0
+        assert status.journal_replayed > 0
         status = migrating.migrate_backend_swap()
-        assert status["status"] == "swapped"
+        assert status.migration == "swapped"
         assert migrating.megaflows.name == "tuplechain"
         assert migrating.megaflows.n_entries == shadow.megaflows.n_entries
         assert migrating.n_masks == shadow.n_masks
@@ -160,10 +162,10 @@ class TestRebuildContract:
         datapath.migrate_backend_step(64)
         table.add_rule(Match(tp_dst=(9999, 0xFFFF)), DENY, priority=2000, name="late")
         assert datapath.megaflows.n_entries == 0  # subscription flushed
-        while not datapath.migrate_backend_step(64)["rebuild_done"]:
+        while not datapath.migrate_backend_step(64).rebuild_done:
             pass
         status = datapath.migrate_backend_swap()
-        assert status["status"] == "swapped"
+        assert status.migration == "swapped"
         assert datapath.megaflows.n_entries == 0
         assert datapath.n_masks == 0
 
@@ -173,11 +175,11 @@ class TestRebuildContract:
         datapath.process_batch(keys)
         datapath.migrate_backend_start("tuplechain", slice_size=64)
         status = datapath.migrate_backend_abort()
-        assert status["status"] == "idle"
+        assert status.migration == "idle"
         assert datapath.megaflows.name == "tss"
         # A fresh start is legal after an abort (and abort is idempotent).
         datapath.migrate_backend_abort()
-        assert datapath.migrate_backend("tuplechain")["status"] == "swapped"
+        assert datapath.migrate_backend("tuplechain").migration == "swapped"
 
     def test_migration_state_errors(self):
         datapath = plain(small_table())
@@ -233,12 +235,12 @@ class TestSwapUnderExecutors:
             for datapath in (reference, other):
                 datapath.process_batch(keys[: len(keys) // 2], now=12.0)
                 for shard in datapath.shards:
-                    while not shard.migrate_backend_step(64)["rebuild_done"]:
+                    while not shard.migrate_backend_step(64).rebuild_done:
                         pass
-                    assert shard.migrate_backend_swap()["status"] == "swapped"
-            statuses = other.migration_status()
-            assert [s["backend"] for s in statuses] == ["tuplechain", "tuplechain"]
-            assert [s["swaps"] for s in statuses] == [1, 1]
+                    assert shard.migrate_backend_swap().migration == "swapped"
+            statuses = other.executor.call_all("snapshot")
+            assert [s.backend for s in statuses] == ["tuplechain", "tuplechain"]
+            assert [s.swaps for s in statuses] == [1, 1]
             expected = reference.process_batch(keys, now=20.0)
             got = other.process_batch(keys, now=20.0)
             assert_equivalent(
@@ -256,8 +258,8 @@ class TestSwapUnderExecutors:
         try:
             datapath.process_batch(keys, now=0.0)
             statuses = datapath.migrate_backend("tuplechain")
-            assert [s["status"] for s in statuses] == ["swapped", "swapped"]
-            assert all(s["backend"] == "tuplechain" for s in statuses)
+            assert [s.migration for s in statuses] == ["swapped", "swapped"]
+            assert all(s.backend == "tuplechain" for s in statuses)
         finally:
             datapath.close()
 
@@ -266,9 +268,9 @@ class TestSwapUnderExecutors:
         datapath = build("serial", table, n_shards=2)
         datapath.process_batch(keys, now=0.0)
         statuses = datapath.migrate_backend("tuplechain", shard_id=0)
-        assert statuses[0]["status"] == "swapped"
-        assert statuses[1]["status"] == "idle"
-        assert statuses[1]["backend"] == "tss"
+        assert statuses[0].migration == "swapped"
+        assert statuses[1].migration == "idle"
+        assert statuses[1].backend == "tss"
 
     @pytest.mark.parametrize("shard_id", (7, 2, -1))
     def test_out_of_range_shard_id_is_refused(self, shard_id):
@@ -278,7 +280,7 @@ class TestSwapUnderExecutors:
         datapath.process_batch(keys, now=0.0)
         with pytest.raises(SwitchError, match=f"no shard {shard_id}"):
             datapath.migrate_backend("tuplechain", shard_id=shard_id)
-        assert [s["backend"] for s in datapath.migration_status()] == ["tss", "tss"]
+        assert [shard.megaflows.name for shard in datapath.shards] == ["tss", "tss"]
 
 
 class TestMigrationController:
@@ -328,7 +330,7 @@ class TestMigrationController:
         monkeypatch.setattr(BackendRebuild, "finish", diverged)
         with pytest.raises(ClassifierError, match="diverged"):
             controller.run(now=0.0)
-        assert datapath.migration_status()["status"] == "idle"
+        assert datapath.snapshot().migration == "idle"
         assert datapath.megaflows.name == "tss"
         assert controller.migrations_completed == 0
         monkeypatch.undo()  # the next pass starts afresh and swaps
@@ -352,15 +354,16 @@ class TestMigrationController:
         controller = MigrationController(datapath, policy)
         # A swapped-and-still-expensive shard must not flap: disarmed, the
         # trigger stays off while the cost sits above the re-arm level.
-        expensive = {"scan_cost": policy.cost_threshold * 0.9, "backend": "tss"}
+        snapshot = datapath.snapshot()
+        expensive = replace(snapshot, scan_cost=policy.cost_threshold * 0.9)
         controller._armed[0] = False
         assert not controller._should_start(0, expensive, now=100.0)
-        cheap = {"scan_cost": 1.0, "backend": "tss"}
+        cheap = replace(snapshot, scan_cost=1.0)
         assert not controller._should_start(0, cheap, now=100.0)  # re-arms only
         assert controller._armed[0]
         # Re-armed but cooling down: still gated.
         controller._cooldown_until[0] = 200.0
-        hot = {"scan_cost": policy.cost_threshold * 10, "backend": "tss"}
+        hot = replace(snapshot, scan_cost=policy.cost_threshold * 10)
         assert not controller._should_start(0, hot, now=150.0)
         assert controller._should_start(0, hot, now=250.0)
 
@@ -418,7 +421,7 @@ class TestDpctlRendering:
         assert "migration: rebuilding -> tuplechain" in text
         assert "copied" in text and "replayed" in text
 
-        while not datapath.migrate_backend_step(64)["rebuild_done"]:
+        while not datapath.migrate_backend_step(64).rebuild_done:
             pass
         datapath.migrate_backend_swap()
         text = show(datapath)

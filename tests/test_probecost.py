@@ -24,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.classifier.actions import ALLOW, DENY
-from repro.classifier.backend import make_megaflow_backend, megaflow_backend_names
+from repro.classifier.backend import megaflow_backend_names
 from repro.classifier.flowtable import FlowTable
 from repro.classifier.rule import FlowRule, Match
 from repro.core.detector import tse_mask_fraction, tse_scan_cost_dilution
@@ -132,7 +132,7 @@ def test_tss_probe_costs_equal_mask_counts(rules, seed, batch_size):
         batch = datapath.process_batch(keys[start : start + batch_size], now=1.0)
         assert list(batch.probe_costs) == [float(max(m, 1)) for m in batch.mask_counts]
         assert datapath.megaflows.expected_scan_cost() == float(max(datapath.n_masks, 1))
-    snapshot = datapath.megaflows.probe_cost_snapshot()
+    snapshot = datapath.snapshot()
     assert snapshot.unit_cost == 1.0
     assert snapshot.scan_cost == float(max(snapshot.n_masks, 1))
 
@@ -181,11 +181,12 @@ def test_batch_probe_accounting_equals_sequential(rules, seed, batch_size):
 def test_scan_stats_feed_the_snapshot(name):
     datapath = _detonated(name)
     cache = datapath.megaflows
-    snapshot = cache.probe_cost_snapshot()
+    snapshot = datapath.snapshot()
     assert snapshot.scans == cache.stats_scans > 0
     assert snapshot.probes_total == cache.stats_scan_probes > 0
     assert snapshot.scan_cost >= 1.0
-    assert make_megaflow_backend(name).probe_cost_snapshot().scans == 0
+    fresh = Datapath(datapath.flow_table, DatapathConfig(megaflow_backend=name))
+    assert fresh.snapshot().scans == 0
 
 
 # -- hypervisor charge invariance --------------------------------------------------

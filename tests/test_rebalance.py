@@ -196,9 +196,9 @@ class TestRemapMigration:
             before = entry_union(datapath)
             before_masks = datapath.n_masks
             rekeyed = RetaDispatcher(4, five_tuple_hash, salt=SALTS[1])
-            status = datapath.rebalance(rekeyed)
-            assert status["remaps"] == 1
-            assert status["entries_moved"] > 0
+            moved = datapath.rebalance(rekeyed)
+            assert datapath.remaps == 1
+            assert moved == datapath.entries_moved > 0
             assert entry_union(datapath) == before
             assert datapath.n_masks == before_masks
             # Every entry sits at its masked key's home now.
@@ -206,8 +206,8 @@ class TestRemapMigration:
                 for entry in shard.megaflows.entries():
                     assert rekeyed.queue_of(FlowKey.from_values(entry.key)) == shard_id
             # Re-mapping onto the same dispatcher moves nothing more.
-            again = datapath.rebalance(rekeyed.with_salt(SALTS[1]))
-            assert again["entries_moved"] == status["entries_moved"]
+            assert datapath.rebalance(rekeyed.with_salt(SALTS[1])) == 0
+            assert datapath.entries_moved == moved
             # Entries re-home by masked key, packets dispatch by full
             # 5-tuple: a first replay may re-warm copies on the packets'
             # new queues, a second must take no upcall — placement
@@ -227,8 +227,7 @@ class TestRemapMigration:
         datapath, _keys = detonated(1, executor=executor)
         try:
             before = entry_union(datapath)
-            status = datapath.rebalance(RetaDispatcher(1, five_tuple_hash, salt=5))
-            assert status["entries_moved"] == 0
+            assert datapath.rebalance(RetaDispatcher(1, five_tuple_hash, salt=5)) == 0
             assert entry_union(datapath) == before
         finally:
             datapath.close()
@@ -327,16 +326,14 @@ class FakeDatapath:
         self.n_shards = n_shards
         self.rss = RssDispatcher(n_shards)
         self.remap_log: list[int] = []
-        self._moved = 0
 
     def core_report(self):
         return [SimpleNamespace(scan_cost=c) for c in self.costs]
 
     def rebalance(self, dispatcher):
         self.rss = dispatcher
-        self._moved += 100
         self.remap_log.append(getattr(dispatcher, "salt", 0))
-        return {"entries_moved": self._moved, "salt": getattr(dispatcher, "salt", 0)}
+        return 100
 
 
 class TestRebalanceController:
@@ -372,6 +369,19 @@ class TestRebalanceController:
         assert ctrl.run(now=6.5).remapped
         assert ctrl.remaps_completed == 2
         assert len(set(datapath.remap_log)) == 2, "each re-key gets a fresh salt"
+
+    def test_each_report_counts_its_own_run(self):
+        """Two re-maps: each report carries the entries *its* run moved;
+        the datapath keeps the running total."""
+        datapath, _keys = detonated(2)
+        ctrl = RebalanceController(
+            datapath, RebalancePolicy(skew_threshold=1.0, cost_floor=0.0, cooldown=0.0)
+        )
+        first, second = ctrl.run(now=1.0), ctrl.run(now=2.0)
+        assert first.remapped and second.remapped
+        assert first.entries_moved > 0 and second.entries_moved > 0
+        assert first.entries_moved + second.entries_moved == datapath.entries_moved
+        assert second.salt == datapath.rss.salt != first.salt
 
     def test_tick_cadence(self):
         ctrl = RebalanceController(

@@ -111,12 +111,11 @@ def test_journal_replay_is_linear_in_the_masks(detonated, comparisons):
     masks_before = detonated.megaflows.masks()
     detonated.migrate_backend_start("tss")
     detonated.migrate_backend_step(len(survivors) + len(victims))
-    status = detonated.migration_status()
-    assert status["entries_copied"] == len(survivors) + len(victims)
+    assert detonated.snapshot().entries_copied == len(survivors) + len(victims)
     comparisons[0] = 0
     assert detonated.kill_entries(victims, permanent=False) == len(victims)
     status = detonated.migrate_backend_step()
     assert comparisons[0] <= 2 * SIPDP_MASKS, comparisons[0]
-    assert status["rebuild_done"] and status["journal_replayed"] == len(victims)
+    assert status.rebuild_done and status.journal_replayed == len(victims)
     detonated.migrate_backend_swap()
     _assert_survivors(detonated, survivors, masks_before, [entry.created_at for entry in survivors])

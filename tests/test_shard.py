@@ -298,7 +298,7 @@ class TestShardedDpctl:
     def test_mask_histogram_counts_tables_across_shards(self):
         datapath = self._attacked()
         histogram = mask_histogram(datapath)
-        assert sum(histogram.values()) == datapath.n_mask_tables
+        assert sum(histogram.values()) == sum(shard.n_masks for shard in datapath.shards)
 
 
 class TestGuardAndRevalidatorOnShards:

@@ -25,6 +25,7 @@ from repro.packet.fields import FlowKey
 from repro.switch.datapath import Datapath, DatapathConfig
 from repro.switch.dpctl import dump_flows, show
 from repro.switch.executor import _FOLDS, SHARD_OPS, ShardOp, _apply_op
+from repro.switch.sharded import ShardedDatapath
 
 EXECUTORS = ("serial", "thread", "process")
 
@@ -231,7 +232,7 @@ class TestOneMessagePerWorker:
             for read in (
                 lambda d: d.stats,
                 lambda d: d.n_megaflows,
-                lambda d: d.n_mask_tables,
+                lambda d: d.executor.call_all("snapshot"),
                 lambda d: d.scan_cost,
                 lambda d: d.now,
                 lambda d: d.core_report(),
@@ -241,6 +242,18 @@ class TestOneMessagePerWorker:
                 assert [op[:2] for op in sent] == [("op", None)] * 2, sent
                 assert value == read(reference)
             assert datapath.stats.packets == len(keys)
+
+    @pytest.mark.parametrize("n_shards", (1, 2))
+    def test_show_sends_one_snapshot_per_worker_plus_the_mask_union(self, monkeypatch, n_shards):
+        """``show`` renders from one snapshot message per worker; only a
+        multi-shard datapath adds the distinct-mask union, one more each."""
+        table, keys = staircase_replay(extra=0)
+        config = DatapathConfig(microflow_capacity=64, executor="process")
+        with ShardedDatapath(table, config, n_shards=n_shards) as datapath:
+            datapath.process_batch(keys, now=1.0)
+            sent = count_sends(monkeypatch, datapath.executor)
+            assert "masks:" in show(datapath)
+            assert len(sent) == n_shards * (1 if n_shards == 1 else 2), [op[:3] for op in sent]
 
 
 class TestDpctlAcrossExecutors:

@@ -72,10 +72,6 @@ PINNED_BY_TESTS: dict[str, tuple[str, ...]] = {
         "test_tracegen::TestBitInversion::test_respects_mask",
         "test_tracegen::TestBitInversion::test_length_is_width_plus_one",
     ),
-    "packet.builder:PacketBuilder.random_field_value": (
-        "test_builder::TestRandomValues::test_width_respected",
-        "test_builder::TestRandomValues::test_wide_fields",
-    ),
     "packet.fields:FieldDef.bit_mask": ("test_fields::TestPrefixAndBits::test_bit_mask_positions",),
     "packet.fields:prefix_mask": (
         "test_fields::TestPrefixAndBits::test_prefix_mask_msb_anchored",

@@ -32,7 +32,7 @@ from repro.core.migration import MigrationController, MigrationPolicy, Migration
 from repro.core.mitigation import GuardReport, MFCGuard, MFCGuardConfig
 from repro.core.planner import AttackPlan, plan_colocated, plan_for_cms, plan_general
 from repro.core.rebalance import RebalanceController, RebalancePolicy, RebalanceReport
-from repro.core.tracegen import AdversarialTrace, ColocatedTraceGenerator, bit_inversion_list
+from repro.core.tracegen import AdversarialTrace, ColocatedTraceGenerator
 from repro.core.usecases import (
     BASELINE,
     DP,
@@ -55,7 +55,6 @@ __all__ = [
     "SIPSPDP",
     "AdversarialTrace",
     "ColocatedTraceGenerator",
-    "bit_inversion_list",
     "GeneralTraceGenerator",
     "AclSpec",
     "spawn_probability",

@@ -14,79 +14,30 @@ reachable decision path, one flow key exercising it:
   13 packets / 13 masks the paper computes (``3*4 + 1``).
 
 The implementation handles the general ACL family (multi-field rules,
-shared fields across rules) by tracking partial bit assignments per path
-and skipping contradictory paths; for the paper's disjoint-field family
-the enumeration is exact and minimal.
+shared fields across rules) by tracking, per field, the bits each path has
+pinned so far and skipping contradictory paths; for the paper's
+disjoint-field family the enumeration is exact and minimal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping
 
 from repro.classifier.flowtable import FlowTable
 from repro.classifier.rule import FlowRule
+from repro.classifier.slowpath import WILDCARDING, MegaflowGenerator
 from repro.exceptions import ExperimentError
 from repro.packet.builder import NoiseConfig, PacketBuilder
-from repro.packet.fields import FIELDS, FlowKey
+from repro.packet.fields import FIELD_ORDER, FIELDS, FlowKey
 from repro.packet.packet import Packet
 from repro.packet.pcap import write_pcap
 
-__all__ = ["bit_inversion_list", "AdversarialTrace", "ColocatedTraceGenerator"]
+__all__ = ["AdversarialTrace", "ColocatedTraceGenerator"]
 
-
-def bit_inversion_list(value: int, width: int, mask: int | None = None) -> list[int]:
-    """The paper's single-header trace: allowed value, then each bit flipped.
-
-    Args:
-        value: the allowed (exact-match) value.
-        width: field width in bits.
-        mask: constrained bits (defaults to the full field); only those
-            bits are inverted.
-
-    Returns:
-        ``[value, value ^ msb, value ^ next_bit, ...]`` — for the Fig. 1
-        ACL (value ``001`` on 3 bits) this is ``[001, 101, 011, 000]``.
-    """
-    if mask is None:
-        mask = (1 << width) - 1
-    values = [value]
-    for position in range(width):
-        bit = 1 << (width - 1 - position)
-        if mask & bit:
-            values.append(value ^ bit)
-    return values
-
-
-@dataclass(frozen=True)
-class _Assignment:
-    """Partial bit assignment along one decision path: field -> (value, bits)."""
-
-    fields: tuple[tuple[str, int, int], ...] = ()
-
-    def merge(self, name: str, value: int, bits: int) -> "_Assignment | None":
-        """Merge a new constraint; None when contradictory."""
-        merged: list[tuple[str, int, int]] = []
-        done = False
-        for fname, fvalue, fbits in self.fields:
-            if fname != name:
-                merged.append((fname, fvalue, fbits))
-                continue
-            common = fbits & bits
-            if (fvalue & common) != (value & common):
-                return None
-            merged.append((fname, fvalue | (value & ~fbits), fbits | bits))
-            done = True
-        if not done:
-            merged.append((name, value, bits))
-        return _Assignment(tuple(merged))
-
-    def to_key(self, base: Mapping[str, int]) -> FlowKey:
-        values = dict(base)
-        for name, value, _bits in self.fields:
-            values[name] = value  # path bits dominate the base packet
-        return FlowKey(**values)
+_INDEX = {name: i for i, name in enumerate(FIELD_ORDER)}
 
 
 @dataclass
@@ -95,14 +46,27 @@ class AdversarialTrace:
 
     Attributes:
         keys: adversarial flow keys, in send order.
-        expected_masks: masks these keys spawn in a bit-wildcarding MFC
-            (the co-located ceiling).
         use_case: optional label for reports.
+        rules: the crafted-against table's rules in lookup order, as they
+            were when the trace was generated (empty for a random trace).
+
+    ``expected_masks`` — the masks these keys spawn in a bit-wildcarding
+    MFC, the co-located ceiling — is counted on first read, by one
+    ``generate_batch`` pass over ``keys`` against ``rules``, and cached:
+    a table mutated after generation does not change it.  A random trace
+    reads 0 (:func:`repro.core.analysis.expected_masks` predicts its count).
     """
 
     keys: list[FlowKey]
-    expected_masks: int
     use_case: str = ""
+    rules: tuple[FlowRule, ...] = field(default=(), repr=False)
+
+    @cached_property
+    def expected_masks(self) -> int:
+        if not self.rules:
+            return 0
+        generator = MegaflowGenerator(FlowTable(list(self.rules)), WILDCARDING)
+        return len({result.entry.mask for result in generator.generate_batch(self.keys)})
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -131,7 +95,8 @@ class ColocatedTraceGenerator:
         base: field values applied to every packet (e.g. the destination
             address of the attacker's own co-located service, the IP
             protocol).  Fields the decision paths constrain override the
-            base values.
+            base values.  Checked here: an unknown field or a value that
+            does not fit its width raises :class:`~repro.exceptions.FieldError`.
         include_allow_paths: also emit packets for allow-rule decision
             paths that create no *new* masks (reproduces every entry of
             Fig. 5 instead of only every mask).
@@ -145,6 +110,7 @@ class ColocatedTraceGenerator:
     ):
         self.table = table
         self.base = dict(base or {})
+        self._base_key = FlowKey(**self.base)
         self.include_allow_paths = include_allow_paths
 
     def generate(self, use_case: str = "") -> AdversarialTrace:
@@ -156,88 +122,102 @@ class ColocatedTraceGenerator:
         That is why tenant scoping (exact ``ip_dst``/``ip_proto`` on every
         rule) does not multiply masks: the attacker cannot vary those
         fields, and the slow path un-wildcards them identically everywhere.
+
+        No key is classified here: the trace keeps a snapshot of the
+        table's rules, and its ``expected_masks`` is counted against that
+        snapshot when first read.
+
+        The walk is depth-first over the rules in lookup order, keeping
+        one value and one pinned-bits word per field and undoing each
+        branch's merge on the way back.  At rule ``i`` a path either
+        *matches* it (a key, unless it is an allow path and those are
+        left out; lower rules are shadowed) or *mismatches* it at one
+        constrained bit, examined in canonical field order, MSB-first —
+        the slow path's order — and continues at rule ``i + 1``.  The
+        mismatching key carries the rule's value with exactly that bit
+        inverted, the paper's bit-inversion method: the first difference
+        lands on that bit and the lower bits keep the allowed value (the
+        Fig. 1 trace comes out literally as {001, 101, 011, 000}).  A
+        path off the end of the table is a table-miss key.  A merge that
+        contradicts bits already pinned prunes the path, except that an
+        inverted value clashing with pinned bits (a base-pinned ``ip_dst``
+        examined by another tenant's rule) retries pinning only what the
+        decision needs: agreement above the bit and difference at it.
+        Keys are deduplicated in first-reached order.
         """
         rules = self.table.rules_by_priority()
         if not rules:
             raise ExperimentError("cannot generate a trace for an empty flow table")
-        seed = _Assignment()
-        for name, value in self.base.items():
-            merged = seed.merge(name, value, FIELDS[name].full_mask)
-            if merged is None:  # pragma: no cover - distinct names cannot clash
-                raise ExperimentError(f"contradictory base values for {name!r}")
-            seed = merged
-        keys: list[FlowKey] = []
-        seen: set[FlowKey] = set()
-        for assignment in self._paths(rules, 0, seed):
-            key = assignment.to_key(self.base)
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
-        expected = self._expected_masks(keys)
-        return AdversarialTrace(keys=keys, expected_masks=expected, use_case=use_case)
+        program = []
+        for index, rule in enumerate(rules):
+            steps = []
+            for name, value, mask in rule.match.constraints():
+                width = FIELDS[name].width
+                branches = []
+                for position in range(width):
+                    bit = 1 << (width - 1 - position)
+                    if mask & bit:
+                        above = mask & ~((bit << 1) - 1)
+                        branches.append(
+                            (value ^ bit, (value & above) | ((value ^ bit) & bit), above | bit)
+                        )
+                steps.append((_INDEX[name], value, mask, tuple(branches)))
+            emit = self.include_allow_paths or rule.action.is_drop or index == len(rules) - 1
+            program.append((emit, tuple(steps)))
 
-    def _paths(
-        self, rules: list[FlowRule], index: int, assignment: _Assignment
-    ) -> Iterator[_Assignment]:
-        """Depth-first enumeration of decision paths from rule ``index``."""
-        if index >= len(rules):
-            # Fell off the table: the path itself is an attack packet
-            # (table-miss megaflow).
-            yield assignment
-            return
-        rule = rules[index]
+        values = list(self._base_key.values)
+        pinned = [0] * len(FIELD_ORDER)
+        for name in self.base:
+            pinned[_INDEX[name]] = FIELDS[name].full_mask
+        found: dict[tuple[int, ...], None] = {}
+        _walk(program, 0, values, pinned, found)
+        return AdversarialTrace(
+            keys=[FlowKey.from_values(key) for key in found],
+            use_case=use_case,
+            rules=tuple(rules),
+        )
 
-        # Path A: this rule matches.  Emit unless suppressed; no deeper
-        # paths — lower-priority rules are shadowed.
-        matched = assignment
-        contradictory = False
-        for fname, value, mask in rule.match.constraints():
-            merged = matched.merge(fname, value, mask)
-            if merged is None:
-                contradictory = True
+
+def _walk(program: list, index: int, values: list[int], pinned: list[int], found: dict) -> None:
+    """Every decision path from rule ``index`` on, its keys added to ``found``.
+
+    ``program[i]`` is rule ``i``'s ``(emit, steps)``: whether its match path
+    is a key, and per constraint ``(field index, value, mask, branches)``
+    with one ``(inverted value, retry value, retry bits)`` per constrained
+    bit, MSB-first.  ``values`` / ``pinned`` hold the path's value and
+    pinned bits per field; every merge is undone before returning.
+    """
+    if index == len(program):
+        found[tuple(values)] = None  # fell off the table: a table miss
+        return
+    emit, steps = program[index]
+    if emit:  # the rule matches: every constraint merges
+        matched = values.copy()
+        for field_index, value, mask, _branches in steps:
+            have = pinned[field_index]
+            if (matched[field_index] ^ value) & have & mask:
                 break
-            matched = merged
-        if not contradictory:
-            if self.include_allow_paths or rule.action.is_drop or index == len(rules) - 1:
-                yield matched
-
-        # Path B: mismatch at each constrained bit (examination order =
-        # canonical field order, MSB-first — same as the slow path).  The
-        # packet carries the rule's value with exactly one bit inverted,
-        # which is the paper's bit-inversion method: first-diff lands on
-        # that bit and the lower bits keep the allowed value (the Fig. 1
-        # trace comes out literally as {001, 101, 011, 000}).
-        prefix = assignment
-        for fname, value, mask in rule.match.constraints():
-            width = FIELDS[fname].width
-            for position in range(width):
-                bit = 1 << (width - 1 - position)
-                if not mask & bit:
-                    continue
-                branched = prefix.merge(fname, value ^ bit, mask)
-                if branched is None:
-                    # The literal inverted value clashes with already-pinned
-                    # bits (e.g. a base-pinned ip_dst examined by another
-                    # tenant's rule).  Retry pinning only what the decision
-                    # actually needs: agreement above the bit, difference at
-                    # it — the merge then resolves the free bits from the
-                    # pinned value.
-                    above = mask & ~((bit << 1) - 1)
-                    branched = prefix.merge(
-                        fname, (value & above) | ((value ^ bit) & bit), above | bit
-                    )
-                if branched is not None:
-                    yield from self._paths(rules, index + 1, branched)
-            # To examine the *next* field, this whole field must have agreed.
-            merged = prefix.merge(fname, value, mask)
-            if merged is None:
-                return  # the rule can never match along this path
-            prefix = merged
-
-    def _expected_masks(self, keys: list[FlowKey]) -> int:
-        """Predicted distinct masks under bit-level wildcarding."""
-        from repro.classifier.slowpath import WILDCARDING, MegaflowGenerator
-
-        generator = MegaflowGenerator(self.table, WILDCARDING)
-        masks = {generator.generate(key).entry.mask for key in keys}
-        return len(masks)
+            matched[field_index] |= value & ~have
+        else:
+            found[tuple(matched)] = None
+    undo = []
+    for field_index, value, mask, branches in steps:
+        old_value, old_bits = values[field_index], pinned[field_index]
+        for inverted, retry_value, retry_bits in branches:
+            if not (old_value ^ inverted) & old_bits & mask:
+                values[field_index] = old_value | (inverted & ~old_bits)
+                pinned[field_index] = old_bits | mask
+            elif not (old_value ^ retry_value) & old_bits & retry_bits:
+                values[field_index] = old_value | (retry_value & ~old_bits)
+                pinned[field_index] = old_bits | retry_bits
+            else:
+                continue
+            _walk(program, index + 1, values, pinned, found)
+        # To examine the next field, this whole field must have agreed.
+        undo.append((field_index, old_value, old_bits))
+        if (old_value ^ value) & old_bits & mask:
+            break  # the rule can never match along this path
+        values[field_index] = old_value | (value & ~old_bits)
+        pinned[field_index] = old_bits | mask
+    for field_index, old_value, old_bits in reversed(undo):
+        values[field_index], pinned[field_index] = old_value, old_bits

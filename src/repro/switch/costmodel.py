@@ -154,13 +154,14 @@ class CostModel:
         """
         if upcall_count < 0:
             raise SwitchError(f"upcall_count must be >= 0, got {upcall_count}")
+        params = self.params
         per_cost: dict[float, float] = {}
         total = 0.0
         for scan_cost in probe_costs:
             scan_cost = max(scan_cost, 1)
             cost = per_cost.get(scan_cost)
             if cost is None:
-                cost = self.attack_cost_scale * self.params.relative_cost(scan_cost)
+                cost = self.attack_cost_scale * params.relative_cost(scan_cost)
                 per_cost[scan_cost] = cost
             total += cost
         return total + upcall_count * self.upcall_units

@@ -297,7 +297,7 @@ def test_eviction_outcomes_identical():
         ],
         microflow_capacity=0,
     )
-    from repro.core.tracegen import bit_inversion_list
+    from tests.tracegen_oracle import bit_inversion_list
 
     # Distinct megaflows: one per inverted bit of the allowed value.
     values = bit_inversion_list(80, 16)[1:]

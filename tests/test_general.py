@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.general import GeneralTraceGenerator
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, FieldError
 from repro.packet.headers import PROTO_TCP
+from tests.tracegen_oracle import PerCallDraw
 
 
 class TestGeneration:
@@ -64,6 +65,39 @@ class TestValidation:
             GeneralTraceGenerator(fields=("tp_dst",), base={"tp_dst": 80})
 
     def test_negative_count(self):
+        """Raised by the call itself, not on first iteration."""
         generator = GeneralTraceGenerator(fields=("tp_dst",))
         with pytest.raises(ExperimentError):
-            list(generator.keys(-1))
+            generator.keys(-1)
+
+    def test_unknown_base_field(self):
+        with pytest.raises(FieldError):
+            GeneralTraceGenerator(fields=("tp_dst",), base={"nope": 1})
+
+    def test_base_value_out_of_range(self):
+        with pytest.raises(FieldError):
+            GeneralTraceGenerator(fields=("ip_src",), base={"tp_dst": 1 << 20})
+
+
+class TestColumnarDraw:
+    """One columnar draw per call gives the per-call stream, value for value."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            ("ip_tos",),  # 8 bits
+            ("tp_dst",),  # 16
+            ("ip_src",),  # 32
+            ("eth_src",),  # 48: a 32- and a 16-bit chunk
+            ("ipv6_src",),  # 128: four 32-bit chunks
+            ("ip_src", "tp_src", "tp_dst"),
+            ("ipv6_src", "tp_dst"),
+            ("ip_tos", "eth_src", "tp_src"),
+        ],
+    )
+    def test_matches_the_per_call_draw(self, fields):
+        base = {"ip_proto": PROTO_TCP}
+        generator = GeneralTraceGenerator(fields=fields, base=base, seed=3)
+        oracle = PerCallDraw(fields, base, seed=3)
+        for n in (0, 1, 7, 0, 500, 64):
+            assert generator.keys(n) == oracle.keys(n), (fields, n)

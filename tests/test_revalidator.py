@@ -62,7 +62,7 @@ class TestSweeps:
 class TestFlowLimitPressure:
     @pytest.mark.parametrize("backend", megaflow_backend_names())
     def test_lru_evicted_above_limit(self, backend):
-        from repro.core.tracegen import bit_inversion_list
+        from tests.tracegen_oracle import bit_inversion_list
 
         table = FlowTable()
         table.add_rule(Match(tp_dst=80), ALLOW, priority=10, name="allow")

@@ -216,7 +216,7 @@ class TestIPv6Quirk:
         assert cache.n_entries == 100
 
     def test_wildcarding_on_ipv6_for_contrast(self):
-        from repro.core.tracegen import bit_inversion_list
+        from tests.tracegen_oracle import bit_inversion_list
 
         table = FlowTable()
         table.add_rule(Match(ipv6_src=42), ALLOW, priority=10, name="allow-v6")

@@ -64,14 +64,6 @@ PINNED_BY_TESTS: dict[str, tuple[str, ...]] = {
         "test_backend_table::test_dilution_on_a_subclassed_backend",
         "test_probecost::test_detector_dilution_is_backend_meaningful",
     ),
-    "core.tracegen:bit_inversion_list": (
-        "test_backend::test_eviction_outcomes_identical",
-        "test_revalidator::TestFlowLimitPressure::test_lru_evicted_above_limit",
-        "test_slowpath::TestIPv6Quirk::test_wildcarding_on_ipv6_for_contrast",
-        "test_tracegen::TestBitInversion::test_paper_fig1_trace",
-        "test_tracegen::TestBitInversion::test_respects_mask",
-        "test_tracegen::TestBitInversion::test_length_is_width_plus_one",
-    ),
     "packet.fields:FieldDef.bit_mask": ("test_fields::TestPrefixAndBits::test_bit_mask_positions",),
     "packet.fields:prefix_mask": (
         "test_fields::TestPrefixAndBits::test_prefix_mask_msb_anchored",

@@ -183,6 +183,9 @@ class MegaflowStore:
         # list of Algorithm 1.
         self._tables: dict[FlowMask, dict[tuple[int, ...], MegaflowEntry]] = {}
         self._mask_fields: dict[FlowMask, tuple[tuple[int, int], ...]] = {}
+        # One object per distinct ``(field index, mask value)`` pair this
+        # store has seen: the masks of a detonated store share a few dozen.
+        self._pairs: dict[tuple[int, int], tuple[int, int]] = {}
         self._mask_order: list[FlowMask] = []
         # Entry count, maintained by insert/remove_entries/flush: the flow-limit
         # check runs once per upcall, so |C| must not be O(|C|) to read.
@@ -229,9 +232,9 @@ class MegaflowStore:
         return self.n_entries
 
     # -- helpers -----------------------------------------------------------------
-    @staticmethod
-    def _fields_of(mask: FlowMask) -> tuple[tuple[int, int], ...]:
-        return tuple([(i, m) for i, m in enumerate(mask.values) if m])
+    def _fields_of(self, mask: FlowMask) -> tuple[tuple[int, int], ...]:
+        intern = self._pairs.setdefault
+        return tuple([intern(pair, pair) for pair in enumerate(mask.values) if pair[1]])
 
     def _reduce(self, mask: FlowMask, full_values: tuple[int, ...]) -> tuple[int, ...]:
         # Per packet on every hit path: a list comprehension, not a generator.

@@ -9,11 +9,12 @@ modules (overlap detection, order-independence checks).
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterator
 
 from repro.classifier.actions import DENY, Action
 from repro.classifier.rule import FlowRule, Match
-from repro.exceptions import RuleError
+from repro.exceptions import ClassifierError, RuleError
 from repro.packet.fields import FlowKey
 
 __all__ = ["FlowTable"]
@@ -30,7 +31,9 @@ class FlowTable:
     Change notifications: components holding derived state (megaflow caches,
     compiled classifiers) can subscribe with :meth:`subscribe` and rebuild
     when rules change — this is how the simulated switch revalidates its
-    caches when a tenant injects a new ACL mid-experiment (Fig. 8c).
+    caches when a tenant injects a new ACL mid-experiment (Fig. 8c).  The
+    table never keeps a subscriber alive, so a dropped datapath and its
+    caches are freed by reference counting.
     """
 
     def __init__(self, rules: list[FlowRule] | None = None, name: str = "flowtable"):
@@ -38,7 +41,7 @@ class FlowTable:
         self._rules: list[FlowRule] = []
         self._sequence = 0
         self._ordered: list[tuple[int, int, FlowRule]] = []  # (-prio, seq, rule)
-        self._subscribers: list[Callable[[], None]] = []
+        self._subscribers: list[weakref.WeakMethod] = []
         self.version = 0
         for rule in rules or []:
             self.add(rule)
@@ -133,12 +136,27 @@ class FlowTable:
 
     def _notify(self) -> None:
         self.version += 1
-        for callback in self._subscribers:
-            callback()
+        for ref in self._subscribers:
+            callback = ref()
+            if callback is not None:
+                callback()
 
     def subscribe(self, callback: Callable[[], None]) -> None:
-        """Register a callback fired after every rule change."""
-        self._subscribers.append(callback)
+        """Register a bound method fired after every rule change.
+
+        The table holds it weakly: it fires after every change for as long
+        as its object lives, and the subscription ends with that object.
+        Anything but a bound method (a function, a lambda) has no owner to
+        end it and raises :class:`~repro.exceptions.ClassifierError`.
+        """
+        try:
+            ref = weakref.WeakMethod(callback)
+        except TypeError:
+            raise ClassifierError(
+                f"subscribe takes a bound method, got {type(callback).__name__}"
+            ) from None
+        self._subscribers = [old for old in self._subscribers if old() is not None]
+        self._subscribers.append(ref)
 
     # -- queries -----------------------------------------------------------------
     def lookup(self, key: FlowKey) -> FlowRule | None:

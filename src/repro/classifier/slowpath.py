@@ -52,8 +52,9 @@ and including the one holding bit ``b - 1``.  A step is
 :meth:`MegaflowGenerator.generate` and
 :meth:`MegaflowGenerator.generate_batch` run that one program.  Each
 distinct outcome — mask, action, rule, ``rules_examined`` — is interned
-once as a leaf record, so only the emitted masked key differs per packet,
-and ``generate_batch`` keeps an exact-key memo in front of the program.
+once as a leaf record, and each distinct mask once, so only the emitted
+masked key differs per packet, and ``generate_batch`` keeps an exact-key
+memo in front of the program.
 Program, leaves and memo are a pure accelerator: derived from the flow
 table at one version and discarded whenever the version changes (any rule
 insert/remove/flush), honouring the dicts-as-truth invariant — the
@@ -174,11 +175,13 @@ class MegaflowGenerator:
         # (field, rule mask) -> ``through`` table, precomputed per constraint.
         self._through_cache: dict[tuple[str, int], tuple[int, ...]] = {}
         # Accelerator state (see module docstring): the compiled program,
-        # the interned leaf records and the exact-key memo, all derived from
-        # the flow table at ``_version`` and dropped when the table mutates.
+        # the interned leaf records and masks and the exact-key memo, all
+        # derived from the flow table at ``_version`` and dropped when the
+        # table mutates.
         self._program: list[tuple[FlowRule, tuple[tuple[int, int, int, tuple[int, ...]], ...]]] = []
         self._version: int = -1
         self._leaves: dict[tuple, _Leaf] = {}
+        self._masks: dict[tuple[int, ...], FlowMask] = {}
         self._key_memo: dict[tuple[int, ...], _Leaf] = {}
 
     # -- chunk computation ------------------------------------------------------
@@ -265,6 +268,7 @@ class MegaflowGenerator:
         ]
         self._version = self.table.version
         self._leaves = {}
+        self._masks = {}
         self._key_memo = {}
 
     def _decide(self, key_values: tuple[int, ...]) -> _Leaf:
@@ -287,10 +291,14 @@ class MegaflowGenerator:
         # entry stays disjoint from the rule-matching entries.  A match on
         # the last rule and a miss failing on its last chunk can share mask
         # and ``rules_examined``: the intern key tells them apart.
-        intern = (tuple(mask_values), rules_examined, matched is not None)
-        leaf = self._leaves.get(intern)
+        values = tuple(mask_values)
+        leaf = self._leaves.get((values, rules_examined, matched is not None))
         if leaf is None:
-            mask = FlowMask.from_values(intern[0])
+            # Leaves that differ only in rule or rules_examined share a mask.
+            mask = self._masks.get(values)
+            if mask is None:
+                mask = self._masks[values] = FlowMask.from_values(values)
+            intern = (mask.values, rules_examined, matched is not None)
             if matched is None:
                 # OpenFlow table-miss defaults to drop.
                 leaf = _Leaf(mask, DENY, None, rules_examined, "<table-miss>")

@@ -323,20 +323,6 @@ class FlowMask(_FieldVector):
             tuple(a | b for a, b in zip(self._values, other.values))
         )
 
-    def with_bits(self, name: str, bits: int) -> "FlowMask":
-        """A copy with ``bits`` OR-ed into field ``name``."""
-        idx = _INDEX.get(name)
-        if idx is None:
-            raise FieldError(f"unknown field {name!r}")
-        _FIELD_DEFS[idx].check_mask(bits)
-        values = list(self._values)
-        values[idx] |= bits
-        return FlowMask.from_values(tuple(values))
-
-    def covers(self, other: "FlowMask") -> bool:
-        """True when every bit set in ``other`` is also set in this mask."""
-        return all((a & b) == b for a, b in zip(self._values, other.values))
-
     def overlaps_key(
         self, key_a: tuple[int, ...], other: "FlowMask", key_b: tuple[int, ...]
     ) -> bool:
@@ -359,10 +345,6 @@ class FlowMask(_FieldVector):
     def wildcarded_bits(self) -> int:
         """Total number of wildcarded bits across all fields."""
         return sum(_WIDTHS) - self.n_bits()
-
-    def is_exact(self) -> bool:
-        """True when no bit of any field is wildcarded."""
-        return self._values == _FULL_MASKS
 
     def __repr__(self) -> str:
         return f"FlowMask({self._format_fields()})"

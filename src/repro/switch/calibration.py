@@ -28,7 +28,8 @@ mechanistic reading:
 Parameters are fitted in log space to the anchor points each profile
 carries (:mod:`repro.switch.offload`), so relative errors stay balanced
 across four orders of magnitude.  The fit is deterministic, cheap, and
-cached per profile; EXPERIMENTS.md reports fitted-vs-paper values.
+cached per profile; README's probe-units paragraph (*Cost model: the
+probe-native cost plane*) says what scan cost the curves take.
 """
 
 from __future__ import annotations

@@ -294,7 +294,9 @@ class Datapath:
     """The simulated software switch datapath.
 
     Args:
-        flow_table: the slow-path classifier (subscribed for cache flushes).
+        flow_table: the slow-path classifier (:meth:`flush_caches` is
+            subscribed to its changes; the table holds it weakly, so a
+            dropped datapath is freed by reference counting).
         config: behaviour knobs (``config.megaflow_backend`` names the
             level-3 cache implementation).
         megaflows: a pre-built megaflow backend to use instead of building

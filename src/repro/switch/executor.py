@@ -690,6 +690,8 @@ class ProcessShardExecutor(ShardExecutor):
         self._shards = tuple(ShardHandle(self, sid, config) for sid in range(n_shards))
         # The control plane stays in the parent; every table change ships
         # to the workers as a delta before the next message is processed.
+        # The table holds the subscription weakly: it lasts while the
+        # executor does.
         flow_table.subscribe(self._ship_flow_table_delta)
 
     # -- rule-id bookkeeping -------------------------------------------------------

@@ -41,7 +41,8 @@ class NicProfile:
             GRO-aggregated buffer).
         hardware_offload: True when classification runs on the NIC.
         anchors: mask count -> fraction-of-baseline throughput, from the
-            paper; drives curve fitting and the EXPERIMENTS.md comparison.
+            paper; drives curve fitting (README's probe-units paragraph,
+            *Cost model: the probe-native cost plane*).
     """
 
     name: str

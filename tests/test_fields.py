@@ -156,8 +156,6 @@ class TestFlowKey:
 
 class TestFlowMask:
     def test_exact_and_wildcard(self):
-        assert EXACT_MASK.is_exact()
-        assert not WILDCARD_MASK.is_exact()
         assert WILDCARD_MASK.n_bits() == 0
         assert EXACT_MASK.n_bits() == sum(f.width for f in FIELDS.values())
 
@@ -167,16 +165,6 @@ class TestFlowMask:
         union = a.union(b)
         assert union["ip_src"] == 0xFF000000
         assert union["tp_dst"] == 0xFFFF
-
-    def test_with_bits(self):
-        mask = FlowMask(ip_src=0x80000000).with_bits("ip_src", 0x40000000)
-        assert mask["ip_src"] == 0xC0000000
-
-    def test_covers(self):
-        wide = FlowMask(ip_src=0xFF000000)
-        narrow = FlowMask(ip_src=0xF0000000)
-        assert wide.covers(narrow)
-        assert not narrow.covers(wide)
 
     def test_wildcarded_bits_complement(self):
         mask = FlowMask(tp_dst=0xFFFF)

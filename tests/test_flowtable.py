@@ -1,11 +1,13 @@
 """Unit tests for the ordered flow table."""
 
+import weakref
+
 import pytest
 
 from repro.classifier.actions import ALLOW, DENY
 from repro.classifier.flowtable import FlowTable
 from repro.classifier.rule import FlowRule, Match
-from repro.exceptions import RuleError
+from repro.exceptions import ClassifierError, RuleError
 from repro.packet.fields import FlowKey
 
 
@@ -80,11 +82,35 @@ class TestMutation:
 
     def test_subscription_fires(self):
         table = FlowTable()
-        events = []
-        table.subscribe(lambda: events.append(1))
+        owner = _Owner()
+        table.subscribe(owner.on_change)  # the bound method object dies here; its owner lives
         table.add_rule(Match(tp_dst=80), ALLOW)
         table.clear()
-        assert len(events) == 2
+        assert owner.events == 2
+
+    def test_subscription_ends_with_its_owner(self):
+        table = FlowTable()
+        owner, survivor = _Owner(), _Owner()
+        table.subscribe(owner.on_change)
+        table.subscribe(survivor.on_change)
+        alive = weakref.ref(owner)
+        del owner
+        assert alive() is None  # freed by reference counting: the table holds no reference
+        table.add_rule(Match(tp_dst=80), ALLOW)
+        assert survivor.events == 1
+
+    def test_a_function_is_refused(self):
+        table = FlowTable()
+        with pytest.raises(ClassifierError, match="bound method"):
+            table.subscribe(lambda: None)
+
+
+class _Owner:
+    def __init__(self):
+        self.events = 0
+
+    def on_change(self):
+        self.events += 1
 
 
 class TestStructure:

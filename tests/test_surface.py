@@ -74,9 +74,6 @@ PINNED_BY_TESTS: dict[str, tuple[str, ...]] = {
         "test_fields::TestPrefixAndBits::test_first_diff_bit",
         "test_fields::TestPrefixAndBits::test_first_diff_bit_respects_width",
     ),
-    "packet.fields:FlowMask.with_bits": ("test_fields::TestFlowMask::test_with_bits",),
-    "packet.fields:FlowMask.covers": ("test_fields::TestFlowMask::test_covers",),
-    "packet.fields:FlowMask.is_exact": ("test_fields::TestFlowMask::test_exact_and_wildcard",),
 }
 
 

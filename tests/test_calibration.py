@@ -1,10 +1,51 @@
 """Unit tests for cost-curve calibration against the paper's anchors."""
 
+import dataclasses
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import repro
 from repro.exceptions import SwitchError
+from repro.switch import calibration
 from repro.switch.calibration import CurveParams, fit_profile
 from repro.switch.offload import FHO_TCP, GRO_OFF_TCP, GRO_ON_TCP, NicProfile, UDP_PROFILE
+from tests.calibration_oracle import XTOL, anchored_profiles, refit
+
+
+class TestCommittedFits:
+    """Every committed curve is the least-squares fit of its profile's anchors."""
+
+    @pytest.mark.parametrize("profile", anchored_profiles(), ids=lambda p: p.name)
+    def test_committed_curve_is_the_refit_within_xtol(self, profile):
+        committed = np.array(dataclasses.astuple(fit_profile(profile)))
+        fitted = np.array(dataclasses.astuple(refit(profile)))
+        assert np.linalg.norm(committed - fitted) <= XTOL * (XTOL + np.linalg.norm(fitted))
+
+    def test_every_committed_curve_belongs_to_an_anchored_profile(self):
+        assert set(calibration._FITS) == {tuple(sorted(p.anchors.items())) for p in anchored_profiles()}
+
+    def test_a_moved_anchor_without_its_curve_is_refused(self):
+        moved = dataclasses.replace(GRO_OFF_TCP, anchors={**GRO_OFF_TCP.anchors, 17: 0.54})
+        with pytest.raises(SwitchError, match=re.escape(GRO_OFF_TCP.name)):
+            fit_profile(moved)
+
+
+def test_import_repro_loads_no_scipy():
+    """Counted in a fresh interpreter's ``sys.modules``, no clock."""
+    src = Path(repro.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, repro; print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout) == []
 
 
 class TestFitQuality:

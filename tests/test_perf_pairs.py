@@ -67,3 +67,14 @@ def test_table_rows_and_single_pair():
     assert lines[2] == (
         "| warm_replay | ops_per_s | 4.2e+04 [4.2e+04, 4.2e+04] | 5e+04 [5e+04, 5e+04] | 1.190 | 1/1 | better |"
     )
+
+
+def test_a_clock_at_its_resolution_floor_has_no_ratio():
+    zeros = [0.0] * 10
+    assert perf_pairs.verdict(zeros, zeros, "lower", 0.25) == ("ok", 0)
+    assert perf_pairs.verdict(zeros, [0.0] * 5 + [0.1] * 5, "lower", 0.25) == ("unresolved", 0)
+    lines = perf_pairs.table(
+        {"parent": {"table1": {"finished_in_s": zeros}}, "change": {"table1": {"finished_in_s": zeros}}},
+        [{"name": "finished_in_s", "better": "lower", "bound": 0.25}],
+    )
+    assert lines[2] == "| table1 | finished_in_s | 0 [0, 0] | 0 [0, 0] | nan | 0/10 | ok |"

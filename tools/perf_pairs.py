@@ -31,7 +31,8 @@ Verdicts (``verdict``) follow the choosing-metrics guide, section 8:
   than the metric's bound;
 * ``unresolved`` — neither, and either side's inter-quartile distance is
   wider than the bound, unless every run of the change reads better than
-  every run of the parent;
+  every run of the parent; or one side's median, but not the other's, is
+  zero (a clock at its resolution floor);
 * ``ok`` — otherwise: inside the bound.
 """
 
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -72,6 +74,8 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     q1, q3 = quartiles(parent)
     if wins >= 0.9 * len(parent) and gain > q3 - q1:
         return "better", wins
+    if parent_median == 0 or change_median == 0:  # a clock at its resolution floor has no ratio
+        return ("ok" if parent_median == change_median else "unresolved"), wins
     if -gain > bound * abs(parent_median):
         return "REGRESSION", wins
     c1, c3 = quartiles(change)
@@ -98,7 +102,7 @@ def table(readings: dict, metrics: list[dict]) -> list[str]:
             parent = readings["parent"][workload][metric["name"]]
             change = readings["change"][workload][metric["name"]]
             word, wins = verdict(parent, change, metric["better"], metric["bound"])
-            ratio = statistics.median(change) / statistics.median(parent)
+            ratio = statistics.median(change) / (statistics.median(parent) or math.nan)
             lines.append(
                 f"| {workload} | {metric['name']} | {cell(parent)} | {cell(change)} "
                 f"| {ratio:.3f} | {wins}/{len(parent)} | {word} |"

@@ -44,10 +44,12 @@ def main() -> None:
         MFCGuardConfig(mask_threshold=100, cpu_threshold_pct=90.0),
         slow_path_model=SlowPathModel(),
     )
-    report = guard.run(now=10.0)
-    print(f"\nMFCGuard: deleted {report.entries_deleted} entries "
-          f"({report.masks_before} -> {report.masks_after} masks), "
-          f"rules cleaned: {', '.join(report.rules_cleaned)}")
+    masks_before = datapath.n_masks
+    decisions = guard.run(now=10.0)
+    cleaned = dict.fromkeys(d.subject for d in decisions if d.action == "clean")
+    print(f"\nMFCGuard: deleted {sum(d.changed for d in decisions)} entries "
+          f"({masks_before} -> {datapath.n_masks} masks), "
+          f"rules cleaned: {', '.join(cleaned)}")
 
     # The benign flow still rides the fast path...
     verdict = datapath.process(benign, now=11.0)

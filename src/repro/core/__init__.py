@@ -28,10 +28,11 @@ from repro.core.detector import (
     tse_scan_cost_dilution,
 )
 from repro.core.general import GeneralTraceGenerator
-from repro.core.migration import MigrationController, MigrationPolicy, MigrationReport
-from repro.core.mitigation import GuardReport, MFCGuard, MFCGuardConfig
+from repro.core.decision import Decision
+from repro.core.migration import MigrationController, MigrationPolicy
+from repro.core.mitigation import MFCGuard, MFCGuardConfig
 from repro.core.planner import AttackPlan, plan_colocated, plan_for_cms, plan_general
-from repro.core.rebalance import RebalanceController, RebalancePolicy, RebalanceReport
+from repro.core.rebalance import RebalanceController, RebalancePolicy
 from repro.core.tracegen import AdversarialTrace, ColocatedTraceGenerator
 from repro.core.usecases import (
     BASELINE,
@@ -77,15 +78,13 @@ __all__ = [
     "find_tse_entries",
     "tse_mask_fraction",
     "tse_scan_cost_dilution",
+    "Decision",
     "MFCGuard",
     "MFCGuardConfig",
-    "GuardReport",
     "MigrationController",
     "MigrationPolicy",
-    "MigrationReport",
     "RebalanceController",
     "RebalancePolicy",
-    "RebalanceReport",
     "AttackPlan",
     "plan_colocated",
     "plan_general",

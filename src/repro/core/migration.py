@@ -38,14 +38,15 @@ a per-shard cooldown between swaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.core.decision import Decision
 from repro.core.mitigation import MFCGuard
 from repro.exceptions import ExperimentError, ReproError
 from repro.switch.datapath import ShardSnapshot
 from repro.switch.sharded import AnyDatapath
 
-__all__ = ["MigrationPolicy", "MigrationReport", "MigrationController"]
+__all__ = ["MigrationPolicy", "MigrationController"]
 
 
 @dataclass(frozen=True)
@@ -92,20 +93,6 @@ class MigrationPolicy:
             raise ExperimentError("period must be positive")
 
 
-@dataclass
-class MigrationReport:
-    """What one controller run did; ``statuses`` holds each checked
-    shard's snapshot after the run acted on it."""
-
-    ran: bool = False
-    checked: int = 0
-    worst_scan_cost: float = 0.0
-    started: tuple[int, ...] = ()
-    stepped: tuple[int, ...] = ()
-    swapped: tuple[int, ...] = ()
-    statuses: list[ShardSnapshot] = field(default_factory=list)
-
-
 class MigrationController:
     """The migration daemon: watches the cost plane, rebuilds, swaps.
 
@@ -140,60 +127,66 @@ class MigrationController:
         self._next_run = self.policy.period
         self._cooldown_until: dict[int, float] = {}
         self._armed: dict[int, bool] = {}
-        self.migrations_completed = 0
-        self.runs = 0
 
     # -- scheduling -----------------------------------------------------------
-    def tick(self, now: float) -> MigrationReport:
-        """Run the controller if its cadence has elapsed."""
+    def tick(self, now: float) -> tuple[Decision, ...]:
+        """Run the controller if its cadence has elapsed; ``()`` if not."""
         if now < self._next_run:
-            return MigrationReport(ran=False)
+            return ()
         self._next_run = now + self.policy.period
         return self.run(now)
 
     # -- one pass ---------------------------------------------------------------
-    def run(self, now: float) -> MigrationReport:
-        """One controller pass, serialised against in-flight shard batches."""
+    def run(self, now: float) -> tuple[Decision, ...]:
+        """One controller pass, serialised against in-flight shard batches.
+
+        Answers with a ``start`` or ``step`` decision per shard it advanced
+        (``changed``: the entries that slice copied) and a ``swap`` per
+        shard it swapped, or with one ``hold`` carrying the worst scan cost.
+        A rebuild that fails is aborted on its shard and the error
+        re-raised: the raise is that pass's record.
+        """
         with self.datapath.maintenance():
             return self._run_locked(now)
 
-    def _run_locked(self, now: float) -> MigrationReport:
-        self.runs += 1
+    def _run_locked(self, now: float) -> tuple[Decision, ...]:
         policy = self.policy
-        report = MigrationReport(ran=True)
-        started: list[int] = []
-        stepped: list[int] = []
-        swapped: list[int] = []
+        decisions: list[Decision] = []
+        worst = 0.0
         for shard_id, shard in enumerate(self.datapath.shards):
-            snapshot = shard.snapshot()
-            report.checked += 1
-            report.worst_scan_cost = max(report.worst_scan_cost, snapshot.scan_cost)
+            before = shard.snapshot()
+            worst = max(worst, before.scan_cost)
+            signals = {"scan_cost": before.scan_cost}
             try:
-                if snapshot.migration == "rebuilding":
-                    snapshot = shard.migrate_backend_step(policy.slice_entries)
-                    stepped.append(shard_id)
-                elif self._should_start(shard_id, snapshot, now):
-                    snapshot = shard.migrate_backend_start(
+                if before.migration == "rebuilding":
+                    action = "step"
+                elif self._should_start(shard_id, before, now):
+                    action = "start"
+                    shard.migrate_backend_start(
                         policy.target_backend, slice_size=policy.slice_entries
                     )
-                    started.append(shard_id)
-                    snapshot = shard.migrate_backend_step(policy.slice_entries)
-                if snapshot.migration == "rebuilding" and snapshot.rebuild_done:
-                    snapshot = shard.migrate_backend_swap()
-                    swapped.append(shard_id)
+                else:
+                    continue
+                snapshot = shard.migrate_backend_step(policy.slice_entries)
+                copied = snapshot.entries_copied - before.entries_copied
+                decisions.append(
+                    Decision(now, "migration", action, shard_id, signals, copied, snapshot.target)
+                )
+                if snapshot.rebuild_done:
+                    shard.migrate_backend_swap()
+                    decisions.append(
+                        Decision(now, "migration", "swap", shard_id, signals, 0, snapshot.target)
+                    )
                     self._cooldown_until[shard_id] = now + policy.cooldown
                     self._armed[shard_id] = False
-                    self.migrations_completed += 1
             except ReproError:
                 # Left attached, a rebuild that diverged from the truth
                 # store would fail the same swap on every later pass.
                 shard.migrate_backend_abort()
                 raise
-            report.statuses.append(snapshot)
-        report.started = tuple(started)
-        report.stepped = tuple(stepped)
-        report.swapped = tuple(swapped)
-        return report
+        return tuple(decisions) or (
+            Decision(now, "migration", "hold", None, {"scan_cost": worst}),
+        )
 
     def _should_start(self, shard_id: int, snapshot: ShardSnapshot, now: float) -> bool:
         policy = self.policy

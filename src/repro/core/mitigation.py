@@ -18,12 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.decision import Decision
 from repro.core.detector import find_tse_entries
 from repro.exceptions import ExperimentError
 from repro.switch.costmodel import SlowPathModel
 from repro.switch.sharded import AnyDatapath
 
-__all__ = ["MFCGuardConfig", "GuardReport", "MFCGuard"]
+__all__ = ["MFCGuardConfig", "MFCGuard"]
 
 
 @dataclass(frozen=True)
@@ -65,21 +66,6 @@ class MFCGuardConfig:
             raise ExperimentError("period must be positive")
 
 
-@dataclass
-class GuardReport:
-    """What one MFCGuard run did."""
-
-    ran: bool = False
-    masks_before: int = 0
-    masks_after: int = 0
-    probe_cost_before: float = 0.0
-    entries_deleted: int = 0
-    rules_cleaned: tuple[str, ...] = ()
-    projected_cpu_pct: float = 0.0
-    stopped_by_cpu: bool = False
-    stood_down_by_probe_cost: bool = False
-
-
 class MFCGuard:
     """The monitoring/eviction daemon of §8, bound to one datapath.
 
@@ -116,14 +102,12 @@ class MFCGuard:
         self.slow_path_model = slow_path_model or SlowPathModel()
         self._next_run = self.config.period
         self._demoted_pps = 0.0  # estimated packet rate now pinned to the slow path
-        self.total_deleted = 0
-        self.runs = 0
 
     # -- scheduling -----------------------------------------------------------
-    def tick(self, now: float) -> GuardReport:
-        """Run Algorithm 2 if the 10-second cadence has elapsed."""
+    def tick(self, now: float) -> tuple[Decision, ...]:
+        """Run Algorithm 2 if the 10-second cadence has elapsed; ``()`` if not."""
         if now < self._next_run:
-            return GuardReport(ran=False)
+            return ()
         self._next_run = now + self.config.period
         return self.run(now)
 
@@ -139,8 +123,13 @@ class MFCGuard:
             shard.megaflows.expected_scan_cost() for shard in self.datapath.shards
         )
 
-    def run(self, now: float) -> GuardReport:
+    def run(self, now: float) -> tuple[Decision, ...]:
         """One guard pass: check masks (and probe cost), scan rules, delete, watch CPU.
+
+        Answers with a ``clean`` decision per (shard, rule) it cleaned,
+        then a ``stop_cpu`` if the slow-path budget ran out, or with one
+        ``hold`` (below the mask threshold, or no TSE pattern found) or
+        ``stand_down`` (chain-aware: the probe cost is still low).
 
         Runs under the datapath's maintenance lock: a parallel shard
         executor serialises the pass against in-flight batches, so the
@@ -151,28 +140,20 @@ class MFCGuard:
         with self.datapath.maintenance():
             return self._run_locked(now)
 
-    def _run_locked(self, now: float) -> GuardReport:
-        self.runs += 1
-        masks_before = self.datapath.n_masks
-        probe_cost_before = self.probe_cost()
-        report = GuardReport(ran=True, masks_before=masks_before, masks_after=masks_before,
-                             probe_cost_before=probe_cost_before,
-                             projected_cpu_pct=self.projected_cpu_pct())
-        if masks_before <= self.config.mask_threshold:
-            return report
+    def _run_locked(self, now: float) -> tuple[Decision, ...]:
+        read = {"masks": self.datapath.n_masks, "probe_cost": self.probe_cost()}
+        if read["masks"] <= self.config.mask_threshold:
+            return (Decision(now, "mfcguard", "hold", None, read),)
         if (
             self.config.probe_cost_threshold is not None
-            and probe_cost_before < self.config.probe_cost_threshold
+            and read["probe_cost"] < self.config.probe_cost_threshold
         ):
             # Mask count exploded but scanning it is still cheap (grouped
             # backend): deleting would trade nothing for permanent upcalls.
-            report.stood_down_by_probe_cost = True
-            return report
+            return (Decision(now, "mfcguard", "stand_down", None, read),)
 
-        deleted = 0
-        cleaned: list[str] = []
-        stopped = False
-        for shard in self.datapath.shards:
+        decisions: list[Decision] = []
+        for shard_id, shard in enumerate(self.datapath.shards):
             patterns = find_tse_entries(shard.megaflows, self.datapath.flow_table)
             # Patterns overlap (an entry can match several rules' patterns):
             # only the entries an earlier pattern left installed are removed
@@ -186,30 +167,19 @@ class MFCGuard:
                     for entry in pattern.entries
                     if (entry.mask, entry.key) not in killed
                 )
-                deleted += shard.kill_entries(pattern.entries, permanent=self.config.permanent_delete)
+                deleted = shard.kill_entries(pattern.entries, permanent=self.config.permanent_delete)
                 killed.update((entry.mask, entry.key) for entry in pattern.entries)
-                cleaned.append(pattern.rule.name or repr(pattern.rule.match))
                 self._demoted_pps += rate
 
                 # Line 9-12: re-check CPU after each rule's cleanup.
                 cpu = self.projected_cpu_pct()
+                signals = {**read, "cpu_pct": cpu}
+                rule = pattern.rule.name or repr(pattern.rule.match)
+                decisions.append(Decision(now, "mfcguard", "clean", shard_id, signals, deleted, rule))
                 if cpu >= self.config.cpu_threshold_pct:
-                    stopped = True
-                    break
-            if stopped:
-                break
-
-        self.total_deleted += deleted
-        return GuardReport(
-            ran=True,
-            masks_before=masks_before,
-            masks_after=self.datapath.n_masks,
-            probe_cost_before=probe_cost_before,
-            entries_deleted=deleted,
-            rules_cleaned=tuple(dict.fromkeys(cleaned)),
-            projected_cpu_pct=self.projected_cpu_pct(),
-            stopped_by_cpu=stopped,
-        )
+                    decisions.append(Decision(now, "mfcguard", "stop_cpu", shard_id, signals))
+                    return tuple(decisions)
+        return tuple(decisions) or (Decision(now, "mfcguard", "hold", None, read),)
 
     # -- cooperation with live backend migration ------------------------------------
     def stand_down_at(self, probe_cost_threshold: float) -> None:

@@ -37,11 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.decision import Decision
 from repro.exceptions import ExperimentError
 from repro.switch.rss import RetaDispatcher
 from repro.switch.sharded import ShardedDatapath
 
-__all__ = ["RebalancePolicy", "RebalanceReport", "RebalanceController"]
+__all__ = ["RebalancePolicy", "RebalanceController"]
 
 # The golden-ratio increment: successive re-keys get well-separated salts
 # deterministically (reproducible runs need the salt sequence fixed).
@@ -89,19 +90,6 @@ class RebalancePolicy:
             raise ExperimentError(f"mode must be 'rekey' or 'reta', got {self.mode!r}")
 
 
-@dataclass
-class RebalanceReport:
-    """What one controller run saw and did."""
-
-    ran: bool = False
-    worst_cost: float = 0.0
-    mean_cost: float = 0.0
-    skew: float = 1.0
-    remapped: bool = False
-    entries_moved: int = 0
-    salt: int = 0
-
-
 class RebalanceController:
     """The rebalancing daemon: watches per-shard skew, re-keys, migrates.
 
@@ -121,38 +109,36 @@ class RebalanceController:
         self.policy = policy or RebalancePolicy()
         self._next_run = self.policy.period
         self._cooldown_until = float("-inf")
-        self.remaps_completed = 0
-        self.runs = 0
 
     # -- scheduling -----------------------------------------------------------
-    def tick(self, now: float) -> RebalanceReport:
-        """Run the controller if its cadence has elapsed."""
+    def tick(self, now: float) -> tuple[Decision, ...]:
+        """Run the controller if its cadence has elapsed; ``()`` if not."""
         if now < self._next_run:
-            return RebalanceReport(ran=False)
+            return ()
         self._next_run = now + self.policy.period
         return self.run(now)
 
     # -- one pass ---------------------------------------------------------------
-    def run(self, now: float) -> RebalanceReport:
-        """One controller pass (the re-map itself quiesces the shards)."""
-        self.runs += 1
-        report = RebalanceReport(ran=True)
-        costs = [snapshot.scan_cost for snapshot in self.datapath.core_report()]
-        report.worst_cost = max(costs)
-        report.mean_cost = sum(costs) / len(costs)
-        report.skew = report.worst_cost / report.mean_cost if report.mean_cost else 1.0
-        report.salt = getattr(self.datapath.rss, "salt", 0)
-        if not self._should_remap(report, now):
-            return report
-        successor = self._successor()
-        report.entries_moved = self.datapath.rebalance(successor)
-        self._cooldown_until = now + self.policy.cooldown
-        self.remaps_completed += 1
-        report.remapped = True
-        report.salt = successor.salt
-        return report
+    def run(self, now: float) -> tuple[Decision, ...]:
+        """One controller pass (the re-map itself quiesces the shards).
 
-    def _should_remap(self, report: RebalanceReport, now: float) -> bool:
+        Answers with one decision: a ``rekey`` (subject: the new salt) or
+        ``reta`` (subject: the rotated table) carrying the entries the
+        re-map moved, or a ``hold``.
+        """
+        costs = [snapshot.scan_cost for snapshot in self.datapath.core_report()]
+        worst, mean = max(costs), sum(costs) / len(costs)
+        signals = {"worst_cost": worst, "mean_cost": mean, "skew": worst / mean if mean else 1.0}
+        if not self._should_remap(signals, now):
+            return (Decision(now, "rebalance", "hold", None, signals),)
+        successor = self._successor()
+        moved = self.datapath.rebalance(successor)
+        self._cooldown_until = now + self.policy.cooldown
+        mode = self.policy.mode
+        subject = successor.salt if mode == "rekey" else successor.reta
+        return (Decision(now, "rebalance", mode, None, signals, moved, subject),)
+
+    def _should_remap(self, signals: dict[str, float], now: float) -> bool:
         policy = self.policy
         if self.datapath.n_shards < 2:
             return False
@@ -164,9 +150,9 @@ class RebalanceController:
         # move — re-keying again is the defender's turn in the game, not
         # flapping.  (MigrationController's re-arm rule is the opposite,
         # on purpose: see the module docstring.)
-        if report.worst_cost < policy.cost_floor:
+        if signals["worst_cost"] < policy.cost_floor:
             return False
-        return report.skew >= policy.skew_threshold
+        return signals["skew"] >= policy.skew_threshold
 
     def _successor(self) -> RetaDispatcher:
         """The dispatcher the next re-map installs."""

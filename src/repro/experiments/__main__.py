@@ -32,7 +32,7 @@ def main(argv: list[str] | None = None) -> int:
         result = EXPERIMENTS[experiment_id]()
         elapsed = time.perf_counter() - started
         print(result.format_table())
-        print(f"[{experiment_id} finished in {elapsed:.1f}s]\n")
+        print(f"[{experiment_id} finished in {elapsed:.3f}s]\n")
         if args.save:
             path = result.save(args.save)
             print(f"saved: {path}")

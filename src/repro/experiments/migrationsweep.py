@@ -126,7 +126,6 @@ def run_policy_cell(
         if collapse_at is not None
         else None
     )
-    guard = host.guard
     return {
         "policy": policy,
         "series": list(samples(metrics, "victim", "masks", "scan_cost")),
@@ -135,7 +134,7 @@ def run_policy_cell(
         "recovered_floor_gbps": rate.minimum(attack_stop - 5.0, attack_stop),
         "collapse_at": collapse_at,
         "time_to_recover_s": recover_at - collapse_at if recover_at is not None else None,
-        "entries_deleted": guard.total_deleted if guard is not None else 0,
+        "entries_deleted": sum(d.changed for d in host.decisions if d.action == "clean"),
         "peak_upcall_pps": metrics.series("upcall_pps").maximum(),
         "peak_rebuild_memory_bytes": metrics.series("rebuild_memory").maximum(),
         "swaps": sum(record.swaps for record in records),
@@ -143,6 +142,7 @@ def run_policy_cell(
         "final_scan_cost": max(record.scan_cost for record in records),
         "peak_masks": metrics.series("masks").maximum(),
         "trace_packets": len(trace.keys),
+        "decisions": host.decisions,
     }
 
 

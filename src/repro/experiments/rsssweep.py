@@ -176,6 +176,7 @@ def run_policy_cell(
         "peak_masks": metrics.series("masks").maximum(),
         "peak_scan_cost": metrics.series("scan_cost").maximum(),
         "trace_packets": len(base_keys),
+        "decisions": host.decisions,
     }
 
 

@@ -48,6 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.decision import Decision
 from repro.core.migration import MigrationController
 from repro.core.mitigation import MFCGuard
 from repro.core.rebalance import RebalanceController
@@ -123,11 +124,17 @@ class HypervisorHost:
             other management sweep.
         rebalancer: optional
             :class:`~repro.core.rebalance.RebalanceController` — ticked
-            after the migrator.  When a tick re-maps RSS, every victim's
+            after the migrator.  When a tick answers with a ``rekey`` or
+            ``reta`` decision, every victim's
             ``home_shards`` is recomputed against the new dispatcher (the
             victim's flows genuinely moved cores, and settlement must
             charge the cores now carrying them).
         revalidator_period: seconds between idle-eviction sweeps.
+
+    Attributes:
+        decisions: the append-only log of every controller decision, in
+            tick order — whatever each controller's ``tick`` returned
+            (:class:`~repro.core.decision.Decision`).
     """
 
     def __init__(
@@ -148,6 +155,7 @@ class HypervisorHost:
         self.rebalancer = rebalancer
         self.revalidator = Revalidator(datapath, period=revalidator_period)
         self.victims: dict[str, VictimState] = {}
+        self.decisions: list[Decision] = []
         self.n_cores = datapath.n_shards
         # Per-tick, per-core work accumulators (reset each tick).
         self._attack_units = [0.0] * self.n_cores
@@ -236,24 +244,25 @@ class HypervisorHost:
     # -- the per-tick settlement -----------------------------------------------------
     def tick(self, now: float, dt: float) -> None:
         """Run maintenance, settle per-core CPU accounting, assign victim capacity."""
-        reports, available = self._pre_settle(now, dt)
-        self._settle_victims(now, reports, available)
+        snapshots, available = self._pre_settle(now, dt)
+        self._settle_victims(now, snapshots, available)
         self._post_settle(dt)
 
     def _pre_settle(self, now: float, dt: float):
-        """Maintenance + per-core budget accounting; returns (reports, available)."""
+        """Maintenance + per-core budget accounting; returns (snapshots, available)."""
         evicted = self.revalidator.tick(now)
         self._revalidated_entries += len(evicted)
         if self.guard is not None:
-            self.guard.tick(now)
+            self.decisions.extend(self.guard.tick(now))
             # Traffic demoted to the slow path by the guard is observable
             # as this tick's suppressed-installs; feed the measured rate.
             self.guard.note_attack_rate(self._slow_path_packets / dt)
         if self.migrator is not None:
-            self.migrator.tick(now)
+            self.decisions.extend(self.migrator.tick(now))
         if self.rebalancer is not None:
-            report = self.rebalancer.tick(now)
-            if report.remapped:
+            decided = self.rebalancer.tick(now)
+            self.decisions.extend(decided)
+            if any(decision.action != "hold" for decision in decided):
                 # The flows moved cores: re-pin every victim to where the
                 # new dispatcher actually sends its keys.
                 for state in self.victims.values():
@@ -267,7 +276,7 @@ class HypervisorHost:
         # nothing below mutates the datapath, so reading n_masks /
         # n_megaflows / scan_cost together is exactly equivalent to the
         # attribute-by-attribute reads it replaces.
-        reports = self.datapath.core_report()
+        snapshots = self.datapath.core_report()
         budget = self.cost_model.budget_units_per_sec  # per PMD core
 
         # Work burned by non-victim activity, per core (units/second).
@@ -275,11 +284,11 @@ class HypervisorHost:
         consumed = [
             self._attack_units[i] / dt
             + self.cost_model.revalidation_units_per_sec(
-                report.n_megaflows, self.revalidator.period
+                snapshot.n_megaflows, self.revalidator.period
             )
-            for i, report in enumerate(reports)
+            for i, snapshot in enumerate(snapshots)
         ]
-        total_budget = budget * len(reports)
+        total_budget = budget * len(snapshots)
         self.cpu_load_fraction = (
             min(1.0, sum(consumed) / total_budget) if total_budget else 1.0
         )
@@ -287,9 +296,9 @@ class HypervisorHost:
             min(1.0, c / budget) if budget else 1.0 for c in consumed
         ]
         available = [max(0.0, budget - c) for c in consumed]
-        return reports, available
+        return snapshots, available
 
-    def _settle_victims(self, now, reports, available) -> None:
+    def _settle_victims(self, now, snapshots, available) -> None:
         """Protection update + equal-split settlement for this host's victims.
 
         Victim protection state tracks the victim's own cores' mask load
@@ -309,13 +318,13 @@ class HypervisorHost:
             dtype=np.intp,
         ).T
         population = settlement.Population(
-            reports=reports,
+            reports=snapshots,
             available=available,
             pair_victim=pair_victim,
             pair_core=pair_core,
             masks=np.asarray(
                 [
-                    max(max(reports[s].n_masks for s in state.home_shards), 1)
+                    max(max(snapshots[s].n_masks for s in state.home_shards), 1)
                     for state in active
                 ],
                 dtype=np.int64,

@@ -12,8 +12,6 @@ from repro.packet.fields import (
     FlowMask,
     field,
     field_names,
-    first_diff_bit,
-    prefix_mask,
 )
 from repro.packet.headers import (
     ETHERTYPE_IPV4,
@@ -43,8 +41,6 @@ __all__ = [
     "FIELD_ORDER",
     "field",
     "field_names",
-    "prefix_mask",
-    "first_diff_bit",
     "FlowKey",
     "FlowMask",
     "EXACT_MASK",

@@ -31,8 +31,6 @@ __all__ = [
     "FIELD_ORDER",
     "field",
     "field_names",
-    "prefix_mask",
-    "first_diff_bit",
     "FlowKey",
     "FlowMask",
     "EXACT_MASK",
@@ -94,11 +92,6 @@ class FieldDef:
             return 0
         return ((1 << plen) - 1) << (self.width - plen)
 
-    def bit_mask(self, position: int) -> int:
-        """Mask with only the bit at MSB-first ``position`` set."""
-        if position < 0 or position >= self.width:
-            raise FieldError(f"{self.name}: bit position {position} out of range")
-        return 1 << (self.width - 1 - position)
 
 
 # Canonical field registry.  The order below is the canonical examination
@@ -138,22 +131,6 @@ def field(name: str) -> FieldDef:
 def field_names() -> tuple[str, ...]:
     """Canonical field order (a copy-safe tuple)."""
     return FIELD_ORDER
-
-
-def prefix_mask(name: str, plen: int) -> int:
-    """Prefix mask of length ``plen`` for field ``name`` (MSB-first)."""
-    return field(name).prefix_mask(plen)
-
-
-def first_diff_bit(a: int, b: int, width: int) -> int | None:
-    """First MSB-first bit position where ``a`` and ``b`` differ.
-
-    Returns ``None`` when the values are equal on all ``width`` bits.
-    """
-    diff = (a ^ b) & ((1 << width) - 1)
-    if diff == 0:
-        return None
-    return width - diff.bit_length()
 
 
 class _FieldVector:

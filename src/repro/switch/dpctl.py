@@ -64,15 +64,15 @@ _FORMATTERS = {
 
 
 def _format_field(name: str, value: int, mask: int) -> str:
-    width = FIELDS[name].width
-    full = FIELDS[name].full_mask
+    field = FIELDS[name]
+    full = field.full_mask
     formatter = _FORMATTERS.get(name)
     if formatter is not None:
         if mask == full:
             return f"{name}={formatter(value)}"
         # Prefix masks render as CIDR; arbitrary masks as value/mask.
         plen = mask.bit_count()
-        if mask == ((1 << plen) - 1) << (width - plen) and plen:
+        if plen and mask == field.prefix_mask(plen):
             return f"{name}={formatter(value)}/{plen}"
         return f"{name}={formatter(value)}/{formatter(mask)}"
     if mask == full:

@@ -89,6 +89,7 @@ import os
 import threading
 import traceback
 import types
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING, Callable
@@ -569,7 +570,9 @@ class ShardHandle:
         config: DatapathConfig | None = None,
         prefix: str = "",
     ):
-        self._executor = executor
+        # Weak: the executor holds its handles, so a strong back-reference
+        # would leave a dropped datapath for the cycle collector.
+        self._executor = weakref.proxy(executor)
         self._prefix = prefix
         self.shard_id = shard_id
         if not prefix:

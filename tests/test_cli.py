@@ -1,5 +1,7 @@
 """Tests for the experiments CLI and the exception hierarchy."""
 
+import re
+
 import pytest
 
 from repro import exceptions
@@ -21,7 +23,7 @@ class TestCli:
         assert main(["table1"]) == 0
         out = capsys.readouterr().out
         assert "Kubernetes" in out
-        assert "finished in" in out
+        assert re.search(r"^\[table1 finished in \d+\.\d{3}s\]$", out, re.MULTILINE)
 
     def test_save(self, tmp_path, capsys):
         assert main(["didactic", "--save", str(tmp_path)]) == 0

@@ -4,9 +4,10 @@ A cold install keeps only what the store holds (entry, key, reduced key,
 slot result, leaf, and per new mask its dict, field tuple and mask), so a
 flood of upcalls feeds the collector little: the field pairs the masks
 constrain are shared, not rebuilt per mask.  A flow table holds its
-subscribers weakly, so a closed and dropped datapath — plain or sharded —
-is freed by reference counting, and a collection afterwards finds nothing
-of it.
+subscribers weakly, and a process executor's shard handles hold it
+weakly, so a closed and dropped datapath — plain or sharded on every
+executor — is freed by reference counting, and a collection afterwards
+finds nothing of it.
 """
 
 from __future__ import annotations
@@ -62,7 +63,9 @@ def _sharded(executor):
 
 
 @pytest.mark.parametrize(
-    "build", [_plain, _sharded("serial"), _sharded("thread")], ids=["plain", "serial", "thread"]
+    "build",
+    [_plain, _sharded("serial"), _sharded("thread"), _sharded("process")],
+    ids=["plain", "serial", "thread", "process"],
 )
 def test_a_dropped_datapath_needs_no_cycle_collector(build, collector_off):
     """A detonated datapath and its table, closed and dropped: a collection

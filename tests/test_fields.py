@@ -13,8 +13,6 @@ from repro.packet.fields import (
     _FieldVector,
     field,
     field_names,
-    first_diff_bit,
-    prefix_mask,
 )
 
 
@@ -53,31 +51,14 @@ class TestRegistry:
 
 class TestPrefixAndBits:
     def test_prefix_mask_msb_anchored(self):
-        assert prefix_mask("tp_dst", 1) == 0x8000
-        assert prefix_mask("tp_dst", 16) == 0xFFFF
-        assert prefix_mask("tp_dst", 0) == 0
+        tp = FIELDS["tp_dst"]
+        assert tp.prefix_mask(1) == 0x8000
+        assert tp.prefix_mask(16) == 0xFFFF
+        assert tp.prefix_mask(0) == 0
 
     def test_prefix_mask_out_of_range(self):
         with pytest.raises(FieldError):
-            prefix_mask("tp_dst", 17)
-
-    def test_bit_mask_positions(self):
-        tp = FIELDS["tp_dst"]
-        assert tp.bit_mask(0) == 0x8000  # MSB-first
-        assert tp.bit_mask(15) == 0x0001
-        with pytest.raises(FieldError):
-            tp.bit_mask(16)
-
-    def test_first_diff_bit(self):
-        # Paper convention: 001 vs 101 differ at position 0 (the MSB).
-        assert first_diff_bit(0b001, 0b101, 3) == 0
-        assert first_diff_bit(0b001, 0b011, 3) == 1
-        assert first_diff_bit(0b001, 0b000, 3) == 2
-        assert first_diff_bit(0b001, 0b001, 3) is None
-
-    def test_first_diff_bit_respects_width(self):
-        # Differences above the width are masked away.
-        assert first_diff_bit(0b1001, 0b0001, 3) is None
+            FIELDS["tp_dst"].prefix_mask(17)
 
 
 class TestFlowKey:

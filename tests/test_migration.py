@@ -293,28 +293,33 @@ class TestMigrationController:
     def test_triggers_and_swaps_on_cost(self):
         datapath = self.detonated()
         assert datapath.scan_cost > 50.0
+        entries = datapath.n_megaflows
         controller = MigrationController(
             datapath, MigrationPolicy(cost_threshold=50.0, slice_entries=100_000)
         )
-        report = controller.run(now=0.0)
-        assert report.started == (0,)
-        assert report.swapped == (0,)
-        assert controller.migrations_completed == 1
+        start, swap = controller.run(now=0.0)
+        assert (start.action, start.shard, start.changed, start.subject) == (
+            "start", 0, entries, "tuplechain"
+        )
+        assert start.signals["scan_cost"] > 50.0
+        assert (swap.action, swap.shard, swap.subject) == ("swap", 0, "tuplechain")
         assert datapath.megaflows.name == "tuplechain"
+        assert datapath.snapshot().swaps == 1
 
     def test_bounded_slices_spread_the_rebuild(self):
         datapath = self.detonated()
         controller = MigrationController(
             datapath, MigrationPolicy(cost_threshold=50.0, slice_entries=64)
         )
-        report = controller.run(now=0.0)
-        assert report.started == (0,) and report.swapped == ()
-        runs = 1
-        while controller.migrations_completed == 0:
-            controller.run(now=float(runs))
-            runs += 1
-            assert runs < 100
-        assert runs > 1  # the rebuild genuinely spread over several passes
+        passes = [controller.run(now=0.0)]
+        assert [decision.action for decision in passes[0]] == ["start"]
+        while passes[-1][-1].action != "swap":
+            passes.append(controller.run(now=float(len(passes))))
+            assert len(passes) < 100
+        assert len(passes) > 1  # the rebuild genuinely spread over several passes
+        assert all(decision.changed <= 64 for decisions in passes for decision in decisions)
+        copied = sum(decision.changed for decisions in passes for decision in decisions)
+        assert copied == datapath.n_megaflows
         assert datapath.megaflows.name == "tuplechain"
 
     def test_a_failed_swap_is_aborted_and_raised(self, monkeypatch):
@@ -332,9 +337,9 @@ class TestMigrationController:
             controller.run(now=0.0)
         assert datapath.snapshot().migration == "idle"
         assert datapath.megaflows.name == "tss"
-        assert controller.migrations_completed == 0
+        assert datapath.snapshot().swaps == 0
         monkeypatch.undo()  # the next pass starts afresh and swaps
-        assert controller.run(now=1.0).swapped == (0,)
+        assert [d.action for d in controller.run(now=1.0)] == ["start", "swap"]
         assert datapath.megaflows.name == "tuplechain"
 
     def test_no_retrigger_after_swap(self):
@@ -344,9 +349,9 @@ class TestMigrationController:
         )
         controller.run(now=0.0)
         for now in (0.1, 31.0, 300.0):  # inside and far past the cooldown
-            report = controller.run(now=now)
-            assert report.started == ()
-        assert controller.migrations_completed == 1
+            (decision,) = controller.run(now=now)
+            assert decision.action == "hold" and decision.shard is None
+        assert datapath.snapshot().swaps == 1
 
     def test_cooldown_and_hysteresis_gate_restarts(self):
         datapath = self.detonated()
@@ -370,9 +375,9 @@ class TestMigrationController:
     def test_tick_respects_period(self):
         datapath = plain(small_table())
         controller = MigrationController(datapath, MigrationPolicy(period=0.5))
-        assert not controller.tick(now=0.1).ran
-        assert controller.tick(now=0.6).ran
-        assert not controller.tick(now=0.7).ran
+        assert controller.tick(now=0.1) == ()
+        assert [decision.action for decision in controller.tick(now=0.6)] == ["hold"]
+        assert controller.tick(now=0.7) == ()
 
     def test_arms_guard_stand_down(self):
         datapath = plain(small_table())

@@ -1,10 +1,14 @@
 """Unit tests for MFCGuard (Algorithm 2, §8)."""
 
+import contextlib
+from types import SimpleNamespace
+
 import pytest
 
 from repro.classifier.actions import ALLOW
+from repro.core.decision import Decision
 from repro.core.detector import find_tse_entries
-from repro.core.mitigation import GuardReport, MFCGuard, MFCGuardConfig
+from repro.core.mitigation import MFCGuard, MFCGuardConfig
 from repro.core.tracegen import ColocatedTraceGenerator
 from repro.core.usecases import SIPDP
 from repro.exceptions import ExperimentError
@@ -14,6 +18,14 @@ from repro.switch.datapath import Datapath, DatapathConfig, PathTaken
 
 
 BENIGN = FlowKey(ip_proto=PROTO_TCP, ip_src=0xC0A80001, tp_src=40000, tp_dst=80)
+
+
+def deleted(decisions) -> int:
+    return sum(decision.changed for decision in decisions)
+
+
+def cleaned(decisions) -> list:
+    return [decision.subject for decision in decisions if decision.action == "clean"]
 
 
 def attacked_setup(mask_threshold=100, cpu_threshold=1000.0, permanent=True):
@@ -38,11 +50,11 @@ class TestAlgorithm2:
     def test_cleanup_restores_small_tuple_space(self):
         _table, datapath, _trace, guard = attacked_setup()
         masks_before = datapath.n_masks
-        report = guard.run(now=10.0)
-        assert report.ran
-        assert report.masks_before == masks_before > 500
-        assert report.masks_after < 25
-        assert report.entries_deleted > 400
+        decisions = guard.run(now=10.0)
+        assert {decision.action for decision in decisions} == {"clean"}
+        assert all(decision.signals["masks"] == masks_before > 500 for decision in decisions)
+        assert datapath.n_masks < 25
+        assert deleted(decisions) > 400
 
     def test_benign_entries_survive(self):
         _table, datapath, _trace, guard = attacked_setup()
@@ -56,9 +68,10 @@ class TestAlgorithm2:
         datapath = Datapath(table, DatapathConfig(microflow_capacity=0))
         datapath.process(BENIGN)
         guard = MFCGuard(datapath, MFCGuardConfig(mask_threshold=100))
-        report = guard.run(now=10.0)
-        assert report.ran
-        assert report.entries_deleted == 0
+        (decision,) = guard.run(now=10.0)
+        assert decision.action == "hold"
+        assert decision.changed == 0
+        assert decision.signals["masks"] == datapath.n_masks
 
     def test_deleted_traffic_pinned_to_slow_path(self):
         _table, datapath, trace, guard = attacked_setup()
@@ -79,9 +92,9 @@ class TestAlgorithm2:
     def test_cpu_threshold_stops_deletion(self):
         # With an absurdly low CPU budget, the guard stops after one rule.
         _table, datapath, _trace, guard = attacked_setup(cpu_threshold=1.0)
-        report = guard.run(now=10.0)
-        assert report.stopped_by_cpu
-        assert len(report.rules_cleaned) == 1
+        decisions = guard.run(now=10.0)
+        assert [decision.action for decision in decisions] == ["clean", "stop_cpu"]
+        assert decisions[-1].signals["cpu_pct"] >= 1.0
 
     def test_overlapping_patterns_counted_once(self):
         """SipDp's ``allow-tp_dst`` and ``allow-ip_src`` patterns share 512
@@ -92,50 +105,60 @@ class TestAlgorithm2:
         patterns = find_tse_entries(datapath.megaflows, datapath.flow_table)
         installed = {(entry.mask, entry.key): entry for pattern in patterns for entry in pattern.entries}
         before = datapath.n_megaflows
-        report = guard.run(now=10.0)
+        decisions = guard.run(now=10.0)
         removed = before - datapath.n_megaflows
-        assert report.entries_deleted == removed == len(installed)
+        assert deleted(decisions) == removed == len(installed)
         assert sum(len(pattern.entries) for pattern in patterns) - removed == 512
         rate = sum(entry.hits / max(10.0 - entry.created_at, 10.0) for entry in installed.values())
         assert guard.projected_cpu_pct() == pytest.approx(guard.slow_path_model.cpu_pct(rate))
 
     def test_rules_cleaned_reported(self):
         _table, _datapath, _trace, guard = attacked_setup()
-        report = guard.run(now=10.0)
-        assert "allow-tp_dst" in report.rules_cleaned
+        assert "allow-tp_dst" in cleaned(guard.run(now=10.0))
 
 
 class TestScheduling:
     def test_tick_honours_period(self):
         _table, _datapath, _trace, guard = attacked_setup()
-        assert not guard.tick(now=5.0).ran  # period is 10 s
-        assert guard.tick(now=10.0).ran
-        assert not guard.tick(now=15.0).ran
-        assert guard.tick(now=20.0).ran
+        assert guard.tick(now=5.0) == ()  # period is 10 s
+        assert guard.tick(now=10.0)
+        assert guard.tick(now=15.0) == ()
+        assert guard.tick(now=20.0)
 
     def test_off_cadence_tick_reads_nothing(self):
         """``n_masks`` is a every-shard fan-out on a sharded datapath; the
-        hypervisor ticks the guard every 0.1 s and discards the report."""
+        hypervisor ticks the guard every 0.1 s.  Off cadence a tick answers
+        ``()`` and reads nothing; on cadence a pass that changes nothing
+        answers exactly one decision, built from the two reads it made."""
 
         class CountingDatapath:
             reads = 0
+            shards = (SimpleNamespace(megaflows=SimpleNamespace(expected_scan_cost=lambda: 7.0)),)
 
             @property
             def n_masks(self):
                 self.reads += 1
                 return 0
 
+            def maintenance(self):
+                return contextlib.nullcontext()
+
         datapath = CountingDatapath()
         guard = MFCGuard(datapath, MFCGuardConfig(period=10.0))
         for tick in range(1, 100):
-            assert guard.tick(now=tick * 0.1) == GuardReport(ran=False)
+            assert guard.tick(now=tick * 0.1) == ()
         assert datapath.reads == 0
+        (decision,) = guard.tick(now=10.0)
+        assert decision == Decision(10.0, "mfcguard", "hold", None, {"masks": 0, "probe_cost": 7.0})
+        assert datapath.reads == 1
 
     def test_runs_counted(self):
         _table, _datapath, _trace, guard = attacked_setup()
-        guard.run(now=10.0)
-        guard.run(now=20.0)
-        assert guard.runs == 2
+        first, second = guard.run(now=10.0), guard.run(now=20.0)
+        assert first and {decision.at for decision in first} == {10.0}
+        # Everything the first pass cleaned stays dead: the second holds.
+        assert [decision.action for decision in second] == ["hold"]
+        assert second[0].at == 20.0
 
 
 class TestCpuAccounting:
@@ -158,8 +181,3 @@ class TestConfigValidation:
             MFCGuardConfig(cpu_threshold_pct=0)
         with pytest.raises(ExperimentError):
             MFCGuardConfig(period=0)
-
-    def test_report_defaults(self):
-        report = GuardReport()
-        assert not report.ran
-        assert report.entries_deleted == 0

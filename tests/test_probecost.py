@@ -278,25 +278,25 @@ def test_mfcguard_probe_threshold_is_chain_aware():
             datapath,
             MFCGuardConfig(mask_threshold=100, probe_cost_threshold=200.0),
         )
-        report = guard.run(now=1.0)
-        assert report.ran
-        assert report.masks_before > 500
+        decisions = guard.run(now=1.0)
+        signals = decisions[0].signals
+        assert signals["masks"] > 500
         if expect_clean:
-            assert report.entries_deleted > 0
-            assert not report.stood_down_by_probe_cost
-            assert report.probe_cost_before == float(report.masks_before)
+            assert {decision.action for decision in decisions} == {"clean"}
+            assert sum(decision.changed for decision in decisions) > 0
+            assert signals["probe_cost"] == float(signals["masks"])
         else:
-            assert report.entries_deleted == 0
-            assert report.stood_down_by_probe_cost
-            assert report.probe_cost_before < 200.0
+            assert [decision.action for decision in decisions] == ["stand_down"]
+            assert decisions[0].changed == 0
+            assert signals["probe_cost"] < 200.0
 
 
 def test_mfcguard_without_probe_threshold_keeps_paper_behaviour():
     datapath = _detonated("tuplechain")
     guard = MFCGuard(datapath, MFCGuardConfig(mask_threshold=100))
-    report = guard.run(now=1.0)
-    assert report.entries_deleted > 0
-    assert not report.stood_down_by_probe_cost
+    decisions = guard.run(now=1.0)
+    assert {decision.action for decision in decisions} == {"clean"}
+    assert sum(decision.changed for decision in decisions) > 0
 
 
 # -- migration stays out of the paper presets --------------------------------------

@@ -291,8 +291,7 @@ class TestRemapRaces:
         guard = MFCGuard(
             datapath, MFCGuardConfig(mask_threshold=50, cpu_threshold_pct=900)
         )
-        report = guard.run(now=10.0)
-        assert report.entries_deleted > 0
+        assert sum(decision.changed for decision in guard.run(now=10.0)) > 0
         dead_before = {
             record for shard in datapath.shards for record in shard._dead_entries
         }
@@ -336,21 +335,26 @@ class FakeDatapath:
         return 100
 
 
+def actions(decisions) -> list[str]:
+    return [decision.action for decision in decisions]
+
+
 class TestRebalanceController:
     def test_skew_and_floor_gate_the_trigger(self):
         policy = RebalancePolicy(skew_threshold=3.0, cost_floor=64.0)
         # Benign: high skew, tiny cost — must not churn.
         idle = RebalanceController(FakeDatapath([10, 1, 1, 1]), policy)
-        assert not idle.run(now=1.0).remapped
+        assert actions(idle.run(now=1.0)) == ["hold"]
         # Even load: big cost, no skew.
         even = RebalanceController(FakeDatapath([500, 480, 510, 505]), policy)
-        assert not even.run(now=1.0).remapped
+        assert actions(even.run(now=1.0)) == ["hold"]
         # The attack signature: one hot shard past the floor.
         hot = RebalanceController(FakeDatapath([2000, 20, 25, 15]), policy)
-        report = hot.run(now=1.0)
-        assert report.remapped and report.salt != 0
-        assert report.skew > 3.0
-        assert report.entries_moved == 100
+        (decision,) = hot.run(now=1.0)
+        assert decision.action == "rekey" and decision.subject != 0
+        assert decision.signals["skew"] > 3.0
+        assert decision.signals["worst_cost"] == 2000
+        assert decision.changed == 100
 
     def test_cooldown_blocks_then_time_rearms(self):
         """The defender gets a move every round: renewed concentration
@@ -361,46 +365,47 @@ class TestRebalanceController:
         ctrl = RebalanceController(
             datapath, RebalancePolicy(skew_threshold=3.0, cooldown=5.0)
         )
-        assert ctrl.run(now=1.0).remapped
+        assert actions(ctrl.run(now=1.0)) == ["rekey"]
         # Skew stays high (the attacker re-concentrated instantly) — the
         # cooldown holds the defender back...
-        assert not ctrl.run(now=3.0).remapped
+        assert actions(ctrl.run(now=3.0)) == ["hold"]
         # ...but its expiry re-arms the trigger unconditionally.
-        assert ctrl.run(now=6.5).remapped
-        assert ctrl.remaps_completed == 2
+        assert actions(ctrl.run(now=6.5)) == ["rekey"]
+        assert len(datapath.remap_log) == 2
         assert len(set(datapath.remap_log)) == 2, "each re-key gets a fresh salt"
 
     def test_each_report_counts_its_own_run(self):
-        """Two re-maps: each report carries the entries *its* run moved;
+        """Two re-maps: each decision carries the entries *its* run moved;
         the datapath keeps the running total."""
         datapath, _keys = detonated(2)
         ctrl = RebalanceController(
             datapath, RebalancePolicy(skew_threshold=1.0, cost_floor=0.0, cooldown=0.0)
         )
-        first, second = ctrl.run(now=1.0), ctrl.run(now=2.0)
-        assert first.remapped and second.remapped
-        assert first.entries_moved > 0 and second.entries_moved > 0
-        assert first.entries_moved + second.entries_moved == datapath.entries_moved
-        assert second.salt == datapath.rss.salt != first.salt
+        (first,), (second,) = ctrl.run(now=1.0), ctrl.run(now=2.0)
+        assert first.action == second.action == "rekey"
+        assert first.changed > 0 and second.changed > 0
+        assert first.changed + second.changed == datapath.entries_moved
+        assert second.subject == datapath.rss.salt != first.subject
 
     def test_tick_cadence(self):
         ctrl = RebalanceController(
             FakeDatapath([1, 1, 1, 1]), RebalancePolicy(period=0.5)
         )
-        assert not ctrl.tick(0.1).ran
-        assert ctrl.tick(0.6).ran
-        assert not ctrl.tick(0.7).ran
+        assert ctrl.tick(0.1) == ()
+        assert actions(ctrl.tick(0.6)) == ["hold"]
+        assert ctrl.tick(0.7) == ()
 
     def test_single_shard_never_remaps(self):
         ctrl = RebalanceController(FakeDatapath([5000], n_shards=1))
-        assert not ctrl.run(now=1.0).remapped
+        assert actions(ctrl.run(now=1.0)) == ["hold"]
 
     def test_reta_mode_rotates(self):
         datapath = FakeDatapath([2000, 20, 25, 15])
         ctrl = RebalanceController(
             datapath, RebalancePolicy(skew_threshold=3.0, mode="reta")
         )
-        assert ctrl.run(now=1.0).remapped
+        (decision,) = ctrl.run(now=1.0)
+        assert decision.action == "reta" and decision.subject == datapath.rss.reta
         assert isinstance(datapath.rss, RetaDispatcher)
         assert datapath.rss.salt == 0
         assert datapath.rss.reta == tuple((i + 1) % 4 for i in RetaDispatcher(4).reta)

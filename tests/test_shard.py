@@ -317,8 +317,9 @@ class TestGuardAndRevalidatorOnShards:
         masks_before = datapath.n_masks
         assert masks_before > 100
         guard = MFCGuard(datapath, MFCGuardConfig(mask_threshold=50, cpu_threshold_pct=900))
-        report = guard.run(now=10.0)
-        assert report.entries_deleted > 0
+        decisions = guard.run(now=10.0)
+        assert {decision.shard for decision in decisions} == {0, 1}
+        assert sum(decision.changed for decision in decisions) > 0
         assert datapath.n_masks < masks_before
 
     @pytest.mark.parametrize("backend", BACKENDS)

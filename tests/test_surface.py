@@ -64,16 +64,6 @@ PINNED_BY_TESTS: dict[str, tuple[str, ...]] = {
         "test_backend_table::test_dilution_on_a_subclassed_backend",
         "test_probecost::test_detector_dilution_is_backend_meaningful",
     ),
-    "packet.fields:FieldDef.bit_mask": ("test_fields::TestPrefixAndBits::test_bit_mask_positions",),
-    "packet.fields:prefix_mask": (
-        "test_fields::TestPrefixAndBits::test_prefix_mask_msb_anchored",
-        "test_fields::TestPrefixAndBits::test_prefix_mask_out_of_range",
-        "test_properties::test_prefix_mask_shape",
-    ),
-    "packet.fields:first_diff_bit": (
-        "test_fields::TestPrefixAndBits::test_first_diff_bit",
-        "test_fields::TestPrefixAndBits::test_first_diff_bit_respects_width",
-    ),
 }
 
 

@@ -12,8 +12,8 @@ first::
 
 It prints ``perf_pairs``' table for two clocks per id, both lower-is-better:
 ``wall_s``, the whole process, and ``finished_in_s``, the CLI's own
-``[<id> finished in …s]`` figure, which leaves start-up out and has a
-resolution of 0.1 s.  Verdicts follow ``perf_pairs.verdict`` with a 25 %
+``[<id> finished in …s]`` figure, which leaves start-up out and is
+printed to the millisecond.  Verdicts follow ``perf_pairs.verdict`` with a 25 %
 bound; nothing is gated on them.
 
 Before the timed pairs, each side runs every id once untimed, so a

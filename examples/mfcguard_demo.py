@@ -15,7 +15,7 @@ from repro import ColocatedTraceGenerator, Datapath, DatapathConfig, MFCGuard, M
 from repro.core import SIPSPDP, find_tse_entries
 from repro.packet.fields import FlowKey
 from repro.packet.headers import PROTO_TCP
-from repro.switch.costmodel import SlowPathModel
+from repro.switch.costmodel import slow_path_cpu_pct
 
 
 def main() -> None:
@@ -39,11 +39,7 @@ def main() -> None:
               f"{len(pattern.entries)} entries / {pattern.mask_count} masks")
 
     # Algorithm 2.
-    guard = MFCGuard(
-        datapath,
-        MFCGuardConfig(mask_threshold=100, cpu_threshold_pct=90.0),
-        slow_path_model=SlowPathModel(),
-    )
+    guard = MFCGuard(datapath, MFCGuardConfig(mask_threshold=100, cpu_threshold_pct=90.0))
     masks_before = datapath.n_masks
     decisions = guard.run(now=10.0)
     cleaned = dict.fromkeys(d.subject for d in decisions if d.action == "clean")
@@ -63,8 +59,8 @@ def main() -> None:
     print(f"attack packet -> {verdict.action} via {verdict.path.value} "
           "(deleted megaflows never re-spark, §8)")
     print(f"\nslow-path CPU at 1,000 pps of demoted traffic: "
-          f"{SlowPathModel().cpu_pct(1000):.0f}% "
-          f"(paper: ~15%); at 10,000 pps: {SlowPathModel().cpu_pct(10000):.0f}% (paper: ~80%)")
+          f"{slow_path_cpu_pct(1000):.0f}% "
+          f"(paper: ~15%); at 10,000 pps: {slow_path_cpu_pct(10000):.0f}% (paper: ~80%)")
 
 
 if __name__ == "__main__":

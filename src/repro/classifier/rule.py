@@ -9,9 +9,8 @@ of rules form the flow table of §2.1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from repro.classifier.actions import Action
 from repro.exceptions import RuleError
@@ -59,11 +58,6 @@ class Match:
         self._hash = hash(self._constraints)
 
     @classmethod
-    def from_constraints(cls, constraints: Mapping[str, tuple[int, int]]) -> "Match":
-        """Build from a mapping of field name to (value, mask)."""
-        return cls(**{name: vm for name, vm in constraints.items()})
-
-    @classmethod
     def any(cls) -> "Match":
         """The match-all wildcard (used for DefaultDeny rules)."""
         return cls()
@@ -101,10 +95,6 @@ class Match:
         """The aggregate FlowMask of all constrained bits."""
         return FlowMask(**{name: mask for name, _v, mask in self._constraints})
 
-    def n_constrained_bits(self) -> int:
-        """Total constrained bits across fields."""
-        return sum(mask.bit_count() for _n, _v, mask in self._constraints)
-
     def overlaps(self, other: "Match") -> bool:
         """True when some packet could satisfy both matches."""
         mine = {name: (v, m) for name, v, m in self._constraints}
@@ -115,36 +105,6 @@ class Match:
                 if (my_value & common) != (value & common):
                     return False
         return True
-
-    def example_key(self) -> FlowKey:
-        """A concrete key satisfying this match (wildcarded bits zero)."""
-        return FlowKey(**{name: value for name, value, _m in self._constraints})
-
-    def enumerate_keys(self, limit: int = 1 << 20) -> Iterator[FlowKey]:
-        """Enumerate every concrete key satisfying this match.
-
-        Only sensible for narrow matches (tests and didactic examples); the
-        generator raises :class:`RuleError` when more than ``limit`` keys
-        would be produced.
-        """
-        total = 1
-        free_bits: list[tuple[str, int]] = []  # (field, bit mask) per free bit
-        for name, _value, mask in self._constraints:
-            width = FIELDS[name].width
-            for pos in range(width):
-                bit = 1 << (width - 1 - pos)
-                if not mask & bit:
-                    free_bits.append((name, bit))
-                    total *= 2
-                    if total > limit:
-                        raise RuleError(f"match enumerates more than {limit} keys")
-        base = {name: value for name, value, _m in self._constraints}
-        for combo in itertools.product((0, 1), repeat=len(free_bits)):
-            key = dict(base)
-            for (name, bit), on in zip(free_bits, combo):
-                if on:
-                    key[name] = key.get(name, 0) | bit
-            yield FlowKey(**key)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Match):

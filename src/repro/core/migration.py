@@ -31,9 +31,9 @@ on its shard before the error propagates, so the old backend keeps
 serving with no rebuild attached.
 
 Trigger discipline: threshold with hysteresis (after a swap the shard
-must fall below ``cost_threshold * hysteresis`` before the trigger
-re-arms — a cache that stays expensive after migrating must not flap) and
-a per-shard cooldown between swaps.
+must fall below half of ``cost_threshold`` before the trigger re-arms — a
+cache that stays expensive after migrating must not flap) and a per-shard
+cooldown between swaps.
 """
 
 from __future__ import annotations
@@ -48,43 +48,41 @@ from repro.switch.sharded import AnyDatapath
 
 __all__ = ["MigrationPolicy", "MigrationController"]
 
+#: The backend a migration rebuilds into.
+_TARGET_BACKEND = "tuplechain"
+#: After a swap a shard re-arms once its cost falls below this fraction of
+#: ``cost_threshold``.
+_HYSTERESIS = 0.5
+
 
 @dataclass(frozen=True)
 class MigrationPolicy:
     """When and how to migrate a shard's megaflow backend.
 
+    The rebuild target is always ``tuplechain`` (scan cost sublinear in
+    the mask count), and a co-deployed MFCGuard always gets its
+    chain-aware stand-down armed at ``cost_threshold`` (hybrid mode).
+
     Attributes:
-        target_backend: name of the backend to rebuild into
-            (``"tuplechain"`` — scan cost sublinear in the mask count).
         cost_threshold: expected full-scan cost (normalised probe units)
             at which a shard's migration triggers.  Well above any benign
             mask count and well below a detonated staircase (the 8k
             SipSpDp detonation scans at ~8,200 units on TSS).
-        hysteresis: re-arm fraction — after a swap the shard's cost must
-            drop below ``cost_threshold * hysteresis`` before the trigger
-            re-arms (no flapping on a cache that stays expensive).
         cooldown: minimum seconds between swaps of the same shard.
         slice_entries: snapshot entries copied per controller tick while a
             rebuild is in flight (bounds per-tick maintenance work; the
             hot path serves from the old backend between slices).
         period: seconds between controller runs (``tick`` cadence).
-        stand_down_guard: arm a co-deployed MFCGuard's chain-aware
-            stand-down at ``cost_threshold`` (hybrid mode).
     """
 
-    target_backend: str = "tuplechain"
     cost_threshold: float = 512.0
-    hysteresis: float = 0.5
     cooldown: float = 30.0
     slice_entries: int = 4096
     period: float = 0.5
-    stand_down_guard: bool = True
 
     def __post_init__(self) -> None:
         if self.cost_threshold <= 0:
             raise ExperimentError("cost_threshold must be positive")
-        if not 0 < self.hysteresis <= 1:
-            raise ExperimentError("hysteresis must be in (0, 1]")
         if self.cooldown < 0:
             raise ExperimentError("cooldown must be >= 0")
         if self.slice_entries <= 0:
@@ -108,9 +106,9 @@ class MigrationController:
     Args:
         datapath: the switch to watch (plain or sharded).
         policy: thresholds and cadence (defaults to :class:`MigrationPolicy`).
-        guard: a co-deployed MFCGuard; with ``policy.stand_down_guard``
-            its chain-aware stand-down is armed at ``cost_threshold``
-            (hybrid mode — see the module docstring).
+        guard: a co-deployed MFCGuard; its chain-aware stand-down is
+            armed at ``cost_threshold`` (hybrid mode — see the module
+            docstring).
     """
 
     def __init__(
@@ -122,7 +120,7 @@ class MigrationController:
         self.datapath = datapath
         self.policy = policy or MigrationPolicy()
         self.guard = guard
-        if guard is not None and self.policy.stand_down_guard:
+        if guard is not None:
             guard.stand_down_at(self.policy.cost_threshold)
         self._next_run = self.policy.period
         self._cooldown_until: dict[int, float] = {}
@@ -163,7 +161,7 @@ class MigrationController:
                 elif self._should_start(shard_id, before, now):
                     action = "start"
                     shard.migrate_backend_start(
-                        policy.target_backend, slice_size=policy.slice_entries
+                        _TARGET_BACKEND, slice_size=policy.slice_entries
                     )
                 else:
                     continue
@@ -195,11 +193,11 @@ class MigrationController:
         # genuinely collapsed — otherwise a still-expensive cache would
         # re-trigger every cooldown.
         if not self._armed.get(shard_id, True):
-            if cost < policy.cost_threshold * policy.hysteresis:
+            if cost < policy.cost_threshold * _HYSTERESIS:
                 self._armed[shard_id] = True
             else:
                 return False
-        if snapshot.backend == policy.target_backend:
+        if snapshot.backend == _TARGET_BACKEND:
             return False
         if now < self._cooldown_until.get(shard_id, float("-inf")):
             return False

@@ -8,7 +8,8 @@ entries only** (requirement (i) of §8), so traffic the ACL admits keeps its
 fast path while adversarial packets are demoted to the slow path.
 
 Deleting has a price: per the documented OVS quirk, deleted megaflows never
-re-spark, so every matching packet hits the slow path forever after.  The
+re-spark, so every matching packet hits the slow path forever after (the
+guard's kills are always permanent, as in the paper's datapath).  The
 guard therefore tracks the estimated upcall rate its deletions cause and
 stops deleting when the projected slow-path CPU would exceed
 ``cpu_threshold`` (requirement (ii); Fig. 9c plots this CPU curve).
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from repro.core.decision import Decision
 from repro.core.detector import find_tse_entries
 from repro.exceptions import ExperimentError
-from repro.switch.costmodel import SlowPathModel
+from repro.switch.costmodel import slow_path_cpu_pct
 from repro.switch.sharded import AnyDatapath
 
 __all__ = ["MFCGuardConfig", "MFCGuard"]
@@ -45,15 +46,12 @@ class MFCGuardConfig:
         cpu_threshold_pct: ``c_th`` — slow-path CPU budget; deletion stops
             when the projected load reaches it.
         period: seconds between runs (the paper uses 10 s).
-        permanent_delete: model the "never re-sparked" OVS behaviour;
-            disable to study a hypothetical fixed datapath.
     """
 
     mask_threshold: int = 100
     probe_cost_threshold: float | None = None
     cpu_threshold_pct: float = 90.0
     period: float = 10.0
-    permanent_delete: bool = True
 
     def __post_init__(self) -> None:
         if self.mask_threshold < 0:
@@ -88,18 +86,11 @@ class MFCGuard:
     Args:
         datapath: the switch to guard (plain or sharded).
         config: thresholds and cadence.
-        slow_path_model: upcall-rate → CPU%% model (Fig. 9c calibration).
     """
 
-    def __init__(
-        self,
-        datapath: AnyDatapath,
-        config: MFCGuardConfig | None = None,
-        slow_path_model: SlowPathModel | None = None,
-    ):
+    def __init__(self, datapath: AnyDatapath, config: MFCGuardConfig | None = None):
         self.datapath = datapath
         self.config = config or MFCGuardConfig()
-        self.slow_path_model = slow_path_model or SlowPathModel()
         self._next_run = self.config.period
         self._demoted_pps = 0.0  # estimated packet rate now pinned to the slow path
 
@@ -167,7 +158,7 @@ class MFCGuard:
                     for entry in pattern.entries
                     if (entry.mask, entry.key) not in killed
                 )
-                deleted = shard.kill_entries(pattern.entries, permanent=self.config.permanent_delete)
+                deleted = shard.kill_entries(pattern.entries, permanent=True)
                 killed.update((entry.mask, entry.key) for entry in pattern.entries)
                 self._demoted_pps += rate
 
@@ -203,8 +194,9 @@ class MFCGuard:
 
     # -- CPU accounting ------------------------------------------------------------
     def projected_cpu_pct(self) -> float:
-        """Slow-path CPU implied by the traffic the guard has demoted."""
-        return self.slow_path_model.cpu_pct(self._demoted_pps)
+        """Slow-path CPU implied by the traffic the guard has demoted
+        (the Fig. 9c curve)."""
+        return slow_path_cpu_pct(self._demoted_pps)
 
     def note_attack_rate(self, pps: float) -> None:
         """Feed an externally measured demoted-packet rate (simulations

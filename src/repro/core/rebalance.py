@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from repro.core.decision import Decision
 from repro.exceptions import ExperimentError
-from repro.switch.rss import RetaDispatcher
+from repro.switch.rss import RssDispatcher
 from repro.switch.sharded import ShardedDatapath
 
 __all__ = ["RebalancePolicy", "RebalanceController"]
@@ -154,11 +154,9 @@ class RebalanceController:
             return False
         return signals["skew"] >= policy.skew_threshold
 
-    def _successor(self) -> RetaDispatcher:
+    def _successor(self) -> RssDispatcher:
         """The dispatcher the next re-map installs."""
         rss = self.datapath.rss
-        if not isinstance(rss, RetaDispatcher):
-            rss = RetaDispatcher(rss.n_queues, rss.hash_fn)
         if self.policy.mode == "reta":
             rotated = tuple((q + 1) % rss.n_queues for q in rss.reta)
             return rss.with_reta(rotated)

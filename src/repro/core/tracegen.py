@@ -30,7 +30,7 @@ from repro.classifier.flowtable import FlowTable
 from repro.classifier.rule import FlowRule
 from repro.classifier.slowpath import WILDCARDING, MegaflowGenerator
 from repro.exceptions import ExperimentError
-from repro.packet.builder import NoiseConfig, PacketBuilder
+from repro.packet.builder import PacketBuilder
 from repro.packet.fields import FIELD_ORDER, FIELDS, FlowKey
 from repro.packet.packet import Packet
 from repro.packet.pcap import write_pcap
@@ -74,17 +74,14 @@ class AdversarialTrace:
     def __iter__(self) -> Iterator[FlowKey]:
         return iter(self.keys)
 
-    def packets(
-        self, builder: PacketBuilder | None = None, noise: NoiseConfig | None = NoiseConfig()
-    ) -> list[Packet]:
+    def packets(self) -> list[Packet]:
         """Materialize concrete packets (with microflow-thrashing noise)."""
-        builder = builder or PacketBuilder()
-        return [builder.from_flow_key(key, noise=noise) for key in self.keys]
+        builder = PacketBuilder()
+        return [builder.from_flow_key(key, noise=True) for key in self.keys]
 
-    def to_pcap(self, path: str | Path, rate_pps: float = 1000.0,
-                noise: NoiseConfig | None = NoiseConfig()) -> int:
+    def to_pcap(self, path: str | Path, rate_pps: float = 1000.0) -> int:
         """Write the trace as a replayable pcap; returns the packet count."""
-        return write_pcap(path, self.packets(noise=noise), rate_pps=rate_pps)
+        return write_pcap(path, self.packets(), rate_pps=rate_pps)
 
 
 class ColocatedTraceGenerator:

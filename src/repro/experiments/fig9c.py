@@ -20,7 +20,7 @@ from repro.core.tracegen import ColocatedTraceGenerator
 from repro.core.usecases import SIPSPDP
 from repro.experiments.common import ExperimentResult
 from repro.packet.headers import PROTO_TCP
-from repro.switch.costmodel import SlowPathModel
+from repro.switch.costmodel import slow_path_cpu_pct
 from repro.switch.datapath import Datapath, DatapathConfig
 
 __all__ = ["run", "DEFAULT_RATES"]
@@ -59,11 +59,9 @@ def _simulate_demotion(attack_pps: float, sim_seconds: float = 30.0) -> float:
 
 def run(
     rates: Sequence[float] = DEFAULT_RATES,
-    model: SlowPathModel | None = None,
     simulate_up_to: float = 1000.0,
 ) -> ExperimentResult:
     """Regenerate the Fig. 9c curve."""
-    model = model or SlowPathModel()
     result = ExperimentResult(
         experiment_id="fig9c",
         title="slow-path (ovs-vswitchd) CPU usage under MFCGuard vs attack rate",
@@ -72,7 +70,7 @@ def run(
     )
     for pps in rates:
         demoted = _simulate_demotion(pps) if pps <= simulate_up_to else float("nan")
-        result.add_row(pps, round(model.cpu_pct(pps), 1), round(demoted, 1))
+        result.add_row(pps, round(slow_path_cpu_pct(pps), 1), round(demoted, 1))
     result.notes.append(
         "paper: ~15% CPU below 1 kpps (enough to stop Co-located TSE), ~80% at 10 kpps; "
         "above that the attack is volumetric and other defences apply"

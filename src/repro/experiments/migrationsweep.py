@@ -44,16 +44,6 @@ __all__ = ["run", "run_policy_cell", "POLICIES"]
 
 POLICIES = ("none", "guard", "migration", "hybrid")
 
-#: The sweep's migration policy: the trigger sits well above any benign
-#: mask count and far below the detonated staircase's ~8.2k-unit scan cost.
-SWEEP_POLICY = MigrationPolicy(
-    target_backend="tuplechain",
-    cost_threshold=512.0,
-    period=0.5,
-    slice_entries=4096,
-    cooldown=30.0,
-)
-
 
 def run_policy_cell(
     policy: str,
@@ -84,7 +74,7 @@ def run_policy_cell(
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; known: {', '.join(POLICIES)}")
-    mpolicy = migration_policy or SWEEP_POLICY
+    mpolicy = migration_policy or MigrationPolicy()
     with_migration = policy in ("migration", "hybrid")
     with_guard = policy in ("guard", "hybrid")
     environment = replace(

@@ -172,7 +172,7 @@ def run_policy_cell(
         "rounds": len(retargets),
         "remaps": datapath.remaps,
         "entries_moved": datapath.entries_moved,
-        "final_salt": getattr(datapath.rss, "salt", 0),
+        "final_salt": datapath.rss.salt,
         "peak_masks": metrics.series("masks").maximum(),
         "peak_scan_cost": metrics.series("scan_cost").maximum(),
         "trace_packets": len(base_keys),

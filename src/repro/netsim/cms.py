@@ -8,8 +8,9 @@
 * **Kubernetes NetworkPolicy** — ingress from ipBlock + destination ports;
   same SipDp ceiling.
 * **Calico** — additionally supports *source* ports on ingress
-  (⇒ SipSpDp, 8192 masks) and egress policies add the destination IP
-  (⇒ ~200 k masks).
+  (⇒ SipSpDp, 8192 masks).  §7 adds that Calico's egress policies also
+  filter on the destination IP (⇒ ~200 k masks); egress rules are not
+  modelled here — every rule is an ingress rule scoped to the target VM.
 
 Each backend validates a vendor-neutral :class:`PolicyRule` against its
 expressiveness and compiles accepted rules into flow rules scoped to the
@@ -43,25 +44,21 @@ _PROTO_NUMBERS = {"tcp": PROTO_TCP, "udp": PROTO_UDP}
 class PolicyRule:
     """A vendor-neutral ACL rule a tenant asks the CMS to install.
 
+    Every rule is an ingress rule (traffic towards the VM).
+
     Attributes:
-        direction: ``"ingress"`` or ``"egress"`` (relative to the VM).
         protocol: ``"tcp"`` or ``"udp"``.
         remote_ip: source prefix as ``(address, mask)``; None = any.
         src_port: exact source port; None = any.
         dst_port: exact destination port; None = any.
-        remote_dst_ip: destination prefix for egress rules.
     """
 
-    direction: str = "ingress"
     protocol: str = "tcp"
     remote_ip: tuple[int, int] | None = None
     src_port: int | None = None
     dst_port: int | None = None
-    remote_dst_ip: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.direction not in ("ingress", "egress"):
-            raise PolicyError(f"unknown direction {self.direction!r}")
         if self.protocol not in _PROTO_NUMBERS:
             raise PolicyError(f"unknown protocol {self.protocol!r}")
 
@@ -82,15 +79,10 @@ class CmsBackend(abc.ABC):
         self.validate(rule)
         constraints: dict[str, int | tuple[int, int]] = {
             "ip_proto": _PROTO_NUMBERS[rule.protocol],
+            "ip_dst": vm_ip,
         }
-        if rule.direction == "ingress":
-            constraints["ip_dst"] = vm_ip
-            if rule.remote_ip is not None:
-                constraints["ip_src"] = rule.remote_ip
-        else:
-            constraints["ip_src"] = vm_ip
-            if rule.remote_dst_ip is not None:
-                constraints["ip_dst"] = rule.remote_dst_ip
+        if rule.remote_ip is not None:
+            constraints["ip_src"] = rule.remote_ip
         if rule.src_port is not None:
             constraints["tp_src"] = rule.src_port
         if rule.dst_port is not None:
@@ -108,8 +100,6 @@ class OpenStackSecurityGroups(CmsBackend):
     name = "openstack"
 
     def validate(self, rule: PolicyRule) -> None:
-        if rule.direction != "ingress":
-            raise PolicyError("OpenStack security groups here model ingress only")
         if rule.src_port is not None:
             raise PolicyError(
                 "OpenStack security groups cannot filter on the source port "
@@ -126,8 +116,6 @@ class KubernetesNetworkPolicy(CmsBackend):
     name = "kubernetes"
 
     def validate(self, rule: PolicyRule) -> None:
-        if rule.direction != "ingress":
-            raise PolicyError("NetworkPolicy egress is not modelled; use Calico")
         if rule.src_port is not None:
             raise PolicyError("Kubernetes NetworkPolicy cannot filter on the source port")
 
@@ -136,7 +124,7 @@ class KubernetesNetworkPolicy(CmsBackend):
 
 
 class CalicoPolicy(CmsBackend):
-    """Calico: adds source-port ingress filters and egress destination IPs.
+    """Calico: adds source-port ingress filters.
 
     This is the plugin that unlocks the full-blown Fig. 6 ACL ("already
     enough for a full-blown DoS", §7); in the paper's Kubernetes testbed
@@ -148,8 +136,7 @@ class CalicoPolicy(CmsBackend):
     name = "calico"
 
     def validate(self, rule: PolicyRule) -> None:
-        if rule.direction == "egress" and rule.remote_dst_ip is None:
-            raise PolicyError("Calico egress rules need a destination selector")
+        """Calico expresses every ingress rule."""
 
     def max_use_case(self) -> str:
         return "SipSpDp"

@@ -1,7 +1,7 @@
 """Packet crafting substrate: fields, headers, packets, builders, pcap export."""
 
 from repro.packet.addresses import ipv4, ipv4_str, ipv6, ipv6_str
-from repro.packet.builder import NoiseConfig, PacketBuilder
+from repro.packet.builder import PacketBuilder
 from repro.packet.fields import (
     EXACT_MASK,
     FIELD_ORDER,
@@ -63,7 +63,6 @@ __all__ = [
     "internet_checksum",
     "Packet",
     "PacketBuilder",
-    "NoiseConfig",
     "PcapWriter",
     "write_pcap",
     "LINKTYPE_ETHERNET",

@@ -1,15 +1,13 @@
-"""High-level packet crafting: the ergonomic layer attack tooling builds on.
+"""Packet crafting: flow keys materialized as concrete wire packets.
 
-The :class:`PacketBuilder` crafts TCP/UDP packets from keyword
-arguments, converts :class:`~repro.packet.fields.FlowKey` objects (ICMP
-ones included) back into concrete packets (used when replaying adversarial traces through the
-simulated switch as real wire packets), and adds the "random noise on
-unimportant header fields" the paper uses to exhaust the microflow cache.
+The :class:`PacketBuilder` converts :class:`~repro.packet.fields.FlowKey`
+objects (ICMP ones included) into concrete packets — used when replaying
+adversarial traces through the simulated switch as real wire packets — and
+adds the "random noise on unimportant header fields" the paper uses to
+exhaust the microflow cache.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,109 +28,45 @@ from repro.packet.headers import (
 )
 from repro.packet.packet import Packet
 
-__all__ = ["PacketBuilder", "NoiseConfig"]
+__all__ = ["PacketBuilder", "DEFAULT_ETH_SRC", "DEFAULT_ETH_DST"]
 
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    """Which "unimportant" fields to randomize, per the paper's §5.2.
-
-    The paper adds noise (e.g. varying TTL) to attack traces "to increase
-    the entropy hence using up the microflow cache": the microflow cache
-    matches exactly on *all* fields, so any varying field defeats it while
-    leaving megaflow behaviour untouched.
-    """
-
-    vary_ttl: bool = True
-    vary_tos: bool = False
-    vary_payload: bool = True
-    payload_len: int = 46  # minimal Ethernet payload
+#: MACs a packet carries where its flow key leaves them zero.
+DEFAULT_ETH_SRC = 0x020000000001
+DEFAULT_ETH_DST = 0x020000000002
+#: Bytes of random payload on a noisy packet (the minimal Ethernet payload).
+_NOISE_PAYLOAD_LEN = 46
 
 
 class PacketBuilder:
-    """Craft concrete packets (optionally with deterministic random noise).
+    """Craft concrete packets, with deterministic random noise.
 
-    Args:
-        seed: seed for the internal RNG used for noise; crafting is fully
-            deterministic for a given seed.
-        default_eth_src / default_eth_dst: MACs applied when not overridden.
+    The noise RNG is seeded with 0, so a fresh builder crafts the same
+    bytes for the same keys every time.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        default_eth_src: int = 0x020000000001,
-        default_eth_dst: int = 0x020000000002,
-    ) -> None:
-        self._rng = np.random.default_rng(seed)
-        self.default_eth_src = default_eth_src
-        self.default_eth_dst = default_eth_dst
+    def __init__(self) -> None:
+        self._rng = np.random.default_rng(0)
 
-    # -- direct crafting ------------------------------------------------------
-    def tcp(
-        self,
-        ip_src: int = 0,
-        ip_dst: int = 0,
-        tp_src: int = 0,
-        tp_dst: int = 0,
-        ttl: int = 64,
-        tos: int = 0,
-        payload: bytes = b"",
-        flags: int = TCP.FLAG_SYN,
-    ) -> Packet:
-        """Craft an Ethernet/IPv4/TCP packet."""
-        return Packet(
-            layers=[
-                Ethernet(src=self.default_eth_src, dst=self.default_eth_dst),
-                IPv4(src=ip_src, dst=ip_dst, proto=PROTO_TCP, ttl=ttl, tos=tos),
-                TCP(src_port=tp_src, dst_port=tp_dst, flags=flags),
-            ],
-            payload=payload,
-        )
-
-    def udp(
-        self,
-        ip_src: int = 0,
-        ip_dst: int = 0,
-        tp_src: int = 0,
-        tp_dst: int = 0,
-        ttl: int = 64,
-        tos: int = 0,
-        payload: bytes = b"",
-    ) -> Packet:
-        """Craft an Ethernet/IPv4/UDP packet."""
-        return Packet(
-            layers=[
-                Ethernet(src=self.default_eth_src, dst=self.default_eth_dst),
-                IPv4(src=ip_src, dst=ip_dst, proto=PROTO_UDP, ttl=ttl, tos=tos),
-                UDP(src_port=tp_src, dst_port=tp_dst),
-            ],
-            payload=payload,
-        )
-
-    # -- FlowKey -> Packet -----------------------------------------------------
-    def from_flow_key(self, key: FlowKey, noise: NoiseConfig | None = None) -> Packet:
+    def from_flow_key(self, key: FlowKey, noise: bool = False) -> Packet:
         """Materialize a concrete packet realizing ``key``.
 
         Fields the flow key leaves at zero stay zero (they are *values*, not
-        wildcards — a FlowKey is always concrete).  Noise, when given, only
-        touches fields the paper calls unimportant (TTL/ToS/payload), so the
-        classification-relevant part of the key is preserved exactly.
+        wildcards — a FlowKey is always concrete).  ``noise`` draws a random
+        TTL, then a random 46-byte payload: fields the paper calls
+        unimportant (§5.2), which the exact-match microflow cache sees and
+        megaflows do not, so the classification-relevant part of the key is
+        preserved exactly.
         """
         ttl = key["ip_ttl"] or 64
         tos = key["ip_tos"]
         payload = b""
-        if noise is not None:
-            if noise.vary_ttl:
-                ttl = int(self._rng.integers(2, 255))
-            if noise.vary_tos:
-                tos = int(self._rng.integers(0, 256))
-            if noise.vary_payload:
-                payload = self._rng.bytes(noise.payload_len)
+        if noise:
+            ttl = int(self._rng.integers(2, 255))
+            payload = self._rng.bytes(_NOISE_PAYLOAD_LEN)
 
         eth = Ethernet(
-            src=key["eth_src"] or self.default_eth_src,
-            dst=key["eth_dst"] or self.default_eth_dst,
+            src=key["eth_src"] or DEFAULT_ETH_SRC,
+            dst=key["eth_dst"] or DEFAULT_ETH_DST,
             ethertype=key["eth_type"] or ETHERTYPE_IPV4,
         )
         proto = key["ip_proto"] or PROTO_TCP

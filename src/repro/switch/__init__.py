@@ -1,7 +1,7 @@
 """The simulated software switch: datapath, caches, offloads, cost model."""
 
 from repro.switch.calibration import CurveParams, fit_profile
-from repro.switch.costmodel import CostModel, SlowPathModel
+from repro.switch.costmodel import CostModel, slow_path_cpu_pct
 from repro.switch.datapath import (
     BatchVerdicts,
     Datapath,
@@ -39,7 +39,7 @@ __all__ = [
     "CurveParams",
     "fit_profile",
     "CostModel",
-    "SlowPathModel",
+    "slow_path_cpu_pct",
     "show",
     "dump_flows",
     "format_flow",

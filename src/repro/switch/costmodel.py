@@ -31,30 +31,25 @@ from repro.exceptions import SwitchError
 from repro.switch.calibration import CurveParams, fit_profile
 from repro.switch.offload import GRO_OFF_TCP, NicProfile
 
-__all__ = ["CostModel", "SlowPathModel"]
+__all__ = ["CostModel", "slow_path_cpu_pct"]
 
 
-@dataclass(frozen=True)
-class SlowPathModel:
-    """CPU usage of the slow-path daemon (``ovs-vswitchd``), Fig. 9c.
+# The slow-path daemon's (``ovs-vswitchd``) CPU curve, Fig. 9c: the paper
+# measures ~15% CPU for attack rates up to 1 kpps (revalidation and
+# bookkeeping dominate), ~80% at 10 kpps, and saturation around 250%
+# (multiple handler threads) — a clamped affine fit through those anchors.
+SLOW_PATH_BASE_CPU_PCT = 15.0
+SLOW_PATH_FREE_PPS = 1000.0
+SLOW_PATH_PCT_PER_PPS = (80.0 - 15.0) / (10_000.0 - 1_000.0)
+SLOW_PATH_MAX_CPU_PCT = 250.0
 
-    The paper measures ~15% CPU for attack rates up to 1 kpps (revalidation
-    and bookkeeping dominate), ~80% at 10 kpps, and saturation around 250%
-    (multiple handler threads) — we fit a clamped affine model through those
-    anchors.
-    """
 
-    base_cpu_pct: float = 15.0
-    free_pps: float = 1000.0
-    pct_per_pps: float = (80.0 - 15.0) / (10_000.0 - 1_000.0)
-    max_cpu_pct: float = 250.0
-
-    def cpu_pct(self, upcall_pps: float) -> float:
-        """Slow-path CPU percentage at ``upcall_pps`` packets/s of upcalls."""
-        if upcall_pps < 0:
-            raise SwitchError(f"upcall_pps must be >= 0, got {upcall_pps}")
-        load = self.base_cpu_pct + self.pct_per_pps * max(0.0, upcall_pps - self.free_pps)
-        return min(self.max_cpu_pct, load)
+def slow_path_cpu_pct(upcall_pps: float) -> float:
+    """Slow-path CPU percentage at ``upcall_pps`` packets/s of upcalls."""
+    if upcall_pps < 0:
+        raise SwitchError(f"upcall_pps must be >= 0, got {upcall_pps}")
+    load = SLOW_PATH_BASE_CPU_PCT + SLOW_PATH_PCT_PER_PPS * max(0.0, upcall_pps - SLOW_PATH_FREE_PPS)
+    return min(SLOW_PATH_MAX_CPU_PCT, load)
 
 
 @dataclass(frozen=True)
@@ -66,9 +61,6 @@ class CostModel:
         link_gbps: wire capacity in front of the switch; the victim can
             never exceed it even with CPU to spare (Fig. 8c's 1 Gbps virtio
             link is the binding constraint before the ACL is injected).
-        cpu_baseline_gbps: classification capacity at one mask.  Defaults
-            to the profile baseline (CPU-bound testbeds); set lower than
-            ``link_gbps``…``None`` to model weaker hosts.
         upcall_units: slow-path cost of one upcall, in fast-path units.
             OVS upcalls cross into userspace and run the full ordered
             lookup — orders of magnitude above a fast-path probe.
@@ -83,7 +75,6 @@ class CostModel:
 
     profile: NicProfile = GRO_OFF_TCP
     link_gbps: float = 10.0
-    cpu_baseline_gbps: float | None = None
     upcall_units: float = 25.0
     attack_cost_scale: float = 1.0
     revalidate_units_per_entry: float = 5.0
@@ -91,8 +82,6 @@ class CostModel:
     def __post_init__(self) -> None:
         if self.link_gbps <= 0:
             raise SwitchError("link_gbps must be positive")
-        if self.cpu_baseline_gbps is not None and self.cpu_baseline_gbps <= 0:
-            raise SwitchError("cpu_baseline_gbps must be positive")
         if self.upcall_units < 0:
             raise SwitchError("upcall_units must be >= 0")
         if self.attack_cost_scale <= 0:
@@ -108,9 +97,8 @@ class CostModel:
 
     @property
     def baseline_gbps(self) -> float:
-        """CPU-side classification capacity (Gbps at one mask)."""
-        if self.cpu_baseline_gbps is not None:
-            return self.cpu_baseline_gbps
+        """CPU-side classification capacity (Gbps at one mask): the
+        profile's baseline (every testbed is CPU-bound)."""
         return self.profile.baseline_gbps
 
     @property

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.classifier.actions import Action
 from repro.classifier.backend import (
@@ -182,7 +182,8 @@ class DatapathConfig:
         max_megaflows: OVS-style flow limit; upcalls stop installing new
             entries (but still classify) once reached.
         idle_timeout: seconds of inactivity before the revalidator may
-            evict an entry (the paper's 10 s).
+            evict an entry — OVS's 10 s, a constant (not a constructor
+            argument).
         check_invariants: verify Inv(2) on every install (tests).
         megaflow_backend: name of the level-3 megaflow cache
             implementation (see :mod:`repro.classifier.backend`) —
@@ -213,7 +214,7 @@ class DatapathConfig:
     mask_cache_size: int = 256
     strategy: StrategyConfig = OVS_DEFAULT
     max_megaflows: int = 200_000
-    idle_timeout: float = 10.0
+    idle_timeout: ClassVar[float] = 10.0
     check_invariants: bool = False
     megaflow_backend: str = "tss"
     executor: str = "serial"

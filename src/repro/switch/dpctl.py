@@ -171,7 +171,7 @@ def _rebalance_line(datapath: ShardedDatapath) -> str:
     one was, how many entries moved homes in total and the dispatcher's
     current salt (``salt:0x0`` is the un-re-keyed natural placement).
     """
-    salt = getattr(datapath.rss, "salt", 0)
+    salt = datapath.rss.salt
     if datapath.remaps:
         return (
             f"rebalance: remaps:{datapath.remaps} "

@@ -39,7 +39,6 @@ class NicProfile:
         baseline_gbps: throughput with a single-mask MFC.
         unit_bytes: bytes classified per TSS lookup (MTU frame, or the
             GRO-aggregated buffer).
-        hardware_offload: True when classification runs on the NIC.
         anchors: mask count -> fraction-of-baseline throughput, from the
             paper; drives curve fitting (README's probe-units paragraph,
             *Cost model: the probe-native cost plane*).
@@ -48,7 +47,6 @@ class NicProfile:
     name: str
     baseline_gbps: float
     unit_bytes: int
-    hardware_offload: bool = False
     anchors: Mapping[int, float] = dc_field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -81,7 +79,6 @@ FHO_TCP = NicProfile(
     name="FHO ON (TCP)",
     baseline_gbps=30.0,
     unit_bytes=1500,
-    hardware_offload=True,
     anchors={1: 1.0, 17: 0.88, 260: 0.43, 516: 0.29, 8200: 0.021},
 )
 

@@ -17,9 +17,10 @@ arXiv:2011.09107):
 
 :class:`RssDispatcher` is the dispatch layer (hash pluggable, so deployments
 with different hash functions — or an attacker's model of one — can be
-simulated); :func:`retarget_trace` is the queue-aware crafting tool, which
-only ever touches bits the generated megaflow wildcards, so the retargeted
-trace provably detonates the same masks.
+simulated; re-keyable and re-mappable, so a defender can move flows);
+:func:`retarget_trace` is the queue-aware crafting tool, which only ever
+touches bits the generated megaflow wildcards, so the retargeted trace
+provably detonates the same masks.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "five_tuple_hash_columns",
     "uniform_key_hash",
     "RssDispatcher",
-    "RetaDispatcher",
     "RetargetReport",
     "retarget_trace",
     "pin_to_queue",
@@ -51,6 +51,9 @@ _RSS_INDICES: tuple[int, ...] = tuple(FIELD_ORDER.index(name) for name in RSS_FI
 
 _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
+
+# The default RETA size (rounded to a multiple of the queue count).
+_RETA_SLOTS = 128
 
 
 def _salted_offset(salt: int) -> int:
@@ -179,63 +182,38 @@ def uniform_key_hash(key: FlowKey, salt: int = 0) -> int:
 
 
 class RssDispatcher:
-    """Maps flow keys onto ``n_queues`` PMD queues.
+    """Maps flow keys onto ``n_queues`` PMD queues, re-keyably (DPDK RETA-style).
 
-    Args:
-        n_queues: number of receive queues (= PMD shards).
-        hash_fn: pluggable hash ``FlowKey -> int`` (defaults to
-            :func:`five_tuple_hash`); substituting the deployment's real
-            hash lets traces be crafted queue-aware against it.
-    """
-
-    def __init__(self, n_queues: int, hash_fn: Callable[[FlowKey], int] = five_tuple_hash):
-        if n_queues < 1:
-            raise SwitchError(f"n_queues must be >= 1, got {n_queues}")
-        self.n_queues = n_queues
-        self.hash_fn = hash_fn
-
-    def queue_of(self, key: FlowKey) -> int:
-        """The queue ``key``'s flow is pinned to (stable for its lifetime)."""
-        if self.n_queues == 1:
-            return 0
-        return self.hash_fn(key) % self.n_queues
-
-    def partition(self, keys: Iterable[FlowKey]) -> dict[int, list[int]]:
-        """Indices of ``keys`` grouped by queue, preserving order per queue."""
-        buckets: dict[int, list[int]] = {}
-        for index, key in enumerate(keys):
-            buckets.setdefault(self.queue_of(key), []).append(index)
-        return buckets
-
-    def __repr__(self) -> str:
-        return f"RssDispatcher(n_queues={self.n_queues})"
-
-
-class RetaDispatcher(RssDispatcher):
-    """A re-keyable, re-mappable dispatcher (DPDK RETA-style).
-
-    Two independent levers move flows between queues without restarting
-    the datapath, mirroring what real NICs expose:
+    The hash picks a slot of a queue-indirection table (RETA) and the slot
+    names the queue.  Two independent levers move flows between queues
+    without restarting the datapath, mirroring what real NICs expose:
 
     * **salt** — a 32-bit re-key folded into the hash (the stand-in for
       programming a fresh Toeplitz key); changing it scatters *every*
       flow onto a fresh pseudo-random queue;
-    * **reta** — an explicit queue-indirection table: the hash picks a
-      RETA slot, the slot names the queue.  Editing individual slots
+    * **reta** — the indirection table itself: editing individual slots
       moves *fractions* of the flow population (e.g. shedding 1/128th of
       a hot queue's load), which a re-key cannot do.
 
-    With ``salt=0`` and the default identity table (slot count a multiple
-    of ``n_queues``, slot ``i`` naming queue ``i % n_queues``),
-    ``reta[h % slots] == h % n_queues`` for every hash — placement is
-    bit-identical to the plain :class:`RssDispatcher`, which is what lets
-    :class:`~repro.switch.sharded.ShardedDatapath` use this class
-    unconditionally without perturbing any paper preset.
+    With ``salt=0`` and the default identity table (128 slots, rounded to
+    a multiple of ``n_queues``; slot ``i`` names queue ``i % n_queues``),
+    ``reta[h % slots] == h % n_queues`` for every hash: plain modulo RSS,
+    which keeps every paper preset byte-identical.
 
     Dispatchers are immutable; :meth:`with_salt` / :meth:`with_reta`
     derive the successor a re-map installs.  Everything held is ints,
     tuples, or a module-level function, so instances cross the process
     executor's pickle boundary.
+
+    Args:
+        n_queues: number of receive queues (= PMD shards).
+        hash_fn: pluggable hash ``(FlowKey[, salt]) -> int`` (defaults to
+            :func:`five_tuple_hash`); substituting the deployment's real
+            hash lets traces be crafted queue-aware against it.  The salt
+            is passed only when set, so a salt-less function works as a
+            plain ``FlowKey -> int``.
+        salt: the re-key (0: the un-salted hash).
+        reta: the indirection table (``None``: the identity table).
     """
 
     def __init__(
@@ -244,13 +222,13 @@ class RetaDispatcher(RssDispatcher):
         hash_fn: Callable[..., int] = five_tuple_hash,
         salt: int = 0,
         reta: Sequence[int] | None = None,
-        reta_slots: int = 128,
     ):
-        super().__init__(n_queues, hash_fn)
+        if n_queues < 1:
+            raise SwitchError(f"n_queues must be >= 1, got {n_queues}")
         if not 0 <= salt <= 0xFFFFFFFF:
             raise SwitchError(f"salt must be a 32-bit value, got {salt}")
         if reta is None:
-            slots = n_queues * max(1, reta_slots // n_queues)
+            slots = n_queues * max(1, _RETA_SLOTS // n_queues)
             reta = tuple(i % n_queues for i in range(slots))
         else:
             reta = tuple(reta)
@@ -261,33 +239,37 @@ class RetaDispatcher(RssDispatcher):
                 raise SwitchError(
                     f"reta entries out of range 0..{n_queues - 1}: {bad[:4]}"
                 )
+        self.n_queues = n_queues
+        self.hash_fn = hash_fn
         self.salt = salt
         self.reta = reta
-
-    def _hash(self, key: FlowKey) -> int:
-        # Pass the salt positionally only when set so salt-less custom
-        # hash functions keep working as plain ``FlowKey -> int``.
-        if self.salt:
-            return self.hash_fn(key, self.salt)
-        return self.hash_fn(key)
 
     def queue_of(self, key: FlowKey) -> int:
         """The queue ``key``'s flow lands on under the current (salt, reta)."""
         if self.n_queues == 1:
             return 0
-        return self.reta[self._hash(key) % len(self.reta)]
+        h = self.hash_fn(key, self.salt) if self.salt else self.hash_fn(key)
+        return self.reta[h % len(self.reta)]
 
-    def with_salt(self, salt: int) -> "RetaDispatcher":
+    def partition(self, keys: Iterable[FlowKey]) -> dict[int, list[int]]:
+        """Indices of ``keys`` grouped by queue, preserving order per queue."""
+        queue_of = self.queue_of
+        buckets: dict[int, list[int]] = {}
+        for index, key in enumerate(keys):
+            buckets.setdefault(queue_of(key), []).append(index)
+        return buckets
+
+    def with_salt(self, salt: int) -> "RssDispatcher":
         """The successor dispatcher after a re-key (same RETA)."""
-        return RetaDispatcher(self.n_queues, self.hash_fn, salt=salt, reta=self.reta)
+        return RssDispatcher(self.n_queues, self.hash_fn, salt=salt, reta=self.reta)
 
-    def with_reta(self, reta: Sequence[int]) -> "RetaDispatcher":
+    def with_reta(self, reta: Sequence[int]) -> "RssDispatcher":
         """The successor dispatcher after a RETA rewrite (same salt)."""
-        return RetaDispatcher(self.n_queues, self.hash_fn, salt=self.salt, reta=reta)
+        return RssDispatcher(self.n_queues, self.hash_fn, salt=self.salt, reta=reta)
 
     def __repr__(self) -> str:
         return (
-            f"RetaDispatcher(n_queues={self.n_queues}, salt={self.salt:#x}, "
+            f"RssDispatcher(n_queues={self.n_queues}, salt={self.salt:#x}, "
             f"slots={len(self.reta)})"
         )
 

@@ -93,8 +93,6 @@ class ShardedDatapath:
             (``config.executor`` picks the execution strategy).
         n_shards: PMD core / receive-queue count.
         hash_fn: pluggable RSS hash (see :mod:`repro.switch.rss`).
-        rss: a pre-built dispatcher; when given it is authoritative and
-            ``n_shards``/``hash_fn`` are ignored.
         executor: execution-strategy override — a registry name
             (``"serial"``/``"thread"``/``"process"``) or a pre-built,
             unbuilt :class:`ShardExecutor`; defaults to
@@ -110,16 +108,11 @@ class ShardedDatapath:
         config: DatapathConfig | None = None,
         n_shards: int = 1,
         hash_fn: Callable[[FlowKey], int] = five_tuple_hash,
-        rss: RssDispatcher | None = None,
         executor: str | ShardExecutor | None = None,
     ):
-        if rss is not None:
-            n_shards = rss.n_queues  # the dispatcher is authoritative
-        else:
-            rss = RssDispatcher(n_shards, hash_fn=hash_fn)
         self.config = config or DatapathConfig()
         self.flow_table = flow_table
-        self.rss = rss
+        self.rss = RssDispatcher(n_shards, hash_fn=hash_fn)
         if executor is None:
             executor = self.config.executor
         if isinstance(executor, str):

@@ -19,8 +19,6 @@ VM_IP = 0xC0000201
 class TestPolicyRule:
     def test_validation(self):
         with pytest.raises(PolicyError):
-            PolicyRule(direction="sideways")
-        with pytest.raises(PolicyError):
             PolicyRule(protocol="icmp")
 
 
@@ -40,10 +38,6 @@ class TestOpenStack:
         backend = OpenStackSecurityGroups()
         with pytest.raises(PolicyError, match="source port"):
             backend.validate(PolicyRule(src_port=12345))
-
-    def test_egress_rejected(self):
-        with pytest.raises(PolicyError):
-            OpenStackSecurityGroups().validate(PolicyRule(direction="egress"))
 
     def test_ceiling(self):
         assert OpenStackSecurityGroups().max_use_case() == "SipDp"
@@ -73,19 +67,6 @@ class TestCalico:
         )
         assert rule.match.constraint("tp_src") == (12345, 0xFFFF)
         assert backend.max_use_case() == "SipSpDp"
-
-    def test_egress_with_destination(self):
-        backend = CalicoPolicy()
-        rule = backend.compile_rule(
-            PolicyRule(direction="egress", remote_dst_ip=(0x08080808, 0xFFFFFFFF)),
-            vm_ip=VM_IP, priority=5,
-        )
-        assert rule.match.constraint("ip_src") == (VM_IP, 0xFFFFFFFF)
-        assert rule.match.constraint("ip_dst") == (0x08080808, 0xFFFFFFFF)
-
-    def test_egress_needs_destination(self):
-        with pytest.raises(PolicyError):
-            CalicoPolicy().validate(PolicyRule(direction="egress"))
 
 
 class TestCommonCompilation:

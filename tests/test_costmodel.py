@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import SwitchError
-from repro.switch.costmodel import CostModel, SlowPathModel
+from repro.switch.costmodel import SLOW_PATH_MAX_CPU_PCT, CostModel, slow_path_cpu_pct
 from repro.switch.offload import GRO_OFF_TCP, GRO_ON_TCP
 
 
@@ -33,15 +33,9 @@ class TestVictimThroughput:
         with pytest.raises(SwitchError):
             CostModel().victim_gbps(1, attack_load_units=-1)
 
-    def test_cpu_baseline_override(self):
-        weak = CostModel(profile=GRO_OFF_TCP, link_gbps=10.0, cpu_baseline_gbps=2.0)
-        assert weak.victim_gbps(1) == pytest.approx(2.0, rel=0.05)
-
     def test_validation(self):
         with pytest.raises(SwitchError):
             CostModel(link_gbps=0)
-        with pytest.raises(SwitchError):
-            CostModel(cpu_baseline_gbps=-1)
         with pytest.raises(SwitchError):
             CostModel(upcall_units=-1)
         with pytest.raises(SwitchError):
@@ -104,21 +98,18 @@ class TestUnits:
 
 class TestSlowPathModel:
     def test_fig9c_anchors(self):
-        model = SlowPathModel()
-        assert model.cpu_pct(100) == pytest.approx(15.0)
-        assert model.cpu_pct(1000) == pytest.approx(15.0)
-        assert model.cpu_pct(10000) == pytest.approx(80.0, abs=1.0)
+        assert slow_path_cpu_pct(100) == pytest.approx(15.0)
+        assert slow_path_cpu_pct(1000) == pytest.approx(15.0)
+        assert slow_path_cpu_pct(10000) == pytest.approx(80.0, abs=1.0)
 
     def test_saturation(self):
-        model = SlowPathModel()
-        assert model.cpu_pct(1_000_000) == model.max_cpu_pct
+        assert slow_path_cpu_pct(1_000_000) == SLOW_PATH_MAX_CPU_PCT
 
     def test_monotone(self):
-        model = SlowPathModel()
         rates = [10, 100, 1000, 5000, 10000, 50000]
-        loads = [model.cpu_pct(r) for r in rates]
+        loads = [slow_path_cpu_pct(r) for r in rates]
         assert loads == sorted(loads)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(SwitchError):
-            SlowPathModel().cpu_pct(-1)
+            slow_path_cpu_pct(-1)

@@ -8,6 +8,7 @@ from repro.classifier.rule import Match
 from repro.exceptions import SwitchError
 from repro.packet.builder import PacketBuilder
 from repro.packet.fields import FlowKey
+from repro.packet.headers import PROTO_TCP
 from repro.switch.datapath import Datapath, DatapathConfig, PathTaken
 from tests.packet_oracle import flow_key
 
@@ -61,7 +62,7 @@ class TestPipeline:
 
     def test_process_packet_wire_level(self, table):
         datapath = Datapath(table)
-        packet = PacketBuilder().tcp(ip_src=1, ip_dst=2, tp_dst=80)
+        packet = PacketBuilder().from_flow_key(FlowKey(ip_proto=PROTO_TCP, ip_src=1, ip_dst=2, tp_dst=80))
         verdict = datapath.process(flow_key(packet))
         assert verdict.action == ALLOW
 
@@ -145,7 +146,7 @@ class TestDeadEntries:
 
 class TestIdleEviction:
     def test_evict_idle_entries(self, table):
-        datapath = Datapath(table, DatapathConfig(microflow_capacity=0, idle_timeout=10.0))
+        datapath = Datapath(table, DatapathConfig(microflow_capacity=0))
         datapath.process(WEB, now=0.0)
         datapath.process(OTHER, now=5.0)
         datapath.process(WEB, now=9.0)  # refresh WEB megaflow
@@ -154,7 +155,7 @@ class TestIdleEviction:
         assert datapath.n_megaflows == 1
 
     def test_microflow_invalidated_on_eviction(self, table):
-        datapath = Datapath(table, DatapathConfig(idle_timeout=1.0))
+        datapath = Datapath(table)
         datapath.process(WEB, now=0.0)
         datapath.process(WEB, now=0.5)  # in the microflow cache now
         datapath.evict_idle(now=20.0)

@@ -9,7 +9,7 @@ from repro.packet.fields import FlowKey
 from repro.packet.headers import PROTO_TCP
 from repro.switch.datapath import Datapath, DatapathConfig
 from repro.switch.dpctl import dump_flows, format_flow, mask_histogram, show
-from repro.switch.rss import RetaDispatcher
+from repro.switch.rss import RssDispatcher
 from repro.switch.sharded import ShardedDatapath
 
 
@@ -148,7 +148,7 @@ class TestShowPinned:
         table = SIPDP.build_table()
         datapath = ShardedDatapath(table, DatapathConfig(scan_kernel="numpy"), n_shards=2)
         datapath.process_batch(_sipdp_keys(table), now=1.5)
-        datapath.rebalance(RetaDispatcher(2, salt=0x2545F491))
+        datapath.rebalance(RssDispatcher(2, salt=0x2545F491))
         assert show(datapath) == SHOW_REBALANCED
 
     def test_mid_rebuild_then_swapped(self):

@@ -23,12 +23,12 @@ Regenerate (only when an experiment's output is *meant* to change)::
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, migrationsweep
+from repro.core.migration import MigrationPolicy
+from repro.experiments import EXPERIMENTS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -57,7 +57,7 @@ CASES: dict[str, dict] = {
         attack_start=2.0,
         attack_stop=17.0,
         # SipDp detonates ~513 probe units: the sweep's 512 would sit on the edge.
-        migration_policy=replace(migrationsweep.SWEEP_POLICY, cost_threshold=128.0),
+        migration_policy=MigrationPolicy(cost_threshold=128.0),
     ),
     "cloudsweep": dict(
         n_racks=2,

@@ -386,23 +386,16 @@ class TestMigrationController:
         MigrationController(datapath, MigrationPolicy(cost_threshold=512.0), guard=guard)
         assert guard.config.probe_cost_threshold == 512.0
 
-        # An operator-set threshold wins; stand_down_guard=False opts out.
+        # An operator-set threshold wins.
         tuned = MFCGuard(
             datapath, MFCGuardConfig(mask_threshold=50, probe_cost_threshold=10.0)
         )
         MigrationController(datapath, MigrationPolicy(), guard=tuned)
         assert tuned.config.probe_cost_threshold == 10.0
-        plain_guard = MFCGuard(datapath, MFCGuardConfig(mask_threshold=50))
-        MigrationController(
-            datapath, MigrationPolicy(stand_down_guard=False), guard=plain_guard
-        )
-        assert plain_guard.config.probe_cost_threshold is None
 
     def test_policy_validation(self):
         for bad in (
             dict(cost_threshold=0.0),
-            dict(hysteresis=0.0),
-            dict(hysteresis=1.5),
             dict(cooldown=-1.0),
             dict(slice_entries=0),
             dict(period=0.0),

@@ -14,6 +14,7 @@ from repro.core.usecases import SIPDP
 from repro.exceptions import ExperimentError
 from repro.packet.fields import FlowKey
 from repro.packet.headers import PROTO_TCP
+from repro.switch.costmodel import slow_path_cpu_pct
 from repro.switch.datapath import Datapath, DatapathConfig, PathTaken
 
 
@@ -28,7 +29,7 @@ def cleaned(decisions) -> list:
     return [decision.subject for decision in decisions if decision.action == "clean"]
 
 
-def attacked_setup(mask_threshold=100, cpu_threshold=1000.0, permanent=True):
+def attacked_setup(mask_threshold=100, cpu_threshold=1000.0):
     table = SIPDP.build_table()
     datapath = Datapath(table, DatapathConfig(microflow_capacity=0))
     datapath.process(BENIGN, now=0.0)
@@ -37,11 +38,7 @@ def attacked_setup(mask_threshold=100, cpu_threshold=1000.0, permanent=True):
         datapath.process(key, now=1.0)
     guard = MFCGuard(
         datapath,
-        MFCGuardConfig(
-            mask_threshold=mask_threshold,
-            cpu_threshold_pct=cpu_threshold,
-            permanent_delete=permanent,
-        ),
+        MFCGuardConfig(mask_threshold=mask_threshold, cpu_threshold_pct=cpu_threshold),
     )
     return table, datapath, trace, guard
 
@@ -82,13 +79,6 @@ class TestAlgorithm2:
             assert verdict.path is PathTaken.SLOW_PATH
             assert verdict.installed is None
 
-    def test_non_permanent_mode_resparks(self):
-        _table, datapath, trace, guard = attacked_setup(permanent=False)
-        guard.run(now=10.0)
-        attack_key = next(k for k in trace.keys if datapath.flow_table.classify(k).is_drop)
-        verdict = datapath.process(attack_key, now=12.0)
-        assert verdict.installed is not None
-
     def test_cpu_threshold_stops_deletion(self):
         # With an absurdly low CPU budget, the guard stops after one rule.
         _table, datapath, _trace, guard = attacked_setup(cpu_threshold=1.0)
@@ -110,7 +100,7 @@ class TestAlgorithm2:
         assert deleted(decisions) == removed == len(installed)
         assert sum(len(pattern.entries) for pattern in patterns) - removed == 512
         rate = sum(entry.hits / max(10.0 - entry.created_at, 10.0) for entry in installed.values())
-        assert guard.projected_cpu_pct() == pytest.approx(guard.slow_path_model.cpu_pct(rate))
+        assert guard.projected_cpu_pct() == pytest.approx(slow_path_cpu_pct(rate))
 
     def test_rules_cleaned_reported(self):
         _table, _datapath, _trace, guard = attacked_setup()

@@ -13,7 +13,6 @@ class TestProfiles:
         }
 
     def test_fho_has_hardware_capacity(self):
-        assert FHO_TCP.hardware_offload
         assert FHO_TCP.baseline_gbps == 30.0  # the paper's ~30 Gbps boost
 
     def test_gro_on_aggregates(self):

@@ -1,19 +1,28 @@
 """Unit tests for pcap reading/writing."""
 
+import hashlib
 import io
 import struct
 
 import pytest
 
+from repro.core.tracegen import AdversarialTrace, ColocatedTraceGenerator
+from repro.core.usecases import SIPDP
 from repro.exceptions import PcapError
+from repro.packet.addresses import ipv4
 from repro.packet.builder import PacketBuilder
+from repro.packet.fields import FlowKey
+from repro.packet.headers import PROTO_TCP
 from repro.packet.pcap import LINKTYPE_ETHERNET, PcapWriter, write_pcap
 from tests.packet_oracle import PcapReader, flow_key, read_pcap
 
 
 def sample_packets(n=5):
-    builder = PacketBuilder(seed=1)
-    return [builder.tcp(ip_src=i, ip_dst=100 + i, tp_dst=80) for i in range(n)]
+    builder = PacketBuilder()
+    return [
+        builder.from_flow_key(FlowKey(ip_proto=PROTO_TCP, ip_src=i, ip_dst=100 + i, tp_dst=80))
+        for i in range(n)
+    ]
 
 
 class TestRoundtrip:
@@ -103,3 +112,15 @@ class TestSwappedByteOrder:
         assert len(records) == 1
         assert records[0].data == b"abcd"
         assert records[0].timestamp == pytest.approx(1.5, abs=1e-6)
+
+
+def test_attack_pcap_bytes_are_pinned(tmp_path):
+    # The noise RNG draws each packet's TTL, then its payload, in that
+    # order: any change to the draws or to crafting moves this digest.
+    table = SIPDP.build_table(ip_dst=ipv4("10.0.0.2"))
+    trace = ColocatedTraceGenerator(table, base={"ip_proto": PROTO_TCP}).generate()
+    path = tmp_path / "sipdp.pcap"
+    assert AdversarialTrace(trace.keys[:64]).to_pcap(path, rate_pps=1000) == 64
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "e7c6a37ffbed779435199aaa0eaa9d910d2d4284370c42c0c8ac3099aa414b4b"
+    )

@@ -33,6 +33,7 @@ from repro.core.analysis import (
 )
 from repro.packet.builder import PacketBuilder
 from repro.packet.fields import FIELDS, FlowKey
+from repro.packet.headers import PROTO_TCP
 from tests.masks_oracle import expected_masks_enumerate
 from tests.packet_oracle import flow_key, ipv4_checksum_ok, parse_packet
 from tests.store_helpers import verify_disjoint
@@ -241,9 +242,10 @@ def test_expected_masks_bounded_and_monotone(widths, n):
        ttl=st.integers(min_value=1, max_value=255),
        payload=st.binary(max_size=64))
 def test_tcp_packet_roundtrip(ip_src, ip_dst, tp_src, tp_dst, ttl, payload):
-    builder = PacketBuilder()
-    packet = builder.tcp(ip_src=ip_src, ip_dst=ip_dst, tp_src=tp_src,
-                         tp_dst=tp_dst, ttl=ttl, payload=payload)
+    key = FlowKey(ip_proto=PROTO_TCP, ip_src=ip_src, ip_dst=ip_dst,
+                  tp_src=tp_src, tp_dst=tp_dst, ip_ttl=ttl)
+    packet = PacketBuilder().from_flow_key(key)
+    packet.payload = payload
     parsed = parse_packet(packet.to_bytes())
     assert flow_key(parsed) == flow_key(packet)
     assert parsed.payload == payload

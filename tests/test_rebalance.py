@@ -40,7 +40,6 @@ from repro.switch.datapath import DatapathConfig
 from repro.switch.dpctl import show
 from repro.switch.rss import (
     RSS_FIELDS,
-    RetaDispatcher,
     RssDispatcher,
     five_tuple_hash,
     five_tuple_hash_columns,
@@ -161,24 +160,26 @@ class TestSaltedHash:
 
 
 class TestRetaDispatcher:
+    """The dispatcher's RETA and salt levers."""
+
     def test_default_placement_matches_plain_rss(self):
-        plain = RssDispatcher(4)
-        reta = RetaDispatcher(4)
+        dispatcher = RssDispatcher(4)
+        assert len(dispatcher.reta) == 128
         for key in some_keys():
-            assert reta.queue_of(key) == plain.queue_of(key)
+            assert dispatcher.queue_of(key) == five_tuple_hash(key) % 4
 
     def test_salt_and_reta_validation(self):
         with pytest.raises(SwitchError):
-            RetaDispatcher(4, salt=-1)
+            RssDispatcher(4, salt=-1)
         with pytest.raises(SwitchError):
-            RetaDispatcher(4, salt=1 << 32)
+            RssDispatcher(4, salt=1 << 32)
         with pytest.raises(SwitchError):
-            RetaDispatcher(4, reta=())
+            RssDispatcher(4, reta=())
         with pytest.raises(SwitchError):
-            RetaDispatcher(4, reta=(0, 1, 4))
+            RssDispatcher(4, reta=(0, 1, 4))
 
     def test_with_salt_and_with_reta_route_differently(self):
-        base = RetaDispatcher(4)
+        base = RssDispatcher(4)
         rekeyed = base.with_salt(0x9E3779B9)
         rotated = base.with_reta(tuple((q + 1) % 4 for q in base.reta))
         keys = some_keys(128)
@@ -195,7 +196,7 @@ class TestRemapMigration:
         try:
             before = entry_union(datapath)
             before_masks = datapath.n_masks
-            rekeyed = RetaDispatcher(4, five_tuple_hash, salt=SALTS[1])
+            rekeyed = RssDispatcher(4, five_tuple_hash, salt=SALTS[1])
             moved = datapath.rebalance(rekeyed)
             assert datapath.remaps == 1
             assert moved == datapath.entries_moved > 0
@@ -227,7 +228,7 @@ class TestRemapMigration:
         datapath, _keys = detonated(1, executor=executor)
         try:
             before = entry_union(datapath)
-            assert datapath.rebalance(RetaDispatcher(1, five_tuple_hash, salt=5)) == 0
+            assert datapath.rebalance(RssDispatcher(1, five_tuple_hash, salt=5)) == 0
             assert entry_union(datapath) == before
         finally:
             datapath.close()
@@ -240,7 +241,7 @@ def test_rebalance_install_appends_to_the_index_once(monkeypatch):
     datapath, _keys = detonated(2)
     before = entry_union(datapath)
     source, target = datapath.shards
-    delta = source.rebalance_extract(RetaDispatcher(2, five_tuple_hash, salt=SALTS[1]), 0)
+    delta = source.rebalance_extract(RssDispatcher(2, five_tuple_hash, salt=SALTS[1]), 0)
     assert len(delta["entries"]) > 10 and not target.megaflows._acc_dirty
     appends = []
     slot_append = TupleSpaceSearch._slot_append
@@ -263,7 +264,7 @@ class TestRemapRaces:
     def test_flow_table_delta_between_remaps(self):
         """A policy change mid-game flushes cleanly; re-maps keep working."""
         datapath, keys = detonated(2)
-        datapath.rebalance(RetaDispatcher(2, five_tuple_hash, salt=SALTS[0]))
+        datapath.rebalance(RssDispatcher(2, five_tuple_hash, salt=SALTS[0]))
         assert datapath.n_megaflows > 0
         # The tenant pushes a rule update: every shard flushes, and the
         # re-mapped dispatcher stays installed.
@@ -274,7 +275,7 @@ class TestRemapRaces:
             Match(tp_dst=(9999, 0xFFFF)), DENY, priority=2000, name="late"
         )
         assert datapath.n_megaflows == 0
-        assert getattr(datapath.rss, "salt", 0) == SALTS[0]
+        assert datapath.rss.salt == SALTS[0]
         # Traffic re-detonates under the new table; the next re-map still
         # preserves the refilled union.
         datapath.process_batch(keys)
@@ -296,7 +297,7 @@ class TestRemapRaces:
             record for shard in datapath.shards for record in shard._dead_entries
         }
         assert dead_before
-        datapath.rebalance(RetaDispatcher(2, five_tuple_hash, salt=SALTS[2]))
+        datapath.rebalance(RssDispatcher(2, five_tuple_hash, salt=SALTS[2]))
         # Union preserved, and every record lives at its masked key's home.
         dead_after = {}
         for shard_id, shard in enumerate(datapath.shards):
@@ -314,7 +315,7 @@ class TestRemapRaces:
     def test_shard_count_mismatch_rejected(self):
         datapath, _keys = detonated(2)
         with pytest.raises(SwitchError):
-            datapath.rebalance(RetaDispatcher(4, five_tuple_hash, salt=1))
+            datapath.rebalance(RssDispatcher(4, five_tuple_hash, salt=1))
 
 
 class FakeDatapath:
@@ -331,7 +332,7 @@ class FakeDatapath:
 
     def rebalance(self, dispatcher):
         self.rss = dispatcher
-        self.remap_log.append(getattr(dispatcher, "salt", 0))
+        self.remap_log.append(dispatcher.salt)
         return 100
 
 
@@ -406,9 +407,8 @@ class TestRebalanceController:
         )
         (decision,) = ctrl.run(now=1.0)
         assert decision.action == "reta" and decision.subject == datapath.rss.reta
-        assert isinstance(datapath.rss, RetaDispatcher)
         assert datapath.rss.salt == 0
-        assert datapath.rss.reta == tuple((i + 1) % 4 for i in RetaDispatcher(4).reta)
+        assert datapath.rss.reta == tuple((i + 1) % 4 for i in RssDispatcher(4).reta)
 
     def test_policy_validation(self):
         for bad in (
@@ -426,7 +426,7 @@ class TestDpctlAndWiring:
     def test_show_renders_the_rebalance_line(self):
         datapath, _keys = detonated(2)
         assert "rebalance: idle salt:0x0" in show(datapath)
-        datapath.rebalance(RetaDispatcher(2, five_tuple_hash, salt=SALTS[1]))
+        datapath.rebalance(RssDispatcher(2, five_tuple_hash, salt=SALTS[1]))
         rendered = show(datapath)
         assert "rebalance: remaps:1" in rendered
         assert f"salt:{SALTS[1]:#x}" in rendered

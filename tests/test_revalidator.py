@@ -20,12 +20,7 @@ def datapath(request) -> Datapath:
     table = FlowTable()
     table.add_rule(Match(ip_proto=6, tp_dst=80), ALLOW, priority=10, name="allow")
     table.add_default_deny()
-    return Datapath(
-        table,
-        DatapathConfig(
-            microflow_capacity=0, idle_timeout=10.0, megaflow_backend=request.param
-        ),
-    )
+    return Datapath(table, DatapathConfig(microflow_capacity=0, megaflow_backend=request.param))
 
 
 class TestSweeps:

@@ -47,10 +47,6 @@ class TestMatch:
         assert mask["tp_dst"] == 0xFFFF
         assert mask["ip_src"] == 0xFF000000
 
-    def test_n_constrained_bits(self):
-        match = Match(tp_dst=80, ip_src=(0x0A000000, 0xFF000000))
-        assert match.n_constrained_bits() == 16 + 8
-
     def test_overlaps(self):
         a = Match(ip_src=(0x0A000000, 0xFF000000))
         b = Match(ip_src=0x0A000001)
@@ -65,25 +61,6 @@ class TestMatch:
         assert Match(tp_dst=80) == Match(tp_dst=(80, 0xFFFF))
         assert hash(Match(tp_dst=80)) == hash(Match(tp_dst=(80, 0xFFFF)))
         assert Match(tp_dst=80) != Match(tp_dst=81)
-
-    def test_example_key_satisfies(self):
-        match = Match(tp_dst=80, ip_src=(0x0A000000, 0xFF000000))
-        assert match.matches(match.example_key())
-
-    def test_enumerate_keys_small(self):
-        match = Match(ip_tos=(0b11100000 & 0b11000000, 0b11000000))
-        keys = list(match.enumerate_keys(limit=1 << 8))
-        # 6 free bits in ip_tos -> 64 keys (all other fields zero).
-        assert len(keys) == 64
-        assert all(match.matches(key) for key in keys)
-
-    def test_enumerate_keys_limit(self):
-        with pytest.raises(RuleError, match="more than"):
-            list(Match(tp_dst=(0, 0x8000)).enumerate_keys(limit=4))
-
-    def test_from_constraints(self):
-        match = Match.from_constraints({"tp_dst": (80, 0xFFFF)})
-        assert match == Match(tp_dst=80)
 
     def test_unknown_field(self):
         from repro.exceptions import FieldError

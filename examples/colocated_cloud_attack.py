@@ -28,7 +28,7 @@ TRUSTED_IP = 0x0A000001  # 10.0.0.1
 
 def main() -> None:
     # --- the cloud -----------------------------------------------------------
-    cloud = Datacenter(SYNTHETIC_ENV, n_servers=2)
+    cloud = Datacenter(SYNTHETIC_ENV)
     v1 = cloud.launch_vm("victim-tenant", "V1", 0)     # victim frontend
     a1 = cloud.launch_vm("attacker-tenant", "A1", 0)   # co-located!
     v2 = cloud.launch_vm("victim-tenant", "V2", 1)     # victim backend

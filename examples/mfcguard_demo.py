@@ -39,7 +39,7 @@ def main() -> None:
               f"{len(pattern.entries)} entries / {pattern.mask_count} masks")
 
     # Algorithm 2.
-    guard = MFCGuard(datapath, MFCGuardConfig(mask_threshold=100, cpu_threshold_pct=90.0))
+    guard = MFCGuard(datapath, MFCGuardConfig(cpu_threshold_pct=90.0))
     masks_before = datapath.n_masks
     decisions = guard.run(now=10.0)
     cleaned = dict.fromkeys(d.subject for d in decisions if d.action == "clean")

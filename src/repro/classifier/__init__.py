@@ -14,7 +14,7 @@
   experiment and ``examples/classifier_comparison.py`` consume it.
 """
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.classifier.actions import ALLOW, DENY, Action, ActionKind
 from repro.classifier.backend import (
@@ -112,8 +112,6 @@ def section7_registry() -> dict[str, Callable[[list], PacketClassifier]]:
     return lineup
 
 
-def section7_classifiers(rules: list, names: Sequence[str] | None = None) -> tuple[PacketClassifier, ...]:
-    """Build the §7 comparison lineup over ``rules`` (all names by default)."""
-    registry = section7_registry()
-    selected = names if names is not None else tuple(registry)
-    return tuple(registry[name](list(rules)) for name in selected)
+def section7_classifiers(rules: list) -> tuple[PacketClassifier, ...]:
+    """Build the §7 comparison lineup over ``rules``."""
+    return tuple(build(list(rules)) for build in section7_registry().values())

@@ -11,8 +11,6 @@ running one adapter instance per megaflow backend.
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
-
 from repro.classifier.backend import MegaflowStore
 from repro.classifier.base import ClassifierResult, PacketClassifier
 from repro.classifier.flowtable import FlowTable
@@ -27,9 +25,9 @@ class TssCachedClassifier(PacketClassifier):
     """A datapath-backed classifier (microflow + megaflow cache + slow path).
 
     Args:
-        rules: the rule list (loaded into a private flow table).
-        config: datapath knobs; the default disables the microflow cache so
-            the comparison measures the megaflow lookup itself.
+        rules: the rule list (loaded into a private flow table).  The
+            datapath runs without a microflow cache, so the comparison
+            measures the megaflow lookup itself.
         backend: which megaflow cache backs the datapath — a backend name
             (``"tss"``, ``"tuplechain"``) or an injected pre-built
             :class:`~repro.classifier.backend.MegaflowStore` instance.
@@ -38,18 +36,12 @@ class TssCachedClassifier(PacketClassifier):
 
     name = "tss-cache"
 
-    def __init__(
-        self,
-        rules: list[FlowRule],
-        config: DatapathConfig | None = None,
-        backend: str | MegaflowStore = "tss",
-    ):
+    def __init__(self, rules: list[FlowRule], backend: str | MegaflowStore = "tss"):
         table = FlowTable(rules=list(rules), name="cache-adapter")
-        config = config or DatapathConfig(microflow_capacity=0)
         if isinstance(backend, str):
-            self.datapath = Datapath(table, dc_replace(config, megaflow_backend=backend))
+            self.datapath = Datapath(table, DatapathConfig(microflow_capacity=0, megaflow_backend=backend))
         else:
-            self.datapath = Datapath(table, config, megaflows=backend)
+            self.datapath = Datapath(table, DatapathConfig(microflow_capacity=0), megaflows=backend)
         self.name = f"{self.datapath.megaflows.name}-cache"
         self._clock = 0.0
 

@@ -424,19 +424,17 @@ class MegaflowStore:
             rebuild.note_insert(entry)
         return entry
 
-    def insert_batch(
-        self, entries: Iterable[MegaflowEntry], now: float = 0.0
-    ) -> list[MegaflowEntry]:
+    def insert_batch(self, entries: Iterable[MegaflowEntry]) -> list[MegaflowEntry]:
         """Install ``entries`` in order under one :meth:`index_burst`.
 
-        Semantically ``[self.insert(e, now) for e in entries]`` — every
+        Semantically ``[self.insert(e) for e in entries]`` — every
         entry mutates the authoritative dicts, is invariant-checked and
         journalled individually, in order — but backends with an
         incremental index (TSS) amortise their index appends into
         vectorised drains instead of one append per entry.
         """
         with self.index_burst():
-            return [self.insert(entry, now) for entry in entries]
+            return [self.insert(entry) for entry in entries]
 
     def index_burst(self):
         """Context manager batching index appends (no-op by default).
@@ -629,10 +627,8 @@ class LiveBatchScanner:
         self.keys = keys
         self.now = now
 
-    def result(self, i: int, now: float | None = None) -> TssLookupResult:
+    def result(self, i: int) -> TssLookupResult:
         """The lookup result for key ``i``: memo, then the backend's scan."""
-        if now is not None:
-            self.now = now
         backend, key = self.backend, self.keys[i]
         key_values = key.values
         memoised = backend._memo_consult(key_values, self.now)

@@ -69,9 +69,9 @@ class FlowTable:
         self.add(rule)
         return rule
 
-    def add_default_deny(self, name: str = "default-deny") -> FlowRule:
+    def add_default_deny(self) -> FlowRule:
         """Append the lowest-priority match-all deny rule of the paper's ACLs."""
-        return self.add_rule(Match.any(), DENY, priority=0, name=name)
+        return self.add_rule(Match.any(), DENY, priority=0, name="default-deny")
 
     def remove(self, rule: FlowRule) -> None:
         """Remove a previously added rule."""

@@ -3,7 +3,7 @@
 HaRP hashes rule prefixes after rounding them *down* to a small set of
 "tread" lengths, so a lookup probes one hash bucket per tread instead of
 walking a trie.  We implement the single-field LPM stage over a designated
-primary field (treads every ``stride`` bits); each bucket holds the rules
+primary field (treads every ``STRIDE`` bits); each bucket holds the rules
 whose rounded prefix lands there, and rules that do not constrain the
 primary field live in an always-scanned residual list.
 
@@ -25,6 +25,8 @@ from repro.packet.fields import FIELD_ORDER, FIELDS, FlowKey
 
 __all__ = ["HarpClassifier"]
 
+STRIDE = 8  # tread spacing in bits: treads at 0, 8, 16, …
+
 
 class HarpClassifier(PacketClassifier):
     """Hash round-down prefixes over a primary field.
@@ -33,19 +35,11 @@ class HarpClassifier(PacketClassifier):
         rules: rule list (priorities honoured).
         primary_field: the field whose prefixes are hashed; defaults to the
             most-constrained field across the rule set.
-        stride: tread spacing in bits (treads at 0, stride, 2·stride, …).
     """
 
     name = "harp"
 
-    def __init__(
-        self,
-        rules: list[FlowRule],
-        primary_field: str | None = None,
-        stride: int = 8,
-    ):
-        if stride < 1:
-            raise ClassifierError(f"stride must be >= 1, got {stride}")
+    def __init__(self, rules: list[FlowRule], primary_field: str | None = None):
         if primary_field is None:
             counts: dict[str, int] = defaultdict(int)
             for rule in rules:
@@ -59,10 +53,9 @@ class HarpClassifier(PacketClassifier):
         if primary_field and primary_field not in FIELDS:
             raise ClassifierError(f"unknown primary field {primary_field!r}")
         self.primary_field = primary_field
-        self.stride = stride
         self._width = FIELDS[primary_field].width if primary_field else 0
         self.treads = (
-            sorted({min(t, self._width) for t in range(0, self._width + stride, stride)})
+            sorted({min(t, self._width) for t in range(0, self._width + STRIDE, STRIDE)})
             if primary_field
             else [0]
         )

@@ -20,10 +20,12 @@ from repro.classifier.actions import DENY
 from repro.classifier.base import ClassifierResult, PacketClassifier
 from repro.classifier.rule import FlowRule
 from repro.classifier.trie import prefix_length
-from repro.exceptions import ClassifierError
 from repro.packet.fields import FIELD_ORDER, FIELDS, FlowKey
 
 __all__ = ["HyperCutsClassifier"]
+
+BINTH = 8  # maximum bucket size before a node is cut further
+MAX_CUTS = 16  # maximum children per node
 
 
 @dataclass(frozen=True)
@@ -57,32 +59,16 @@ class HyperCutsClassifier(PacketClassifier):
     """The HyperCuts decision tree.
 
     Args:
-        rules: rule list (priority + insertion order honoured).
-        binth: maximum bucket size before a node is cut further.
-        max_cuts: maximum children per node.
-        fields: dimension order (defaults to fields used by the rules).
+        rules: rule list (priority + insertion order honoured); the
+            dimensions are the fields they constrain, in canonical order.
     """
 
     name = "hypercuts"
 
-    def __init__(
-        self,
-        rules: list[FlowRule],
-        binth: int = 8,
-        max_cuts: int = 16,
-        fields: tuple[str, ...] | None = None,
-    ):
-        if binth < 1:
-            raise ClassifierError(f"binth must be >= 1, got {binth}")
-        if max_cuts < 2:
-            raise ClassifierError(f"max_cuts must be >= 2, got {max_cuts}")
-        if fields is None:
-            used = {f for rule in rules for f in rule.match.fields}
-            fields = tuple(name for name in FIELD_ORDER if name in used)
-        self.fields = fields
-        self.binth = binth
-        self.max_cuts = max_cuts
-        self._widths = [FIELDS[name].width for name in fields]
+    def __init__(self, rules: list[FlowRule]):
+        used = {f for rule in rules for f in rule.match.fields}
+        self.fields = tuple(name for name in FIELD_ORDER if name in used)
+        self._widths = [FIELDS[name].width for name in self.fields]
         boxes = [self._box(rule, seq) for seq, rule in enumerate(rules)]
         region = tuple((0, (1 << w) - 1) for w in self._widths)
         self._node_count = 0
@@ -107,7 +93,7 @@ class HyperCutsClassifier(PacketClassifier):
     ) -> _Node:
         node = _Node()
         self._node_count += 1
-        if len(boxes) <= self.binth or depth >= 24 or not self.fields:
+        if len(boxes) <= BINTH or depth >= 24 or not self.fields:
             node.bucket = sorted(boxes, key=lambda b: b.order)
             return node
 
@@ -118,7 +104,7 @@ class HyperCutsClassifier(PacketClassifier):
 
         lo, hi = region[dim]
         span = hi - lo + 1
-        n_cuts = min(self.max_cuts, span)
+        n_cuts = min(MAX_CUTS, span)
         # Round down to a power of two so child indexing is a shift.
         n_cuts = 1 << (n_cuts.bit_length() - 1)
         width_per_cut = span // n_cuts

@@ -82,17 +82,15 @@ class HierarchicalTrieClassifier(PacketClassifier):
 
     Args:
         rules: the rule list (priorities honoured; insertion order breaks
-            ties, matching the flow-table semantics).
-        fields: dimension order; defaults to the canonical order of the
-            fields any rule constrains.
+            ties, matching the flow-table semantics).  The dimensions are
+            the fields any rule constrains, in canonical order.
     """
 
     name = "hierarchical-tries"
 
-    def __init__(self, rules: list[FlowRule], fields: tuple[str, ...] | None = None):
-        if fields is None:
-            used = {f for rule in rules for f in rule.match.fields}
-            fields = tuple(name for name in FIELD_ORDER if name in used)
+    def __init__(self, rules: list[FlowRule]):
+        used = {f for rule in rules for f in rule.match.fields}
+        fields = tuple(name for name in FIELD_ORDER if name in used)
         if not fields and any(not r.match.is_catchall for r in rules):
             raise ClassifierError("no dimensions derivable from the rule set")
         self.fields = fields

@@ -639,10 +639,8 @@ class _BatchScanner:
         self._first: list[int] = []
         self._slot: list[int] = []
 
-    def result(self, i: int, now: float | None = None) -> TssLookupResult:
+    def result(self, i: int) -> TssLookupResult:
         """The lookup result for key ``i`` (call with non-decreasing ``i``)."""
-        if now is not None:
-            self.now = now
         return self.hits(i, i + 1)[0]
 
     def hits(self, i: int, stop: int) -> list[TssLookupResult]:

@@ -18,12 +18,14 @@ from repro.core.usecases import USE_CASES, UseCase, use_case
 from repro.exceptions import ExperimentError
 from repro.netsim.cms import CmsBackend
 from repro.switch.calibration import fit_profile
-from repro.switch.offload import GRO_OFF_TCP, NicProfile
+from repro.switch.offload import GRO_OFF_TCP
 
 __all__ = ["AttackPlan", "plan_colocated", "plan_general", "plan_for_cms"]
 
 # Minimum-size attack frame on the wire (Ethernet + IPv4 + TCP + FCS etc.).
 ATTACK_PACKET_BYTES = 84
+ATTACK_PPS = 1000.0  # §1: ~1000 packets at 1000 pps tear down OVS
+GENERAL_BUDGET = 50000  # random packets of the general attack (§6.2)
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,8 @@ class AttackPlan:
         variant: ``"co-located"`` or ``"general"``.
         packets: packets needed (trace size, or the random budget).
         masks: megaflow masks achieved (ceiling, or expectation).
-        attack_mbps: one-shot trace bandwidth at ``pps`` packets/second.
+        attack_mbps: one-shot trace bandwidth at ``pps`` packets/second
+            (``ATTACK_PPS``).
         victim_fraction: victim throughput fraction left at ``masks``.
     """
 
@@ -59,11 +62,7 @@ class AttackPlan:
         )
 
 
-def plan_colocated(
-    scenario: UseCase | str,
-    pps: float = 1000.0,
-    profile: NicProfile = GRO_OFF_TCP,
-) -> AttackPlan:
+def plan_colocated(scenario: UseCase | str) -> AttackPlan:
     """Predict the co-located attack: exact ceilings from the ACL family."""
     scenario = use_case(scenario) if isinstance(scenario, str) else scenario
     widths = scenario.field_widths()
@@ -72,16 +71,13 @@ def plan_colocated(
     # rejecting rules 1..i-1 (prod of earlier widths), plus the all-reject
     # deny paths (prod of all widths).
     packets = sum(_prefix_product(widths, i) for i in range(len(widths) + 1))
-    if pps <= 0:
-        raise ExperimentError("pps must be positive")
-    fraction = fit_profile(profile).fraction(masks)
     return AttackPlan(
         use_case=scenario,
         variant="co-located",
         packets=packets,
         masks=float(masks),
-        pps=pps,
-        victim_fraction=fraction,
+        pps=ATTACK_PPS,
+        victim_fraction=fit_profile(GRO_OFF_TCP).fraction(masks),
     )
 
 
@@ -92,36 +88,23 @@ def _prefix_product(widths: tuple[int, ...], index: int) -> int:
     return product
 
 
-def plan_general(
-    scenario: UseCase | str,
-    packets: int,
-    pps: float = 1000.0,
-    profile: NicProfile = GRO_OFF_TCP,
-) -> AttackPlan:
+def plan_general(scenario: UseCase | str, packets: int) -> AttackPlan:
     """Predict the general (random) attack via Eq. 2."""
     scenario = use_case(scenario) if isinstance(scenario, str) else scenario
     if packets < 0:
         raise ExperimentError("packets must be >= 0")
-    if pps <= 0:
-        raise ExperimentError("pps must be positive")
     masks = expected_masks(scenario.field_widths(), packets)
-    fraction = fit_profile(profile).fraction(masks)
     return AttackPlan(
         use_case=scenario,
         variant="general",
         packets=packets,
         masks=masks,
-        pps=pps,
-        victim_fraction=fraction,
+        pps=ATTACK_PPS,
+        victim_fraction=fit_profile(GRO_OFF_TCP).fraction(masks),
     )
 
 
-def plan_for_cms(
-    cms: CmsBackend,
-    pps: float = 1000.0,
-    general_budget: int = 50000,
-    profile: NicProfile = GRO_OFF_TCP,
-) -> list[AttackPlan]:
+def plan_for_cms(cms: CmsBackend) -> list[AttackPlan]:
     """Every plan the CMS admits, strongest first (the §7 exposure table).
 
     The backend's expressiveness ceiling bounds which use cases a tenant
@@ -137,7 +120,7 @@ def plan_for_cms(
     ]
     plans: list[AttackPlan] = []
     for scenario in admitted:
-        plans.append(plan_colocated(scenario, pps=pps, profile=profile))
-        plans.append(plan_general(scenario, packets=general_budget, pps=pps, profile=profile))
+        plans.append(plan_colocated(scenario))
+        plans.append(plan_general(scenario, packets=GENERAL_BUDGET))
     plans.sort(key=lambda plan: plan.victim_fraction)
     return plans

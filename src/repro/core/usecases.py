@@ -64,32 +64,21 @@ class UseCase:
         """Bit widths of the attacked fields, in rule priority order."""
         return tuple(FIELDS[name].width for name in self.allow_fields)
 
-    def build_table(
-        self,
-        ip_dst: int | None = None,
-        ip_proto: int = PROTO_TCP,
-        extra_scope: Match | None = None,
-    ) -> FlowTable:
-        """Build the use case's flow table.
+    def build_table(self, ip_dst: int | None = None) -> FlowTable:
+        """Build the use case's flow table; its L4 rules apply to TCP.
 
         Args:
             ip_dst: when given, every rule additionally exact-matches the
-                destination address (tenant scoping in the cloud testbed).
-                All attack packets carry this destination, so the extra
-                constraint never multiplies masks.
-            ip_proto: protocol the L4 rules apply to (TCP by default).
-            extra_scope: additional constraints AND-ed into every rule.
+                destination address (tenant scoping).  All attack packets
+                carry this destination, so the extra constraint never
+                multiplies masks.
         """
         table = FlowTable(name=f"acl-{self.name.lower()}")
         scope: dict[str, int | tuple[int, int]] = {}
         if ip_dst is not None:
             scope["ip_dst"] = ip_dst
-        needs_proto = any(name.startswith("tp_") for name in self.allow_fields)
-        if needs_proto:
-            scope["ip_proto"] = ip_proto
-        if extra_scope is not None:
-            for fname, value, mask in extra_scope.constraints():
-                scope[fname] = (value, mask)
+        if any(name.startswith("tp_") for name in self.allow_fields):
+            scope["ip_proto"] = PROTO_TCP
 
         priority = 10 * len(self.allow_fields)
         for index, field_name in enumerate(self.allow_fields, start=1):

@@ -9,7 +9,7 @@ import time
 from repro.experiments import EXPERIMENTS
 
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate a table/figure of the TSE paper.",
@@ -18,7 +18,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="experiment id (or 'all')")
     parser.add_argument("--list", action="store_true", help="list experiment ids")
     parser.add_argument("--save", metavar="DIR", help="also write results under DIR")
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
 
     if args.list or args.experiment is None:
         for experiment_id, runner in sorted(EXPERIMENTS.items()):

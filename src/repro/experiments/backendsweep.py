@@ -30,7 +30,6 @@ so only the TSS victim starves (asserted on the golden run in
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence
 
 from repro.classifier.backend import megaflow_backend_names
 from repro.core.tracegen import ColocatedTraceGenerator
@@ -44,6 +43,11 @@ from repro.packet.headers import PROTO_TCP
 from repro.switch.datapath import Datapath, DatapathConfig
 
 __all__ = ["run", "run_netsim_cell", "attacker_rules"]
+
+USE_CASE = "SipDp"  # the probe table's ACL and the netsim detonation's
+DURATION = 35.0
+ATTACK_START, ATTACK_STOP = 5.0, 25.0
+ATTACK_PPS = 1200.0
 
 
 def _mean_probes(verdicts) -> float:
@@ -73,13 +77,11 @@ def attacker_rules(use_case_name: str) -> list[PolicyRule]:
 
 def run_netsim_cell(
     backend: str,
-    use_case_name: str = "SipSpDp",
-    duration: float = 35.0,
-    attack_start: float = 5.0,
-    attack_stop: float = 25.0,
-    attack_pps: float = 1200.0,
-    offered_gbps: float = 10.0,
-    dt: float = 0.1,
+    use_case_name: str,
+    duration: float,
+    attack_start: float,
+    attack_stop: float,
+    attack_pps: float,
 ) -> dict:
     """One backend's full netsim run: detonation window, settled victim rates.
 
@@ -93,9 +95,7 @@ def run_netsim_cell(
         name=f"Synthetic/{backend}",
         datapath=replace(SYNTHETIC_ENV.datapath, megaflow_backend=backend),
     )
-    testbed, trace = detonation_testbed(
-        environment, attacker_rules(use_case_name), use_case_name, offered_gbps, dt
-    )
+    testbed, trace = detonation_testbed(environment, attacker_rules(use_case_name), use_case_name)
     run_attack_window(
         testbed, trace.keys, attack_pps, [(attack_start, attack_stop)], duration
     )
@@ -112,28 +112,11 @@ def run_netsim_cell(
     }
 
 
-def run(
-    use_case_name: str = "SipDp",
-    benign_packets: int = 400,
-    backends: Sequence[str] | None = None,
-    seed: int = 0,
-    netsim: bool = True,
-    netsim_use_case: str | None = None,
-    duration: float = 35.0,
-    attack_start: float = 5.0,
-    attack_stop: float = 25.0,
-    attack_pps: float = 1200.0,
-    dt: float = 0.1,
-) -> ExperimentResult:
-    """Run the three-phase probe table and the netsim time series per backend.
-
-    ``netsim_use_case`` defaults to ``use_case_name``; pass ``"SipSpDp"``
-    for the full 8k-mask detonation.  ``netsim=False`` skips the time-series
-    phase (bare-classifier probe table only).
-    """
-    case = use_case(use_case_name)
-    names = tuple(backends) if backends is not None else megaflow_backend_names()
-    benign = benign_keys(case, benign_packets, seed)
+def run() -> ExperimentResult:
+    """Run the three-phase probe table and the netsim time series per backend."""
+    case = use_case(USE_CASE)
+    names = megaflow_backend_names()
+    benign = benign_keys(case, 400)
 
     result = ExperimentResult(
         experiment_id="backendsweep",
@@ -142,22 +125,14 @@ def run(
         columns=[
             "backend", "masks", "entries", "groups",
             "benign_probe", "attack_probe", "benign_after_probe", "degradation_x",
-        ]
-        + (["victim_baseline_gbps", "victim_floor_gbps", "scan_cost_units"] if netsim else []),
+            "victim_baseline_gbps", "victim_floor_gbps", "scan_cost_units",
+        ],
     )
 
-    cells: dict[str, dict] = {}
-    if netsim:
-        for name in names:
-            cells[name] = run_netsim_cell(
-                name,
-                use_case_name=netsim_use_case or use_case_name,
-                duration=duration,
-                attack_start=attack_start,
-                attack_stop=attack_stop,
-                attack_pps=attack_pps,
-                dt=dt,
-            )
+    cells = {
+        name: run_netsim_cell(name, USE_CASE, DURATION, ATTACK_START, ATTACK_STOP, ATTACK_PPS)
+        for name in names
+    }
 
     transcripts: dict[str, list] = {}
     for name in names:
@@ -189,7 +164,8 @@ def run(
         after_probe = _mean_probes(after_verdicts)
 
         transcripts[name] = actions
-        row = [
+        cell = cells[name]
+        result.add_row(
             name,
             datapath.n_masks,
             datapath.n_megaflows,
@@ -198,15 +174,10 @@ def run(
             round(attack_probe, 2),
             round(after_probe, 2),
             round(after_probe / benign_probe if benign_probe else float("inf"), 1),
-        ]
-        if netsim:
-            cell = cells[name]
-            row += [
-                round(cell["baseline_gbps"], 3),
-                round(cell["floor_gbps"], 3),
-                round(cell["peak_scan_cost"], 1),
-            ]
-        result.add_row(*row)
+            round(cell["baseline_gbps"], 3),
+            round(cell["floor_gbps"], 3),
+            round(cell["peak_scan_cost"], 1),
+        )
 
     reference = transcripts[names[0]]
     agree = all(transcripts[name] == reference for name in names[1:])
@@ -222,19 +193,17 @@ def run(
         "masks/entries are backend-independent: the slow path generates the same "
         "megaflows, only the structure that scans them changes"
     )
-    if netsim:
-        detonation = netsim_use_case or use_case_name
-        for name in names:
-            cell = cells[name]
-            result.notes.append(
-                f"netsim ({detonation} detonation at {attack_pps:.0f} pps): {name} victim "
-                f"{cell['baseline_gbps']:.2f} -> {cell['floor_gbps']:.3f} Gbps at "
-                f"{cell['peak_masks']} masks / scan cost {cell['peak_scan_cost']:.1f} probe units"
-            )
+    for name in names:
+        cell = cells[name]
         result.notes.append(
-            "the probe-native cost plane prices each victim at its backend's expected "
-            "scan cost, so only backends whose scan cost tracks the mask count starve"
+            f"netsim ({USE_CASE} detonation at {ATTACK_PPS:.0f} pps): {name} victim "
+            f"{cell['baseline_gbps']:.2f} -> {cell['floor_gbps']:.3f} Gbps at "
+            f"{cell['peak_masks']} masks / scan cost {cell['peak_scan_cost']:.1f} probe units"
         )
+    result.notes.append(
+        "the probe-native cost plane prices each victim at its backend's expected "
+        "scan cost, so only backends whose scan cost tracks the mask count starve"
+    )
     return result
 
 

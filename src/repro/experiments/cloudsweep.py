@@ -32,7 +32,7 @@ from __future__ import annotations
 from repro.experiments.backendsweep import attacker_rules
 from repro.experiments.common import ExperimentResult
 from repro.exceptions import ExperimentError
-from repro.netsim.cloud import ENVIRONMENTS, SYNTHETIC_ENV
+from repro.netsim.cloud import SYNTHETIC_ENV
 from repro.netsim.engine import Simulation
 from repro.netsim.fleet import Fleet
 from repro.netsim.flows import ActiveWindow, AttackSource
@@ -41,49 +41,43 @@ from repro.netsim.metrics import quantile
 __all__ = ["run", "run_plan"]
 
 PLANS = ("spread", "concentrated")
+ATTACK_PPS = 2000.0  # the campaign's total budget
+USE_CASE = "SipDp"
 
 
 def run_plan(
     plan: str,
-    environment=SYNTHETIC_ENV,
-    n_racks: int = 4,
-    hosts_per_rack: int = 25,
-    tenants_per_host: int = 1000,
-    duration: float = 30.0,
-    attack_start: float = 5.0,
-    attack_stop: float = 25.0,
-    attack_pps: float = 2000.0,
-    use_case_name: str = "SipDp",
-    seed: int = 0,
-    dt: float = 0.1,
-    rack_period: float = 1.0,
+    n_racks: int,
+    hosts_per_rack: int,
+    tenants_per_host: int,
+    duration: float,
+    attack_start: float,
+    attack_stop: float,
 ) -> dict:
-    """One detonation plan over a fresh fleet; returns its floor stats.
+    """One detonation plan over a fresh Synthetic fleet; returns its floor stats.
 
-    ``plan="concentrated"`` aims the whole ``attack_pps`` at host (0, 0);
+    ``plan="concentrated"`` aims the whole ``ATTACK_PPS`` at host (0, 0);
     ``plan="spread"`` divides it evenly across every host in the fleet —
     same crafted trace per host, same total budget either way.
     """
     if plan not in PLANS:
         raise ExperimentError(f"unknown plan {plan!r}; expected one of {PLANS}")
     fleet = Fleet(
-        environment,
+        SYNTHETIC_ENV,
         n_racks=n_racks,
         hosts_per_rack=hosts_per_rack,
         tenants_per_host=tenants_per_host,
-        seed=seed,
-        rack_period=rack_period,
     )
     try:
-        simulation = Simulation(dt=dt)
+        simulation = Simulation()
         fleet.register(simulation)
-        rules = attacker_rules(use_case_name)
+        rules = attacker_rules(USE_CASE)
         window = [ActiveWindow(attack_start, attack_stop)]
         hosts = list(fleet.hosts())
         targets = hosts if plan == "spread" else [fleet.host(0, 0)]
-        per_host_pps = attack_pps / len(targets)
+        per_host_pps = ATTACK_PPS / len(targets)
         for host in targets:
-            trace = host.detonation_trace(rules, label=use_case_name)
+            trace = host.detonation_trace(rules, label=USE_CASE)
             simulation.add(
                 AttackSource(
                     host=host,
@@ -91,7 +85,7 @@ def run_plan(
                     pps=per_host_pps,
                     windows=window,
                     name=f"attacker-{host.name}",
-                    period=dt,
+                    period=simulation.dt,
                 )
             )
 
@@ -124,32 +118,20 @@ def run_plan(
 
 
 def run(
-    environment_name: str = "Synthetic",
     n_racks: int = 4,
     hosts_per_rack: int = 25,
     tenants_per_host: int = 1000,
     duration: float = 30.0,
     attack_start: float = 5.0,
     attack_stop: float = 25.0,
-    attack_pps: float = 2000.0,
-    use_case_name: str = "SipDp",
-    seed: int = 0,
-    dt: float = 0.1,
-    rack_period: float = 1.0,
 ) -> ExperimentResult:
     """Floor distributions for both detonation plans over the same fleet shape."""
-    try:
-        environment = ENVIRONMENTS[environment_name]
-    except KeyError:
-        raise ExperimentError(
-            f"unknown environment {environment_name!r}; have {sorted(ENVIRONMENTS)}"
-        ) from None
     result = ExperimentResult(
         experiment_id="cloudsweep",
         title=(
-            f"{use_case_name} campaign over {n_racks * hosts_per_rack} hosts x "
-            f"{tenants_per_host} tenants ({environment_name}), "
-            f"spread vs concentrated at {attack_pps:.0f} pps total"
+            f"{USE_CASE} campaign over {n_racks * hosts_per_rack} hosts x "
+            f"{tenants_per_host} tenants ({SYNTHETIC_ENV.name}), "
+            f"spread vs concentrated at {ATTACK_PPS:.0f} pps total"
         ),
         paper_reference="fleet-scale extension of §5.4 (ROADMAP item 1; arXiv:2011.09107)",
         columns=[
@@ -165,21 +147,7 @@ def run(
         ],
     )
     cells = [
-        run_plan(
-            plan,
-            environment=environment,
-            n_racks=n_racks,
-            hosts_per_rack=hosts_per_rack,
-            tenants_per_host=tenants_per_host,
-            duration=duration,
-            attack_start=attack_start,
-            attack_stop=attack_stop,
-            attack_pps=attack_pps,
-            use_case_name=use_case_name,
-            seed=seed,
-            dt=dt,
-            rack_period=rack_period,
-        )
+        run_plan(plan, n_racks, hosts_per_rack, tenants_per_host, duration, attack_start, attack_stop)
         for plan in PLANS
     ]
     for cell in cells:

@@ -1,6 +1,7 @@
 """Shared experiment-result plumbing.
 
-Every experiment module exposes ``run(**params) -> ExperimentResult``; the
+Every experiment module exposes ``run() -> ExperimentResult`` (see
+:mod:`repro.experiments` for the four that take keywords); the
 result carries the table/series the paper's figure reports plus notes on
 paper-vs-measured agreement.  ``python -m repro.experiments <id>`` prints
 them, and ``tests/golden/<id>.txt`` pins every one byte for byte.
@@ -21,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["ExperimentResult", "benign_keys", "format_cell"]
 
 
-def benign_keys(use_case: "UseCase", n: int, seed: int = 0) -> "list[FlowKey]":
+def benign_keys(use_case: "UseCase", n: int) -> "list[FlowKey]":
     """Packets the ACL admits (one per allow rule, varied source ports).
 
     The benign traffic mix the §7 comparison and the backend sweep probe
@@ -32,7 +33,7 @@ def benign_keys(use_case: "UseCase", n: int, seed: int = 0) -> "list[FlowKey]":
     from repro.packet.fields import FlowKey
     from repro.packet.headers import PROTO_TCP
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     keys = []
     for index in range(n):
         field = use_case.allow_fields[index % len(use_case.allow_fields)]

@@ -3,7 +3,7 @@
 The paper's long-term mitigation: replace TSS with classifiers whose
 lookup cost does not depend on traffic history — hierarchical tries,
 HyperCuts, HaRP.  This harness runs the same three traffic phases through
-every classifier in the :data:`repro.classifier.SECTION7_CLASSIFIERS`
+every classifier :func:`repro.classifier.section7_classifiers` builds
 lineup (one cached datapath per megaflow backend, plus the
 traffic-independent alternatives) and reports the mean per-packet lookup
 cost (each in its own units — the *trend across phases* is the result):
@@ -26,23 +26,20 @@ from repro.classifier import section7_classifiers
 from repro.classifier.adapter import TssCachedClassifier
 from repro.classifier.base import PacketClassifier
 from repro.core.tracegen import ColocatedTraceGenerator
-from repro.core.usecases import SIPSPDP, UseCase
+from repro.core.usecases import SIPSPDP
 from repro.experiments.common import ExperimentResult, benign_keys
 from repro.packet.headers import PROTO_TCP
 
 __all__ = ["run"]
 
 
-def run(
-    use_case: UseCase = SIPSPDP,
-    benign_packets: int = 2000,
-    seed: int = 0,
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Run the three-phase robustness comparison."""
+    use_case = SIPSPDP
     table = use_case.build_table()
     rules = table.rules_by_priority()
     classifiers: Sequence[PacketClassifier] = section7_classifiers(rules)
-    benign = benign_keys(use_case, benign_packets, seed)
+    benign = benign_keys(use_case, 2000)
     attack = ColocatedTraceGenerator(table, base={"ip_proto": PROTO_TCP}).generate().keys
 
     result = ExperimentResult(

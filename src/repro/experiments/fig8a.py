@@ -17,22 +17,19 @@ from repro.netsim.cms import PolicyRule
 
 __all__ = ["run"]
 
+DURATION = 90.0
+ATTACK_START, ATTACK_STOP = 30.0, 60.0  # t1, t2
+ATTACK_PPS = 100.0
+N_VICTIMS = 3
 
-def run(
-    duration: float = 90.0,
-    attack_start: float = 30.0,
-    attack_stop: float = 60.0,
-    attack_pps: float = 100.0,
-    n_victims: int = 3,
-    dt: float = 0.1,
-    sample_every: float = 1.0,
-) -> ExperimentResult:
+
+def run() -> ExperimentResult:
     """Regenerate the Fig. 8a time series.
 
     Returns one row per sample: time, per-victim Gbps, their sum, the
     attacker rate (pps) and the current megaflow mask count.
     """
-    testbed = build_testbed(SYNTHETIC_ENV, dt=dt)
+    testbed = build_testbed(SYNTHETIC_ENV)
     trace = testbed.attack_trace(
         [
             PolicyRule(dst_port=80),
@@ -40,7 +37,7 @@ def run(
         ],
         label="SipDp",
     )
-    names = [f"victim{i + 1}" for i in range(n_victims)]
+    names = [f"victim{i + 1}" for i in range(N_VICTIMS)]
     victims = [
         testbed.add_victim_flow(name, flow_index=i, offered_gbps=3.3)
         for i, name in enumerate(names)
@@ -48,16 +45,16 @@ def run(
     run_attack_window(
         testbed,
         trace.keys,
-        attack_pps,
-        [(attack_start, attack_stop)],
-        duration,
-        sample_every=sample_every,
+        ATTACK_PPS,
+        [(ATTACK_START, ATTACK_STOP)],
+        DURATION,
+        sample_every=1.0,
         probes={"victim_sum": lambda: sum(victim.rate_gbps for victim in victims)},
     )
 
     result = ExperimentResult(
         experiment_id="fig8a",
-        title=f"{n_victims} concurrent TCP victims, co-located SipDp attack at {attack_pps:.0f} pps",
+        title=f"{N_VICTIMS} concurrent TCP victims, co-located SipDp attack at {ATTACK_PPS:.0f} pps",
         paper_reference="Fig. 8a (synthetic testbed, §5.4)",
         columns=["t_s"]
         + [f"{name}_gbps" for name in names]
@@ -69,10 +66,10 @@ def run(
         result.add_row(round(t, 3), *[round(rate, 4) for rate in rates], pps, masks)
 
     total = testbed.metrics.series("victim_sum")
-    baseline = total.maximum(stop=attack_start)
-    floor = total.minimum(attack_start + 5, attack_stop)
+    baseline = total.maximum(stop=ATTACK_START)
+    floor = total.minimum(ATTACK_START + 5, ATTACK_STOP)
     recovered_at = next(
-        (round(t, 3) for t, v in total if t > attack_stop and v >= 0.9 * baseline),
+        (round(t, 3) for t, v in total if t > ATTACK_STOP and v >= 0.9 * baseline),
         None,
     )
     result.notes.append(
@@ -81,7 +78,7 @@ def run(
     )
     result.notes.append(
         f"recovered to 90% of baseline at t={recovered_at} s "
-        f"(paper: ~10 s after t2={attack_stop:.0f} s — the MFC idle timeout)"
+        f"(paper: ~10 s after t2={ATTACK_STOP:.0f} s — the MFC idle timeout)"
     )
     result.notes.append(
         f"trace: {len(trace)} crafted packets, {trace.expected_masks} expected masks"

@@ -22,17 +22,15 @@ from repro.netsim.flows import ActiveWindow
 
 __all__ = ["run"]
 
+DURATION = 120.0
+VICTIM_START = 30.0
+ATTACK_WINDOWS = ((0.0, 60.0), (90.0, 120.0))
+ATTACK_PPS = 100.0
 
-def run(
-    duration: float = 120.0,
-    victim_start: float = 30.0,
-    attack_windows: tuple[tuple[float, float], ...] = ((0.0, 60.0), (90.0, 120.0)),
-    attack_pps: float = 100.0,
-    dt: float = 0.1,
-    sample_every: float = 1.0,
-) -> ExperimentResult:
+
+def run() -> ExperimentResult:
     """Regenerate the Fig. 8b time series."""
-    testbed = build_testbed(OPENSTACK_ENV, dt=dt, victim_protocol="udp")
+    testbed = build_testbed(OPENSTACK_ENV, victim_protocol="udp")
     trace = testbed.attack_trace(
         [
             PolicyRule(dst_port=80),
@@ -44,16 +42,16 @@ def run(
         "victim",
         offered_gbps=9.5,
         kind="udp",
-        windows=[ActiveWindow(victim_start, duration)],
+        windows=[ActiveWindow(VICTIM_START, DURATION)],
     )
     host = testbed.server.host
     run_attack_window(
         testbed,
         trace.keys,
-        attack_pps,
-        attack_windows,
-        duration,
-        sample_every=sample_every,
+        ATTACK_PPS,
+        ATTACK_WINDOWS,
+        DURATION,
+        sample_every=1.0,
         probes={"protected": lambda: host.victims["victim"].protected},
     )
 
@@ -69,11 +67,11 @@ def run(
         result.add_row(round(t, 3), round(rate, 4), pps, masks, protected)
 
     rate = testbed.metrics.series("victim")
-    first_stop, second_start = attack_windows[0][1], attack_windows[1][0]
-    first_floor = rate.minimum(victim_start + 3, first_stop)
-    first_peak = rate.maximum(victim_start + 3, first_stop)
+    first_stop, second_start = ATTACK_WINDOWS[0][1], ATTACK_WINDOWS[1][0]
+    first_floor = rate.minimum(VICTIM_START + 3, first_stop)
+    first_peak = rate.maximum(VICTIM_START + 3, first_stop)
     baseline = rate.maximum(first_stop + 15, second_start)
-    re_attack = rate.minimum(second_start + 5, duration)
+    re_attack = rate.minimum(second_start + 5, DURATION)
     result.notes.append(
         f"victim under first attack: {first_floor:.2f}-{first_peak:.2f} Gbps "
         f"({100 * (1 - first_floor / baseline):.0f}% degradation; paper: >90%)"

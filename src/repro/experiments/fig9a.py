@@ -13,15 +13,13 @@ x-axis labels.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.experiments.common import ExperimentResult
 from repro.switch.costmodel import CostModel
 from repro.switch.offload import FHO_TCP, GRO_OFF_TCP, GRO_ON_TCP, UDP_PROFILE
 
-__all__ = ["run", "DEFAULT_MASK_SWEEP", "USE_CASE_TICKS"]
+__all__ = ["run", "MASK_SWEEP", "USE_CASE_TICKS"]
 
-DEFAULT_MASK_SWEEP: tuple[int, ...] = (
+MASK_SWEEP: tuple[int, ...] = (
     1, 2, 5, 10, 17, 50, 100, 260, 516, 1000, 2000, 4000, 8200,
 )
 
@@ -29,7 +27,7 @@ DEFAULT_MASK_SWEEP: tuple[int, ...] = (
 USE_CASE_TICKS = {17: "Dp", 260: "SpDp", 516: "SipDp", 8200: "SipSpDp"}
 
 
-def run(mask_counts: Sequence[int] = DEFAULT_MASK_SWEEP) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Regenerate the Fig. 9a curves.
 
     Returns one row per mask count: throughput (Gbps) per profile plus the
@@ -50,7 +48,7 @@ def run(mask_counts: Sequence[int] = DEFAULT_MASK_SWEEP) -> ExperimentResult:
         columns=["mfc_masks", "use_case", "fho_gbps", "gro_on_gbps",
                  "gro_off_gbps", "udp_gbps", "fct_1gb_s"],
     )
-    for masks in mask_counts:
+    for masks in MASK_SWEEP:
         row = [masks, USE_CASE_TICKS.get(masks, "")]
         for model in models.values():
             row.append(round(model.victim_gbps(masks), 4))

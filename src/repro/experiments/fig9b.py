@@ -22,20 +22,17 @@ from repro.core.usecases import DP, SIPDP, SIPSPDP, SPDP, UseCase
 from repro.experiments.common import ExperimentResult
 from repro.packet.headers import PROTO_TCP
 
-__all__ = ["run", "DEFAULT_PACKET_COUNTS", "measured_masks"]
+__all__ = ["run", "PACKET_COUNTS", "RUNS", "measured_masks"]
 
-DEFAULT_PACKET_COUNTS: tuple[int, ...] = (
+PACKET_COUNTS: tuple[int, ...] = (
     10, 17, 50, 100, 260, 516, 1000, 5000, 10000, 50000,
 )
+USE_CASES = (DP, SPDP, SIPDP, SIPSPDP)
+RUNS = 3  # Monte Carlo runs per use case, seeded 0, 1000, 2000
 
 
-def measured_masks(
-    use_case: UseCase,
-    packet_counts: Sequence[int],
-    runs: int = 3,
-    seed: int = 0,
-) -> list[float]:
-    """Monte Carlo: masks spawned by n random packets (mean over runs).
+def measured_masks(use_case: UseCase, packet_counts: Sequence[int]) -> list[float]:
+    """Monte Carlo: masks spawned by n random packets (mean over ``RUNS`` runs).
 
     A single pass per run: random keys stream through the megaflow
     generator and the distinct-mask set is checkpointed at each requested
@@ -45,12 +42,12 @@ def measured_masks(
     checkpoints = sorted(packet_counts)
     table = use_case.build_table()
     totals = [0.0] * len(checkpoints)
-    for run_index in range(runs):
+    for run_index in range(RUNS):
         generator = MegaflowGenerator(table, WILDCARDING)
         source = GeneralTraceGenerator(
             fields=use_case.allow_fields,
             base={"ip_proto": PROTO_TCP},
-            seed=seed + 1000 * run_index,
+            seed=1000 * run_index,
         )
         masks: set = set()
         sent = 0
@@ -59,44 +56,39 @@ def measured_masks(
                 masks.add(generator.generate(key).entry.mask)
             sent = target
             totals[target_index] += len(masks)
-    means = [total / runs for total in totals]
+    means = [total / RUNS for total in totals]
     order = {n: i for i, n in enumerate(checkpoints)}
     return [means[order[n]] for n in packet_counts]
 
 
-def run(
-    packet_counts: Sequence[int] = DEFAULT_PACKET_COUNTS,
-    runs: int = 3,
-    seed: int = 0,
-    use_cases: Sequence[UseCase] = (DP, SPDP, SIPDP, SIPSPDP),
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Regenerate the Fig. 9b E/M curves."""
     result = ExperimentResult(
         experiment_id="fig9b",
-        title=f"expected (E) vs measured (M, {runs} runs) MFC masks, random packets",
+        title=f"expected (E) vs measured (M, {RUNS} runs) MFC masks, random packets",
         paper_reference="Fig. 9b (§6.2)",
         columns=["packets"]
-        + [f"{uc.name}_{kind}" for uc in use_cases for kind in ("E", "M")],
+        + [f"{uc.name}_{kind}" for uc in USE_CASES for kind in ("E", "M")],
     )
     expectations = {
-        uc.name: [expected_masks(uc.field_widths(), n) for n in packet_counts]
-        for uc in use_cases
+        uc.name: [expected_masks(uc.field_widths(), n) for n in PACKET_COUNTS]
+        for uc in USE_CASES
     }
     measurements = {
-        uc.name: measured_masks(uc, packet_counts, runs=runs, seed=seed)
-        for uc in use_cases
+        uc.name: measured_masks(uc, PACKET_COUNTS)
+        for uc in USE_CASES
     }
-    for index, n in enumerate(packet_counts):
+    for index, n in enumerate(PACKET_COUNTS):
         row: list[object] = [n]
-        for uc in use_cases:
+        for uc in USE_CASES:
             row.append(round(expectations[uc.name][index], 1))
             row.append(round(measurements[uc.name][index], 1))
         result.add_row(*row)
 
-    largest = max(packet_counts)
+    largest = max(PACKET_COUNTS)
     summary = ", ".join(
         f"{uc.name} E={expectations[uc.name][-1]:.0f}/M={measurements[uc.name][-1]:.0f}"
-        for uc in use_cases
+        for uc in USE_CASES
     )
     result.notes.append(f"at n={largest}: {summary}")
     result.notes.append("paper at n=50,000: Dp ~16, SpDp ~121, SipDp ~122, SipSpDp ~581")

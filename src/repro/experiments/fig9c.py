@@ -13,8 +13,6 @@ demoted packet rate that drives the model.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.core.mitigation import MFCGuard, MFCGuardConfig
 from repro.core.tracegen import ColocatedTraceGenerator
 from repro.core.usecases import SIPSPDP
@@ -23,9 +21,10 @@ from repro.packet.headers import PROTO_TCP
 from repro.switch.costmodel import slow_path_cpu_pct
 from repro.switch.datapath import Datapath, DatapathConfig
 
-__all__ = ["run", "DEFAULT_RATES"]
+__all__ = ["run", "RATES"]
 
-DEFAULT_RATES: tuple[float, ...] = (10, 100, 1000, 5000, 10000, 20000, 50000)
+RATES: tuple[float, ...] = (10, 100, 1000, 5000, 10000, 20000, 50000)
+SIMULATE_UP_TO = 1000.0  # pps; above it the demotion is not simulated
 
 
 def _simulate_demotion(attack_pps: float, sim_seconds: float = 30.0) -> float:
@@ -39,7 +38,7 @@ def _simulate_demotion(attack_pps: float, sim_seconds: float = 30.0) -> float:
     table = SIPSPDP.build_table()
     trace = ColocatedTraceGenerator(table, base={"ip_proto": PROTO_TCP}).generate()
     datapath = Datapath(table, DatapathConfig(microflow_capacity=0))
-    guard = MFCGuard(datapath, MFCGuardConfig(mask_threshold=100, cpu_threshold_pct=1000.0))
+    guard = MFCGuard(datapath, MFCGuardConfig(cpu_threshold_pct=1000.0))
 
     # Warm up: one full trace pass installs the tuple space.
     datapath.process_batch(trace.keys, now=0.0)
@@ -57,10 +56,7 @@ def _simulate_demotion(attack_pps: float, sim_seconds: float = 30.0) -> float:
     return attack_pps * (demoted / total if total else 0.0)
 
 
-def run(
-    rates: Sequence[float] = DEFAULT_RATES,
-    simulate_up_to: float = 1000.0,
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Regenerate the Fig. 9c curve."""
     result = ExperimentResult(
         experiment_id="fig9c",
@@ -68,8 +64,8 @@ def run(
         paper_reference="Fig. 9c (§8)",
         columns=["attack_pps", "cpu_pct", "demoted_pps_simulated"],
     )
-    for pps in rates:
-        demoted = _simulate_demotion(pps) if pps <= simulate_up_to else float("nan")
+    for pps in RATES:
+        demoted = _simulate_demotion(pps) if pps <= SIMULATE_UP_TO else float("nan")
         result.add_row(pps, round(slow_path_cpu_pct(pps), 1), round(demoted, 1))
     result.notes.append(
         "paper: ~15% CPU below 1 kpps (enough to stop Co-located TSE), ~80% at 10 kpps; "

@@ -26,6 +26,8 @@ from repro.switch.revalidator import REVALIDATE_UNITS_PER_ENTRY
 
 __all__ = ["run"]
 
+N_PACKETS = 20000
+
 
 def _ipv6_sipdp_table() -> FlowTable:
     table = FlowTable(name="acl-sipdp-v6")
@@ -40,7 +42,7 @@ def _ipv6_sipdp_table() -> FlowTable:
     return table
 
 
-def _attack(strategy: StrategyConfig, n_packets: int, seed: int) -> Datapath:
+def _attack(strategy: StrategyConfig) -> Datapath:
     table = _ipv6_sipdp_table()
     datapath = Datapath(
         table,
@@ -49,17 +51,17 @@ def _attack(strategy: StrategyConfig, n_packets: int, seed: int) -> Datapath:
     source = GeneralTraceGenerator(
         fields=("ipv6_src", "tp_dst"),
         base={"eth_type": ETHERTYPE_IPV6, "ip_proto": PROTO_TCP},
-        seed=seed,
+        seed=0,
     )
-    datapath.process_batch(list(source.keys(n_packets)))
+    datapath.process_batch(list(source.keys(N_PACKETS)))
     return datapath
 
 
-def run(n_packets: int = 20000, seed: int = 0) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Contrast exact-match IPv6 handling with bit-level wildcarding."""
     result = ExperimentResult(
         experiment_id="ipv6",
-        title=f"SipDp over IPv6: {n_packets} random packets, per strategy",
+        title=f"SipDp over IPv6: {N_PACKETS} random packets, per strategy",
         paper_reference="§5.4 IPv6 observation",
         columns=[
             "strategy", "mfc_masks", "megaflows", "memory_mb", "reval_units_per_sweep",
@@ -69,7 +71,7 @@ def run(n_packets: int = 20000, seed: int = 0) -> ExperimentResult:
         ("ovs-default (v6 exact)", OVS_DEFAULT),
         ("bit-wildcarding", WILDCARDING),
     ):
-        datapath = _attack(strategy, n_packets, seed)
+        datapath = _attack(strategy)
         result.add_row(
             label,
             datapath.n_masks,

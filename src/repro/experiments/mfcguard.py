@@ -19,20 +19,17 @@ from repro.netsim.cms import PolicyRule
 
 __all__ = ["run"]
 
+DURATION = 60.0
+ATTACK_START = 10.0
+ATTACK_PPS = 1000.0
 
-def _one_run(
-    with_guard: bool,
-    duration: float,
-    attack_start: float,
-    attack_pps: float,
-    dt: float,
-    sample_every: float,
-) -> list[tuple[float, float, int, float]]:
-    """``(t, victim Gbps, masks, upcall pps)`` samples of one run."""
-    testbed = build_testbed(SYNTHETIC_ENV, dt=dt, victim_protocol="udp", with_guard=with_guard)
+
+def _one_run(with_guard: bool, duration: float, attack_start: float) -> list[tuple[float, float, int, float]]:
+    """``(t, victim Gbps, masks, upcall pps)`` samples of one run, every 2 s."""
+    testbed = build_testbed(SYNTHETIC_ENV, victim_protocol="udp", with_guard=with_guard)
     host = testbed.server.host
     if with_guard:
-        host.guard.config = MFCGuardConfig(mask_threshold=100, cpu_threshold_pct=200.0)
+        host.guard.config = MFCGuardConfig(cpu_threshold_pct=200.0)
     trace = testbed.attack_trace(
         [
             PolicyRule(dst_port=80),
@@ -48,29 +45,23 @@ def _one_run(
     run_attack_window(
         testbed,
         trace.keys,
-        attack_pps,
+        ATTACK_PPS,
         [(attack_start, duration)],
         duration,
-        sample_every=sample_every,
+        sample_every=2.0,
         probes={"upcall_pps": lambda: host.upcall_pps},
     )
     return list(samples(testbed.metrics, "victim", "masks", "upcall_pps"))
 
 
-def run(
-    duration: float = 60.0,
-    attack_start: float = 10.0,
-    attack_pps: float = 1000.0,
-    dt: float = 0.1,
-    sample_every: float = 2.0,
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Regenerate the guard-on/guard-off comparison."""
-    without = _one_run(False, duration, attack_start, attack_pps, dt, sample_every)
-    with_guard = _one_run(True, duration, attack_start, attack_pps, dt, sample_every)
+    without = _one_run(False, DURATION, ATTACK_START)
+    with_guard = _one_run(True, DURATION, ATTACK_START)
 
     result = ExperimentResult(
         experiment_id="mfcguard",
-        title=f"MFCGuard on/off under a {attack_pps:.0f} pps SipSpDp attack",
+        title=f"MFCGuard on/off under a {ATTACK_PPS:.0f} pps SipSpDp attack",
         paper_reference="§8 (Alg. 2) / Fig. 9c",
         columns=[
             "t_s", "victim_gbps_noguard", "masks_noguard",
@@ -80,7 +71,7 @@ def run(
     for (t, v0, m0, _u0), (_t, v1, m1, u1) in zip(without, with_guard):
         result.add_row(round(t, 3), round(v0, 4), m0, round(v1, 4), m1, round(u1, 1))
 
-    late = [row for row in result.rows if row[0] >= attack_start + 25]
+    late = [row for row in result.rows if row[0] >= ATTACK_START + 25]
     result.notes.append(
         f"steady state under attack: no-guard victim ~{late[-1][1]:.2f} Gbps at "
         f"{late[-1][2]} masks; guarded victim ~{late[-1][3]:.2f} Gbps at {late[-1][4]} masks"

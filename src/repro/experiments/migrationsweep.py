@@ -2,7 +2,7 @@
 
 ``backendsweep`` measured the *deployment* gap: under the same 8k-mask
 SipSpDp detonation a TSS victim floors at ~0.004 Gbps while a tuplechain
-victim keeps ~2.4 (``backendsweep.run(netsim_use_case="SipSpDp")``).  This
+victim keeps ~2.4 (``backendsweep.run_netsim_cell`` on ``"SipSpDp"``).  This
 experiment measures the *online* version of that gap (ROADMAP item 3):
 every run starts on TSS, gets detonated, and differs only in which
 recovery policy is armed —
@@ -43,19 +43,17 @@ from repro.netsim.cloud import SYNTHETIC_ENV
 __all__ = ["run", "run_policy_cell", "POLICIES"]
 
 POLICIES = ("none", "guard", "migration", "hybrid")
+ATTACK_PPS = 1200.0
+RECOVERY_GBPS = 1.0  # the absolute service bar time-to-recover is read against
 
 
 def run_policy_cell(
     policy: str,
-    use_case_name: str = "SipSpDp",
-    duration: float = 40.0,
-    attack_start: float = 5.0,
-    attack_stop: float = 35.0,
-    attack_pps: float = 1200.0,
-    offered_gbps: float = 10.0,
-    dt: float = 0.1,
-    migration_policy: MigrationPolicy | None = None,
-    recovery_gbps: float = 1.0,
+    use_case_name: str,
+    duration: float,
+    attack_start: float,
+    attack_stop: float,
+    migration_policy: MigrationPolicy,
 ) -> dict:
     """One recovery policy's full netsim run under the TSE detonation.
 
@@ -65,7 +63,7 @@ def run_policy_cell(
     still under attack*), time-to-recover, and the collateral counters.
 
     Time-to-recover is measured against an absolute service bar,
-    ``recovery_gbps``: seconds from the throughput collapse until the
+    ``RECOVERY_GBPS``: seconds from the throughput collapse until the
     victim's settled rate is back above the bar *while the attack is still
     running* — ~250x the undefended TSS floor, and deliberately below the
     grouped backend's own under-detonation ceiling (~2.4 Gbps), so a
@@ -74,24 +72,22 @@ def run_policy_cell(
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; known: {', '.join(POLICIES)}")
-    mpolicy = migration_policy or MigrationPolicy()
     with_migration = policy in ("migration", "hybrid")
     with_guard = policy in ("guard", "hybrid")
     environment = replace(
         SYNTHETIC_ENV,
         name=f"Synthetic/{policy}",
-        migration_policy=mpolicy if with_migration else None,
+        migration_policy=migration_policy if with_migration else None,
     )
     testbed, trace = detonation_testbed(
-        environment, attacker_rules(use_case_name), use_case_name, offered_gbps, dt,
-        with_guard=with_guard,
+        environment, attacker_rules(use_case_name), use_case_name, with_guard=with_guard,
     )
     host = testbed.server.host
     shards = testbed.server.datapath.shards
     records = run_attack_window(
         testbed,
         trace.keys,
-        attack_pps,
+        ATTACK_PPS,
         [(attack_start, attack_stop)],
         duration,
         probes={
@@ -106,11 +102,11 @@ def run_policy_cell(
     metrics = testbed.metrics
     rate = metrics.series("victim")
     collapse_at = next(
-        (t for t, r in rate if t >= attack_start and r < recovery_gbps), None
+        (t for t, r in rate if t >= attack_start and r < RECOVERY_GBPS), None
     )
     recover_at = (
         next(
-            (t for t, r in rate if collapse_at < t < attack_stop and r >= recovery_gbps),
+            (t for t, r in rate if collapse_at < t < attack_stop and r >= RECOVERY_GBPS),
             None,
         )
         if collapse_at is not None
@@ -141,24 +137,11 @@ def run(
     duration: float = 40.0,
     attack_start: float = 5.0,
     attack_stop: float = 35.0,
-    attack_pps: float = 1200.0,
-    dt: float = 0.1,
-    migration_policy: MigrationPolicy | None = None,
-    recovery_gbps: float = 1.0,
+    migration_policy: MigrationPolicy = MigrationPolicy(),
 ) -> ExperimentResult:
     """Run every recovery policy against the same detonation and compare."""
     cells = {
-        policy: run_policy_cell(
-            policy,
-            use_case_name=use_case_name,
-            duration=duration,
-            attack_start=attack_start,
-            attack_stop=attack_stop,
-            attack_pps=attack_pps,
-            dt=dt,
-            migration_policy=migration_policy,
-            recovery_gbps=recovery_gbps,
-        )
+        policy: run_policy_cell(policy, use_case_name, duration, attack_start, attack_stop, migration_policy)
         for policy in POLICIES
     }
 
@@ -222,7 +205,7 @@ def run(
         )
     result.notes.append(
         f"time_to_recover_s: seconds from collapse until the victim holds >= "
-        f"{recovery_gbps:g} Gbps again while the attack is still running "
+        f"{RECOVERY_GBPS:g} Gbps again while the attack is still running "
         f"(n/a = never recovered in-attack)"
     )
     return result

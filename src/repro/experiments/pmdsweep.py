@@ -29,8 +29,6 @@ burns the wall clock.  Expected shape:
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence
-
 from repro.experiments.common import ExperimentResult
 from repro.experiments.scenario import run_attack_window
 from repro.experiments.testbeds import TRUSTED_IP, build_testbed
@@ -40,29 +38,22 @@ from repro.netsim.flows import queue_aware_trace
 
 __all__ = ["run", "run_config"]
 
-# (n_pmd, trace plan[, executor]) — plan is "spread" or a queue index;
-# executor defaults to "serial".
-DEFAULT_CONFIGS: tuple[tuple, ...] = (
-    (1, "spread"),
-    (2, "spread"),
-    (4, "spread"),
-    (4, 0),  # concentrated on queue 0 (victim1's core)
+# (n_pmd, trace plan, executor) — plan is "spread" or a queue index.
+CONFIGS: tuple[tuple[int, str | int, str], ...] = (
+    (1, "spread", "serial"),
+    (2, "spread", "serial"),
+    (4, "spread", "serial"),
+    (4, 0, "serial"),  # concentrated on queue 0 (victim1's core)
     (4, "spread", "thread"),  # same cell, parallel executors: floors must
     (4, "spread", "process"),  # match the (4, spread, serial) row exactly
 )
+DURATION = 40.0
+ATTACK_START, ATTACK_STOP = 10.0, 30.0
+ATTACK_PPS = 200.0
+N_VICTIMS = 4
 
 
-def run_config(
-    n_pmd: int,
-    plan: str | int,
-    executor: str = "serial",
-    duration: float = 40.0,
-    attack_start: float = 10.0,
-    attack_stop: float = 30.0,
-    attack_pps: float = 200.0,
-    n_victims: int = 4,
-    dt: float = 0.1,
-) -> dict:
+def run_config(n_pmd: int, plan: str | int, executor: str) -> dict:
     """One sweep cell: build the testbed, run it, summarise the window."""
     environment = replace(
         SYNTHETIC_ENV,
@@ -70,17 +61,17 @@ def run_config(
         n_pmd=n_pmd,
         datapath=replace(SYNTHETIC_ENV.datapath, executor=executor),
     )
-    testbed = build_testbed(environment, dt=dt)
+    testbed = build_testbed(environment)
     host, datapath = testbed.server.host, testbed.server.datapath
     try:
         victims = [
             testbed.add_victim_flow(
                 f"victim{i + 1}",
                 flow_index=i,
-                offered_gbps=10.0 / n_victims,
+                offered_gbps=10.0 / N_VICTIMS,
                 queue=i % n_pmd,
             )
-            for i in range(n_victims)
+            for i in range(N_VICTIMS)
         ]
         trace = testbed.attack_trace(
             [
@@ -96,9 +87,9 @@ def run_config(
     masks_total, masks_per_shard = run_attack_window(
         testbed,
         keys,
-        attack_pps,
-        [(attack_start, attack_stop)],
-        duration,
+        ATTACK_PPS,
+        [(ATTACK_START, ATTACK_STOP)],
+        DURATION,
         probes={"core_load": lambda: max(host.per_core_load)},
         readout=lambda: (datapath.n_masks, [shard.n_masks for shard in datapath.shards]),
     )
@@ -107,9 +98,9 @@ def run_config(
         "n_pmd": n_pmd,
         "plan": plan,
         "executor": executor,
-        "baselines": [rate.maximum(stop=attack_start) for rate in rates],
-        "floors": [rate.minimum(attack_start + 5.0, attack_stop) for rate in rates],
-        "peak_core_load": testbed.metrics.series("core_load").maximum(attack_start, attack_stop),
+        "baselines": [rate.maximum(stop=ATTACK_START) for rate in rates],
+        "floors": [rate.minimum(ATTACK_START + 5.0, ATTACK_STOP) for rate in rates],
+        "peak_core_load": testbed.metrics.series("core_load").maximum(ATTACK_START, ATTACK_STOP),
         "masks_total": masks_total,
         "masks_per_shard": masks_per_shard,
         "retarget": report,
@@ -117,44 +108,24 @@ def run_config(
     }
 
 
-def run(
-    configs: Sequence[tuple] = DEFAULT_CONFIGS,
-    duration: float = 40.0,
-    attack_start: float = 10.0,
-    attack_stop: float = 30.0,
-    attack_pps: float = 200.0,
-    n_victims: int = 4,
-    dt: float = 0.1,
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Sweep attack impact vs. PMD count, queue placement and executor.
 
-    Each row is one ``(n_pmd, trace plan[, executor])`` cell; ``trace`` is
+    Each row is one ``(n_pmd, trace plan, executor)`` cell; ``trace`` is
     ``spread`` (round-robin across queues) or ``queue<k>`` (concentrated),
-    ``executor`` one of the shard-execution strategies (default
-    ``serial``).  Victim ``i`` is RSS-pinned to queue ``i % n_pmd``.
+    ``executor`` one of the shard-execution strategies.  Victim ``i`` is
+    RSS-pinned to queue ``i % n_pmd``.
     """
     result = ExperimentResult(
         experiment_id="pmdsweep",
         title="TSE impact vs PMD core count, queue placement and executor",
         paper_reference="multi-queue feasibility follow-up (arXiv:2011.09107)",
         columns=["n_pmd", "trace", "executor"]
-        + [f"victim{i + 1}_floor_gbps" for i in range(n_victims)]
+        + [f"victim{i + 1}_floor_gbps" for i in range(N_VICTIMS)]
         + ["sum_floor_gbps", "sum_baseline_gbps", "masks_max_shard", "peak_core_load"],
     )
-    for config in configs:
-        n_pmd, plan = config[0], config[1]
-        executor = config[2] if len(config) > 2 else "serial"
-        cell = run_config(
-            n_pmd,
-            plan,
-            executor=executor,
-            duration=duration,
-            attack_start=attack_start,
-            attack_stop=attack_stop,
-            attack_pps=attack_pps,
-            n_victims=n_victims,
-            dt=dt,
-        )
+    for n_pmd, plan, executor in CONFIGS:
+        cell = run_config(n_pmd, plan, executor)
         label = "spread" if plan == "spread" else f"queue{plan}"
         result.add_row(
             n_pmd,
@@ -176,8 +147,8 @@ def run(
 
     spread_rows = [
         (row, config)
-        for row, config in zip(result.rows, configs)
-        if config[1] == "spread" and (len(config) < 3 or config[2] == "serial")
+        for row, config in zip(result.rows, CONFIGS)
+        if config[1:] == ("spread", "serial")
     ]
     if len(spread_rows) >= 2:
         sum_floor = list(result.columns).index("sum_floor_gbps")

@@ -61,28 +61,18 @@ POLICIES = ("static", "rebalance")
 #: a couple of seconds while staying well clear of benign noise.  The
 #: cooldown is much shorter than the attacker's observe+re-grind round,
 #: so the defender always gets its move in.
-SWEEP_POLICY = RebalancePolicy(
-    skew_threshold=1.5,
-    cost_floor=64.0,
-    cooldown=2.0,
-    period=0.5,
-    mode="rekey",
-)
+SWEEP_POLICY = RebalancePolicy(skew_threshold=1.5, cooldown=2.0)
+ATTACK_PPS = 1200.0
 
 
 def run_policy_cell(
     policy: str,
-    use_case_name: str = "SipSpDp",
-    duration: float = 40.0,
-    attack_start: float = 5.0,
-    attack_stop: float = 35.0,
-    round_period: float = 10.0,
-    attack_pps: float = 1200.0,
-    offered_gbps: float = 10.0,
-    dt: float = 0.1,
-    rebalance_policy: RebalancePolicy | None = None,
-    victim_queue: int = 0,
-    victim_kind: str = "udp",
+    use_case_name: str,
+    duration: float,
+    attack_start: float,
+    attack_stop: float,
+    round_period: float,
+    rebalance_policy: RebalancePolicy,
 ) -> dict:
     """One defender policy's full adversarial-game run.
 
@@ -92,22 +82,20 @@ def run_policy_cell(
     aims at the victim's *current* home queue.  Returns the time series
     plus the round-tail summary (see module docstring).
 
-    The victim is UDP by default: its rate tracks the capacity the
+    The victim is UDP, pinned to queue 0: its rate tracks the capacity the
     hypervisor assigns each tick, so the series measures the *placement*
     game directly rather than convolving it with TCP's ramp constant
     (a TCP victim recovers to the same level, tau=2 s later).
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; known: {', '.join(POLICIES)}")
-    rpolicy = rebalance_policy or SWEEP_POLICY
     environment = replace(
         MULTIQUEUE_ENV,
         name=f"Multiqueue/{policy}",
-        rebalance_policy=rpolicy if policy == "rebalance" else None,
+        rebalance_policy=rebalance_policy if policy == "rebalance" else None,
     )
     testbed, trace = detonation_testbed(
-        environment, attacker_rules(use_case_name), use_case_name, offered_gbps, dt,
-        queue=victim_queue, kind=victim_kind,
+        environment, attacker_rules(use_case_name), use_case_name, queue=0, kind="udp"
     )
     host = testbed.server.host
     datapath = testbed.server.datapath
@@ -144,7 +132,7 @@ def run_policy_cell(
     run_attack_window(
         testbed,
         regrind(attack_start),
-        attack_pps,
+        ATTACK_PPS,
         [(attack_start, attack_stop)],
         duration,
         events=next_move,
@@ -186,22 +174,11 @@ def run(
     attack_start: float = 5.0,
     attack_stop: float = 35.0,
     round_period: float = 10.0,
-    attack_pps: float = 1200.0,
-    dt: float = 0.1,
-    rebalance_policy: RebalancePolicy | None = None,
 ) -> ExperimentResult:
     """Play the retargeting game with and without the rebalancing defender."""
     cells = {
         policy: run_policy_cell(
-            policy,
-            use_case_name=use_case_name,
-            duration=duration,
-            attack_start=attack_start,
-            attack_stop=attack_stop,
-            round_period=round_period,
-            attack_pps=attack_pps,
-            dt=dt,
-            rebalance_policy=rebalance_policy,
+            policy, use_case_name, duration, attack_start, attack_stop, round_period, SWEEP_POLICY
         )
         for policy in POLICIES
     }

@@ -117,17 +117,15 @@ def detonation_testbed(
     environment: EnvironmentProfile,
     rules: list[PolicyRule],
     label: str,
-    offered_gbps: float,
-    dt: float,
     with_guard: bool = False,
     **victim,
 ) -> tuple[Fig7Testbed, AdversarialTrace]:
     """The single-victim detonation set-up the backend / policy sweeps share.
 
-    ``environment`` -> testbed -> one flow named ``victim`` (``**victim``
-    goes to ``add_victim_flow``) -> the attacker's ACL installed and the
-    co-located trace crafted against it.
+    ``environment`` -> testbed -> one flow named ``victim`` offering 10
+    Gbps (``**victim`` goes to ``add_victim_flow``) -> the attacker's ACL
+    installed and the co-located trace crafted against it.
     """
-    testbed = build_testbed(environment, dt=dt, with_guard=with_guard)
-    testbed.add_victim_flow("victim", offered_gbps=offered_gbps, **victim)
+    testbed = build_testbed(environment, with_guard=with_guard)
+    testbed.add_victim_flow("victim", offered_gbps=10.0, **victim)
     return testbed, testbed.attack_trace(rules, label=label)

@@ -10,10 +10,8 @@ count.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.core.tracegen import ColocatedTraceGenerator
-from repro.core.usecases import DP, SIPDP, SIPSPDP, SPDP, UseCase
+from repro.core.usecases import DP, SIPDP, SIPSPDP, SPDP
 from repro.experiments.common import ExperimentResult
 from repro.packet.headers import PROTO_TCP
 from repro.switch.calibration import fit_profile
@@ -31,7 +29,7 @@ PAPER_PERCENTAGES = {
 }
 
 
-def run(use_cases: Sequence[UseCase] = (DP, SPDP, SIPDP, SIPSPDP)) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Regenerate the §5.4 use-case table."""
     result = ExperimentResult(
         experiment_id="section54",
@@ -51,7 +49,7 @@ def run(use_cases: Sequence[UseCase] = (DP, SPDP, SIPDP, SIPSPDP)) -> Experiment
     }
     paper_mask_ticks = {"Dp": 17, "SpDp": 260, "SipDp": 516, "SipSpDp": 8200}
 
-    for use_case in use_cases:
+    for use_case in (DP, SPDP, SIPDP, SIPSPDP):
         table = use_case.build_table()
         trace = ColocatedTraceGenerator(table, base={"ip_proto": PROTO_TCP}).generate()
         datapath = Datapath(table, DatapathConfig(microflow_capacity=0))

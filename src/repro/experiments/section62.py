@@ -8,12 +8,10 @@ budget and use case it quotes the victim capacity left, per NIC profile.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.core.analysis import expected_masks
-from repro.core.usecases import DP, SIPDP, SIPSPDP, SPDP, UseCase
+from repro.core.usecases import DP, SIPDP, SIPSPDP, SPDP
 from repro.experiments.common import ExperimentResult
-from repro.experiments.fig9b import measured_masks
+from repro.experiments.fig9b import RUNS, measured_masks
 from repro.switch.calibration import fit_profile
 from repro.switch.offload import FHO_TCP, GRO_OFF_TCP, GRO_ON_TCP, UDP_PROFILE
 
@@ -31,12 +29,7 @@ PAPER_NUMBERS = {
 }
 
 
-def run(
-    budgets: Sequence[int] = (1000, 50000),
-    runs: int = 3,
-    seed: int = 0,
-    use_cases: Sequence[UseCase] = (DP, SPDP, SIPDP, SIPSPDP),
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Regenerate the §6.2 capacity-retention table."""
     curves = {
         "gro_off": fit_profile(GRO_OFF_TCP),
@@ -46,7 +39,7 @@ def run(
     }
     result = ExperimentResult(
         experiment_id="section62",
-        title=f"General TSE at fixed budgets ({runs}-run Monte Carlo + Eq. 2)",
+        title=f"General TSE at fixed budgets ({RUNS}-run Monte Carlo + Eq. 2)",
         paper_reference="§6.2 in-text numbers",
         columns=[
             "packets", "use_case", "masks_measured", "masks_expected",
@@ -54,9 +47,9 @@ def run(
             "paper_gro_off", "paper_udp",
         ],
     )
-    for use_case in use_cases:
-        counts = sorted(budgets)
-        measured = measured_masks(use_case, counts, runs=runs, seed=seed)
+    counts = (1000, 50000)
+    for use_case in (DP, SPDP, SIPDP, SIPSPDP):
+        measured = measured_masks(use_case, counts)
         for n, masks in zip(counts, measured):
             expected = expected_masks(use_case.field_widths(), n)
             paper = PAPER_NUMBERS.get((n, use_case.name))

@@ -63,10 +63,7 @@ class Fig7Testbed:
         dispatcher = getattr(self.server.datapath, "rss", None)
         if queue is not None and dispatcher is not None:
             # Distinct search lanes per flow_index keep victim ports unique.
-            key = pin_to_queue(
-                key, dispatcher, queue, field="tp_src",
-                start=52000 + flow_index * 512,
-            )
+            key = pin_to_queue(key, dispatcher, queue, start=52000 + flow_index * 512)
         return (key,)
 
     def attack_trace(
@@ -127,7 +124,7 @@ def build_testbed(
     attacker's ACL is installed later by :meth:`Fig7Testbed.attack_trace`
     (or mid-run, as in Fig. 8c).
     """
-    datacenter = Datacenter(environment, n_servers=2, with_guard=with_guard)
+    datacenter = Datacenter(environment, with_guard=with_guard)
     victim_vm = datacenter.launch_vm("victim", "V1", 0)
     attacker_vm = datacenter.launch_vm("attacker", "A1", 0)
     backend_vm = datacenter.launch_vm("victim", "V2", 1)

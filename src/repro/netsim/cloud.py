@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 from repro.classifier.flowtable import FlowTable
 from repro.classifier.rule import FlowRule
 from repro.core.migration import MigrationController, MigrationPolicy
-from repro.core.mitigation import MFCGuard, MFCGuardConfig
+from repro.core.mitigation import MFCGuard
 from repro.core.rebalance import RebalanceController, RebalancePolicy
 from repro.exceptions import SimulationError
 from repro.netsim.cms import BACKENDS, CmsBackend, PolicyRule
@@ -194,7 +194,6 @@ class Server:
         name: str,
         environment: EnvironmentProfile,
         with_guard: bool = False,
-        guard_config: MFCGuardConfig | None = None,
     ):
         self.name = name
         self.environment = environment
@@ -205,7 +204,7 @@ class Server:
             )
         else:
             self.datapath = Datapath(self.flow_table, environment.datapath)
-        guard = MFCGuard(self.datapath, guard_config) if with_guard else None
+        guard = MFCGuard(self.datapath) if with_guard else None
         migrator = (
             MigrationController(
                 self.datapath, environment.migration_policy, guard=guard
@@ -263,23 +262,16 @@ class Server:
 class Datacenter:
     """The Fig. 7 topology: servers, tenants, a scheduler.
 
-    The default layout is the paper's: two servers; the victim's frontend
+    The layout is the paper's: two servers; the victim's frontend
     (V1) and the attacker's VM (A1) co-located on Server 1, the victim's
     backend (V2) and the attack generator on Server 2.
     """
 
     SUBNET = ipv4("10.10.0.0")
 
-    def __init__(self, environment: EnvironmentProfile, n_servers: int = 2,
-                 with_guard: bool = False, guard_config: MFCGuardConfig | None = None):
-        if n_servers < 1:
-            raise SimulationError("need at least one server")
+    def __init__(self, environment: EnvironmentProfile, with_guard: bool = False):
         self.environment = environment
-        self.servers = [
-            Server(f"server{i + 1}", environment, with_guard=with_guard,
-                   guard_config=guard_config)
-            for i in range(n_servers)
-        ]
+        self.servers = [Server(f"server{i + 1}", environment, with_guard=with_guard) for i in range(2)]
         self.tenants: dict[str, Tenant] = {}
         self._next_host = itertools.count(10)
 

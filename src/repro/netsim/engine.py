@@ -6,9 +6,8 @@ settles CPU accounting and assigns victim rates, then observers sample
 metrics.  Components due at the same tick run in registration order, so
 register sources before the hypervisor and the hypervisor before observers.
 
-A component declares a ``period`` (an attribute, or the ``period=``
-argument to :meth:`Simulation.add`) and is ticked from a heap at its own
-cadence; one that declares none ticks at every base ``dt``, which is how
+A component declares a ``period`` attribute and is ticked from a heap at
+its own cadence; one that declares none ticks at every base ``dt``, which is how
 every paper preset runs.  A 10k-host fleet whose idle hosts settle once a
 second does not pay 100 ms ticks everywhere; a component's ``tick``
 receives the time elapsed since *its* previous tick as ``dt``, so rate
@@ -75,18 +74,17 @@ class Simulation:
         self._heap: list[tuple[int, int, SimComponent, int]] = []
         self._observers: list[Callable[[float], None]] = []
 
-    def add(self, component: SimComponent, period: float | None = None) -> None:
+    def add(self, component: SimComponent) -> None:
         """Register a component (ticked in registration order at equal times).
 
-        ``period`` (seconds) sets the component's cadence; when omitted, a
-        ``period`` attribute on the component is honoured, and components
-        declaring neither tick at every base ``dt``.  Periods are quantised
-        to the nearest whole number of base ticks (at least one).
+        The component's ``period`` attribute (seconds) sets its cadence;
+        components declaring none (or ``None``) tick at every base ``dt``.
+        Periods are quantised to the nearest whole number of base ticks
+        (at least one).
         """
         if not hasattr(component, "tick"):
             raise SimulationError(f"{component!r} has no tick() method")
-        if period is None:
-            period = getattr(component, "period", None)
+        period = getattr(component, "period", None)
         period_ticks = 1
         if period is not None:
             if period <= 0:

@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 SERVICE_PORT = 5001  # every tenant fronts an iperf-like service port
+OFFERED_RANGE = (0.02, 0.2)  # Gbps: each tenant's offered load is drawn uniformly from it
 
 
 @dataclass
@@ -120,11 +121,10 @@ class TenantStream:
     Args:
         seed: the fleet seed.
         rack_index / host_index: the host's address in the fleet.
-        n_tenants: population size.
-        subnet: base IPv4 address tenant service IPs are carved from.
+        n_tenants: population size; service IPs are carved from
+            ``Fleet.SUBNET``, offered loads drawn uniformly from
+            ``OFFERED_RANGE``.
         n_shards: PMD queue count of the host (RSS placement modulus).
-        offered_range: per-tenant offered load is drawn uniformly from
-            this (min, max) Gbps interval.
     """
 
     def __init__(
@@ -133,9 +133,7 @@ class TenantStream:
         rack_index: int,
         host_index: int,
         n_tenants: int,
-        subnet: int | None = None,
         n_shards: int = 1,
-        offered_range: tuple[float, float] = (0.02, 0.2),
     ):
         if n_tenants < 1:
             raise SimulationError(f"n_tenants must be >= 1, got {n_tenants}")
@@ -143,9 +141,7 @@ class TenantStream:
         self.rack_index = rack_index
         self.host_index = host_index
         self.n_tenants = n_tenants
-        self.subnet = Fleet.SUBNET if subnet is None else subnet
         self.n_shards = n_shards
-        self.offered_range = offered_range
 
     def build(self) -> TenantBlock:
         """Draw the host's tenant columns (same seed → same columns)."""
@@ -157,7 +153,7 @@ class TenantStream:
         # one per tenant inside the host's /16-ish slice of the subnet.
         ip_src = rng.integers(0x0B000000, 0xDF000000, size=n, dtype=np.int64)
         host_base = (
-            self.subnet
+            Fleet.SUBNET
             + ((self.rack_index & 0xFF) << 24)
             + ((self.host_index & 0xFFF) << 12)
         ) & 0xFFFFFFFF
@@ -175,7 +171,7 @@ class TenantStream:
             ).astype(np.intp)
         else:
             home = np.zeros(n, dtype=np.intp)
-        lo, hi = self.offered_range
+        lo, hi = OFFERED_RANGE
         return TenantBlock(
             home_shard=home,
             offered_gbps=rng.uniform(lo, hi, size=n),
@@ -337,7 +333,6 @@ class Fleet:
             :class:`TenantStream`).
         rack_period: settlement cadence (seconds) racks declare for the
             scheduler.
-        offered_range: per-tenant offered load interval (Gbps).
     """
 
     SUBNET = ipv4("10.64.0.0")
@@ -350,7 +345,6 @@ class Fleet:
         tenants_per_host: int = 256,
         seed: int = 0,
         rack_period: float = 1.0,
-        offered_range: tuple[float, float] = (0.02, 0.2),
     ):
         if n_racks < 1 or hosts_per_rack < 1:
             raise SimulationError("fleet needs at least one rack and one host")
@@ -366,7 +360,6 @@ class Fleet:
                     h,
                     tenants_per_host,
                     n_shards=environment.n_pmd,
-                    offered_range=offered_range,
                 ).build()
                 # One attacker VM slot per host, outside the tenant IP slice.
                 attacker_ip = (self.SUBNET - 0x10000 + r * hosts_per_rack + h) & 0xFFFFFFFF

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.exceptions import SimulationError
 from repro.netsim.hypervisor import HypervisorHost
@@ -26,12 +26,14 @@ __all__ = [
     "queue_aware_trace",
 ]
 
+BATCH_SIZE = 32  # packets per injected attack batch, an OVS-like rx burst
+RAMP_TAU = 2.0  # seconds: a TCP victim's exponential-ramp time constant
+
 
 def queue_aware_trace(
     host: HypervisorHost,
     keys: Sequence[FlowKey],
     plan: int | str | Callable[[int, FlowKey], int],
-    seed: int = 0,
 ) -> tuple[list[FlowKey], RetargetReport]:
     """Craft a queue-aware variant of an attack trace for ``host``.
 
@@ -65,7 +67,6 @@ def queue_aware_trace(
         dispatcher,
         queue_for,
         strategy=datapath.config.strategy,
-        seed=seed,
     )
 
 
@@ -102,7 +103,6 @@ class AttackSource:
         pps: packet rate while active.
         windows: activity intervals; always active when empty.
         name: label for metrics.
-        batch_size: packets per injected batch (OVS-like 32 by default).
         period: tick cadence in seconds (``Simulation.add``
             honours the attribute); the fractional-packet carry keeps the
             injected rate exact at any cadence.  ``None`` ticks at the
@@ -116,28 +116,16 @@ class AttackSource:
         pps: float,
         windows: Sequence[ActiveWindow] = (),
         name: str = "attacker",
-        loop: bool = True,
-        key_stream: Iterator[FlowKey] | None = None,
-        batch_size: int = 32,
         period: float | None = None,
     ):
         if pps < 0:
             raise SimulationError(f"pps must be >= 0, got {pps}")
-        if batch_size < 1:
-            raise SimulationError(f"batch_size must be >= 1, got {batch_size}")
         self.host = host
         self.pps = pps
         self.windows = tuple(windows)
         self.name = name
-        self.batch_size = batch_size
         self.period = period
-        if key_stream is not None:
-            self._iter: Iterator[FlowKey] = key_stream
-        else:
-            trace = list(keys)
-            if not trace:
-                raise SimulationError("attack trace is empty")
-            self._iter = itertools.cycle(trace) if loop else iter(trace)
+        self.set_trace(keys)
         self._carry = 0.0  # fractional packets across ticks
         self.packets_sent = 0
         self.current_pps = 0.0
@@ -153,7 +141,7 @@ class AttackSource:
             raise SimulationError(f"pps must be >= 0, got {pps}")
         self.pps = pps
 
-    def set_trace(self, keys: Sequence[FlowKey], loop: bool = True) -> None:
+    def set_trace(self, keys: Sequence[FlowKey] | Iterable[FlowKey]) -> None:
         """Swap the replayed trace mid-run (the RSS-aware attacker's move).
 
         The adversarial game of the ``rsssweep`` experiment: after the
@@ -165,7 +153,7 @@ class AttackSource:
         trace = list(keys)
         if not trace:
             raise SimulationError("attack trace is empty")
-        self._iter = itertools.cycle(trace) if loop else iter(trace)
+        self._iter = itertools.cycle(trace)
 
     def tick(self, now: float, dt: float) -> None:
         if not self.active(now):
@@ -178,7 +166,7 @@ class AttackSource:
         sent = 0
         while sent < to_send:
             batch = list(
-                itertools.islice(self._iter, min(self.batch_size, to_send - sent))
+                itertools.islice(self._iter, min(BATCH_SIZE, to_send - sent))
             )
             if not batch:
                 break
@@ -199,10 +187,8 @@ class VictimFlow:
         offered_gbps: the sender's offered load.
         kind: ``"tcp"`` (ramping, drop-sensitive) or ``"udp"`` (CBR).
         windows: activity intervals.
-        ramp_tau: TCP exponential-ramp time constant (seconds).
-        period: tick cadence in seconds (keepalives need not
-            run at the base ``dt``; the cache entries stay warm at any
-            cadence below the idle timeout).  ``None`` ticks at ``dt``.
+
+    A TCP victim ramps with time constant ``RAMP_TAU``.
     """
 
     def __init__(
@@ -213,8 +199,6 @@ class VictimFlow:
         offered_gbps: float,
         kind: str = "tcp",
         windows: Sequence[ActiveWindow] = (),
-        ramp_tau: float = 2.0,
-        period: float | None = None,
     ):
         if kind not in ("tcp", "udp"):
             raise SimulationError(f"unknown flow kind {kind!r}")
@@ -225,8 +209,6 @@ class VictimFlow:
         self.kind = kind
         self.offered_gbps = offered_gbps
         self.windows = tuple(windows)
-        self.ramp_tau = ramp_tau
-        self.period = period
         self.rate_gbps = 0.0
         self._was_active = False
         host.register_victim(name, tuple(keys))
@@ -265,5 +247,5 @@ class VictimFlow:
             # Multiplicative decrease dominates: near-immediate collapse.
             self.rate_gbps = capacity
         else:
-            alpha = min(1.0, dt / self.ramp_tau)
+            alpha = min(1.0, dt / RAMP_TAU)
             self.rate_gbps += (capacity - self.rate_gbps) * alpha

@@ -129,7 +129,6 @@ class HypervisorHost:
             ``home_shards`` is recomputed against the new dispatcher (the
             victim's flows genuinely moved cores, and settlement must
             charge the cores now carrying them).
-        revalidator_period: seconds between idle-eviction sweeps.
 
     Attributes:
         decisions: the append-only log of every controller decision, in
@@ -145,7 +144,6 @@ class HypervisorHost:
         guard: MFCGuard | None = None,
         migrator: "MigrationController | None" = None,
         rebalancer: "RebalanceController | None" = None,
-        revalidator_period: float = 1.0,
     ):
         self.datapath = datapath
         self.cost_model = cost_model
@@ -153,7 +151,7 @@ class HypervisorHost:
         self.guard = guard
         self.migrator = migrator
         self.rebalancer = rebalancer
-        self.revalidator = Revalidator(datapath, period=revalidator_period)
+        self.revalidator = Revalidator(datapath)
         self.victims: dict[str, VictimState] = {}
         self.decisions: list[Decision] = []
         self.n_cores = datapath.n_shards

@@ -30,7 +30,6 @@ from repro.packet.headers import (
 from repro.packet.packet import Packet
 from repro.packet.pcap import (
     LINKTYPE_ETHERNET,
-    LINKTYPE_RAW,
     PcapWriter,
     write_pcap,
 )
@@ -66,5 +65,4 @@ __all__ = [
     "PcapWriter",
     "write_pcap",
     "LINKTYPE_ETHERNET",
-    "LINKTYPE_RAW",
 ]

@@ -2,7 +2,7 @@
 
 The paper's testbed replays attack traces "via replaying a pcap file"; this
 module lets the trace generators export adversarial packet sequences as real
-pcap files (microsecond timestamps, Ethernet or raw-IP linktype).  The
+pcap files (microsecond timestamps, Ethernet linktype, 65,535-byte snaplen).  The
 reader the tests check them with is ``tests/packet_oracle.py``.
 """
 
@@ -17,7 +17,6 @@ from repro.packet.packet import Packet
 
 __all__ = [
     "LINKTYPE_ETHERNET",
-    "LINKTYPE_RAW",
     "PcapWriter",
     "write_pcap",
 ]
@@ -27,7 +26,7 @@ _VERSION_MAJOR = 2
 _VERSION_MINOR = 4
 
 LINKTYPE_ETHERNET = 1
-LINKTYPE_RAW = 101
+_SNAPLEN = 65535
 
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
@@ -42,18 +41,15 @@ class PcapWriter:
             writer.write(packet_bytes, timestamp=0.01)
     """
 
-    def __init__(self, target: str | Path | BinaryIO, linktype: int = LINKTYPE_ETHERNET,
-                 snaplen: int = 65535):
+    def __init__(self, target: str | Path | BinaryIO):
         if isinstance(target, (str, Path)):
             self._file: BinaryIO = open(target, "wb")
             self._owns_file = True
         else:
             self._file = target
             self._owns_file = False
-        self.linktype = linktype
-        self.snaplen = snaplen
         self._file.write(
-            _GLOBAL_HEADER.pack(_MAGIC_US, _VERSION_MAJOR, _VERSION_MINOR, 0, 0, snaplen, linktype)
+            _GLOBAL_HEADER.pack(_MAGIC_US, _VERSION_MAJOR, _VERSION_MINOR, 0, 0, _SNAPLEN, LINKTYPE_ETHERNET)
         )
         self.packets_written = 0
 
@@ -64,7 +60,7 @@ class PcapWriter:
         so a timestamp just under a second carries into ``ts_sec`` instead
         of writing an out-of-range ``ts_usec`` of 1,000,000.
         """
-        captured = data[: self.snaplen]
+        captured = data[:_SNAPLEN]
         ts_sec, ts_usec = divmod(round(timestamp * 1_000_000), 1_000_000)
         self._file.write(_RECORD_HEADER.pack(ts_sec, ts_usec, len(captured), len(data)))
         self._file.write(captured)
@@ -89,13 +85,12 @@ def write_pcap(
     path: str | Path,
     packets: Iterable[Packet],
     rate_pps: float = 1000.0,
-    linktype: int = LINKTYPE_ETHERNET,
 ) -> int:
     """Write ``packets`` to ``path`` spaced at ``rate_pps``; return the count."""
     if rate_pps <= 0:
         raise PcapError(f"rate_pps must be positive, got {rate_pps}")
     interval = 1.0 / rate_pps
-    with PcapWriter(path, linktype=linktype) as writer:
+    with PcapWriter(path) as writer:
         for i, packet in enumerate(packets):
             writer.write_packet(packet, timestamp=i * interval)
         return writer.packets_written

@@ -837,9 +837,9 @@ class Datapath:
             self._rebuild = None
         return self.snapshot()
 
-    def migrate_backend(self, target_kind: str, slice_size: int = 512) -> ShardSnapshot:
+    def migrate_backend(self, target_kind: str) -> ShardSnapshot:
         """One-shot migration: rebuild to completion and swap immediately."""
-        self.migrate_backend_start(target_kind, slice_size=slice_size)
+        self.migrate_backend_start(target_kind)
         return self.migrate_backend_swap()
 
     # -- RSS re-map migration ------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.classifier.backend import MegaflowEntry
-from repro.exceptions import SwitchError
 from repro.switch.sharded import AnyDatapath
 
 __all__ = ["RevalidatorStats", "Revalidator"]
@@ -43,15 +42,13 @@ class Revalidator:
 
     Args:
         datapath: the datapath to maintain.
-        period: seconds between sweeps when driven by :meth:`tick`.
     """
 
-    def __init__(self, datapath: AnyDatapath, period: float = 1.0):
-        if period <= 0:
-            raise SwitchError(f"revalidator period must be positive, got {period}")
+    period = 1.0  # seconds between sweeps when driven by :meth:`tick`
+
+    def __init__(self, datapath: AnyDatapath):
         self.datapath = datapath
-        self.period = period
-        self._next_sweep = period
+        self._next_sweep = self.period
         self.stats = RevalidatorStats()
 
     def tick(self, now: float) -> list[MegaflowEntry]:

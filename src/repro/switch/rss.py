@@ -296,8 +296,6 @@ def retarget_trace(
     dispatcher: RssDispatcher,
     queue_for: Callable[[int, FlowKey], int],
     strategy: StrategyConfig = OVS_DEFAULT,
-    seed: int = 0,
-    max_tries: int = 128,
 ) -> tuple[list[FlowKey], RetargetReport]:
     """Craft a queue-aware variant of an adversarial trace.
 
@@ -306,13 +304,14 @@ def retarget_trace(
     fields RSS reads) are ground, and every candidate is verified to
     generate the identical ``(mask, masked key)`` — so the retargeted trace
     detonates exactly the same tuple space, packet for packet, while its
-    RSS placement follows ``queue_for(index, key)``.
+    RSS placement follows ``queue_for(index, key)``.  A key gets 128
+    seeded random draws; one that finds no candidate stays as it is.
 
     Returns the new key list (same length/order) and a
     :class:`RetargetReport`.
     """
     generator = MegaflowGenerator(flow_table, strategy)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     out: list[FlowKey] = []
     report_retargeted = report_on_target = report_stuck = 0
     for index, key in enumerate(keys):
@@ -330,7 +329,7 @@ def retarget_trace(
         ground: FlowKey | None = None
         if free:
             values = list(key.values)
-            for _ in range(max_tries):
+            for _ in range(128):
                 for field_index, bits in free:
                     values[field_index] = (key.at(field_index) & ~bits) | (
                         rng.getrandbits(bits.bit_length()) & bits
@@ -359,25 +358,20 @@ def pin_to_queue(
     key: FlowKey,
     dispatcher: RssDispatcher,
     queue: int,
-    field: str = "tp_src",
     start: int | None = None,
-    max_tries: int = 4096,
 ) -> FlowKey:
-    """Choose a value for ``field`` so RSS pins ``key``'s flow to ``queue``.
+    """Choose a source port so RSS pins ``key``'s flow to ``queue``.
 
     The legitimate-endpoint analogue of :func:`retarget_trace`: a victim
     (or experimenter) picking a source port so its flow lands on a chosen
-    PMD core.  Scans candidate values upward from ``start`` (the key's
-    current value by default) and returns the first hit.
+    PMD core.  Scans up to 4096 ports upward from ``start`` (the key's
+    current ``tp_src`` by default) and returns the first hit.
     """
     if not 0 <= queue < dispatcher.n_queues:
         raise SwitchError(f"queue {queue} out of range 0..{dispatcher.n_queues - 1}")
-    definition = FIELDS[field]
-    base = key[field] if start is None else start
-    for offset in range(max_tries):
-        candidate = key.replace(**{field: (base + offset) & definition.full_mask})
+    base = key["tp_src"] if start is None else start
+    for offset in range(4096):
+        candidate = key.replace(tp_src=(base + offset) & 0xFFFF)
         if dispatcher.queue_of(candidate) == queue:
             return candidate
-    raise SwitchError(
-        f"could not pin {field} onto queue {queue} within {max_tries} candidates"
-    )
+    raise SwitchError(f"could not pin tp_src onto queue {queue} within 4096 candidates")

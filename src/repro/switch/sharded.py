@@ -297,9 +297,7 @@ class ShardedDatapath:
         return self.executor.call_all("evict_idle", now)
 
     # -- live backend migration ---------------------------------------------------
-    def migrate_backend(
-        self, target_kind: str, shard_id: int | None = None, slice_size: int = 512
-    ) -> list[ShardSnapshot]:
+    def migrate_backend(self, target_kind: str, shard_id: int | None = None) -> list[ShardSnapshot]:
         """Rebuild and swap shard caches to ``target_kind``, one shot.
 
         Runs under :meth:`maintenance`, so the swap serialises against
@@ -314,9 +312,9 @@ class ShardedDatapath:
             raise SwitchError(f"no shard {shard_id} to migrate: datapath has {self.n_shards} shards")
         with self.maintenance():
             if shard_id is None:
-                return self.executor.call_all("migrate_backend", target_kind, slice_size=slice_size)
+                return self.executor.call_all("migrate_backend", target_kind)
             snapshots = self.executor.call_all("snapshot")
-            snapshots[shard_id] = self._shards[shard_id].migrate_backend(target_kind, slice_size=slice_size)
+            snapshots[shard_id] = self._shards[shard_id].migrate_backend(target_kind)
             return snapshots
 
     # -- live RSS rebalancing -----------------------------------------------------

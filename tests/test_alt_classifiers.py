@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.classifier import hypercuts
 from repro.classifier.actions import ALLOW, DENY
 from repro.classifier.adapter import TssCachedClassifier
 from repro.classifier.harp import HarpClassifier
@@ -113,28 +114,26 @@ class TestTrieSpecifics:
 
 
 class TestHyperCutsSpecifics:
-    def test_bucket_limit_respected(self):
-        clf = HyperCutsClassifier(fig6_rules(), binth=2)
+    def test_bucket_limit_respected(self, monkeypatch):
+        monkeypatch.setattr(hypercuts, "BINTH", 2)
+        clf = HyperCutsClassifier(fig6_rules())
         assert clf.classify(WEB).action == ALLOW
 
-    def test_config_validation(self):
-        with pytest.raises(ClassifierError):
-            HyperCutsClassifier([], binth=0)
-        with pytest.raises(ClassifierError):
-            HyperCutsClassifier([], max_cuts=1)
-
-    def test_cost_bounded_by_depth_plus_bucket(self):
-        clf = HyperCutsClassifier(fig6_rules(), binth=4, max_cuts=8)
+    def test_cost_bounded_by_depth_plus_bucket(self, monkeypatch):
+        monkeypatch.setattr(hypercuts, "BINTH", 4)
+        monkeypatch.setattr(hypercuts, "MAX_CUTS", 8)
+        clf = HyperCutsClassifier(fig6_rules())
         for key in (WEB, TRUSTED, RANDOM_DENY):
             assert clf.classify(key).cost < 40
 
-    def test_many_disjoint_rules_tree_splits(self):
+    def test_many_disjoint_rules_tree_splits(self, monkeypatch):
         rules = [
             FlowRule(Match(tp_dst=port), ALLOW, priority=1, name=f"p{port}")
             for port in range(0, 64)
         ]
         rules.append(FlowRule(Match.any(), DENY, priority=0, name="deny"))
-        clf = HyperCutsClassifier(rules, binth=4)
+        monkeypatch.setattr(hypercuts, "BINTH", 4)
+        clf = HyperCutsClassifier(rules)
         for port in (0, 13, 63):
             assert clf.classify(FlowKey(tp_dst=port)).rule_name == f"p{port}"
         assert clf.classify(FlowKey(tp_dst=100)).rule_name == "deny"
@@ -148,7 +147,7 @@ class TestHarpSpecifics:
         assert clf.classify(WEB).action == ALLOW
 
     def test_explicit_primary_field(self):
-        clf = HarpClassifier(fig6_rules(), primary_field="ip_src", stride=8)
+        clf = HarpClassifier(fig6_rules(), primary_field="ip_src")
         assert clf.classify(TRUSTED).action == ALLOW
         assert clf.classify(RANDOM_DENY).action.is_drop
 
@@ -157,17 +156,13 @@ class TestHarpSpecifics:
             FlowRule(Match(ip_src=(0x0A000000, 0xFFC00000)), ALLOW, priority=1, name="10/10"),
             FlowRule(Match.any(), DENY, priority=0, name="deny"),
         ]
-        clf = HarpClassifier(rules, primary_field="ip_src", stride=8)
+        clf = HarpClassifier(rules, primary_field="ip_src")
         # /10 rounds down to the /8 tread but the full match is verified.
         assert clf.classify(FlowKey(ip_src=0x0A100001)).rule_name == "10/10"
         assert clf.classify(FlowKey(ip_src=0x0AF00001)).rule_name == "deny"
 
-    def test_stride_validation(self):
-        with pytest.raises(ClassifierError):
-            HarpClassifier([], stride=0)
-
     def test_cost_is_treads_plus_bucket_checks(self):
-        clf = HarpClassifier(fig6_rules(), primary_field="ip_src", stride=8)
+        clf = HarpClassifier(fig6_rules(), primary_field="ip_src")
         assert clf.classify(RANDOM_DENY).cost <= len(clf.treads) + 10
 
 

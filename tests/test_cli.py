@@ -1,6 +1,7 @@
 """Tests for the experiments CLI and the exception hierarchy."""
 
 import re
+import sys
 
 import pytest
 
@@ -8,30 +9,41 @@ from repro import exceptions
 from repro.experiments.__main__ import main
 
 
+@pytest.fixture
+def cli(monkeypatch):
+    """``cli(*args)``: run the CLI's ``main`` as ``python -m repro.experiments *args``."""
+
+    def invoke(*args: str) -> int:
+        monkeypatch.setattr(sys, "argv", ["repro.experiments", *args])
+        return main()
+
+    return invoke
+
+
 class TestCli:
-    def test_list(self, capsys):
-        assert main(["--list"]) == 0
+    def test_list(self, cli, capsys):
+        assert cli("--list") == 0
         out = capsys.readouterr().out
         assert "fig8a" in out
         assert "theorem41" in out
 
-    def test_no_args_lists(self, capsys):
-        assert main([]) == 0
+    def test_no_args_lists(self, cli, capsys):
+        assert cli() == 0
         assert "fig9b" in capsys.readouterr().out
 
-    def test_run_one(self, capsys):
-        assert main(["table1"]) == 0
+    def test_run_one(self, cli, capsys):
+        assert cli("table1") == 0
         out = capsys.readouterr().out
         assert "Kubernetes" in out
         assert re.search(r"^\[table1 finished in \d+\.\d{3}s\]$", out, re.MULTILINE)
 
-    def test_save(self, tmp_path, capsys):
-        assert main(["didactic", "--save", str(tmp_path)]) == 0
+    def test_save(self, cli, tmp_path, capsys):
+        assert cli("didactic", "--save", str(tmp_path)) == 0
         assert (tmp_path / "didactic.txt").exists()
 
-    def test_unknown_experiment(self, capsys):
+    def test_unknown_experiment(self, cli, capsys):
         with pytest.raises(SystemExit):
-            main(["nonexistent"])
+            cli("nonexistent")
 
 
 class TestExceptionHierarchy:

@@ -46,7 +46,7 @@ class TestEnvironments:
 
 class TestDatacenter:
     def test_fig7_layout(self):
-        cloud = Datacenter(SYNTHETIC_ENV, n_servers=2)
+        cloud = Datacenter(SYNTHETIC_ENV)
         v1 = cloud.launch_vm("victim", "V1", 0)
         a1 = cloud.launch_vm("attacker", "A1", 0)
         v2 = cloud.launch_vm("victim", "V2", 1)
@@ -86,7 +86,7 @@ class TestDatacenter:
             cloud.servers[0].install_policy(a1, [PolicyRule(src_port=12345)])
 
     def test_vm_must_be_scheduled_on_server(self):
-        cloud = Datacenter(SYNTHETIC_ENV, n_servers=2)
+        cloud = Datacenter(SYNTHETIC_ENV)
         v1 = cloud.launch_vm("victim", "V1", 0)
         with pytest.raises(SimulationError):
             cloud.servers[1].install_policy(v1, [PolicyRule(dst_port=80)])
@@ -105,8 +105,6 @@ class TestDatacenter:
         assert len(cloud.tenant("victim").vms) == 2
 
     def test_validation(self):
-        with pytest.raises(SimulationError):
-            Datacenter(SYNTHETIC_ENV, n_servers=0)
         cloud = Datacenter(SYNTHETIC_ENV)
         with pytest.raises(SimulationError):
             cloud.launch_vm("t", "vm", 7)

@@ -8,6 +8,7 @@ counted: re-maps and entries moved (rebalancer), backend swaps
 
 from __future__ import annotations
 
+from repro.core.migration import MigrationPolicy
 from repro.core.mitigation import MFCGuard
 from repro.core.rebalance import RebalancePolicy
 from repro.experiments import mfcguard, migrationsweep, rsssweep
@@ -36,7 +37,12 @@ def test_rekeys_and_moves_match_the_datapath():
 
 def test_swaps_match_the_shard_snapshots():
     cell = migrationsweep.run_policy_cell(
-        "hybrid", use_case_name="SipDp", duration=12.0, attack_start=2.0, attack_stop=11.0
+        "hybrid",
+        use_case_name="SipDp",
+        duration=12.0,
+        attack_start=2.0,
+        attack_stop=11.0,
+        migration_policy=MigrationPolicy(),
     )
     swaps = [decision for decision in cell["decisions"] if decision.action == "swap"]
     assert len(swaps) == cell["swaps"] >= 1
@@ -59,9 +65,7 @@ def test_guard_deletions_match_the_megaflow_drop(monkeypatch):
         return decisions
 
     monkeypatch.setattr(MFCGuard, "run", counted)
-    mfcguard._one_run(
-        True, duration=21.0, attack_start=2.0, attack_pps=1000.0, dt=0.1, sample_every=2.0
-    )
+    mfcguard._one_run(True, duration=21.0, attack_start=2.0)
     assert [decisions[0].at for decisions, _drop in passes] == [10.0, 20.0]
     for decisions, drop in passes:
         assert sum(decision.changed for decision in decisions) == drop

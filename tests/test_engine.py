@@ -9,8 +9,12 @@ from repro.netsim.metrics import MetricsCollector, TimeSeries
 
 
 class Recorder:
-    def __init__(self):
+    period = None  # the cadence Simulation.add reads; None: every dt
+
+    def __init__(self, period=None):
         self.ticks = []
+        if period is not None:
+            self.period = period
 
     def tick(self, now, dt):
         self.ticks.append((round(now, 6), dt))
@@ -115,7 +119,7 @@ class TestSimulation:
         with pytest.raises(SimulationError):
             sim.add(object())
         with pytest.raises(SimulationError):
-            sim.add(Recorder(), period=0.0)
+            sim.add(Recorder(period=0.0))
 
     def test_observe_rejects_non_callable(self):
         sim = Simulation()
@@ -128,9 +132,9 @@ class TestSimulation:
 class TestEventMode:
     def test_components_tick_at_their_period(self):
         sim = Simulation(dt=0.1)
-        fast, slow = Recorder(), Recorder()
-        sim.add(fast, period=0.1)
-        sim.add(slow, period=0.5)
+        fast, slow = Recorder(period=0.1), Recorder(period=0.5)
+        sim.add(fast)
+        sim.add(slow)
         sim.run(1.0)
         assert [t for t, _ in fast.ticks] == [round(i * 0.1, 6) for i in range(10)]
         assert [t for t, _ in slow.ticks] == [0.0, 0.5]
@@ -190,8 +194,8 @@ class TestEventMode:
 
     def test_resumable_across_runs(self):
         sim = Simulation(dt=0.1)
-        slow = Recorder()
-        sim.add(slow, period=0.3)
+        slow = Recorder(period=0.3)
+        sim.add(slow)
         sim.run(0.4)  # ticks at 0.0, 0.3
         sim.run(0.4)  # ticks at 0.6
         assert [t for t, _ in slow.ticks] == [0.0, 0.3, 0.6]
@@ -256,8 +260,8 @@ class TestLongRunContracts:
             sim = Simulation(dt=dt)
             recorders = []
             for ticks in periods:
-                recorder = Recorder()
-                sim.add(recorder, period=ticks * dt)
+                recorder = Recorder(period=ticks * dt)
+                sim.add(recorder)
                 recorders.append(recorder)
             return sim, recorders
 

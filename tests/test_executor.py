@@ -295,7 +295,7 @@ class TestManagementPlane:
             datapath.process_batch(keys, now=0.0)
             installed = datapath.n_megaflows
             assert installed > 0
-            revalidator = Revalidator(datapath, period=1.0)
+            revalidator = Revalidator(datapath)
             evicted = revalidator.sweep(now=100.0)  # everything idle > 10s
             assert len(evicted) == installed
             assert datapath.n_megaflows == 0

@@ -65,12 +65,6 @@ class TestAttackSource:
         source.tick(0.0, 0.1)  # 10 packets from a 3-key trace
         assert source.packets_sent == 10
 
-    def test_no_loop_exhausts(self):
-        host = make_host()
-        source = AttackSource(host, KEYS[:3], pps=100, loop=False)
-        source.tick(0.0, 0.1)
-        assert source.packets_sent == 3
-
     def test_set_rate(self):
         host = make_host()
         source = AttackSource(host, KEYS, pps=10)
@@ -105,7 +99,7 @@ class TestVictimFlow:
 
     def test_tcp_ramps_up(self):
         host = make_host()
-        flow = VictimFlow(host, "v", KEYS[:1], offered_gbps=5.0, kind="tcp", ramp_tau=1.0)
+        flow = VictimFlow(host, "v", KEYS[:1], offered_gbps=5.0, kind="tcp")
         rates = []
         for tick in range(100):
             now = tick * 0.1

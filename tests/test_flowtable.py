@@ -30,7 +30,7 @@ class TestOrdering:
         table.add_rule(Match(tp_dst=80), ALLOW, priority=40, name="#1")
         table.add_rule(Match(ip_src=0x0A000001), ALLOW, priority=30, name="#2")
         table.add_rule(Match(tp_src=12345), ALLOW, priority=20, name="#3")
-        table.add_default_deny(name="#4")
+        table.add_rule(Match.any(), DENY, priority=0, name="#4")
         key = FlowKey(ip_src=0x0A000001, tp_src=34521, tp_dst=443)
         assert table.lookup(key).name == "#2"
 

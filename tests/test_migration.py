@@ -224,7 +224,7 @@ class TestSwapUnderExecutors:
                     MFCGuardConfig(mask_threshold=50, cpu_threshold_pct=900),
                 )
                 guard.run(now=10.0)
-                Revalidator(datapath, period=1.0).sweep(now=11.0)
+                Revalidator(datapath).sweep(now=11.0)
             late_a = table_a.add_rule(
                 Match(tp_dst=(9999, 0xFFFF)), DENY, priority=2000, name="late"
             )

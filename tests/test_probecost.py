@@ -319,10 +319,8 @@ def test_inert_migration_policy_is_float_identical():
     victim time series matches the no-migrator run float for float."""
     from repro.experiments.migrationsweep import run_policy_cell
 
-    window = dict(
-        duration=10.0, attack_start=2.0, attack_stop=8.0, attack_pps=600.0
-    )
-    bare = run_policy_cell("none", **window)
+    window = dict(use_case_name="SipSpDp", duration=10.0, attack_start=2.0, attack_stop=8.0)
+    bare = run_policy_cell("none", migration_policy=MigrationPolicy(), **window)
     inert = run_policy_cell(
         "migration",
         migration_policy=MigrationPolicy(cost_threshold=1e12),

@@ -6,7 +6,6 @@ from repro.classifier.actions import ALLOW
 from repro.classifier.backend import megaflow_backend_names
 from repro.classifier.flowtable import FlowTable
 from repro.classifier.rule import Match
-from repro.exceptions import SwitchError
 from repro.packet.fields import FlowKey
 from repro.switch.datapath import Datapath, DatapathConfig
 from repro.switch.revalidator import REVALIDATE_UNITS_PER_ENTRY, Revalidator
@@ -25,7 +24,7 @@ def datapath(request) -> Datapath:
 
 class TestSweeps:
     def test_tick_respects_period(self, datapath):
-        revalidator = Revalidator(datapath, period=1.0)
+        revalidator = Revalidator(datapath)
         datapath.process(FlowKey(ip_proto=6, tp_dst=80), now=0.0)
         assert revalidator.tick(0.5) == []  # before first scheduled sweep
         revalidator.tick(1.0)
@@ -34,7 +33,7 @@ class TestSweeps:
         assert revalidator.stats.sweeps == 1
 
     def test_idle_entries_evicted_after_timeout(self, datapath):
-        revalidator = Revalidator(datapath, period=1.0)
+        revalidator = Revalidator(datapath)
         datapath.process(FlowKey(ip_proto=6, tp_dst=80), now=0.0)
         assert revalidator.sweep(9.0) == []  # not yet idle long enough
         evicted = revalidator.sweep(10.0)
@@ -42,16 +41,12 @@ class TestSweeps:
         assert revalidator.stats.evicted_idle == 1
 
     def test_active_entries_survive(self, datapath):
-        revalidator = Revalidator(datapath, period=1.0)
+        revalidator = Revalidator(datapath)
         key = FlowKey(ip_proto=6, tp_dst=80)
         for t in range(0, 30, 5):
             datapath.process(key, now=float(t))
             assert revalidator.sweep(float(t)) == []
         assert datapath.n_megaflows == 1
-
-    def test_invalid_period(self, datapath):
-        with pytest.raises(SwitchError):
-            Revalidator(datapath, period=0)
 
 
 class TestFlowLimitPressure:
@@ -68,7 +63,7 @@ class TestFlowLimitPressure:
                 microflow_capacity=0, max_megaflows=1000, megaflow_backend=backend
             ),
         )
-        revalidator = Revalidator(datapath, period=1.0)
+        revalidator = Revalidator(datapath)
         # Distinct megaflows: one per inverted bit of the allowed value.
         for i, value in enumerate(bit_inversion_list(80, 16)[1:6]):
             datapath.process(FlowKey(ip_proto=6, tp_dst=value), now=float(i))
@@ -84,7 +79,7 @@ class TestFlowLimitPressure:
         assert remaining == [2.0, 3.0, 4.0]
 
     def test_work_units_accounting(self, datapath):
-        revalidator = Revalidator(datapath, period=1.0)
+        revalidator = Revalidator(datapath)
         datapath.process(FlowKey(ip_proto=6, tp_dst=80), now=0.0)
         revalidator.sweep(1.0)
         assert revalidator.stats.work_units == REVALIDATE_UNITS_PER_ENTRY

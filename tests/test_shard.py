@@ -89,7 +89,7 @@ class TestRss:
         dispatcher = RssDispatcher(4)
         key = FlowKey(ip_src=0x0A00000A, ip_dst=0x0A00000B, ip_proto=6, tp_dst=5001)
         for queue in range(4):
-            pinned = pin_to_queue(key, dispatcher, queue, field="tp_src")
+            pinned = pin_to_queue(key, dispatcher, queue)
             assert dispatcher.queue_of(pinned) == queue
             # Only the ground field changed.
             assert pinned.replace(tp_src=0) == key.replace(tp_src=0)
@@ -219,8 +219,8 @@ class TestPerCoreAccounting:
         host = self._host(2)
         dispatcher = host.datapath.rss
         base = FlowKey(ip_src=5, ip_proto=PROTO_TCP, tp_dst=80)
-        victim0 = pin_to_queue(base, dispatcher, 0, field="tp_src", start=50000)
-        victim1 = pin_to_queue(base, dispatcher, 1, field="tp_src", start=51000)
+        victim0 = pin_to_queue(base, dispatcher, 0, start=50000)
+        victim1 = pin_to_queue(base, dispatcher, 1, start=51000)
         host.register_victim("v0", (victim0,))
         host.register_victim("v1", (victim1,))
         assert host.victims["v0"].home_shards == (0,)
@@ -336,7 +336,7 @@ class TestGuardAndRevalidatorOnShards:
         keys = [FlowKey(ip_src=i, tp_dst=80, ip_proto=6) for i in range(64)]
         datapath.process_batch(keys, now=0.0)
         installed = datapath.n_megaflows
-        revalidator = Revalidator(datapath, period=1.0)
+        revalidator = Revalidator(datapath)
         evicted = revalidator.sweep(now=100.0)  # everything idle > 10 s
         assert len(evicted) == installed
         assert datapath.n_megaflows == 0

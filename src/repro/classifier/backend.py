@@ -50,7 +50,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
+from operator import and_, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from repro.classifier.actions import Action
@@ -178,14 +178,10 @@ class MegaflowStore:
 
     def __init__(self, check_invariants: bool = False):
         self.check_invariants = check_invariants
-        # Source of truth: per-mask dicts keyed by *reduced* masked keys
-        # (only the fields the mask constrains), plus the scan-ordered mask
-        # list of Algorithm 1.
+        # Source of truth: per-mask dicts keyed by each entry's own masked
+        # key (``entry.key``, which :meth:`insert` holds to its mask), plus
+        # the scan-ordered mask list of Algorithm 1.
         self._tables: dict[FlowMask, dict[tuple[int, ...], MegaflowEntry]] = {}
-        self._mask_fields: dict[FlowMask, tuple[tuple[int, int], ...]] = {}
-        # One object per distinct ``(field index, mask value)`` pair this
-        # store has seen: the masks of a detonated store share a few dozen.
-        self._pairs: dict[tuple[int, int], tuple[int, int]] = {}
         self._mask_order: list[FlowMask] = []
         # Entry count, maintained by insert/remove_entries/flush: the flow-limit
         # check runs once per upcall, so |C| must not be O(|C|) to read.
@@ -232,14 +228,6 @@ class MegaflowStore:
         return self.n_entries
 
     # -- helpers -----------------------------------------------------------------
-    def _fields_of(self, mask: FlowMask) -> tuple[tuple[int, int], ...]:
-        intern = self._pairs.setdefault
-        return tuple([intern(pair, pair) for pair in enumerate(mask.values) if pair[1]])
-
-    def _reduce(self, mask: FlowMask, full_values: tuple[int, ...]) -> tuple[int, ...]:
-        # Per packet on every hit path: a list comprehension, not a generator.
-        return tuple([full_values[i] & m for i, m in self._mask_fields[mask]])
-
     def _invalidate(self) -> None:
         self._memo.clear()
         self._order_seq += 1
@@ -381,19 +369,21 @@ class MegaflowStore:
         """Install ``entry``; refresh timestamps if an identical entry exists.
 
         Returns the entry actually stored (the existing one on refresh).
-        Raises :class:`CacheInvariantError` when invariant checking is on and
-        the entry's key has bits its mask does not keep, or the entry
-        overlaps a different existing entry.
+        Raises :class:`CacheInvariantError`, before any mutation, when the
+        entry's key has bits its mask does not keep (its dict is keyed by
+        ``entry.key`` as it is, so such an entry could never be found), and,
+        when invariant checking is on, when the entry overlaps a different
+        existing entry.
         """
-        table = self._tables.get(entry.mask)
+        mask, key = entry.mask, entry.key
+        if tuple(map(and_, key, mask.values)) != key:
+            raise CacheInvariantError(f"{entry!r} has key bits outside its mask: {key}")
+        table = self._tables.get(mask)
         new_mask = table is None
-        fields = self._fields_of(entry.mask) if new_mask else self._mask_fields[entry.mask]
-        key = entry.key
-        reduced = tuple([key[i] & m for i, m in fields])
         if now < self._used_bound:
             self._used_bound = now
         if not new_mask:
-            existing = table.get(reduced)
+            existing = table.get(key)
             if existing is not None:
                 existing.last_used = now
                 return existing
@@ -401,19 +391,14 @@ class MegaflowStore:
         # mask is registered would leave a ghost (empty, unindexed) mask
         # that inflates n_masks and derails later incremental inserts.
         if self.check_invariants:
-            if any(k & ~m for k, m in zip(entry.key, entry.mask.values)):
-                raise CacheInvariantError(
-                    f"{entry!r} has key bits outside its mask: {entry.key}"
-                )
             self._assert_disjoint(entry)
         if new_mask:
             table = {}
-            self._tables[entry.mask] = table
-            self._mask_fields[entry.mask] = fields
-            self._mask_order.append(entry.mask)
+            self._tables[mask] = table
+            self._mask_order.append(mask)
         entry.created_at = now
         entry.last_used = now
-        table[reduced] = entry
+        table[key] = entry
         self._n_entries += 1
         # Keep the backend index in sync incrementally (the hot path while
         # an attack detonates); memoised results must still be dropped
@@ -468,14 +453,12 @@ class MegaflowStore:
         for entry in entries:
             mask = entry.mask
             table = tables.get(mask)
-            reduced = None if table is None else self._reduce(mask, entry.key)
-            if reduced is None or table.get(reduced) is not entry:
+            if table is None or table.get(entry.key) is not entry:
                 continue
-            del table[reduced]
+            del table[entry.key]
             removed.append(entry)
             if not table:
                 del tables[mask]
-                del self._mask_fields[mask]
         if removed:
             self._n_entries -= len(removed)
             if len(self._mask_order) != len(tables):
@@ -546,7 +529,6 @@ class MegaflowStore:
     def flush(self) -> None:
         """Drop every entry and mask (slow-path revalidation flush)."""
         self._tables.clear()
-        self._mask_fields.clear()
         self._mask_order.clear()
         self._n_entries = 0
         self._used_bound = -math.inf
@@ -569,7 +551,7 @@ class MegaflowStore:
         table = self._tables.get(entry.mask)
         if table is None:
             return False
-        return table.get(self._reduce(entry.mask, entry.key)) is entry
+        return table.get(entry.key) is entry
 
     def get_entry(self, mask: FlowMask, key: tuple[int, ...]) -> MegaflowEntry | None:
         """The installed entry under ``(mask, masked key)``, or None (O(1)).
@@ -582,7 +564,7 @@ class MegaflowStore:
         table = self._tables.get(mask)
         if table is None:
             return None
-        return table.get(self._reduce(mask, key))
+        return table.get(key)
 
     def probe_mask(self, mask: FlowMask, key: FlowKey, now: float = 0.0) -> MegaflowEntry | None:
         """Probe a single mask's hash table (kernel mask-cache fast path).
@@ -594,17 +576,15 @@ class MegaflowStore:
         table = self._tables.get(mask)
         if table is None:
             return None
-        entry = table.get(self._reduce(mask, key.values))
+        entry = table.get(key.masked(mask))
         if entry is not None:
             self._register_hits((entry,), now)
         return entry
 
     def find(self, key: FlowKey) -> MegaflowEntry | None:
         """Like lookup but without touching statistics (diagnostics)."""
-        key_values = key.values
         for mask in self._mask_order:
-            masked = tuple(key_values[i] & m for i, m in self._mask_fields[mask])
-            entry = self._tables[mask].get(masked)
+            entry = self._tables[mask].get(key.masked(mask))
             if entry is not None:
                 return entry
         return None

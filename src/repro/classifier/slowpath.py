@@ -52,9 +52,10 @@ and including the one holding bit ``b - 1``.  A step is
 :meth:`MegaflowGenerator.generate` and
 :meth:`MegaflowGenerator.generate_batch` run that one program.  Each
 distinct outcome — mask, action, rule, ``rules_examined`` — is interned
-once as a leaf record, and each distinct mask once, so only the emitted
-masked key differs per packet, and ``generate_batch`` keeps an exact-key
-memo in front of the program.
+once as a leaf record, by its decision path and then by its mask's own
+value tuple (so a leaf keeps no key of its own), and each distinct mask
+once, so only the emitted masked key differs per packet, and
+``generate_batch`` keeps an exact-key memo in front of the program.
 Program, leaves and memo are a pure accelerator: derived from the flow
 table at one version and discarded whenever the version changes (any rule
 insert/remove/flush), honouring the dicts-as-truth invariant — the
@@ -180,7 +181,9 @@ class MegaflowGenerator:
         # table mutates.
         self._program: list[tuple[FlowRule, tuple[tuple[int, int, int, tuple[int, ...]], ...]]] = []
         self._version: int = -1
-        self._leaves: dict[tuple, _Leaf] = {}
+        # Leaves by decision path (``rules_examined``, one's complement on a
+        # table miss), then by their mask's own value tuple.
+        self._leaves: dict[int, dict[tuple[int, ...], _Leaf]] = {}
         self._masks: dict[tuple[int, ...], FlowMask] = {}
         self._key_memo: dict[tuple[int, ...], _Leaf] = {}
 
@@ -290,21 +293,25 @@ class MegaflowGenerator:
         # A table miss keeps every examined bit in the mask, so the miss
         # entry stays disjoint from the rule-matching entries.  A match on
         # the last rule and a miss failing on its last chunk can share mask
-        # and ``rules_examined``: the intern key tells them apart.
+        # and ``rules_examined``: the path key tells them apart.
+        path = rules_examined if matched is not None else ~rules_examined
+        leaves = self._leaves.get(path)
+        if leaves is None:
+            leaves = self._leaves[path] = {}
         values = tuple(mask_values)
-        leaf = self._leaves.get((values, rules_examined, matched is not None))
+        leaf = leaves.get(values)
         if leaf is None:
-            # Leaves that differ only in rule or rules_examined share a mask.
+            # Leaves on different paths share a mask (and its value tuple,
+            # which keys the leaf).
             mask = self._masks.get(values)
             if mask is None:
                 mask = self._masks[values] = FlowMask.from_values(values)
-            intern = (mask.values, rules_examined, matched is not None)
             if matched is None:
                 # OpenFlow table-miss defaults to drop.
                 leaf = _Leaf(mask, DENY, None, rules_examined, "<table-miss>")
             else:
                 leaf = _Leaf(mask, matched.action, matched, rules_examined, matched.name)
-            self._leaves[intern] = leaf
+            leaves[mask.values] = leaf
         return leaf
 
     def _emit(self, key: FlowKey, leaf: _Leaf) -> SlowPathResult:

@@ -103,7 +103,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from itertools import chain
-from operator import itemgetter
+from operator import and_, itemgetter
 
 import numpy as np
 
@@ -229,12 +229,13 @@ class TupleSpaceSearch(MegaflowStore):
         # (see "Accelerator invariants").
         self._acc_operands: ScanOperands | None = None
         # Deferred accelerator appends (see module docstring): while a burst
-        # is open, (entry, new_mask) pairs queue here and drain vectorised
-        # at a burst exit (at the merge cadence, or once the probe served a
-        # key from them) or before a read with no coherence probe; outside
-        # a burst they drain at once.
+        # is open, entries queue here and drain vectorised at a burst exit
+        # (at the merge cadence, or once the probe served a key from them)
+        # or before a read with no coherence probe; outside a burst they
+        # drain at once.  The masks they bring are the scan order past
+        # ``_acc_n_masks``.
         self._burst_depth = 0
-        self._burst_buf: list[tuple[MegaflowEntry, bool]] = []
+        self._burst_buf: list[MegaflowEntry] = []
         # Set when the coherence probe serves a key from an unindexed entry:
         # the backlog is being re-read, and every re-read pays a generation
         # a plan hit would not, so the burst's exit drains it.
@@ -255,7 +256,7 @@ class TupleSpaceSearch(MegaflowStore):
             # The position is known now (the truth-side ``_mask_order``
             # append already happened); only the column/salt work waits.
             self._mask_index[entry.mask] = len(self._mask_order) - 1
-        self._burst_buf.append((entry, new_mask))
+        self._burst_buf.append(entry)
         if not self._burst_depth:
             self._burst_drain()  # outside a burst: a burst of one
 
@@ -297,10 +298,12 @@ class TupleSpaceSearch(MegaflowStore):
         self._acc_salt_buffer = salts
         self._acc_capacity = capacity
 
-    def _fields_of_masks(self, masks) -> list[int]:
-        """The field indices some mask in ``masks`` constrains, in order."""
-        mask_fields = self._mask_fields
-        return sorted({i for mask in masks for i, _ in mask_fields[mask]})
+    @staticmethod
+    def _fields_of_masks(masks) -> list[int]:
+        """The field indices some mask in ``masks`` constrains, in order:
+        the non-zero fields of the masks' OR."""
+        columns = zip(*[mask.values for mask in masks])
+        return [i for i, column in enumerate(columns) if any(column)]
 
     def _slot_append(
         self, entries: list[MegaflowEntry], indices: np.ndarray, fields: list[int]
@@ -350,25 +353,20 @@ class TupleSpaceSearch(MegaflowStore):
         self._burst_buf = []
         if self._acc_dirty:
             return  # the lazy rebuild covers these entries
-        entries = [entry for entry, _ in buf]
         mask_index = self._mask_index
         indices = np.fromiter(
-            [mask_index[entry.mask] for entry in entries], dtype=np.int64, count=len(entries)
+            [mask_index[entry.mask] for entry in buf], dtype=np.int64, count=len(buf)
         )
-        fields = self._fields_of_masks({entry.mask for entry in entries})
-        new_masks = [entry.mask for entry, new_mask in buf if new_mask]
-        if new_masks:
-            # Every append is deferred, so the masks with rows are exactly
-            # the order prefix and the k-th deferred one sits right behind it.
-            first, end = self._acc_n_masks, len(mask_index)
-            if self.check_invariants and [mask_index[mask] for mask in new_masks] != list(
-                range(first, end)
-            ):
-                raise CacheInvariantError(
-                    "deferred masks' recorded scan positions are not the ones the drain assigns"
-                )
+        fields = self._fields_of_masks([entry.mask for entry in buf])
+        # Every append is deferred, so the masks with rows are exactly the
+        # order prefix and the queued ones the rest of it (``_check_slots``
+        # holds that, and ``_mask_index``, to the order).
+        first, end = self._acc_n_masks, len(self._mask_order)
+        if end > first:
             self._acc_grow(end)
-            mask_rows = _to_column_matrix([mask.values for mask in new_masks], fields)
+            mask_rows = _to_column_matrix(
+                [mask.values for mask in self._mask_order[first:]], fields
+            )
             self._acc_mask_buffer[first:end] = mask_rows
             # The cached operands cover the masks before ``first``: extend
             # them by the new rows (None if those add a column: the next
@@ -379,7 +377,7 @@ class TupleSpaceSearch(MegaflowStore):
                     cached, mask_rows, self._acc_salt_buffer[first:end]
                 )
             self._acc_n_masks = end
-        self._slot_append(entries, indices, fields)
+        self._slot_append(buf, indices, fields)
 
     def _acc_backlog(self) -> int:
         """Slots indexed since the last merge (their compounds unsorted)."""
@@ -462,8 +460,8 @@ class TupleSpaceSearch(MegaflowStore):
         minus the backlog.
 
         Its slots hold the dicts' entries that are not queued in
-        ``_burst_buf``, each once; the queued new masks are the scan order
-        past the indexed prefix; the mask index agrees with the scan order;
+        ``_burst_buf``, each once; the masks the queued entries bring are the
+        scan order past the indexed prefix; the mask index agrees with the scan order;
         every slot appended since the last check carries the scan position
         (in its result, too), masked row and compound a rebuild would derive
         (a slot is never rewritten, so once is enough); the sorted array
@@ -474,7 +472,7 @@ class TupleSpaceSearch(MegaflowStore):
         # Whole-table checks run on every plan (built from C-level maps: a
         # per-key lookup plans once per key).
         indexed = set(map(id, map(itemgetter(0), results)))
-        pending = set(map(id, map(itemgetter(0), buf)))
+        pending = set(map(id, buf))
         truth = set(map(id, chain.from_iterable(map(dict.values, self._tables.values()))))
         if (
             len(indexed) != n
@@ -486,12 +484,14 @@ class TupleSpaceSearch(MegaflowStore):
                 f"the slot table's {n} entries and the {len(buf)} queued are not "
                 f"the dicts' {len(truth)}"
             )
-        if [entry.mask for entry, new_mask in buf if new_mask] != order[self._acc_n_masks :]:
-            raise CacheInvariantError("the queued new masks are not the unindexed scan order")
         if len(self._mask_index) != len(order) or list(
             map(self._mask_index.get, order)
         ) != list(range(len(order))):
             raise CacheInvariantError("mask scan positions are stale against the mask order")
+        n_masks = self._acc_n_masks
+        queued = {entry.mask for entry in buf if self._mask_index[entry.mask] >= n_masks}
+        if queued != set(order[n_masks:]):
+            raise CacheInvariantError("the queued entries' new masks are not the unindexed scan order")
         fresh = [result.entry for result in results[checked:]]
         indices = np.fromiter(
             (self._mask_index[entry.mask] for entry in fresh), dtype=np.int64, count=len(fresh)
@@ -710,7 +710,7 @@ class _BatchScanner:
         table = tss._tables.get(entry.mask)
         if (
             table is None
-            or table.get(tss._reduce(entry.mask, values)) is not entry
+            or table.get(tuple(map(and_, values, entry.mask.values))) is not entry
             or tss._mask_index.get(entry.mask) != index
             or result.masks_inspected != index + 1
         ):

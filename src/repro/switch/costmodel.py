@@ -161,22 +161,15 @@ class CostModel:
         return n_entries * self.revalidate_units_per_entry / period
 
     # -- throughput ---------------------------------------------------------------
-    def victim_gbps_probes(self, scan_cost: float, attack_load_units: float = 0.0) -> float:
-        """Victim throughput at full-scan cost ``scan_cost`` under attack load.
+    def victim_gbps(self, masks: int) -> float:
+        """Victim throughput at ``masks`` (probes ≡ masks), clamped by the wire.
 
-        ``attack_load_units`` is the unit rate (units/s) the attack traffic
-        burns; whatever budget remains is available to the victim at its
-        per-unit cost, clamped by the wire.
+        The whole budget goes to the victim at its per-unit cost: the
+        attack's contention for it is priced by settlement
+        (:mod:`repro.netsim.settlement`), not here.
         """
-        if attack_load_units < 0:
-            raise SwitchError("attack_load_units must be >= 0")
-        available = max(0.0, self.budget_units_per_sec - attack_load_units)
-        units_per_sec = available / self.victim_cost_units_probes(scan_cost)
+        units_per_sec = self.budget_units_per_sec / self.victim_cost_units_probes(masks)
         return min(self.link_gbps, units_per_sec * self.unit_bits / 1e9)
-
-    def victim_gbps(self, masks: int, attack_load_units: float = 0.0) -> float:
-        """Mask-count entry point: the TSS special case (probes ≡ masks)."""
-        return self.victim_gbps_probes(masks, attack_load_units)
 
     def victim_fraction(self, masks: int) -> float:
         """Fraction of baseline throughput (no attack CPU contention)."""

@@ -837,11 +837,6 @@ class Datapath:
             self._rebuild = None
         return self.snapshot()
 
-    def migrate_backend(self, target_kind: str) -> ShardSnapshot:
-        """One-shot migration: rebuild to completion and swap immediately."""
-        self.migrate_backend_start(target_kind)
-        return self.migrate_backend_swap()
-
     # -- RSS re-map migration ------------------------------------------------------
     # Like the backend rebuild above, these run *on this object* wherever it
     # lives; under the ``process`` executor only the moved entries (a delta of

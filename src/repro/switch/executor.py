@@ -179,7 +179,6 @@ SHARD_OPS: dict[str, ShardOp] = {
         ShardOp("evict_idle", fold="concat"),
         # Live backend migration: the rebuild and swap run *inside* the
         # owning worker; only the shard's snapshot crosses back.
-        ShardOp("migrate_backend"),
         ShardOp("migrate_backend_start"),
         ShardOp("migrate_backend_step"),
         ShardOp("migrate_backend_swap"),

@@ -59,7 +59,6 @@ from repro.switch.datapath import (
     DatapathConfig,
     DatapathStats,
     PacketVerdict,
-    ShardSnapshot,
 )
 from repro.switch.executor import ShardExecutor, make_shard_executor
 from repro.switch.rss import RssDispatcher, five_tuple_hash
@@ -295,27 +294,6 @@ class ShardedDatapath:
     def evict_idle(self, now: float | None = None) -> list[MegaflowEntry]:
         """Evict idle megaflows on every shard; returns all evicted entries."""
         return self.executor.call_all("evict_idle", now)
-
-    # -- live backend migration ---------------------------------------------------
-    def migrate_backend(self, target_kind: str, shard_id: int | None = None) -> list[ShardSnapshot]:
-        """Rebuild and swap shard caches to ``target_kind``, one shot.
-
-        Runs under :meth:`maintenance`, so the swap serialises against
-        in-flight batches under every executor strategy; under the
-        ``process`` executor each shard's rebuild runs inside its owning
-        worker (only its snapshot is shipped back).  ``shard_id``
-        limits the migration to one shard (a targeted rescue of the
-        detonated core) and must name an existing shard; default is every
-        shard.
-        """
-        if shard_id is not None and not 0 <= shard_id < self.n_shards:
-            raise SwitchError(f"no shard {shard_id} to migrate: datapath has {self.n_shards} shards")
-        with self.maintenance():
-            if shard_id is None:
-                return self.executor.call_all("migrate_backend", target_kind)
-            snapshots = self.executor.call_all("snapshot")
-            snapshots[shard_id] = self._shards[shard_id].migrate_backend(target_kind)
-            return snapshots
 
     # -- live RSS rebalancing -----------------------------------------------------
     def rebalance(self, dispatcher: RssDispatcher) -> int:

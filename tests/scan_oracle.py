@@ -22,18 +22,14 @@ from repro.classifier.backend import LiveBatchScanner
 from repro.classifier.tss import TupleSpaceSearch, _BatchScanner
 
 
-def constrained(mask) -> list[tuple[int, int]]:
-    """(field index, field mask) of every field ``mask`` constrains."""
-    return [(index, bits) for index, bits in enumerate(mask.values) if bits]
-
-
 def algorithm1(key, walk) -> tuple[object, int]:
     """(entry, masks inspected) of a linear scan: ``walk`` is a store's
-    masks in scan order, each as (:func:`constrained` fields, its dict);
-    each dict is probed with the key's masked key, and the first hit wins."""
+    masks in scan order, each as (its value tuple, its dict); each dict is
+    probed with the key's masked key over every field, and the first hit
+    wins."""
     values = key.values
-    for index, (fields, table) in enumerate(walk):
-        entry = table.get(tuple([values[i] & bits for i, bits in fields]))
+    for index, (mask_values, table) in enumerate(walk):
+        entry = table.get(tuple([value & bits for value, bits in zip(values, mask_values)]))
         if entry is not None:
             return entry, index + 1
     return None, len(walk)
@@ -49,13 +45,13 @@ class ScanOracle:
         # bumps _order_seq), so a walk is extended, not re-derived.
         self._walks: dict[int, tuple] = {}
 
-    def walk(self, store) -> list[tuple[list[tuple[int, int]], dict]]:
+    def walk(self, store) -> list[tuple[tuple[int, ...], dict]]:
         """``store``'s current scan order, read from its truth dicts."""
         order, seq = store._mask_order, store._order_seq
         _, walked_seq, masks, walk = self._walks.get(id(store), (store, seq, [], []))
         if walked_seq != seq or masks != order[: len(masks)]:
             walk = []
-        walk.extend((constrained(mask), store._tables[mask]) for mask in order[len(walk):])
+        walk.extend((mask.values, store._tables[mask]) for mask in order[len(walk):])
         self._walks[id(store)] = (store, seq, list(order), walk)
         return walk
 

@@ -2,7 +2,8 @@
 
 Each is written over the public :class:`~repro.classifier.backend.MegaflowStore`
 surface (``batch_scanner``, ``entries``, ``remove_entries``), so it holds for every
-backend without a member of its own.
+backend without a member of its own; :func:`migrate` drives a datapath's
+``migrate_backend_*`` surface the way the migration controller does.
 """
 
 from __future__ import annotations
@@ -20,6 +21,19 @@ def lookup_batch(store, keys, now: float = 0.0) -> tuple:
     keys = list(keys)
     scanner = store.batch_scanner(keys, now)
     return tuple(scanner.result(i) for i in range(len(keys)))
+
+
+def migrate(datapath, target_kind: str, shard_ids=None) -> list:
+    """Rebuild and swap each shard's cache (every shard, or those in
+    ``shard_ids``) to ``target_kind`` in one go, under ``maintenance()``:
+    start, then swap, which finishes the copy.  Returns every shard's
+    snapshot afterwards, by shard id."""
+    with datapath.maintenance():
+        for shard_id, shard in enumerate(datapath.shards):
+            if shard_ids is None or shard_id in shard_ids:
+                shard.migrate_backend_start(target_kind)
+                shard.migrate_backend_swap()
+        return [shard.snapshot() for shard in datapath.shards]
 
 
 def verify_disjoint(store) -> None:

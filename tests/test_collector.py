@@ -1,9 +1,11 @@
 """Nothing needs the cycle collector: counted in GC-tracked objects, no clock.
 
-A cold install keeps only what the store holds (entry, key, reduced key,
-slot result, leaf, and per new mask its dict, field tuple and mask), so a
-flood of upcalls feeds the collector little: the field pairs the masks
-constrain are shared, not rebuilt per mask.  A flow table holds its
+A cold install keeps only its own records: the entry and its key tuple
+(which also keys its mask's dict), the slot result, the leaf, and per new
+mask its dict, the mask and its value tuple (which also keys the leaf).
+Nothing repeats what those hold (no reduced key, no per-mask field tuple,
+no intern key per leaf, no queued pair), so a flood of upcalls feeds the
+collector little.  A flow table holds its
 subscribers weakly, and a process executor's shard handles hold it
 weakly, so a closed and dropped datapath — plain or sharded on every
 executor — is freed by reference counting, and a collection afterwards
@@ -39,7 +41,7 @@ def collector_off():
 
 
 @pytest.mark.parametrize(
-    "use_case, per_install", [(SIPSPDP, 10), (SIPDP, 11)], ids=["SipSpDp", "SipDp"]
+    "use_case, per_install", [(SIPSPDP, 7), (SIPDP, 7)], ids=["SipSpDp", "SipDp"]
 )
 def test_a_cold_install_leaves_few_tracked_objects(use_case, per_install, collector_off):
     """One cold burst into a fresh datapath: the tracked objects it leaves

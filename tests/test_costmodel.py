@@ -21,18 +21,6 @@ class TestVictimThroughput:
         model = CostModel(profile=GRO_OFF_TCP, link_gbps=1.0)
         assert model.victim_gbps(1) == 1.0  # CPU could do 10G; the wire cannot
 
-    def test_attack_contention_reduces_victim(self):
-        model = CostModel(profile=GRO_OFF_TCP, link_gbps=10.0)
-        free = model.victim_gbps(100)
-        contended = model.victim_gbps(100, attack_load_units=model.budget_units_per_sec / 2)
-        assert contended < free
-        starved = model.victim_gbps(100, attack_load_units=model.budget_units_per_sec * 2)
-        assert starved == 0.0
-
-    def test_negative_attack_load_rejected(self):
-        with pytest.raises(SwitchError):
-            CostModel().victim_gbps(1, attack_load_units=-1)
-
     def test_validation(self):
         with pytest.raises(SwitchError):
             CostModel(link_gbps=0)

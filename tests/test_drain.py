@@ -248,8 +248,9 @@ def test_a_key_resent_while_its_megaflow_is_queued(kernel, scan_oracle):
     datapath.process_batch(trace[:100], now=1.0)  # past the cadence: drained
     assert not store._burst_buf and store._acc_n_masks == store.n_masks
     installed = [v.installed for v in datapath.process_batch(trace[100:103], now=1.0).verdicts]
-    assert [(entry, True) for entry in installed] == store._burst_buf
+    assert installed == store._burst_buf
     assert store._acc_n_masks == store.n_masks - 3
+    assert [entry.mask for entry in installed] == store.masks()[-3:]
     resend([trace[50]])
     assert len(store._burst_buf) == 3
     resend([trace[101], trace[50], trace[100], trace[101]])

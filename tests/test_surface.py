@@ -210,20 +210,10 @@ PARAMETERS_FOR_TESTS: dict[str, tuple[str, ...]] = {
         "test_alt_classifiers::TestHarpSpecifics::test_tread_rounding",
         "test_alt_classifiers::TestHarpSpecifics::test_cost_is_treads_plus_bucket_checks",
     ),
-    # The scalar contention formula; settlement prices contention on its own.
-    "switch.costmodel:CostModel.victim_gbps.attack_load_units": (
-        "test_costmodel::TestVictimThroughput::test_attack_contention_reduces_victim",
-        "test_costmodel::TestVictimThroughput::test_negative_attack_load_rejected",
-    ),
     # The salted vectorised hash against the scalar one; no fleet host is re-keyed.
     "switch.rss:five_tuple_hash_columns.salt": (
         "test_rebalance::TestSaltedHash::test_columns_match_scalar_for_every_salt",
         "test_rebalance::TestSaltedHash::test_columns_scalar_differential_property",
-    ),
-    # A one-shard rescue; the migration controller drives start / step / swap itself.
-    "switch.sharded:ShardedDatapath.migrate_backend.shard_id": (
-        "test_migration::TestSwapUnderExecutors::test_sharded_selective_shard_migration",
-        "test_migration::TestSwapUnderExecutors::test_out_of_range_shard_id_is_refused",
     ),
     # An executor built by the test; the process executor waits for ROADMAP item 1b.
     "switch.sharded:ShardedDatapath.__init__.executor": (

@@ -95,19 +95,22 @@ class TestInvariants:
 
     @pytest.mark.parametrize("kernel", ["numpy", "auto"])
     def test_key_bits_outside_the_mask(self, kernel):
-        """An entry whose key is not masked by its own mask: rejected under
-        checking; unchecked, the index keys it by its masked row, as the
-        dicts do, so every lookup path finds what ``find`` finds."""
+        """An entry whose key is not masked by its own mask: rejected with
+        invariant checking on and off, before any mutation (the dicts are
+        keyed by ``entry.key`` as it is, so it could never be found); its
+        masked twin installs and every lookup path finds it."""
         mask = FlowMask(ip_src=0xFFFFFF00, tp_dst=0xFFFF)
-        raw = MegaflowEntry(mask, FlowKey(ip_src=0x0A000001, tp_dst=80).values, ALLOW)
-        with pytest.raises(CacheInvariantError, match="outside its mask"):
-            TupleSpaceSearch(check_invariants=True, scan_kernel=kernel).insert(raw)
-        cache = TupleSpaceSearch(scan_kernel=kernel)
-        cache.insert(raw)
+        raw_key = FlowKey(ip_src=0x0A000001, tp_dst=80)
         key = FlowKey(ip_src=0x0A0000FE, tp_dst=80)
-        assert cache.find(key) is raw
-        assert cache.lookup(key).entry is raw
-        assert lookup_batch(cache, [key, FlowKey(ip_src=0x0A000001, tp_dst=80)])[1].entry is raw
+        for check in (True, False):
+            cache = TupleSpaceSearch(check_invariants=check, scan_kernel=kernel)
+            with pytest.raises(CacheInvariantError, match="outside its mask"):
+                cache.insert(MegaflowEntry(mask, raw_key.values, ALLOW))
+            assert (cache.n_masks, cache.n_entries, cache.lookup(key).entry) == (0, 0, None)
+            masked = cache.insert(MegaflowEntry(mask, raw_key.masked(mask), ALLOW))
+            assert cache.find(key) is masked
+            assert cache.lookup(key).entry is masked
+            assert lookup_batch(cache, [key, raw_key])[1].entry is masked
 
     def test_verify_disjoint_catches_violation(self):
         cache = TupleSpaceSearch()

@@ -2,10 +2,11 @@
 
 Attack sources inject *real* packets into the hypervisor's datapath — at
 the paper's attack rates (100–2000 pps) that is cheap enough to simulate
-per packet, and it is what makes the mask counts genuine.  Victim flows
-operate in the hybrid mode described in DESIGN.md: a few keepalive packets
-per tick hold their cache entries, while their rate follows the capacity
-the hypervisor assigns (TCP ramps toward it, UDP jumps to it).
+per packet, and it is what makes the mask counts genuine.  Each tick's due
+attack packets reach the datapath as one burst.  Victim flows operate in
+the hybrid mode described in DESIGN.md: a few keepalive packets per tick
+hold their cache entries, while their rate follows the capacity the
+hypervisor assigns (TCP ramps toward it, UDP jumps to it).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "queue_aware_trace",
 ]
 
-BATCH_SIZE = 32  # packets per injected attack batch, an OVS-like rx burst
 RAMP_TAU = 2.0  # seconds: a TCP victim's exponential-ramp time constant
 
 
@@ -88,14 +88,15 @@ class ActiveWindow:
 class AttackSource:
     """Replays an adversarial trace at a fixed packet rate.
 
-    Each tick's packets are injected in rx-burst-sized batches through
-    :meth:`HypervisorHost.inject_attack_batch`, mirroring how DPDK/OVS
-    pull ~32-packet bursts off the NIC; semantics are identical to
-    per-packet injection (the batched datapath is verdict-equivalent),
-    only the per-packet Python overhead is amortised.  On a sharded host
-    each batch is RSS-partitioned onto PMD shards by the datapath; pass
-    the trace through :func:`queue_aware_trace` first to concentrate or
-    spread the explosion across queues.
+    Each tick's due packets are injected as one burst through
+    :meth:`HypervisorHost.inject_attack_batch` (100 or 200 packets a tick
+    in Fig. 8c; no call on a tick where none is due).  The burst size is
+    not observable: the batched datapath is per-key equivalent to
+    one-packet injection, and each packet is charged at the probe cost
+    its core reported before it ran.  On a sharded host each burst is
+    RSS-partitioned onto PMD shards by the datapath; pass the trace
+    through :func:`queue_aware_trace` first to concentrate or spread the
+    explosion across queues.
 
     Args:
         host: the hypervisor under attack.
@@ -147,7 +148,7 @@ class AttackSource:
         The adversarial game of the ``rsssweep`` experiment: after the
         defender re-keys RSS, the attacker re-grinds its crafting packets
         against the new dispatcher (:func:`~repro.switch.rss.retarget_trace`)
-        and swaps the re-targeted trace in here — subsequent batches replay
+        and swaps the re-targeted trace in here — subsequent bursts replay
         the new keys; packets already injected are history.
         """
         trace = list(keys)
@@ -163,17 +164,10 @@ class AttackSource:
         self._carry += self.pps * dt
         to_send = int(self._carry)
         self._carry -= to_send
-        sent = 0
-        while sent < to_send:
-            batch = list(
-                itertools.islice(self._iter, min(BATCH_SIZE, to_send - sent))
-            )
-            if not batch:
-                break
-            self.host.inject_attack_batch(batch, now)
-            sent += len(batch)
-        self.packets_sent += sent
-        self.current_pps = sent / dt if dt else 0.0
+        if to_send:
+            self.host.inject_attack_batch(list(itertools.islice(self._iter, to_send)), now)
+        self.packets_sent += to_send
+        self.current_pps = to_send / dt if dt else 0.0
 
 
 class VictimFlow:

@@ -177,13 +177,16 @@ class HypervisorHost:
 
     # -- ingress from traffic sources ---------------------------------------------
     def inject_attack_batch(self, keys: Sequence[FlowKey], now: float) -> list[PacketVerdict]:
-        """Classify one batch of attack packets; account the batch's cost.
+        """Classify one burst of attack packets; account the burst's cost.
 
-        Equivalent to one one-packet batch per key — same verdicts, same
-        units charged (each packet pays the expected scan cost *its core*
-        reported before it ran, via
-        ``probe_costs``/``shard_ids``) — but the datapath work runs
-        through the batched pipeline and the cost curve is evaluated per
+        Equivalent to one one-packet call per key: the same verdicts, and
+        each packet charged the same units — the expected scan cost *its
+        core* reported before it ran (``probe_costs``/``shard_ids``), or
+        one unit for a mask-cache hit.  Only the float association
+        differs: a core's scanned packets are summed in one
+        :meth:`CostModel.attack_units_batch` call before the sum joins
+        its accumulator, so the totals match per-packet injection to
+        rounding, not bit for bit.  The cost curve is evaluated per
         distinct probe cost, not per packet.
         """
         batch = self.datapath.process_batch(keys, now=now)

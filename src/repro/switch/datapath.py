@@ -232,7 +232,6 @@ class DatapathStats:
     mask_cache_hits: int = 0
     megaflow_hits: int = 0
     upcalls: int = 0
-    batches: int = 0
     installs: int = 0
     install_rejected: int = 0
     dead_entry_suppressed: int = 0
@@ -552,7 +551,6 @@ class Datapath:
         """
         self._advance_clock(now)
         keys = list(keys)
-        self.stats.batches += 1
         verdicts: list[PacketVerdict] = []
         mask_counts: list[int] = []
         probe_costs: list[float] = []
